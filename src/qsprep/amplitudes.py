@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import BadSplit, IndexOutOfRange, LengthNotPowerOfTwo, ZeroVector
+from .errors import BadSplit, IndexOutOfRange, InternalInvariant, LengthNotPowerOfTwo, ZeroVector
 
 
 def _log2_exact(length: int) -> int:
@@ -35,7 +34,8 @@ class TargetState:
     norm: float
 
     def __post_init__(self):
-        assert len(self.amplitudes) == 1 << self.n
+        if len(self.amplitudes) != 1 << self.n:
+            raise InternalInvariant(f"{len(self.amplitudes)} amplitudes for n={self.n}")
 
     @property
     def dim(self) -> int:
@@ -69,7 +69,8 @@ class PartitionNorms:
     values: np.ndarray
 
     def __post_init__(self):
-        assert len(self.values) == 1 << self.m
+        if len(self.values) != 1 << self.m:
+            raise InternalInvariant(f"{len(self.values)} partition norms for m={self.m}")
 
 
 def partition_norms(t: TargetState, m: int) -> PartitionNorms:
@@ -288,9 +289,3 @@ def angles_to_json(sp: AngleSet | None = None, csp: CSPAngleSet | None = None) -
                 for j in range(1 << csp.sub_levels)
             ]
     return doc
-
-
-def check_invariants(t: TargetState, tol=DEFAULT_TOLERANCES) -> None:
-    total = float(np.sum(np.abs(t.amplitudes) ** 2))
-    if abs(total - 1.0) > tol.norm_sum:
-        raise ZeroVector(f"normalization defect {abs(total - 1.0):.3e}")

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     DoubleDealloc,
     DuplicateOperand,
+    InternalInvariant,
     LayerCollision,
     LeakedQubit,
     OperandNotLive,
@@ -178,21 +179,21 @@ class Circuit:
     def qubits(self) -> list[QubitId]:
         return list(self._qubits)
 
-    def qubit_count(self) -> int:
-        """Maximum number of simultaneously allocated qubits."""
-        return max(self.live_profile(), default=0)
-
     def alloc_layer(self, q: QubitId) -> int:
         return self._alloc[q.id]
 
     def dealloc_layer(self, q: QubitId) -> int | None:
         return self._dealloc[q.id]
 
-    def events(self):
-        """(allocs, deallocs) as (qubit, layer) lists in id order."""
-        allocs = [(q, self._alloc[q.id]) for q in self._qubits]
-        deallocs = [(q, d) for q in self._qubits if (d := self._dealloc[q.id]) is not None]
-        return allocs, deallocs
+    def lifecycle(self) -> list[tuple[list[QubitId], list[QubitId]]]:
+        """Per layer 0..num_layers(), the (allocated, deallocated) qubits there, in id order."""
+        buckets = [([], []) for _ in range(self.num_layers() + 1)]
+        for q in self._qubits:
+            buckets[self._alloc[q.id]][0].append(q)
+            d = self._dealloc[q.id]
+            if d is not None:
+                buckets[d][1].append(q)
+        return buckets
 
     def depth(self) -> int:
         return sum(1 for layer in self.layers if layer)
@@ -200,11 +201,15 @@ class Circuit:
     def size(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    def live_profile(self) -> list[int]:
-        """Live-qubit count per layer (allocated and not yet deallocated)."""
+    def live_profile(self, qubits: Iterable[QubitId] | None = None) -> list[int]:
+        """Live-qubit count per layer (allocated and not yet deallocated).
+
+        Counts only the given qubits when ``qubits`` is passed, else all.
+        """
         L = self.num_layers()
         delta = [0] * (L + 1)
-        for qid in range(len(self._qubits)):
+        ids = range(len(self._qubits)) if qubits is None else (q.id for q in qubits)
+        for qid in ids:
             a = self._alloc[qid]
             d = self._dealloc[qid]
             if d is None:
@@ -374,7 +379,8 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL) -> Resou
             clean_sa += span
     prof = c.live_profile()
     sa_t = sum(prof)
-    assert sa_q == sa_t, f"spacetime double-count mismatch: {sa_q} != {sa_t}"
+    if sa_q != sa_t:
+        raise InternalInvariant(f"spacetime double-count mismatch: {sa_q} != {sa_t}")
 
     rot_layers = [bool(layer) and any(g.op in ROTATION_OPS for g in layer) for layer in c.layers]
     n_rot = sum(1 for layer in c.layers for g in layer if g.op in ROTATION_OPS)
@@ -396,7 +402,7 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL) -> Resou
     return ResourceReport(
         depth=c.depth(),
         size=c.size(),
-        qubit_count=c.qubit_count(),
+        qubit_count=max(prof, default=0),
         sa_exact=sa_t,
         sa_approx=sa_approx,
         clean_sa=clean_sa,
@@ -464,12 +470,9 @@ DECOMPOSITIONS = {
     "ccrz": _controlled_rot_rule,
 }
 
-#: both targets keep single-qubit rotations symbolic; the discrete-set cost
-#: of a rotation is charged through GateSetModel instead of synthesized.
-EXPANSION_TARGETS = {
-    "U2_CNOT": frozenset({"x", "h", "s", "sdg", "t", "tdg", "ry", "rz", "phase", "cnot"}),
-    "HSTCNOT_model": frozenset({"x", "h", "s", "sdg", "t", "tdg", "ry", "rz", "phase", "cnot"}),
-}
+#: the expansion target keeps single-qubit rotations symbolic; the discrete-set
+#: cost of a rotation is charged through GateSetModel instead of synthesized.
+U2_CNOT = frozenset({"x", "h", "s", "sdg", "t", "tdg", "ry", "rz", "phase", "cnot"})
 
 
 def expand_gate(g: Gate, allowed: frozenset) -> list[Gate]:
@@ -481,36 +484,28 @@ def expand_gate(g: Gate, allowed: frozenset) -> list[Gate]:
     return out
 
 
-def expand(c: Circuit, target: str = "U2_CNOT") -> Circuit:
-    """Rewrite composite gates into the target set, repacking ASAP.
+def expand(c: Circuit) -> Circuit:
+    """Rewrite composite gates into U2_CNOT, repacking ASAP.
 
     Lifecycle events are carried over at the matching points of the new
     schedule so allocation stays just-in-time.
     """
-    allowed = EXPANSION_TARGETS[target]
     c = c.compact()
     out = Circuit()
     out.registers = {k: list(v) for k, v in c.registers.items()}
     out.meta = dict(c.meta)
     id_map: dict[int, QubitId] = {}
     L = c.num_layers()
-    alloc_at = [[] for _ in range(L + 1)]
-    dealloc_at = [[] for _ in range(L + 1)]
-    for q in c.qubits():
-        alloc_at[c.alloc_layer(q)].append(q)
-        d = c.dealloc_layer(q)
-        if d is not None:
-            dealloc_at[d].append(q)
-    for t in range(L + 1):
+    for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         frontier = out.num_layers()
-        for q in dealloc_at[t]:
+        for q in deallocs:
             out.dealloc(id_map[q.id])
-        for q in alloc_at[t]:
+        for q in allocs:
             id_map[q.id] = out.alloc(q.kind, at_layer=frontier)
         if t == L:
             break
         for g in c.layers[t]:
-            for sub in expand_gate(g, allowed):
+            for sub in expand_gate(g, U2_CNOT):
                 out.append(Gate(sub.op, sub.params, tuple(id_map[q.id] for q in sub.qubits)))
     out.mark_persistent(id_map[qid] for qid in c.persistent())
     out.registers = {k: [id_map[q.id] for q in v] for k, v in c.registers.items()}
@@ -521,14 +516,14 @@ def expand(c: Circuit, target: str = "U2_CNOT") -> Circuit:
 
 def to_json_dict(c: Circuit) -> dict:
     c = c.compact()
-    allocs, deallocs = c.events()
+    qubits = c.qubits()
     return {
         "layers": [
             [{"op": g.op, "params": list(g.params), "qubits": [q.id for q in g.qubits]} for g in layer]
             for layer in c.layers
         ],
-        "alloc": [[q.id, t, q.kind] for q, t in allocs],
-        "dealloc": [[q.id, t] for q, t in deallocs],
+        "alloc": [[q.id, c.alloc_layer(q), q.kind] for q in qubits],
+        "dealloc": [[q.id, d] for q in qubits if (d := c.dealloc_layer(q)) is not None],
         "persistent": sorted(c.persistent()),
         "registers": {name: [q.id for q in qs] for name, qs in c.registers.items()},
     }
@@ -540,9 +535,11 @@ def dumps(c: Circuit) -> str:
 
 
 def loads(text: str) -> Circuit:
+    """Parse circuit JSON; every lifetime must satisfy 0 <= alloc <= dealloc <= len(layers)."""
     doc = json.loads(text)
     c = Circuit()
-    kinds = {qid: kind for qid, _, kind in doc["alloc"]}
+    L = len(doc["layers"])
+    c._grow(L - 1)
     order = sorted(doc["alloc"], key=lambda e: e[0])
     if [e[0] for e in order] != list(range(len(order))):
         raise OperandNotLive("alloc list must cover dense qubit ids")
@@ -555,6 +552,10 @@ def loads(text: str) -> Circuit:
             c.place(g, t)
     for qid, t in doc["dealloc"]:
         c.dealloc(qmap[qid], at_layer=t)
+    for q in c.qubits():
+        d = c.dealloc_layer(q)
+        if not 0 <= c.alloc_layer(q) <= (L if d is None else d) <= L:
+            raise OperandNotLive(f"{q} lifetime [{c.alloc_layer(q)}, {d}] leaves layers 0..{L}")
     c.mark_persistent(qmap[qid] for qid in doc.get("persistent", []))
     for name, ids in doc.get("registers", {}).items():
         c.add_register(name, [qmap[q] for q in ids])

@@ -15,7 +15,7 @@ from . import circuit_ir as cir
 from . import multicopy as mc
 from . import protocols as proto
 from . import sim
-from .errors import QsprepError
+from .errors import InternalInvariant, QsprepError
 
 
 def _read(path: str) -> bytes:
@@ -69,7 +69,7 @@ def cmd_synth(args, argv) -> int:
     circuit = proto.spcsp(target, cfg)
     violations = circuit.validate()
     if violations:
-        raise AssertionError(f"emitted circuit failed validation: {violations[:3]}")
+        raise InternalInvariant(f"emitted circuit failed validation: {violations[:3]}")
     report = cir.spacetime_allocation(circuit, _model_for(args))
     _write(args.out, cir.dumps(circuit))
     doc = envelope(argv, raw, {"report": report.to_json()})
@@ -127,20 +127,10 @@ def cmd_profile(args, argv) -> int:
     raw = _read(args.infile)
     circuit = cir.loads(raw.decode()).compact()
     report = cir.spacetime_allocation(circuit, _model_for(args))
-    prof = circuit.live_profile()
-    kinds = {q.id: q.kind for q in circuit.qubits()}
-    L = circuit.num_layers()
-    clean = [0] * L
-    dirty = [0] * L
-    for q in circuit.qubits():
-        a = circuit.alloc_layer(q)
-        d = circuit.dealloc_layer(q)
-        d = L if d is None else d
-        row = dirty if kinds[q.id] == "dirty" else clean
-        for t in range(a, min(d, L)):
-            row[t] += 1
+    live = circuit.live_profile()
+    dirty = circuit.live_profile(q for q in circuit.qubits() if q.kind == cir.DIRTY)
     lines = ["layer,live,clean,dirty"]
-    lines += [f"{t},{prof[t]},{clean[t]},{dirty[t]}" for t in range(L)]
+    lines += [f"{t},{n},{n - d},{d}" for t, (n, d) in enumerate(zip(live, dirty))]
     _write(args.out, "\n".join(lines) + "\n")
     doc = envelope(argv, raw, {"report": report.to_json()})
     _write(args.report, _dump(doc))
@@ -257,12 +247,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, argv)
+    except InternalInvariant as e:
+        sys.stderr.write(_dump({"error": "InternalInvariant", "message": str(e)}) + "\n")
+        return 3
     except (QsprepError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as e:
         sys.stderr.write(_dump({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 2
-    except AssertionError as e:
-        sys.stderr.write(_dump({"error": "InternalInvariant", "message": str(e)}) + "\n")
-        return 3
 
 
 if __name__ == "__main__":

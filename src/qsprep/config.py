@@ -1,7 +1,6 @@
 """Central numeric tolerances.
 
-Every comparison threshold used by the package lives in one record so
-tests and callers can tighten or relax them in a single place.
+Every comparison threshold the simulator applies lives in one record.
 """
 
 from __future__ import annotations
@@ -11,12 +10,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm_sum: float = 1e-12        # sum-of-squares checks on amplitude data
-    tree_sum: float = 1e-12        # parent/child consistency in partial-sum trees
     dealloc_mass: float = 1e-10    # residual |1> mass allowed when freeing an ancilla
-    fidelity_floor: float = 1e-9   # 1 - fidelity allowed end to end
     norm_drift: float = 1e-9       # statevector norm defect during simulation
-    unitary_entry: float = 1e-10   # max-entry error for decomposition checks
 
 
 DEFAULT_TOLERANCES = Tolerances()

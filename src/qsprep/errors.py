@@ -5,6 +5,10 @@ class QsprepError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalInvariant(QsprepError):
+    """An identity the package guarantees does not hold: a bug, not bad input."""
+
+
 # -- amplitude preprocessing ------------------------------------------------
 
 class LengthNotPowerOfTwo(QsprepError):

@@ -50,24 +50,10 @@ def _instance_circuit(t: TargetState, fanout: bool) -> Circuit:
     return spcsp(t, cfg)
 
 
-def _ancilla_profile(c: Circuit) -> list[int]:
-    """Live non-persistent qubits per layer of a compacted circuit."""
-    L = c.num_layers()
+def _ancillae(c: Circuit) -> list[QubitId]:
+    """The non-persistent qubits of a circuit."""
     persistent = c.persistent()
-    delta = [0] * (L + 1)
-    for q in c.qubits():
-        if q.id in persistent:
-            continue
-        a, d = c.alloc_layer(q), c.dealloc_layer(q)
-        if d is None:
-            d = L
-        delta[a] += 1
-        delta[min(d, L)] -= 1
-    prof, cur = [], 0
-    for t in range(L):
-        cur += delta[t]
-        prof.append(cur)
-    return prof
+    return [q for q in c.qubits() if q.id not in persistent]
 
 
 def _train_peak(prof: list[int], k: int) -> int:
@@ -78,7 +64,7 @@ def _train_peak(prof: list[int], k: int) -> int:
 def min_indentation(n: int, pool_cap: float, fanout: bool = True) -> int:
     """Smallest CSP start offset whose worst-case ancilla overlap fits the pool."""
     single = _instance_circuit(make_target([1.0] * (1 << n)), fanout).compact()
-    prof = _ancilla_profile(single)
+    prof = single.live_profile(_ancillae(single))
     if not prof:
         return 1
     if max(prof) > pool_cap:
@@ -146,7 +132,7 @@ def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict
                 id_last[q.id] = t
     for meta in instances_meta:
         meta["last_layer"] = max(id_last[q.id] for q in meta["data"])
-    peak_anc = max(_ancilla_profile(batch), default=0)
+    peak_anc = max(batch.live_profile(_ancillae(batch)), default=0)
     return batch, instances_meta, peak_anc
 
 
@@ -226,7 +212,7 @@ def simulate_batch(result: BatchResult, targets: list[TargetState],
 def _physical_assignment(c: Circuit) -> int:
     """Map lifetime intervals onto physical ids, lowest free id first.
 
-    Returns the physical pool size; the id map is stored in circuit meta.
+    Returns the physical pool size.
     """
     import heapq
 
@@ -234,13 +220,12 @@ def _physical_assignment(c: Circuit) -> int:
     L = c.num_layers()
     for q in c.qubits():
         d = c.dealloc_layer(q)
-        events.append((c.alloc_layer(q), 1, q.id, L if d is None else d))
+        events.append((c.alloc_layer(q), q.id, L if d is None else d))
     events.sort()
     free: list[int] = []
     releases: list[tuple[int, int]] = []
     next_id = 0
-    phys: dict[int, int] = {}
-    for layer, _, qid, dealloc in events:
+    for layer, _, dealloc in events:
         while releases and releases[0][0] <= layer:
             _, pid = heapq.heappop(releases)
             heapq.heappush(free, pid)
@@ -249,7 +234,5 @@ def _physical_assignment(c: Circuit) -> int:
         else:
             pid = next_id
             next_id += 1
-        phys[qid] = pid
         heapq.heappush(releases, (dealloc, pid))
-    c.meta["physical_map"] = phys
     return next_id

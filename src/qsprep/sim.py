@@ -60,16 +60,14 @@ class SimReport:
 class SimState:
     """Statevector over a dynamic set of live qubits."""
 
-    def __init__(self, max_live: int | None = None, tol=DEFAULT_TOLERANCES):
+    def __init__(self, max_live: int | None = None):
         self.live: list[QubitId] = []
         self._pos: dict[int, int] = {}
         self._vec: np.ndarray | None = None  # dense amplitudes, or None in basis mode
         self._basis: int = 0
         self._phase: complex = 1.0 + 0j
         self.max_live = max_live if max_live is not None else max_live_cap()
-        self.tol = tol
         self.peak_live = 0
-        self.reindex_log: list[tuple[int, int]] = []
 
     # -- representation helpers ------------------------------------------------
 
@@ -82,10 +80,6 @@ class SimState:
             vec = np.zeros(1 << self.num_live, dtype=complex)
             vec[self._basis] = self._phase
             self._vec = vec
-
-    def vector(self) -> np.ndarray:
-        self._materialize()
-        return self._vec.copy()
 
     def norm_defect(self) -> float:
         if self._vec is None:
@@ -182,16 +176,13 @@ class SimState:
             total = float(np.vdot(self._vec, self._vec).real)
             kept = float(np.vdot(comp, comp).real)
             residual = max(total - kept, 0.0)
-            if residual > self.tol.dealloc_mass and enforce:
+            if residual > DEFAULT_TOLERANCES.dealloc_mass and enforce:
                 raise DeallocNotZero(q.id, residual)
             self._vec = np.ascontiguousarray(comp).reshape(-1)
-        self.reindex_log.append((q.id, p))
         self.live.pop(p)
         del self._pos[q.id]
         for qq in self.live[p:]:
             self._pos[qq.id] -= 1
-        if self._vec is None:
-            return residual
         return residual
 
     def detach(self, order: list[QubitId]) -> tuple[np.ndarray, float]:
@@ -221,7 +212,6 @@ class SimState:
         # remove the detached qubits, highest position first
         for q in sorted(order, key=lambda q: -self._pos[q.id]):
             p = self._pos[q.id]
-            self.reindex_log.append((q.id, p))
             self.live.pop(p)
             del self._pos[q.id]
             for qq in self.live[p:]:
@@ -348,7 +338,6 @@ def run(
     target=None,
     target_order: list[QubitId] | None = None,
     max_live: int | None = None,
-    tol=DEFAULT_TOLERANCES,
     detach_plan: list[tuple[int, list[QubitId]]] | None = None,
     enforce_dealloc: bool = True,
     basis_prep: set[int] | None = None,
@@ -365,16 +354,9 @@ def run(
     """
     dirty_seeds = dirty_seeds or {}
     c = c.compact()
-    state = SimState(max_live=max_live, tol=tol)
+    state = SimState(max_live=max_live)
     report = SimReport(fidelity=None)
     L = c.num_layers()
-    alloc_at: list[list[QubitId]] = [[] for _ in range(L + 1)]
-    dealloc_at: list[list[QubitId]] = [[] for _ in range(L + 1)]
-    for q in c.qubits():
-        alloc_at[c.alloc_layer(q)].append(q)
-        d = c.dealloc_layer(q)
-        if d is not None:
-            dealloc_at[d].append(q)
     detach_at: dict[int, list[list[QubitId]]] = {}
     detached: list[np.ndarray] = []
     if detach_plan:
@@ -386,14 +368,14 @@ def run(
             return dirty_seeds.get(q.id, (1.0, 0.0))
         return None
 
-    for t in range(L + 1):
-        for q in dealloc_at[t]:
+    for t, (allocs, deallocs) in enumerate(c.lifecycle()):
+        for q in deallocs:
             seed = seed_for(q)
             residual = state.dealloc(q, seed=seed, enforce=enforce_dealloc)
             report.ancilla_verdicts.append((q.id, t, residual))
             if q.kind == DIRTY:
-                report.dirty_restoration.append((q.id, residual <= tol.dealloc_mass))
-        for q in alloc_at[t]:
+                report.dirty_restoration.append((q.id, residual <= DEFAULT_TOLERANCES.dealloc_mass))
+        for q in allocs:
             state.alloc(q, seed=seed_for(q))
             if basis_prep and q.id in basis_prep:
                 state.apply(Gate("x", (), (q,)))
@@ -403,7 +385,7 @@ def run(
             state.apply(g)
         if enforce_dealloc and (state.num_live <= 18 or t % 16 == 0):
             defect = state.norm_defect()
-            if defect > tol.norm_drift:
+            if defect > DEFAULT_TOLERANCES.norm_drift:
                 raise NormDrift(f"norm defect {defect:.3e} after layer {t}")
         for qs in detach_at.get(t, []):
             factor, defect = state.detach(qs)

@@ -25,6 +25,7 @@ from .circuit_ir import CLEAN, DIRTY, Circuit, QubitId, gate
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
+    InternalInvariant,
     NotPowerOfTwo,
     RegisterTooSmall,
 )
@@ -64,7 +65,6 @@ class FragmentSpec:
     name: str
     consumes: dict
     fresh_ancillae: object
-    supports_adjoint: bool = True
 
 
 class CopyTree:
@@ -271,7 +271,8 @@ def _spf_plan(m: int, start: int) -> SpfSchedule:
             busy.add(("d", q))
         layer += 1
         guard += 1
-        assert guard < 16 * m + 16, "spf planner runaway"
+        if guard >= 16 * m + 16:
+            raise InternalInvariant("spf planner runaway")
     sched.end = layer
     return sched
 
@@ -594,7 +595,7 @@ FRAGMENTS = {
     "copy": FragmentSpec("copy", {"reg": lambda m, n: 1 << m},
                          lambda m, n: (1 << m) - 1),
     "cs": FragmentSpec("cs", {"R": lambda m, n: 1 << m, "S": lambda m, n: 2 << m},
-                       lambda m, n: 0, supports_adjoint=False),
+                       lambda m, n: 0),
     "copyswap": FragmentSpec("copyswap",
                              {"ctrl": lambda m, n: m, "targets": lambda m, n: 1 << m},
                              lambda m, n: ((1 << m) - 1 - m) + ((1 << m) - 1)),

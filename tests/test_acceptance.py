@@ -258,7 +258,7 @@ class TestAcceptance:
 
     def test_14_decomposition_semantics(self):
         from qsprep.circuit_ir import (
-            DECOMPOSITIONS, EXPANSION_TARGETS, GATE_SIGNATURES, QubitId, expand_gate,
+            DECOMPOSITIONS, GATE_SIGNATURES, U2_CNOT, QubitId, expand_gate,
         )
         from qsprep.sim import block_unitary, gate_unitary
 
@@ -269,7 +269,7 @@ class TestAcceptance:
             nq = GATE_SIGNATURES[op][0]
             qs = [QubitId(i) for i in range(nq)]
             g = gate(op, tuple(qs), *params)
-            expanded = expand_gate(g, EXPANSION_TARGETS["U2_CNOT"])
+            expanded = expand_gate(g, U2_CNOT)
             err = np.max(np.abs(block_unitary(expanded, qs) - gate_unitary(op, params)))
             assert err < 1e-10
             checked.append(op)

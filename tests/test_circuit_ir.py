@@ -243,7 +243,7 @@ class TestExpansion:
         nq = cir.GATE_SIGNATURES[op][0]
         qs = [cir.QubitId(i) for i in range(nq)]
         g = gate(op, tuple(qs), *params)
-        expanded = cir.expand_gate(g, cir.EXPANSION_TARGETS["U2_CNOT"])
+        expanded = cir.expand_gate(g, cir.U2_CNOT)
         ref = gate_unitary(op, params)
         got = block_unitary(expanded, qs)
         assert np.max(np.abs(got - ref)) < 1e-10

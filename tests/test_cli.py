@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qsprep.circuit_ir import Circuit
 from qsprep.cli import main
 from qsprep.sim import flag_oracle, pair_index
 
@@ -73,6 +74,12 @@ class TestSynth:
         assert code == 2
         assert json.loads(err)["error"] == "LengthNotPowerOfTwo"
 
+    def test_validation_violation_is_exit_3(self, capsys, monkeypatch, pixels):
+        monkeypatch.setattr(Circuit, "validate", lambda self: ["layer 0: forced"])
+        code, _, err = run_cli(capsys, "synth", "--in", pixels, "--m", "1")
+        assert code == 3
+        assert json.loads(err)["error"] == "InternalInvariant"
+
 
 class TestSimulate:
     def test_fidelity_round_trip(self, capsys, tmp_path, pixels):
@@ -116,6 +123,49 @@ class TestProfile:
         assert rows[0] == "layer,live,clean,dirty"
         live = [int(r.split(",")[1]) for r in rows[1:]]
         assert sum(live) == 14
+
+    def test_dirty_column(self, capsys, tmp_path, rand_n4):
+        circ = tmp_path / "loadf.json"
+        code, _, _ = run_cli(capsys, "fragment", "loadf", "--m", "2", "--dirty-b1",
+                             "--in", rand_n4, "--out", str(circ))
+        assert code == 0
+        csv_path = tmp_path / "prof.csv"
+        code, out, _ = run_cli(capsys, "profile", "--in", str(circ), "--out", str(csv_path))
+        assert code == 0
+        rep = json.loads(out)["report"]
+        rows = [[int(x) for x in r.split(",")] for r in csv_path.read_text().splitlines()[1:]]
+        assert all(clean + dirty == live for _, live, clean, dirty in rows)
+        assert sum(r[3] for r in rows) == rep["dirty_sa"] > 0
+        assert sum(r[2] for r in rows) == rep["clean_sa"]
+
+
+def one_qubit_circuit(path, layers, alloc, dealloc):
+    x = {"op": "x", "params": [], "qubits": [0]}
+    path.write_text(json.dumps({
+        "layers": [[x] if busy else [] for busy in layers],
+        "alloc": [[0, alloc, "clean"]],
+        "dealloc": [[0, dealloc]],
+        "persistent": [],
+        "registers": {},
+    }))
+    return str(path)
+
+
+class TestLifecycleBounds:
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    @pytest.mark.parametrize("alloc,dealloc", [(0, 7), (-1, 1)], ids=["dealloc_past_end", "negative_alloc"])
+    def test_out_of_range_is_exit_2(self, capsys, tmp_path, cmd, alloc, dealloc):
+        path = one_qubit_circuit(tmp_path / "bad.json", [True], alloc, dealloc)
+        code, _, err = run_cli(capsys, cmd, "--in", path)
+        assert code == 2
+        assert json.loads(err)["error"] == "OperandNotLive"
+
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    def test_dealloc_after_trailing_empty_layer(self, capsys, tmp_path, cmd):
+        path = one_qubit_circuit(tmp_path / "ok.json", [True, True, False], 0, 3)
+        code, out, _ = run_cli(capsys, cmd, "--in", path, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert json.loads(out)["report"]
 
 
 class TestMulticopyCmd:

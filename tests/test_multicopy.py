@@ -25,7 +25,7 @@ class TestMinIndentation:
 
     def test_returned_k_is_minimal_and_feasible(self):
         single = mc._instance_circuit(amp.make_target([1.0] * 8), True).compact()
-        prof = mc._ancilla_profile(single)
+        prof = single.live_profile(mc._ancillae(single))
         cap = max(prof)
         k = mc.min_indentation(3, cap)
         assert k <= len(prof)
@@ -89,7 +89,7 @@ class TestStack:
     def test_pool_honesty(self):
         rng = np.random.default_rng(5)
         res = mc.stack(mc.BatchPlan(targets(rng, 3, 4)))
-        prof = mc._ancilla_profile(res.circuit)
+        prof = res.circuit.live_profile(mc._ancillae(res.circuit))
         assert res.peak_ancillae == max(prof)
         live = res.circuit.live_profile()
         assert max(live) == res.report.qubit_count

@@ -8,6 +8,7 @@ from qsprep import protocols as proto
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
 from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit
 from qsprep.sim import run
+from tests_reflection_helper import run_with_input
 
 
 def fidelity(circuit, target_vec):
@@ -402,53 +403,6 @@ class TestReflection:
         _, state = run_with_input(R, t.amplitudes)
         out = state.statevector(R.registers["D"])
         assert np.max(np.abs(out + t.amplitudes)) < 1e-9
-
-
-def run_with_input(circuit, data_vec):
-    """Run a circuit whose data register starts in an arbitrary state.
-
-    Drives the simulator layer by layer, overwriting the data register with
-    the requested amplitudes the moment it is fully allocated (it must still
-    be |0...0> at that point).
-    """
-    from qsprep.sim import SimReport, SimState
-
-    c = circuit.compact()
-    data = c.registers["D"]
-    state = SimState(max_live=26)
-    L = c.num_layers()
-    alloc_at = [[] for _ in range(L + 1)]
-    dealloc_at = [[] for _ in range(L + 1)]
-    for q in c.qubits():
-        alloc_at[c.alloc_layer(q)].append(q)
-        d = c.dealloc_layer(q)
-        if d is not None:
-            dealloc_at[d].append(q)
-    report = SimReport(fidelity=None)
-    seeded = False
-    for t in range(L + 1):
-        for q in dealloc_at[t]:
-            report.ancilla_verdicts.append((q.id, t, state.dealloc(q)))
-        for q in alloc_at[t]:
-            state.alloc(q)
-        if not seeded and all(q.id in state._pos for q in data):
-            order = data + [q for q in state.live if q not in data]
-            vec = state.statevector(order).reshape(-1, 1 << len(data))
-            assert np.allclose(vec[:, 1:], 0)
-            full = np.kron(vec[:, 0], np.asarray(data_vec, complex))
-            Lnow = state.num_live
-            tensor = full.reshape((2,) * Lnow)
-            axes = [0] * Lnow
-            for bit, q in enumerate(order):
-                axes[Lnow - 1 - state._pos[q.id]] = Lnow - 1 - bit
-            state._vec = np.ascontiguousarray(tensor.transpose(axes)).reshape(-1)
-            seeded = True
-        if t == L:
-            break
-        for g in c.layers[t]:
-            state.apply(g)
-    report.peak_live_qubits = state.peak_live
-    return report, state
 
 
 def run_with_input_chain(circuit, data_vec):

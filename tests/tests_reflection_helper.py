@@ -16,19 +16,12 @@ def run_with_input(circuit, data_vec):
     data = c.registers["D"]
     state = SimState(max_live=26)
     L = c.num_layers()
-    alloc_at = [[] for _ in range(L + 1)]
-    dealloc_at = [[] for _ in range(L + 1)]
-    for q in c.qubits():
-        alloc_at[c.alloc_layer(q)].append(q)
-        d = c.dealloc_layer(q)
-        if d is not None:
-            dealloc_at[d].append(q)
     report = SimReport(fidelity=None)
     seeded = False
-    for t in range(L + 1):
-        for q in dealloc_at[t]:
+    for t, (allocs, deallocs) in enumerate(c.lifecycle()):
+        for q in deallocs:
             report.ancilla_verdicts.append((q.id, t, state.dealloc(q)))
-        for q in alloc_at[t]:
+        for q in allocs:
             state.alloc(q)
         if not seeded and all(q.id in state._pos for q in data):
             order = data + [q for q in state.live if q not in data]
