@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSplit, IndexOutOfRange, InternalInvariant, LengthNotPowerOfTwo, ZeroVector
+from .errors import (
+    BadSplit,
+    IndexOutOfRange,
+    InternalInvariant,
+    LengthNotPowerOfTwo,
+    NonFiniteAmplitude,
+    ZeroVector,
+)
 
 
 def _log2_exact(length: int) -> int:
@@ -48,16 +55,22 @@ class TargetState:
 def make_target(raw) -> TargetState:
     """Validate and normalize a raw amplitude sequence.
 
-    Raises LengthNotPowerOfTwo unless len(raw) is a power of two >= 2, and
-    ZeroVector for an all-zero input.
+    Raises LengthNotPowerOfTwo unless len(raw) is a power of two >= 2,
+    NonFiniteAmplitude for a NaN or infinite entry or norm, and ZeroVector
+    for an all-zero input.
     """
     amps = np.asarray(list(raw), dtype=complex)
     if amps.ndim != 1 or len(amps) < 2:
         raise LengthNotPowerOfTwo(f"need a 1-d vector of length >= 2, got shape {amps.shape}")
     n = _log2_exact(len(amps))
-    norm = float(np.linalg.norm(amps))
+    if not np.isfinite(amps).all():
+        raise NonFiniteAmplitude("amplitudes must be finite numbers")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ZeroVector("all amplitudes are zero")
+    if not math.isfinite(norm):
+        raise NonFiniteAmplitude("the norm of the amplitudes overflows")
     return TargetState(n=n, amplitudes=amps / norm, norm=norm)
 
 
@@ -262,12 +275,15 @@ def target_from_json(doc) -> TargetState:
     except (TypeError, KeyError):
         raise ZeroVector('input document must carry an "amplitudes" key') from None
     amps = []
-    for entry in raw:
-        if isinstance(entry, (list, tuple)):
-            re, im = entry
-            amps.append(complex(re, im))
-        else:
-            amps.append(complex(entry))
+    try:
+        for entry in raw:
+            if isinstance(entry, (list, tuple)):
+                re, im = entry
+                amps.append(complex(re, im))
+            else:
+                amps.append(complex(entry))
+    except (TypeError, ValueError) as e:
+        raise NonFiniteAmplitude(f"amplitudes must be numbers or [re, im] pairs: {e}") from None
     return make_target(amps)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     InternalInvariant,
     LayerCollision,
     LeakedQubit,
+    MalformedCircuit,
     OperandNotLive,
     UseAfterDealloc,
 )
@@ -42,7 +43,7 @@ _INVERSE_SELF = frozenset({"x", "h", "cnot", "swap", "cswap", "toffoli"})
 _INVERSE_PAIR = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class QubitId:
     """Dense circuit-local qubit handle."""
 
@@ -66,16 +67,33 @@ class Gate(NamedTuple):
         return Gate(self.op, tuple(-p for p in self.params), self.qubits)
 
 
+def _angle(p) -> float:
+    """A gate parameter as a finite float; booleans, strings, null and NaN/inf are rejected."""
+    if isinstance(p, (bool, str)):
+        raise MalformedCircuit(f"gate parameter {p!r} is not a number")
+    try:
+        x = float(p)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedCircuit(f"gate parameter {p!r} is not a finite number") from None
+    if not math.isfinite(x):
+        raise MalformedCircuit(f"gate parameter {p!r} is not finite")
+    return x
+
+
 def gate(op: str, qubits, *params) -> Gate:
-    nq, npar = GATE_SIGNATURES[op]
+    """Check a gate against its signature: known op, operand count, distinct operands, finite params."""
+    try:
+        nq, npar = GATE_SIGNATURES[op]
+    except (KeyError, TypeError):
+        raise MalformedCircuit(f"unknown op {op!r}") from None
     qubits = tuple(qubits)
     if len(qubits) != nq:
         raise DuplicateOperand(f"{op} takes {nq} qubits, got {len(qubits)}")
-    if len(set(q.id for q in qubits)) != nq:
+    if nq > 1 and len({q.id for q in qubits}) != nq:
         raise DuplicateOperand(f"{op} operands must be distinct: {qubits}")
     if len(params) != npar:
-        raise ValueError(f"{op} takes {npar} params, got {len(params)}")
-    return Gate(op, tuple(float(p) for p in params), qubits)
+        raise MalformedCircuit(f"{op} takes {npar} params, got {len(params)}")
+    return Gate(op, tuple(map(_angle, params)), qubits)
 
 
 class Circuit:
@@ -138,27 +156,26 @@ class Circuit:
             self.layers.append([])
             self._busy.append(set())
 
-    def _check_live(self, g: Gate, layer: int) -> None:
-        for q in g.qubits:
-            if q.id >= len(self._qubits) or layer < self._alloc[q.id]:
-                raise OperandNotLive(f"{q} not allocated at layer {layer}")
-            d = self._dealloc[q.id]
-            if d is not None and layer >= d:
-                raise UseAfterDealloc(f"{q} deallocated at layer {d}, gate at {layer}")
-
     def place(self, g: Gate, layer: int) -> int:
         """Put a gate at an explicit layer; operands must be live and unused there."""
-        self._grow(layer)
-        self._check_live(g, layer)
-        busy = self._busy[layer]
+        if layer >= len(self.layers):
+            self._grow(layer)
+        alloc, dealloc, busy = self._alloc, self._dealloc, self._busy[layer]
         for q in g.qubits:
-            if q.id in busy:
+            i = q.id
+            if i >= len(alloc) or layer < alloc[i]:
+                raise OperandNotLive(f"{q} not allocated at layer {layer}")
+            d = dealloc[i]
+            if d is not None and layer >= d:
+                raise UseAfterDealloc(f"{q} deallocated at layer {d}, gate at {layer}")
+            if i in busy:
                 raise LayerCollision(f"{q} used twice in layer {layer}")
         self.layers[layer].append(g)
+        last_use = self._last_use
         for q in g.qubits:
             busy.add(q.id)
-            if layer > self._last_use[q.id]:
-                self._last_use[q.id] = layer
+            if layer > last_use[q.id]:
+                last_use[q.id] = layer
         return layer
 
     def append(self, g: Gate, policy: str = "asap") -> int:
@@ -284,18 +301,20 @@ class Circuit:
     def validate(self, expected_registers: dict[str, int] | None = None) -> list[str]:
         """Collect layer-collision, liveness, and register-size violations."""
         violations = []
+        alloc, dealloc = self._alloc, self._dealloc
         for t, layer in enumerate(self.layers):
             seen = set()
             for g in layer:
                 for q in g.qubits:
-                    if q.id in seen:
-                        violations.append(f"layer {t}: qubit {q.id} in two gates")
-                    seen.add(q.id)
-                    if t < self._alloc[q.id]:
-                        violations.append(f"layer {t}: qubit {q.id} used before allocation")
-                    d = self._dealloc[q.id]
+                    i = q.id
+                    if i in seen:
+                        violations.append(f"layer {t}: qubit {i} in two gates")
+                    seen.add(i)
+                    if t < alloc[i]:
+                        violations.append(f"layer {t}: qubit {i} used before allocation")
+                    d = dealloc[i]
                     if d is not None and t >= d:
-                        violations.append(f"layer {t}: qubit {q.id} used after deallocation")
+                        violations.append(f"layer {t}: qubit {i} used after deallocation")
         expected = expected_registers or self.meta.get("expected_register_sizes")
         if expected:
             for name, size in expected.items():
@@ -514,14 +533,13 @@ def expand(c: Circuit) -> Circuit:
 
 # -- serialization -------------------------------------------------------------------
 
-def to_json_dict(c: Circuit) -> dict:
-    c = c.compact()
+def _layer_json(layer: list[Gate]) -> list[dict]:
+    return [{"op": g.op, "params": list(g.params), "qubits": [q.id for q in g.qubits]} for g in layer]
+
+
+def _lifecycle_json(c: Circuit) -> dict:
     qubits = c.qubits()
     return {
-        "layers": [
-            [{"op": g.op, "params": list(g.params), "qubits": [q.id for q in g.qubits]} for g in layer]
-            for layer in c.layers
-        ],
         "alloc": [[q.id, c.alloc_layer(q), q.kind] for q in qubits],
         "dealloc": [[q.id, d] for q in qubits if (d := c.dealloc_layer(q)) is not None],
         "persistent": sorted(c.persistent()),
@@ -529,36 +547,114 @@ def to_json_dict(c: Circuit) -> dict:
     }
 
 
+def to_json_dict(c: Circuit) -> dict:
+    c = c.compact()
+    return {"layers": [_layer_json(layer) for layer in c.layers], **_lifecycle_json(c)}
+
+
+#: The JSON form is a tree of fresh lists and dicts, so the encoder's
+#: reference-cycle bookkeeping (one id() entry per container) is skipped.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+
 def dumps(c: Circuit) -> str:
-    """Canonical JSON text: byte-identical across parse/re-emit round trips."""
-    return json.dumps(to_json_dict(c), sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text: byte-identical across parse/re-emit round trips.
+
+    The text is ``json.dumps(to_json_dict(c), sort_keys=True,
+    separators=(",", ":"))``, but it is encoded one layer at a time, so the
+    dict form of the whole circuit never exists at once.
+    """
+    c = c.compact()
+    # Keys sort as alloc, dealloc, layers, ...; the first '"layers":0' is the placeholder.
+    head, tail = _encode({"layers": 0, **_lifecycle_json(c)}).split('"layers":0', 1)
+    layers = ",".join([_encode(_layer_json(layer)) for layer in c.layers])
+    return "".join((head, '"layers":[', layers, "]", tail))
 
 
-def loads(text: str) -> Circuit:
-    """Parse circuit JSON; every lifetime must satisfy 0 <= alloc <= dealloc <= len(layers)."""
+#: Canonical op names: a gate keeps the interned name, not the string parsed from
+#: JSON, so no parsed object outlives its layer and its memory can be reused.
+_OP_NAMES = {op: op for op in GATE_SIGNATURES}
+
+
+def _json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise MalformedCircuit(f"{what} must be a JSON list")
+    return value
+
+
+def loads(text: str | bytes) -> Circuit:
+    """Parse and check circuit JSON in one pass over its layers.
+
+    Qubit ids are the ints 0..n-1 of the alloc table, kinds are "clean" or
+    "dirty", and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
+    Lifecycles are read first; then each layer is built through ``gate`` and
+    ``place``, which check it, and its parsed JSON is released right after.
+    """
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise MalformedCircuit("circuit JSON must be an object")
+    layers = _json_list(doc.get("layers"), '"layers"')
+    registers = doc.get("registers", {})
+    if type(registers) is not dict:
+        raise MalformedCircuit('"registers" must be a JSON object')
+    L = len(layers)
     c = Circuit()
-    L = len(doc["layers"])
     c._grow(L - 1)
-    order = sorted(doc["alloc"], key=lambda e: e[0])
-    if [e[0] for e in order] != list(range(len(order))):
-        raise OperandNotLive("alloc list must cover dense qubit ids")
-    qmap = {}
-    for qid, t, kind in order:
-        qmap[qid] = c.alloc(kind, at_layer=t)
-    for t, layer in enumerate(doc["layers"]):
+
+    entries = _json_list(doc.get("alloc"), '"alloc"')
+    n = len(entries)
+    lifecycles: list = [None] * n
+    for e in entries:
+        if type(e) is not list or len(e) != 3:
+            raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
+        qid, t, kind = e
+        if type(qid) is not int or not 0 <= qid < n or lifecycles[qid] is not None:
+            raise OperandNotLive("alloc list must cover dense qubit ids")
+        if kind not in (CLEAN, DIRTY):
+            raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
+        if type(t) is not int or not 0 <= t <= L:
+            raise OperandNotLive(f"qubit {qid} allocated at {t!r}, outside layers 0..{L}")
+        lifecycles[qid] = (t, CLEAN if kind == CLEAN else DIRTY)
+    qs = [c.alloc(kind, at_layer=t) for t, kind in lifecycles]
+
+    def qubit(qid):
+        if type(qid) is not int or not 0 <= qid < n:
+            raise OperandNotLive(f"qubit id {qid!r} is not allocated")
+        return qs[qid]
+
+    for e in _json_list(doc.get("dealloc"), '"dealloc"'):
+        if type(e) is not list or len(e) != 2:
+            raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
+        q, t = qubit(e[0]), e[1]
+        if type(t) is not int:
+            raise MalformedCircuit(f"{q} deallocated at {t!r}")
+        c.dealloc(q, at_layer=t)
+        if t > L:
+            raise OperandNotLive(f"{q} lifetime [{c.alloc_layer(q)}, {t}] leaves layers 0..{L}")
+
+    for t in range(L):
+        layer = _json_list(layers[t], f"layer {t}")
+        layers[t] = None
         for entry in layer:
-            g = gate(entry["op"], tuple(qmap[q] for q in entry["qubits"]), *entry["params"])
-            c.place(g, t)
-    for qid, t in doc["dealloc"]:
-        c.dealloc(qmap[qid], at_layer=t)
-    for q in c.qubits():
-        d = c.dealloc_layer(q)
-        if not 0 <= c.alloc_layer(q) <= (L if d is None else d) <= L:
-            raise OperandNotLive(f"{q} lifetime [{c.alloc_layer(q)}, {d}] leaves layers 0..{L}")
-    c.mark_persistent(qmap[qid] for qid in doc.get("persistent", []))
-    for name, ids in doc.get("registers", {}).items():
-        c.add_register(name, [qmap[q] for q in ids])
+            try:
+                op, params, ids = entry["op"], entry["params"], entry["qubits"]
+            except (TypeError, KeyError):
+                raise MalformedCircuit(f"layer {t}: gate {entry!r} needs op, params and qubits") from None
+            if type(ids) is not list or type(params) is not list:
+                raise MalformedCircuit(f"layer {t}: gate {entry!r} needs lists of qubits and params")
+            if type(op) is str:
+                op = _OP_NAMES.get(op, op)
+            operands = [qs[i] for i in ids if type(i) is int and 0 <= i < n]
+            if len(operands) != len(ids):
+                raise OperandNotLive(f"layer {t}: qubit ids {ids!r} are not all allocated")
+            c.place(gate(op, operands, *params), t)
+
+    c.mark_persistent(qubit(qid) for qid in _json_list(doc.get("persistent", []), '"persistent"'))
+    for name, ids in registers.items():
+        members = [qubit(qid) for qid in _json_list(ids, f"register {name}")]
+        if len(set(ids)) != len(ids):
+            raise DuplicateOperand(f"register {name} lists a qubit twice: {ids}")
+        c.add_register(name, members)
     return c
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -91,7 +92,7 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_simulate(args, argv) -> int:
     raw = _read(args.infile)
-    circuit = cir.loads(raw.decode())
+    circuit = cir.loads(raw)
     max_live = args.max_qubits
     if args.enumerate_basis:
         data = circuit.registers.get("D") or circuit.registers.get("D0")
@@ -125,7 +126,7 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_profile(args, argv) -> int:
     raw = _read(args.infile)
-    circuit = cir.loads(raw.decode()).compact()
+    circuit = cir.loads(raw).compact()
     report = cir.spacetime_allocation(circuit, _model_for(args))
     live = circuit.live_profile()
     dirty = circuit.live_profile(q for q in circuit.qubits() if q.kind == cir.DIRTY)
@@ -242,10 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command with the cyclic garbage collector off.
+
+    The circuit IR is acyclic (gate tuples, qubit handles, lists), so
+    reference counting frees it; collector passes would only rescan its
+    ~10^6 objects.  The caller's collector state is restored on return.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        argv = list(sys.argv[1:] if argv is None else argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args, argv)
     except InternalInvariant as e:
         sys.stderr.write(_dump({"error": "InternalInvariant", "message": str(e)}) + "\n")
@@ -253,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except (QsprepError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as e:
         sys.stderr.write(_dump({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

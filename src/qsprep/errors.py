@@ -27,6 +27,10 @@ class IndexOutOfRange(QsprepError):
     pass
 
 
+class NonFiniteAmplitude(QsprepError):
+    """An amplitude is not a finite number, or the norm of the vector overflows."""
+
+
 # -- circuit IR ---------------------------------------------------------------
 
 class OperandNotLive(QsprepError):
@@ -51,6 +55,10 @@ class UseAfterDealloc(QsprepError):
 
 class LeakedQubit(QsprepError):
     pass
+
+
+class MalformedCircuit(QsprepError):
+    """A gate or circuit document breaks the schema: unknown op or kind, bad parameter, wrong JSON type."""
 
 
 # -- subroutines --------------------------------------------------------------

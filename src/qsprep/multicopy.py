@@ -75,12 +75,6 @@ def min_indentation(n: int, pool_cap: float, fanout: bool = True) -> int:
     return len(prof)
 
 
-def _compact_boundary(c: Circuit, boundary: int) -> tuple[Circuit, int]:
-    """Compact a circuit and translate a layer boundary along with it."""
-    kept_before = sum(1 for layer in c.layers[:boundary] if layer)
-    return c.compact(), kept_before
-
-
 @dataclass
 class BatchResult:
     circuit: Circuit
@@ -147,8 +141,8 @@ def stack(plan: BatchPlan) -> BatchResult:
     insts = []
     for t in plan.targets:
         c = _instance_circuit(t, plan.fanout)
-        cc, sp_end = _compact_boundary(c, c.meta["sp_end"])
-        insts.append((cc, sp_end))
+        sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
+        insts.append((c.compact(), sp_end))
     single_span = insts[0][0].num_layers()
 
     if plan.indentation is not None:

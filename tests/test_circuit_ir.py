@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qsprep import circuit_ir as cir
+from qsprep import protocols as proto
+from qsprep.amplitudes import make_target
 from qsprep.circuit_ir import Circuit, gate
 from qsprep.errors import (
     DoubleDealloc,
@@ -279,6 +282,15 @@ class TestSerialization:
         text = cir.dumps(c)
         again = cir.dumps(cir.loads(text))
         assert text == again
+
+    def test_round_trip_spcsp_paper_layout_dirty_b1(self):
+        rng = np.random.default_rng(6)
+        target = make_target(rng.random(64) + 0.02)
+        c = proto.spcsp(target, proto.ProtocolConfig(n=6, dirty_b1=True))
+        text = cir.dumps(c)
+        assert '"dirty"' in text
+        assert text == json.dumps(cir.to_json_dict(c), sort_keys=True, separators=(",", ":"))
+        assert cir.dumps(cir.loads(text)) == text
 
     def test_round_trip_preserves_structure(self):
         c = self.build()

@@ -1,7 +1,10 @@
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qsprep.circuit_ir import Circuit
 from qsprep.cli import main
@@ -73,6 +76,20 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", "--in", str(path))
         assert code == 2
         assert json.loads(err)["error"] == "LengthNotPowerOfTwo"
+
+    @pytest.mark.parametrize("amplitudes", [
+        [1, float("inf"), 1, 1],
+        [1, float("nan"), 1, 1],
+        [[1, 0], [float("nan"), 0], [1, 0], [1, 0]],
+        [1e300, 1e300, 1, 1],
+        [None, 1],
+    ], ids=["inf", "nan", "complex_nan", "norm_overflow", "null"])
+    def test_non_finite_amplitude_is_exit_2(self, capsys, tmp_path, amplitudes):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"amplitudes": amplitudes}))
+        code, _, err = run_cli(capsys, "synth", "--in", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "NonFiniteAmplitude"
 
     def test_validation_violation_is_exit_3(self, capsys, monkeypatch, pixels):
         monkeypatch.setattr(Circuit, "validate", lambda self: ["layer 0: forced"])
@@ -166,6 +183,108 @@ class TestLifecycleBounds:
         code, out, _ = run_cli(capsys, cmd, "--in", path, "--out", str(tmp_path / "out"))
         assert code == 0
         assert json.loads(out)["report"]
+
+
+def two_qubit_doc() -> dict:
+    return {
+        "layers": [[{"op": "ry", "params": [0.5], "qubits": [0]}],
+                   [{"op": "cnot", "params": [], "qubits": [0, 1]}]],
+        "alloc": [[0, 0, "clean"], [1, 0, "clean"]],
+        "dealloc": [],
+        "persistent": [0, 1],
+        "registers": {"D": [0, 1]},
+    }
+
+
+def malformed(edit):
+    doc = two_qubit_doc()
+    edit(doc)
+    return doc
+
+
+#: name -> (error the CLI reports, circuit document)
+MALFORMED = {
+    "param_null": ("MalformedCircuit", malformed(lambda d: d["layers"][0][0].update(params=[None]))),
+    "param_nan": ("MalformedCircuit",
+                  malformed(lambda d: d["layers"][0][0].update(params=[float("nan")]))),
+    "top_level_list": ("MalformedCircuit", [two_qubit_doc()]),
+    "qubit_id_true": ("OperandNotLive",
+                      malformed(lambda d: d["layers"][1][0].update(qubits=[0, True]))),
+    "unknown_kind": ("MalformedCircuit", malformed(lambda d: d["alloc"][1].__setitem__(2, "weird"))),
+    "duplicate_register_member": ("DuplicateOperand",
+                                  malformed(lambda d: d["registers"].update(D=[0, 0]))),
+}
+
+
+class TestMalformedCircuit:
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_exit_2_with_json_error(self, capsys, tmp_path, cmd, name):
+        error, doc = MALFORMED[name]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    def test_well_formed_base_is_accepted(self, capsys, tmp_path, cmd):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(two_qubit_doc()))
+        code, _, _ = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        assert code == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_circuit_exits_0_or_2(self, capsys, tmp_path, data):
+        doc = two_qubit_doc()
+        for _ in range(data.draw(st.integers(1, 2))):
+            *parent, key = data.draw(st.sampled_from(list(json_paths(doc))))
+            node = doc
+            for k in parent:
+                node = node[k]
+            node[key] = data.draw(JSON_VALUES)
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        for cmd in ("simulate", "profile"):
+            code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+            assert code in (0, 2)
+            if code == 2:
+                assert "error" in json.loads(err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.sampled_from(["x", "clean"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["op", "D"]), inner),
+    max_leaves=4,
+)
+
+
+def json_paths(node, prefix=()):
+    """Key paths of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from json_paths(v, prefix + (k,))
+
+
+class TestGarbageCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_gc_state(self, capsys, tmp_path, pixels, enabled):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"amplitudes": [1, 1, 1]}))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            ok = run_cli(capsys, "synth", "--in", pixels, "--out", str(tmp_path / "c.json"))[0]
+            after_ok = gc.isenabled()
+            failed = run_cli(capsys, "synth", "--in", str(bad))[0]
+            after_failed = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert (ok, failed) == (0, 2)
+        assert after_ok is enabled and after_failed is enabled
 
 
 class TestMulticopyCmd:
