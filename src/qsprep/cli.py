@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--angles-out", default=None)
     sp.set_defaults(fn=cmd_synth)
 
-    sp = subs.add_parser("simulate", help="run a circuit JSON on the statevector simulator")
+    sp = subs.add_parser("simulate", help="run a circuit JSON on the sparse-state simulator")
     common(sp)
     sp.add_argument("--target", default=None, help="amplitude JSON to compare against")
     sp.add_argument("--enumerate-basis", action="store_true")

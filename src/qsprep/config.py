@@ -16,6 +16,9 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-#: Hard cap on simultaneously live qubits in the dense simulator.  Can be
+#: Hard cap on simultaneously live qubits in the simulator.  Can be
 #: overridden per-run or via the QSPREP_MAX_QUBITS environment variable.
+#: The simulator's memory is set by the state's support, which has its own
+#: cap (``sim.MAX_SUPPORT``); this one bounds the dense vectors that
+#: ``SimState.statevector`` returns.
 DEFAULT_MAX_LIVE_QUBITS = 26

@@ -26,7 +26,7 @@ from .amplitudes import (
     partition_norms,
 )
 from .circuit_ir import CLEAN, Circuit, Gate, QubitId, gate
-from .errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit
+from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
 from .subroutines import flag, loadf, spf, split_levels
 
 
@@ -427,12 +427,27 @@ def reflection(t: TargetState, cfg: ProtocolConfig | None = None) -> Circuit:
 # -- standalone fragments (differential testing, CLI) ----------------------------------
 
 
+#: Largest m (and cs-layer t) of a standalone fragment, which holds up to
+#: 2**m qubits.
+FRAGMENT_MAX_M = 20
+
+
 def fragment_circuit(name: str, m: int, n: int | None = None,
                      angles: CSPAngleSet | None = None, t: int = 0,
                      basis: int | None = None, **kwargs) -> Circuit:
-    """Wire one fragment into a standalone circuit with canonical registers."""
+    """Wire one fragment into a standalone circuit with canonical registers.
+
+    ``m`` must lie in [1, FRAGMENT_MAX_M], ``t`` in [0, FRAGMENT_MAX_M] and
+    ``basis`` in [0, 2**m).
+    """
     from . import subroutines as sub
 
+    if not 1 <= m <= FRAGMENT_MAX_M:
+        raise BadSplit(f"m={m} outside [1, {FRAGMENT_MAX_M}]")
+    if not 0 <= t <= FRAGMENT_MAX_M:
+        raise BadSplit(f"t={t} outside [0, {FRAGMENT_MAX_M}]")
+    if basis is not None and not 0 <= basis < (1 << m):
+        raise IndexOutOfRange(f"basis={basis} outside [0, {1 << m})")
     c = Circuit()
     if name == "copy":
         src = c.alloc(at_layer=0)

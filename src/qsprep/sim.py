@@ -1,12 +1,17 @@
-"""Dense statevector simulator with dynamic qubit allocation.
+"""Sparse-state simulator with dynamic qubit allocation.
 
-State indices are little-endian over the live-qubit list: the qubit at live
-position t owns bit t of the flat index.  Allocation tensor-extends the
+The state is a map from basis key to amplitude that holds only the
+nonzero entries.  Keys are little-endian over the live-qubit list: the
+qubit at live position p owns bit p of the key.  The circuits qsprep
+emits keep most live qubits as classical functions of a few superposed
+ones (copy trees, one-hot addresses, flag ladders), so the map stays
+small at widths no dense vector could hold; this is the state-sparsity
+technique of Jaques & Häner, "Leveraging state sparsity for more
+efficient quantum simulations" (2021).  Allocation tensor-extends the
 state with |0> (or a dirty seed); deallocation verifies the qubit is
-disentangled in the expected state and contracts it out.  Computational
-basis states are tracked symbolically until a non-permutation,
-non-diagonal gate forces a dense vector, which makes purely classical
-fragments (copies, flag ladders) cheap at any width.
+disentangled in the expected state and contracts it out.  The live width
+is capped at ``max_live`` qubits and the support at ``MAX_SUPPORT`` keys;
+either cap raises ``PeakQubitsExceeded``.
 """
 
 from __future__ import annotations
@@ -19,12 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitudes import AngleSet, CSPAngleSet, PartitionNorms
-from .circuit_ir import DIRTY, Circuit, Gate, QubitId
+from .circuit_ir import DIRTY, GATE_SIGNATURES, Circuit, Gate, QubitId, gate
 from .config import DEFAULT_MAX_LIVE_QUBITS, DEFAULT_TOLERANCES
 from .errors import DeallocNotZero, NormDrift, OperandNotLive, PeakQubitsExceeded
 
-_PERMUTATION_OPS = frozenset({"x", "cnot", "swap", "cswap", "toffoli"})
-_DIAGONAL_OPS = frozenset({"s", "sdg", "t", "tdg", "phase", "rz", "crz", "ccrz"})
+#: Most basis keys the state may hold.  An entry takes 100-130 bytes and a
+#: gate holds the old and the new map at once, so this is about 1 GiB: the
+#: size of a dense vector at the default cap of 26 live qubits.
+MAX_SUPPORT = 1 << 22
+
+#: Amplitudes this small are rounding residue, such as cos(pi/2) after the
+#: ry(pi) a sparse target needs, or a branch that cancelled inexactly.  They
+#: are dropped after a mixing gate or a contraction, so they do not grow the
+#: support.
+_NEGLIGIBLE = 1e-15
 
 _DIAG_PHASE = {
     "s": 1j,
@@ -32,6 +45,51 @@ _DIAG_PHASE = {
     "t": cmath.exp(1j * math.pi / 4),
     "tdg": cmath.exp(-1j * math.pi / 4),
 }
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _target_columns(op: str, params: tuple) -> tuple:
+    """Columns of a gate's unitary on its target operands.
+
+    The targets are the last operand (the last two for swap and cswap); the
+    operands before them are controls that must all be 1.  Column i lists
+    the (row, entry) pairs of the nonzero entries, target t owning bit t of
+    the row and column index.
+    """
+    if op in ("x", "cnot", "toffoli"):
+        return ((1, 1.0),), ((0, 1.0),)
+    if op in ("swap", "cswap"):
+        return ((0, 1.0),), ((2, 1.0),), ((1, 1.0),), ((3, 1.0),)
+    if op == "h":
+        return ((0, _SQRT_HALF), (1, _SQRT_HALF)), ((0, _SQRT_HALF), (1, -_SQRT_HALF))
+    if op in ("ry", "cry", "ccry"):
+        c, s = math.cos(params[0] / 2), math.sin(params[0] / 2)
+        return ((0, c), (1, s)), ((0, -s), (1, c))
+    if op in ("rz", "crz", "ccrz"):
+        ph = cmath.exp(0.5j * params[0])
+        return ((0, ph.conjugate()),), ((1, ph),)
+    ph = cmath.exp(1j * params[0]) if op == "phase" else _DIAG_PHASE[op]
+    return ((0, 1.0),), ((1, ph),)
+
+
+def _squeeze(key: int, p: int) -> int:
+    """The key with bit p removed; the bits above p move down by one."""
+    return ((key >> (p + 1)) << p) | (key & ((1 << p) - 1))
+
+
+def _seed_pair(seed) -> tuple[complex, complex]:
+    """Normalized single-qubit amplitudes (a0, a1); None is |0>."""
+    if seed is None:
+        return 1.0 + 0j, 0.0 + 0j
+    sv = np.asarray(seed, dtype=complex)
+    sv = sv / np.linalg.norm(sv)
+    return complex(sv[0]), complex(sv[1])
+
+
+def _mass(amp: dict) -> float:
+    v = np.fromiter(amp.values(), dtype=complex, count=len(amp))
+    return float(np.vdot(v, v).real)
 
 
 def max_live_cap() -> int:
@@ -58,52 +116,52 @@ class SimReport:
 
 
 class SimState:
-    """Statevector over a dynamic set of live qubits."""
+    """Sparse state {basis key: amplitude} over a dynamic set of live qubits."""
 
     def __init__(self, max_live: int | None = None):
         self.live: list[QubitId] = []
         self._pos: dict[int, int] = {}
-        self._vec: np.ndarray | None = None  # dense amplitudes, or None in basis mode
-        self._basis: int = 0
-        self._phase: complex = 1.0 + 0j
+        self._amp: dict[int, complex] = {0: 1.0 + 0j}
         self.max_live = max_live if max_live is not None else max_live_cap()
         self.peak_live = 0
-
-    # -- representation helpers ------------------------------------------------
 
     @property
     def num_live(self) -> int:
         return len(self.live)
 
-    def _materialize(self) -> None:
-        if self._vec is None:
-            vec = np.zeros(1 << self.num_live, dtype=complex)
-            vec[self._basis] = self._phase
-            self._vec = vec
+    def _store(self, amp: dict, prune: bool) -> None:
+        if prune:
+            amp = {k: a for k, a in amp.items() if abs(a) > _NEGLIGIBLE}
+        if len(amp) > MAX_SUPPORT:
+            raise PeakQubitsExceeded(f"state support {len(amp)} exceeds cap {MAX_SUPPORT}")
+        self._amp = amp
+
+    def _forget(self, positions: list[int]) -> None:
+        """Drop the qubits at these live positions from the live list."""
+        for p in sorted(positions, reverse=True):
+            del self._pos[self.live.pop(p).id]
+        for t in range(min(positions), self.num_live):
+            self._pos[self.live[t].id] = t
 
     def norm_defect(self) -> float:
-        if self._vec is None:
-            return abs(1.0 - abs(self._phase) ** 2)
-        return abs(1.0 - float(np.vdot(self._vec, self._vec).real))
+        return abs(1.0 - _mass(self._amp))
 
     def dominant_basis(self) -> tuple[int, float]:
-        """(most likely computational basis index, its probability)."""
-        if self._vec is None:
-            return self._basis, abs(self._phase) ** 2
-        idx = int(np.argmax(np.abs(self._vec)))
-        return idx, float(abs(self._vec[idx]) ** 2)
+        """(most likely basis key, its probability); ties go to the lowest key."""
+        key, a = min(self._amp.items(), key=lambda kv: (-abs(kv[1]), kv[0]), default=(0, 0j))
+        return key, abs(a) ** 2
 
     def statevector(self, order: list[QubitId]) -> np.ndarray:
-        """Amplitudes with order[t] owning bit t; order must be the live set."""
+        """Dense amplitudes with order[t] owning bit t; order must be the live set."""
         if sorted(q.id for q in order) != sorted(self._pos):
             raise OperandNotLive("statevector order must match the live qubit set")
-        self._materialize()
-        L = self.num_live
-        tensor = self._vec.reshape((2,) * L)
-        axes = [0] * L
+        out = np.zeros(1 << len(order), dtype=complex)
+        keys = np.fromiter(self._amp, dtype=np.int64, count=len(self._amp))
+        index = np.zeros_like(keys)
         for t, q in enumerate(order):
-            axes[L - 1 - t] = L - 1 - self._pos[q.id]
-        return tensor.transpose(axes).reshape(-1).copy()
+            index |= ((keys >> self._pos[q.id]) & 1) << t
+        out[index] = np.fromiter(self._amp.values(), dtype=complex, count=len(self._amp))
+        return out
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -112,27 +170,15 @@ class SimState:
             raise OperandNotLive(f"{q} already live")
         if self.num_live + 1 > self.max_live:
             raise PeakQubitsExceeded(f"live qubits would exceed cap {self.max_live}")
-        if seed is None:
-            seed_vec = None  # clean |0>
-        else:
-            seed_vec = np.asarray(seed, dtype=complex)
-            seed_vec = seed_vec / np.linalg.norm(seed_vec)
-        p = self.num_live
-        if self._vec is None and seed_vec is None:
-            pass  # basis bit stays 0
-        elif self._vec is None and abs(seed_vec[0]) in (0.0, 1.0) and (abs(seed_vec[0]) == 1.0 or abs(seed_vec[1]) == 1.0):
-            if abs(seed_vec[1]) == 1.0:
-                self._basis |= 1 << p
-                self._phase *= seed_vec[1]
-            else:
-                self._phase *= seed_vec[0]
-        else:
-            self._materialize()
-            if seed_vec is None:
-                seed_vec = np.array([1.0, 0.0], dtype=complex)
-            self._vec = np.concatenate([seed_vec[0] * self._vec, seed_vec[1] * self._vec])
+        if seed is not None:
+            s0, s1 = _seed_pair(seed)
+            bit = 1 << self.num_live
+            amp = {k: s0 * a for k, a in self._amp.items()} if s0 else {}
+            if s1:
+                amp.update((k | bit, s1 * a) for k, a in self._amp.items())
+            self._store(amp, prune=False)
+        self._pos[q.id] = self.num_live
         self.live.append(q)
-        self._pos[q.id] = p
         self.peak_live = max(self.peak_live, self.num_live)
 
     def dealloc(self, q: QubitId, seed=None, enforce: bool = True) -> float:
@@ -143,46 +189,19 @@ class SimState:
         p = self._pos.get(q.id)
         if p is None:
             raise OperandNotLive(f"{q} not live")
-        L = self.num_live
-        if seed is None:
-            s0, s1 = 1.0 + 0j, 0.0 + 0j
-        else:
-            sv = np.asarray(seed, dtype=complex)
-            sv = sv / np.linalg.norm(sv)
-            s0, s1 = complex(sv[0]), complex(sv[1])
-        if self._vec is None:
-            bit = (self._basis >> p) & 1
-            expected = None
-            if abs(s1) == 0.0:
-                expected = 0
-            elif abs(s0) == 0.0:
-                expected = 1
-            if expected is not None and bit == expected:
-                self._basis = ((self._basis >> (p + 1)) << p) | (self._basis & ((1 << p) - 1))
-                amp_ = s0 if expected == 0 else s1
-                self._phase *= amp_.conjugate() / abs(amp_)
-                residual = 0.0
-            elif expected is not None and enforce:
-                raise DeallocNotZero(q.id, 1.0)
-            else:
-                self._materialize()
-                return self.dealloc(q, seed, enforce)
-        else:
-            tensor = self._vec.reshape((2,) * L)
-            axis = L - 1 - p
-            lo = np.moveaxis(tensor, axis, 0)[0]
-            hi = np.moveaxis(tensor, axis, 0)[1]
-            comp = np.conj(s0) * lo + np.conj(s1) * hi
-            total = float(np.vdot(self._vec, self._vec).real)
-            kept = float(np.vdot(comp, comp).real)
-            residual = max(total - kept, 0.0)
-            if residual > DEFAULT_TOLERANCES.dealloc_mass and enforce:
-                raise DeallocNotZero(q.id, residual)
-            self._vec = np.ascontiguousarray(comp).reshape(-1)
-        self.live.pop(p)
-        del self._pos[q.id]
-        for qq in self.live[p:]:
-            self._pos[qq.id] -= 1
+        s0, s1 = _seed_pair(seed)
+        weights = (s0.conjugate(), s1.conjugate())
+        comp: dict[int, complex] = {}
+        for key, a in self._amp.items():
+            w = weights[(key >> p) & 1]
+            if w:
+                rest = _squeeze(key, p)
+                comp[rest] = comp.get(rest, 0) + w * a
+        residual = max(_mass(self._amp) - _mass(comp), 0.0)
+        if residual > DEFAULT_TOLERANCES.dealloc_mass and enforce:
+            raise DeallocNotZero(q.id, residual)
+        self._store(comp, prune=True)
+        self._forget([p])
         return residual
 
     def detach(self, order: list[QubitId]) -> tuple[np.ndarray, float]:
@@ -191,15 +210,19 @@ class SimState:
         Verifies the state factorizes (within tolerance) as factor x rest;
         returns (factor amplitudes little-endian over order, defect).
         """
-        self._materialize()
-        L = self.num_live
-        k = len(order)
-        tensor = self._vec.reshape((2,) * L)
-        axes = []
-        for q in reversed(order):
-            axes.append(L - 1 - self._pos[q.id])
-        rest_axes = [a for a in range(L) if a not in axes]
-        mat = tensor.transpose(axes + rest_axes).reshape(1 << k, -1)
+        positions = [self._pos[q.id] for q in order]
+        drop = sorted(positions, reverse=True)
+        rows: dict[int, int] = {}
+        entries = []
+        for key, a in self._amp.items():
+            rest = key
+            for p in drop:
+                rest = _squeeze(rest, p)
+            local = sum(((key >> p) & 1) << t for t, p in enumerate(positions))
+            entries.append((local, rows.setdefault(rest, len(rows)), a))
+        mat = np.zeros((1 << len(order), len(rows)), dtype=complex)
+        for local, col, a in entries:
+            mat[local, col] = a
         gram = mat @ mat.conj().T
         vals, vecs = np.linalg.eigh(gram)
         top = int(np.argmax(vals))
@@ -208,15 +231,9 @@ class SimState:
         factor = vecs[:, top]
         anchor = int(np.argmax(np.abs(factor)))
         factor = factor * (np.abs(factor[anchor]) / factor[anchor])
-        rest = factor.conj() @ mat
-        # remove the detached qubits, highest position first
-        for q in sorted(order, key=lambda q: -self._pos[q.id]):
-            p = self._pos[q.id]
-            self.live.pop(p)
-            del self._pos[q.id]
-            for qq in self.live[p:]:
-                self._pos[qq.id] -= 1
-        self._vec = np.ascontiguousarray(rest).reshape(-1)
+        rest_amps = factor.conj() @ mat
+        self._store({rest: complex(rest_amps[col]) for rest, col in rows.items()}, prune=True)
+        self._forget(positions)
         return factor, defect
 
     # -- gates ---------------------------------------------------------------------
@@ -228,108 +245,24 @@ class SimState:
             if p is None:
                 raise OperandNotLive(f"{q} not live")
             pos.append(p)
-        if self._vec is None:
-            if g.op in _PERMUTATION_OPS:
-                self._apply_basis_perm(g.op, pos)
-                return
-            if g.op in _DIAGONAL_OPS:
-                self._apply_basis_diag(g.op, g.params, pos)
-                return
-            self._materialize()
-        self._apply_dense(g.op, g.params, pos)
-
-    def _apply_basis_perm(self, op: str, pos: list[int]) -> None:
-        b = self._basis
-        if op == "x":
-            b ^= 1 << pos[0]
-        elif op == "cnot":
-            if (b >> pos[0]) & 1:
-                b ^= 1 << pos[1]
-        elif op == "toffoli":
-            if (b >> pos[0]) & 1 and (b >> pos[1]) & 1:
-                b ^= 1 << pos[2]
-        elif op == "swap":
-            b = self._swap_bits(b, pos[0], pos[1])
-        elif op == "cswap":
-            if (b >> pos[0]) & 1:
-                b = self._swap_bits(b, pos[1], pos[2])
-        self._basis = b
-
-    @staticmethod
-    def _swap_bits(b: int, i: int, j: int) -> int:
-        bi, bj = (b >> i) & 1, (b >> j) & 1
-        if bi != bj:
-            b ^= (1 << i) | (1 << j)
-        return b
-
-    def _apply_basis_diag(self, op: str, params, pos: list[int]) -> None:
-        b = self._basis
-        if op in _DIAG_PHASE:
-            if (b >> pos[0]) & 1:
-                self._phase *= _DIAG_PHASE[op]
-        elif op == "phase":
-            if (b >> pos[0]) & 1:
-                self._phase *= cmath.exp(1j * params[0])
-        else:  # rz family: controls first, rotation on the last operand
-            *controls, tgt = pos
-            if all((b >> c) & 1 for c in controls):
-                sign = 1.0 if (b >> tgt) & 1 else -1.0
-                self._phase *= cmath.exp(0.5j * sign * params[0])
-
-    def _slices(self, fixed: dict[int, int]):
-        L = self.num_live
-        idx = [slice(None)] * L
-        for p, v in fixed.items():
-            idx[L - 1 - p] = v
-        return tuple(idx)
-
-    def _apply_dense(self, op: str, params, pos: list[int]) -> None:
-        L = self.num_live
-        tensor = self._vec.reshape((2,) * L)
-        if op in ("x", "cnot", "toffoli"):
-            *controls, tgt = pos
-            fixed = {c: 1 for c in controls}
-            i0 = self._slices({**fixed, tgt: 0})
-            i1 = self._slices({**fixed, tgt: 1})
-            a = tensor[i0].copy()
-            tensor[i0] = tensor[i1]
-            tensor[i1] = a
-        elif op in ("swap", "cswap"):
-            *controls, t1, t2 = pos
-            fixed = {c: 1 for c in controls}
-            i01 = self._slices({**fixed, t1: 0, t2: 1})
-            i10 = self._slices({**fixed, t1: 1, t2: 0})
-            a = tensor[i01].copy()
-            tensor[i01] = tensor[i10]
-            tensor[i10] = a
-        elif op == "h":
-            i0 = self._slices({pos[0]: 0})
-            i1 = self._slices({pos[0]: 1})
-            a, b = tensor[i0].copy(), tensor[i1].copy()
-            r = 1.0 / math.sqrt(2.0)
-            tensor[i0] = r * (a + b)
-            tensor[i1] = r * (a - b)
-        elif op in _DIAG_PHASE:
-            tensor[self._slices({pos[0]: 1})] *= _DIAG_PHASE[op]
-        elif op == "phase":
-            tensor[self._slices({pos[0]: 1})] *= cmath.exp(1j * params[0])
-        elif op in ("ry", "cry", "ccry"):
-            *controls, tgt = pos
-            fixed = {c: 1 for c in controls}
-            i0 = self._slices({**fixed, tgt: 0})
-            i1 = self._slices({**fixed, tgt: 1})
-            a, b = tensor[i0].copy(), tensor[i1].copy()
-            cth, sth = math.cos(params[0] / 2), math.sin(params[0] / 2)
-            tensor[i0] = cth * a - sth * b
-            tensor[i1] = sth * a + cth * b
-        elif op in ("rz", "crz", "ccrz"):
-            *controls, tgt = pos
-            fixed = {c: 1 for c in controls}
-            ph = cmath.exp(0.5j * params[0])
-            tensor[self._slices({**fixed, tgt: 0})] *= ph.conjugate()
-            tensor[self._slices({**fixed, tgt: 1})] *= ph
-        else:
-            raise ValueError(f"unknown op {op}")
+        cols = _target_columns(g.op, g.params)
+        k = len(cols).bit_length() - 1  # number of target operands
+        cmask = sum(1 << p for p in pos[:-k])
+        deposit = [sum(1 << p for t, p in enumerate(pos[-k:]) if (j >> t) & 1)
+                   for j in range(len(cols))]
+        tmask = deposit[-1]
+        moves = {deposit[i]: [(deposit[j], u) for j, u in col if u] for i, col in enumerate(cols)}
+        new: dict[int, complex] = {}
+        for key, a in self._amp.items():
+            if key & cmask != cmask:
+                new[key] = a
+                continue
+            src = key & tmask
+            rest = key ^ src
+            for dst, u in moves[src]:
+                dst |= rest
+                new[dst] = new.get(dst, 0) + u * a
+        self._store(new, prune=any(len(m) > 1 for m in moves.values()))
 
 
 def run(
@@ -383,7 +316,7 @@ def run(
             break
         for g in c.layers[t]:
             state.apply(g)
-        if enforce_dealloc and (state.num_live <= 18 or t % 16 == 0):
+        if enforce_dealloc:
             defect = state.norm_defect()
             if defect > DEFAULT_TOLERANCES.norm_drift:
                 raise NormDrift(f"norm defect {defect:.3e} after layer {t}")
@@ -480,38 +413,19 @@ def loadf_oracle(angles: CSPAngleSet, k: int, flags) -> np.ndarray:
 
 def gate_unitary(op: str, params=()) -> np.ndarray:
     """Unitary of a single gate; operand t owns bit t of the index."""
-    from .circuit_ir import GATE_SIGNATURES
-
-    nq, _ = GATE_SIGNATURES[op]
-    dim = 1 << nq
-    U = np.zeros((dim, dim), dtype=complex)
-    qs = [QubitId(i) for i in range(nq)]
-    for i in range(dim):
-        st = SimState(max_live=nq + 1)
-        for q in qs:
-            st.alloc(q)
-        st._materialize()
-        st._vec[:] = 0
-        st._vec[i] = 1.0
-        st._apply_dense(op, tuple(params), list(range(nq)))
-        U[:, i] = st._vec
-    return U
+    qs = [QubitId(i) for i in range(GATE_SIGNATURES[op][0])]
+    return block_unitary([gate(op, qs, *params)], qs)
 
 
 def block_unitary(gates: list[Gate], qubit_order: list[QubitId]) -> np.ndarray:
     """Unitary of a gate list on a small block; qubit_order[t] owns bit t."""
     k = len(qubit_order)
-    pos = {q.id: t for t, q in enumerate(qubit_order)}
-    dim = 1 << k
-    U = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        st = SimState(max_live=k + 1)
-        for q in qubit_order:
-            st.alloc(q)
-        st._materialize()
-        st._vec[:] = 0
-        st._vec[i] = 1.0
+    U = np.zeros((1 << k, 1 << k), dtype=complex)
+    for i in range(1 << k):
+        st = SimState(max_live=k)
+        for t, q in enumerate(qubit_order):
+            st.alloc(q, seed=(0.0, 1.0) if (i >> t) & 1 else None)
         for g in gates:
-            st._apply_dense(g.op, g.params, [pos[q.id] for q in g.qubits])
-        U[:, i] = st._vec
+            st.apply(g)
+        U[:, i] = st.statevector(qubit_order)
     return U

@@ -1,11 +1,13 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qsprep import sim
 from qsprep.circuit_ir import Circuit
 from qsprep.cli import main
 from qsprep.sim import flag_oracle, pair_index
@@ -334,6 +336,49 @@ class TestFragmentCmd:
         assert code == 0
         rep = json.loads(out)["report"]
         assert all(mass <= 1e-10 for _, _, mass in rep["ancilla_verdicts"])
+
+    @pytest.mark.parametrize("argv, error", [
+        (("flag", "--m", "40"), "BadSplit"),
+        (("copy", "--m", "-1"), "BadSplit"),
+        (("spf", "--m", "0"), "BadSplit"),
+        (("cs", "--m", "1", "--t", "21"), "BadSplit"),
+        (("cs", "--m", "1", "--t", "-1"), "BadSplit"),
+        (("flag", "--m", "3", "--basis", "8"), "IndexOutOfRange"),
+        (("copyswap", "--m", "3", "--basis", "-1"), "IndexOutOfRange"),
+    ])
+    def test_out_of_range_is_exit_2(self, capsys, tmp_path, argv, error):
+        out = tmp_path / "f.json"
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "fragment", *argv, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert json.loads(err)["error"] == error
+        assert peak < 1 << 20  # refused before any qubit is allocated
+        assert not out.exists()
+
+
+class TestSupportCap:
+    def test_cap_is_exit_2(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        vec = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        path = tmp_path / "c4.json"
+        path.write_text(json.dumps({"amplitudes": [[v.real, v.imag] for v in vec]}))
+        circ = str(tmp_path / "c.json")
+        code, _, _ = run_cli(capsys, "synth", "--in", str(path), "--m", "2", "--complex",
+                             "--dirty-b1", "--out", circ)
+        assert code == 0
+        # the CLI seeds dirty qubits with |0>, so this run peaks at 32 keys
+        code, _, _ = run_cli(capsys, "simulate", "--in", circ, "--max-qubits", "64")
+        assert code == 0
+        monkeypatch.setattr(sim, "MAX_SUPPORT", 1 << 4)
+        code, _, err = run_cli(capsys, "simulate", "--in", circ, "--max-qubits", "64")
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "PeakQubitsExceeded"
+        assert "support" in doc["message"]
 
 
 class TestDeterminism:

@@ -5,8 +5,10 @@ import pytest
 
 from qsprep import amplitudes as amp
 from qsprep import protocols as proto
+from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
-from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit
+from qsprep.config import DEFAULT_MAX_LIVE_QUBITS
+from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit, PeakQubitsExceeded
 from qsprep.sim import run
 from tests_reflection_helper import run_with_input
 
@@ -245,6 +247,49 @@ class TestSpCsp:
         t = amp.make_target([1, 0, 0, 0])
         with pytest.raises(BadSplit):
             proto.spcsp(t, proto.ProtocolConfig(n=5))
+
+
+def paper_layout_case(n, m, complex_=False, dirty_b1=False, seed=0):
+    """A paper-layout (fanout=True) SP+CSP circuit, its target and random dirty seeds."""
+    rng = np.random.default_rng(seed)
+    t = random_targets(rng, n, 1, complex_)[0]
+    c = proto.spcsp(t, proto.ProtocolConfig(n=n, m=m, dirty_b1=dirty_b1, fanout=True))
+    seeds = {}
+    for q in c.qubits():
+        if q.kind == "dirty":
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            seeds[q.id] = v / np.linalg.norm(v)
+    return t, c, seeds
+
+
+PAPER_MAX_LIVE = 256
+
+
+class TestPaperLayout:
+    """The paper's own layout, far wider than a dense statevector could hold."""
+
+    @pytest.mark.parametrize("n, m, complex_, dirty_b1", [
+        (4, 2, False, False),
+        (4, 2, True, True),
+        (5, 3, False, False),
+        (6, 3, True, False),
+    ])
+    def test_verifies(self, n, m, complex_, dirty_b1):
+        t, c, seeds = paper_layout_case(n, m, complex_, dirty_b1)
+        report, _ = run(c, dirty_seeds=seeds, target=t.amplitudes,
+                        target_order=c.registers["D"], max_live=PAPER_MAX_LIVE)
+        assert report.peak_live_qubits > DEFAULT_MAX_LIVE_QUBITS
+        assert report.fidelity >= 1 - 1e-9
+        assert all(mass <= 1e-10 for _, _, mass in report.ancilla_verdicts)
+        assert bool(report.dirty_restoration) == dirty_b1
+        assert all(ok for _, ok in report.dirty_restoration)
+
+    def test_support_cap(self, monkeypatch):
+        # random dirty seeds put the B1 block in superposition: support 16 384
+        _, c, seeds = paper_layout_case(4, 2, complex_=True, dirty_b1=True)
+        monkeypatch.setattr(sim, "MAX_SUPPORT", 1 << 10)
+        with pytest.raises(PeakQubitsExceeded, match="support"):
+            run(c, dirty_seeds=seeds, max_live=PAPER_MAX_LIVE)
 
 
 class TestOracleTriangle:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qsprep import amplitudes as amp
+from qsprep import sim
 from qsprep.circuit_ir import Circuit, gate
-from qsprep.errors import DeallocNotZero, PeakQubitsExceeded
+from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
 from qsprep.sim import (
     SimState,
     block_unitary,
@@ -152,8 +153,29 @@ class TestSimBasics:
         for i in range(39):
             c.place(gate("cnot", (qs[i], qs[i + 1])), i + 1)
         report, state = run(c, max_live=64)
-        assert state._vec is None
-        assert state._basis == (1 << 40) - 1
+        assert state.dominant_basis() == ((1 << 40) - 1, 1.0)
+
+    def test_dominant_basis_ties_go_to_lowest_key(self):
+        c = Circuit()
+        a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
+        c.mark_persistent([a, b])
+        c.place(gate("x", (b,)), 0)
+        c.place(gate("h", (a,)), 0)
+        _, state = run(c)
+        key, prob = state.dominant_basis()
+        assert key == 2 and prob == pytest.approx(0.5)
+
+    def test_rounding_residue_is_dropped(self, monkeypatch):
+        # cos(pi/2) is 6e-17, not 0; kept, it would double the support
+        c = Circuit()
+        a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
+        c.mark_persistent([a, b])
+        c.place(gate("ry", (a,), math.pi), 0)
+        c.place(gate("cnot", (a, b)), 1)
+        monkeypatch.setattr(sim, "MAX_SUPPORT", 1)
+        _, state = run(c)
+        key, prob = state.dominant_basis()
+        assert key == 3 and prob == pytest.approx(1.0)
 
     def test_dirty_seed_restored(self):
         c = Circuit()
@@ -174,6 +196,20 @@ class TestSimBasics:
         c.dealloc(d, at_layer=1)
         with pytest.raises(DeallocNotZero):
             run(c, dirty_seeds={d.id: (0.6, 0.8)})
+
+    def test_norm_drift_raises(self):
+        # each ancilla leaves 0.9e-10 of its mass behind, under the dealloc
+        # bound; after the 12th the lost mass passes the 1e-9 norm bound
+        c = Circuit()
+        a = c.alloc(at_layer=0)
+        c.mark_persistent([a])
+        for t in range(12):
+            q = c.alloc(at_layer=t)
+            c.place(gate("ry", (q,), 2 * math.asin(math.sqrt(0.9e-10))), t)
+            c.dealloc(q, at_layer=t + 1)
+        c.place(gate("x", (a,)), 12)
+        with pytest.raises(NormDrift, match="after layer 12"):
+            run(c)
 
     def test_detach_product_factor(self):
         c = Circuit()

@@ -8,9 +8,9 @@ from qsprep.sim import SimReport, SimState
 def run_with_input(circuit, data_vec):
     """Run a circuit whose data register starts in an arbitrary state.
 
-    Drives the simulator layer by layer, overwriting the data register with
-    the requested amplitudes the moment it is fully allocated (it must still
-    be |0...0> at that point).
+    Drives the simulator layer by layer and, the moment the data register is
+    fully allocated (it must still be |0...0> then), tensors the requested
+    amplitudes into the simulator's sparse basis-key map.
     """
     c = circuit.compact()
     data = c.registers["D"]
@@ -24,16 +24,14 @@ def run_with_input(circuit, data_vec):
         for q in allocs:
             state.alloc(q)
         if not seeded and all(q.id in state._pos for q in data):
-            order = data + [q for q in state.live if q not in data]
-            vec = state.statevector(order).reshape(-1, 1 << len(data))
-            assert np.allclose(vec[:, 1:], 0)
-            full = np.kron(vec[:, 0], np.asarray(data_vec, complex))
-            Lnow = state.num_live
-            tensor = full.reshape((2,) * Lnow)
-            axes = [0] * Lnow
-            for bit, q in enumerate(order):
-                axes[Lnow - 1 - state._pos[q.id]] = Lnow - 1 - bit
-            state._vec = np.ascontiguousarray(tensor.transpose(axes)).reshape(-1)
+            offsets = [1 << state._pos[q.id] for q in data]
+            assert not any(key & off for key in state._amp for off in offsets)
+            state._amp = {
+                key | sum(off for bit, off in enumerate(offsets) if (j >> bit) & 1): a * amp_j
+                for key, a in state._amp.items()
+                for j, amp_j in enumerate(np.asarray(data_vec, complex))
+                if amp_j
+            }
             seeded = True
         if t == L:
             break
