@@ -107,7 +107,6 @@ class Circuit:
 
     def __init__(self):
         self.layers: list[list[Gate]] = []
-        self._busy: list[set] = []          # per layer, ids touched by a gate
         self._qubits: list[QubitId] = []
         self._alloc: list[int] = []         # per qubit id
         self._dealloc: list[int | None] = []
@@ -154,13 +153,17 @@ class Circuit:
     def _grow(self, layer: int) -> None:
         while len(self.layers) <= layer:
             self.layers.append([])
-            self._busy.append(set())
 
     def place(self, g: Gate, layer: int) -> int:
-        """Put a gate at an explicit layer; operands must be live and unused there."""
+        """Put a gate at an explicit layer; operands must be live there.
+
+        Gates on one qubit must arrive in time order: a layer at or before
+        the qubit's latest gate is a ``LayerCollision``, which also rejects
+        two gates on a qubit in one layer.
+        """
         if layer >= len(self.layers):
             self._grow(layer)
-        alloc, dealloc, busy = self._alloc, self._dealloc, self._busy[layer]
+        alloc, dealloc, last_use = self._alloc, self._dealloc, self._last_use
         for q in g.qubits:
             i = q.id
             if i >= len(alloc) or layer < alloc[i]:
@@ -168,14 +171,11 @@ class Circuit:
             d = dealloc[i]
             if d is not None and layer >= d:
                 raise UseAfterDealloc(f"{q} deallocated at layer {d}, gate at {layer}")
-            if i in busy:
-                raise LayerCollision(f"{q} used twice in layer {layer}")
+            if layer <= last_use[i]:
+                raise LayerCollision(f"{q} has a gate at layer {last_use[i]}, next gate at {layer}")
         self.layers[layer].append(g)
-        last_use = self._last_use
         for q in g.qubits:
-            busy.add(q.id)
-            if layer > last_use[q.id]:
-                last_use[q.id] = layer
+            last_use[q.id] = layer
         return layer
 
     def append(self, g: Gate, policy: str = "asap") -> int:
@@ -265,12 +265,9 @@ class Circuit:
             t = new_index[old]
             c._grow(t)
             c.layers[t] = list(layer)
-            busy = c._busy[t]
             for g in layer:
                 for q in g.qubits:
-                    busy.add(q.id)
-                    if t > c._last_use[q.id]:
-                        c._last_use[q.id] = t
+                    c._last_use[q.id] = t
         return c
 
     def adjoint(self) -> "Circuit":
@@ -322,6 +319,50 @@ class Circuit:
                 if have != size:
                     violations.append(f"register {name}: size {have}, expected {size}")
         return violations
+
+
+class Block:
+    """A recorded span of a circuit, undone by its layer mirror.
+
+    A pass-through ``place``/``alloc``/``num_layers`` view of ``c`` that
+    records each gate and each allocation by its layer relative to
+    ``start``.  This is the compute/uncompute pattern: fresh ancillae are
+    allocated at their first use inside the block and released by
+    :meth:`mirror` right after their mirrored last use.
+    """
+
+    def __init__(self, c: Circuit, start: int):
+        self.c = c
+        self.start = start
+        self.gates: list[tuple[int, Gate]] = []
+        self.allocs: list[tuple[int, QubitId]] = []
+
+    def place(self, g: Gate, layer: int) -> int:
+        self.c.place(g, layer)
+        self.gates.append((layer - self.start, g))
+        return layer
+
+    def alloc(self, kind: str = CLEAN, at_layer: int | None = None) -> QubitId:
+        q = self.c.alloc(kind, at_layer=at_layer)
+        self.allocs.append((self.c.alloc_layer(q) - self.start, q))
+        return q
+
+    def num_layers(self) -> int:
+        return self.c.num_layers()
+
+    def mirror(self, at: int, span: int) -> int:
+        """Undo the block in layers [at, at + span) and return ``at + span``.
+
+        A gate recorded at relative layer ``rel`` is inverted at
+        ``at + span - 1 - rel`` (gates sharing a layer keep their recorded
+        order), and a qubit allocated at ``rel`` is released at
+        ``at + span - rel``.
+        """
+        for rel, g in sorted(self.gates, key=lambda e: -e[0]):
+            self.c.place(g.inverse(), at + span - 1 - rel)
+        for rel, q in self.allocs:
+            self.c.dealloc(q, at_layer=at + span - rel)
+        return at + span
 
 
 # -- resource accounting ----------------------------------------------------------

@@ -25,7 +25,7 @@ from .amplitudes import (
     csp_angles,
     partition_norms,
 )
-from .circuit_ir import CLEAN, Circuit, Gate, QubitId, gate
+from .circuit_ir import CLEAN, Block, Circuit, Gate, QubitId, gate
 from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
 from .subroutines import flag, loadf, spf, split_levels
 
@@ -240,6 +240,16 @@ def sp_circuit(y: PartitionNorms) -> Circuit:
     return c
 
 
+def _prepare_basis(c: Circuit, qubits: list[QubitId], basis: int | None) -> int:
+    """X at layer 0 on each qubit whose bit of ``basis`` is set; returns the first free layer."""
+    if basis is None:
+        return 0
+    for bit, q in enumerate(qubits):
+        if (basis >> bit) & 1:
+            c.place(gate("x", (q,)), 0)
+    return 1
+
+
 def csp_circuit(angles: CSPAngleSet, control_state: int | None = None,
                 cfg: ProtocolConfig | None = None) -> Circuit:
     """Standalone controlled-state-preparation circuit.
@@ -253,12 +263,7 @@ def csp_circuit(angles: CSPAngleSet, control_state: int | None = None,
     lower = _alloc_flat(c, angles.sub_levels, 0)
     c.mark_persistent(ctrl)
     c.mark_persistent(lower)
-    start = 0
-    if control_state is not None:
-        for bit in range(angles.m):
-            if (control_state >> bit) & 1:
-                c.place(gate("x", (ctrl[bit],)), 0)
-        start = 1
+    start = _prepare_basis(c, ctrl, control_state)
     _, B0, F0 = _emit_csp(c, ctrl, lower, angles, cfg, start)
     c.add_register("D", lower + ctrl)
     c.add_register("C", ctrl)
@@ -366,29 +371,20 @@ def zero_reflection(c: Circuit, qubits: list[QubitId], start: int) -> int:
     for q in qubits:
         c.place(gate("x", (q,)), start)
     frontier = start + 1
+    tree = Block(c, frontier)
     current = list(qubits)
-    tree: list[tuple[int, QubitId, QubitId, QubitId]] = []
     while len(current) > 1:
         nxt = []
         for i in range(0, len(current) - 1, 2):
-            anc = c.alloc(CLEAN, at_layer=frontier)
-            c.place(gate("toffoli", (current[i], current[i + 1], anc)), frontier)
-            tree.append((frontier, current[i], current[i + 1], anc))
+            anc = tree.alloc(CLEAN, at_layer=frontier)
+            tree.place(gate("toffoli", (current[i], current[i + 1], anc)), frontier)
             nxt.append(anc)
         if len(current) % 2:
             nxt.append(current[-1])
         current = nxt
         frontier += 1
     c.place(gate("phase", (current[0],), math.pi), frontier)
-    frontier += 1
-    if tree:
-        hi = max(layer for layer, *_ in tree)
-        lo = min(layer for layer, *_ in tree)
-        for layer, a, b, anc in sorted(tree, key=lambda e: -e[0]):
-            mlayer = frontier + (hi - layer)
-            c.place(gate("toffoli", (a, b, anc)), mlayer)
-            c.dealloc(anc, at_layer=mlayer + 1)
-        frontier += hi - lo + 1
+    frontier = tree.mirror(frontier + 1, frontier - tree.start)
     for q in qubits:
         c.place(gate("x", (q,)), frontier)
     return frontier + 1
@@ -466,12 +462,7 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         ctrl = _alloc_flat(c, m, 0)
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
-        start = 0
-        if basis is not None:
-            for bit in range(m):
-                if (basis >> bit) & 1:
-                    c.place(gate("x", (ctrl[bit],)), 0)
-            start = 1
+        start = _prepare_basis(c, ctrl, basis)
         res = sub.copyswap(c, ctrl, payload, start=start)
         c.mark_persistent(q for q in res.slots[1:])
         for tr in res.trees:
@@ -482,12 +473,7 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         data = _alloc_flat(c, m, 0)
         reg = _alloc_flat(c, (1 << m) - 1, 0)
         c.mark_persistent(data + reg)
-        start = 0
-        if basis is not None:
-            for bit in range(m):
-                if (basis >> bit) & 1:
-                    c.place(gate("x", (data[bit],)), 0)
-            start = 1
+        start = _prepare_basis(c, data, basis)
         if name == "spf":
             sub.spf(c, data, split_levels(reg), start=start)
             c.add_register("A", reg)
@@ -504,12 +490,7 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         nb = (1 << sub_levels) - 1
         ctrl = _alloc_flat(c, angles.m, 0)
         c.mark_persistent(ctrl)
-        start = 0
-        if basis is not None:
-            for bit in range(angles.m):
-                if (basis >> bit) & 1:
-                    c.place(gate("x", (ctrl[bit],)), 0)
-            start = 1
+        start = _prepare_basis(c, ctrl, basis)
         F0 = _alloc_flat(c, nb, start)
         flags = kwargs.pop("flags", [1] * nb)
         for i, q in enumerate(F0):

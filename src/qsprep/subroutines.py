@@ -13,7 +13,9 @@ Register conventions shared by every fragment:
   prefix to the front.  Callers only ever see pair order.
 * Fresh ancillae are allocated in the layer of first use and released
   right after their mirrored last use, which is what gives the fragments
-  their published spacetime allocation.
+  their published spacetime allocation.  Every fragment records the part
+  it uncomputes in a ``circuit_ir.Block``; ``Block.mirror`` is the one
+  place that rule and its layer arithmetic live.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .amplitudes import CSPAngleSet
-from .circuit_ir import CLEAN, DIRTY, Circuit, QubitId, gate
+from .circuit_ir import CLEAN, DIRTY, Block, Circuit, QubitId, gate
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
@@ -224,7 +226,6 @@ class SpfSchedule:
     oplus_layer: dict = field(default_factory=dict)   # (q, i) -> layer
     cs_layer: dict = field(default_factory=dict)      # (s, t) -> layer, control q = s-1-t
     end: int = 0
-    mirror_end: int = 0
 
 
 def _spf_plan(m: int, start: int) -> SpfSchedule:
@@ -294,7 +295,11 @@ def spf(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
     if start is None:
         start = c.num_layers()
     plan = _spf_plan(m, start)
-    trees = {q: CopyTree(c, data[q], 1 << (m - 2 - q)) for q in range(m) if m - 2 - q >= 1}
+    ladder = [*plan.cs_layer.values(), *plan.oplus_layer.values()]
+    lo = min(ladder, default=start)
+    span = max(ladder) + 1 - lo if ladder else 0
+    block = Block(c, lo)
+    trees = {q: CopyTree(block, data[q], 1 << (m - 2 - q)) for q in range(m) if m - 2 - q >= 1}
 
     events: list[tuple[int, str, tuple]] = []
     events += [(layer, "swap", (s,)) for s, layer in plan.swap_layer.items()]
@@ -302,39 +307,19 @@ def spf(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
     events += [(layer, "oplus", key) for key, layer in plan.oplus_layer.items()]
     events.sort(key=lambda e: e[0])
 
-    def controls_for(s: int, t: int) -> list[QubitId]:
-        q = s - 1 - t
-        return trees[q].populated(t) if t else [data[q]]
-
     for layer, kind, args in events:
         if kind == "swap":
             (s,) = args
             c.place(gate("swap", (data[s], slots[s][0])), layer)
         elif kind == "cs":
             s, t = args
-            cs_layer(c, t, controls_for(s, t), slots[s][:2 << t], layer)
+            q = s - 1 - t
+            controls = trees[q].populated(t) if t else [data[q]]
+            cs_layer(block, t, controls, slots[s][:2 << t], layer)
         else:
             q, i = args
             trees[q].emit(i, layer)
-
-    ladder = [(layer, kind, args) for layer, kind, args in events if kind != "swap"]
-    if ladder:
-        hi = max(layer for layer, _, _ in ladder)
-        lo = min(layer for layer, _, _ in ladder)
-        base = plan.end
-        mirrored = sorted(((base + hi - layer, kind, args) for layer, kind, args in ladder),
-                          key=lambda e: e[0])
-        for layer, kind, args in mirrored:
-            if kind == "cs":
-                s, t = args
-                cs_layer(c, t, controls_for(s, t), slots[s][:2 << t], layer)
-            else:
-                q, i = args
-                trees[q].unemit(i, layer)
-        plan.mirror_end = base + (hi - lo) + 1
-    else:
-        plan.mirror_end = plan.end
-    return plan.mirror_end, plan
+    return block.mirror(plan.end, span), plan
 
 
 # -- FLAG ----------------------------------------------------------------------
@@ -359,38 +344,29 @@ def flag(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
     tree_sizes = {q: 1 << (m - q - 2) for q in range(m - 1) if m - q - 2 >= 1}
     copy_span = max((sz.bit_length() - 1 for sz in tree_sizes.values()), default=0)
     ladder_span = max(m - 1, 0)
-    ladder_start = max(copy_span, 1) if ladder_span else 1
+    ladder_start = max(copy_span, 1)   # the flips take layer 0 when no tree does
     span = ladder_start + ladder_span + copy_span
-    trees = {q: CopyTree(c, data[q], size) for q, size in tree_sizes.items()}
 
-    events: list[tuple[int, str, tuple]] = [(0, "x", (s,)) for s in range(m)]
-    for q, size in tree_sizes.items():
-        for i in range(size.bit_length() - 1):
-            events.append((i, "oplus", (q, i)))
-            events.append((ladder_start + ladder_span + (copy_span - 1 - i), "unoplus", (q, i)))
-    for i in range(ladder_span):
-        for q in range(m - 1 - i):
-            events.append((ladder_start + i, "cs", (q, i)))
-
-    def at(rel: int) -> int:
-        return start + (span - 1 - rel if adjoint else rel)
-
-    for rel, kind, args in sorted(events, key=lambda e: at(e[0])):
-        layer = at(rel)
-        if kind == "x":
-            (s,) = args
+    def flip_slot_zeros(layer: int) -> None:
+        for s in range(m):
             c.place(gate("x", (slots[s][0],)), layer)
-        elif kind == "cs":
-            q, i = args
+
+    if not adjoint:
+        flip_slot_zeros(start)
+    block = Block(c, start)
+    trees = {q: CopyTree(block, data[q], size) for q, size in tree_sizes.items()}
+    for i in range(copy_span):
+        for tr in trees.values():
+            if i < tr.layers:
+                tr.emit(i, start + i)
+    steps = reversed(range(ladder_span)) if adjoint else range(ladder_span)
+    for layer, i in enumerate(steps, start + (copy_span if adjoint else ladder_start)):
+        for q in range(m - 1 - i):
             controls = trees[q].populated(i) if i else [data[q]]
             cs_layer(c, i, controls, slots[q + 1 + i][:2 << i], layer)
-        elif (kind == "oplus") != adjoint:   # building direction
-            q, i = args
-            trees[q].emit(i, layer)
-        else:
-            q, i = args
-            trees[q].unemit(i, layer)
-    return start + span
+    if adjoint:
+        flip_slot_zeros(start + span - 1)
+    return block.mirror(start + ladder_start + ladder_span, copy_span)
 
 
 # -- LOADF ---------------------------------------------------------------------
@@ -410,32 +386,9 @@ class LoadfRegisters:
     f1: list = field(default_factory=list)
 
 
-class _SetupRecorder:
-    """Pass-through circuit facade that records the setup for mirroring."""
-
-    def __init__(self, c: Circuit, base: int):
-        self.c = c
-        self.base = base
-        self.gates: list[tuple[int, object]] = []
-        self.allocs: list[tuple[int, QubitId]] = []
-
-    def place(self, g, layer):
-        self.c.place(g, layer)
-        self.gates.append((layer - self.base, g))
-        return layer
-
-    def alloc(self, kind=CLEAN, at_layer=None):
-        q = self.c.alloc(kind, at_layer=at_layer)
-        self.allocs.append((at_layer - self.base, q))
-        return q
-
-    def num_layers(self):
-        return self.c.num_layers()
-
-
 def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[QubitId],
           angles: CSPAngleSet, start: int | None = None, adjoint: bool = False,
-          dirty_b1: bool = False, fanout: bool = True, route_b: bool | None = None,
+          dirty_b1: bool = False, fanout: bool = True,
           first_optimized: bool = False) -> tuple[int, LoadfRegisters]:
     """Load flagged angle states for the addressed segment into the buffer.
 
@@ -446,9 +399,9 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
     private size-2**m block whose other slots may be dirty; the mirrored
     teardown returns every ancilla.  With ``fanout`` all N-M doubly
     controlled rotations share one layer; without it they share control
-    qubits and pack into max(M, N/M) layers at a much smaller footprint
-    (``route_b`` then keeps or drops the block routing; dirty blocks force
-    it on).  The adjoint is the same sandwich with inverted rotations.
+    qubits and pack into max(M, N/M) layers at a much smaller footprint,
+    routing the buffer through the blocks only when they are dirty.  The
+    adjoint is the same sandwich with inverted rotations.
     ``first_optimized`` drops the flag controls, valid only when every flag
     is |1>.
     """
@@ -460,14 +413,11 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
     nb = (1 << sub) - 1
     if len(buffer) != nb or len(flags) != nb:
         raise BadRegisterShape(f"buffer/flag registers need {nb} qubits for n-m={sub}")
-    if route_b is None:
-        route_b = fanout or dirty_b1
-    if dirty_b1 and not route_b:
-        raise BadRegisterShape("dirty block qubits require the routed buffer layout")
+    route_b = fanout or dirty_b1
     if start is None:
         start = c.num_layers()
     regs = LoadfRegisters()
-    rec = _SetupRecorder(c, start)
+    rec = Block(c, start)
 
     # -- setup: one-hot address ---------------------------------------------------
     a0 = rec.alloc(CLEAN, at_layer=start)
@@ -572,23 +522,20 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
                 for stage, g in enumerate(rotation_gates(k, s, p, a_rows[k][idx], f_ctl, target)):
                     c.place(g, rot_base + stage)
     else:
+        # colour-major, so the gates on each shared control arrive in time order
         C = max(M, nb)
         rot_span = C * stages
-        for idx, (s, p) in enumerate(pair_of):
-            for k in range(M):
-                color = (idx + k) % C
+        for color in range(C):
+            for idx, (s, p) in enumerate(pair_of):
+                k = (color - idx) % C
+                if k >= M:
+                    continue
                 f_ctl = None if first_optimized else flags[idx]
                 target = t_slots[idx][k] if route_b else t_slots[idx][0]
                 for stage, g in enumerate(rotation_gates(k, s, p, a_slots[k], f_ctl, target)):
                     c.place(g, rot_base + color * stages + stage)
 
-    # -- mirrored teardown ---------------------------------------------------------------
-    tear_base = rot_base + rot_span
-    for rel, g in sorted(rec.gates, key=lambda e: -e[0]):
-        c.place(g.inverse(), tear_base + (t_setup - 1 - rel))
-    for rel, q in rec.allocs:
-        c.dealloc(q, at_layer=tear_base + (t_setup - rel))
-    return tear_base + t_setup, regs
+    return rec.mirror(rot_base + rot_span, t_setup), regs
 
 
 FRAGMENTS = {

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
@@ -16,7 +18,7 @@ from qsprep.errors import (
     OperandNotLive,
     UseAfterDealloc,
 )
-from qsprep.sim import block_unitary, gate_unitary
+from qsprep.sim import block_unitary, gate_unitary, run
 from qsprep.subroutines import copy
 
 
@@ -85,6 +87,13 @@ class TestAppend:
         c.place(gate("x", (a,)), 0)
         with pytest.raises(LayerCollision):
             c.place(gate("cnot", (a, b)), 0)
+
+    def test_out_of_order_place_rejected(self):
+        c, a, b = two_qubit_circuit()
+        c.place(gate("x", (a,)), 3)
+        c.place(gate("x", (b,)), 1)
+        with pytest.raises(LayerCollision):
+            c.place(gate("cnot", (a, b)), 2)
 
 
 class TestLifecycle:
@@ -203,7 +212,6 @@ class TestValidate:
     def test_hand_built_collision_reported(self):
         c, a, b = two_qubit_circuit()
         c.layers.append([gate("x", (a,)), gate("cnot", (a, b))])
-        c._busy.append(set())
         assert any("two gates" in v for v in c.validate())
 
     def test_register_size_violation(self):
@@ -304,6 +312,52 @@ class TestSerialization:
         text = cir.to_text(self.build())
         assert "cnot q0, q1" in text
         assert "ry(" in text
+
+
+class TestBlock:
+    def test_mirrored_copy_tree_returns_every_copy(self):
+        c = Circuit()
+        src = c.alloc(at_layer=0)
+        c.mark_persistent([src])
+        c.place(gate("ry", (src,), 0.9), 0)
+        block = cir.Block(c, 1)
+        reg, end = copy(block, src, 8, start=1)
+        span = end - 1
+        at = end + 2
+        assert block.mirror(at, span) == at + span
+        for q in reg[1:]:
+            assert c.dealloc_layer(q) - at == span - (c.alloc_layer(q) - 1)
+        report, state = run(c)
+        assert sorted(qid for qid, _, _ in report.ancilla_verdicts) == sorted(q.id for q in reg[1:])
+        assert all(mass < 1e-12 for _, _, mass in report.ancilla_verdicts)
+        assert state.num_live == 1
+        vec = state.statevector([src])
+        assert np.max(np.abs(vec - [math.cos(0.45), math.sin(0.45)])) < 1e-12
+
+
+SPCSP_CONFIGS = st.integers(2, 6).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n),
+    "m": st.none() | st.integers(1, n - 1),
+    "fanout": st.booleans(),
+    "dirty_b1": st.booleans(),
+    "complex_mode": st.booleans(),
+    "loadf_first_optimized": st.booleans(),
+}))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfg=SPCSP_CONFIGS, seed=st.integers(0, 2**16))
+def test_spcsp_json_round_trips(cfg, seed):
+    rng = np.random.default_rng(seed)
+    n = cfg["n"]
+    amps = rng.random(1 << n) + 0.02
+    if cfg["complex_mode"]:
+        amps = amps * np.exp(1j * rng.uniform(0, 2 * math.pi, 1 << n))
+        if cfg["m"] is None and proto.ProtocolConfig(n=n).resolved_m() is None:
+            cfg["m"] = n - 1
+    c = proto.spcsp(make_target(amps), proto.ProtocolConfig(**cfg))
+    text = cir.dumps(c)
+    assert cir.dumps(cir.loads(text)) == text
 
 
 class TestAdjoint:
