@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     InternalInvariant,
     LengthNotPowerOfTwo,
+    MalformedInput,
     NonFiniteAmplitude,
     ZeroVector,
 )
@@ -273,7 +274,7 @@ def target_from_json(doc) -> TargetState:
     try:
         raw = doc["amplitudes"]
     except (TypeError, KeyError):
-        raise ZeroVector('input document must carry an "amplitudes" key') from None
+        raise MalformedInput('input document must carry an "amplitudes" key') from None
     amps = []
     try:
         for entry in raw:
@@ -282,7 +283,7 @@ def target_from_json(doc) -> TargetState:
                 amps.append(complex(re, im))
             else:
                 amps.append(complex(entry))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise NonFiniteAmplitude(f"amplitudes must be numbers or [re, im] pairs: {e}") from None
     return make_target(amps)
 

@@ -6,6 +6,20 @@ are half-open: a qubit allocated at layer a and deallocated at layer d may
 carry gates on layers a..d-1 and contributes d-a to the spacetime
 allocation.  Qubits never deallocated must be marked persistent (data
 registers); they accrue from allocation to the end of the circuit.
+
+The check boundary: every gate is checked once, a layer at a time.
+
+* Input JSON is checked per layer by :func:`loads`: each gate against its
+  signature, then the layer's flat qubit-id list at once (ints, in range,
+  no id twice, every id live).  Only a layer that fails is re-read gate by
+  gate through :func:`gate` and :meth:`Circuit.place`, so a malformed
+  document raises the same typed error as a gate-by-gate reader would.
+* Emitters build ``Gate`` tuples directly and place them a layer at a time;
+  :meth:`Circuit.place` checks only liveness and time order.  An emitted
+  circuit is checked once, as a whole, by :meth:`Circuit.validate` before
+  it is written out: signatures, distinct operands, finite ``float``
+  parameters, collisions and liveness.
+* :func:`gate` stays the checked constructor for hand-built circuits.
 """
 
 from __future__ import annotations
@@ -13,6 +27,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -38,6 +55,16 @@ GATE_SIGNATURES = {
 }
 
 ROTATION_OPS = frozenset({"ry", "rz", "phase", "cry", "crz", "ccry", "ccrz"})
+
+#: (op, number of qubits, number of parameters) of every well-formed gate
+_SHAPES = frozenset((op, nq, npar) for op, (nq, npar) in GATE_SIGNATURES.items())
+_FLOAT = frozenset({float})
+_INT = frozenset({int})
+_LIST = frozenset({list})
+_OP = attrgetter("op")
+_PARAMS = attrgetter("params")
+_QUBITS = attrgetter("qubits")
+_ID = attrgetter("id")
 
 _INVERSE_SELF = frozenset({"x", "h", "cnot", "swap", "cswap", "toffoli"})
 _INVERSE_PAIR = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
@@ -100,9 +127,9 @@ class Circuit:
     """Mutable layered circuit builder.
 
     Gates can be appended ASAP (earliest layer after every operand's latest
-    prior use), into a fresh layer, or placed at an explicit layer; the
-    subroutine emitters use explicit placement to realize their published
-    schedules.
+    prior use), into a fresh layer, or placed a layer's batch at a time at
+    an explicit layer; the subroutine emitters use explicit placement to
+    realize their published schedules.
     """
 
     def __init__(self):
@@ -154,34 +181,41 @@ class Circuit:
         while len(self.layers) <= layer:
             self.layers.append([])
 
-    def place(self, g: Gate, layer: int) -> int:
-        """Put a gate at an explicit layer; operands must be live there.
+    def place(self, gates: list[Gate], layer: int) -> int:
+        """Put a batch of gates at one explicit layer; every operand must be live there.
 
         Gates on one qubit must arrive in time order: a layer at or before
-        the qubit's latest gate is a ``LayerCollision``, which also rejects
-        two gates on a qubit in one layer.
+        the qubit's latest gate is a ``LayerCollision``, which also rejects a
+        qubit in two gates of the batch.  One operand loop checks the whole
+        batch; the gates' signatures are checked by :func:`gate` or
+        :meth:`validate`.  A rejected batch adds no gate, but the qubits
+        checked before the failing one keep their new latest layer.  An
+        empty batch changes nothing.
         """
+        if not gates:
+            return layer
         if layer >= len(self.layers):
             self._grow(layer)
         alloc, dealloc, last_use = self._alloc, self._dealloc, self._last_use
-        for q in g.qubits:
-            i = q.id
-            if i >= len(alloc) or layer < alloc[i]:
-                raise OperandNotLive(f"{q} not allocated at layer {layer}")
-            d = dealloc[i]
-            if d is not None and layer >= d:
-                raise UseAfterDealloc(f"{q} deallocated at layer {d}, gate at {layer}")
-            if layer <= last_use[i]:
-                raise LayerCollision(f"{q} has a gate at layer {last_use[i]}, next gate at {layer}")
-        self.layers[layer].append(g)
-        for q in g.qubits:
-            last_use[q.id] = layer
+        n = len(alloc)
+        for g in gates:
+            for q in g.qubits:
+                i = q.id
+                if i >= n or layer < alloc[i]:
+                    raise OperandNotLive(f"{q} not allocated at layer {layer}")
+                d = dealloc[i]
+                if d is not None and layer >= d:
+                    raise UseAfterDealloc(f"{q} deallocated at layer {d}, gate at {layer}")
+                if layer <= last_use[i]:
+                    raise LayerCollision(f"{q} has a gate at layer {last_use[i]}, next gate at {layer}")
+                last_use[i] = layer
+        self.layers[layer] += gates
         return layer
 
     def append(self, g: Gate, policy: str = "asap") -> int:
-        """Append under a packing policy: "asap" or "new_layer"."""
+        """Append one gate under a packing policy: "asap" or "new_layer"."""
         if policy == "new_layer":
-            return self.place(g, self.num_layers())
+            return self.place([g], self.num_layers())
         if policy != "asap":
             raise ValueError(f"unknown policy {policy!r}")
         layer = 0
@@ -189,7 +223,7 @@ class Circuit:
             if q.id >= len(self._qubits):
                 raise OperandNotLive(f"{q} not allocated")
             layer = max(layer, self._last_use[q.id] + 1, self._alloc[q.id])
-        return self.place(g, layer)
+        return self.place([g], layer)
 
     # -- views ------------------------------------------------------------------
 
@@ -224,21 +258,20 @@ class Circuit:
         Counts only the given qubits when ``qubits`` is passed, else all.
         """
         L = self.num_layers()
+        alloc, dealloc = self._alloc, self._dealloc
+        if qubits is not None:
+            ids = [q.id for q in qubits]
+            alloc = [alloc[i] for i in ids]
+            dealloc = [dealloc[i] for i in ids]
         delta = [0] * (L + 1)
-        ids = range(len(self._qubits)) if qubits is None else (q.id for q in qubits)
-        for qid in ids:
-            a = self._alloc[qid]
-            d = self._dealloc[qid]
-            if d is None:
+        for a, d in zip(alloc, dealloc):
+            if d is None or d > L:
                 d = L
-            if a < min(d, L):
+            if a < d:
                 delta[a] += 1
-                delta[min(d, L)] -= 1
-        prof, cur = [], 0
-        for t in range(L):
-            cur += delta[t]
-            prof.append(cur)
-        return prof
+                delta[d] -= 1
+        del delta[L]
+        return list(accumulate(delta))
 
     def compact(self) -> "Circuit":
         """Drop empty layers, remapping gate and lifecycle layer indices."""
@@ -288,30 +321,37 @@ class Circuit:
         if T:
             c._grow(T - 1)
         for old in range(T - 1, -1, -1):
-            t = T - 1 - old
-            for g in self.layers[old]:
-                c.place(g.inverse(), t)
+            c.place([g.inverse() for g in self.layers[old]], T - 1 - old)
         return c
 
     # -- validation ---------------------------------------------------------------
 
     def validate(self, expected_registers: dict[str, int] | None = None) -> list[str]:
-        """Collect layer-collision, liveness, and register-size violations."""
+        """The whole-circuit check: collect every gate, liveness and register-size violation.
+
+        Each gate must match its signature (known op, operand and parameter
+        counts), carry distinct operands and finite ``float`` parameters, and
+        act on qubits live at its layer, one gate per qubit per layer.  A
+        layer is checked as a whole and walked gate by gate only when it fails.
+        """
         violations = []
-        alloc, dealloc = self._alloc, self._dealloc
+        alloc, n = self._alloc, len(self._alloc)
+        end = [math.inf if d is None else d for d in self._dealloc]
         for t, layer in enumerate(self.layers):
-            seen = set()
-            for g in layer:
-                for q in g.qubits:
-                    i = q.id
-                    if i in seen:
-                        violations.append(f"layer {t}: qubit {i} in two gates")
-                    seen.add(i)
-                    if t < alloc[i]:
-                        violations.append(f"layer {t}: qubit {i} used before allocation")
-                    d = dealloc[i]
-                    if d is not None and t >= d:
-                        violations.append(f"layer {t}: qubit {i} used after deallocation")
+            qubits, params = list(map(_QUBITS, layer)), list(map(_PARAMS, layer))
+            ids = list(map(_ID, chain.from_iterable(qubits)))
+            values = list(chain.from_iterable(params))
+            try:
+                ok = (set(zip(map(_OP, layer), map(len, qubits), map(len, params))) <= _SHAPES
+                      and set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))
+                      and len(set(ids)) == len(ids)
+                      and (not ids or (min(ids) >= 0 and max(ids) < n
+                                       and max(map(alloc.__getitem__, ids)) <= t
+                                       < min(map(end.__getitem__, ids)))))
+            except TypeError:  # an unhashable op or a non-int qubit id
+                ok = False
+            if not ok:
+                violations += self._layer_violations(t, layer, end)
         expected = expected_registers or self.meta.get("expected_register_sizes")
         if expected:
             for name, size in expected.items():
@@ -319,6 +359,36 @@ class Circuit:
                 if have != size:
                     violations.append(f"register {name}: size {have}, expected {size}")
         return violations
+
+    def _layer_violations(self, t: int, layer: list[Gate], end: list) -> list[str]:
+        """The violations of one layer, gate by gate."""
+        out = []
+        alloc, n = self._alloc, len(self._alloc)
+        seen = set()
+        for g in layer:
+            sig = GATE_SIGNATURES.get(g.op) if type(g.op) is str else None
+            if sig is None:
+                out.append(f"layer {t}: unknown op {g.op!r}")
+            elif (len(g.qubits), len(g.params)) != sig:
+                out.append(f"layer {t}: {g.op} takes {sig[0]} qubits and {sig[1]} params, "
+                           f"got {len(g.qubits)} and {len(g.params)}")
+            for p in g.params:
+                if type(p) is not float or not math.isfinite(p):
+                    out.append(f"layer {t}: {g.op} parameter {p!r} is not a finite float")
+            ids = [q.id for q in g.qubits]
+            if len(set(ids)) != len(ids):
+                out.append(f"layer {t}: {g.op} repeats an operand: {ids}")
+            for i in dict.fromkeys(ids):
+                if i in seen:
+                    out.append(f"layer {t}: qubit {i} in two gates")
+                seen.add(i)
+                if type(i) is not int or not 0 <= i < n:
+                    out.append(f"layer {t}: qubit {i!r} is not in the circuit")
+                elif t < alloc[i]:
+                    out.append(f"layer {t}: qubit {i} used before allocation")
+                elif t >= end[i]:
+                    out.append(f"layer {t}: qubit {i} used after deallocation")
+        return out
 
 
 class Block:
@@ -334,12 +404,12 @@ class Block:
     def __init__(self, c: Circuit, start: int):
         self.c = c
         self.start = start
-        self.gates: list[tuple[int, Gate]] = []
+        self.batches: list[tuple[int, list[Gate]]] = []
         self.allocs: list[tuple[int, QubitId]] = []
 
-    def place(self, g: Gate, layer: int) -> int:
-        self.c.place(g, layer)
-        self.gates.append((layer - self.start, g))
+    def place(self, gates: list[Gate], layer: int) -> int:
+        self.c.place(gates, layer)
+        self.batches.append((layer - self.start, gates))
         return layer
 
     def alloc(self, kind: str = CLEAN, at_layer: int | None = None) -> QubitId:
@@ -356,10 +426,13 @@ class Block:
         A gate recorded at relative layer ``rel`` is inverted at
         ``at + span - 1 - rel`` (gates sharing a layer keep their recorded
         order), and a qubit allocated at ``rel`` is released at
-        ``at + span - rel``.
+        ``at + span - rel``.  Each mirrored layer is placed as one batch.
         """
-        for rel, g in sorted(self.gates, key=lambda e: -e[0]):
-            self.c.place(g.inverse(), at + span - 1 - rel)
+        by_rel: dict[int, list[Gate]] = {}
+        for rel, gates in self.batches:
+            by_rel.setdefault(rel, []).extend(gates)
+        for rel in sorted(by_rel, reverse=True):
+            self.c.place([g.inverse() for g in by_rel[rel]], at + span - 1 - rel)
         for rel, q in self.allocs:
             self.c.dealloc(q, at_layer=at + span - rel)
         return at + span
@@ -414,36 +487,35 @@ class ResourceReport:
         return d
 
 
-def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL) -> ResourceReport:
+def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL,
+                         profile: list[int] | None = None) -> ResourceReport:
     """Exact and approximate-model resource accounting.
 
     Computes the spacetime allocation both as a sum of per-qubit lifetimes
-    and as a sum of per-layer live counts, and insists the two agree.
+    (read off the lifecycle tables) and as a sum of per-layer live counts,
+    and insists the two agree.  A caller that already holds
+    ``c.compact().live_profile()`` passes it as ``profile``.
     """
     c = c.compact()
     L = c.num_layers()
-    persistent = c.persistent()
-    sa_q = 0
-    clean_sa = dirty_sa = 0
-    for q in c.qubits():
-        d = c.dealloc_layer(q)
-        if d is None:
-            if q.id not in persistent:
-                raise LeakedQubit(f"{q} never deallocated and not persistent")
-            d = L
-        span = d - c.alloc_layer(q)
-        sa_q += span
-        if q.kind == DIRTY:
-            dirty_sa += span
-        else:
-            clean_sa += span
-    prof = c.live_profile()
+    persistent = c._persistent
+    ends = c._dealloc
+    if None in ends:
+        leaked = next((q for q, d in zip(c._qubits, ends) if d is None and q.id not in persistent), None)
+        if leaked is not None:
+            raise LeakedQubit(f"{leaked} never deallocated and not persistent")
+        ends = [L if d is None else d for d in ends]
+    sa_q = sum(ends) - sum(c._alloc)
+    dirty_sa = sum([d - a for q, a, d in zip(c._qubits, c._alloc, ends) if q.kind == DIRTY])
+    clean_sa = sa_q - dirty_sa
+    prof = c.live_profile() if profile is None else profile
     sa_t = sum(prof)
     if sa_q != sa_t:
         raise InternalInvariant(f"spacetime double-count mismatch: {sa_q} != {sa_t}")
 
-    rot_layers = [bool(layer) and any(g.op in ROTATION_OPS for g in layer) for layer in c.layers]
-    n_rot = sum(1 for layer in c.layers for g in layer if g.op in ROTATION_OPS)
+    per_layer = [sum(map(ROTATION_OPS.__contains__, map(_OP, layer))) for layer in c.layers]
+    rot_layers = [k > 0 for k in per_layer]
+    n_rot = sum(per_layer)
 
     if model.mode == "approximate" and n_rot:
         width = model.rotation_cost(model.epsilon / n_rot)
@@ -579,11 +651,10 @@ def _layer_json(layer: list[Gate]) -> list[dict]:
 
 
 def _lifecycle_json(c: Circuit) -> dict:
-    qubits = c.qubits()
     return {
-        "alloc": [[q.id, c.alloc_layer(q), q.kind] for q in qubits],
-        "dealloc": [[q.id, d] for q in qubits if (d := c.dealloc_layer(q)) is not None],
-        "persistent": sorted(c.persistent()),
+        "alloc": [[q.id, a, q.kind] for q, a in zip(c._qubits, c._alloc)],
+        "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d is not None],
+        "persistent": sorted(c._persistent),
         "registers": {name: [q.id for q in qs] for name, qs in c.registers.items()},
     }
 
@@ -597,18 +668,32 @@ def to_json_dict(c: Circuit) -> dict:
 #: reference-cycle bookkeeping (one id() entry per container) is skipped.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
+#: op -> the gate's JSON text with its parameters (``%r``) and qubit ids (``%d``) left open,
+#: keys in sorted order as the encoder writes them
+_GATE_TEXT = {
+    op: '{"op":"%s","params":[%s],"qubits":[%s]}' % (op, ",".join(["%r"] * npar), ",".join(["%d"] * nq))
+    for op, (nq, npar) in GATE_SIGNATURES.items()
+}
+
+
+def _layer_text(layer: list[Gate]) -> str:
+    text = _GATE_TEXT
+    return "[%s]" % ",".join([text[g.op] % (*g.params, *map(_ID, g.qubits)) for g in layer])
+
 
 def dumps(c: Circuit) -> str:
     """Canonical JSON text: byte-identical across parse/re-emit round trips.
 
     The text is ``json.dumps(to_json_dict(c), sort_keys=True,
-    separators=(",", ":"))``, but it is encoded one layer at a time, so the
-    dict form of the whole circuit never exists at once.
+    separators=(",", ":"))``.  Each gate's text is written directly from a
+    per-op template, with ``repr`` floats as the JSON encoder writes them,
+    so the gates never pass through dicts; that takes a circuit whose gates
+    pass :meth:`Circuit.validate` (known ops, finite ``float`` parameters).
     """
     c = c.compact()
     # Keys sort as alloc, dealloc, layers, ...; the first '"layers":0' is the placeholder.
     head, tail = _encode({"layers": 0, **_lifecycle_json(c)}).split('"layers":0', 1)
-    layers = ",".join([_encode(_layer_json(layer)) for layer in c.layers])
+    layers = ",".join([_layer_text(layer) for layer in c.layers])
     return "".join((head, '"layers":[', layers, "]", tail))
 
 
@@ -623,13 +708,56 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+#: a parsed gate's fields, and a ``Gate`` built from them without a Python
+#: frame per gate (``Gate.__new__`` does the same ``tuple.__new__`` call)
+_FIELDS = itemgetter("op", "params", "qubits")
+_new_gate = partial(tuple.__new__, Gate)
+
+
+def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
+    """Fill layer ``t`` of ``c`` from its parsed JSON if the whole layer passes its checks.
+
+    Every gate must fit its signature with ``float`` parameters; then the
+    layer's flat id list is checked once: ints, in range, no id twice and
+    every id live at ``t`` (``end`` is each qubit's dealloc layer, or inf).
+    Each check is one pass over the layer in C (``map``, ``set``, ``zip``).
+    Any doubt returns False, never an exception, and leaves ``c`` as it was.
+    """
+    if not layer:
+        return True
+    qs, alloc = c._qubits, c._alloc
+    try:
+        ops, params, ids = zip(*map(_FIELDS, layer))
+        if not (set(map(type, params)) <= _LIST and set(map(type, ids)) <= _LIST
+                and set(zip(ops, map(len, ids), map(len, params))) <= _SHAPES):
+            return False
+        values = list(chain.from_iterable(params))
+        if not (set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))):
+            return False
+        flat = list(chain.from_iterable(ids))
+        if flat and not (set(map(type, flat)) <= _INT and len(set(flat)) == len(flat)
+                         and min(flat) >= 0 and max(flat) < len(qs)
+                         and max(map(alloc.__getitem__, flat)) <= t < min(map(end.__getitem__, flat))):
+            return False
+        operands = map(tuple, map(partial(map, qs.__getitem__), ids))
+        c.layers[t] = list(map(_new_gate, zip(map(_OP_NAMES.__getitem__, ops), map(tuple, params), operands)))
+    except (TypeError, KeyError, IndexError, ValueError):
+        return False
+    last_use = c._last_use
+    for i in flat:
+        last_use[i] = t
+    return True
+
+
 def loads(text: str | bytes) -> Circuit:
     """Parse and check circuit JSON in one pass over its layers.
 
     Qubit ids are the ints 0..n-1 of the alloc table, kinds are "clean" or
     "dirty", and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
-    Lifecycles are read first; then each layer is built through ``gate`` and
-    ``place``, which check it, and its parsed JSON is released right after.
+    The lifecycle tables are read first.  Then each layer is checked as a
+    whole (:func:`_read_layer`); a layer that fails is re-read gate by
+    gate through ``gate`` and ``place``, which raise its typed error.  Each
+    layer's parsed JSON is released right after it is read.
     """
     doc = json.loads(text)
     if type(doc) is not dict:
@@ -644,38 +772,54 @@ def loads(text: str | bytes) -> Circuit:
 
     entries = _json_list(doc.get("alloc"), '"alloc"')
     n = len(entries)
-    lifecycles: list = [None] * n
+    kinds: list = [None] * n
+    alloc = [0] * n
     for e in entries:
         if type(e) is not list or len(e) != 3:
             raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
         qid, t, kind = e
-        if type(qid) is not int or not 0 <= qid < n or lifecycles[qid] is not None:
+        if type(qid) is not int or not 0 <= qid < n or kinds[qid] is not None:
             raise OperandNotLive("alloc list must cover dense qubit ids")
         if kind not in (CLEAN, DIRTY):
             raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
         if type(t) is not int or not 0 <= t <= L:
             raise OperandNotLive(f"qubit {qid} allocated at {t!r}, outside layers 0..{L}")
-        lifecycles[qid] = (t, CLEAN if kind == CLEAN else DIRTY)
-    qs = [c.alloc(kind, at_layer=t) for t, kind in lifecycles]
+        kinds[qid] = CLEAN if kind == CLEAN else DIRTY
+        alloc[qid] = t
+    qs = c._qubits = [QubitId(i, kind) for i, kind in enumerate(kinds)]
+    c._alloc = alloc
+    dealloc = c._dealloc = [None] * n
+    c._last_use = [t - 1 for t in alloc]
 
-    def qubit(qid):
-        if type(qid) is not int or not 0 <= qid < n:
-            raise OperandNotLive(f"qubit id {qid!r} is not allocated")
-        return qs[qid]
+    def qubits(ids: list) -> list[QubitId]:
+        """The qubits of a list of ids, checked at once; a bad id is ``OperandNotLive``."""
+        if not (set(map(type, ids)) <= _INT and (not ids or (min(ids) >= 0 and max(ids) < n))):
+            bad = next(i for i in ids if type(i) is not int or not 0 <= i < n)
+            raise OperandNotLive(f"qubit id {bad!r} is not allocated")
+        return list(map(qs.__getitem__, ids))
 
     for e in _json_list(doc.get("dealloc"), '"dealloc"'):
         if type(e) is not list or len(e) != 2:
             raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
-        q, t = qubit(e[0]), e[1]
+        qid, t = e
+        if type(qid) is not int or not 0 <= qid < n:
+            raise OperandNotLive(f"qubit id {qid!r} is not allocated")
         if type(t) is not int:
-            raise MalformedCircuit(f"{q} deallocated at {t!r}")
-        c.dealloc(q, at_layer=t)
+            raise MalformedCircuit(f"{qs[qid]} deallocated at {t!r}")
+        if dealloc[qid] is not None:
+            raise DoubleDealloc(f"{qs[qid]} deallocated twice")
+        if t < alloc[qid]:
+            raise UseAfterDealloc(f"{qs[qid]} has activity at or past layer {t}")
         if t > L:
-            raise OperandNotLive(f"{q} lifetime [{c.alloc_layer(q)}, {t}] leaves layers 0..{L}")
+            raise OperandNotLive(f"{qs[qid]} lifetime [{alloc[qid]}, {t}] leaves layers 0..{L}")
+        dealloc[qid] = t
 
+    end = [math.inf if d is None else d for d in dealloc]
     for t in range(L):
         layer = _json_list(layers[t], f"layer {t}")
         layers[t] = None
+        if _read_layer(c, layer, t, end):
+            continue
         for entry in layer:
             try:
                 op, params, ids = entry["op"], entry["params"], entry["qubits"]
@@ -688,11 +832,11 @@ def loads(text: str | bytes) -> Circuit:
             operands = [qs[i] for i in ids if type(i) is int and 0 <= i < n]
             if len(operands) != len(ids):
                 raise OperandNotLive(f"layer {t}: qubit ids {ids!r} are not all allocated")
-            c.place(gate(op, operands, *params), t)
+            c.place([gate(op, operands, *params)], t)
 
-    c.mark_persistent(qubit(qid) for qid in _json_list(doc.get("persistent", []), '"persistent"'))
+    c.mark_persistent(qubits(_json_list(doc.get("persistent", []), '"persistent"')))
     for name, ids in registers.items():
-        members = [qubit(qid) for qid in _json_list(ids, f"register {name}")]
+        members = qubits(_json_list(ids, f"register {name}"))
         if len(set(ids)) != len(ids):
             raise DuplicateOperand(f"register {name} lists a qubit twice: {ids}")
         c.add_register(name, members)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from . import circuit_ir as cir
 from . import multicopy as mc
 from . import protocols as proto
 from . import sim
-from .errors import InternalInvariant, QsprepError
+from .errors import CircuitError, InternalInvariant, MalformedInput, QsprepError
 
 
 def _read(path: str) -> bytes:
@@ -49,6 +51,23 @@ def envelope(args_echo: list[str], raw_input: bytes, payload: dict) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _emitting():
+    """An IR error raised while emitting is a bug, not bad input: the emitter chose every layer."""
+    try:
+        yield
+    except CircuitError as e:
+        raise InternalInvariant(f"emitter broke the circuit IR: {type(e).__name__}: {e}") from e
+
+
+def _checked(circuit: cir.Circuit) -> cir.Circuit:
+    """An emitted circuit after its one whole-circuit check; a violation is a bug (exit 3)."""
+    violations = circuit.validate()
+    if violations:
+        raise InternalInvariant(f"emitted circuit failed validation: {violations[:3]}")
+    return circuit
+
+
 def _model_for(args) -> cir.GateSetModel:
     if args.gateset == "hstcnot" or (args.gateset is None and args.epsilon is not None):
         return cir.approx_model(args.epsilon if args.epsilon is not None else 1e-10)
@@ -67,11 +86,9 @@ def cmd_synth(args, argv) -> int:
         loadf_first_optimized=args.loadf_first_optimized,
         fanout=not args.no_fanout,
     )
-    circuit = proto.spcsp(target, cfg)
-    violations = circuit.validate()
-    if violations:
-        raise InternalInvariant(f"emitted circuit failed validation: {violations[:3]}")
-    report = cir.spacetime_allocation(circuit, _model_for(args))
+    with _emitting():
+        circuit = _checked(proto.spcsp(target, cfg))
+        report = cir.spacetime_allocation(circuit, _model_for(args))
     _write(args.out, cir.dumps(circuit))
     doc = envelope(argv, raw, {"report": report.to_json()})
     if args.angles_out:
@@ -118,6 +135,9 @@ def cmd_simulate(args, argv) -> int:
         target_state = amp.target_from_json(_read(args.target).decode())
         target = target_state.amplitudes
         order = circuit.registers.get("D")
+        if order is not None and len(target) != 1 << len(order):
+            raise MalformedInput(f"target has {len(target)} amplitudes, "
+                                 f"the circuit's D register {len(order)} qubits")
     report, _ = sim.run(circuit, target=target, target_order=order, max_live=max_live)
     doc = envelope(argv, raw, {"report": report.to_json()})
     _write(args.report, _dump(doc))
@@ -127,9 +147,9 @@ def cmd_simulate(args, argv) -> int:
 def cmd_profile(args, argv) -> int:
     raw = _read(args.infile)
     circuit = cir.loads(raw).compact()
-    report = cir.spacetime_allocation(circuit, _model_for(args))
     live = circuit.live_profile()
     dirty = circuit.live_profile(q for q in circuit.qubits() if q.kind == cir.DIRTY)
+    report = cir.spacetime_allocation(circuit, _model_for(args), profile=live)
     lines = ["layer,live,clean,dirty"]
     lines += [f"{t},{n},{n - d},{d}" for t, (n, d) in enumerate(zip(live, dirty))]
     _write(args.out, "\n".join(lines) + "\n")
@@ -141,7 +161,9 @@ def cmd_profile(args, argv) -> int:
 def cmd_multicopy(args, argv) -> int:
     raw = _read(args.infile)
     doc_in = json.loads(raw.decode())
-    vectors = doc_in["targets"] if isinstance(doc_in, dict) else doc_in
+    vectors = doc_in.get("targets") if type(doc_in) is dict else doc_in
+    if type(vectors) is not list:
+        raise MalformedInput('multicopy input must be a list of amplitude vectors or {"targets": [...]}')
     targets = [amp.target_from_json({"amplitudes": v}) for v in vectors]
     if args.w is not None:
         if len(targets) == 1:
@@ -150,7 +172,9 @@ def cmd_multicopy(args, argv) -> int:
             raise QsprepError(f"--w {args.w} disagrees with {len(targets)} targets")
     plan = mc.BatchPlan(targets, indentation=args.indent, pool_cap=args.pool,
                         fanout=not args.no_fanout)
-    result = mc.stack(plan)
+    with _emitting():
+        result = mc.stack(plan)
+        _checked(result.circuit)
     _write(args.out, cir.dumps(result.circuit))
     doc = envelope(argv, raw, {
         "report": result.report.to_json(),
@@ -175,10 +199,11 @@ def cmd_fragment(args, argv) -> int:
         angles = proto.injection_csp_angles(std)
         kwargs["fanout"] = not args.no_fanout
         kwargs["dirty_b1"] = args.dirty_b1
-    circuit = proto.fragment_circuit(args.name, m=args.m, angles=angles,
-                                     t=args.t, basis=args.basis, **kwargs)
+    with _emitting():
+        circuit = _checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
+                                                  t=args.t, basis=args.basis, **kwargs))
+        report = cir.spacetime_allocation(circuit, _model_for(args))
     _write(args.out, cir.dumps(circuit))
-    report = cir.spacetime_allocation(circuit, _model_for(args))
     doc = envelope(argv, raw, {"report": report.to_json()})
     _write(args.report, _dump(doc))
     return 0
@@ -245,6 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic garbage collector off.
 
+    Exit 0 on success; 2 for bad input: a typed ``QsprepError``, an
+    unreadable file, or input that does not decode as JSON text; 3 for
+    anything else, which is a bug: ``InternalInvariant`` or any other
+    exception, whose traceback the error object carries.  Either failure
+    writes one JSON error object to stderr.
+
     The circuit IR is acyclic (gate tuples, qubit handles, lists), so
     reference counting frees it; collector passes would only rescan its
     ~10^6 objects.  The caller's collector state is restored on return.
@@ -258,9 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariant as e:
         sys.stderr.write(_dump({"error": "InternalInvariant", "message": str(e)}) + "\n")
         return 3
-    except (QsprepError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (QsprepError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         sys.stderr.write(_dump({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 2
+    except Exception as e:
+        sys.stderr.write(_dump({"error": type(e).__name__, "message": str(e),
+                                "traceback": traceback.format_exc()}) + "\n")
+        return 3
     finally:
         if gc_was_enabled:
             gc.enable()

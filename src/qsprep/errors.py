@@ -31,33 +31,41 @@ class NonFiniteAmplitude(QsprepError):
     """An amplitude is not a finite number, or the norm of the vector overflows."""
 
 
+class MalformedInput(QsprepError):
+    """An input document breaks its schema or does not fit the circuit it is used with."""
+
+
 # -- circuit IR ---------------------------------------------------------------
 
-class OperandNotLive(QsprepError):
+class CircuitError(QsprepError):
+    """A gate, a qubit lifetime or a circuit document breaks the IR's rules."""
+
+
+class OperandNotLive(CircuitError):
     pass
 
 
-class DuplicateOperand(QsprepError):
+class DuplicateOperand(CircuitError):
     pass
 
 
-class LayerCollision(QsprepError):
+class LayerCollision(CircuitError):
     pass
 
 
-class DoubleDealloc(QsprepError):
+class DoubleDealloc(CircuitError):
     pass
 
 
-class UseAfterDealloc(QsprepError):
+class UseAfterDealloc(CircuitError):
     pass
 
 
-class LeakedQubit(QsprepError):
+class LeakedQubit(CircuitError):
     pass
 
 
-class MalformedCircuit(QsprepError):
+class MalformedCircuit(CircuitError):
     """A gate or circuit document breaks the schema: unknown op or kind, bad parameter, wrong JSON type."""
 
 

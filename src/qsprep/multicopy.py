@@ -108,8 +108,8 @@ def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict
             if q.id in persistent:
                 batch.mark_persistent([nq])
         for t in range(T):
-            for g in inst.layers[t]:
-                batch.place(Gate(g.op, g.params, tuple(mapping[q.id] for q in g.qubits)), shift(t))
+            batch.place([Gate(g.op, g.params, tuple(mapping[q.id] for q in g.qubits))
+                         for g in inst.layers[t]], shift(t))
         for q in inst.qubits():
             dl = inst.dealloc_layer(q)
             if dl is not None:

@@ -25,7 +25,7 @@ from .amplitudes import (
     csp_angles,
     partition_norms,
 )
-from .circuit_ir import CLEAN, Block, Circuit, Gate, QubitId, gate
+from .circuit_ir import CLEAN, Block, Circuit, Gate, QubitId
 from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
 from .subroutines import flag, loadf, spf, split_levels
 
@@ -145,6 +145,11 @@ def _alloc_flat(c: Circuit, count: int, layer: int, kind: str = CLEAN) -> list[Q
     return [c.alloc(kind, at_layer=layer) for _ in range(count)]
 
 
+def _flip(c: Circuit, qubits: list[QubitId], layer: int) -> None:
+    """X on each of ``qubits`` at ``layer``, in one batch."""
+    c.place([Gate("x", (), (q,)) for q in qubits], layer)
+
+
 def _emit_sp(c: Circuit, data: list[QubitId], values, start: int,
              keep_a: bool = False) -> tuple[int, list[QubitId], list[QubitId]]:
     """State preparation on ``data`` from non-negative weights ``values``.
@@ -155,25 +160,19 @@ def _emit_sp(c: Circuit, data: list[QubitId], values, start: int,
     """
     m = len(data)
     aset = injection_angles(values)
+    pairs = [(s, p) for s in range(m) for p in range(1 << s)]   # pair (s, p) owns A[2**s - 1 + p]
     A = _alloc_flat(c, (1 << m) - 1, start)
-    for s in range(m):
-        for p in range(1 << s):
-            c.place(gate("ry", (A[(1 << s) - 1 + p],), aset.theta(s, p)), start)
+    c.place([Gate("ry", (aset.theta(s, p),), (q,)) for q, (s, p) in zip(A, pairs)], start)
     a_levels = split_levels(A)
     spf_end, _ = spf(c, data, a_levels, start=start + 1)
 
     F = _alloc_flat(c, (1 << m) - 1, spf_end)
-    for q in F:
-        c.place(gate("x", (q,)), spf_end)
+    _flip(c, F, spf_end)
     f_levels = split_levels(F)
     fl_end = flag(c, data, f_levels, start=spf_end + 1)
-    for s in range(m):
-        for p in range(1 << s):
-            i = (1 << s) - 1 + p
-            c.place(gate("cry", (F[i], A[i]), -aset.theta(s, p)), fl_end)
+    c.place([Gate("cry", (-aset.theta(s, p),), (f, a)) for f, a, (s, p) in zip(F, A, pairs)], fl_end)
     fl2_end = flag(c, data, f_levels, start=fl_end + 1, adjoint=True)
-    for q in F:
-        c.place(gate("x", (q,)), fl2_end)
+    _flip(c, F, fl2_end)
     end = fl2_end + 1
     for q in F:
         c.dealloc(q, at_layer=end)
@@ -190,8 +189,7 @@ def _emit_csp(c: Circuit, ctrl: list[QubitId], lower: list[QubitId],
     conv = injection_csp_angles(std_angles)
     nb = (1 << conv.sub_levels) - 1
     F0 = _alloc_flat(c, nb, start)
-    for q in F0:
-        c.place(gate("x", (q,)), start)
+    _flip(c, F0, start)
     B0 = _alloc_flat(c, nb, start + 1)
     lf_end, regs = loadf(c, ctrl, B0, F0, conv, start=start + 1,
                          dirty_b1=cfg.dirty_b1, fanout=cfg.fanout,
@@ -202,8 +200,7 @@ def _emit_csp(c: Circuit, ctrl: list[QubitId], lower: list[QubitId],
     lf2_end, _ = loadf(c, ctrl, B0, F0, conv, start=fl_end, adjoint=True,
                        dirty_b1=cfg.dirty_b1, fanout=cfg.fanout)
     fl2_end = flag(c, lower, split_levels(F0), start=lf2_end, adjoint=True)
-    for q in F0:
-        c.place(gate("x", (q,)), fl2_end)
+    _flip(c, F0, fl2_end)
     end = fl2_end + 1
     for q in F0:
         c.dealloc(q, at_layer=end)
@@ -244,9 +241,7 @@ def _prepare_basis(c: Circuit, qubits: list[QubitId], basis: int | None) -> int:
     """X at layer 0 on each qubit whose bit of ``basis`` is set; returns the first free layer."""
     if basis is None:
         return 0
-    for bit, q in enumerate(qubits):
-        if (basis >> bit) & 1:
-            c.place(gate("x", (q,)), 0)
+    _flip(c, [q for bit, q in enumerate(qubits) if (basis >> bit) & 1], 0)
     return 1
 
 
@@ -354,9 +349,8 @@ def replay(dst: Circuit, src: Circuit, base: int, shared: dict[int, QubitId],
         mapping[q.id] = dst.alloc(q.kind, at_layer=base + a)
     for t in range(T):
         src_layer = src.layers[T - 1 - t] if mirror else src.layers[t]
-        for g in src_layer:
-            gg = g.inverse() if mirror else g
-            dst.place(Gate(gg.op, gg.params, tuple(mapping[q.id] for q in gg.qubits)), base + t)
+        gates = [g.inverse() for g in src_layer] if mirror else src_layer
+        dst.place([Gate(g.op, g.params, tuple(mapping[q.id] for q in g.qubits)) for g in gates], base + t)
     for q, a, d in managed:
         dst.dealloc(mapping[q.id], at_layer=base + d)
     return base + T
@@ -368,25 +362,25 @@ def zero_reflection(c: Circuit, qubits: list[QubitId], start: int) -> int:
     X-conjugated Toffoli AND tree onto a fresh root, a pi phase on the
     root, then uncomputation: depth O(log len), len-1 Toffolis each way.
     """
-    for q in qubits:
-        c.place(gate("x", (q,)), start)
+    _flip(c, qubits, start)
     frontier = start + 1
     tree = Block(c, frontier)
     current = list(qubits)
     while len(current) > 1:
         nxt = []
+        gates = []
         for i in range(0, len(current) - 1, 2):
             anc = tree.alloc(CLEAN, at_layer=frontier)
-            tree.place(gate("toffoli", (current[i], current[i + 1], anc)), frontier)
+            gates.append(Gate("toffoli", (), (current[i], current[i + 1], anc)))
             nxt.append(anc)
+        tree.place(gates, frontier)
         if len(current) % 2:
             nxt.append(current[-1])
         current = nxt
         frontier += 1
-    c.place(gate("phase", (current[0],), math.pi), frontier)
+    c.place([Gate("phase", (math.pi,), (current[0],))], frontier)
     frontier = tree.mirror(frontier + 1, frontier - tree.start)
-    for q in qubits:
-        c.place(gate("x", (q,)), frontier)
+    _flip(c, qubits, frontier)
     return frontier + 1
 
 
@@ -478,8 +472,7 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
             sub.spf(c, data, split_levels(reg), start=start)
             c.add_register("A", reg)
         else:
-            for q in reg:
-                c.place(gate("x", (q,)), start)
+            _flip(c, reg, start)
             sub.flag(c, data, split_levels(reg), start=start + 1, **kwargs)
             c.add_register("F", reg)
         c.add_register("D", data)
@@ -493,9 +486,7 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         start = _prepare_basis(c, ctrl, basis)
         F0 = _alloc_flat(c, nb, start)
         flags = kwargs.pop("flags", [1] * nb)
-        for i, q in enumerate(F0):
-            if flags[i]:
-                c.place(gate("x", (q,)), start)
+        _flip(c, [q for i, q in enumerate(F0) if flags[i]], start)
         B0 = _alloc_flat(c, nb, start + 1)
         c.mark_persistent(F0 + B0)
         end, regs = loadf(c, ctrl, B0, F0, angles, start=start + 1, **kwargs)

@@ -16,6 +16,9 @@ Register conventions shared by every fragment:
   their published spacetime allocation.  Every fragment records the part
   it uncomputes in a ``circuit_ir.Block``; ``Block.mirror`` is the one
   place that rule and its layer arithmetic live.
+* Every fragment builds ``Gate`` tuples directly and places them a layer at
+  a time; the emitted circuit is checked once, as a whole, by
+  ``Circuit.validate``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .amplitudes import CSPAngleSet
-from .circuit_ir import CLEAN, DIRTY, Block, Circuit, QubitId, gate
+from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Gate, QubitId
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
@@ -76,8 +79,7 @@ class CopyTree:
     layer t connects slot j*size/2**t to the slot half a stride further.
     ``layout="doubling"`` supports arbitrary sizes (layer t copies slots
     [0, 2**t) onto [2**t, min(2**(t+1), size))).  Targets are allocated in
-    the layer their copy layer runs; ``unemit`` mirrors a layer and
-    releases its targets.
+    the layer their copy layer runs; a ``Block`` undoes the tree.
     """
 
     def __init__(self, c: Circuit, source: QubitId, size: int, kind: str = CLEAN,
@@ -90,13 +92,6 @@ class CopyTree:
         self.layout = layout
         self.slots: list[QubitId | None] = [None] * size
         self.slots[0] = source
-
-    @classmethod
-    def over(cls, c: Circuit, reg: list[QubitId]) -> "CopyTree":
-        """Wrap an existing fully-populated register (for uncopying)."""
-        tree = cls(c, reg[0], len(reg))
-        tree.slots = list(reg)
-        return tree
 
     @property
     def layers(self) -> int:
@@ -115,16 +110,13 @@ class CopyTree:
         return [self.slots[j] for j in range(min(1 << t, self.size))]
 
     def emit(self, t: int, layer: int) -> None:
+        slots, c = self.slots, self.c
+        gates = []
         for src, dst in self._pairs(t):
-            if self.slots[dst] is None:
-                self.slots[dst] = self.c.alloc(self.kind, at_layer=layer)
-            self.c.place(gate("cnot", (self.slots[src], self.slots[dst])), layer)
-
-    def unemit(self, t: int, layer: int, dealloc: bool = True) -> None:
-        for src, dst in self._pairs(t):
-            self.c.place(gate("cnot", (self.slots[src], self.slots[dst])), layer)
-            if dealloc:
-                self.c.dealloc(self.slots[dst], at_layer=layer + 1)
+            if slots[dst] is None:
+                slots[dst] = c.alloc(self.kind, at_layer=layer)
+            gates.append(Gate("cnot", (), (slots[src], slots[dst])))
+        c.place(gates, layer)
 
 
 def copy(c: Circuit, source: QubitId, size: int, start: int | None = None,
@@ -142,17 +134,6 @@ def copy(c: Circuit, source: QubitId, size: int, start: int | None = None,
     return list(tree.slots), start + tree.layers
 
 
-def uncopy(c: Circuit, reg: list[QubitId], start: int | None = None,
-           dealloc: bool = True) -> int:
-    """Adjoint of :func:`copy` on an existing register."""
-    if start is None:
-        start = c.num_layers()
-    tree = CopyTree.over(c, reg)
-    for rev, t in enumerate(range(tree.layers - 1, -1, -1)):
-        tree.unemit(t, start + rev, dealloc=dealloc)
-    return start + tree.layers
-
-
 def cs_layer(c: Circuit, t: int, controls: list[QubitId], targets: list[QubitId],
              at_layer: int | None = None) -> int:
     """One layer of 2**t parallel CSWAPs: (controls[i]; targets[i], targets[i+2**t])."""
@@ -162,8 +143,9 @@ def cs_layer(c: Circuit, t: int, controls: list[QubitId], targets: list[QubitId]
         raise RegisterTooSmall(f"CS_{t} needs {2 << t} targets, got {len(targets)}")
     if at_layer is None:
         at_layer = c.num_layers()
-    for i in range(1 << t):
-        c.place(gate("cswap", (controls[i], targets[i], targets[i + (1 << t)])), at_layer)
+    half = 1 << t
+    c.place([Gate("cswap", (), (controls[i], targets[i], targets[i + half])) for i in range(half)],
+            at_layer)
     return at_layer + 1
 
 
@@ -174,44 +156,29 @@ class CopySwapResult:
     end: int
 
 
-def copyswap(c: Circuit, controls: list[QubitId], payload: QubitId | None,
+def copyswap(c: Circuit, controls: list[QubitId], payload: QubitId,
              start: int | None = None, target_kind: str = CLEAN,
-             target_slots: list[QubitId] | None = None,
-             trees: list[CopyTree] | None = None,
-             adjoint: bool = False) -> CopySwapResult:
+             trees: list[CopyTree] | None = None) -> CopySwapResult:
     """Copy m control bits while routing the payload to slot k of a 2**m register.
 
     Layer t fans control bits j > t one step further and applies CS_t
     controlled on the 2**t copies of bit t, so the payload starting at slot 0
-    ends at the slot indexed by the control value; depth is exactly m.  The
-    adjoint replays the self-inverse layers in reverse on the registers the
-    forward pass produced and releases the copies just in time.
+    ends at the slot indexed by the control value; depth is exactly m.  Run
+    it inside a ``Block`` to undo it.
     """
     m = len(controls)
     if start is None:
         start = c.num_layers()
-    if adjoint and (trees is None or target_slots is None):
-        raise BadRegisterShape("adjoint copyswap needs the forward registers")
     if trees is None:
         trees = [CopyTree(c, controls[j], 1 << j) for j in range(m)]
-    if target_slots is None:
-        target_slots = [payload] + [None] * ((1 << m) - 1)
-
-    if not adjoint:
-        for t in range(m):
-            layer = start + t
-            for j in range(t + 1, m):
-                trees[j].emit(t, layer)
-            for i in range(2 << t):
-                if target_slots[i] is None:
-                    target_slots[i] = c.alloc(target_kind, at_layer=layer)
-            cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
-    else:
-        for rev, t in enumerate(range(m - 1, -1, -1)):
-            layer = start + rev
-            cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
-            for j in range(t + 1, m):
-                trees[j].unemit(t, layer)
+    target_slots = [payload] + [None] * ((1 << m) - 1)
+    for t in range(m):
+        layer = start + t
+        for j in range(t + 1, m):
+            trees[j].emit(t, layer)
+        for i in range(1 << t, 2 << t):
+            target_slots[i] = c.alloc(target_kind, at_layer=layer)
+        cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
     return CopySwapResult(slots=target_slots, trees=trees, end=start + m)
 
 
@@ -310,7 +277,7 @@ def spf(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
     for layer, kind, args in events:
         if kind == "swap":
             (s,) = args
-            c.place(gate("swap", (data[s], slots[s][0])), layer)
+            c.place([Gate("swap", (), (data[s], slots[s][0]))], layer)
         elif kind == "cs":
             s, t = args
             q = s - 1 - t
@@ -348,8 +315,7 @@ def flag(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
     span = ladder_start + ladder_span + copy_span
 
     def flip_slot_zeros(layer: int) -> None:
-        for s in range(m):
-            c.place(gate("x", (slots[s][0],)), layer)
+        c.place([Gate("x", (), (slots[s][0],)) for s in range(m)], layer)
 
     if not adjoint:
         flip_slot_zeros(start)
@@ -422,7 +388,7 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
     # -- setup: one-hot address ---------------------------------------------------
     a0 = rec.alloc(CLEAN, at_layer=start)
     regs.a0 = [a0]
-    rec.place(gate("x", (a0,)), start)
+    rec.place([Gate("x", (), (a0,))], start)
     a_cs = copyswap(rec, ctrl, a0, start=start + 1)
     regs.d1 = [q for tr in a_cs.trees for q in tr.slots[1:]]
     regs.a1 = a_cs.slots[1:]
@@ -494,46 +460,57 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
     def rotation_gates(k, s, p, a_ctl, f_ctl, target):
         theta = angles.theta(k, s, p)
         if f_ctl is not None:
-            seq = [gate("ccry", (a_ctl, f_ctl, target), theta)]
+            seq = [Gate("ccry", (theta,), (a_ctl, f_ctl, target))]
         else:
-            seq = [gate("cry", (a_ctl, target), theta)]
+            seq = [Gate("cry", (theta,), (a_ctl, target))]
         if complex_mode and s == sub - 1:
             lo = float(angles.phases[k, 2 * p])
             hi = float(angles.phases[k, 2 * p + 1])
             if f_ctl is not None:
-                seq += [gate("ccrz", (a_ctl, f_ctl, target), hi - lo),
-                        gate("crz", (a_ctl, f_ctl), (hi + lo) / 2),
-                        gate("phase", (a_ctl,), (hi + lo) / 4)]
+                seq += [Gate("ccrz", (hi - lo,), (a_ctl, f_ctl, target)),
+                        Gate("crz", ((hi + lo) / 2,), (a_ctl, f_ctl)),
+                        Gate("phase", ((hi + lo) / 4,), (a_ctl,))]
             else:
-                seq += [gate("crz", (a_ctl, target), hi - lo),
-                        gate("phase", (a_ctl,), (hi + lo) / 2)]
+                seq += [Gate("crz", (hi - lo,), (a_ctl, target)),
+                        Gate("phase", ((hi + lo) / 2,), (a_ctl,))]
         if adjoint:
             seq = [g.inverse() for g in reversed(seq)]
         return seq
 
     stages = 4 if complex_mode else 1
     pair_of = [(s, p) for s in range(sub) for p in range(1 << s)]
+
+    def place_stages(base: int, seqs) -> None:
+        """Place gate i of every sequence at layer ``base + i``, one batch per layer."""
+        batches = [[] for _ in range(stages)]
+        for seq in seqs:
+            for stage, g in enumerate(seq):
+                batches[stage].append(g)
+        for stage, gates in enumerate(batches):
+            c.place(gates, base + stage)
+
     if fanout:
         rot_span = stages
+        seqs = []
         for idx, (s, p) in enumerate(pair_of):
             for k in range(M):
                 f_ctl = None if first_optimized else f_rows[idx][k]
-                target = t_slots[idx][k]
-                for stage, g in enumerate(rotation_gates(k, s, p, a_rows[k][idx], f_ctl, target)):
-                    c.place(g, rot_base + stage)
+                seqs.append(rotation_gates(k, s, p, a_rows[k][idx], f_ctl, t_slots[idx][k]))
+        place_stages(rot_base, seqs)
     else:
         # colour-major, so the gates on each shared control arrive in time order
         C = max(M, nb)
         rot_span = C * stages
         for color in range(C):
+            seqs = []
             for idx, (s, p) in enumerate(pair_of):
                 k = (color - idx) % C
                 if k >= M:
                     continue
                 f_ctl = None if first_optimized else flags[idx]
                 target = t_slots[idx][k] if route_b else t_slots[idx][0]
-                for stage, g in enumerate(rotation_gates(k, s, p, a_slots[k], f_ctl, target)):
-                    c.place(g, rot_base + color * stages + stage)
+                seqs.append(rotation_gates(k, s, p, a_slots[k], f_ctl, target))
+            place_stages(rot_base + color * stages, seqs)
 
     return rec.mirror(rot_base + rot_span, t_setup), regs
 

@@ -162,7 +162,7 @@ class TestAcceptance:
             c.mark_persistent(data + A)
             for s in range(3):
                 for p in range(1 << s):
-                    c.place(gate("ry", (A[pair_index(s, p)],), aset.theta(s, p)), 0)
+                    c.place([gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
             spf(c, data, split_levels(A), start=1)
             _, state = run(c)
             got = state.statevector(data + A)

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
 from qsprep.amplitudes import make_target
-from qsprep.circuit_ir import Circuit, gate
+from qsprep.circuit_ir import Circuit, Gate, gate
 from qsprep.errors import (
     DoubleDealloc,
     DuplicateOperand,
     LayerCollision,
     LeakedQubit,
+    MalformedCircuit,
     OperandNotLive,
     UseAfterDealloc,
 )
@@ -84,16 +85,16 @@ class TestAppend:
 
     def test_collision_rejected(self):
         c, a, b = two_qubit_circuit()
-        c.place(gate("x", (a,)), 0)
+        c.place([gate("x", (a,))], 0)
         with pytest.raises(LayerCollision):
-            c.place(gate("cnot", (a, b)), 0)
+            c.place([gate("cnot", (a, b))], 0)
 
     def test_out_of_order_place_rejected(self):
         c, a, b = two_qubit_circuit()
-        c.place(gate("x", (a,)), 3)
-        c.place(gate("x", (b,)), 1)
+        c.place([gate("x", (a,))], 3)
+        c.place([gate("x", (b,))], 1)
         with pytest.raises(LayerCollision):
-            c.place(gate("cnot", (a, b)), 2)
+            c.place([gate("cnot", (a, b))], 2)
 
 
 class TestLifecycle:
@@ -104,7 +105,7 @@ class TestLifecycle:
         for _ in range(10):
             c.append(gate("x", (base,)), policy="new_layer")
         q = c.alloc(at_layer=5)
-        c.place(gate("x", (q,)), 5)
+        c.place([gate("x", (q,))], 5)
         c.dealloc(q, at_layer=9)
         r = cir.spacetime_allocation(c)
         assert r.sa_exact == 10 + 4
@@ -119,21 +120,21 @@ class TestLifecycle:
     def test_use_at_dealloc_layer_rejected(self):
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.place(gate("x", (q,)), 3)
+        c.place([gate("x", (q,))], 3)
         c.dealloc(q, at_layer=9)
         with pytest.raises(UseAfterDealloc):
-            c.place(gate("x", (q,)), 9)
+            c.place([gate("x", (q,))], 9)
 
     def test_gate_before_alloc_rejected(self):
         c = Circuit()
         q = c.alloc(at_layer=4)
         with pytest.raises(OperandNotLive):
-            c.place(gate("x", (q,)), 2)
+            c.place([gate("x", (q,))], 2)
 
     def test_leak_detection(self):
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.place(gate("x", (q,)), 0)
+        c.place([gate("x", (q,))], 0)
         with pytest.raises(LeakedQubit):
             cir.spacetime_allocation(c)
 
@@ -184,7 +185,7 @@ class TestMetrics:
         c = Circuit()
         q = c.alloc(at_layer=0)
         c.mark_persistent([q])
-        c.place(gate("ry", (q,), 0.3), 0)
+        c.place([gate("ry", (q,), 0.3)], 0)
         exact = cir.spacetime_allocation(c)
         assert exact.sa_exact == 1
         model = cir.approx_model(epsilon=2.0**-16)
@@ -196,8 +197,8 @@ class TestMetrics:
         c = Circuit()
         q = c.alloc(at_layer=0)
         c.mark_persistent([q])
-        c.place(gate("ry", (q,), 0.3), 0)
-        c.place(gate("x", (q,)), 1)
+        c.place([gate("ry", (q,), 0.3)], 0)
+        c.place([gate("x", (q,))], 1)
         values = [cir.spacetime_allocation(c, cir.approx_model(eps)).sa_approx
                   for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
         assert values == sorted(values) and len(set(values)) == len(values)
@@ -219,6 +220,40 @@ class TestValidate:
         c.add_register("B0", [a])
         out = c.validate(expected_registers={"B0": 3})
         assert any("register B0" in v for v in out)
+
+    @pytest.mark.parametrize("defect, found", [
+        ("collision", "in two gates"),
+        ("before_alloc", "used before allocation"),
+        ("after_dealloc", "used after deallocation"),
+        ("nan_param", "not a finite float"),
+        ("numpy_param", "not a finite float"),
+        ("unknown_op", "unknown op"),
+        ("operand_count", "takes 2 qubits and 0 params"),
+        ("repeated_operand", "repeats an operand"),
+    ])
+    def test_unchecked_hand_built_defect_reported(self, defect, found):
+        # gates built as bare ``Gate`` tuples and put straight into the layers skip
+        # every per-gate check, as an emitter's would; validate() must see the defect
+        c, a, b = two_qubit_circuit()
+        late = c.alloc(at_layer=1)
+        gone = c.alloc(at_layer=0)
+        c.dealloc(gone, at_layer=1)
+        c.mark_persistent([late])
+        bad = {
+            "collision": [Gate("x", (), (a,)), Gate("cnot", (), (a, b))],
+            "before_alloc": [Gate("x", (), (late,))],
+            "after_dealloc": [Gate("x", (), (gone,))],
+            "nan_param": [Gate("ry", (math.nan,), (a,))],
+            "numpy_param": [Gate("ry", (np.float64(0.5),), (a,))],
+            "unknown_op": [Gate("sqrtx", (), (a,))],
+            "operand_count": [Gate("cnot", (), (a,))],
+            "repeated_operand": [Gate("cnot", (), (a, a))],
+        }[defect]
+        c.layers += [[Gate("x", (), (b,))], [Gate("x", (), (late,))]]
+        c.layers[0 if defect == "before_alloc" else 1] += bad
+        violations = c.validate()
+        assert violations and all(v.startswith("layer ") for v in violations)
+        assert any(found in v for v in violations), violations
 
 
 class TestExpansion:
@@ -308,6 +343,18 @@ class TestSerialization:
         assert c2.qubits()[1].kind == "dirty"
         assert [q.id for q in c2.registers["D"]] == [0]
 
+    @pytest.mark.parametrize("theta", [-0.0, 5e-324, 1e16, 0.1 + 0.2, -1e-300])
+    def test_gate_text_matches_json_encoder(self, theta):
+        c = Circuit()
+        qs = [c.alloc(at_layer=0) for _ in range(3)]
+        c.mark_persistent(qs)
+        c.append(gate("ccrz", qs, theta))
+        c.append(gate("phase", (qs[0],), theta))
+        c.append(gate("cry", (qs[1], qs[2]), theta))
+        text = cir.dumps(c)
+        assert text == json.dumps(cir.to_json_dict(c), sort_keys=True, separators=(",", ":"))
+        assert cir.dumps(cir.loads(text)) == text
+
     def test_text_dump_mentions_gates(self):
         text = cir.to_text(self.build())
         assert "cnot q0, q1" in text
@@ -319,7 +366,7 @@ class TestBlock:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place(gate("ry", (src,), 0.9), 0)
+        c.place([gate("ry", (src,), 0.9)], 0)
         block = cir.Block(c, 1)
         reg, end = copy(block, src, 8, start=1)
         span = end - 1
@@ -357,6 +404,7 @@ def test_spcsp_json_round_trips(cfg, seed):
             cfg["m"] = n - 1
     c = proto.spcsp(make_target(amps), proto.ProtocolConfig(**cfg))
     text = cir.dumps(c)
+    assert text == json.dumps(cir.to_json_dict(c), sort_keys=True, separators=(",", ":"))
     assert cir.dumps(cir.loads(text)) == text
 
 
@@ -374,3 +422,59 @@ class TestAdjoint:
         U = block_unitary(fwd_gates, qs)
         V = block_unitary(rev_gates, qs)
         assert np.max(np.abs(V @ U - np.eye(4))) < 1e-12
+
+
+def in_layer_doc() -> dict:
+    """q0, q1 live throughout; q2 allocated at layer 1 and released at layer 2."""
+    return {
+        "layers": [[{"op": "ry", "params": [0.5], "qubits": [0]}],
+                   [{"op": "cnot", "params": [], "qubits": [0, 1]},
+                    {"op": "x", "params": [], "qubits": [2]}],
+                   [{"op": "h", "params": [], "qubits": [1]}]],
+        "alloc": [[0, 0, "clean"], [1, 0, "clean"], [2, 1, "clean"]],
+        "dealloc": [[2, 2]],
+        "persistent": [0, 1],
+        "registers": {"D": [0, 1]},
+    }
+
+
+#: defect -> (error class a gate-by-gate reader raises, edit of ``in_layer_doc``)
+IN_LAYER_DEFECTS = {
+    "qubit_in_two_gates": (LayerCollision, lambda d: d["layers"][1].append(
+        {"op": "h", "params": [], "qubits": [1]})),
+    "repeated_operands": (DuplicateOperand, lambda d: d["layers"][1][0].update(qubits=[1, 1])),
+    "gate_before_alloc": (OperandNotLive, lambda d: d["layers"][0].append(
+        {"op": "x", "params": [], "qubits": [2]})),
+    "gate_at_dealloc": (UseAfterDealloc, lambda d: d["layers"][2].append(
+        {"op": "x", "params": [], "qubits": [2]})),
+    "gate_after_dealloc": (UseAfterDealloc, lambda d: (d["layers"].append(
+        [{"op": "x", "params": [], "qubits": [2]}]), d["persistent"].append(2))),
+    "wrong_operand_count": (DuplicateOperand, lambda d: d["layers"][2][0].update(qubits=[1, 0])),
+    "wrong_param_count": (MalformedCircuit, lambda d: d["layers"][0][0].update(params=[])),
+    "bool_qubit_id": (OperandNotLive, lambda d: d["layers"][2][0].update(qubits=[True])),
+    "str_qubit_id": (OperandNotLive, lambda d: d["layers"][2][0].update(qubits=["1"])),
+    "negative_qubit_id": (OperandNotLive, lambda d: d["layers"][2][0].update(qubits=[-1])),
+}
+
+
+class TestLoadsLayerChecks:
+    def test_base_document_loads(self):
+        c = cir.loads(json.dumps(in_layer_doc()))
+        assert (c.size(), c.num_layers()) == (4, 3)
+
+    @pytest.mark.parametrize("name", list(IN_LAYER_DEFECTS))
+    def test_in_layer_defect_error_class(self, name):
+        error, edit = IN_LAYER_DEFECTS[name]
+        doc = in_layer_doc()
+        edit(doc)
+        with pytest.raises(error) as info:
+            cir.loads(json.dumps(doc))
+        assert info.type is error
+
+    def test_loaded_layers_continue_in_time_order(self):
+        c = cir.loads(json.dumps(in_layer_doc()))
+        a, b, _ = c.qubits()
+        with pytest.raises(LayerCollision):
+            c.place([gate("x", (b,))], 2)
+        c.place([gate("x", (b,))], 3)
+        assert c.append(gate("cnot", (a, b))) == 4

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsprep import sim
-from qsprep.circuit_ir import Circuit
+from qsprep import amplitudes as amp
+from qsprep import protocols as proto
+from qsprep import sim, subroutines
+from qsprep.circuit_ir import Circuit, Gate
 from qsprep.cli import main
 from qsprep.sim import flag_oracle, pair_index
 
@@ -99,6 +101,42 @@ class TestSynth:
         assert code == 3
         assert json.loads(err)["error"] == "InternalInvariant"
 
+    @pytest.mark.parametrize("fault", ["numpy_angle", "repeated_operand", "unknown_op"])
+    def test_faulty_emitter_is_exit_3(self, capsys, monkeypatch, tmp_path, rand_n4, fault):
+        # emitters build gates without per-gate checks; the one validate() must catch them
+        if fault == "numpy_angle":
+            monkeypatch.setattr(amp.CSPAngleSet, "theta",
+                                lambda self, k, s, p: np.float64(self.angles[k, (1 << s) + p - 1]))
+        elif fault == "repeated_operand":
+            cs_layer = subroutines.cs_layer
+            monkeypatch.setattr(subroutines, "cs_layer", lambda c, t, controls, targets, at_layer=None:
+                                cs_layer(c, t, controls, [targets[0]] * len(targets), at_layer))
+        else:
+            monkeypatch.setattr(proto, "_flip", lambda c, qubits, layer:
+                                c.place([Gate("not", (), (q,)) for q in qubits], layer))
+        circ = tmp_path / "c.json"
+        code, _, err = run_cli(capsys, "synth", "--in", rand_n4, "--out", str(circ))
+        assert code == 3
+        assert json.loads(err)["error"] == "InternalInvariant"
+        assert not circ.exists()
+
+    def test_internal_key_error_is_exit_3(self, capsys, monkeypatch, pixels):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(proto, "spcsp", broken)
+        code, _, err = run_cli(capsys, "synth", "--in", pixels, "--m", "1")
+        assert code == 3
+        doc = json.loads(err)
+        assert doc["error"] == "KeyError"
+        assert "broken" in doc["traceback"]
+
+    def test_missing_amplitudes_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"amps": [1, 0]}))
+        code, _, err = run_cli(capsys, "synth", "--in", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
+
 
 class TestSimulate:
     def test_fidelity_round_trip(self, capsys, tmp_path, pixels):
@@ -127,6 +165,14 @@ class TestSimulate:
                        for s in range(3) for p in range(1 << s))
             assert case["registers"]["D"] == j
             assert case["registers"]["F"] == want
+
+
+    def test_target_size_mismatch_is_exit_2(self, capsys, tmp_path, pixels, rand_n4):
+        circ = tmp_path / "c.json"
+        run_cli(capsys, "synth", "--in", pixels, "--m", "1", "--out", str(circ))
+        code, _, err = run_cli(capsys, "simulate", "--in", str(circ), "--target", rand_n4)
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
 
 
 class TestProfile:
@@ -301,6 +347,14 @@ class TestMulticopyCmd:
         doc = json.loads(out)
         assert doc["peak_ancillae"] <= 64
         assert doc["report"]["depth"] > 0
+
+    @pytest.mark.parametrize("doc", [{"vectors": [[1, 2]]}, {"targets": 3}, 7])
+    def test_malformed_batch_is_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "multicopy", "--in", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
 
     def test_w_replicates_single_vector(self, capsys, tmp_path):
         path = tmp_path / "one.json"

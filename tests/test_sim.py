@@ -6,7 +6,7 @@ import pytest
 
 from qsprep import amplitudes as amp
 from qsprep import sim
-from qsprep.circuit_ir import Circuit, gate
+from qsprep.circuit_ir import Block, Circuit, gate
 from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
 from qsprep.sim import (
     SimState,
@@ -98,7 +98,7 @@ class TestSimBasics:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place(gate("ry", (src,), 2 * math.asin(0.8)), 0)
+        c.place([gate("ry", (src,), 2 * math.asin(0.8))], 0)
         reg, _ = copy(c, src, 8, start=1)
         c.mark_persistent(reg[1:])
         _, state = run(c)
@@ -111,7 +111,7 @@ class TestSimBasics:
     def test_dealloc_entangled_raises(self):
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.place(gate("x", (q,)), 0)
+        c.place([gate("x", (q,))], 0)
         c.dealloc(q, at_layer=1)
         with pytest.raises(DeallocNotZero):
             run(c)
@@ -121,9 +121,9 @@ class TestSimBasics:
         a = c.alloc(at_layer=0)
         b = c.alloc(at_layer=0)
         c.mark_persistent([a])
-        c.place(gate("ry", (a,), 1.1), 0)
-        c.place(gate("cnot", (a, b)), 1)
-        c.place(gate("cnot", (a, b)), 2)  # uncompute
+        c.place([gate("ry", (a,), 1.1)], 0)
+        c.place([gate("cnot", (a, b))], 1)
+        c.place([gate("cnot", (a, b))], 2)  # uncompute
         c.dealloc(b, at_layer=3)
         report, state = run(c)
         assert state.num_live == 1
@@ -140,7 +140,7 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.place(gate("x", (a,)), 0)
+        c.place([gate("x", (a,))], 0)
         _, state = run(c)
         assert np.argmax(np.abs(state.statevector([a, b]))) == 1
         assert np.argmax(np.abs(state.statevector([b, a]))) == 2
@@ -149,9 +149,9 @@ class TestSimBasics:
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(40)]  # far beyond the dense cap
         c.mark_persistent(qs)
-        c.place(gate("x", (qs[0],)), 0)
+        c.place([gate("x", (qs[0],))], 0)
         for i in range(39):
-            c.place(gate("cnot", (qs[i], qs[i + 1])), i + 1)
+            c.place([gate("cnot", (qs[i], qs[i + 1]))], i + 1)
         report, state = run(c, max_live=64)
         assert state.dominant_basis() == ((1 << 40) - 1, 1.0)
 
@@ -159,8 +159,8 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.place(gate("x", (b,)), 0)
-        c.place(gate("h", (a,)), 0)
+        c.place([gate("x", (b,))], 0)
+        c.place([gate("h", (a,))], 0)
         _, state = run(c)
         key, prob = state.dominant_basis()
         assert key == 2 and prob == pytest.approx(0.5)
@@ -170,8 +170,8 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.place(gate("ry", (a,), math.pi), 0)
-        c.place(gate("cnot", (a, b)), 1)
+        c.place([gate("ry", (a,), math.pi)], 0)
+        c.place([gate("cnot", (a, b))], 1)
         monkeypatch.setattr(sim, "MAX_SUPPORT", 1)
         _, state = run(c)
         key, prob = state.dominant_basis()
@@ -182,8 +182,8 @@ class TestSimBasics:
         a = c.alloc(at_layer=0)
         c.mark_persistent([a])
         d = c.alloc("dirty", at_layer=0)
-        c.place(gate("cnot", (a, d)), 0)
-        c.place(gate("cnot", (a, d)), 1)
+        c.place([gate("cnot", (a, d))], 0)
+        c.place([gate("cnot", (a, d))], 1)
         c.dealloc(d, at_layer=2)
         seed = (0.6, 0.8j)
         report, _ = run(c, dirty_seeds={d.id: seed})
@@ -192,7 +192,7 @@ class TestSimBasics:
     def test_dirty_seed_not_restored_raises(self):
         c = Circuit()
         d = c.alloc("dirty", at_layer=0)
-        c.place(gate("x", (d,)), 0)
+        c.place([gate("x", (d,))], 0)
         c.dealloc(d, at_layer=1)
         with pytest.raises(DeallocNotZero):
             run(c, dirty_seeds={d.id: (0.6, 0.8)})
@@ -205,9 +205,9 @@ class TestSimBasics:
         c.mark_persistent([a])
         for t in range(12):
             q = c.alloc(at_layer=t)
-            c.place(gate("ry", (q,), 2 * math.asin(math.sqrt(0.9e-10))), t)
+            c.place([gate("ry", (q,), 2 * math.asin(math.sqrt(0.9e-10)))], t)
             c.dealloc(q, at_layer=t + 1)
-        c.place(gate("x", (a,)), 12)
+        c.place([gate("x", (a,))], 12)
         with pytest.raises(NormDrift, match="after layer 12"):
             run(c)
 
@@ -215,9 +215,9 @@ class TestSimBasics:
         c = Circuit()
         a, b, e = (c.alloc(at_layer=0) for _ in range(3))
         c.mark_persistent([a, b, e])
-        c.place(gate("ry", (a,), 0.5), 0)
-        c.place(gate("cnot", (a, b)), 1)
-        c.place(gate("ry", (e,), 1.3), 0)
+        c.place([gate("ry", (a,), 0.5)], 0)
+        c.place([gate("cnot", (a, b))], 1)
+        c.place([gate("ry", (e,), 1.3)], 0)
         _, state = run(c)
         factor, defect = state.detach([e])
         assert defect < 1e-12
@@ -243,16 +243,15 @@ class TestContractionSoundness:
         # circuit with deallocs vs the same gates with every ancilla kept,
         # projected onto ancilla |0>
         rng = np.random.default_rng(4)
-        from qsprep.subroutines import uncopy
-
         for trial in range(5):
             theta = rng.uniform(0, math.pi)
             dyn = Circuit()
             src = dyn.alloc(at_layer=0)
             dyn.mark_persistent([src])
-            dyn.place(gate("ry", (src,), theta), 0)
-            reg, end = copy(dyn, src, 8, start=1)
-            uncopy(dyn, reg, start=end)
+            dyn.place([gate("ry", (src,), theta)], 0)
+            block = Block(dyn, 1)
+            reg, end = copy(block, src, 8, start=1)
+            block.mirror(end, end - 1)
             _, dstate = run(dyn)
             dyn_vec = dstate.statevector([src])
 
@@ -292,7 +291,7 @@ class TestContractionSoundnessFragments:
         c.mark_persistent(data + A)
         for s in range(3):
             for p in range(1 << s):
-                c.place(gate("ry", (A[pair_index(s, p)],), aset.theta(s, p)), 0)
+                c.place([gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
         spf(c, data, split_levels(A), start=1)
         self.compare(c, data + A)
 
@@ -304,9 +303,9 @@ class TestContractionSoundnessFragments:
         F = [c.alloc(at_layer=0) for _ in range(7)]
         c.mark_persistent(data + F)
         for q in data:
-            c.place(gate("h", (q,)), 0)
+            c.place([gate("h", (q,))], 0)
         for q in F:
-            c.place(gate("x", (q,)), 0)
+            c.place([gate("x", (q,))], 0)
         flag(c, data, split_levels(F), start=1)
         self.compare(c, data + F)
 
@@ -318,13 +317,11 @@ class TestContractionSoundnessFragments:
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
         for q in ctrl:
-            c.place(gate("h", (q,)), 0)
-        c.place(gate("ry", (payload,), 0.9), 0)
-        res = copyswap(c, ctrl, payload, start=1)
-        copyswap(c, ctrl, None, start=res.end, target_slots=res.slots,
-                 trees=res.trees, adjoint=True)
-        for q in res.slots[1:]:
-            c.dealloc(q)
+            c.place([gate("h", (q,))], 0)
+        c.place([gate("ry", (payload,), 0.9)], 0)
+        block = Block(c, 1)
+        res = copyswap(block, ctrl, payload, start=1)
+        block.mirror(res.end, 3)
         self.compare(c, ctrl + [payload])
 
     def test_loadf_fragment(self):

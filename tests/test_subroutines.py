@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsprep import amplitudes as amp
-from qsprep.circuit_ir import Circuit, gate, spacetime_allocation
+from qsprep.circuit_ir import Block, Circuit, gate, spacetime_allocation
 from qsprep.errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
 from qsprep.protocols import fragment_circuit, injection_angles, injection_csp_angles
 from qsprep.sim import flag_oracle, loadf_oracle, pair_index, run, spf_oracle
@@ -17,7 +17,6 @@ from qsprep.subroutines import (
     flag,
     spf,
     split_levels,
-    uncopy,
 )
 
 
@@ -57,7 +56,7 @@ class TestCopy:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place(gate("ry", (src,), 2 * math.asin(0.8)), 0)
+        c.place([gate("ry", (src,), 2 * math.asin(0.8))], 0)
         reg, end = copy(c, src, 8, start=1)
         c.mark_persistent(reg[1:])
         _, state = run(c)
@@ -69,9 +68,10 @@ class TestCopy:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place(gate("ry", (src,), 0.9), 0)
-        reg, end = copy(c, src, 8, start=1)
-        uncopy(c, reg, start=end)
+        c.place([gate("ry", (src,), 0.9)], 0)
+        block = Block(c, 1)
+        reg, end = copy(block, src, 8, start=1)
+        block.mirror(end, end - 1)
         _, state = run(c)  # dealloc checks pass
         assert state.num_live == 1
 
@@ -100,8 +100,8 @@ class TestCsLayer:
         targets = [c.alloc(at_layer=0) for _ in range(4)]
         c.mark_persistent(controls + targets)
         for q in controls:
-            c.place(gate("x", (q,)), 0)
-        c.place(gate("x", (targets[0],)), 0)  # S = |0001>
+            c.place([gate("x", (q,))], 0)
+        c.place([gate("x", (targets[0],))], 0)  # S = |0001>
         cs_layer(c, t, controls, targets, at_layer=1)
         _, state = run(c)
         vec = state.statevector(targets + controls)
@@ -130,8 +130,8 @@ class TestCopySwap:
             c.mark_persistent(ctrl + [payload])
             for bit in range(m):
                 if (k >> bit) & 1:
-                    c.place(gate("x", (ctrl[bit],)), 0)
-            c.place(gate("x", (payload,)), 0)  # xi = |1> marks the routed slot
+                    c.place([gate("x", (ctrl[bit],))], 0)
+            c.place([gate("x", (payload,))], 0)  # xi = |1> marks the routed slot
             res = copyswap(c, ctrl, payload, start=1)
             c.mark_persistent(res.slots[1:])
             for tr in res.trees:
@@ -153,7 +153,7 @@ class TestCopySwap:
         ctrl = [c.alloc(at_layer=0) for _ in range(m)]
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
-        c.place(gate("ry", (payload,), 1.2), 0)
+        c.place([gate("ry", (payload,), 1.2)], 0)
         res = copyswap(c, ctrl, payload, start=1)
         c.mark_persistent(res.slots[1:])
         for tr in res.trees:
@@ -172,8 +172,8 @@ class TestCopySwap:
         c.mark_persistent(ctrl + [payload])
         for bit in range(m):
             if (k >> bit) & 1:
-                c.place(gate("x", (ctrl[bit],)), 0)
-        c.place(gate("ry", (payload,), 0.77), 0)
+                c.place([gate("x", (ctrl[bit],))], 0)
+        c.place([gate("ry", (payload,), 0.77)], 0)
         res = copyswap(c, ctrl, payload, start=1)
         c.mark_persistent(res.slots[1:])
         for tr in res.trees:
@@ -192,13 +192,11 @@ class TestCopySwap:
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
         for q in ctrl:
-            c.place(gate("h", (q,)), 0)
-        c.place(gate("ry", (payload,), 0.5), 0)
-        res = copyswap(c, ctrl, payload, start=1)
-        copyswap(c, ctrl, None, start=res.end, target_slots=res.slots,
-                 trees=res.trees, adjoint=True)  # releases the copies itself
-        for q in res.slots[1:]:
-            c.dealloc(q)
+            c.place([gate("h", (q,))], 0)
+        c.place([gate("ry", (payload,), 0.5)], 0)
+        block = Block(c, 1)
+        res = copyswap(block, ctrl, payload, start=1)
+        block.mirror(res.end, m)  # releases the copies and the target slots
         report, state = run(c)
         assert state.num_live == m + 1
         assert all(mass <= 1e-12 for _, _, mass in report.ancilla_verdicts)
@@ -215,7 +213,7 @@ def spf_fragment(y_values):
     c.mark_persistent(data + A)
     for s in range(m):
         for p in range(1 << s):
-            c.place(gate("ry", (A[pair_index(s, p)],), aset.theta(s, p)), 0)
+            c.place([gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
     end, sched = spf(c, data, split_levels(A), start=1)
     return c, data, A, aset, sched
 
@@ -346,9 +344,9 @@ class TestFlag:
         F = [c.alloc(at_layer=0) for _ in range((1 << m) - 1)]
         c.mark_persistent(data + F)
         for q in data:
-            c.place(gate("h", (q,)), 0)
+            c.place([gate("h", (q,))], 0)
         for q in F:
-            c.place(gate("x", (q,)), 0)
+            c.place([gate("x", (q,))], 0)
         levels = split_levels(F)
         end = flag(c, data, levels, start=1)
         flag(c, data, levels, start=end, adjoint=True)
@@ -421,10 +419,10 @@ class TestLoadf:
         c = Circuit()
         ctrl = [c.alloc(at_layer=0)]
         c.mark_persistent(ctrl)
-        c.place(gate("h", (ctrl[0],)), 0)
+        c.place([gate("h", (ctrl[0],))], 0)
         F0 = [c.alloc(at_layer=1) for _ in range(3)]
         for q in F0:
-            c.place(gate("x", (q,)), 1)
+            c.place([gate("x", (q,))], 1)
         B0 = [c.alloc(at_layer=2) for _ in range(3)]
         c.mark_persistent(F0 + B0)
         end, _ = loadf_frag(c, ctrl, B0, F0, self.conv, start=2)
