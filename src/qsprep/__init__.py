@@ -1,40 +1,37 @@
-"""Low-depth quantum state preparation compiler with spacetime accounting."""
+"""Low-depth quantum state preparation compiler with spacetime accounting.
+
+The names below are imported from their modules on first access (PEP 562),
+so importing the package, or only its IR module, does not load numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .amplitudes import (
-    AngleSet,
-    AngleTree,
-    CSPAngleSet,
-    PartitionNorms,
-    TargetState,
-    build_angle_tree,
-    csp_angles,
-    make_target,
-    partition_norms,
-    sp_angles,
-    update_leaf,
-)
-from .circuit_ir import (
-    Circuit,
-    Gate,
-    GateSetModel,
-    QubitId,
-    ResourceReport,
-    approx_model,
-    expand,
-    gate,
-    spacetime_allocation,
-)
-from .protocols import ProtocolConfig, choose_m, csp_circuit, reflection, sp_circuit, spcsp
-from .sim import SimReport, SimState, flag_oracle, loadf_oracle, run, spf_oracle
+#: exported name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(["AngleSet", "AngleTree", "CSPAngleSet", "PartitionNorms", "TargetState",
+                     "build_angle_tree", "csp_angles", "make_target", "partition_norms",
+                     "sp_angles", "update_leaf"], "amplitudes"),
+    **dict.fromkeys(["Circuit", "Gate", "GateSetModel", "QubitId", "ResourceReport",
+                     "approx_model", "expand", "gate", "spacetime_allocation"], "circuit_ir"),
+    **dict.fromkeys(["ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit",
+                     "spcsp"], "protocols"),
+    **dict.fromkeys(["SimReport", "SimState", "flag_oracle", "loadf_oracle", "run",
+                     "spf_oracle"], "sim"),
+}
 
-__all__ = [
-    "AngleSet", "AngleTree", "CSPAngleSet", "PartitionNorms", "TargetState",
-    "build_angle_tree", "csp_angles", "make_target", "partition_norms",
-    "sp_angles", "update_leaf",
-    "Circuit", "Gate", "GateSetModel", "QubitId", "ResourceReport",
-    "approx_model", "expand", "gate", "spacetime_allocation",
-    "ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit", "spcsp",
-    "SimReport", "SimState", "flag_oracle", "loadf_oracle", "run", "spf_oracle",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_EXPORTS])

@@ -9,7 +9,6 @@ its first child.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ from .errors import (
     MalformedInput,
     NonFiniteAmplitude,
     ZeroVector,
+    parse_json,
 )
 
 
@@ -211,8 +211,8 @@ def sp_angles(tree: AngleTree) -> AngleSet:
     m = tree.levels
     out = np.zeros((1 << m) - 1)
     for s in range(m):
-        parents = tree.level(s)
-        children = tree.level(s + 1)
+        parents = tree.level(s).tolist()   # Python floats: the same values, cheaper scalar math
+        children = tree.level(s + 1).tolist()
         base = (1 << s) - 1
         for p in range(1 << s):
             out[base + p] = _split_angle(parents[p], children[2 * p])
@@ -270,7 +270,7 @@ def csp_angles(t: TargetState, m: int, with_phases: bool = False) -> CSPAngleSet
 def target_from_json(doc) -> TargetState:
     """Parse {"amplitudes": [[re, im], ...]} or {"amplitudes": [re, ...]}."""
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        doc = parse_json(doc)
     try:
         raw = doc["amplitudes"]
     except (TypeError, KeyError):

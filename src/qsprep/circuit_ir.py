@@ -1,7 +1,9 @@
 """Layered circuit IR with qubit lifecycle events and resource accounting.
 
 A circuit is a list of layers (gate lists) plus, per qubit, an allocation
-layer, an optional deallocation layer, and a clean/dirty kind.  Lifetimes
+layer, an optional deallocation layer, and a clean/dirty kind.  A qubit is
+its int id, an index into those per-qubit tables: the ids are 0..n-1 in
+allocation order, the same ints the circuit JSON carries.  Lifetimes
 are half-open: a qubit allocated at layer a and deallocated at layer d may
 carry gates on layers a..d-1 and contributes d-a to the spacetime
 allocation.  Qubits never deallocated must be marked persistent (data
@@ -14,11 +16,12 @@ The check boundary: every gate is checked once, a layer at a time.
   no id twice, every id live).  Only a layer that fails is re-read gate by
   gate through :func:`gate` and :meth:`Circuit.place`, so a malformed
   document raises the same typed error as a gate-by-gate reader would.
-* Emitters build ``Gate`` tuples directly and place them a layer at a time;
-  :meth:`Circuit.place` checks only liveness and time order.  An emitted
-  circuit is checked once, as a whole, by :meth:`Circuit.validate` before
-  it is written out: signatures, distinct operands, finite ``float``
-  parameters, collisions and liveness.
+* Emitters build ``Gate`` tuples directly, allocate each layer's fresh
+  qubits in one :meth:`Circuit.alloc_many` call and place gates a layer at
+  a time; :meth:`Circuit.place` checks only liveness and time order, one
+  combined test per operand.  An emitted circuit is checked once, as a
+  whole, by :meth:`Circuit.validate` before it is written out: signatures,
+  distinct operands, finite ``float`` parameters, collisions and liveness.
 * :func:`gate` stays the checked constructor for hand-built circuits.
 """
 
@@ -29,10 +32,11 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, le
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    CircuitError,
     DoubleDealloc,
     DuplicateOperand,
     InternalInvariant,
@@ -41,6 +45,7 @@ from .errors import (
     MalformedCircuit,
     OperandNotLive,
     UseAfterDealloc,
+    parse_json,
 )
 
 CLEAN = "clean"
@@ -64,21 +69,13 @@ _LIST = frozenset({list})
 _OP = attrgetter("op")
 _PARAMS = attrgetter("params")
 _QUBITS = attrgetter("qubits")
-_ID = attrgetter("id")
 
 _INVERSE_SELF = frozenset({"x", "h", "cnot", "swap", "cswap", "toffoli"})
 _INVERSE_PAIR = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class QubitId:
-    """Dense circuit-local qubit handle."""
-
-    id: int
-    kind: str = CLEAN
-
-    def __repr__(self):
-        return f"q{self.id}" if self.kind == CLEAN else f"q{self.id}~"
+#: A qubit is its int id in the circuit's alloc table; the name is kept for annotations.
+QubitId = int
 
 
 class Gate(NamedTuple):
@@ -92,6 +89,12 @@ class Gate(NamedTuple):
         if self.op in _INVERSE_PAIR:
             return Gate(_INVERSE_PAIR[self.op], (), self.qubits)
         return Gate(self.op, tuple(-p for p in self.params), self.qubits)
+
+
+#: ``new_gate((op, params, qubits))`` is ``Gate(op, params, qubits)`` without a
+#: Python frame per gate (``Gate.__new__`` makes the same ``tuple.__new__`` call);
+#: for hot loops that build many gates
+new_gate = partial(tuple.__new__, Gate)
 
 
 def _angle(p) -> float:
@@ -116,7 +119,7 @@ def gate(op: str, qubits, *params) -> Gate:
     qubits = tuple(qubits)
     if len(qubits) != nq:
         raise DuplicateOperand(f"{op} takes {nq} qubits, got {len(qubits)}")
-    if nq > 1 and len({q.id for q in qubits}) != nq:
+    if nq > 1 and len(set(qubits)) != nq:
         raise DuplicateOperand(f"{op} operands must be distinct: {qubits}")
     if len(params) != npar:
         raise MalformedCircuit(f"{op} takes {npar} params, got {len(params)}")
@@ -129,47 +132,77 @@ class Circuit:
     Gates can be appended ASAP (earliest layer after every operand's latest
     prior use), into a fresh layer, or placed a layer's batch at a time at
     an explicit layer; the subroutine emitters use explicit placement to
-    realize their published schedules.
+    realize their published schedules.  Qubits are the ints 0..n-1 that
+    :meth:`alloc` and :meth:`alloc_many` hand out; their kinds are read
+    through :meth:`kind`.
     """
 
     def __init__(self):
         self.layers: list[list[Gate]] = []
-        self._qubits: list[QubitId] = []
-        self._alloc: list[int] = []         # per qubit id
+        self._kind: list[str] = []          # per qubit id
+        self._alloc: list[int] = []
         self._dealloc: list[int | None] = []
         self._last_use: list[int] = []      # latest layer with a gate (or alloc) on the qubit
         self._persistent: set[int] = set()
-        self.registers: dict[str, list[QubitId]] = {}
+        self.registers: dict[str, list[int]] = {}
         self.meta: dict = {}
 
     # -- lifecycle ------------------------------------------------------------
 
-    def alloc(self, kind: str = CLEAN, at_layer: int | None = None) -> QubitId:
+    def alloc(self, kind: str = CLEAN, at_layer: int | None = None) -> int:
+        return self.alloc_many(1, kind, at_layer)[0]
+
+    def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | None = None) -> range:
+        """Allocate ``count`` fresh qubits of one kind at one layer; returns their ids."""
         if at_layer is None:
             at_layer = self.num_layers()
-        q = QubitId(len(self._qubits), kind)
-        self._qubits.append(q)
-        self._alloc.append(at_layer)
-        self._dealloc.append(None)
-        self._last_use.append(at_layer - 1)
-        return q
+        first = len(self._alloc)
+        self._kind += [kind] * count
+        self._alloc += [at_layer] * count
+        self._dealloc += [None] * count
+        self._last_use += [at_layer - 1] * count
+        return range(first, first + count)
 
-    def dealloc(self, q: QubitId, at_layer: int | None = None) -> None:
-        if self._dealloc[q.id] is not None:
-            raise DoubleDealloc(f"{q} deallocated twice")
+    def dealloc(self, q: int, at_layer: int | None = None) -> None:
+        if not 0 <= q < len(self._alloc):
+            raise OperandNotLive(f"qubit {q} is not allocated")
+        if self._dealloc[q] is not None:
+            raise DoubleDealloc(f"qubit {q} deallocated twice")
         if at_layer is None:
-            at_layer = max(self._last_use[q.id] + 1, self._alloc[q.id])
-        if at_layer < self._alloc[q.id] or at_layer <= self._last_use[q.id]:
-            raise UseAfterDealloc(f"{q} has activity at or past layer {at_layer}")
-        self._dealloc[q.id] = at_layer
+            at_layer = max(self._last_use[q] + 1, self._alloc[q])
+        if at_layer < self._alloc[q] or at_layer <= self._last_use[q]:
+            raise UseAfterDealloc(f"qubit {q} has activity at or past layer {at_layer}")
+        self._dealloc[q] = at_layer
 
-    def mark_persistent(self, qubits: Iterable[QubitId]) -> None:
-        self._persistent.update(q.id for q in qubits)
+    def dealloc_many(self, qubits: Iterable[int], at_layer: int) -> None:
+        """Release qubits at one layer.
+
+        The whole list is checked in one pass per rule; only a list that
+        fails is released qubit by qubit through :meth:`dealloc`, which
+        raises its typed error.  A qubit's latest layer is at least its
+        alloc layer - 1, so ``last_use < at_layer`` also proves it allocated
+        by then.
+        """
+        qs = list(qubits)
+        if not qs:
+            return
+        dealloc = self._dealloc
+        if (min(qs) >= 0 and max(qs) < len(dealloc) and len(set(qs)) == len(qs)
+                and set(map(dealloc.__getitem__, qs)) == {None}
+                and max(map(self._last_use.__getitem__, qs)) < at_layer):
+            for q in qs:
+                dealloc[q] = at_layer
+        else:
+            for q in qs:
+                self.dealloc(q, at_layer)
+
+    def mark_persistent(self, qubits: Iterable[int]) -> None:
+        self._persistent.update(qubits)
 
     def persistent(self) -> set[int]:
         return set(self._persistent)
 
-    def add_register(self, name: str, qubits: list[QubitId]) -> None:
+    def add_register(self, name: str, qubits: Iterable[int]) -> None:
         self.registers[name] = list(qubits)
 
     # -- gate placement ---------------------------------------------------------
@@ -186,8 +219,9 @@ class Circuit:
 
         Gates on one qubit must arrive in time order: a layer at or before
         the qubit's latest gate is a ``LayerCollision``, which also rejects a
-        qubit in two gates of the batch.  One operand loop checks the whole
-        batch; the gates' signatures are checked by :func:`gate` or
+        qubit in two gates of the batch.  One loop tests each operand against
+        one combined condition; only a failing operand is examined for its
+        typed error.  The gates' signatures are checked by :func:`gate` or
         :meth:`validate`.  A rejected batch adds no gate, but the qubits
         checked before the failing one keep their new latest layer.  An
         empty batch changes nothing.
@@ -196,21 +230,27 @@ class Circuit:
             return layer
         if layer >= len(self.layers):
             self._grow(layer)
-        alloc, dealloc, last_use = self._alloc, self._dealloc, self._last_use
-        n = len(alloc)
+        dealloc, last_use = self._dealloc, self._last_use
+        n = len(last_use)
         for g in gates:
-            for q in g.qubits:
-                i = q.id
-                if i >= n or layer < alloc[i]:
-                    raise OperandNotLive(f"{q} not allocated at layer {layer}")
-                d = dealloc[i]
-                if d is not None and layer >= d:
-                    raise UseAfterDealloc(f"{q} deallocated at layer {d}, gate at {layer}")
-                if layer <= last_use[i]:
-                    raise LayerCollision(f"{q} has a gate at layer {last_use[i]}, next gate at {layer}")
-                last_use[i] = layer
+            for i in g.qubits:
+                # a qubit's latest layer is at least its alloc layer - 1, so
+                # last_use < layer also proves it allocated by then
+                if 0 <= i < n and last_use[i] < layer and (dealloc[i] is None or dealloc[i] > layer):
+                    last_use[i] = layer
+                else:
+                    raise self._operand_error(i, layer)
         self.layers[layer] += gates
         return layer
+
+    def _operand_error(self, i: int, layer: int) -> CircuitError:
+        """Why qubit ``i`` cannot take a gate at ``layer``."""
+        if not 0 <= i < len(self._alloc) or layer < self._alloc[i]:
+            return OperandNotLive(f"qubit {i!r} not allocated at layer {layer}")
+        d = self._dealloc[i]
+        if d is not None and layer >= d:
+            return UseAfterDealloc(f"qubit {i} deallocated at layer {d}, gate at {layer}")
+        return LayerCollision(f"qubit {i} has a gate at layer {self._last_use[i]}, next gate at {layer}")
 
     def append(self, g: Gate, policy: str = "asap") -> int:
         """Append one gate under a packing policy: "asap" or "new_layer"."""
@@ -220,28 +260,31 @@ class Circuit:
             raise ValueError(f"unknown policy {policy!r}")
         layer = 0
         for q in g.qubits:
-            if q.id >= len(self._qubits):
-                raise OperandNotLive(f"{q} not allocated")
-            layer = max(layer, self._last_use[q.id] + 1, self._alloc[q.id])
+            if not 0 <= q < len(self._alloc):
+                raise OperandNotLive(f"qubit {q} not allocated")
+            layer = max(layer, self._last_use[q] + 1, self._alloc[q])
         return self.place([g], layer)
 
     # -- views ------------------------------------------------------------------
 
-    def qubits(self) -> list[QubitId]:
-        return list(self._qubits)
+    def qubits(self) -> range:
+        return range(len(self._alloc))
 
-    def alloc_layer(self, q: QubitId) -> int:
-        return self._alloc[q.id]
+    def kind(self, q: int) -> str:
+        return self._kind[q]
 
-    def dealloc_layer(self, q: QubitId) -> int | None:
-        return self._dealloc[q.id]
+    def alloc_layer(self, q: int) -> int:
+        return self._alloc[q]
 
-    def lifecycle(self) -> list[tuple[list[QubitId], list[QubitId]]]:
+    def dealloc_layer(self, q: int) -> int | None:
+        return self._dealloc[q]
+
+    def lifecycle(self) -> list[tuple[list[int], list[int]]]:
         """Per layer 0..num_layers(), the (allocated, deallocated) qubits there, in id order."""
         buckets = [([], []) for _ in range(self.num_layers() + 1)]
-        for q in self._qubits:
-            buckets[self._alloc[q.id]][0].append(q)
-            d = self._dealloc[q.id]
+        for q, a in enumerate(self._alloc):
+            buckets[a][0].append(q)
+        for q, d in enumerate(self._dealloc):
             if d is not None:
                 buckets[d][1].append(q)
         return buckets
@@ -252,7 +295,7 @@ class Circuit:
     def size(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    def live_profile(self, qubits: Iterable[QubitId] | None = None) -> list[int]:
+    def live_profile(self, qubits: Iterable[int] | None = None) -> list[int]:
         """Live-qubit count per layer (allocated and not yet deallocated).
 
         Counts only the given qubits when ``qubits`` is passed, else all.
@@ -260,9 +303,9 @@ class Circuit:
         L = self.num_layers()
         alloc, dealloc = self._alloc, self._dealloc
         if qubits is not None:
-            ids = [q.id for q in qubits]
-            alloc = [alloc[i] for i in ids]
-            dealloc = [dealloc[i] for i in ids]
+            ids = list(qubits)
+            alloc = list(map(alloc.__getitem__, ids))
+            dealloc = list(map(dealloc.__getitem__, ids))
         delta = [0] * (L + 1)
         for a, d in zip(alloc, dealloc):
             if d is None or d > L:
@@ -272,6 +315,15 @@ class Circuit:
                 delta[d] -= 1
         del delta[L]
         return list(accumulate(delta))
+
+    def _copy_tables(self) -> "Circuit":
+        """A new circuit with this one's kinds, persistent set, registers and meta, and no layers."""
+        c = Circuit()
+        c._kind = list(self._kind)
+        c._persistent = set(self._persistent)
+        c.registers = {k: list(v) for k, v in self.registers.items()}
+        c.meta = dict(self.meta)
+        return c
 
     def compact(self) -> "Circuit":
         """Drop empty layers, remapping gate and lifecycle layer indices."""
@@ -284,39 +336,28 @@ class Circuit:
             if layer:
                 count += 1
         new_index.append(count)
-        c = Circuit()
-        c._qubits = list(self._qubits)
+        c = self._copy_tables()
         c._alloc = [new_index[a] for a in self._alloc]
         c._dealloc = [None if d is None else new_index[d] for d in self._dealloc]
-        c._persistent = set(self._persistent)
-        c.registers = {k: list(v) for k, v in self.registers.items()}
-        c.meta = dict(self.meta)
-        c._last_use = [a - 1 for a in c._alloc]
+        last_use = c._last_use = [a - 1 for a in c._alloc]
         for old, layer in enumerate(self.layers):
             if not layer:
                 continue
             t = new_index[old]
             c._grow(t)
             c.layers[t] = list(layer)
-            for g in layer:
-                for q in g.qubits:
-                    c._last_use[q.id] = t
+            for q in chain.from_iterable(map(_QUBITS, layer)):
+                last_use[q] = t
         return c
 
     def adjoint(self) -> "Circuit":
         """Time-reversed circuit with inverted gates and mirrored lifecycles."""
         T = self.num_layers()
-        c = Circuit()
-        c._qubits = list(self._qubits)
-        c._persistent = set(self._persistent)
-        c.registers = {k: list(v) for k, v in self.registers.items()}
-        c.meta = dict(self.meta)
-        for qid in range(len(self._qubits)):
-            d = self._dealloc[qid]
+        c = self._copy_tables()
+        for qid, (a, d) in enumerate(zip(self._alloc, self._dealloc)):
             c._alloc.append(0 if d is None else T - d)
-            a = self._alloc[qid]
-            c._dealloc.append(None if a == 0 and qid in self._persistent else T - a)
             # non-persistent qubits allocated at 0 still mirror to a dealloc at T
+            c._dealloc.append(None if a == 0 and qid in self._persistent else T - a)
         c._last_use = [a - 1 for a in c._alloc]
         if T:
             c._grow(T - 1)
@@ -330,25 +371,26 @@ class Circuit:
         """The whole-circuit check: collect every gate, liveness and register-size violation.
 
         Each gate must match its signature (known op, operand and parameter
-        counts), carry distinct operands and finite ``float`` parameters, and
-        act on qubits live at its layer, one gate per qubit per layer.  A
-        layer is checked as a whole and walked gate by gate only when it fails.
+        counts), carry distinct int operands and finite ``float``
+        parameters, and act on qubits live at its layer, one gate per qubit
+        per layer.  A layer is checked as a whole and walked gate by gate
+        only when it fails.
         """
         violations = []
-        alloc, n = self._alloc, len(self._alloc)
+        alloc = self._alloc
         end = [math.inf if d is None else d for d in self._dealloc]
         for t, layer in enumerate(self.layers):
             qubits, params = list(map(_QUBITS, layer)), list(map(_PARAMS, layer))
-            ids = list(map(_ID, chain.from_iterable(qubits)))
+            ids = list(chain.from_iterable(qubits))
             values = list(chain.from_iterable(params))
             try:
                 ok = (set(zip(map(_OP, layer), map(len, qubits), map(len, params))) <= _SHAPES
                       and set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))
                       and len(set(ids)) == len(ids)
-                      and (not ids or (min(ids) >= 0 and max(ids) < n
+                      and (not ids or (set(map(type, ids)) <= _INT and min(ids) >= 0
                                        and max(map(alloc.__getitem__, ids)) <= t
                                        < min(map(end.__getitem__, ids)))))
-            except TypeError:  # an unhashable op or a non-int qubit id
+            except (TypeError, IndexError):  # an unhashable op, or an id past the alloc table
                 ok = False
             if not ok:
                 violations += self._layer_violations(t, layer, end)
@@ -375,7 +417,7 @@ class Circuit:
             for p in g.params:
                 if type(p) is not float or not math.isfinite(p):
                     out.append(f"layer {t}: {g.op} parameter {p!r} is not a finite float")
-            ids = [q.id for q in g.qubits]
+            ids = list(g.qubits)
             if len(set(ids)) != len(ids):
                 out.append(f"layer {t}: {g.op} repeats an operand: {ids}")
             for i in dict.fromkeys(ids):
@@ -394,9 +436,9 @@ class Circuit:
 class Block:
     """A recorded span of a circuit, undone by its layer mirror.
 
-    A pass-through ``place``/``alloc``/``num_layers`` view of ``c`` that
-    records each gate and each allocation by its layer relative to
-    ``start``.  This is the compute/uncompute pattern: fresh ancillae are
+    A pass-through ``place``/``alloc_many``/``num_layers`` view of ``c``
+    that records each gate batch and each allocation by its layer relative
+    to ``start``.  This is the compute/uncompute pattern: fresh ancillae are
     allocated at their first use inside the block and released by
     :meth:`mirror` right after their mirrored last use.
     """
@@ -405,17 +447,19 @@ class Block:
         self.c = c
         self.start = start
         self.batches: list[tuple[int, list[Gate]]] = []
-        self.allocs: list[tuple[int, QubitId]] = []
+        self.allocs: list[tuple[int, range]] = []
 
     def place(self, gates: list[Gate], layer: int) -> int:
         self.c.place(gates, layer)
         self.batches.append((layer - self.start, gates))
         return layer
 
-    def alloc(self, kind: str = CLEAN, at_layer: int | None = None) -> QubitId:
-        q = self.c.alloc(kind, at_layer=at_layer)
-        self.allocs.append((self.c.alloc_layer(q) - self.start, q))
-        return q
+    def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | None = None) -> range:
+        if at_layer is None:
+            at_layer = self.c.num_layers()
+        qubits = self.c.alloc_many(count, kind, at_layer)
+        self.allocs.append((at_layer - self.start, qubits))
+        return qubits
 
     def num_layers(self) -> int:
         return self.c.num_layers()
@@ -425,16 +469,20 @@ class Block:
 
         A gate recorded at relative layer ``rel`` is inverted at
         ``at + span - 1 - rel`` (gates sharing a layer keep their recorded
-        order), and a qubit allocated at ``rel`` is released at
-        ``at + span - rel``.  Each mirrored layer is placed as one batch.
+        order), and the qubits allocated at ``rel`` are released at
+        ``at + span - rel``.  Each mirrored layer's gates are placed as one
+        batch and its qubits released in one call.
         """
         by_rel: dict[int, list[Gate]] = {}
         for rel, gates in self.batches:
             by_rel.setdefault(rel, []).extend(gates)
         for rel in sorted(by_rel, reverse=True):
             self.c.place([g.inverse() for g in by_rel[rel]], at + span - 1 - rel)
-        for rel, q in self.allocs:
-            self.c.dealloc(q, at_layer=at + span - rel)
+        released: dict[int, list[int]] = {}
+        for rel, qubits in self.allocs:
+            released.setdefault(rel, []).extend(qubits)
+        for rel, qubits in released.items():
+            self.c.dealloc_many(qubits, at + span - rel)
         return at + span
 
 
@@ -501,12 +549,12 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL,
     persistent = c._persistent
     ends = c._dealloc
     if None in ends:
-        leaked = next((q for q, d in zip(c._qubits, ends) if d is None and q.id not in persistent), None)
+        leaked = next((q for q, d in enumerate(ends) if d is None and q not in persistent), None)
         if leaked is not None:
-            raise LeakedQubit(f"{leaked} never deallocated and not persistent")
+            raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
         ends = [L if d is None else d for d in ends]
     sa_q = sum(ends) - sum(c._alloc)
-    dirty_sa = sum([d - a for q, a, d in zip(c._qubits, c._alloc, ends) if q.kind == DIRTY])
+    dirty_sa = sum([d - a for k, a, d in zip(c._kind, c._alloc, ends) if k == DIRTY])
     clean_sa = sa_q - dirty_sa
     prof = c.live_profile() if profile is None else profile
     sa_t = sum(prof)
@@ -626,36 +674,36 @@ def expand(c: Circuit) -> Circuit:
     out = Circuit()
     out.registers = {k: list(v) for k, v in c.registers.items()}
     out.meta = dict(c.meta)
-    id_map: dict[int, QubitId] = {}
+    id_map: list[int] = [0] * len(c.qubits())
     L = c.num_layers()
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         frontier = out.num_layers()
         for q in deallocs:
-            out.dealloc(id_map[q.id])
+            out.dealloc(id_map[q])
         for q in allocs:
-            id_map[q.id] = out.alloc(q.kind, at_layer=frontier)
+            id_map[q] = out.alloc(c.kind(q), at_layer=frontier)
         if t == L:
             break
         for g in c.layers[t]:
             for sub in expand_gate(g, U2_CNOT):
-                out.append(Gate(sub.op, sub.params, tuple(id_map[q.id] for q in sub.qubits)))
-    out.mark_persistent(id_map[qid] for qid in c.persistent())
-    out.registers = {k: [id_map[q.id] for q in v] for k, v in c.registers.items()}
+                out.append(Gate(sub.op, sub.params, tuple(map(id_map.__getitem__, sub.qubits))))
+    out.mark_persistent(map(id_map.__getitem__, c.persistent()))
+    out.registers = {k: list(map(id_map.__getitem__, v)) for k, v in c.registers.items()}
     return out
 
 
 # -- serialization -------------------------------------------------------------------
 
 def _layer_json(layer: list[Gate]) -> list[dict]:
-    return [{"op": g.op, "params": list(g.params), "qubits": [q.id for q in g.qubits]} for g in layer]
+    return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in layer]
 
 
 def _lifecycle_json(c: Circuit) -> dict:
     return {
-        "alloc": [[q.id, a, q.kind] for q, a in zip(c._qubits, c._alloc)],
+        "alloc": [[q, a, k] for q, (a, k) in enumerate(zip(c._alloc, c._kind))],
         "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d is not None],
         "persistent": sorted(c._persistent),
-        "registers": {name: [q.id for q in qs] for name, qs in c.registers.items()},
+        "registers": {name: list(qs) for name, qs in c.registers.items()},
     }
 
 
@@ -677,18 +725,21 @@ _GATE_TEXT = {
 
 
 def _layer_text(layer: list[Gate]) -> str:
-    text = _GATE_TEXT
-    return "[%s]" % ",".join([text[g.op] % (*g.params, *map(_ID, g.qubits)) for g in layer])
+    """A layer's JSON text: one ``%`` over the joined gate templates, fed each gate's
+    parameters followed by its qubit ids."""
+    template = "[%s]" % ",".join(map(_GATE_TEXT.__getitem__, map(_OP, layer)))
+    return template % tuple(chain.from_iterable(map(add, map(_PARAMS, layer), map(_QUBITS, layer))))
 
 
 def dumps(c: Circuit) -> str:
     """Canonical JSON text: byte-identical across parse/re-emit round trips.
 
     The text is ``json.dumps(to_json_dict(c), sort_keys=True,
-    separators=(",", ":"))``.  Each gate's text is written directly from a
-    per-op template, with ``repr`` floats as the JSON encoder writes them,
-    so the gates never pass through dicts; that takes a circuit whose gates
-    pass :meth:`Circuit.validate` (known ops, finite ``float`` parameters).
+    separators=(",", ":"))``.  Each layer's text is written directly from
+    its gates' per-op templates, with ``repr`` floats as the JSON encoder
+    writes them, so the gates never pass through dicts; that takes a circuit
+    whose gates pass :meth:`Circuit.validate` (known ops, finite ``float``
+    parameters).
     """
     c = c.compact()
     # Keys sort as alloc, dealloc, layers, ...; the first '"layers":0' is the placeholder.
@@ -708,10 +759,8 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-#: a parsed gate's fields, and a ``Gate`` built from them without a Python
-#: frame per gate (``Gate.__new__`` does the same ``tuple.__new__`` call)
+#: a parsed gate's fields
 _FIELDS = itemgetter("op", "params", "qubits")
-_new_gate = partial(tuple.__new__, Gate)
 
 
 def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
@@ -721,11 +770,12 @@ def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
     layer's flat id list is checked once: ints, in range, no id twice and
     every id live at ``t`` (``end`` is each qubit's dealloc layer, or inf).
     Each check is one pass over the layer in C (``map``, ``set``, ``zip``).
-    Any doubt returns False, never an exception, and leaves ``c`` as it was.
+    The gates keep the parsed ids as their operands.  Any doubt returns
+    False, never an exception, and leaves ``c`` as it was.
     """
     if not layer:
         return True
-    qs, alloc = c._qubits, c._alloc
+    alloc = c._alloc
     try:
         ops, params, ids = zip(*map(_FIELDS, layer))
         if not (set(map(type, params)) <= _LIST and set(map(type, ids)) <= _LIST
@@ -735,12 +785,11 @@ def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
         if not (set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))):
             return False
         flat = list(chain.from_iterable(ids))
-        if flat and not (set(map(type, flat)) <= _INT and len(set(flat)) == len(flat)
-                         and min(flat) >= 0 and max(flat) < len(qs)
+        # an id past the alloc table raises IndexError in the alloc lookup
+        if flat and not (set(map(type, flat)) <= _INT and len(set(flat)) == len(flat) and min(flat) >= 0
                          and max(map(alloc.__getitem__, flat)) <= t < min(map(end.__getitem__, flat))):
             return False
-        operands = map(tuple, map(partial(map, qs.__getitem__), ids))
-        c.layers[t] = list(map(_new_gate, zip(map(_OP_NAMES.__getitem__, ops), map(tuple, params), operands)))
+        c.layers[t] = list(map(new_gate, zip(map(_OP_NAMES.__getitem__, ops), map(tuple, params), map(tuple, ids))))
     except (TypeError, KeyError, IndexError, ValueError):
         return False
     last_use = c._last_use
@@ -749,29 +798,25 @@ def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
     return True
 
 
-def loads(text: str | bytes) -> Circuit:
-    """Parse and check circuit JSON in one pass over its layers.
+_KIND_NAMES = {CLEAN: CLEAN, DIRTY: DIRTY}
 
-    Qubit ids are the ints 0..n-1 of the alloc table, kinds are "clean" or
-    "dirty", and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
-    The lifecycle tables are read first.  Then each layer is checked as a
-    whole (:func:`_read_layer`); a layer that fails is re-read gate by
-    gate through ``gate`` and ``place``, which raise its typed error.  Each
-    layer's parsed JSON is released right after it is read.
+
+def _read_alloc(entries: list, L: int) -> tuple[list[str], list[int]]:
+    """(kinds, alloc layers) from the alloc table ``[[id, layer, kind], ...]``.
+
+    A table listing ids 0..n-1 in order, as :func:`dumps` writes it, is
+    checked in one pass per column; any other table entry by entry, which
+    raises the first entry's typed error.
     """
-    doc = json.loads(text)
-    if type(doc) is not dict:
-        raise MalformedCircuit("circuit JSON must be an object")
-    layers = _json_list(doc.get("layers"), '"layers"')
-    registers = doc.get("registers", {})
-    if type(registers) is not dict:
-        raise MalformedCircuit('"registers" must be a JSON object')
-    L = len(layers)
-    c = Circuit()
-    c._grow(L - 1)
-
-    entries = _json_list(doc.get("alloc"), '"alloc"')
     n = len(entries)
+    try:
+        if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {3}:
+            ids, layers, kinds = zip(*entries)
+            if (set(map(type, ids)) <= _INT and ids == tuple(range(n))
+                    and set(map(type, layers)) <= _INT and min(layers) >= 0 and max(layers) <= L):
+                return list(map(_KIND_NAMES.__getitem__, kinds)), list(layers)
+    except (TypeError, KeyError):  # an unhashable or unknown kind
+        pass
     kinds: list = [None] * n
     alloc = [0] * n
     for e in entries:
@@ -784,35 +829,78 @@ def loads(text: str | bytes) -> Circuit:
             raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
         if type(t) is not int or not 0 <= t <= L:
             raise OperandNotLive(f"qubit {qid} allocated at {t!r}, outside layers 0..{L}")
-        kinds[qid] = CLEAN if kind == CLEAN else DIRTY
+        kinds[qid] = _KIND_NAMES[kind]
         alloc[qid] = t
-    qs = c._qubits = [QubitId(i, kind) for i, kind in enumerate(kinds)]
-    c._alloc = alloc
-    dealloc = c._dealloc = [None] * n
-    c._last_use = [t - 1 for t in alloc]
+    return kinds, alloc
 
-    def qubits(ids: list) -> list[QubitId]:
-        """The qubits of a list of ids, checked at once; a bad id is ``OperandNotLive``."""
-        if not (set(map(type, ids)) <= _INT and (not ids or (min(ids) >= 0 and max(ids) < n))):
-            bad = next(i for i in ids if type(i) is not int or not 0 <= i < n)
-            raise OperandNotLive(f"qubit id {bad!r} is not allocated")
-        return list(map(qs.__getitem__, ids))
 
-    for e in _json_list(doc.get("dealloc"), '"dealloc"'):
+def _read_dealloc(entries: list, alloc: list[int], L: int) -> list[int | None]:
+    """Dealloc layers (None for never) from the dealloc table ``[[id, layer], ...]``.
+
+    The whole table is checked in one pass per rule; a table that fails is
+    read entry by entry, which raises the first entry's typed error.
+    """
+    n = len(alloc)
+    dealloc: list = [None] * n
+    if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {2}:
+        ids, layers = zip(*entries)
+        if (set(map(type, ids)) <= _INT and set(map(type, layers)) <= _INT
+                and min(ids) >= 0 and max(ids) < n and len(set(ids)) == len(ids)
+                and max(layers) <= L and all(map(le, map(alloc.__getitem__, ids), layers))):
+            for qid, t in zip(ids, layers):
+                dealloc[qid] = t
+            return dealloc
+    for e in entries:
         if type(e) is not list or len(e) != 2:
             raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
         qid, t = e
         if type(qid) is not int or not 0 <= qid < n:
             raise OperandNotLive(f"qubit id {qid!r} is not allocated")
         if type(t) is not int:
-            raise MalformedCircuit(f"{qs[qid]} deallocated at {t!r}")
+            raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
         if dealloc[qid] is not None:
-            raise DoubleDealloc(f"{qs[qid]} deallocated twice")
+            raise DoubleDealloc(f"qubit {qid} deallocated twice")
         if t < alloc[qid]:
-            raise UseAfterDealloc(f"{qs[qid]} has activity at or past layer {t}")
+            raise UseAfterDealloc(f"qubit {qid} has activity at or past layer {t}")
         if t > L:
-            raise OperandNotLive(f"{qs[qid]} lifetime [{alloc[qid]}, {t}] leaves layers 0..{L}")
+            raise OperandNotLive(f"qubit {qid} lifetime [{alloc[qid]}, {t}] leaves layers 0..{L}")
         dealloc[qid] = t
+    return dealloc
+
+
+def loads(text: str | bytes) -> Circuit:
+    """Parse and check circuit JSON in one pass over its layers.
+
+    Qubit ids are the ints 0..n-1 of the alloc table, kinds are "clean" or
+    "dirty", and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
+    The lifecycle tables are read first.  Then each layer is checked as a
+    whole (:func:`_read_layer`); a layer that fails is re-read gate by
+    gate through ``gate`` and ``place``, which raise its typed error.  Each
+    layer's parsed JSON is released right after it is read.
+    """
+    doc = parse_json(text)
+    if type(doc) is not dict:
+        raise MalformedCircuit("circuit JSON must be an object")
+    layers = _json_list(doc.get("layers"), '"layers"')
+    registers = doc.get("registers", {})
+    if type(registers) is not dict:
+        raise MalformedCircuit('"registers" must be a JSON object')
+    L = len(layers)
+    c = Circuit()
+    c._grow(L - 1)
+
+    c._kind, alloc = _read_alloc(_json_list(doc.get("alloc"), '"alloc"'), L)
+    n = len(alloc)
+    c._alloc = alloc
+    dealloc = c._dealloc = _read_dealloc(_json_list(doc.get("dealloc"), '"dealloc"'), alloc, L)
+    c._last_use = [t - 1 for t in alloc]
+
+    def qubits(ids: list) -> list[int]:
+        """A list of ids, checked at once; a bad id is ``OperandNotLive``."""
+        if not (set(map(type, ids)) <= _INT and (not ids or (min(ids) >= 0 and max(ids) < n))):
+            bad = next(i for i in ids if type(i) is not int or not 0 <= i < n)
+            raise OperandNotLive(f"qubit id {bad!r} is not allocated")
+        return ids
 
     end = [math.inf if d is None else d for d in dealloc]
     for t in range(L):
@@ -829,10 +917,9 @@ def loads(text: str | bytes) -> Circuit:
                 raise MalformedCircuit(f"layer {t}: gate {entry!r} needs lists of qubits and params")
             if type(op) is str:
                 op = _OP_NAMES.get(op, op)
-            operands = [qs[i] for i in ids if type(i) is int and 0 <= i < n]
-            if len(operands) != len(ids):
+            if not all(type(i) is int and 0 <= i < n for i in ids):
                 raise OperandNotLive(f"layer {t}: qubit ids {ids!r} are not all allocated")
-            c.place([gate(op, operands, *params)], t)
+            c.place([gate(op, ids, *params)], t)
 
     c.mark_persistent(qubits(_json_list(doc.get("persistent", []), '"persistent"')))
     for name, ids in registers.items():
@@ -848,7 +935,7 @@ def to_text(c: Circuit) -> str:
     lines = []
     for t, layer in enumerate(c.compact().layers):
         for g in layer:
-            args = ", ".join(f"q{q.id}" for q in g.qubits)
+            args = ", ".join(f"q{q}" for q in g.qubits)
             if g.params:
                 lines.append(f"{g.op}({', '.join(f'{p:.12g}' for p in g.params)}) {args}")
             else:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON-parse entry point."""
+
+import json
 
 
 class QsprepError(Exception):
@@ -33,6 +35,19 @@ class NonFiniteAmplitude(QsprepError):
 
 class MalformedInput(QsprepError):
     """An input document breaks its schema or does not fit the circuit it is used with."""
+
+
+def parse_json(text: str | bytes):
+    """``json.loads`` for input documents.
+
+    Text nested deeper than the parser's recursion limit is bad input, so its
+    ``RecursionError`` becomes ``MalformedInput``.  Undecodable text still
+    raises ``json.JSONDecodeError``.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedInput("input JSON is nested too deeply") from None
 
 
 # -- circuit IR ---------------------------------------------------------------

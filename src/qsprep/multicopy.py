@@ -2,9 +2,9 @@
 
 All SP stages run in parallel from layer 0; the CSP stage of copy d starts
 k layers after copy d-1's, so ancillae freed by earlier copies can serve
-later ones.  The merged circuit uses one qubit handle per lifetime
-interval; the physical assignment (lowest free physical id first) is
-derived afterwards and reported, which keeps every interval's accounting
+later ones.  The merged circuit uses one qubit id per lifetime interval;
+the physical assignment (lowest free physical id first) is derived
+afterwards and reported, which keeps every interval's accounting
 identical to physical reuse.
 """
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .amplitudes import TargetState, make_target
-from .circuit_ir import Circuit, Gate, QubitId, ResourceReport, spacetime_allocation
+from .circuit_ir import Circuit, Gate, ResourceReport, spacetime_allocation
 from .errors import NoValidSplit, PoolExceeded
 from .protocols import ProtocolConfig, spcsp
 
@@ -50,10 +50,10 @@ def _instance_circuit(t: TargetState, fanout: bool) -> Circuit:
     return spcsp(t, cfg)
 
 
-def _ancillae(c: Circuit) -> list[QubitId]:
+def _ancillae(c: Circuit) -> list[int]:
     """The non-persistent qubits of a circuit."""
     persistent = c.persistent()
-    return [q for q in c.qubits() if q.id not in persistent]
+    return [q for q in c.qubits() if q not in persistent]
 
 
 def _train_peak(prof: list[int], k: int) -> int:
@@ -99,22 +99,18 @@ def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict
             # releases at the stage boundary belong to the SP side
             return t if t <= sp_end else sp_end + d * k + (t - sp_end)
 
-        mapping: dict[int, QubitId] = {}
-        order = sorted(inst.qubits(), key=lambda q: shift(inst.alloc_layer(q)))
-        persistent = inst.persistent()
-        for q in order:
-            nq = batch.alloc(q.kind, at_layer=shift(inst.alloc_layer(q)))
-            mapping[q.id] = nq
-            if q.id in persistent:
-                batch.mark_persistent([nq])
+        mapping = [0] * len(inst.qubits())
+        for q in sorted(inst.qubits(), key=lambda q: shift(inst.alloc_layer(q))):
+            mapping[q] = batch.alloc(inst.kind(q), at_layer=shift(inst.alloc_layer(q)))
+        batch.mark_persistent(map(mapping.__getitem__, inst.persistent()))
         for t in range(T):
-            batch.place([Gate(g.op, g.params, tuple(mapping[q.id] for q in g.qubits))
+            batch.place([Gate(g.op, g.params, tuple(map(mapping.__getitem__, g.qubits)))
                          for g in inst.layers[t]], shift(t))
         for q in inst.qubits():
             dl = inst.dealloc_layer(q)
             if dl is not None:
-                batch.dealloc(mapping[q.id], at_layer=shift_dealloc(dl))
-        data = [mapping[q.id] for q in inst.registers["D"]]
+                batch.dealloc(mapping[q], at_layer=shift_dealloc(dl))
+        data = [mapping[q] for q in inst.registers["D"]]
         batch.add_register(f"D{d}", data)
         instances_meta.append({"data": data})
 
@@ -123,9 +119,9 @@ def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict
     for t, layer in enumerate(batch.layers):
         for g in layer:
             for q in g.qubits:
-                id_last[q.id] = t
+                id_last[q] = t
     for meta in instances_meta:
-        meta["last_layer"] = max(id_last[q.id] for q in meta["data"])
+        meta["last_layer"] = max(id_last[q] for q in meta["data"])
     peak_anc = max(batch.live_profile(_ancillae(batch)), default=0)
     return batch, instances_meta, peak_anc
 
@@ -214,7 +210,7 @@ def _physical_assignment(c: Circuit) -> int:
     L = c.num_layers()
     for q in c.qubits():
         d = c.dealloc_layer(q)
-        events.append((c.alloc_layer(q), q.id, L if d is None else d))
+        events.append((c.alloc_layer(q), q, L if d is None else d))
     events.sort()
     free: list[int] = []
     releases: list[tuple[int, int]] = []

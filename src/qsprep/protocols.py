@@ -25,7 +25,7 @@ from .amplitudes import (
     csp_angles,
     partition_norms,
 )
-from .circuit_ir import CLEAN, Block, Circuit, Gate, QubitId
+from .circuit_ir import CLEAN, Block, Circuit, Gate
 from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
 from .subroutines import flag, loadf, spf, split_levels
 
@@ -47,8 +47,8 @@ def injection_angles(values) -> AngleSet:
     sq = vals**2
     out = np.zeros((1 << m) - 1)
     for s in range(m):
-        parent = sq.reshape(-1, 1 << s).sum(axis=0)          # class masses mod 2**s
-        child = sq.reshape(-1, 1 << (s + 1)).sum(axis=0)     # class masses mod 2**(s+1)
+        parent = sq.reshape(-1, 1 << s).sum(axis=0).tolist()          # class masses mod 2**s
+        child = sq.reshape(-1, 1 << (s + 1)).sum(axis=0).tolist()     # class masses mod 2**(s+1)
         base = (1 << s) - 1
         for p in range(1 << s):
             out[base + p] = _split_angle(parent[p], child[p])
@@ -82,8 +82,8 @@ def injection_csp_angles(std: CSPAngleSet) -> CSPAngleSet:
     for k in range(std.angles.shape[0]):
         w = reconstructed_weights(std.angles[k], sub)
         for s in range(sub):
-            parent = w.reshape(-1, 1 << s).sum(axis=0)
-            child = w.reshape(-1, 1 << (s + 1)).sum(axis=0)
+            parent = w.reshape(-1, 1 << s).sum(axis=0).tolist()
+            child = w.reshape(-1, 1 << (s + 1)).sum(axis=0).tolist()
             base = (1 << s) - 1
             for p in range(1 << s):
                 out[k, base + p] = _split_angle(parent[p], child[p])
@@ -141,17 +141,13 @@ class ProtocolConfig:
 # -- emitters -----------------------------------------------------------------------
 
 
-def _alloc_flat(c: Circuit, count: int, layer: int, kind: str = CLEAN) -> list[QubitId]:
-    return [c.alloc(kind, at_layer=layer) for _ in range(count)]
-
-
-def _flip(c: Circuit, qubits: list[QubitId], layer: int) -> None:
+def _flip(c: Circuit, qubits: list[int], layer: int) -> None:
     """X on each of ``qubits`` at ``layer``, in one batch."""
     c.place([Gate("x", (), (q,)) for q in qubits], layer)
 
 
-def _emit_sp(c: Circuit, data: list[QubitId], values, start: int,
-             keep_a: bool = False) -> tuple[int, list[QubitId], list[QubitId]]:
+def _emit_sp(c: Circuit, data: list[int], values, start: int,
+             keep_a: bool = False) -> tuple[int, list[int], list[int]]:
     """State preparation on ``data`` from non-negative weights ``values``.
 
     Emits the parallel angle rotations, the injection, and the flag-driven
@@ -161,12 +157,12 @@ def _emit_sp(c: Circuit, data: list[QubitId], values, start: int,
     m = len(data)
     aset = injection_angles(values)
     pairs = [(s, p) for s in range(m) for p in range(1 << s)]   # pair (s, p) owns A[2**s - 1 + p]
-    A = _alloc_flat(c, (1 << m) - 1, start)
+    A = c.alloc_many((1 << m) - 1, at_layer=start)
     c.place([Gate("ry", (aset.theta(s, p),), (q,)) for q, (s, p) in zip(A, pairs)], start)
     a_levels = split_levels(A)
     spf_end, _ = spf(c, data, a_levels, start=start + 1)
 
-    F = _alloc_flat(c, (1 << m) - 1, spf_end)
+    F = c.alloc_many((1 << m) - 1, at_layer=spf_end)
     _flip(c, F, spf_end)
     f_levels = split_levels(F)
     fl_end = flag(c, data, f_levels, start=spf_end + 1)
@@ -174,23 +170,19 @@ def _emit_sp(c: Circuit, data: list[QubitId], values, start: int,
     fl2_end = flag(c, data, f_levels, start=fl_end + 1, adjoint=True)
     _flip(c, F, fl2_end)
     end = fl2_end + 1
-    for q in F:
-        c.dealloc(q, at_layer=end)
-    if not keep_a:
-        for q in A:
-            c.dealloc(q, at_layer=end)
+    c.dealloc_many(F if keep_a else [*F, *A], end)
     return end, A, F
 
 
-def _emit_csp(c: Circuit, ctrl: list[QubitId], lower: list[QubitId],
+def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
               std_angles: CSPAngleSet, cfg: ProtocolConfig, start: int,
-              keep_b: bool = False) -> tuple[int, list[QubitId], list[QubitId]]:
+              keep_b: bool = False) -> tuple[int, list[int], list[int]]:
     """Controlled state preparation of the lower register for each |k> of ctrl."""
     conv = injection_csp_angles(std_angles)
     nb = (1 << conv.sub_levels) - 1
-    F0 = _alloc_flat(c, nb, start)
+    F0 = c.alloc_many(nb, at_layer=start)
     _flip(c, F0, start)
-    B0 = _alloc_flat(c, nb, start + 1)
+    B0 = c.alloc_many(nb, at_layer=start + 1)
     lf_end, regs = loadf(c, ctrl, B0, F0, conv, start=start + 1,
                          dirty_b1=cfg.dirty_b1, fanout=cfg.fanout,
                          first_optimized=cfg.loadf_first_optimized)
@@ -202,11 +194,7 @@ def _emit_csp(c: Circuit, ctrl: list[QubitId], lower: list[QubitId],
     fl2_end = flag(c, lower, split_levels(F0), start=lf2_end, adjoint=True)
     _flip(c, F0, fl2_end)
     end = fl2_end + 1
-    for q in F0:
-        c.dealloc(q, at_layer=end)
-    if not keep_b:
-        for q in B0:
-            c.dealloc(q, at_layer=end)
+    c.dealloc_many(F0 if keep_b else [*F0, *B0], end)
     return end, B0, F0
 
 
@@ -227,7 +215,7 @@ def _resolve_complex(t: TargetState, cfg: ProtocolConfig) -> bool:
 def sp_circuit(y: PartitionNorms) -> Circuit:
     """Standalone state-preparation circuit for the partition-norm weights."""
     c = Circuit()
-    data = _alloc_flat(c, y.m, 0)
+    data = c.alloc_many(y.m, at_layer=0)
     c.mark_persistent(data)
     end, A, F = _emit_sp(c, data, y.values, 0)
     c.add_register("D", data)
@@ -237,7 +225,7 @@ def sp_circuit(y: PartitionNorms) -> Circuit:
     return c
 
 
-def _prepare_basis(c: Circuit, qubits: list[QubitId], basis: int | None) -> int:
+def _prepare_basis(c: Circuit, qubits: list[int], basis: int | None) -> int:
     """X at layer 0 on each qubit whose bit of ``basis`` is set; returns the first free layer."""
     if basis is None:
         return 0
@@ -254,13 +242,13 @@ def csp_circuit(angles: CSPAngleSet, control_state: int | None = None,
     """
     cfg = cfg or ProtocolConfig(n=angles.n, m=angles.m)
     c = Circuit()
-    ctrl = _alloc_flat(c, angles.m, 0)
-    lower = _alloc_flat(c, angles.sub_levels, 0)
+    ctrl = c.alloc_many(angles.m, at_layer=0)
+    lower = c.alloc_many(angles.sub_levels, at_layer=0)
     c.mark_persistent(ctrl)
     c.mark_persistent(lower)
     start = _prepare_basis(c, ctrl, control_state)
     _, B0, F0 = _emit_csp(c, ctrl, lower, angles, cfg, start)
-    c.add_register("D", lower + ctrl)
+    c.add_register("D", [*lower, *ctrl])
     c.add_register("C", ctrl)
     c.add_register("L", lower)
     c.add_register("B0", B0)
@@ -288,7 +276,7 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
         if complex_mode:
             raise ComplexTargetNeedsCSP(
                 f"n={t.n} has no valid split; SP-only fallback handles real non-negative targets only")
-        data = _alloc_flat(c, t.n, 0)
+        data = c.alloc_many(t.n, at_layer=0)
         c.mark_persistent(data)
         end, A, F = _emit_sp(c, data, np.abs(t.amplitudes), 0, keep_a=keep_ab)
         c.add_register("D", data)
@@ -300,13 +288,13 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
 
     y = partition_norms(t, m)
     std = csp_angles(t, m, with_phases=complex_mode)
-    ctrl = _alloc_flat(c, m, 0)
+    ctrl = c.alloc_many(m, at_layer=0)
     c.mark_persistent(ctrl)
     sp_end, A, F = _emit_sp(c, ctrl, y.values, 0, keep_a=keep_ab)
-    lower = _alloc_flat(c, t.n - m, sp_end)
+    lower = c.alloc_many(t.n - m, at_layer=sp_end)
     c.mark_persistent(lower)
     end, B0, F0 = _emit_csp(c, ctrl, lower, std, cfg, sp_end, keep_b=keep_ab)
-    c.add_register("D", lower + ctrl)
+    c.add_register("D", [*lower, *ctrl])
     c.add_register("C", ctrl)
     c.add_register("L", lower)
     c.add_register("A", A)
@@ -323,40 +311,33 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
 # -- reflections ------------------------------------------------------------------
 
 
-def replay(dst: Circuit, src: Circuit, base: int, shared: dict[int, QubitId],
-           mirror: bool = False) -> int:
-    """Replay (or mirror) a built circuit inside another one.
+def replay(dst: Circuit, src: Circuit, base: int, shared: dict[int, int]) -> int:
+    """Replay a built circuit inside another one, from layer ``base``.
 
     Qubits in ``shared`` map onto existing destination qubits and keep
     their lifecycle outside the replay; all others must be fully managed
-    inside ``src`` and get fresh destination qubits with (mirrored)
-    alloc/dealloc events.
+    inside ``src`` and get fresh destination qubits with the same
+    alloc/dealloc events.  To replay the time reversal, pass
+    ``src.compact().adjoint()``.
     """
     src = src.compact()
     T = src.num_layers()
-    mapping = dict(shared)
-    managed = []
-    for q in src.qubits():
-        if q.id in mapping:
-            continue
-        a, d = src.alloc_layer(q), src.dealloc_layer(q)
-        if d is None:
+    mapping = [shared.get(q) for q in src.qubits()]
+    managed = [q for q in src.qubits() if q not in shared]
+    for q in managed:
+        if src.dealloc_layer(q) is None:
             raise BadSplit(f"replay: unshared qubit {q} has no dealloc")
-        if mirror:
-            a, d = T - d, T - a
-        managed.append((q, a, d))
-    for q, a, d in sorted(managed, key=lambda e: e[1]):
-        mapping[q.id] = dst.alloc(q.kind, at_layer=base + a)
+    for q in sorted(managed, key=src.alloc_layer):
+        mapping[q] = dst.alloc(src.kind(q), at_layer=base + src.alloc_layer(q))
     for t in range(T):
-        src_layer = src.layers[T - 1 - t] if mirror else src.layers[t]
-        gates = [g.inverse() for g in src_layer] if mirror else src_layer
-        dst.place([Gate(g.op, g.params, tuple(mapping[q.id] for q in g.qubits)) for g in gates], base + t)
-    for q, a, d in managed:
-        dst.dealloc(mapping[q.id], at_layer=base + d)
+        dst.place([Gate(g.op, g.params, tuple(map(mapping.__getitem__, g.qubits))) for g in src.layers[t]],
+                  base + t)
+    for q in managed:
+        dst.dealloc(mapping[q], at_layer=base + src.dealloc_layer(q))
     return base + T
 
 
-def zero_reflection(c: Circuit, qubits: list[QubitId], start: int) -> int:
+def zero_reflection(c: Circuit, qubits: list[int], start: int) -> int:
     """Phase flip on the all-zeros state of ``qubits``.
 
     X-conjugated Toffoli AND tree onto a fresh root, a pi phase on the
@@ -367,13 +348,9 @@ def zero_reflection(c: Circuit, qubits: list[QubitId], start: int) -> int:
     tree = Block(c, frontier)
     current = list(qubits)
     while len(current) > 1:
-        nxt = []
-        gates = []
-        for i in range(0, len(current) - 1, 2):
-            anc = tree.alloc(CLEAN, at_layer=frontier)
-            gates.append(Gate("toffoli", (), (current[i], current[i + 1], anc)))
-            nxt.append(anc)
-        tree.place(gates, frontier)
+        nxt = list(tree.alloc_many(len(current) // 2, CLEAN, at_layer=frontier))
+        tree.place([Gate("toffoli", (), (current[2 * i], current[2 * i + 1], anc))
+                    for i, anc in enumerate(nxt)], frontier)
         if len(current) % 2:
             nxt.append(current[-1])
         current = nxt
@@ -399,17 +376,16 @@ def reflection(t: TargetState, cfg: ProtocolConfig | None = None) -> Circuit:
         kept += inner.registers["B0"]
 
     c = Circuit()
-    data = _alloc_flat(c, t.n, 0)
+    data = c.alloc_many(t.n, at_layer=0)
     c.mark_persistent(data)
-    mirror_regs = _alloc_flat(c, len(kept), 0)
-    shared = {q.id: data[i] for i, q in enumerate(inner_data)}
-    shared.update({q.id: mirror_regs[i] for i, q in enumerate(kept)})
+    mirror_regs = c.alloc_many(len(kept), at_layer=0)
+    shared = dict(zip(inner_data, data))
+    shared.update(zip(kept, mirror_regs))
 
-    end1 = replay(c, inner, 0, shared, mirror=True)
-    end2 = zero_reflection(c, data + mirror_regs, end1)
-    end3 = replay(c, inner, end2, shared, mirror=False)
-    for q in mirror_regs:
-        c.dealloc(q, at_layer=end3)
+    end1 = replay(c, inner.compact().adjoint(), 0, shared)
+    end2 = zero_reflection(c, [*data, *mirror_regs], end1)
+    end3 = replay(c, inner, end2, shared)
+    c.dealloc_many(mirror_regs, end3)
     c.add_register("D", data)
     return c
 
@@ -446,16 +422,16 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         c.mark_persistent(reg[1:])
         c.add_register("R", reg)
     elif name == "cs":
-        controls = _alloc_flat(c, 1 << t, 0)
-        targets = _alloc_flat(c, 2 << t, 0)
-        c.mark_persistent(controls + targets)
+        controls = c.alloc_many(1 << t, at_layer=0)
+        targets = c.alloc_many(2 << t, at_layer=0)
+        c.mark_persistent([*controls, *targets])
         sub.cs_layer(c, t, controls, targets, at_layer=0)
         c.add_register("R", controls)
         c.add_register("S", targets)
     elif name == "copyswap":
-        ctrl = _alloc_flat(c, m, 0)
+        ctrl = c.alloc_many(m, at_layer=0)
         payload = c.alloc(at_layer=0)
-        c.mark_persistent(ctrl + [payload])
+        c.mark_persistent([*ctrl, payload])
         start = _prepare_basis(c, ctrl, basis)
         res = sub.copyswap(c, ctrl, payload, start=start)
         c.mark_persistent(q for q in res.slots[1:])
@@ -464,9 +440,9 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         c.add_register("C", ctrl)
         c.add_register("S", res.slots)
     elif name in ("spf", "flag"):
-        data = _alloc_flat(c, m, 0)
-        reg = _alloc_flat(c, (1 << m) - 1, 0)
-        c.mark_persistent(data + reg)
+        data = c.alloc_many(m, at_layer=0)
+        reg = c.alloc_many((1 << m) - 1, at_layer=0)
+        c.mark_persistent([*data, *reg])
         start = _prepare_basis(c, data, basis)
         if name == "spf":
             sub.spf(c, data, split_levels(reg), start=start)
@@ -481,14 +457,14 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
             raise BadSplit("loadf fragment needs an angle set")
         sub_levels = angles.sub_levels
         nb = (1 << sub_levels) - 1
-        ctrl = _alloc_flat(c, angles.m, 0)
+        ctrl = c.alloc_many(angles.m, at_layer=0)
         c.mark_persistent(ctrl)
         start = _prepare_basis(c, ctrl, basis)
-        F0 = _alloc_flat(c, nb, start)
+        F0 = c.alloc_many(nb, at_layer=start)
         flags = kwargs.pop("flags", [1] * nb)
         _flip(c, [q for i, q in enumerate(F0) if flags[i]], start)
-        B0 = _alloc_flat(c, nb, start + 1)
-        c.mark_persistent(F0 + B0)
+        B0 = c.alloc_many(nb, at_layer=start + 1)
+        c.mark_persistent([*F0, *B0])
         end, regs = loadf(c, ctrl, B0, F0, angles, start=start + 1, **kwargs)
         _record_loadf_registers(c, regs)
         c.add_register("D0", ctrl)

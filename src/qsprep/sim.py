@@ -1,8 +1,10 @@
 """Sparse-state simulator with dynamic qubit allocation.
 
 The state is a map from basis key to amplitude that holds only the
-nonzero entries.  Keys are little-endian over the live-qubit list: the
-qubit at live position p owns bit p of the key.  The circuits qsprep
+nonzero entries.  Each live qubit owns one bit position of the keys.  A
+freed qubit's bit is cleared and its position reused by a later
+allocation (the lowest free one first), so keys are as wide as the peak
+live count and no live position is ever renumbered.  The circuits qsprep
 emits keep most live qubits as classical functions of a few superposed
 ones (copy trees, one-hot addresses, flag ladders), so the map stays
 small at widths no dense vector could hold; this is the state-sparsity
@@ -17,6 +19,7 @@ either cap raises ``PeakQubitsExceeded``.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amplitudes import AngleSet, CSPAngleSet, PartitionNorms
-from .circuit_ir import DIRTY, GATE_SIGNATURES, Circuit, Gate, QubitId, gate
+from .circuit_ir import DIRTY, GATE_SIGNATURES, Circuit, Gate, gate
 from .config import DEFAULT_MAX_LIVE_QUBITS, DEFAULT_TOLERANCES
 from .errors import DeallocNotZero, NormDrift, OperandNotLive, PeakQubitsExceeded
 
@@ -73,11 +76,6 @@ def _target_columns(op: str, params: tuple) -> tuple:
     return ((0, 1.0),), ((1, ph),)
 
 
-def _squeeze(key: int, p: int) -> int:
-    """The key with bit p removed; the bits above p move down by one."""
-    return ((key >> (p + 1)) << p) | (key & ((1 << p) - 1))
-
-
 def _seed_pair(seed) -> tuple[complex, complex]:
     """Normalized single-qubit amplitudes (a0, a1); None is |0>."""
     if seed is None:
@@ -116,18 +114,23 @@ class SimReport:
 
 
 class SimState:
-    """Sparse state {basis key: amplitude} over a dynamic set of live qubits."""
+    """Sparse state {basis key: amplitude} over a dynamic set of live qubits.
+
+    ``_pos`` maps each live qubit id to its bit position, in allocation
+    order; ``_free`` is a heap of the released positions below ``_width``.
+    """
 
     def __init__(self, max_live: int | None = None):
-        self.live: list[QubitId] = []
         self._pos: dict[int, int] = {}
+        self._free: list[int] = []
+        self._width = 0
         self._amp: dict[int, complex] = {0: 1.0 + 0j}
         self.max_live = max_live if max_live is not None else max_live_cap()
         self.peak_live = 0
 
     @property
     def num_live(self) -> int:
-        return len(self.live)
+        return len(self._pos)
 
     def _store(self, amp: dict, prune: bool) -> None:
         if prune:
@@ -136,88 +139,98 @@ class SimState:
             raise PeakQubitsExceeded(f"state support {len(amp)} exceeds cap {MAX_SUPPORT}")
         self._amp = amp
 
-    def _forget(self, positions: list[int]) -> None:
-        """Drop the qubits at these live positions from the live list."""
-        for p in sorted(positions, reverse=True):
-            del self._pos[self.live.pop(p).id]
-        for t in range(min(positions), self.num_live):
-            self._pos[self.live[t].id] = t
+    def _forget(self, qubits: list[int]) -> None:
+        """Drop these qubits, whose bits are clear in every key, and free their positions."""
+        for q in qubits:
+            heapq.heappush(self._free, self._pos.pop(q))
 
     def norm_defect(self) -> float:
         return abs(1.0 - _mass(self._amp))
 
     def dominant_basis(self) -> tuple[int, float]:
-        """(most likely basis key, its probability); ties go to the lowest key."""
-        key, a = min(self._amp.items(), key=lambda kv: (-abs(kv[1]), kv[0]), default=(0, 0j))
-        return key, abs(a) ** 2
+        """(most likely basis key, its probability).
 
-    def statevector(self, order: list[QubitId]) -> np.ndarray:
+        Ties go to the lowest key read over the live qubits in allocation
+        order, so the choice does not depend on the positions they took.
+        """
+        if not self._amp:
+            return 0, 0.0
+        top = max(map(abs, self._amp.values()))
+        tied = [key for key, a in self._amp.items() if abs(a) == top]
+        positions = list(self._pos.values())
+        key = min(tied, key=lambda k: sum(((k >> p) & 1) << t for t, p in enumerate(positions)))
+        return key, top ** 2
+
+    def statevector(self, order: list[int]) -> np.ndarray:
         """Dense amplitudes with order[t] owning bit t; order must be the live set."""
-        if sorted(q.id for q in order) != sorted(self._pos):
+        if sorted(order) != sorted(self._pos):
             raise OperandNotLive("statevector order must match the live qubit set")
         out = np.zeros(1 << len(order), dtype=complex)
         keys = np.fromiter(self._amp, dtype=np.int64, count=len(self._amp))
         index = np.zeros_like(keys)
         for t, q in enumerate(order):
-            index |= ((keys >> self._pos[q.id]) & 1) << t
+            index |= ((keys >> self._pos[q]) & 1) << t
         out[index] = np.fromiter(self._amp.values(), dtype=complex, count=len(self._amp))
         return out
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def alloc(self, q: QubitId, seed=None) -> None:
-        if q.id in self._pos:
-            raise OperandNotLive(f"{q} already live")
+    def alloc(self, q: int, seed=None) -> None:
+        if q in self._pos:
+            raise OperandNotLive(f"qubit {q} already live")
         if self.num_live + 1 > self.max_live:
             raise PeakQubitsExceeded(f"live qubits would exceed cap {self.max_live}")
+        p = self._free[0] if self._free else self._width
         if seed is not None:
             s0, s1 = _seed_pair(seed)
-            bit = 1 << self.num_live
+            bit = 1 << p
             amp = {k: s0 * a for k, a in self._amp.items()} if s0 else {}
             if s1:
                 amp.update((k | bit, s1 * a) for k, a in self._amp.items())
             self._store(amp, prune=False)
-        self._pos[q.id] = self.num_live
-        self.live.append(q)
+        if self._free:
+            heapq.heappop(self._free)
+        else:
+            self._width += 1
+        self._pos[q] = p
         self.peak_live = max(self.peak_live, self.num_live)
 
-    def dealloc(self, q: QubitId, seed=None, enforce: bool = True) -> float:
+    def dealloc(self, q: int, seed=None, enforce: bool = True) -> float:
         """Contract a qubit out, verifying it sits in |0> (or the dirty seed).
 
         Returns the residual mass outside the expected state.
         """
-        p = self._pos.get(q.id)
+        p = self._pos.get(q)
         if p is None:
-            raise OperandNotLive(f"{q} not live")
+            raise OperandNotLive(f"qubit {q} not live")
         s0, s1 = _seed_pair(seed)
         weights = (s0.conjugate(), s1.conjugate())
+        clear = ~(1 << p)
         comp: dict[int, complex] = {}
         for key, a in self._amp.items():
             w = weights[(key >> p) & 1]
             if w:
-                rest = _squeeze(key, p)
+                rest = key & clear
                 comp[rest] = comp.get(rest, 0) + w * a
         residual = max(_mass(self._amp) - _mass(comp), 0.0)
         if residual > DEFAULT_TOLERANCES.dealloc_mass and enforce:
-            raise DeallocNotZero(q.id, residual)
+            raise DeallocNotZero(q, residual)
         self._store(comp, prune=True)
-        self._forget([p])
+        self._forget([q])
         return residual
 
-    def detach(self, order: list[QubitId]) -> tuple[np.ndarray, float]:
+    def detach(self, order: list[int]) -> tuple[np.ndarray, float]:
         """Split off a product factor over the given qubits and drop them.
 
         Verifies the state factorizes (within tolerance) as factor x rest;
         returns (factor amplitudes little-endian over order, defect).
         """
-        positions = [self._pos[q.id] for q in order]
-        drop = sorted(positions, reverse=True)
+        positions = [self._pos[q] for q in order]
+        clear = ~sum(1 << p for p in positions)
         rows: dict[int, int] = {}
         entries = []
         for key, a in self._amp.items():
-            rest = key
-            for p in drop:
-                rest = _squeeze(rest, p)
+            rest = key & clear
             local = sum(((key >> p) & 1) << t for t, p in enumerate(positions))
             entries.append((local, rows.setdefault(rest, len(rows)), a))
         mat = np.zeros((1 << len(order), len(rows)), dtype=complex)
@@ -233,7 +246,7 @@ class SimState:
         factor = factor * (np.abs(factor[anchor]) / factor[anchor])
         rest_amps = factor.conj() @ mat
         self._store({rest: complex(rest_amps[col]) for rest, col in rows.items()}, prune=True)
-        self._forget(positions)
+        self._forget(order)
         return factor, defect
 
     # -- gates ---------------------------------------------------------------------
@@ -241,9 +254,9 @@ class SimState:
     def apply(self, g: Gate) -> None:
         pos = []
         for q in g.qubits:
-            p = self._pos.get(q.id)
+            p = self._pos.get(q)
             if p is None:
-                raise OperandNotLive(f"{q} not live")
+                raise OperandNotLive(f"qubit {q} not live")
             pos.append(p)
         cols = _target_columns(g.op, g.params)
         k = len(cols).bit_length() - 1  # number of target operands
@@ -269,9 +282,9 @@ def run(
     c: Circuit,
     dirty_seeds: dict[int, object] | None = None,
     target=None,
-    target_order: list[QubitId] | None = None,
+    target_order: list[int] | None = None,
     max_live: int | None = None,
-    detach_plan: list[tuple[int, list[QubitId]]] | None = None,
+    detach_plan: list[tuple[int, list[int]]] | None = None,
     enforce_dealloc: bool = True,
     basis_prep: set[int] | None = None,
 ) -> tuple[SimReport, SimState]:
@@ -290,27 +303,27 @@ def run(
     state = SimState(max_live=max_live)
     report = SimReport(fidelity=None)
     L = c.num_layers()
-    detach_at: dict[int, list[list[QubitId]]] = {}
+    detach_at: dict[int, list[list[int]]] = {}
     detached: list[np.ndarray] = []
     if detach_plan:
         for after_layer, qs in detach_plan:
             detach_at.setdefault(after_layer, []).append(list(qs))
 
-    def seed_for(q: QubitId):
-        if q.kind == DIRTY:
-            return dirty_seeds.get(q.id, (1.0, 0.0))
+    def seed_for(q: int):
+        if c.kind(q) == DIRTY:
+            return dirty_seeds.get(q, (1.0, 0.0))
         return None
 
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         for q in deallocs:
             seed = seed_for(q)
             residual = state.dealloc(q, seed=seed, enforce=enforce_dealloc)
-            report.ancilla_verdicts.append((q.id, t, residual))
-            if q.kind == DIRTY:
-                report.dirty_restoration.append((q.id, residual <= DEFAULT_TOLERANCES.dealloc_mass))
+            report.ancilla_verdicts.append((q, t, residual))
+            if seed is not None:
+                report.dirty_restoration.append((q, residual <= DEFAULT_TOLERANCES.dealloc_mass))
         for q in allocs:
             state.alloc(q, seed=seed_for(q))
-            if basis_prep and q.id in basis_prep:
+            if basis_prep and q in basis_prep:
                 state.apply(Gate("x", (), (q,)))
         if t == L:
             break
@@ -323,7 +336,7 @@ def run(
         for qs in detach_at.get(t, []):
             factor, defect = state.detach(qs)
             if defect > 1e-8:
-                raise DeallocNotZero(tuple(q.id for q in qs), defect,
+                raise DeallocNotZero(tuple(qs), defect,
                                      f"detached register not a product factor (defect {defect:.3e})")
             detached.append(factor)
 
@@ -413,11 +426,11 @@ def loadf_oracle(angles: CSPAngleSet, k: int, flags) -> np.ndarray:
 
 def gate_unitary(op: str, params=()) -> np.ndarray:
     """Unitary of a single gate; operand t owns bit t of the index."""
-    qs = [QubitId(i) for i in range(GATE_SIGNATURES[op][0])]
+    qs = list(range(GATE_SIGNATURES[op][0]))
     return block_unitary([gate(op, qs, *params)], qs)
 
 
-def block_unitary(gates: list[Gate], qubit_order: list[QubitId]) -> np.ndarray:
+def block_unitary(gates: list[Gate], qubit_order: list[int]) -> np.ndarray:
     """Unitary of a gate list on a small block; qubit_order[t] owns bit t."""
     k = len(qubit_order)
     U = np.zeros((1 << k, 1 << k), dtype=complex)

@@ -16,9 +16,10 @@ Register conventions shared by every fragment:
   their published spacetime allocation.  Every fragment records the part
   it uncomputes in a ``circuit_ir.Block``; ``Block.mirror`` is the one
   place that rule and its layer arithmetic live.
-* Every fragment builds ``Gate`` tuples directly and places them a layer at
-  a time; the emitted circuit is checked once, as a whole, by
-  ``Circuit.validate``.
+* Qubits are the circuit's int ids.  Every fragment builds ``Gate`` tuples
+  directly, allocates a layer's fresh qubits in one ``alloc_many`` call and
+  places gates a layer at a time; the emitted circuit is checked once, as
+  a whole, by ``Circuit.validate``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .amplitudes import CSPAngleSet
-from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Gate, QubitId
+from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Gate, new_gate
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
@@ -44,14 +45,14 @@ def bitrev(x: int, bits: int) -> int:
     return r
 
 
-def slot_order(level: list[QubitId], s: int) -> list[QubitId]:
+def slot_order(level: list[int], s: int) -> list[int]:
     """Reorder a pair-ordered level register into ladder slot order."""
     if len(level) != 1 << s:
         raise BadRegisterShape(f"level {s} needs {1 << s} qubits, got {len(level)}")
     return [level[bitrev(pi, s)] for pi in range(1 << s)]
 
 
-def split_levels(flat: list[QubitId]) -> list[list[QubitId]]:
+def split_levels(flat: list[int]) -> list[list[int]]:
     """Split a flat pair-ordered register of size 2**m - 1 into levels."""
     levels, i, s = [], 0, 0
     while i < len(flat):
@@ -79,10 +80,11 @@ class CopyTree:
     layer t connects slot j*size/2**t to the slot half a stride further.
     ``layout="doubling"`` supports arbitrary sizes (layer t copies slots
     [0, 2**t) onto [2**t, min(2**(t+1), size))).  Targets are allocated in
-    the layer their copy layer runs; a ``Block`` undoes the tree.
+    the layer their copy layer runs, one ``alloc_many`` call per layer; a
+    ``Block`` undoes the tree.
     """
 
-    def __init__(self, c: Circuit, source: QubitId, size: int, kind: str = CLEAN,
+    def __init__(self, c: Circuit, source: int, size: int, kind: str = CLEAN,
                  layout: str = "halving"):
         if layout == "halving" and size & (size - 1):
             raise NotPowerOfTwo(f"copy register size {size} not a power of two")
@@ -90,7 +92,7 @@ class CopyTree:
         self.size = size
         self.kind = kind
         self.layout = layout
-        self.slots: list[QubitId | None] = [None] * size
+        self.slots: list[int | None] = [None] * size
         self.slots[0] = source
 
     @property
@@ -103,24 +105,22 @@ class CopyTree:
             return [(j * step, j * step + (step >> 1)) for j in range(1 << t)]
         return [(j, j + (1 << t)) for j in range(1 << t) if j + (1 << t) < self.size]
 
-    def populated(self, t: int) -> list[QubitId]:
+    def populated(self, t: int) -> list[int]:
         if self.layout == "halving":
             step = self.size >> t
             return [self.slots[j * step] for j in range(1 << t)]
         return [self.slots[j] for j in range(min(1 << t, self.size))]
 
     def emit(self, t: int, layer: int) -> None:
-        slots, c = self.slots, self.c
-        gates = []
-        for src, dst in self._pairs(t):
-            if slots[dst] is None:
-                slots[dst] = c.alloc(self.kind, at_layer=layer)
-            gates.append(Gate("cnot", (), (slots[src], slots[dst])))
-        c.place(gates, layer)
+        slots, pairs = self.slots, self._pairs(t)
+        fresh = [dst for _, dst in pairs if slots[dst] is None]
+        for dst, q in zip(fresh, self.c.alloc_many(len(fresh), self.kind, at_layer=layer)):
+            slots[dst] = q
+        self.c.place([new_gate(("cnot", (), (slots[src], slots[dst]))) for src, dst in pairs], layer)
 
 
-def copy(c: Circuit, source: QubitId, size: int, start: int | None = None,
-         kind: str = CLEAN) -> tuple[list[QubitId], int]:
+def copy(c: Circuit, source: int, size: int, start: int | None = None,
+         kind: str = CLEAN) -> tuple[list[int], int]:
     """Fan a qubit out to ``size`` total copies (CNOT tree, depth log2 size).
 
     Ancillae are allocated in the layer of their first CNOT, so an isolated
@@ -134,7 +134,7 @@ def copy(c: Circuit, source: QubitId, size: int, start: int | None = None,
     return list(tree.slots), start + tree.layers
 
 
-def cs_layer(c: Circuit, t: int, controls: list[QubitId], targets: list[QubitId],
+def cs_layer(c: Circuit, t: int, controls: list[int], targets: list[int],
              at_layer: int | None = None) -> int:
     """One layer of 2**t parallel CSWAPs: (controls[i]; targets[i], targets[i+2**t])."""
     if len(controls) < 1 << t:
@@ -144,19 +144,19 @@ def cs_layer(c: Circuit, t: int, controls: list[QubitId], targets: list[QubitId]
     if at_layer is None:
         at_layer = c.num_layers()
     half = 1 << t
-    c.place([Gate("cswap", (), (controls[i], targets[i], targets[i + half])) for i in range(half)],
+    c.place([new_gate(("cswap", (), (controls[i], targets[i], targets[i + half]))) for i in range(half)],
             at_layer)
     return at_layer + 1
 
 
 @dataclass
 class CopySwapResult:
-    slots: list[QubitId]     # size-2**m target register, slot order
+    slots: list[int]     # size-2**m target register, slot order
     trees: list[CopyTree]    # per control bit, its copy register
     end: int
 
 
-def copyswap(c: Circuit, controls: list[QubitId], payload: QubitId,
+def copyswap(c: Circuit, controls: list[int], payload: int,
              start: int | None = None, target_kind: str = CLEAN,
              trees: list[CopyTree] | None = None) -> CopySwapResult:
     """Copy m control bits while routing the payload to slot k of a 2**m register.
@@ -176,8 +176,7 @@ def copyswap(c: Circuit, controls: list[QubitId], payload: QubitId,
         layer = start + t
         for j in range(t + 1, m):
             trees[j].emit(t, layer)
-        for i in range(1 << t, 2 << t):
-            target_slots[i] = c.alloc(target_kind, at_layer=layer)
+        target_slots[1 << t:2 << t] = c.alloc_many(1 << t, target_kind, at_layer=layer)
         cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
     return CopySwapResult(slots=target_slots, trees=trees, end=start + m)
 
@@ -245,7 +244,7 @@ def _spf_plan(m: int, start: int) -> SpfSchedule:
     return sched
 
 
-def spf(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
+def spf(c: Circuit, data: list[int], levels: list[list[int]],
         start: int | None = None) -> tuple[int, SpfSchedule]:
     """Inject pre-rotated angle qubits into the data register.
 
@@ -292,7 +291,7 @@ def spf(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
 # -- FLAG ----------------------------------------------------------------------
 
 
-def flag(c: Circuit, data: list[QubitId], levels: list[list[QubitId]],
+def flag(c: Circuit, data: list[int], levels: list[list[int]],
          start: int | None = None, adjoint: bool = False) -> int:
     """Mark pair (s, j mod 2**s) of every level register with a 0.
 
@@ -352,7 +351,7 @@ class LoadfRegisters:
     f1: list = field(default_factory=list)
 
 
-def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[QubitId],
+def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
           angles: CSPAngleSet, start: int | None = None, adjoint: bool = False,
           dirty_b1: bool = False, fanout: bool = True,
           first_optimized: bool = False) -> tuple[int, LoadfRegisters]:
@@ -386,7 +385,7 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
     rec = Block(c, start)
 
     # -- setup: one-hot address ---------------------------------------------------
-    a0 = rec.alloc(CLEAN, at_layer=start)
+    (a0,) = rec.alloc_many(1, CLEAN, at_layer=start)
     regs.a0 = [a0]
     rec.place([Gate("x", (), (a0,))], start)
     a_cs = copyswap(rec, ctrl, a0, start=start + 1)
@@ -408,7 +407,7 @@ def loadf(c: Circuit, ctrl: list[QubitId], buffer: list[QubitId], flags: list[Qu
             regs.d2.extend(tr.slots[1:])
             d2_end = max(d2_end, reg_start + tr.layers)
         r3 = d2_end
-        t_slots: list[list[QubitId]] = []
+        t_slots: list[list[int]] = []
         for idx in range(nb):
             inst_trees = [CopyTree(rec, seeds_per_bit[j][idx], 1 << j) for j in range(m)]
             res = copyswap(rec, [seeds_per_bit[j][idx] for j in range(m)], buffer[idx],

@@ -185,9 +185,9 @@ class TestAcceptance:
             c = proto.spcsp(t, cfg)
             seeds = {}
             for q in c.qubits():
-                if q.kind == "dirty":
+                if c.kind(q) == "dirty":
                     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                    seeds[q.id] = v / np.linalg.norm(v)
+                    seeds[q] = v / np.linalg.norm(v)
             report, _ = run(c, dirty_seeds=seeds, target=t.amplitudes,
                             target_order=c.registers["D"])
             assert all(ok for _, ok in report.dirty_restoration)
@@ -258,7 +258,7 @@ class TestAcceptance:
 
     def test_14_decomposition_semantics(self):
         from qsprep.circuit_ir import (
-            DECOMPOSITIONS, GATE_SIGNATURES, U2_CNOT, QubitId, expand_gate,
+            DECOMPOSITIONS, GATE_SIGNATURES, U2_CNOT, expand_gate,
         )
         from qsprep.sim import block_unitary, gate_unitary
 
@@ -267,7 +267,7 @@ class TestAcceptance:
                            ("cry", (0.618,)), ("ccry", (1.234,)),
                            ("crz", (0.377,)), ("ccrz", (2.718,))]:
             nq = GATE_SIGNATURES[op][0]
-            qs = [QubitId(i) for i in range(nq)]
+            qs = [i for i in range(nq)]
             g = gate(op, tuple(qs), *params)
             expanded = expand_gate(g, U2_CNOT)
             err = np.max(np.abs(block_unitary(expanded, qs) - gate_unitary(op, params)))

@@ -1,13 +1,18 @@
 import gc
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qsprep
 from qsprep import amplitudes as amp
+from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
 from qsprep import sim, subroutines
 from qsprep.circuit_ir import Circuit, Gate
@@ -202,6 +207,52 @@ class TestProfile:
         assert all(clean + dirty == live for _, live, clean, dirty in rows)
         assert sum(r[3] for r in rows) == rep["dirty_sa"] > 0
         assert sum(r[2] for r in rows) == rep["clean_sa"]
+
+
+class TestLazyImports:
+    def test_profile_and_version_never_load_numpy(self, capsys, tmp_path):
+        circ, csv, report = (str(tmp_path / name) for name in ("copy.json", "p.csv", "p.json"))
+        assert run_cli(capsys, "fragment", "copy", "--m", "3", "--out", circ)[0] == 0
+        script = "\n".join([
+            "import sys",
+            "from qsprep.cli import main",
+            f"rc = main(['profile', '--in', {circ!r}, '--out', {csv!r}, '--report', {report!r}])",
+            "try:",
+            "    main(['--version'])",
+            "except SystemExit:",
+            "    pass",
+            "print(rc, 'numpy' in sys.modules)",
+        ])
+        env = {"PYTHONPATH": str(Path(qsprep.__file__).parents[1]), "PATH": ""}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.splitlines()[-1] == "0 False"
+
+    def test_package_exports_resolve_on_first_access(self):
+        from qsprep import run, spcsp
+
+        assert spcsp is proto.spcsp and run is sim.run
+        assert set(qsprep.__all__) <= set(dir(qsprep))
+        with pytest.raises(AttributeError):
+            qsprep.no_such_name
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("cmd", ["synth", "simulate", "profile", "multicopy"])
+    def test_deeply_nested_json_is_exit_2(self, capsys, tmp_path, cmd):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_internal_recursion_error_is_exit_3(self, capsys, monkeypatch, pixels):
+        def runaway(*args, **kwargs):
+            raise RecursionError("internal")
+        monkeypatch.setattr(cir, "spacetime_allocation", runaway)
+        code, _, err = run_cli(capsys, "synth", "--in", pixels, "--m", "1")
+        assert code == 3
+        assert json.loads(err)["error"] == "RecursionError"
 
 
 def one_qubit_circuit(path, layers, alloc, dealloc):

@@ -1,9 +1,12 @@
-"""Golden digests: `synth` and `profile` output must stay byte-identical.
+"""Golden digests: `synth`, `profile`, `reflection`, `multicopy`, `simulate
+--enumerate-basis` and `fragment` output must stay byte-identical.
 
 The digests were recorded from the code before the lean read/write path
 (one-pass `loads`, cyclic GC off in `cli.main`); the `--complex`,
 `--no-fanout` and `--loadf-first-optimized` cases from the code before
-every uncompute went through `circuit_ir.Block`.  A change that alters
+every uncompute went through `circuit_ir.Block`; the reflection,
+multicopy, basis-enumeration and fragment cases from the code before
+qubits became plain ints.  A change that alters
 the circuit JSON, a report or the profile CSV on purpose records new
 digests here and says why.
 """
@@ -85,3 +88,133 @@ def output_digests(workdir, flags) -> dict:
 def test_outputs_match_golden_digests(tmp_path, monkeypatch, flags):
     monkeypatch.chdir(tmp_path)
     assert output_digests(tmp_path, flags) == GOLDEN[flags]
+
+
+# -- beyond synth: reflection, multicopy, basis enumeration, fragments ----------------
+
+#: (n, m, fanout, dirty_b1) -> sha256 of ``dumps(reflection(...))`` for the seeded
+#: target of ``reflection_target(n)``; m=None is the default split (SP-only at n=3, 5)
+REFLECTION_GOLDEN = {
+    (3, None, True, False): "c306aac3a87db08c19b0cd7f709bc97f37d2ed305bd3b4e5095f23e7a5291983",
+    (3, 1, False, False): "94d50ffc986a67a666d967bcd828b4e82822821313bdc8082c1ee289e1879e84",
+    (3, 1, False, True): "27d8328fd1a22c3d7d34f3ec224dba0a94588f34bc598f55b571613742b9e606",
+    (3, 1, True, False): "e0d2262c33bfc5f89ca960c7adeb37dc161ea5d9615fe56d5559783c3fb4d123",
+    (3, 1, True, True): "48308c0cde07917b5cb787269fc053d68657d5433dd4326fa5dd622d0e5fc9da",
+    (5, None, True, False): "39c95888efdb9ce219f42a50200f30602a1c62a3f229b13e42845ddbf031d142",
+    (5, 2, False, False): "c8a529c5d5433f24ebe22a7549a359b6567a42654e2ed3250e03ad9b01286aae",
+    (5, 2, False, True): "55c2a41add36b84a6e5152958ea2fd321ca29d88828f8cb2d8a0b47cf9811e4f",
+    (5, 2, True, False): "f67946c873a95ebf2d1515dd097e11eb82c5aa6a46439ce9993e0e2b4329ae18",
+    (5, 2, True, True): "cccef60d4cc531a5a8066888f88c4822138c84a0c482bb41f17eb94c70e184e4",
+}
+
+#: output name -> sha256, for the seeded 4 x n=5 batch of ``batch_targets()``
+MULTICOPY_GOLDEN = {
+    "batch_circuit.json": "c5295ad91297a184db6b53429dbdf4d17b28ada459c6eebd207dd9f2e7dafbde",
+    "batch_report.json": "e9af018c68766c927ea745a234030e8ec75463edb6c06d3df6b52315a046b291",
+}
+
+#: output name -> sha256, for ``fragment flag --m 3`` and its ``simulate --enumerate-basis`` report
+ENUMERATE_GOLDEN = {
+    "flag.json": "dd1ae452e0cac6fca82d0068618cebeb3d07be8d4b181c9fa1967c16c605a70b",
+    "cases.json": "b094bd5152cf8a052dbe8df14cbee456959a9cfd7b6db1046735a733a37cc5c8",
+}
+
+#: fragment case of ``FRAGMENT_ARGS`` -> {output name: sha256}
+FRAGMENT_GOLDEN = {
+    "copy": {
+        "fragment.json": "f42fb7ce25a99551bd28d65902b617d2eba57dfc119c841425b01ad4cfd36ea9",
+        "fragment_report.json": "10988d5190a0679322ecd5fd02519cca037ec45d4a6ddd2b43326213ee41349a",
+    },
+    "copyswap": {
+        "fragment.json": "3f1d30a50cb61fc49f58f7de36843f03d7bab5b5234b994047b3c1d2a32752ac",
+        "fragment_report.json": "d888e922c12e6fa6bfdebe198fabb34f98fd53f3e76db3691f74ba84ca54c8ff",
+    },
+    "loadf": {
+        "fragment.json": "b364565133aeff72ab83f8898d400fd2d41aa64c403797dc75ff44f118af6ad2",
+        "fragment_report.json": "7f53eb213b10555535093d501bd07c66459938f0eba1120a4637fee1d5d9a010",
+    },
+    "loadf_dirty_b1_no_fanout": {
+        "fragment.json": "8136deaed4ff69cf8b8a69adc06b04dfa3649e7898fde788b13a89013605dae3",
+        "fragment_report.json": "09eeeeac103bc690331e826c75cc822ce20026368b55e0cfc7e38a7e06e996d0",
+    },
+    "loadf_complex": {
+        "fragment.json": "7e9cd8a15cb8bb9a03398d56cf7713e7c44a4b291b542eff8a2c806339d92d1c",
+        "fragment_report.json": "8bb64eef117bea43d73e64c6f96157e7028465801c58388f4f5b54e70251d0e2",
+    },
+}
+
+FRAGMENT_ARGS = {
+    "copy": ("copy", "--m", "3"),
+    "copyswap": ("copyswap", "--m", "3", "--basis", "5"),
+    "loadf": ("loadf", "--m", "2", "--in", "target.json"),
+    "loadf_dirty_b1_no_fanout": ("loadf", "--m", "2", "--in", "target.json",
+                                 "--dirty-b1", "--no-fanout"),
+    "loadf_complex": ("loadf", "--m", "2", "--in", "target.json", "--complex"),
+}
+
+
+def reflection_target(n: int):
+    from qsprep.amplitudes import make_target
+
+    rng = random.Random(100 + n)
+    return make_target([rng.uniform(0.05, 1.0) for _ in range(1 << n)])
+
+
+def reflection_digest(n, m, fanout, dirty_b1) -> str:
+    from qsprep import protocols as proto
+    from qsprep.circuit_ir import dumps
+
+    cfg = proto.ProtocolConfig(n=n, m=m, fanout=fanout, dirty_b1=dirty_b1)
+    text = dumps(proto.reflection(reflection_target(n), cfg))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def batch_targets() -> dict:
+    rng = random.Random(45)
+    return {"targets": [[rng.uniform(0.05, 1.0) for _ in range(1 << 5)] for _ in range(4)]}
+
+
+def digests(workdir, names) -> dict:
+    return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in names}
+
+
+def multicopy_digests(workdir) -> dict:
+    (workdir / "batch.json").write_text(json.dumps(batch_targets()))
+    assert main(["multicopy", "--in", "batch.json",
+                 "--out", "batch_circuit.json", "--report", "batch_report.json"]) == 0
+    return digests(workdir, ("batch_circuit.json", "batch_report.json"))
+
+
+def enumerate_digests(workdir) -> dict:
+    assert main(["fragment", "flag", "--m", "3", "--out", "flag.json", "--report", "flag_report.json"]) == 0
+    assert main(["simulate", "--in", "flag.json", "--enumerate-basis", "--report", "cases.json"]) == 0
+    return digests(workdir, ("flag.json", "cases.json"))
+
+
+def fragment_digests(workdir, argv) -> dict:
+    rng = random.Random(52)
+    amps = [[rng.uniform(0.05, 1.0), rng.uniform(-1.0, 1.0)] for _ in range(1 << 5)]
+    (workdir / "target.json").write_text(json.dumps({"amplitudes": amps}))
+    assert main(["fragment", *argv, "--out", "fragment.json", "--report", "fragment_report.json"]) == 0
+    return digests(workdir, ("fragment.json", "fragment_report.json"))
+
+
+@pytest.mark.parametrize("key", list(REFLECTION_GOLDEN), ids=lambda k: "n%d_m%s_fanout%d_dirty%d" % k)
+def test_reflection_matches_golden_digest(key):
+    assert reflection_digest(*key) == REFLECTION_GOLDEN[key]
+
+
+def test_multicopy_matches_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert multicopy_digests(tmp_path) == MULTICOPY_GOLDEN
+
+
+def test_enumerate_basis_matches_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert enumerate_digests(tmp_path) == ENUMERATE_GOLDEN
+
+
+@pytest.mark.parametrize("name", list(FRAGMENT_ARGS))
+def test_fragment_matches_golden_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert fragment_digests(tmp_path, FRAGMENT_ARGS[name]) == FRAGMENT_GOLDEN[name]

@@ -116,7 +116,7 @@ class TestSpCircuit:
     def test_ancillae_all_freed(self):
         c = proto.sp_circuit(amp.PartitionNorms(m=2, values=np.array([1.0, 2, 3, 4])))
         live_at_end = [q for q in c.qubits() if c.dealloc_layer(q) is None]
-        assert {q.id for q in live_at_end} == c.persistent()
+        assert {q for q in live_at_end} == c.persistent()
 
 
 class TestCspCircuit:
@@ -218,9 +218,9 @@ class TestSpCsp:
         assert len(b1) == 3
         seeds = {}
         for q in c.qubits():
-            if q.kind == "dirty":
+            if c.kind(q) == "dirty":
                 v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                seeds[q.id] = v / np.linalg.norm(v)
+                seeds[q] = v / np.linalg.norm(v)
         report, _ = run(c, dirty_seeds=seeds, max_live=24)
         assert all(ok for _, ok in report.dirty_restoration)
         data = c.registers["D"]
@@ -256,9 +256,9 @@ def paper_layout_case(n, m, complex_=False, dirty_b1=False, seed=0):
     c = proto.spcsp(t, proto.ProtocolConfig(n=n, m=m, dirty_b1=dirty_b1, fanout=True))
     seeds = {}
     for q in c.qubits():
-        if q.kind == "dirty":
+        if c.kind(q) == "dirty":
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            seeds[q.id] = v / np.linalg.norm(v)
+            seeds[q] = v / np.linalg.norm(v)
     return t, c, seeds
 
 

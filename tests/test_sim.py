@@ -186,8 +186,8 @@ class TestSimBasics:
         c.place([gate("cnot", (a, d))], 1)
         c.dealloc(d, at_layer=2)
         seed = (0.6, 0.8j)
-        report, _ = run(c, dirty_seeds={d.id: seed})
-        assert report.dirty_restoration == [(d.id, True)]
+        report, _ = run(c, dirty_seeds={d: seed})
+        assert report.dirty_restoration == [(d, True)]
 
     def test_dirty_seed_not_restored_raises(self):
         c = Circuit()
@@ -195,7 +195,7 @@ class TestSimBasics:
         c.place([gate("x", (d,))], 0)
         c.dealloc(d, at_layer=1)
         with pytest.raises(DeallocNotZero):
-            run(c, dirty_seeds={d.id: (0.6, 0.8)})
+            run(c, dirty_seeds={d: (0.6, 0.8)})
 
     def test_norm_drift_raises(self):
         # each ancilla leaves 0.9e-10 of its mass behind, under the dealloc
@@ -234,7 +234,7 @@ def strip_deallocs(c: Circuit) -> tuple[Circuit, dict]:
     doc["dealloc"] = []
     doc["persistent"] = [qid for qid, _, _ in doc["alloc"]]
     flat = loads(json.dumps(doc))
-    id_map = {q.id: q for q in flat.qubits()}
+    id_map = {q: q for q in flat.qubits()}
     return flat, id_map
 
 
@@ -257,7 +257,7 @@ class TestContractionSoundness:
 
             flat, id_map = strip_deallocs(dyn)
             _, fstate = run(flat)
-            order = [id_map[src.id]] + [id_map[q.id] for q in flat.qubits() if q.id != src.id]
+            order = [id_map[src]] + [id_map[q] for q in flat.qubits() if q != src]
             full = fstate.statevector(order).reshape(-1, 2)  # columns indexed by src bit
             projected = full[0, :]  # every ancilla in |0>
             assert np.allclose(projected, dyn_vec, atol=1e-10)
@@ -272,9 +272,9 @@ class TestContractionSoundnessFragments:
         dyn = dstate.statevector(keep)
         flat, id_map = strip_deallocs(circ)
         _, fstate = run(flat, max_live=32)
-        keep_mapped = [id_map[q.id] for q in keep]
-        keep_ids = {q.id for q in keep_mapped}
-        rest = [q for q in flat.qubits() if q.id not in keep_ids]
+        keep_mapped = [id_map[q] for q in keep]
+        keep_ids = {q for q in keep_mapped}
+        rest = [q for q in flat.qubits() if q not in keep_ids]
         full = fstate.statevector(keep_mapped + rest).reshape(-1, 1 << len(keep))
         assert np.max(np.abs(full[0, :] - dyn)) < 1e-10
 
@@ -388,3 +388,63 @@ class TestOracles:
 
     def test_pair_index(self):
         assert [pair_index(s, p) for s in range(3) for p in range(1 << s)] == list(range(7))
+
+
+class TestPositionReuse:
+    """A freed qubit's key bit is reused, so keys stay as wide as the peak live count."""
+
+    def test_freed_position_is_reused_lowest_first(self):
+        c = Circuit()
+        a, b, d = (c.alloc(at_layer=0) for _ in range(3))
+        c.mark_persistent([a])
+        c.place([gate("x", (a,))], 0)
+        c.dealloc(b, at_layer=1)
+        c.dealloc(d, at_layer=1)
+        e = c.alloc(at_layer=1)
+        c.mark_persistent([e])
+        c.place([gate("cnot", (a, e))], 1)
+        _, state = run(c)
+        assert state._pos == {a: 0, e: 1}
+        assert state.dominant_basis() == (0b11, 1.0)
+
+    def test_dominant_basis_ties_follow_allocation_order(self):
+        # d reuses b's position below c; a tie still goes to the lowest key read
+        # over the live qubits in allocation order (a, c, d): c=1, d=0
+        c = Circuit()
+        a, b, cq = (c.alloc(at_layer=0) for _ in range(3))
+        c.mark_persistent([a, cq])
+        c.place([gate("x", (a,))], 0)
+        c.dealloc(b, at_layer=1)
+        d = c.alloc(at_layer=1)
+        c.mark_persistent([d])
+        c.place([gate("h", (cq,))], 1)
+        c.place([gate("cnot", (cq, d))], 2)
+        c.place([gate("x", (d,))], 3)
+        _, state = run(c)
+        assert (state._pos[cq], state._pos[d]) == (2, 1)
+        key, prob = state.dominant_basis()
+        assert (key & 1, (key >> 2) & 1, (key >> 1) & 1) == (1, 1, 0)
+        assert prob == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n, m", [(8, 5), (10, 6)])
+    @pytest.mark.parametrize("dirty_b1", [False, True])
+    def test_paper_layout_basis_targets(self, n, m, dirty_b1):
+        """Basis targets keep the support small at any width: every angle is 0 or pi."""
+        from qsprep.protocols import ProtocolConfig, spcsp
+
+        rng = np.random.default_rng(n + dirty_b1)
+        for j in (0, 5, (1 << n) - 1):
+            amplitudes = np.zeros(1 << n)
+            amplitudes[j] = 1.0
+            t = amp.make_target(amplitudes)
+            c = spcsp(t, ProtocolConfig(n=n, m=m, dirty_b1=dirty_b1))
+            seeds = {q: (0.0, 1.0) if rng.integers(2) else (1.0, 0.0)
+                     for q in c.qubits() if c.kind(q) == "dirty"}
+            report, state = run(c, dirty_seeds=seeds, target=t.amplitudes,
+                                target_order=c.registers["D"], max_live=1 << 16)
+            assert report.fidelity == 1.0
+            assert all(mass == 0.0 for _, _, mass in report.ancilla_verdicts)
+            assert bool(seeds) == dirty_b1
+            assert len(report.dirty_restoration) == len(seeds)
+            assert all(ok for _, ok in report.dirty_restoration)
+            assert state._width == report.peak_live_qubits

@@ -444,7 +444,7 @@ class TestLoadf:
             seeds = {}
             for q in b1:
                 v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                seeds[q.id] = v / np.linalg.norm(v)
+                seeds[q] = v / np.linalg.norm(v)
             report, _ = run(c, dirty_seeds=seeds, max_live=24)
             assert all(ok for _, ok in report.dirty_restoration)
 

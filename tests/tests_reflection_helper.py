@@ -20,11 +20,11 @@ def run_with_input(circuit, data_vec):
     seeded = False
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         for q in deallocs:
-            report.ancilla_verdicts.append((q.id, t, state.dealloc(q)))
+            report.ancilla_verdicts.append((q, t, state.dealloc(q)))
         for q in allocs:
             state.alloc(q)
-        if not seeded and all(q.id in state._pos for q in data):
-            offsets = [1 << state._pos[q.id] for q in data]
+        if not seeded and all(q in state._pos for q in data):
+            offsets = [1 << state._pos[q] for q in data]
             assert not any(key & off for key in state._amp for off in offsets)
             state._amp = {
                 key | sum(off for bit, off in enumerate(offsets) if (j >> bit) & 1): a * amp_j
