@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain
 from operator import add, attrgetter, itemgetter, le
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
+    BadEpsilon,
     CircuitError,
     DoubleDealloc,
     DuplicateOperand,
@@ -279,6 +280,10 @@ class Circuit:
     def dealloc_layer(self, q: int) -> int | None:
         return self._dealloc[q]
 
+    def last_use_layer(self, q: int) -> int:
+        """The latest layer with a gate on ``q``, or its alloc layer - 1 if none."""
+        return self._last_use[q]
+
     def lifecycle(self) -> list[tuple[list[int], list[int]]]:
         """Per layer 0..num_layers(), the (allocated, deallocated) qubits there, in id order."""
         buckets = [([], []) for _ in range(self.num_layers() + 1)]
@@ -315,6 +320,31 @@ class Circuit:
                 delta[d] -= 1
         del delta[L]
         return list(accumulate(delta))
+
+    def embed(self, src: "Circuit", shift: Callable[[int], int],
+              shared: dict[int, int] | None = None) -> list[int]:
+        """Copy ``src`` into this circuit, its layer t at layer ``shift(t)``; returns the id map.
+
+        ``shift`` must be strictly increasing.  Qubits in ``shared`` map onto
+        the given qubits here and keep their lifecycle outside ``src``.  Every
+        other qubit gets a fresh id (in order of its allocation layer) with
+        the same kind, allocated at ``shift(alloc)``, released right after its
+        shifted last layer, at ``shift(dealloc - 1) + 1``, and persistent here
+        if it is persistent in ``src``.
+        """
+        shared = shared or {}
+        mapping = [shared.get(q) for q in src.qubits()]
+        fresh = [q for q in src.qubits() if q not in shared]
+        for q in sorted(fresh, key=src._alloc.__getitem__):
+            mapping[q] = self.alloc(src._kind[q], at_layer=shift(src._alloc[q]))
+        self.mark_persistent(mapping[q] for q in fresh if q in src._persistent)
+        for t, layer in enumerate(src.layers):
+            self.place([Gate(g.op, g.params, tuple(map(mapping.__getitem__, g.qubits))) for g in layer], shift(t))
+        for q in fresh:
+            d = src._dealloc[q]
+            if d is not None:
+                self.dealloc(mapping[q], at_layer=shift(d - 1) + 1)
+        return mapping
 
     def _copy_tables(self) -> "Circuit":
         """A new circuit with this one's kinds, persistent set, registers and meta, and no layers."""
@@ -503,10 +533,16 @@ class GateSetModel:
     b: float = 0.0
     epsilon: float = 1e-10
 
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:  # NaN fails too
+            raise BadEpsilon(f"epsilon {self.epsilon!r} outside (0, 1)")
+
     def rotation_cost(self, eps_prime: float) -> int:
-        if eps_prime >= 1.0:
-            return max(int(self.b), 1)
-        return int(math.ceil(self.a * math.log2(1.0 / eps_prime)) + self.b)
+        """Layers a rotation layer takes at the per-rotation budget ``eps_prime`` < 1."""
+        inverse = 1.0 / eps_prime if eps_prime > 0.0 else math.inf
+        if math.isinf(inverse):
+            raise BadEpsilon(f"per-rotation budget {eps_prime!r} of epsilon {self.epsilon!r} underflows")
+        return int(math.ceil(self.a * math.log2(inverse)) + self.b)
 
 
 EXACT_MODEL = GateSetModel(mode="exact")
@@ -668,7 +704,9 @@ def expand(c: Circuit) -> Circuit:
     """Rewrite composite gates into U2_CNOT, repacking ASAP.
 
     Lifecycle events are carried over at the matching points of the new
-    schedule so allocation stays just-in-time.
+    schedule so allocation stays just-in-time.  A layer's allocations are
+    made before its deallocations, so a qubit with an empty lifetime is
+    released at the layer it is allocated.
     """
     c = c.compact()
     out = Circuit()
@@ -678,10 +716,10 @@ def expand(c: Circuit) -> Circuit:
     L = c.num_layers()
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         frontier = out.num_layers()
-        for q in deallocs:
-            out.dealloc(id_map[q])
         for q in allocs:
             id_map[q] = out.alloc(c.kind(q), at_layer=frontier)
+        for q in deallocs:
+            out.dealloc(id_map[q])
         if t == L:
             break
         for g in c.layers[t]:

@@ -68,8 +68,10 @@ def _checked(circuit: cir.Circuit) -> cir.Circuit:
 
 
 def _model_for(args) -> cir.GateSetModel:
+    """The cost model of ``--gateset`` and ``--epsilon``; a given epsilon is checked even under u2cnot."""
+    approx = cir.approx_model(1e-10 if args.epsilon is None else args.epsilon)
     if args.gateset == "hstcnot" or (args.gateset is None and args.epsilon is not None):
-        return cir.approx_model(args.epsilon if args.epsilon is not None else 1e-10)
+        return approx
     return cir.EXACT_MODEL
 
 
@@ -77,12 +79,12 @@ def cmd_synth(args, argv) -> int:
     from . import amplitudes as amp
     from . import protocols as proto
 
+    model = _model_for(args)
     raw = _read(args.infile)
     target = amp.target_from_json(raw.decode())
     cfg = proto.ProtocolConfig(
         n=target.n,
         m=args.m,
-        epsilon=args.epsilon if args.epsilon is not None else 1e-10,
         complex_mode=True if args.complex_amps else None,
         dirty_b1=args.dirty_b1,
         loadf_first_optimized=args.loadf_first_optimized,
@@ -90,7 +92,7 @@ def cmd_synth(args, argv) -> int:
     )
     with _emitting():
         circuit = _checked(proto.spcsp(target, cfg))
-        report = cir.spacetime_allocation(circuit, _model_for(args))
+        report = cir.spacetime_allocation(circuit, model)
     _write(args.out, cir.dumps(circuit))
     doc = envelope(argv, raw, {"report": report.to_json()})
     if args.angles_out:
@@ -150,11 +152,12 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_profile(args, argv) -> int:
+    model = _model_for(args)
     raw = _read(args.infile)
     circuit = cir.loads(raw).compact()
     live = circuit.live_profile()
     dirty = circuit.live_profile(q for q in circuit.qubits() if circuit.kind(q) == cir.DIRTY)
-    report = cir.spacetime_allocation(circuit, _model_for(args), profile=live)
+    report = cir.spacetime_allocation(circuit, model, profile=live)
     lines = ["layer,live,clean,dirty"]
     lines += [f"{t},{n},{n - d},{d}" for t, (n, d) in enumerate(zip(live, dirty))]
     _write(args.out, "\n".join(lines) + "\n")
@@ -198,6 +201,7 @@ def cmd_fragment(args, argv) -> int:
     from . import amplitudes as amp
     from . import protocols as proto
 
+    model = _model_for(args)
     raw = b""
     kwargs = {}
     angles = None
@@ -213,7 +217,7 @@ def cmd_fragment(args, argv) -> int:
     with _emitting():
         circuit = _checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
                                                   t=args.t, basis=args.basis, **kwargs))
-        report = cir.spacetime_allocation(circuit, _model_for(args))
+        report = cir.spacetime_allocation(circuit, model)
     _write(args.out, cir.dumps(circuit))
     doc = envelope(argv, raw, {"report": report.to_json()})
     _write(args.report, _dump(doc))
@@ -226,16 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"qsprep {__version__}")
     subs = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, infile=True):
+    def common(sp, infile=True, costed=False):
         if infile:
             sp.add_argument("--in", dest="infile", required=True)
         sp.add_argument("--out", default=None, help="circuit/CSV output path")
         sp.add_argument("--report", default=None, help="report JSON path (default stdout)")
-        sp.add_argument("--epsilon", type=float, default=None)
-        sp.add_argument("--gateset", choices=["u2cnot", "hstcnot"], default=None)
+        if costed:  # the commands whose report is priced by a gate-set cost model
+            sp.add_argument("--epsilon", type=float, default=None)
+            sp.add_argument("--gateset", choices=["u2cnot", "hstcnot"], default=None)
 
     sp = subs.add_parser("synth", help="compile an amplitude vector")
-    common(sp)
+    common(sp, costed=True)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--complex", dest="complex_amps", action="store_true")
     sp.add_argument("--dirty-b1", dest="dirty_b1", action="store_true")
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_simulate)
 
     sp = subs.add_parser("profile", help="per-layer live-qubit histogram as CSV")
-    common(sp)
+    common(sp, costed=True)
     sp.set_defaults(fn=cmd_profile)
 
     sp = subs.add_parser("multicopy", help="stack many preparations with ancilla reuse")
@@ -266,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("fragment", help="emit one subroutine as a standalone circuit")
     sp.add_argument("name", choices=["copy", "cs", "copyswap", "spf", "flag", "loadf"])
-    common(sp, infile=False)
+    common(sp, infile=False, costed=True)
     sp.add_argument("--in", dest="infile", default=None)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--t", type=int, default=0)

@@ -16,8 +16,8 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-#: Hard cap on simultaneously live qubits in the simulator.  Can be
-#: overridden per-run or via the QSPREP_MAX_QUBITS environment variable.
+#: Hard cap on simultaneously live qubits in the simulator; ``sim.run(max_live=...)``
+#: and ``simulate --max-qubits`` override it per run.
 #: The simulator's memory is set by the state's support, which has its own
 #: cap (``sim.MAX_SUPPORT``); this one bounds the dense vectors that
 #: ``SimState.statevector`` returns.

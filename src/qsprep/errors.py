@@ -37,6 +37,10 @@ class MalformedInput(QsprepError):
     """An input document breaks its schema or does not fit the circuit it is used with."""
 
 
+class BadEpsilon(QsprepError):
+    """An approximation budget outside (0, 1), or one whose per-rotation share underflows."""
+
+
 def parse_json(text: str | bytes):
     """``json.loads`` for input documents.
 

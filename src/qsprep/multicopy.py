@@ -2,9 +2,10 @@
 
 All SP stages run in parallel from layer 0; the CSP stage of copy d starts
 k layers after copy d-1's, so ancillae freed by earlier copies can serve
-later ones.  The merged circuit uses one qubit id per lifetime interval;
-the physical assignment (lowest free physical id first) is derived
-afterwards and reported, which keeps every interval's accounting
+later ones.  The merged circuit uses one qubit id per lifetime interval.
+Handing each interval the lowest free physical id needs exactly as many
+physical qubits as are live at the peak layer, so the reported physical
+pool is the report's ``qubit_count`` and every interval's accounting is
 identical to physical reuse.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .amplitudes import TargetState, make_target
-from .circuit_ir import Circuit, Gate, ResourceReport, spacetime_allocation
+from .circuit_ir import Circuit, ResourceReport, spacetime_allocation
 from .errors import NoValidSplit, PoolExceeded
 from .protocols import ProtocolConfig, spcsp
 
@@ -81,47 +82,25 @@ class BatchResult:
     report: ResourceReport
     peak_ancillae: int
     indentation: int
-    physical_qubits: int
+    physical_qubits: int                # the peak live count, report.qubit_count
     instances: list[dict] = field(default_factory=list)  # data qubits + last layer per copy
 
 
 def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict], int]:
-    """Overlay instance circuits: SP parts at layer 0, CSP part of copy d at d*k."""
+    """Overlay instance circuits: SP parts at layer 0, CSP part of copy d at d*k.
+
+    Releases at the stage boundary belong to the SP side: a qubit released
+    at ``sp_end`` is released there in the batch too.
+    """
     batch = Circuit()
-    instances_meta = []
+    copies = []
     for d, (inst, sp_end) in enumerate(insts):
-        T = inst.num_layers()
-
-        def shift(t: int) -> int:
-            return t if t < sp_end else sp_end + d * k + (t - sp_end)
-
-        def shift_dealloc(t: int) -> int:
-            # releases at the stage boundary belong to the SP side
-            return t if t <= sp_end else sp_end + d * k + (t - sp_end)
-
-        mapping = [0] * len(inst.qubits())
-        for q in sorted(inst.qubits(), key=lambda q: shift(inst.alloc_layer(q))):
-            mapping[q] = batch.alloc(inst.kind(q), at_layer=shift(inst.alloc_layer(q)))
-        batch.mark_persistent(map(mapping.__getitem__, inst.persistent()))
-        for t in range(T):
-            batch.place([Gate(g.op, g.params, tuple(map(mapping.__getitem__, g.qubits)))
-                         for g in inst.layers[t]], shift(t))
-        for q in inst.qubits():
-            dl = inst.dealloc_layer(q)
-            if dl is not None:
-                batch.dealloc(mapping[q], at_layer=shift_dealloc(dl))
-        data = [mapping[q] for q in inst.registers["D"]]
-        batch.add_register(f"D{d}", data)
-        instances_meta.append({"data": data})
-
-    batch = batch.compact()
-    id_last: dict[int, int] = {}
-    for t, layer in enumerate(batch.layers):
-        for g in layer:
-            for q in g.qubits:
-                id_last[q] = t
-    for meta in instances_meta:
-        meta["last_layer"] = max(id_last[q] for q in meta["data"])
+        offset = d * k
+        mapping = batch.embed(inst, lambda t: t if t < sp_end else t + offset)
+        copies.append([mapping[q] for q in inst.registers["D"]])
+        batch.add_register(f"D{d}", copies[-1])
+    batch = batch.compact()  # keeps qubit ids
+    instances_meta = [{"data": data, "last_layer": max(map(batch.last_use_layer, data))} for data in copies]
     peak_anc = max(batch.live_profile(_ancillae(batch)), default=0)
     return batch, instances_meta, peak_anc
 
@@ -168,13 +147,12 @@ def stack(plan: BatchPlan) -> BatchResult:
 
     batch.meta["indentation"] = k
     report = spacetime_allocation(batch)
-    phys = _physical_assignment(batch)
     return BatchResult(
         circuit=batch,
         report=report,
         peak_ancillae=peak_anc,
         indentation=k,
-        physical_qubits=phys,
+        physical_qubits=report.qubit_count,
         instances=instances_meta,
     )
 
@@ -198,31 +176,3 @@ def simulate_batch(result: BatchResult, targets: list[TargetState],
         fidelities.append(float(abs(np.vdot(t.amplitudes, factor))))
     return fidelities, report
 
-
-def _physical_assignment(c: Circuit) -> int:
-    """Map lifetime intervals onto physical ids, lowest free id first.
-
-    Returns the physical pool size.
-    """
-    import heapq
-
-    events = []
-    L = c.num_layers()
-    for q in c.qubits():
-        d = c.dealloc_layer(q)
-        events.append((c.alloc_layer(q), q, L if d is None else d))
-    events.sort()
-    free: list[int] = []
-    releases: list[tuple[int, int]] = []
-    next_id = 0
-    for layer, _, dealloc in events:
-        while releases and releases[0][0] <= layer:
-            _, pid = heapq.heappop(releases)
-            heapq.heappush(free, pid)
-        if free:
-            pid = heapq.heappop(free)
-        else:
-            pid = next_id
-            next_id += 1
-        heapq.heappush(releases, (dealloc, pid))
-    return next_id

@@ -116,15 +116,12 @@ def choose_m(n: int) -> int:
 class ProtocolConfig:
     n: int
     m: int | None = None                 # None: choose_m, falling back to SP-only
-    epsilon: float = 1e-10               # approximate-model reporting budget
     complex_mode: bool | None = None     # None: detect from the target
     dirty_b1: bool = False
     loadf_first_optimized: bool = False
     fanout: bool = True                  # paper layout; False packs rotations, tiny footprint
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise BadSplit(f"epsilon {self.epsilon} outside (0, 1)")
         if self.m is not None and not 1 <= self.m < self.n:
             raise BadSplit(f"m={self.m} outside [1, {self.n - 1}]")
 
@@ -317,24 +314,15 @@ def replay(dst: Circuit, src: Circuit, base: int, shared: dict[int, int]) -> int
     Qubits in ``shared`` map onto existing destination qubits and keep
     their lifecycle outside the replay; all others must be fully managed
     inside ``src`` and get fresh destination qubits with the same
-    alloc/dealloc events.  To replay the time reversal, pass
-    ``src.compact().adjoint()``.
+    alloc/dealloc events (:meth:`Circuit.embed`).  To replay the time
+    reversal, pass ``src.compact().adjoint()``.
     """
     src = src.compact()
-    T = src.num_layers()
-    mapping = [shared.get(q) for q in src.qubits()]
-    managed = [q for q in src.qubits() if q not in shared]
-    for q in managed:
-        if src.dealloc_layer(q) is None:
+    for q in src.qubits():
+        if q not in shared and src.dealloc_layer(q) is None:
             raise BadSplit(f"replay: unshared qubit {q} has no dealloc")
-    for q in sorted(managed, key=src.alloc_layer):
-        mapping[q] = dst.alloc(src.kind(q), at_layer=base + src.alloc_layer(q))
-    for t in range(T):
-        dst.place([Gate(g.op, g.params, tuple(map(mapping.__getitem__, g.qubits))) for g in src.layers[t]],
-                  base + t)
-    for q in managed:
-        dst.dealloc(mapping[q], at_layer=base + src.dealloc_layer(q))
-    return base + T
+    dst.embed(src, lambda t: base + t, shared)
+    return base + src.num_layers()
 
 
 def zero_reflection(c: Circuit, qubits: list[int], start: int) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,11 +89,6 @@ def _mass(amp: dict) -> float:
     return float(np.vdot(v, v).real)
 
 
-def max_live_cap() -> int:
-    env = os.environ.get("QSPREP_MAX_QUBITS")
-    return int(env) if env else DEFAULT_MAX_LIVE_QUBITS
-
-
 @dataclass
 class SimReport:
     fidelity: float | None
@@ -125,7 +119,7 @@ class SimState:
         self._free: list[int] = []
         self._width = 0
         self._amp: dict[int, complex] = {0: 1.0 + 0j}
-        self.max_live = max_live if max_live is not None else max_live_cap()
+        self.max_live = DEFAULT_MAX_LIVE_QUBITS if max_live is None else max_live
         self.peak_live = 0
 
     @property
@@ -296,7 +290,8 @@ def run(
     by the multi-copy scheduler to keep the live width bounded.  basis_prep
     ids get an X right after allocation (basis-state enumeration).  When
     target and target_order are given the report carries
-    |<target|final restricted state>|.
+    |<target|final restricted state>|.  A qubit with an empty lifetime
+    (alloc layer = dealloc layer) is never live, as in the accounting.
     """
     dirty_seeds = dirty_seeds or {}
     c = c.compact()
@@ -316,12 +311,16 @@ def run(
 
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         for q in deallocs:
+            if c.alloc_layer(q) == t:
+                continue
             seed = seed_for(q)
             residual = state.dealloc(q, seed=seed, enforce=enforce_dealloc)
             report.ancilla_verdicts.append((q, t, residual))
             if seed is not None:
                 report.dirty_restoration.append((q, residual <= DEFAULT_TOLERANCES.dealloc_mass))
         for q in allocs:
+            if c.dealloc_layer(q) == t:
+                continue
             state.alloc(q, seed=seed_for(q))
             if basis_prep and q in basis_prep:
                 state.apply(Gate("x", (), (q,)))

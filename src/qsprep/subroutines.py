@@ -31,7 +31,6 @@ from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Gate, new_gate
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
-    InternalInvariant,
     NotPowerOfTwo,
     RegisterTooSmall,
 )
@@ -188,60 +187,32 @@ def copyswap(c: Circuit, controls: list[int], payload: int,
 class SpfSchedule:
     """Layer assignments of the forward SPF half, kept for rule checking."""
 
-    swap_layer: dict = field(default_factory=dict)    # s -> layer
-    oplus_layer: dict = field(default_factory=dict)   # (q, i) -> layer
-    cs_layer: dict = field(default_factory=dict)      # (s, t) -> layer, control q = s-1-t
-    end: int = 0
+    swap_layer: dict    # s -> layer
+    oplus_layer: dict   # (q, i) -> layer
+    cs_layer: dict      # (s, t) -> layer, control q = s-1-t
+    end: int
 
 
 def _spf_plan(m: int, start: int) -> SpfSchedule:
-    """Greedy ASAP plan for the forward SPF half.
+    """Layers of the forward SPF half, in closed form (relative to ``start``).
 
-    Dependencies encode the ordering rules: copy layers of a data qubit are
-    sequential and follow its injection; CS_t on level s follows CS_{t+1}
-    and needs 2**t copies of data qubit s-1-t; the injection into level s
-    follows its CS_0.
+    * level s is swapped into data qubit s at max(3s - 1, 0);
+    * CS_t on level s, controlled by the 2**t copies of data qubit
+      q = s - 1 - t, runs at 3s - 2 - t, so each level's chain runs strides
+      high-to-low and ends right before its swap;
+    * copy layer i of data qubit q runs at max(3q, 2) + 2i, for
+      i < m - 2 - q, after q's swap and between the CS layers that read it;
+    * the half ends at max(3m - 3, 1).
+
+    Each level adds three layers.  This is the greedy ASAP schedule of the
+    ordering rules above, with at most one event per qubit per layer.
     """
-    sched = SpfSchedule()
-    copy_needed = {q: max(0, m - 2 - q) for q in range(m)}
-    cs_next = {s: s - 1 for s in range(m)}
-    oplus_next = {q: 0 for q in range(m)}
-    swap_done: set[int] = set()
-    layer = start
-    guard = 0
-    while (len(swap_done) < m or any(cs_next[s] >= 0 for s in range(m))
-           or any(oplus_next[q] < copy_needed[q] for q in range(m))):
-        busy: set[tuple[str, int]] = set()
-        for s in range(m):
-            if s not in swap_done and cs_next[s] < 0 and ("d", s) not in busy and ("l", s) not in busy:
-                sched.swap_layer[s] = layer
-                swap_done.add(s)
-                busy.update([("d", s), ("l", s)])
-        for s in range(m):
-            t = cs_next[s]
-            if t < 0:
-                continue
-            q = s - 1 - t
-            if q not in swap_done or oplus_next[q] < t:
-                continue
-            if ("d", q) in busy or ("l", s) in busy:
-                continue
-            sched.cs_layer[(s, t)] = layer
-            cs_next[s] -= 1
-            busy.update([("d", q), ("l", s)])
-        for q in range(m):
-            i = oplus_next[q]
-            if i >= copy_needed[q] or q not in swap_done or ("d", q) in busy:
-                continue
-            sched.oplus_layer[(q, i)] = layer
-            oplus_next[q] += 1
-            busy.add(("d", q))
-        layer += 1
-        guard += 1
-        if guard >= 16 * m + 16:
-            raise InternalInvariant("spf planner runaway")
-    sched.end = layer
-    return sched
+    return SpfSchedule(
+        swap_layer={s: start + max(3 * s - 1, 0) for s in range(m)},
+        oplus_layer={(q, i): start + max(3 * q, 2) + 2 * i for q in range(m) for i in range(m - 2 - q)},
+        cs_layer={(s, t): start + 3 * s - 2 - t for s in range(m) for t in range(s)},
+        end=start + max(3 * m - 3, 1),
+    )
 
 
 def spf(c: Circuit, data: list[int], levels: list[list[int]],
@@ -252,7 +223,10 @@ def spf(c: Circuit, data: list[int], levels: list[list[int]],
     maps |0^m>|Theta> to sum_j y_j |j>|g_j>: pair (s, j mod 2**s) of every
     level is absorbed into data qubit s, and the mirrored second half (same
     routing, no swaps) returns every surviving angle state to its own qubit
-    and uncopies the data-bit fan-outs.  Depth O(m), 2**(m-1) - m ancillae.
+    and uncopies the data-bit fan-outs.  The forward half follows the closed
+    form of :func:`_spf_plan` and takes max(3m - 3, 1) layers; its CS and
+    copy layers span 3m - 5 of them (m >= 2), which the mirror repeats, so
+    the fragment's depth is 6m - 8 for m >= 2.  2**(m-1) - m ancillae.
     """
     m = len(data)
     if len(levels) != m:
@@ -261,30 +235,25 @@ def spf(c: Circuit, data: list[int], levels: list[list[int]],
     if start is None:
         start = c.num_layers()
     plan = _spf_plan(m, start)
-    ladder = [*plan.cs_layer.values(), *plan.oplus_layer.values()]
-    lo = min(ladder, default=start)
-    span = max(ladder) + 1 - lo if ladder else 0
+    # the CS and copy layers run from start + 1 to the last CS layer, start + 3m - 5
+    lo, span = (start + 1, 3 * m - 5) if m >= 2 else (start, 0)
     block = Block(c, lo)
     trees = {q: CopyTree(block, data[q], 1 << (m - 2 - q)) for q in range(m) if m - 2 - q >= 1}
 
-    events: list[tuple[int, str, tuple]] = []
-    events += [(layer, "swap", (s,)) for s, layer in plan.swap_layer.items()]
-    events += [(layer, "cs", key) for key, layer in plan.cs_layer.items()]
-    events += [(layer, "oplus", key) for key, layer in plan.oplus_layer.items()]
-    events.sort(key=lambda e: e[0])
-
-    for layer, kind, args in events:
-        if kind == "swap":
-            (s,) = args
-            c.place([Gate("swap", (), (data[s], slots[s][0]))], layer)
-        elif kind == "cs":
-            s, t = args
-            q = s - 1 - t
-            controls = trees[q].populated(t) if t else [data[q]]
-            cs_layer(block, t, controls, slots[s][:2 << t], layer)
+    # (layer, kind, a, b): kind 0 swaps level a in, 1 is CS_b on level a, 2 is copy layer b
+    # of data qubit a; layer-major, and within a layer the swaps, CS layers, copy layers
+    events = sorted([(layer, 0, s, 0) for s, layer in plan.swap_layer.items()]
+                    + [(layer, 1, *key) for key, layer in plan.cs_layer.items()]
+                    + [(layer, 2, *key) for key, layer in plan.oplus_layer.items()])
+    for layer, kind, a, b in events:
+        if kind == 0:
+            c.place([Gate("swap", (), (data[a], slots[a][0]))], layer)
+        elif kind == 1:
+            q = a - 1 - b
+            controls = trees[q].populated(b) if b else [data[q]]
+            cs_layer(block, b, controls, slots[a][:2 << b], layer)
         else:
-            q, i = args
-            trees[q].emit(i, layer)
+            trees[a].emit(b, layer)
     return block.mirror(plan.end, span), plan
 
 

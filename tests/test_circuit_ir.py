@@ -446,6 +446,43 @@ def test_spcsp_json_round_trips(cfg, seed):
     assert cir.dumps(cir.loads(text)) == text
 
 
+class TestEmbed:
+    def source(self) -> Circuit:
+        src = Circuit()
+        d = src.alloc(at_layer=0)
+        src.mark_persistent([d])
+        anc = src.alloc("dirty", at_layer=1)
+        late = src.alloc(at_layer=2)
+        src.mark_persistent([late])
+        src.place([gate("ry", (d,), 0.5)], 0)
+        src.place([gate("cnot", (d, anc))], 1)
+        src.place([gate("cnot", (anc, late))], 2)
+        src.dealloc(anc, at_layer=3)
+        return src
+
+    def test_shifted_lifecycles_and_gates(self):
+        dst = Circuit()
+        dst.alloc(at_layer=0)  # ids here start at 1
+        mapping = dst.embed(self.source(), lambda t: t if t < 2 else t + 4)
+        assert mapping == [1, 2, 3]
+        assert [dst.alloc_layer(q) for q in mapping] == [0, 1, 6]
+        # released right after its shifted last layer: shift(3 - 1) + 1
+        assert [dst.dealloc_layer(q) for q in mapping] == [None, 7, None]
+        assert dst.kind(2) == cir.DIRTY
+        assert dst.persistent() == {1, 3}
+        assert [[g.qubits for g in layer] for layer in dst.layers] == [[(1,)], [(1, 2)], [], [], [], [], [(2, 3)]]
+
+    def test_shared_qubits_keep_their_lifecycle(self):
+        dst = Circuit()
+        outer = dst.alloc(at_layer=0)
+        dst.alloc_many(3, at_layer=0)
+        mapping = dst.embed(self.source(), lambda t: 10 + t, shared={0: outer})
+        assert mapping[0] == outer
+        assert dst.persistent() == {mapping[2]}
+        assert dst.dealloc_layer(outer) is None and dst.dealloc_layer(mapping[1]) == 13
+        assert dst.alloc_layer(mapping[1]) == 11 and dst.layers[10] == [gate("ry", (outer,), 0.5)]
+
+
 class TestAdjoint:
     def test_adjoint_inverts_unitary(self):
         c = Circuit()

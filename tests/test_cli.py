@@ -143,6 +143,54 @@ class TestSynth:
         assert json.loads(err)["error"] == "MalformedInput"
 
 
+#: --epsilon values that must end in exit 2 ``BadEpsilon``; 1e-400 parses as 0.0, and
+#: 1e-310 is in (0, 1) but its per-rotation share of the budget underflows
+BAD_EPSILONS = ["0", "1e-400", "-1", "nan", "inf", "1", "1e-310"]
+
+
+class TestEpsilon:
+    def argv(self, cmd, tmp_path, pixels, capsys):
+        out = str(tmp_path / "out")
+        if cmd == "synth":
+            return ["synth", "--in", pixels, "--m", "1", "--out", out]
+        if cmd == "profile":
+            circ = str(tmp_path / "c.json")
+            assert run_cli(capsys, "synth", "--in", pixels, "--m", "1", "--out", circ)[0] == 0
+            return ["profile", "--in", circ, "--out", out]
+        return ["fragment", "loadf", "--m", "1", "--in", pixels, "--out", out]
+
+    @pytest.mark.parametrize("cmd", ["synth", "profile", "fragment_loadf"])
+    @pytest.mark.parametrize("value", BAD_EPSILONS)
+    def test_bad_epsilon_is_exit_2(self, capsys, tmp_path, pixels, cmd, value):
+        argv = self.argv(cmd, tmp_path, pixels, capsys)
+        code, _, err = run_cli(capsys, *argv, "--epsilon", value)
+        assert code == 2
+        assert json.loads(err)["error"] == "BadEpsilon"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["synth", "profile", "fragment_loadf"])
+    def test_checked_under_exact_gateset(self, capsys, tmp_path, pixels, cmd):
+        argv = self.argv(cmd, tmp_path, pixels, capsys)
+        code, _, err = run_cli(capsys, *argv, "--gateset", "u2cnot", "--epsilon", "0")
+        assert code == 2
+        assert json.loads(err)["error"] == "BadEpsilon"
+
+    @pytest.mark.parametrize("cmd", ["synth", "profile", "fragment_loadf"])
+    def test_tiny_epsilon_is_priced(self, capsys, tmp_path, pixels, cmd):
+        argv = self.argv(cmd, tmp_path, pixels, capsys)
+        code, out, _ = run_cli(capsys, *argv, "--epsilon", "1e-300")
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["depth_approx"] > rep["depth"]
+
+    @pytest.mark.parametrize("cmd", ["simulate", "multicopy"])
+    @pytest.mark.parametrize("flag", [("--epsilon", "1e-6"), ("--gateset", "hstcnot")])
+    def test_uncosted_commands_take_no_cost_flags(self, capsys, pixels, cmd, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--in", pixels, *flag])
+        assert exc.value.code == 2
+
+
 class TestSimulate:
     def test_fidelity_round_trip(self, capsys, tmp_path, pixels):
         circ = tmp_path / "c.json"
@@ -223,7 +271,7 @@ class TestLazyImports:
             "    pass",
             "print(rc, 'numpy' in sys.modules)",
         ])
-        env = {"PYTHONPATH": str(Path(qsprep.__file__).parents[1]), "PATH": ""}
+        env = {"PYTHONPATH": str(Path(qsprep.__file__).parents[1]), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, check=True).stdout
         assert out.splitlines()[-1] == "0 False"
@@ -282,6 +330,43 @@ class TestLifecycleBounds:
         code, out, _ = run_cli(capsys, cmd, "--in", path, "--out", str(tmp_path / "out"))
         assert code == 0
         assert json.loads(out)["report"]
+
+
+def empty_lifetime_doc() -> dict:
+    """Qubit 1 is allocated and released at layer 1: an empty lifetime."""
+    return {
+        "layers": [[{"op": "ry", "params": [0.5], "qubits": [0]}],
+                   [{"op": "x", "params": [], "qubits": [0]}]],
+        "alloc": [[0, 0, "clean"], [1, 1, "clean"]],
+        "dealloc": [[1, 1]],
+        "persistent": [0],
+        "registers": {"D": [0]},
+    }
+
+
+class TestEmptyLifetime:
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    def test_accepted(self, capsys, tmp_path, cmd):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(empty_lifetime_doc()))
+        code, out, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        rep = json.loads(out)["report"]
+        assert rep["peak_live_qubits" if cmd == "simulate" else "qubit_count"] == 1
+
+    def test_never_live_in_the_simulator(self):
+        report, state = sim.run(cir.loads(json.dumps(empty_lifetime_doc())))
+        assert report.peak_live_qubits == 1
+        assert report.ancilla_verdicts == []
+        assert list(state._pos) == [0]
+
+    def test_expand_keeps_it_empty(self):
+        c = cir.loads(json.dumps(empty_lifetime_doc()))
+        out = cir.expand(c)
+        assert out.alloc_layer(1) == out.dealloc_layer(1)
+        assert out.kind(1) == cir.CLEAN
+        assert sim.run(out)[0].peak_live_qubits == 1
+        assert cir.spacetime_allocation(out).sa_exact == cir.spacetime_allocation(c).sa_exact == 2
 
 
 def two_qubit_doc() -> dict:

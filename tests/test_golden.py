@@ -6,7 +6,8 @@ The digests were recorded from the code before the lean read/write path
 `--no-fanout` and `--loadf-first-optimized` cases from the code before
 every uncompute went through `circuit_ir.Block`; the reflection,
 multicopy, basis-enumeration and fragment cases from the code before
-qubits became plain ints.  A change that alters
+qubits became plain ints; the `spf` fragment cases from the code before
+the SPF ladder schedule became a closed form.  A change that alters
 the circuit JSON, a report or the profile CSV on purpose records new
 digests here and says why.
 """
@@ -141,6 +142,14 @@ FRAGMENT_GOLDEN = {
         "fragment.json": "7e9cd8a15cb8bb9a03398d56cf7713e7c44a4b291b542eff8a2c806339d92d1c",
         "fragment_report.json": "8bb64eef117bea43d73e64c6f96157e7028465801c58388f4f5b54e70251d0e2",
     },
+    "spf": {
+        "fragment.json": "26934c83ecdd5afc8406ee6303aeceb1dcb2ee4eb86be92b527bf301bdb4687c",
+        "fragment_report.json": "a727a1b7d695cf9b0a02754ef8377d79adfdb16fa796d0a60300fdb88ebfe8fb",
+    },
+    "spf_basis": {
+        "fragment.json": "84611c3a29047cdb6d319f41e0c259dea7c42f82aabdfd2c0d779ec05b44d30c",
+        "fragment_report.json": "ba6cd6c48ee40aca420acaaee302b7f537bc3d8fe003f28cdff83a1945320e59",
+    },
 }
 
 FRAGMENT_ARGS = {
@@ -150,6 +159,8 @@ FRAGMENT_ARGS = {
     "loadf_dirty_b1_no_fanout": ("loadf", "--m", "2", "--in", "target.json",
                                  "--dirty-b1", "--no-fanout"),
     "loadf_complex": ("loadf", "--m", "2", "--in", "target.json", "--complex"),
+    "spf": ("spf", "--m", "7"),
+    "spf_basis": ("spf", "--m", "4", "--basis", "5"),
 }
 
 

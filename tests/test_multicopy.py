@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -11,6 +12,20 @@ from qsprep.errors import NoValidSplit, PoolExceeded
 
 def targets(rng, n, w):
     return [amp.make_target(rng.random(1 << n) + 0.02) for _ in range(w)]
+
+
+def greedy_pool_size(c) -> int:
+    """Physical ids the lifetimes need when each takes the lowest id free at its alloc layer."""
+    free, releases, size = [], [], 0
+    end = c.num_layers()
+    ends = [end if c.dealloc_layer(q) is None else c.dealloc_layer(q) for q in c.qubits()]
+    for a, d in sorted(zip(map(c.alloc_layer, c.qubits()), ends)):
+        while releases and releases[0][0] <= a:
+            heapq.heappush(free, heapq.heappop(releases)[1])
+        pid = heapq.heappop(free) if free else size
+        size = max(size, pid + 1)
+        heapq.heappush(releases, (d, pid))
+    return size
 
 
 def single_depth(n, fanout=True):
@@ -109,6 +124,25 @@ class TestStack:
         res = mc.stack(mc.BatchPlan(targets(rng, 3, 8)))
         assert res.physical_qubits < len(res.circuit.qubits())
         assert res.physical_qubits == res.report.qubit_count
+
+    @pytest.mark.parametrize("n, w, kwargs", [(3, 8, {}), (4, 3, {}), (5, 4, {"indentation": 3}),
+                                              (4, 5, {"fanout": False})])
+    def test_pool_is_the_greedy_colouring(self, n, w, kwargs):
+        """The lowest-free-id assignment of the lifetimes needs exactly the peak live count."""
+        rng = np.random.default_rng(n * 10 + w)
+        res = mc.stack(mc.BatchPlan(targets(rng, n, w), **kwargs))
+        assert res.physical_qubits == greedy_pool_size(res.circuit)
+
+    def test_last_layer_is_the_last_gate_on_the_copy(self):
+        rng = np.random.default_rng(8)
+        res = mc.stack(mc.BatchPlan(targets(rng, 4, 3)))
+        last_gate = {}
+        for t, layer in enumerate(res.circuit.layers):
+            for g in layer:
+                for q in g.qubits:
+                    last_gate[q] = t
+        for meta in res.instances:
+            assert meta["last_layer"] == max(last_gate[q] for q in meta["data"])
 
     def test_rejects_mixed_n(self):
         with pytest.raises(NoValidSplit):

@@ -17,3 +17,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_environment_knobs():
+    """Every setting is a flag or an argument: no module reads the process environment."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+                if names & {"environ", "environb", "getenv", "getenvb", "*"}:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []

@@ -6,10 +6,11 @@ import pytest
 from qsprep import amplitudes as amp
 from qsprep.circuit_ir import Block, Circuit, gate, spacetime_allocation
 from qsprep.errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
-from qsprep.protocols import fragment_circuit, injection_angles, injection_csp_angles
+from qsprep.protocols import FRAGMENT_MAX_M, fragment_circuit, injection_angles, injection_csp_angles
 from qsprep.sim import flag_oracle, loadf_oracle, pair_index, run, spf_oracle
 from qsprep.subroutines import (
     CopyTree,
+    _spf_plan,
     bitrev,
     copy,
     copyswap,
@@ -276,12 +277,20 @@ class TestSpf:
         assert all(inc == increments[-1] for inc in increments[2:])
 
     def test_schedule_rules(self):
-        for m in range(2, 9):
-            c = Circuit()
-            data = [c.alloc(at_layer=0) for _ in range(m)]
-            A = [c.alloc(at_layer=0) for _ in range((1 << m) - 1)]
-            c.mark_persistent(data + A)
-            _, sched = spf(c, data, split_levels(A), start=0)
+        for m in range(1, FRAGMENT_MAX_M + 1):
+            sched = _spf_plan(m, start=5)
+            if m <= 8:
+                c = Circuit()
+                data = [c.alloc(at_layer=0) for _ in range(m)]
+                A = [c.alloc(at_layer=0) for _ in range((1 << m) - 1)]
+                c.mark_persistent(data + A)
+                end, emitted = spf(c, data, split_levels(A), start=5)
+                assert emitted == sched
+                assert end == c.num_layers()
+            # every level is swapped in once; every CS_t of level s and every copy layer is planned
+            assert set(sched.swap_layer) == set(range(m))
+            assert set(sched.cs_layer) == {(s, t) for s in range(m) for t in range(s)}
+            assert set(sched.oplus_layer) == {(q, i) for q in range(m) for i in range(m - 2 - q)}
             # copy layers of one data qubit run in ascending order
             for (q, i), layer in sched.oplus_layer.items():
                 if (q, i + 1) in sched.oplus_layer:
@@ -300,6 +309,14 @@ class TestSpf:
                 chain = [sched.cs_layer[(s, t)] for t in range(s - 1, -1, -1)]
                 assert chain == sorted(chain)
                 assert chain[-1] < sched.swap_layer[s]
+            # one event per data qubit and per level register in each layer
+            uses = [(layer, "d", s) for s, layer in sched.swap_layer.items()]
+            uses += [(layer, "l", s) for s, layer in sched.swap_layer.items()]
+            uses += [(layer, "d", s - 1 - t) for (s, t), layer in sched.cs_layer.items()]
+            uses += [(layer, "l", s) for (s, t), layer in sched.cs_layer.items()]
+            uses += [(layer, "d", q) for (q, _), layer in sched.oplus_layer.items()]
+            assert len(set(uses)) == len(uses)
+            assert max(x[0] for x in uses) < sched.end == 5 + max(3 * m - 3, 1)
 
     def test_fresh_ancilla_budget(self):
         for m in range(2, 8):
