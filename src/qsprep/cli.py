@@ -121,7 +121,7 @@ def cmd_simulate(args, argv) -> int:
     if args.enumerate_basis:
         data = circuit.registers.get("D") or circuit.registers.get("D0")
         if not data:
-            raise QsprepError("circuit carries no D register to enumerate")
+            raise MalformedInput("circuit carries no D register to enumerate")
         cases = []
         for j in range(1 << len(data)):
             prep = {q for bit, q in enumerate(data) if (j >> bit) & 1}
@@ -180,7 +180,7 @@ def cmd_multicopy(args, argv) -> int:
         if len(targets) == 1:
             targets = targets * args.w
         elif len(targets) != args.w:
-            raise QsprepError(f"--w {args.w} disagrees with {len(targets)} targets")
+            raise MalformedInput(f"--w {args.w} disagrees with {len(targets)} targets")
     plan = mc.BatchPlan(targets, indentation=args.indent, pool_cap=args.pool,
                         fanout=not args.no_fanout)
     with _emitting():
@@ -207,7 +207,7 @@ def cmd_fragment(args, argv) -> int:
     angles = None
     if args.name == "loadf":
         if not args.infile:
-            raise QsprepError("loadf fragment needs --in with amplitudes")
+            raise MalformedInput("loadf fragment needs --in with amplitudes")
         raw = _read(args.infile)
         target = amp.target_from_json(raw.decode())
         std = amp.csp_angles(target, args.m, with_phases=args.complex_amps)

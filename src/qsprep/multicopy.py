@@ -86,7 +86,7 @@ class BatchResult:
     instances: list[dict] = field(default_factory=list)  # data qubits + last layer per copy
 
 
-def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict], int]:
+def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict]]:
     """Overlay instance circuits: SP parts at layer 0, CSP part of copy d at d*k.
 
     Releases at the stage boundary belong to the SP side: a qubit released
@@ -100,51 +100,50 @@ def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict
         copies.append([mapping[q] for q in inst.registers["D"]])
         batch.add_register(f"D{d}", copies[-1])
     batch = batch.compact()  # keeps qubit ids
-    instances_meta = [{"data": data, "last_layer": max(map(batch.last_use_layer, data))} for data in copies]
-    peak_anc = max(batch.live_profile(_ancillae(batch)), default=0)
-    return batch, instances_meta, peak_anc
+    return batch, [{"data": data, "last_layer": max(map(batch.last_use_layer, data))} for data in copies]
+
+
+def _priced_peak(parts: list[tuple[int, list[int]]], k: int) -> int:
+    """``_merge``'s peak ancilla count at indentation k from each instance's (sp_end, ancilla profile).
+
+    Exact while no ancilla lives across an ``sp_end``: the layers compaction drops hold none.
+    """
+    live = [0] * max(len(p) + d * k for d, (_, p) in enumerate(parts))
+    for d, (sp_end, prof) in enumerate(parts):
+        for t, count in enumerate(prof):
+            live[t if t < sp_end else t + d * k] += count
+    return max(live, default=0)
 
 
 def stack(plan: BatchPlan) -> BatchResult:
     """Schedule all SP stages in parallel and the CSP stages k layers apart.
 
-    With an explicit indentation the pool cap is enforced as given; the
-    automatic choice starts from the profile-scan estimate and widens the
-    offset until the measured peak fits.
+    Each candidate k is priced, and only the chosen one merged.  An explicit
+    k must fit the pool and lie in [1, depth] of the first instance: a larger
+    one only adds layers that compaction drops.  Else k is the first from the
+    profile-scan estimate up to depth that fits.
     """
-    n = plan.targets[0].n
     insts = []
     for t in plan.targets:
         c = _instance_circuit(t, plan.fanout)
         sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
         insts.append((c.compact(), sp_end))
-    single_span = insts[0][0].num_layers()
-
-    if plan.indentation is not None:
-        candidates = [plan.indentation]
+    parts = [(sp_end, c.live_profile(_ancillae(c))) for c, sp_end in insts]
+    depth = insts[0][0].num_layers()
+    cap = plan.pool_cap
+    if plan.indentation is None:
+        candidates = range(min_indentation(plan.targets[0].n, cap, plan.fanout), depth + 1) or [1]
+    elif plan.indentation <= depth:
+        candidates = range(plan.indentation, depth + 1)
     else:
-        k0 = min_indentation(n, plan.pool_cap, plan.fanout)
-        candidates = list(range(k0, single_span + 1)) or [1]
+        raise NoValidSplit(f"indentation {plan.indentation} exceeds the instance depth {depth}")
+    fit = next((k for k in candidates if _priced_peak(parts, k) <= cap), None)
+    k = plan.indentation or fit or candidates[-1]  # explicit, else first fit, else last walked
+    peak_anc = _priced_peak(parts, k)
+    if peak_anc > cap:
+        raise PoolExceeded(f"peak ancillae {peak_anc} exceeds pool cap {cap} at k={k}", feasible_k=fit)
 
-    batch = instances_meta = None
-    peak_anc = k = None
-    for kk in candidates:
-        batch, instances_meta, peak_anc = _merge(insts, kk)
-        k = kk
-        if peak_anc <= plan.pool_cap:
-            break
-    if peak_anc > plan.pool_cap:
-        feasible = None
-        if plan.indentation is not None:
-            for kk in range(plan.indentation + 1, single_span + 1):
-                _, _, p = _merge(insts, kk)
-                if p <= plan.pool_cap:
-                    feasible = kk
-                    break
-        raise PoolExceeded(
-            f"peak ancillae {peak_anc} exceeds pool cap {plan.pool_cap} at k={k}",
-            feasible_k=feasible)
-
+    batch, instances_meta = _merge(insts, k)
     batch.meta["indentation"] = k
     report = spacetime_allocation(batch)
     return BatchResult(

@@ -96,6 +96,7 @@ class SimReport:
     peak_live_qubits: int = 0
     dirty_restoration: list = field(default_factory=list)  # (qubit id, restored ok)
     norm_defect: float = 0.0
+    detached: list = field(default_factory=list)  # product factors split off by detach_plan, in order
 
     def to_json(self) -> dict:
         return {
@@ -299,7 +300,6 @@ def run(
     report = SimReport(fidelity=None)
     L = c.num_layers()
     detach_at: dict[int, list[list[int]]] = {}
-    detached: list[np.ndarray] = []
     if detach_plan:
         for after_layer, qs in detach_plan:
             detach_at.setdefault(after_layer, []).append(list(qs))
@@ -337,12 +337,10 @@ def run(
             if defect > 1e-8:
                 raise DeallocNotZero(tuple(qs), defect,
                                      f"detached register not a product factor (defect {defect:.3e})")
-            detached.append(factor)
+            report.detached.append(factor)
 
     report.peak_live_qubits = state.peak_live
     report.norm_defect = state.norm_defect()
-    if detach_plan is not None:
-        report.detached = detached  # type: ignore[attr-defined]
     if target is not None and target_order is not None:
         out = state.statevector(target_order)
         tvec = np.asarray(target, dtype=complex)

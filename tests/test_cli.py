@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import qsprep
 from qsprep import amplitudes as amp
 from qsprep import circuit_ir as cir
+from qsprep import multicopy as mc
 from qsprep import protocols as proto
 from qsprep import sim, subroutines
 from qsprep.circuit_ir import Circuit, Gate
@@ -224,6 +225,12 @@ class TestSimulate:
         circ = tmp_path / "c.json"
         run_cli(capsys, "synth", "--in", pixels, "--m", "1", "--out", str(circ))
         code, _, err = run_cli(capsys, "simulate", "--in", str(circ), "--target", rand_n4)
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_enumerate_basis_without_d_register_is_exit_2(self, capsys, tmp_path):
+        path = one_qubit_circuit(tmp_path / "noreg.json", [True], 0, 1)
+        code, _, err = run_cli(capsys, "simulate", "--in", path, "--enumerate-basis")
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
@@ -500,11 +507,34 @@ class TestMulticopyCmd:
         assert code == 0
         assert "D2" in json.loads((tmp_path / "b.json").read_text())["registers"]
 
+    def test_w_disagreeing_with_targets_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"targets": [[1, 2, 3, 4], [4, 3, 2, 1]]}))
+        code, _, err = run_cli(capsys, "multicopy", "--in", str(path), "--w", "3")
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    def test_indent_past_instance_depth_is_exit_2(self, capsys, tmp_path):
+        """A k past the instance's depth only adds layers that compaction drops; k = depth still runs."""
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"targets": [[1, 2, 3, 4, 5, 6, 7, 8]]}))
+        depth = mc._instance_circuit(amp.make_target([1, 2, 3, 4, 5, 6, 7, 8]), True).depth()
+        code, out, _ = run_cli(capsys, "multicopy", "--in", str(path), "--w", "2",
+                               "--indent", str(depth), "--out", str(tmp_path / "b.json"))
+        assert code == 0
+        assert json.loads(out)["indentation"] == depth
+        code, _, err = run_cli(capsys, "multicopy", "--in", str(path), "--w", "2",
+                               "--indent", str(depth + 1), "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        assert json.loads(err)["error"] == "NoValidSplit"
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestFragmentCmd:
     def test_loadf_requires_input(self, capsys):
         code, _, err = run_cli(capsys, "fragment", "loadf", "--m", "1")
         assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
 
     def test_spf_emits(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "fragment", "spf", "--m", "3",

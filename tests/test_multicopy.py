@@ -144,6 +144,43 @@ class TestStack:
         for meta in res.instances:
             assert meta["last_layer"] == max(last_gate[q] for q in meta["data"])
 
+    @pytest.mark.parametrize("n, w, complex_amps, fanout", [(3, 4, False, True), (4, 3, True, True),
+                                                          (4, 3, False, False), (3, 5, True, False)])
+    def test_priced_peak_is_the_merged_peak(self, n, w, complex_amps, fanout):
+        """For every k the priced peak equals the ancilla peak measured on the merged batch."""
+        rng = np.random.default_rng(n * 10 + w)
+        phases = np.exp(1j * rng.random((w, 1 << n)) * 6) if complex_amps else np.ones((w, 1 << n))
+        insts = []
+        for t in targets(rng, n, w):
+            c = mc._instance_circuit(amp.make_target(t.amplitudes * phases[len(insts)]), fanout)
+            insts.append((c.compact(), sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)))
+        parts = [(sp_end, c.live_profile(mc._ancillae(c))) for c, sp_end in insts]
+        for k in range(1, insts[0][0].num_layers() + 1):
+            merged, _ = mc._merge(insts, k)
+            assert mc._priced_peak(parts, k) == max(merged.live_profile(mc._ancillae(merged)))
+
+    @pytest.mark.parametrize("indentation, pool_cap, merges", [(None, None, 1), (1, None, 0), (1, 22, 0)])
+    def test_merges_once_and_only_on_success(self, monkeypatch, indentation, pool_cap, merges):
+        calls = []
+        merge = mc._merge
+        monkeypatch.setattr(mc, "_merge", lambda *args: calls.append(args) or merge(*args))
+        rng = np.random.default_rng(6)
+        plan = mc.BatchPlan(targets(rng, 3, 4), indentation=indentation, pool_cap=pool_cap)
+        if merges:
+            mc.stack(plan)
+        else:
+            with pytest.raises(PoolExceeded):
+                mc.stack(plan)
+        assert len(calls) == merges
+
+    @pytest.mark.parametrize("indentation", [None, 1])
+    def test_sp_overlap_past_the_pool_has_no_feasible_k(self, indentation):
+        # n=4: one instance peaks at 46 ancillae, its SP stage at 6; 8 parallel SP stages need 48
+        rng = np.random.default_rng(9)
+        with pytest.raises(PoolExceeded) as info:
+            mc.stack(mc.BatchPlan(targets(rng, 4, 8), indentation=indentation, pool_cap=46))
+        assert info.value.feasible_k is None
+
     def test_rejects_mixed_n(self):
         with pytest.raises(NoValidSplit):
             mc.BatchPlan([amp.make_target([1, 0]), amp.make_target([1, 0, 0, 0])])

@@ -6,28 +6,41 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qsprep"
 
 
-def test_no_assert_statements():
-    """Invariants raise typed errors: `assert` statements vanish under `python -O`."""
+def package_nodes():
+    """(module path relative to the package, AST node) for every node of every module."""
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
-    found = [
-        f"{path.relative_to(PACKAGE)}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.relative_to(PACKAGE), node
+
+
+def test_no_assert_statements():
+    """Invariants raise typed errors: `assert` statements vanish under `python -O`."""
+    found = [f"{path}:{node.lineno}" for path, node in package_nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_bare_base_error():
+    """Every raise names its case: `raise QsprepError(...)` would report only the base class."""
+    found = []
+    for path, node in package_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "QsprepError":
+                found.append(f"{path}:{node.lineno}")
     assert found == []
 
 
 def test_no_environment_knobs():
     """Every setting is a flag or an argument: no module reads the process environment."""
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"):
-                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
-            elif isinstance(node, ast.ImportFrom) and node.module == "os":
-                names = {alias.name for alias in node.names}
-                if names & {"environ", "environb", "getenv", "getenvb", "*"}:
-                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    for path, node in package_nodes():
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"):
+            found.append(f"{path}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names}
+            if names & {"environ", "environb", "getenv", "getenvb", "*"}:
+                found.append(f"{path}:{node.lineno}")
     assert found == []
