@@ -11,11 +11,12 @@ registers); they accrue from allocation to the end of the circuit.
 
 The check boundary: every gate is checked once, a layer at a time.
 
-* Input JSON is checked per layer by :func:`loads`: each gate against its
-  signature, then the layer's flat qubit-id list at once (ints, in range,
-  no id twice, every id live).  Only a layer that fails is re-read gate by
-  gate through :func:`gate` and :meth:`Circuit.place`, so a malformed
-  document raises the same typed error as a gate-by-gate reader would.
+* Input JSON is decoded and checked a layer at a time by :func:`loads`:
+  each gate against its signature, then the layer's flat qubit-id list at
+  once (ints, in range, no id twice, every id live).  Only a layer that
+  fails is re-read gate by gate through :func:`gate` and
+  :meth:`Circuit.place`, so a malformed document raises the same typed
+  error as a gate-by-gate reader would.
 * Emitters build ``Gate`` tuples directly, allocate each layer's fresh
   qubits in one :meth:`Circuit.alloc_many` call and place gates a layer at
   a time; :meth:`Circuit.place` checks only liveness and time order, one
@@ -31,9 +32,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain
-from operator import add, attrgetter, itemgetter, le
-from typing import Callable, Iterable, NamedTuple
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, attrgetter, is_not, itemgetter, le
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     BadEpsilon,
@@ -44,9 +45,9 @@ from .errors import (
     LayerCollision,
     LeakedQubit,
     MalformedCircuit,
+    MalformedInput,
     OperandNotLive,
     UseAfterDealloc,
-    parse_json,
 )
 
 CLEAN = "clean"
@@ -273,6 +274,10 @@ class Circuit:
 
     def kind(self, q: int) -> str:
         return self._kind[q]
+
+    def of_kind(self, kind: str) -> list[int]:
+        """The qubits of one kind, in id order: one pass over the kind table."""
+        return list(compress(range(len(self._kind)), map(kind.__eq__, self._kind)))
 
     def alloc_layer(self, q: int) -> int:
         return self._alloc[q]
@@ -736,8 +741,11 @@ def _layer_json(layer: list[Gate]) -> list[dict]:
     return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in layer]
 
 
-def _lifecycle_json(c: Circuit) -> dict:
+def to_json_dict(c: Circuit) -> dict:
+    """The circuit JSON as a tree of lists and dicts: the reference :func:`json_chunks` matches."""
+    c = c.compact()
     return {
+        "layers": [_layer_json(layer) for layer in c.layers],
         "alloc": [[q, a, k] for q, (a, k) in enumerate(zip(c._alloc, c._kind))],
         "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d is not None],
         "persistent": sorted(c._persistent),
@@ -745,12 +753,7 @@ def _lifecycle_json(c: Circuit) -> dict:
     }
 
 
-def to_json_dict(c: Circuit) -> dict:
-    c = c.compact()
-    return {"layers": [_layer_json(layer) for layer in c.layers], **_lifecycle_json(c)}
-
-
-#: The JSON form is a tree of fresh lists and dicts, so the encoder's
+#: What it encodes is fresh lists, dicts and strings, so the encoder's
 #: reference-cycle bookkeeping (one id() entry per container) is skipped.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
@@ -769,21 +772,51 @@ def _layer_text(layer: list[Gate]) -> str:
     return template % tuple(chain.from_iterable(map(add, map(_PARAMS, layer), map(_QUBITS, layer))))
 
 
-def dumps(c: Circuit) -> str:
-    """Canonical JSON text: byte-identical across parse/re-emit round trips.
+#: lifecycle-table rows written per piece of text
+_ROWS = 4096
 
-    The text is ``json.dumps(to_json_dict(c), sort_keys=True,
-    separators=(",", ":"))``.  Each layer's text is written directly from
-    its gates' per-op templates, with ``repr`` floats as the JSON encoder
-    writes them, so the gates never pass through dicts; that takes a circuit
-    whose gates pass :meth:`Circuit.validate` (known ops, finite ``float``
-    parameters).
+
+def _rows_text(template: str, rows: Iterator[tuple]) -> Iterator[str]:
+    """A JSON table's rows, ``_ROWS`` to a piece: each piece is one ``%`` over the row
+    template repeated, and every piece after the first is led by a comma."""
+    lead = ""
+    while block := list(islice(rows, _ROWS)):
+        yield lead + ",".join([template] * len(block)) % tuple(chain.from_iterable(block))
+        lead = ","
+
+
+def json_chunks(c: Circuit) -> Iterator[str]:
+    """Canonical JSON text in pieces: the lifecycle tables a block of rows at a time,
+    then each layer, then the persistent list and the registers.
+
+    ``"".join(json_chunks(c))`` is ``json.dumps(to_json_dict(c),
+    sort_keys=True, separators=(",", ":"))``, byte-identical across
+    parse/re-emit round trips.  Rows and layers are written directly from
+    text templates, with ``repr`` floats as the JSON encoder writes them, so
+    neither passes through lists or dicts; that takes a circuit whose gates
+    pass :meth:`Circuit.validate` (known ops, finite ``float`` parameters).
+    No more than one layer's text exists at a time.
     """
     c = c.compact()
-    # Keys sort as alloc, dealloc, layers, ...; the first '"layers":0' is the placeholder.
-    head, tail = _encode({"layers": 0, **_lifecycle_json(c)}).split('"layers":0', 1)
-    layers = ",".join([_layer_text(layer) for layer in c.layers])
-    return "".join((head, '"layers":[', layers, "]", tail))
+    kinds = {k: _encode(k) for k in set(c._kind)}
+    dealloc = c._dealloc
+    # keys in sorted order: alloc, dealloc, layers, persistent, registers
+    yield '{"alloc":['
+    yield from _rows_text("[%d,%d,%s]", zip(count(), c._alloc, map(kinds.__getitem__, c._kind)))
+    yield '],"dealloc":['
+    yield from _rows_text("[%d,%d]", compress(zip(count(), dealloc), map(is_not, dealloc, repeat(None))))
+    yield '],"layers":['
+    for t, layer in enumerate(c.layers):
+        if t:
+            yield ","
+        yield _layer_text(layer)
+    yield '],"persistent":%s,"registers":%s}' % (
+        _encode(sorted(c._persistent)), _encode({name: list(qs) for name, qs in c.registers.items()}))
+
+
+def dumps(c: Circuit) -> str:
+    """The canonical JSON text of :func:`json_chunks` as one string."""
+    return "".join(json_chunks(c))
 
 
 #: Canonical op names: a gate keeps the interned name, not the string parsed from
@@ -836,114 +869,17 @@ def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
     return True
 
 
-_KIND_NAMES = {CLEAN: CLEAN, DIRTY: DIRTY}
+def _read_layers(c: Circuit, layers: Iterable, end: list) -> None:
+    """Append each parsed layer to ``c`` as it arrives; the parsed JSON is dropped after its layer.
 
-
-def _read_alloc(entries: list, L: int) -> tuple[list[str], list[int]]:
-    """(kinds, alloc layers) from the alloc table ``[[id, layer, kind], ...]``.
-
-    A table listing ids 0..n-1 in order, as :func:`dumps` writes it, is
-    checked in one pass per column; any other table entry by entry, which
-    raises the first entry's typed error.
+    A layer is checked as a whole (:func:`_read_layer`); a layer that fails
+    is re-read gate by gate through ``gate`` and ``place``, which raise its
+    typed error.
     """
-    n = len(entries)
-    try:
-        if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {3}:
-            ids, layers, kinds = zip(*entries)
-            if (set(map(type, ids)) <= _INT and ids == tuple(range(n))
-                    and set(map(type, layers)) <= _INT and min(layers) >= 0 and max(layers) <= L):
-                return list(map(_KIND_NAMES.__getitem__, kinds)), list(layers)
-    except (TypeError, KeyError):  # an unhashable or unknown kind
-        pass
-    kinds: list = [None] * n
-    alloc = [0] * n
-    for e in entries:
-        if type(e) is not list or len(e) != 3:
-            raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
-        qid, t, kind = e
-        if type(qid) is not int or not 0 <= qid < n or kinds[qid] is not None:
-            raise OperandNotLive("alloc list must cover dense qubit ids")
-        if kind not in (CLEAN, DIRTY):
-            raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
-        if type(t) is not int or not 0 <= t <= L:
-            raise OperandNotLive(f"qubit {qid} allocated at {t!r}, outside layers 0..{L}")
-        kinds[qid] = _KIND_NAMES[kind]
-        alloc[qid] = t
-    return kinds, alloc
-
-
-def _read_dealloc(entries: list, alloc: list[int], L: int) -> list[int | None]:
-    """Dealloc layers (None for never) from the dealloc table ``[[id, layer], ...]``.
-
-    The whole table is checked in one pass per rule; a table that fails is
-    read entry by entry, which raises the first entry's typed error.
-    """
-    n = len(alloc)
-    dealloc: list = [None] * n
-    if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {2}:
-        ids, layers = zip(*entries)
-        if (set(map(type, ids)) <= _INT and set(map(type, layers)) <= _INT
-                and min(ids) >= 0 and max(ids) < n and len(set(ids)) == len(ids)
-                and max(layers) <= L and all(map(le, map(alloc.__getitem__, ids), layers))):
-            for qid, t in zip(ids, layers):
-                dealloc[qid] = t
-            return dealloc
-    for e in entries:
-        if type(e) is not list or len(e) != 2:
-            raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
-        qid, t = e
-        if type(qid) is not int or not 0 <= qid < n:
-            raise OperandNotLive(f"qubit id {qid!r} is not allocated")
-        if type(t) is not int:
-            raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
-        if dealloc[qid] is not None:
-            raise DoubleDealloc(f"qubit {qid} deallocated twice")
-        if t < alloc[qid]:
-            raise UseAfterDealloc(f"qubit {qid} has activity at or past layer {t}")
-        if t > L:
-            raise OperandNotLive(f"qubit {qid} lifetime [{alloc[qid]}, {t}] leaves layers 0..{L}")
-        dealloc[qid] = t
-    return dealloc
-
-
-def loads(text: str | bytes) -> Circuit:
-    """Parse and check circuit JSON in one pass over its layers.
-
-    Qubit ids are the ints 0..n-1 of the alloc table, kinds are "clean" or
-    "dirty", and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
-    The lifecycle tables are read first.  Then each layer is checked as a
-    whole (:func:`_read_layer`); a layer that fails is re-read gate by
-    gate through ``gate`` and ``place``, which raise its typed error.  Each
-    layer's parsed JSON is released right after it is read.
-    """
-    doc = parse_json(text)
-    if type(doc) is not dict:
-        raise MalformedCircuit("circuit JSON must be an object")
-    layers = _json_list(doc.get("layers"), '"layers"')
-    registers = doc.get("registers", {})
-    if type(registers) is not dict:
-        raise MalformedCircuit('"registers" must be a JSON object')
-    L = len(layers)
-    c = Circuit()
-    c._grow(L - 1)
-
-    c._kind, alloc = _read_alloc(_json_list(doc.get("alloc"), '"alloc"'), L)
-    n = len(alloc)
-    c._alloc = alloc
-    dealloc = c._dealloc = _read_dealloc(_json_list(doc.get("dealloc"), '"dealloc"'), alloc, L)
-    c._last_use = [t - 1 for t in alloc]
-
-    def qubits(ids: list) -> list[int]:
-        """A list of ids, checked at once; a bad id is ``OperandNotLive``."""
-        if not (set(map(type, ids)) <= _INT and (not ids or (min(ids) >= 0 and max(ids) < n))):
-            bad = next(i for i in ids if type(i) is not int or not 0 <= i < n)
-            raise OperandNotLive(f"qubit id {bad!r} is not allocated")
-        return ids
-
-    end = [math.inf if d is None else d for d in dealloc]
-    for t in range(L):
-        layer = _json_list(layers[t], f"layer {t}")
-        layers[t] = None
+    n = len(end)
+    for t, layer in enumerate(layers):
+        layer = _json_list(layer, f"layer {t}")
+        c.layers.append([])
         if _read_layer(c, layer, t, end):
             continue
         for entry in layer:
@@ -959,7 +895,239 @@ def loads(text: str | bytes) -> Circuit:
                 raise OperandNotLive(f"layer {t}: qubit ids {ids!r} are not all allocated")
             c.place([gate(op, ids, *params)], t)
 
-    c.mark_persistent(qubits(_json_list(doc.get("persistent", []), '"persistent"')))
+
+def _drained(items: list) -> Iterator:
+    """The items of a list, each released from the list as it is handed out."""
+    for t, item in enumerate(items):
+        items[t] = None
+        yield item
+
+
+_KIND_NAMES = {CLEAN: CLEAN, DIRTY: DIRTY}
+
+
+def _read_alloc(entries: list) -> tuple[list[str], list[int]]:
+    """(kinds, alloc layers) from the alloc table ``[[id, layer, kind], ...]``.
+
+    A table listing ids 0..n-1 in order, as :func:`dumps` writes it, is
+    checked in one pass per column; any other table entry by entry, which
+    raises the first entry's typed error.  The layers' upper bound is
+    checked by :func:`_check_bounds` once the layer count is known.
+    """
+    n = len(entries)
+    try:
+        if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {3}:
+            ids, layers, kinds = zip(*entries)
+            if (set(map(type, ids)) <= _INT and ids == tuple(range(n))
+                    and set(map(type, layers)) <= _INT and min(layers) >= 0):
+                return list(map(_KIND_NAMES.__getitem__, kinds)), list(layers)
+    except (TypeError, KeyError):  # an unhashable or unknown kind
+        pass
+    kinds: list = [None] * n
+    alloc = [0] * n
+    for e in entries:
+        if type(e) is not list or len(e) != 3:
+            raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
+        qid, t, kind = e
+        if type(qid) is not int or not 0 <= qid < n or kinds[qid] is not None:
+            raise OperandNotLive("alloc list must cover dense qubit ids")
+        if kind not in (CLEAN, DIRTY):
+            raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
+        if type(t) is not int or t < 0:
+            raise OperandNotLive(f"qubit {qid} allocated at {t!r}, not a layer index")
+        kinds[qid] = _KIND_NAMES[kind]
+        alloc[qid] = t
+    return kinds, alloc
+
+
+def _read_dealloc(entries: list, alloc: list[int]) -> list[int | None]:
+    """Dealloc layers (None for never) from the dealloc table ``[[id, layer], ...]``.
+
+    The whole table is checked in one pass per rule; a table that fails is
+    read entry by entry, which raises the first entry's typed error.  The
+    layers' upper bound is checked by :func:`_check_bounds`.
+    """
+    n = len(alloc)
+    dealloc: list = [None] * n
+    if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {2}:
+        ids, layers = zip(*entries)
+        if (set(map(type, ids)) <= _INT and set(map(type, layers)) <= _INT
+                and min(ids) >= 0 and max(ids) < n and len(set(ids)) == len(ids)
+                and all(map(le, map(alloc.__getitem__, ids), layers))):
+            for qid, t in zip(ids, layers):
+                dealloc[qid] = t
+            return dealloc
+    for e in entries:
+        if type(e) is not list or len(e) != 2:
+            raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
+        qid, t = e
+        if type(qid) is not int or not 0 <= qid < n:
+            raise OperandNotLive(f"qubit id {qid!r} is not allocated")
+        if type(t) is not int:
+            raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
+        if dealloc[qid] is not None:
+            raise DoubleDealloc(f"qubit {qid} deallocated twice")
+        if t < alloc[qid]:
+            raise UseAfterDealloc(f"qubit {qid} has activity at or past layer {t}")
+        dealloc[qid] = t
+    return dealloc
+
+
+def _read_tables(c: Circuit, fields: dict) -> list:
+    """Fill ``c``'s lifecycle tables from the parsed ``alloc`` and ``dealloc`` fields and drop them.
+
+    Returns each qubit's dealloc layer, or inf for never: the ``end`` of :func:`_read_layer`.
+    """
+    c._kind, alloc = _read_alloc(_json_list(fields.get("alloc"), '"alloc"'))
+    fields["alloc"] = None
+    dealloc = _read_dealloc(_json_list(fields.get("dealloc"), '"dealloc"'), alloc)
+    fields["dealloc"] = None
+    c._alloc, c._dealloc = alloc, dealloc
+    c._last_use = [t - 1 for t in alloc]
+    return [math.inf if d is None else d for d in dealloc]
+
+
+def _check_bounds(c: Circuit) -> None:
+    """Every lifetime lies within the layers: alloc and dealloc are at most ``num_layers()``."""
+    L = c.num_layers()
+    if max(c._alloc, default=0) > L:
+        q = next(q for q, a in enumerate(c._alloc) if a > L)
+        raise OperandNotLive(f"qubit {q} allocated at {c._alloc[q]}, outside layers 0..{L}")
+    if max(filter(None, c._dealloc), default=0) > L:
+        q = next(q for q, d in enumerate(c._dealloc) if d is not None and d > L)
+        raise OperandNotLive(f"qubit {q} lifetime [{c._alloc[q]}, {c._dealloc[q]}] leaves layers 0..{L}")
+
+
+_skip_ws = json.decoder.WHITESPACE.match
+_decode_value = json.JSONDecoder().raw_decode
+
+
+def json_text(data: str | bytes) -> str:
+    """The text ``json.loads(data)`` parses: bytes decode through ``json.detect_encoding``
+    (a BOM selects the encoding and is dropped); a str that starts with a BOM is a
+    ``JSONDecodeError``."""
+    if isinstance(data, str):
+        if data.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
+        return data
+    return data.decode(json.detect_encoding(data), "surrogatepass")
+
+
+class _Cursor:
+    """A position in JSON text; values are decoded by the C scanner one at a time.
+
+    Whitespace after every token is skipped, so the cursor always rests on
+    the next token.  Syntax errors are ``JSONDecodeError``s as ``json.loads``
+    raises them, and nesting deeper than the parser's recursion limit is
+    ``MalformedInput``.
+    """
+
+    def __init__(self, text: str):
+        self.s = text
+        self.i = _skip_ws(text, 0).end()
+
+    def peek(self) -> str:
+        return self.s[self.i:self.i + 1]
+
+    def value(self):
+        """Decode the value at the cursor and step past it."""
+        try:
+            obj, end = _decode_value(self.s, self.i)
+        except RecursionError:
+            raise MalformedInput("input JSON is nested too deeply") from None
+        self.i = _skip_ws(self.s, end).end()
+        return obj
+
+    def _step(self, token: str, expected: str) -> None:
+        if self.peek() != token:
+            raise json.JSONDecodeError(f"Expecting {expected}", self.s, self.i)
+        self.i = _skip_ws(self.s, self.i + 1).end()
+
+    def _members(self, opening: str, closing: str) -> Iterator[None]:
+        """Step into the container at the cursor, yield once per member (which the
+        caller reads), step over the commas between members and past the close."""
+        self._step(opening, repr(opening))
+        if self.peek() != closing:
+            yield
+            while self.peek() != closing:
+                self._step(",", "',' delimiter")
+                yield
+        self._step(closing, repr(closing))
+
+    def keys(self) -> Iterator[str]:
+        """Yield each key of the object at the cursor; the caller steps past its value."""
+        for _ in self._members("{", "}"):
+            if self.peek() != '"':
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", self.s, self.i)
+            key, end = json.decoder.scanstring(self.s, self.i + 1)
+            self.i = _skip_ws(self.s, end).end()
+            self._step(":", "':' delimiter")
+            yield key
+
+    def items(self) -> Iterator:
+        """Yield each element of the array at the cursor, decoded one at a time."""
+        for _ in self._members("[", "]"):
+            yield self.value()
+
+    def end(self) -> None:
+        if self.i != len(self.s):
+            raise json.JSONDecodeError("Extra data", self.s, self.i)
+
+
+def loads(text: str | bytes) -> Circuit:
+    """Parse and check circuit JSON, one layer at a time.
+
+    Accepts what ``json.loads`` accepts (whitespace anywhere, bytes in any
+    encoding ``json.detect_encoding`` names) and rejects what it rejects,
+    except that a repeated top-level key is ``MalformedCircuit``.  Qubit ids
+    are the ints 0..n-1 of the alloc table, kinds are "clean" or "dirty",
+    and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
+
+    The top-level object is walked key by key.  Once the ``alloc`` and
+    ``dealloc`` tables are read, as they are in canonical documents (whose
+    keys come sorted), each element of ``layers`` is decoded, checked
+    (:func:`_read_layers`) and dropped before the next is decoded.  Layers
+    that come before the tables are decoded whole and read once the tables
+    are.  The tables' upper bound is checked when the layer count is known.
+    """
+    doc = _Cursor(json_text(text))
+    if doc.peek() != "{":
+        # decoded only so that text json.loads rejects fails as it did there
+        doc.value()
+        doc.end()
+        raise MalformedCircuit("circuit JSON must be an object")
+    c = Circuit()
+    fields: dict = {}
+    end = None
+    for key in doc.keys():
+        if key in fields:
+            raise MalformedCircuit(f"circuit JSON repeats the key {key!r}")
+        if key == "layers" and "alloc" in fields and "dealloc" in fields and doc.peek() == "[":
+            end = _read_tables(c, fields)
+            _read_layers(c, doc.items(), end)
+            fields[key] = None
+        else:
+            fields[key] = doc.value()
+    doc.end()
+    if end is None:
+        layers = _json_list(fields.get("layers"), '"layers"')
+        end = _read_tables(c, fields)
+        _read_layers(c, _drained(layers), end)
+    _check_bounds(c)
+
+    n = len(end)
+
+    def qubits(ids: list) -> list[int]:
+        """A list of ids, checked at once; a bad id is ``OperandNotLive``."""
+        if not (set(map(type, ids)) <= _INT and (not ids or (min(ids) >= 0 and max(ids) < n))):
+            bad = next(i for i in ids if type(i) is not int or not 0 <= i < n)
+            raise OperandNotLive(f"qubit id {bad!r} is not allocated")
+        return ids
+
+    registers = fields.get("registers", {})
+    if type(registers) is not dict:
+        raise MalformedCircuit('"registers" must be a JSON object')
+    c.mark_persistent(qubits(_json_list(fields.get("persistent", []), '"persistent"')))
     for name, ids in registers.items():
         members = qubits(_json_list(ids, f"register {name}"))
         if len(set(ids)) != len(ids):

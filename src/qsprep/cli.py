@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import traceback
+from typing import Iterable
 
 from . import __version__
 from . import circuit_ir as cir
@@ -27,27 +28,43 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write text, piece by piece, to ``path``; to stdout, ending in a newline, for None or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def envelope(args_echo: list[str], raw_input: bytes, payload: dict) -> dict:
+def _digest(raw_input: bytes) -> str:
+    return hashlib.sha256(raw_input).hexdigest()
+
+
+def envelope(args_echo: list[str], input_digest: str, payload: dict) -> dict:
     return {
         "tool": f"qsprep {__version__}",
         "command": args_echo,
-        "input_digest": hashlib.sha256(raw_input).hexdigest(),
+        "input_digest": input_digest,
         **payload,
     }
+
+
+def _load_circuit(path: str) -> tuple[cir.Circuit, str]:
+    """The circuit JSON at ``path`` and the digest of its bytes, which are dropped before it is parsed."""
+    raw = _read(path)
+    digest = _digest(raw)
+    text = cir.json_text(raw)
+    del raw
+    return cir.loads(text), digest
 
 
 @contextlib.contextmanager
@@ -93,8 +110,8 @@ def cmd_synth(args, argv) -> int:
     with _emitting():
         circuit = _checked(proto.spcsp(target, cfg))
         report = cir.spacetime_allocation(circuit, model)
-    _write(args.out, cir.dumps(circuit))
-    doc = envelope(argv, raw, {"report": report.to_json()})
+    _write(args.out, cir.json_chunks(circuit))
+    doc = envelope(argv, _digest(raw), {"report": report.to_json()})
     if args.angles_out:
         m = cfg.resolved_m()
         if m is not None:
@@ -106,8 +123,8 @@ def cmd_synth(args, argv) -> int:
         else:
             doc_angles = amp.angles_to_json(
                 amp.sp_angles(amp.build_angle_tree(abs(target.amplitudes))))
-        _write(args.angles_out, _dump(doc_angles))
-    _write(args.report, _dump(doc))
+        _write(args.angles_out, [_dump(doc_angles)])
+    _write(args.report, [_dump(doc)])
     return 0
 
 
@@ -115,8 +132,7 @@ def cmd_simulate(args, argv) -> int:
     from . import amplitudes as amp
     from . import sim
 
-    raw = _read(args.infile)
-    circuit = cir.loads(raw)
+    circuit, digest = _load_circuit(args.infile)
     max_live = args.max_qubits
     if args.enumerate_basis:
         data = circuit.registers.get("D") or circuit.registers.get("D0")
@@ -133,8 +149,8 @@ def cmd_simulate(args, argv) -> int:
                 if qs and all(q in state._pos for q in qs)
             }
             cases.append({"input": j, "registers": regs, "probability": prob})
-        doc = envelope(argv, raw, {"cases": cases})
-        _write(args.report, _dump(doc))
+        doc = envelope(argv, digest, {"cases": cases})
+        _write(args.report, [_dump(doc)])
         return 0
     target = None
     order = None
@@ -146,23 +162,23 @@ def cmd_simulate(args, argv) -> int:
             raise MalformedInput(f"target has {len(target)} amplitudes, "
                                  f"the circuit's D register {len(order)} qubits")
     report, _ = sim.run(circuit, target=target, target_order=order, max_live=max_live)
-    doc = envelope(argv, raw, {"report": report.to_json()})
-    _write(args.report, _dump(doc))
+    doc = envelope(argv, digest, {"report": report.to_json()})
+    _write(args.report, [_dump(doc)])
     return 0
 
 
 def cmd_profile(args, argv) -> int:
     model = _model_for(args)
-    raw = _read(args.infile)
-    circuit = cir.loads(raw).compact()
+    circuit, digest = _load_circuit(args.infile)
+    circuit = circuit.compact()
     live = circuit.live_profile()
-    dirty = circuit.live_profile(q for q in circuit.qubits() if circuit.kind(q) == cir.DIRTY)
+    dirty = circuit.live_profile(circuit.of_kind(cir.DIRTY))
     report = cir.spacetime_allocation(circuit, model, profile=live)
     lines = ["layer,live,clean,dirty"]
     lines += [f"{t},{n},{n - d},{d}" for t, (n, d) in enumerate(zip(live, dirty))]
-    _write(args.out, "\n".join(lines) + "\n")
-    doc = envelope(argv, raw, {"report": report.to_json()})
-    _write(args.report, _dump(doc))
+    _write(args.out, ["\n".join(lines) + "\n"])
+    doc = envelope(argv, digest, {"report": report.to_json()})
+    _write(args.report, [_dump(doc)])
     return 0
 
 
@@ -186,14 +202,14 @@ def cmd_multicopy(args, argv) -> int:
     with _emitting():
         result = mc.stack(plan)
         _checked(result.circuit)
-    _write(args.out, cir.dumps(result.circuit))
-    doc = envelope(argv, raw, {
+    _write(args.out, cir.json_chunks(result.circuit))
+    doc = envelope(argv, _digest(raw), {
         "report": result.report.to_json(),
         "peak_ancillae": result.peak_ancillae,
         "indentation": result.indentation,
         "physical_qubits": result.physical_qubits,
     })
-    _write(args.report, _dump(doc))
+    _write(args.report, [_dump(doc)])
     return 0
 
 
@@ -218,9 +234,9 @@ def cmd_fragment(args, argv) -> int:
         circuit = _checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
                                                   t=args.t, basis=args.basis, **kwargs))
         report = cir.spacetime_allocation(circuit, model)
-    _write(args.out, cir.dumps(circuit))
-    doc = envelope(argv, raw, {"report": report.to_json()})
-    _write(args.report, _dump(doc))
+    _write(args.out, cir.json_chunks(circuit))
+    doc = envelope(argv, _digest(raw), {"report": report.to_json()})
+    _write(args.report, [_dump(doc)])
     return 0
 
 

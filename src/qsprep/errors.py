@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one JSON-parse entry point."""
+"""Exception types shared across the package, and the parse entry point for non-circuit JSON input."""
 
 import json
 
@@ -42,7 +42,7 @@ class BadEpsilon(QsprepError):
 
 
 def parse_json(text: str | bytes):
-    """``json.loads`` for input documents.
+    """``json.loads`` for amplitude and batch documents (circuits stream through ``circuit_ir.loads``).
 
     Text nested deeper than the parser's recursion limit is bad input, so its
     ``RecursionError`` becomes ``MalformedInput``.  Undecodable text still

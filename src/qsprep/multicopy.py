@@ -118,17 +118,21 @@ def _priced_peak(parts: list[tuple[int, list[int]]], k: int) -> int:
 def stack(plan: BatchPlan) -> BatchResult:
     """Schedule all SP stages in parallel and the CSP stages k layers apart.
 
-    Each candidate k is priced, and only the chosen one merged.  An explicit
-    k must fit the pool and lie in [1, depth] of the first instance: a larger
-    one only adds layers that compaction drops.  Else k is the first from the
-    profile-scan estimate up to depth that fits.
+    Each distinct target object is built and profiled once, however often
+    the batch repeats it.  Each candidate k is priced, and only the chosen
+    one merged.  An explicit k must fit the pool and lie in [1, depth] of the
+    first instance: a larger one only adds layers that compaction drops.
+    Else k is the first from the profile-scan estimate up to depth that fits.
     """
-    insts = []
+    built = {}  # id(target) -> (compacted instance, its sp_end, its ancilla profile)
     for t in plan.targets:
-        c = _instance_circuit(t, plan.fanout)
-        sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
-        insts.append((c.compact(), sp_end))
-    parts = [(sp_end, c.live_profile(_ancillae(c))) for c, sp_end in insts]
+        if id(t) not in built:
+            c = _instance_circuit(t, plan.fanout)
+            sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
+            c = c.compact()
+            built[id(t)] = (c, sp_end, c.live_profile(_ancillae(c)))
+    insts = [built[id(t)][:2] for t in plan.targets]
+    parts = [built[id(t)][1:] for t in plan.targets]
     depth = insts[0][0].num_layers()
     cap = plan.pool_cap
     if plan.indentation is None:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,17 +11,21 @@ from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
 from qsprep.amplitudes import make_target
 from qsprep.circuit_ir import Circuit, Gate, gate
+from qsprep.cli import main
 from qsprep.errors import (
+    CircuitError,
     DoubleDealloc,
     DuplicateOperand,
     LayerCollision,
     LeakedQubit,
     MalformedCircuit,
+    MalformedInput,
     OperandNotLive,
     UseAfterDealloc,
 )
 from qsprep.sim import block_unitary, gate_unitary, run
 from qsprep.subroutines import copy
+from test_golden import GOLDEN, golden_target
 
 
 def two_qubit_circuit():
@@ -553,3 +558,151 @@ class TestLoadsLayerChecks:
             c.place([gate("x", (b,))], 2)
         c.place([gate("x", (b,))], 3)
         assert c.append(gate("cnot", (a, b))) == 4
+
+
+class TestOfKind:
+    def test_matches_the_kind_of_each_qubit(self):
+        c = proto.spcsp(make_target(np.arange(1.0, 65.0)), proto.ProtocolConfig(n=6, dirty_b1=True))
+        dirty = c.of_kind(cir.DIRTY)
+        assert dirty and dirty == [q for q in c.qubits() if c.kind(q) == cir.DIRTY]
+        assert sorted(dirty + c.of_kind(cir.CLEAN)) == list(c.qubits())
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+class TestStreamingReader:
+    """``loads`` reads the top-level object key by key and ``layers`` element by
+    element, and accepts and rejects what ``json.loads`` does."""
+
+    @pytest.mark.parametrize("order", [
+        ("alloc", "dealloc", "layers", "persistent", "registers"),
+        ("layers", "alloc", "dealloc", "persistent", "registers"),
+        ("alloc", "layers", "dealloc", "registers", "persistent"),
+        ("registers", "persistent", "dealloc", "layers", "alloc"),
+    ], ids=lambda order: "-".join(order))
+    def test_any_key_order(self, order):
+        doc = in_layer_doc()
+        text = json.dumps({key: doc[key] for key in order})
+        assert cir.dumps(cir.loads(text)) == canonical(doc)
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, "\t"])
+    def test_whitespace_anywhere(self, indent):
+        doc = in_layer_doc()
+        text = " \n\t" + json.dumps(doc, indent=indent, separators=(" , ", " : ")) + "\r\n "
+        assert cir.dumps(cir.loads(text)) == canonical(doc)
+
+    def test_register_named_layers(self):
+        doc = in_layer_doc()
+        doc["registers"]["layers"] = [1]
+        c = cir.loads(canonical(doc))
+        assert c.registers == {"D": [0, 1], "layers": [1]}
+        assert c.num_layers() == 3
+        assert cir.dumps(c) == canonical(doc)
+
+    @pytest.mark.parametrize("key", ["alloc", "dealloc", "layers", "persistent", "registers", "extra"])
+    def test_repeated_key_is_malformed(self, key):
+        doc = {**in_layer_doc(), "extra": 1}
+        text = canonical(doc)[:-1] + ',"%s":%s}' % (key, json.dumps(doc[key]))
+        json.loads(text)  # which json.loads accepted, keeping the last value
+        with pytest.raises(MalformedCircuit, match="repeats the key"):
+            cir.loads(text)
+
+    @pytest.mark.parametrize("trailing", ["x", "{}", "]", " 0", ",", "\x00"])
+    def test_trailing_data_is_a_decode_error(self, trailing):
+        text = canonical(in_layer_doc()) + trailing
+        with pytest.raises(json.JSONDecodeError) as ours:
+            cir.loads(text)
+        with pytest.raises(json.JSONDecodeError) as theirs:
+            json.loads(text)
+        assert (ours.value.msg, ours.value.pos) == (theirs.value.msg, theirs.value.pos)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(at=st.floats(0, 1), edit=st.sampled_from(["delete", "insert", "replace"]),
+           char=st.sampled_from(list('{}[],:" \n0123456789.-eEtrufalsnNx')))
+    def test_one_edit_fails_to_decode_as_json_loads_does(self, at, edit, char):
+        text = json.dumps(in_layer_doc(), indent=1)
+        i = int(at * (len(text) - 1))
+        text = text[:i] + {"delete": "", "insert": char + text[i], "replace": char}[edit] + text[i + 1:]
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as e:
+            with pytest.raises(json.JSONDecodeError) as ours:
+                cir.loads(text)
+            assert (ours.value.msg, ours.value.pos) == (e.msg, e.pos)
+        else:
+            try:
+                cir.loads(text)
+            except json.JSONDecodeError:
+                pytest.fail("loads rejects text json.loads decodes")
+            except CircuitError:
+                pass
+
+    def test_every_proper_prefix_is_a_decode_error(self):
+        text = json.dumps(in_layer_doc(), indent=1)
+        for cut in range(len(text.rstrip())):
+            with pytest.raises(json.JSONDecodeError):
+                cir.loads(text[:cut])
+
+    @pytest.mark.parametrize("encode", [
+        lambda s: b"\xef\xbb\xbf" + s.encode(),
+        lambda s: s.encode("utf-16"),
+        lambda s: s.encode("utf-16-le"),
+        lambda s: s.encode("utf-32"),
+        lambda s: s.encode(),
+        lambda s: "\ufeff" + s,
+    ], ids=["utf8_bom", "utf16", "utf16le", "utf32", "utf8", "str_with_bom"])
+    def test_encodings_as_json_loads(self, encode):
+        doc = in_layer_doc()
+        data = encode(json.dumps(doc))
+        try:
+            json.loads(data)
+        except json.JSONDecodeError:
+            with pytest.raises(json.JSONDecodeError):
+                cir.loads(data)
+        else:
+            assert cir.dumps(cir.loads(data)) == canonical(doc)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_parameter_is_malformed(self, literal):
+        text = canonical(in_layer_doc()).replace("0.5", literal)
+        assert literal in text
+        with pytest.raises(MalformedCircuit):
+            cir.loads(text)
+
+    @pytest.mark.parametrize("layers_first", [False, True], ids=["streamed", "layers_first"])
+    def test_deep_nesting_inside_a_layer(self, layers_first):
+        deep = "[" * 100_000 + "]" * 100_000
+        tables = '"alloc":[],"dealloc":[]'
+        text = '{"layers":[[],%s],%s}' % (deep, tables) if layers_first else \
+            '{%s,"layers":[[],%s]}' % (tables, deep)
+        with pytest.raises(MalformedInput):
+            cir.loads(text)
+
+    def test_peak_memory_is_under_half_of_json_loads(self):
+        """The parsed document never exists whole: ``loads``'s traced peak (the circuit
+        it builds plus one parsed layer) stays under half of ``json.loads``'s."""
+        rng = np.random.default_rng(10)
+        text = cir.dumps(proto.spcsp(make_target(rng.random(1 << 10) + 0.05), proto.ProtocolConfig(n=10)))
+
+        def traced_peak(parse) -> int:
+            tracemalloc.start()
+            try:
+                parse(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(cir.loads) <= 0.5 * traced_peak(json.loads)
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN), ids=lambda flags: "_".join(flags) or "default")
+def test_golden_circuits_read_back_byte_identical(tmp_path, monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "target.json").write_text(json.dumps(golden_target()))
+    assert main(["synth", "--in", "target.json", *flags, "--out", "circuit.json", "--report", "r.json"]) == 0
+    text = (tmp_path / "circuit.json").read_text()
+    assert cir.dumps(cir.loads(text)) == text
+    assert cir.dumps(cir.loads(json.dumps(json.loads(text), indent=1))) == text
+    assert "".join(cir.json_chunks(cir.loads(text))) == text

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -618,3 +619,44 @@ class TestDeterminism:
         run_cli(capsys, "synth", "--in", pixels, "--m", "1", "--out", str(circ))
         text = circ.read_text()
         assert dumps(loads(text)) == text
+
+
+class TestCircuitStreams:
+    def test_out_dash_prints_the_file_bytes(self, capsys, tmp_path, rand_n4):
+        circ, report = tmp_path / "c.json", tmp_path / "r.json"
+        assert run_cli(capsys, "synth", "--in", rand_n4, "--out", str(circ), "--report", str(report))[0] == 0
+        code, out, err = run_cli(capsys, "synth", "--in", rand_n4, "--out", "-", "--report", str(report))
+        assert (code, err) == (0, "")
+        assert out == circ.read_text() + "\n"
+
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    @pytest.mark.parametrize("trailing", ["x", "{}", ",[]"])
+    def test_trailing_garbage_is_exit_2(self, capsys, tmp_path, cmd, trailing):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(two_qubit_doc()) + trailing)
+        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(err)["error"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    def test_repeated_top_level_key_is_exit_2(self, capsys, tmp_path, cmd):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(two_qubit_doc())[:-1] + ', "persistent": [0, 1]}')
+        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedCircuit"
+
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_encoded_input_reads_as_utf8(self, capsys, tmp_path, cmd, encoding):
+        text = json.dumps(two_qubit_doc())
+        reports = []
+        for name, enc in (("plain.json", "utf-8"), ("encoded.json", encoding)):
+            path = tmp_path / name
+            path.write_bytes(text.encode(enc))
+            code, out, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc.pop("input_digest") == hashlib.sha256(path.read_bytes()).hexdigest()
+            reports.append(doc["report"])
+        assert reports[0] == reports[1]

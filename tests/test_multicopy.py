@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsprep import amplitudes as amp
+from qsprep import circuit_ir as cir
 from qsprep import multicopy as mc
 from qsprep import protocols as proto
 from qsprep.errors import NoValidSplit, PoolExceeded
@@ -172,6 +173,24 @@ class TestStack:
             with pytest.raises(PoolExceeded):
                 mc.stack(plan)
         assert len(calls) == merges
+
+    @pytest.mark.parametrize("indentation, builds", [(None, 2), (3, 1)])
+    def test_a_repeated_target_is_built_once(self, monkeypatch, indentation, builds):
+        """``--w`` repeats one target object: it is built once (plus the uniform
+        instance ``min_indentation`` builds), and the batch is the same as for
+        equal but distinct targets."""
+        calls = []
+        build = mc._instance_circuit
+        monkeypatch.setattr(mc, "_instance_circuit", lambda *args: calls.append(args) or build(*args))
+        amplitudes = np.random.default_rng(12).random(1 << 4) + 0.02
+        repeated = mc.stack(mc.BatchPlan([amp.make_target(amplitudes)] * 5, indentation=indentation))
+        assert len(calls) == builds
+        distinct = mc.stack(mc.BatchPlan([amp.make_target(amplitudes) for _ in range(5)],
+                                         indentation=indentation))
+        assert len(calls) == 2 * builds + 4
+        assert cir.dumps(repeated.circuit) == cir.dumps(distinct.circuit)
+        assert (repeated.report, repeated.peak_ancillae, repeated.indentation, repeated.instances) == \
+            (distinct.report, distinct.peak_ancillae, distinct.indentation, distinct.instances)
 
     @pytest.mark.parametrize("indentation", [None, 1])
     def test_sp_overlap_past_the_pool_has_no_feasible_k(self, indentation):

@@ -44,3 +44,20 @@ def test_no_environment_knobs():
             if names & {"environ", "environb", "getenv", "getenvb", "*"}:
                 found.append(f"{path}:{node.lineno}")
     assert found == []
+
+
+def test_circuit_reader_never_parses_the_whole_document():
+    """`circuit_ir.loads` decodes one value at a time: the module calls neither
+    `json.loads` nor `parse_json`, so no circuit is ever parsed whole."""
+    found = []
+    for path, node in package_nodes():
+        if path.name != "circuit_ir.py":
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in ("loads", "parse_json"):
+            if getattr(node.value, "id", None) in ("json", "errors"):
+                found.append(f"{path}:{node.lineno}")
+        elif isinstance(node, ast.Name) and node.id == "parse_json":
+            found.append(f"{path}:{node.lineno}")
+        elif isinstance(node, ast.alias) and node.name in ("loads", "parse_json"):
+            found.append(f"{path}:{node.lineno}")
+    assert found == []
