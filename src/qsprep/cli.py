@@ -98,7 +98,7 @@ def cmd_synth(args, argv) -> int:
 
     model = _model_for(args)
     raw = _read(args.infile)
-    target = amp.target_from_json(raw.decode())
+    target = amp.target_from_json(raw)
     cfg = proto.ProtocolConfig(
         n=target.n,
         m=args.m,
@@ -155,7 +155,7 @@ def cmd_simulate(args, argv) -> int:
     target = None
     order = None
     if args.target:
-        target_state = amp.target_from_json(_read(args.target).decode())
+        target_state = amp.target_from_json(_read(args.target))
         target = target_state.amplitudes
         order = circuit.registers.get("D")
         if order is not None and len(target) != 1 << len(order):
@@ -187,7 +187,7 @@ def cmd_multicopy(args, argv) -> int:
     from . import multicopy as mc
 
     raw = _read(args.infile)
-    doc_in = parse_json(raw.decode())
+    doc_in = parse_json(raw)
     vectors = doc_in.get("targets") if type(doc_in) is dict else doc_in
     if type(vectors) is not list:
         raise MalformedInput('multicopy input must be a list of amplitude vectors or {"targets": [...]}')
@@ -225,7 +225,7 @@ def cmd_fragment(args, argv) -> int:
         if not args.infile:
             raise MalformedInput("loadf fragment needs --in with amplitudes")
         raw = _read(args.infile)
-        target = amp.target_from_json(raw.decode())
+        target = amp.target_from_json(raw)
         std = amp.csp_angles(target, args.m, with_phases=args.complex_amps)
         angles = proto.injection_csp_angles(std)
         kwargs["fanout"] = not args.no_fanout

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .amplitudes import TargetState, make_target
+from .amplitudes import TargetState
 from .circuit_ir import Circuit, ResourceReport, spacetime_allocation
 from .errors import NoValidSplit, PoolExceeded
 from .protocols import ProtocolConfig, spcsp
@@ -30,7 +30,7 @@ def batch_split(n: int) -> int:
 @dataclass
 class BatchPlan:
     targets: list[TargetState]
-    indentation: int | None = None      # None: min_indentation for the pool cap
+    indentation: int | None = None      # None: the smallest k that fits the pool cap
     pool_cap: int | None = None         # None: 8 * 2**n ancillae
     fanout: bool = True
 
@@ -57,23 +57,12 @@ def _ancillae(c: Circuit) -> list[int]:
     return [q for q in c.qubits() if q not in persistent]
 
 
-def _train_peak(prof: list[int], k: int) -> int:
-    """Peak overlap of infinitely many copies of a profile offset by k layers."""
-    return max(sum(prof[i] for i in range(r, len(prof), k)) for r in range(k))
-
-
-def min_indentation(n: int, pool_cap: float, fanout: bool = True) -> int:
-    """Smallest CSP start offset whose worst-case ancilla overlap fits the pool."""
-    single = _instance_circuit(make_target([1.0] * (1 << n)), fanout).compact()
-    prof = single.live_profile(_ancillae(single))
-    if not prof:
-        return 1
-    if max(prof) > pool_cap:
-        raise PoolExceeded(f"one instance needs {max(prof)} ancillae, cap is {pool_cap}")
-    for k in range(1, len(prof) + 1):
-        if _train_peak(prof, k) <= pool_cap:
-            return k
-    return len(prof)
+def _instance(t: TargetState, fanout: bool) -> tuple[Circuit, int, list[int]]:
+    """One copy's compacted circuit, the layer its CSP stage starts at, and its ancilla profile."""
+    c = _instance_circuit(t, fanout)
+    sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
+    c = c.compact()
+    return c, sp_end, c.live_profile(_ancillae(c))
 
 
 @dataclass
@@ -115,37 +104,40 @@ def _priced_peak(parts: list[tuple[int, list[int]]], k: int) -> int:
     return max(live, default=0)
 
 
+def min_indentation(parts: list[tuple[int, list[int]]], pool_cap: float, start: int = 1) -> int | None:
+    """The smallest k in [start, depth] whose priced peak fits the pool, or None.
+
+    ``depth`` is the first instance's layer count: a larger k only adds
+    layers that compaction drops.
+    """
+    return next((k for k in range(start, len(parts[0][1]) + 1) if _priced_peak(parts, k) <= pool_cap), None)
+
+
 def stack(plan: BatchPlan) -> BatchResult:
     """Schedule all SP stages in parallel and the CSP stages k layers apart.
 
     Each distinct target object is built and profiled once, however often
-    the batch repeats it.  Each candidate k is priced, and only the chosen
-    one merged.  An explicit k must fit the pool and lie in [1, depth] of the
-    first instance: a larger one only adds layers that compaction drops.
-    Else k is the first from the profile-scan estimate up to depth that fits.
+    the batch repeats it.  One walk over the priced peaks finds the smallest
+    fitting k from 1, or from an explicit k, which must then fit itself and
+    lie in [1, depth]; only that k is merged.
     """
-    built = {}  # id(target) -> (compacted instance, its sp_end, its ancilla profile)
+    built = {}  # id(target) -> _instance(target)
     for t in plan.targets:
         if id(t) not in built:
-            c = _instance_circuit(t, plan.fanout)
-            sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
-            c = c.compact()
-            built[id(t)] = (c, sp_end, c.live_profile(_ancillae(c)))
+            built[id(t)] = _instance(t, plan.fanout)
     insts = [built[id(t)][:2] for t in plan.targets]
     parts = [built[id(t)][1:] for t in plan.targets]
-    depth = insts[0][0].num_layers()
-    cap = plan.pool_cap
-    if plan.indentation is None:
-        candidates = range(min_indentation(plan.targets[0].n, cap, plan.fanout), depth + 1) or [1]
-    elif plan.indentation <= depth:
-        candidates = range(plan.indentation, depth + 1)
-    else:
-        raise NoValidSplit(f"indentation {plan.indentation} exceeds the instance depth {depth}")
-    fit = next((k for k in candidates if _priced_peak(parts, k) <= cap), None)
-    k = plan.indentation or fit or candidates[-1]  # explicit, else first fit, else last walked
+    start, depth = plan.indentation or 1, insts[0][0].num_layers()
+    if start > depth:
+        raise NoValidSplit(f"indentation {start} exceeds the instance depth {depth}")
+    fit = min_indentation(parts, plan.pool_cap, start)
+    k = plan.indentation or fit
+    if fit is None or fit != k:
+        shown = start if fit else depth  # the k asked for, or the last k walked when none fits
+        raise PoolExceeded(f"peak ancillae {_priced_peak(parts, shown)} exceeds pool cap {plan.pool_cap} at "
+                           f"k={shown}; the smallest k in [{start}, {depth}] that fits is {fit}",
+                           feasible_k=fit)
     peak_anc = _priced_peak(parts, k)
-    if peak_anc > cap:
-        raise PoolExceeded(f"peak ancillae {peak_anc} exceeds pool cap {cap} at k={k}", feasible_k=fit)
 
     batch, instances_meta = _merge(insts, k)
     batch.meta["indentation"] = k

@@ -33,26 +33,33 @@ from .subroutines import flag, loadf, spf, split_levels
 # -- injection-ordered angles ----------------------------------------------------
 
 
-def injection_angles(values) -> AngleSet:
-    """Angles keyed so pair (s, p) splits the congruence class j = p (mod 2**s).
+def _class_split(sq: np.ndarray, levels: int) -> np.ndarray:
+    """Injection-ordered angles of the squared masses ``sq`` (length 2**levels).
 
     cos^2(theta[s,p]/2) is the mass fraction of the subclass j = p (mod
-    2**(s+1)) inside the class j = p (mod 2**s).  Feeding these to the
-    injection fragment reproduces exactly the amplitudes ``values``.
+    2**(s+1)) inside the class j = p (mod 2**s).
     """
-    vals = np.asarray(list(values), dtype=float)
-    m = (len(vals) - 1).bit_length()
-    if len(vals) != 1 << m:
-        raise BadSplit(f"length {len(vals)} is not a power of two")
-    sq = vals**2
-    out = np.zeros((1 << m) - 1)
-    for s in range(m):
+    out = np.zeros((1 << levels) - 1)
+    for s in range(levels):
         parent = sq.reshape(-1, 1 << s).sum(axis=0).tolist()          # class masses mod 2**s
         child = sq.reshape(-1, 1 << (s + 1)).sum(axis=0).tolist()     # class masses mod 2**(s+1)
         base = (1 << s) - 1
         for p in range(1 << s):
             out[base + p] = _split_angle(parent[p], child[p])
-    return AngleSet(m=m, angles=out)
+    return out
+
+
+def injection_angles(values) -> AngleSet:
+    """Angles keyed so pair (s, p) splits the congruence class j = p (mod 2**s).
+
+    Feeding these to the injection fragment reproduces exactly the
+    amplitudes ``values``.
+    """
+    vals = np.asarray(list(values), dtype=float)
+    m = (len(vals) - 1).bit_length()
+    if len(vals) != 1 << m:
+        raise BadSplit(f"length {len(vals)} is not a power of two")
+    return AngleSet(m=m, angles=_class_split(vals**2, m))
 
 
 def reconstructed_weights(flat_angles: np.ndarray, levels: int) -> np.ndarray:
@@ -80,13 +87,7 @@ def injection_csp_angles(std: CSPAngleSet) -> CSPAngleSet:
     phases = None if std.phases is None else np.zeros_like(std.phases)
     half = 1 << (sub - 1)
     for k in range(std.angles.shape[0]):
-        w = reconstructed_weights(std.angles[k], sub)
-        for s in range(sub):
-            parent = w.reshape(-1, 1 << s).sum(axis=0).tolist()
-            child = w.reshape(-1, 1 << (s + 1)).sum(axis=0).tolist()
-            base = (1 << s) - 1
-            for p in range(1 << s):
-                out[k, base + p] = _split_angle(parent[p], child[p])
+        out[k] = _class_split(reconstructed_weights(std.angles[k], sub), sub)
         if phases is not None:
             for p in range(half):
                 phases[k, 2 * p] = std.phases[k, p]
@@ -209,15 +210,19 @@ def _resolve_complex(t: TargetState, cfg: ProtocolConfig) -> bool:
     return not t.is_real_nonnegative()
 
 
-def sp_circuit(y: PartitionNorms) -> Circuit:
-    """Standalone state-preparation circuit for the partition-norm weights."""
+def sp_circuit(y: PartitionNorms, keep_a: bool = False) -> Circuit:
+    """Standalone state-preparation circuit for the partition-norm weights.
+
+    With ``keep_a`` the angle register stays live to the end.
+    """
     c = Circuit()
     data = c.alloc_many(y.m, at_layer=0)
     c.mark_persistent(data)
-    end, A, F = _emit_sp(c, data, y.values, 0)
+    end, A, F = _emit_sp(c, data, y.values, 0, keep_a=keep_a)
     c.add_register("D", data)
     c.add_register("A", A)
     c.add_register("F", F)
+    c.meta["sp_end"] = end
     c.meta["expected_register_sizes"] = {"D": y.m, "A": (1 << y.m) - 1}
     return c
 
@@ -267,24 +272,17 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
         raise BadSplit(f"config is for n={cfg.n}, target has n={t.n}")
     complex_mode = _resolve_complex(t, cfg)
     m = cfg.resolved_m()
-    c = Circuit()
-
     if m is None:
         if complex_mode:
             raise ComplexTargetNeedsCSP(
                 f"n={t.n} has no valid split; SP-only fallback handles real non-negative targets only")
-        data = c.alloc_many(t.n, at_layer=0)
-        c.mark_persistent(data)
-        end, A, F = _emit_sp(c, data, np.abs(t.amplitudes), 0, keep_a=keep_ab)
-        c.add_register("D", data)
-        c.add_register("A", A)
-        c.add_register("F", F)
-        c.meta["sp_end"] = end
+        c = sp_circuit(PartitionNorms(m=t.n, values=np.abs(t.amplitudes)), keep_a=keep_ab)
         c.meta["sp_only"] = True
         return c
 
     y = partition_norms(t, m)
     std = csp_angles(t, m, with_phases=complex_mode)
+    c = Circuit()
     ctrl = c.alloc_many(m, at_layer=0)
     c.mark_persistent(ctrl)
     sp_end, A, F = _emit_sp(c, ctrl, y.values, 0, keep_a=keep_ab)

@@ -660,3 +660,35 @@ class TestCircuitStreams:
             assert doc.pop("input_digest") == hashlib.sha256(path.read_bytes()).hexdigest()
             reports.append(doc["report"])
         assert reports[0] == reports[1]
+
+
+class TestAmplitudeEncodings:
+    """Amplitude and batch documents decode by the rule circuit documents do: a BOM
+    or a UTF-16 file gives the same output and report as its UTF-8 original."""
+
+    AMPLITUDES = [0.05 + 0.1 * i for i in range(8)]
+    ARGV = {
+        "synth": ["synth", "--in", "{amps}", "--out", "{out}"],
+        "simulate": ["simulate", "--in", "{circuit}", "--target", "{amps}"],
+        "multicopy": ["multicopy", "--in", "{amps}", "--out", "{out}"],
+        "fragment": ["fragment", "loadf", "--m", "1", "--in", "{amps}", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("cmd", list(ARGV))
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_encoded_input_reads_as_utf8(self, capsys, tmp_path, cmd, encoding):
+        amps = self.AMPLITUDES
+        circuit = tmp_path / "circuit.json"
+        (tmp_path / "circuit_amps.json").write_text(json.dumps({"amplitudes": amps}))
+        assert main(["synth", "--in", str(tmp_path / "circuit_amps.json"), "--out", str(circuit)]) == 0
+        text = json.dumps({"targets": [amps, amps[::-1]]} if cmd == "multicopy" else {"amplitudes": amps})
+        results = []
+        for name, enc in (("plain", "utf-8"), ("encoded", encoding)):
+            path, out_path = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+            path.write_bytes(text.encode(enc))
+            capsys.readouterr()
+            code, out, err = run_cli(capsys, *(a.format(amps=path, out=out_path, circuit=circuit)
+                                               for a in self.ARGV[cmd]))
+            assert (code, err) == (0, "")
+            results.append((json.loads(out)["report"], out_path.exists() and out_path.read_bytes()))
+        assert results[0] == results[1]

@@ -7,7 +7,10 @@ The digests were recorded from the code before the lean read/write path
 every uncompute went through `circuit_ir.Block`; the reflection,
 multicopy, basis-enumeration and fragment cases from the code before
 qubits became plain ints; the `spf` fragment cases from the code before
-the SPF ladder schedule became a closed form.  A change that alters
+the SPF ladder schedule became a closed form.  The multicopy digests were
+re-recorded when the indentation walk began at k = 1: that batch's k went
+from 9 to 3, and its circuit is byte-identical to the older code's output
+under `--indent 3`.  A change that alters
 the circuit JSON, a report or the profile CSV on purpose records new
 digests here and says why.
 """
@@ -110,8 +113,8 @@ REFLECTION_GOLDEN = {
 
 #: output name -> sha256, for the seeded 4 x n=5 batch of ``batch_targets()``
 MULTICOPY_GOLDEN = {
-    "batch_circuit.json": "c5295ad91297a184db6b53429dbdf4d17b28ada459c6eebd207dd9f2e7dafbde",
-    "batch_report.json": "e9af018c68766c927ea745a234030e8ec75463edb6c06d3df6b52315a046b291",
+    "batch_circuit.json": "f9b9ed99196db1b434bb91b0358984514d0971537b688ea3e7c348c4fcd66a96",
+    "batch_report.json": "4740824562caddc0a335fbe38110fa5dd5359b4b351c202adca00eda2e670311",
 }
 
 #: output name -> sha256, for ``fragment flag --m 3`` and its ``simulate --enumerate-basis`` report

@@ -1,3 +1,4 @@
+import contextlib
 import heapq
 import math
 
@@ -35,32 +36,80 @@ def single_depth(n, fanout=True):
     return proto.spcsp(t, cfg).depth()
 
 
+def priced_parts(ts, fanout=True):
+    """Each target's (sp_end, ancilla profile), as ``stack`` prices them."""
+    return [mc._instance(t, fanout)[1:] for t in ts]
+
+
 class TestMinIndentation:
     def test_unbounded_pool_gives_one(self):
-        assert mc.min_indentation(3, math.inf) == 1
+        rng = np.random.default_rng(1)
+        assert mc.min_indentation(priced_parts(targets(rng, 3, 4)), math.inf) == 1
 
     def test_returned_k_is_minimal_and_feasible(self):
-        single = mc._instance_circuit(amp.make_target([1.0] * 8), True).compact()
-        prof = single.live_profile(mc._ancillae(single))
-        cap = max(prof)
-        k = mc.min_indentation(3, cap)
-        assert k <= len(prof)
-        assert mc._train_peak(prof, k) <= cap
-        assert k == 1 or mc._train_peak(prof, k - 1) > cap
+        """For every batch, pool and start, the walk's k fits and every k from start up to it does not."""
+        for n, w, fanout in [(3, 4, True), (3, 8, False), (4, 4, True), (4, 8, True)]:
+            rng = np.random.default_rng(n * 10 + w)
+            parts = priced_parts(targets(rng, n, w), fanout)
+            depth = len(parts[0][1])
+            peaks = {k: mc._priced_peak(parts, k) for k in range(1, depth + 1)}
+            for cap in sorted(set(peaks.values())):
+                for start in (1, 2, depth // 2):
+                    k = mc.min_indentation(parts, cap, start)
+                    misses = [j for j in range(start, depth + 1) if peaks[j] > cap]
+                    if k is None:
+                        assert len(misses) == depth + 1 - start
+                        continue
+                    assert start <= k <= depth and peaks[k] <= cap
+                    assert k == start or peaks[k - 1] > cap
+                    assert misses[:k - start] == list(range(start, k))
 
     def test_flat_profile_forces_serial(self):
         # when every layer holds the peak, a cap at the peak leaves no overlap
-        prof = [5] * 12
-        assert mc._train_peak(prof, 12) == 5
-        assert all(mc._train_peak(prof, k) > 5 for k in range(1, 12))
+        parts = [(0, [5] * 12)] * 3
+        assert mc.min_indentation(parts, 5) == 12
+        assert mc.min_indentation(parts, 10) == 6    # two copies overlap, never three
+        assert mc.min_indentation(parts, 15) == 1
+        # SP stages run in parallel at every k
+        assert mc.min_indentation([(12, [5] * 12)] * 3, 10) is None
 
     def test_default_cap_is_feasible(self):
-        k = mc.min_indentation(4, 8 << 4)
+        rng = np.random.default_rng(4)
+        parts = priced_parts(targets(rng, 4, 4))
+        k = mc.min_indentation(parts, 8 << 4)
         assert 1 <= k <= single_depth(4)
 
     def test_too_small_pool_raises(self):
-        with pytest.raises(PoolExceeded):
-            mc.min_indentation(3, 2)
+        """A pool below one instance's peak fits no k; the walk says so and ``stack`` raises."""
+        rng = np.random.default_rng(2)
+        ts = targets(rng, 3, 1)
+        assert mc.min_indentation(priced_parts(ts), 2) is None
+        with pytest.raises(PoolExceeded) as info:
+            mc.stack(mc.BatchPlan(ts, pool_cap=2))
+        assert info.value.feasible_k is None
+
+    @pytest.mark.parametrize("n, w, pool_cap, k, depth, sa", [
+        (6, 8, 256, 23, 245, 38164),
+        (6, 4, 512, 3, 93, 16346),
+        (5, 4, None, 3, 75, 8538),
+        (9, 16, None, 10, 290, 506512),
+    ])
+    def test_pinned_indentations(self, n, w, pool_cap, k, depth, sa):
+        """The walk from k = 1 at known batches; dense real targets of one n share every count."""
+        t = targets(np.random.default_rng(n * 10 + w), n, 1)[0]
+        res = mc.stack(mc.BatchPlan([t] * w, pool_cap=pool_cap))
+        assert (res.indentation, res.report.depth, res.report.sa_exact) == (k, depth, sa)
+
+    @pytest.mark.parametrize("indentation, pool_cap", [(None, None), (3, None), (1, 22), (None, 2)])
+    def test_stack_walks_once_per_plan(self, monkeypatch, indentation, pool_cap):
+        calls = []
+        walk = mc.min_indentation
+        monkeypatch.setattr(mc, "min_indentation", lambda *args: calls.append(args) or walk(*args))
+        rng = np.random.default_rng(6)
+        with contextlib.suppress(PoolExceeded):
+            mc.stack(mc.BatchPlan(targets(rng, 3, 4), indentation=indentation, pool_cap=pool_cap))
+        assert len(calls) == 1
+        assert calls[0][2] == (indentation or 1)
 
 
 class TestStack:
@@ -151,11 +200,10 @@ class TestStack:
         """For every k the priced peak equals the ancilla peak measured on the merged batch."""
         rng = np.random.default_rng(n * 10 + w)
         phases = np.exp(1j * rng.random((w, 1 << n)) * 6) if complex_amps else np.ones((w, 1 << n))
-        insts = []
-        for t in targets(rng, n, w):
-            c = mc._instance_circuit(amp.make_target(t.amplitudes * phases[len(insts)]), fanout)
-            insts.append((c.compact(), sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)))
-        parts = [(sp_end, c.live_profile(mc._ancillae(c))) for c, sp_end in insts]
+        built = [mc._instance(amp.make_target(t.amplitudes * phase), fanout)
+                 for t, phase in zip(targets(rng, n, w), phases)]
+        insts = [(c, sp_end) for c, sp_end, _ in built]
+        parts = [(sp_end, prof) for _, sp_end, prof in built]
         for k in range(1, insts[0][0].num_layers() + 1):
             merged, _ = mc._merge(insts, k)
             assert mc._priced_peak(parts, k) == max(merged.live_profile(mc._ancillae(merged)))
@@ -174,11 +222,10 @@ class TestStack:
                 mc.stack(plan)
         assert len(calls) == merges
 
-    @pytest.mark.parametrize("indentation, builds", [(None, 2), (3, 1)])
+    @pytest.mark.parametrize("indentation, builds", [(None, 1), (3, 1)])
     def test_a_repeated_target_is_built_once(self, monkeypatch, indentation, builds):
-        """``--w`` repeats one target object: it is built once (plus the uniform
-        instance ``min_indentation`` builds), and the batch is the same as for
-        equal but distinct targets."""
+        """``--w`` repeats one target object: it is built once, and the batch
+        is the same as for equal but distinct targets."""
         calls = []
         build = mc._instance_circuit
         monkeypatch.setattr(mc, "_instance_circuit", lambda *args: calls.append(args) or build(*args))
@@ -187,7 +234,7 @@ class TestStack:
         assert len(calls) == builds
         distinct = mc.stack(mc.BatchPlan([amp.make_target(amplitudes) for _ in range(5)],
                                          indentation=indentation))
-        assert len(calls) == 2 * builds + 4
+        assert len(calls) == builds + 5
         assert cir.dumps(repeated.circuit) == cir.dumps(distinct.circuit)
         assert (repeated.report, repeated.peak_ancillae, repeated.indentation, repeated.instances) == \
             (distinct.report, distinct.peak_ancillae, distinct.indentation, distinct.instances)
