@@ -9,21 +9,23 @@ carry gates on layers a..d-1 and contributes d-a to the spacetime
 allocation.  Qubits never deallocated must be marked persistent (data
 registers); they accrue from allocation to the end of the circuit.
 
-The check boundary: every gate is checked once, a layer at a time.
+The check boundary: the per-gate rules are stated once, in
+:func:`_gate_faults` (known op, operand and parameter counts, finite
+``float`` parameters, distinct int operands), and the whole circuit is
+checked by one walk, :meth:`Circuit.validate`'s: each layer as a whole,
+then gate by gate only when it fails, to name each fault with its typed
+error.
 
-* Input JSON is decoded and checked a layer at a time by :func:`loads`:
-  each gate against its signature, then the layer's flat qubit-id list at
-  once (ints, in range, no id twice, every id live).  Only a layer that
-  fails is re-read gate by gate through :func:`gate` and
-  :meth:`Circuit.place`, so a malformed document raises the same typed
-  error as a gate-by-gate reader would.
 * Emitters build ``Gate`` tuples directly, allocate each layer's fresh
   qubits in one :meth:`Circuit.alloc_many` call and place gates a layer at
   a time; :meth:`Circuit.place` checks only liveness and time order, one
-  combined test per operand.  An emitted circuit is checked once, as a
-  whole, by :meth:`Circuit.validate` before it is written out: signatures,
-  distinct operands, finite ``float`` parameters, collisions and liveness.
-* :func:`gate` stays the checked constructor for hand-built circuits.
+  combined test per operand.  An emitted circuit passes the walk before it
+  is written out.
+* :func:`loads` turns each layer of input JSON into ``Gate`` tuples,
+  checking only its form, and the loaded circuit passes the same walk,
+  which raises its first fault.
+* :func:`gate` is the checked constructor for hand-built gates: it raises
+  the first broken per-gate rule.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ _SHAPES = frozenset((op, nq, npar) for op, (nq, npar) in GATE_SIGNATURES.items()
 _FLOAT = frozenset({float})
 _INT = frozenset({int})
 _LIST = frozenset({list})
+_STR = frozenset({str})
 _OP = attrgetter("op")
 _PARAMS = attrgetter("params")
 _QUBITS = attrgetter("qubits")
@@ -112,29 +115,46 @@ def _angle(p) -> float:
     return x
 
 
+def _gate_faults(g: Gate) -> Iterator[tuple[type[CircuitError], str]]:
+    """The per-gate rules, each one ``g`` breaks as (error class, message): a known op
+    with its operand and parameter counts, finite ``float`` parameters, and distinct
+    int operands.  Operand types are checked before the operands are hashed."""
+    op, params, qubits = g
+    sig = GATE_SIGNATURES.get(op) if type(op) is str else None
+    if sig is None:
+        yield MalformedCircuit, f"unknown op {op!r}"
+    elif (len(qubits), len(params)) != sig:
+        yield (DuplicateOperand if len(qubits) != sig[0] else MalformedCircuit,
+               f"{op} takes {sig[0]} qubits and {sig[1]} params, got {len(qubits)} and {len(params)}")
+    for p in params:
+        if type(p) is not float or not math.isfinite(p):
+            yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
+    ids = []
+    for i in qubits:
+        if type(i) is int:
+            ids.append(i)
+        else:
+            yield OperandNotLive, f"{op} operand {i!r} is not an int qubit id"
+    if len(set(ids)) != len(ids):
+        yield DuplicateOperand, f"{op} repeats an operand: {ids}"
+
+
 def gate(op: str, qubits, *params) -> Gate:
-    """Check a gate against its signature: known op, operand count, distinct operands, finite params."""
-    try:
-        nq, npar = GATE_SIGNATURES[op]
-    except (KeyError, TypeError):
-        raise MalformedCircuit(f"unknown op {op!r}") from None
-    qubits = tuple(qubits)
-    if len(qubits) != nq:
-        raise DuplicateOperand(f"{op} takes {nq} qubits, got {len(qubits)}")
-    if nq > 1 and len(set(qubits)) != nq:
-        raise DuplicateOperand(f"{op} operands must be distinct: {qubits}")
-    if len(params) != npar:
-        raise MalformedCircuit(f"{op} takes {npar} params, got {len(params)}")
-    return Gate(op, tuple(map(_angle, params)), qubits)
+    """A checked gate: the parameters become floats through :func:`_angle`, then the
+    first per-gate rule the gate breaks is raised."""
+    g = Gate(op, tuple(map(_angle, params)), tuple(qubits))
+    for error, message in _gate_faults(g):
+        raise error(message)
+    return g
 
 
 class Circuit:
     """Mutable layered circuit builder.
 
     Gates can be appended ASAP (earliest layer after every operand's latest
-    prior use), into a fresh layer, or placed a layer's batch at a time at
-    an explicit layer; the subroutine emitters use explicit placement to
-    realize their published schedules.  Qubits are the ints 0..n-1 that
+    prior use) or placed a layer's batch at a time at an explicit layer
+    (``num_layers()`` for a fresh one); the subroutine emitters use
+    explicit placement to realize their published schedules.  Qubits are the ints 0..n-1 that
     :meth:`alloc` and :meth:`alloc_many` hand out; their kinds are read
     through :meth:`kind`.
     """
@@ -254,12 +274,8 @@ class Circuit:
             return UseAfterDealloc(f"qubit {i} deallocated at layer {d}, gate at {layer}")
         return LayerCollision(f"qubit {i} has a gate at layer {self._last_use[i]}, next gate at {layer}")
 
-    def append(self, g: Gate, policy: str = "asap") -> int:
-        """Append one gate under a packing policy: "asap" or "new_layer"."""
-        if policy == "new_layer":
-            return self.place([g], self.num_layers())
-        if policy != "asap":
-            raise ValueError(f"unknown policy {policy!r}")
+    def append(self, g: Gate) -> int:
+        """Place one gate ASAP: at the earliest layer after each operand's latest layer."""
         layer = 0
         for q in g.qubits:
             if not 0 <= q < len(self._alloc):
@@ -374,16 +390,16 @@ class Circuit:
         c = self._copy_tables()
         c._alloc = [new_index[a] for a in self._alloc]
         c._dealloc = [None if d is None else new_index[d] for d in self._dealloc]
-        last_use = c._last_use = [a - 1 for a in c._alloc]
-        for old, layer in enumerate(self.layers):
-            if not layer:
-                continue
-            t = new_index[old]
-            c._grow(t)
-            c.layers[t] = list(layer)
+        c.layers = [list(layer) for layer in self.layers if layer]
+        c._reset_last_use()
+        return c
+
+    def _reset_last_use(self) -> None:
+        """Set each qubit's latest layer from the gates: its last gate's layer, else its alloc layer - 1."""
+        last_use = self._last_use = [a - 1 for a in self._alloc]
+        for t, layer in enumerate(self.layers):
             for q in chain.from_iterable(map(_QUBITS, layer)):
                 last_use[q] = t
-        return c
 
     def adjoint(self) -> "Circuit":
         """Time-reversed circuit with inverted gates and mirrored lifecycles."""
@@ -403,32 +419,9 @@ class Circuit:
     # -- validation ---------------------------------------------------------------
 
     def validate(self, expected_registers: dict[str, int] | None = None) -> list[str]:
-        """The whole-circuit check: collect every gate, liveness and register-size violation.
-
-        Each gate must match its signature (known op, operand and parameter
-        counts), carry distinct int operands and finite ``float``
-        parameters, and act on qubits live at its layer, one gate per qubit
-        per layer.  A layer is checked as a whole and walked gate by gate
-        only when it fails.
-        """
-        violations = []
-        alloc = self._alloc
-        end = [math.inf if d is None else d for d in self._dealloc]
-        for t, layer in enumerate(self.layers):
-            qubits, params = list(map(_QUBITS, layer)), list(map(_PARAMS, layer))
-            ids = list(chain.from_iterable(qubits))
-            values = list(chain.from_iterable(params))
-            try:
-                ok = (set(zip(map(_OP, layer), map(len, qubits), map(len, params))) <= _SHAPES
-                      and set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))
-                      and len(set(ids)) == len(ids)
-                      and (not ids or (set(map(type, ids)) <= _INT and min(ids) >= 0
-                                       and max(map(alloc.__getitem__, ids)) <= t
-                                       < min(map(end.__getitem__, ids)))))
-            except (TypeError, IndexError):  # an unhashable op, or an id past the alloc table
-                ok = False
-            if not ok:
-                violations += self._layer_violations(t, layer, end)
+        """The whole-circuit check: every gate and liveness fault of :meth:`_faults`,
+        then every register whose size differs from the expected one."""
+        violations = [message for _, message in self._faults()]
         expected = expected_registers or self.meta.get("expected_register_sizes")
         if expected:
             for name, size in expected.items():
@@ -437,35 +430,44 @@ class Circuit:
                     violations.append(f"register {name}: size {have}, expected {size}")
         return violations
 
-    def _layer_violations(self, t: int, layer: list[Gate], end: list) -> list[str]:
-        """The violations of one layer, gate by gate."""
-        out = []
+    def _faults(self) -> Iterator[tuple[type[CircuitError], str]]:
+        """Every gate and liveness fault, layer by layer, as (error class, message).
+
+        Each gate must keep the per-gate rules (:func:`_gate_faults`) and act
+        on qubits live at its layer, one gate per qubit per layer.  A layer is
+        checked as a whole, one pass per rule, and walked gate by gate only
+        when it fails.
+        """
         alloc, n = self._alloc, len(self._alloc)
-        seen = set()
-        for g in layer:
-            sig = GATE_SIGNATURES.get(g.op) if type(g.op) is str else None
-            if sig is None:
-                out.append(f"layer {t}: unknown op {g.op!r}")
-            elif (len(g.qubits), len(g.params)) != sig:
-                out.append(f"layer {t}: {g.op} takes {sig[0]} qubits and {sig[1]} params, "
-                           f"got {len(g.qubits)} and {len(g.params)}")
-            for p in g.params:
-                if type(p) is not float or not math.isfinite(p):
-                    out.append(f"layer {t}: {g.op} parameter {p!r} is not a finite float")
-            ids = list(g.qubits)
-            if len(set(ids)) != len(ids):
-                out.append(f"layer {t}: {g.op} repeats an operand: {ids}")
-            for i in dict.fromkeys(ids):
-                if i in seen:
-                    out.append(f"layer {t}: qubit {i} in two gates")
-                seen.add(i)
-                if type(i) is not int or not 0 <= i < n:
-                    out.append(f"layer {t}: qubit {i!r} is not in the circuit")
-                elif t < alloc[i]:
-                    out.append(f"layer {t}: qubit {i} used before allocation")
-                elif t >= end[i]:
-                    out.append(f"layer {t}: qubit {i} used after deallocation")
-        return out
+        end = [math.inf if d is None else d for d in self._dealloc]
+        for t, layer in enumerate(self.layers):
+            qubits, params = list(map(_QUBITS, layer)), list(map(_PARAMS, layer))
+            ids = list(chain.from_iterable(qubits))
+            values = list(chain.from_iterable(params))
+            try:
+                if (set(zip(map(_OP, layer), map(len, qubits), map(len, params))) <= _SHAPES
+                        and set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))
+                        and len(set(ids)) == len(ids)
+                        and (not ids or (set(map(type, ids)) <= _INT and min(ids) >= 0
+                                         and max(map(alloc.__getitem__, ids)) <= t
+                                         < min(map(end.__getitem__, ids))))):
+                    continue
+            except (TypeError, IndexError):  # an unhashable op or id, or an id past the alloc table
+                pass
+            seen = set()
+            for g in layer:
+                for error, message in _gate_faults(g):
+                    yield error, f"layer {t}: {message}"
+                for i in dict.fromkeys(i for i in g.qubits if type(i) is int):
+                    if i in seen:
+                        yield LayerCollision, f"layer {t}: qubit {i} in two gates"
+                    seen.add(i)
+                    if not 0 <= i < n:
+                        yield OperandNotLive, f"layer {t}: qubit {i} is not in the circuit"
+                    elif t < alloc[i]:
+                        yield OperandNotLive, f"layer {t}: qubit {i} used before allocation"
+                    elif t >= end[i]:
+                        yield UseAfterDealloc, f"layer {t}: qubit {i} used after deallocation"
 
 
 class Block:
@@ -524,18 +526,22 @@ class Block:
 # -- resource accounting ----------------------------------------------------------
 
 
+#: a rotation synthesized to precision eps' in the discrete gate set takes
+#: ``ceil(ROTATION_SLOPE * log2(1/eps')) + ROTATION_OFFSET`` layers
+ROTATION_SLOPE = 4.0
+ROTATION_OFFSET = 0.0
+
+
 @dataclass(frozen=True)
 class GateSetModel:
     """Cost model for the two gate sets.
 
     "exact" charges every gate one layer.  "approximate" widens each layer
-    that contains a rotation by ``ceil(a*log2(1/eps'))+b`` layers, where the
-    per-rotation budget is ``eps / n_rot``.
+    that contains a rotation to a rotation's synthesized depth (see
+    ``ROTATION_SLOPE``) at the per-rotation budget ``eps / n_rot``.
     """
 
     mode: str = "exact"
-    a: float = 4.0
-    b: float = 0.0
     epsilon: float = 1e-10
 
     def __post_init__(self):
@@ -547,14 +553,14 @@ class GateSetModel:
         inverse = 1.0 / eps_prime if eps_prime > 0.0 else math.inf
         if math.isinf(inverse):
             raise BadEpsilon(f"per-rotation budget {eps_prime!r} of epsilon {self.epsilon!r} underflows")
-        return int(math.ceil(self.a * math.log2(inverse)) + self.b)
+        return int(math.ceil(ROTATION_SLOPE * math.log2(inverse)) + ROTATION_OFFSET)
 
 
 EXACT_MODEL = GateSetModel(mode="exact")
 
 
-def approx_model(epsilon: float, a: float = 4.0, b: float = 0.0) -> GateSetModel:
-    return GateSetModel(mode="approximate", a=a, b=b, epsilon=epsilon)
+def approx_model(epsilon: float) -> GateSetModel:
+    return GateSetModel(mode="approximate", epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -834,73 +840,27 @@ def _json_list(value, what: str) -> list:
 _FIELDS = itemgetter("op", "params", "qubits")
 
 
-def _read_layer(c: Circuit, layer: list, t: int, end: list) -> bool:
-    """Fill layer ``t`` of ``c`` from its parsed JSON if the whole layer passes its checks.
+def _gates(layer, t: int) -> list[Gate]:
+    """Layer ``t``'s parsed JSON as ``Gate`` tuples, checked for form only.
 
-    Every gate must fit its signature with ``float`` parameters; then the
-    layer's flat id list is checked once: ints, in range, no id twice and
-    every id live at ``t`` (``end`` is each qubit's dealloc layer, or inf).
-    Each check is one pass over the layer in C (``map``, ``set``, ``zip``).
-    The gates keep the parsed ids as their operands.  Any doubt returns
-    False, never an exception, and leaves ``c`` as it was.
+    Every gate must be an object with a string ``op`` and lists of
+    ``params`` and ``qubits``; each check is one pass over the layer in C.
+    Parameters that are not all floats go through :func:`_angle`, which
+    turns ints into floats and rejects booleans, strings and null.  Op
+    names are interned.  The gates' own rules and liveness are left to
+    :meth:`Circuit._faults`.
     """
-    if not layer:
-        return True
-    alloc = c._alloc
+    if not _json_list(layer, f"layer {t}"):
+        return []
     try:
-        ops, params, ids = zip(*map(_FIELDS, layer))
-        if not (set(map(type, params)) <= _LIST and set(map(type, ids)) <= _LIST
-                and set(zip(ops, map(len, ids), map(len, params))) <= _SHAPES):
-            return False
-        values = list(chain.from_iterable(params))
-        if not (set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))):
-            return False
-        flat = list(chain.from_iterable(ids))
-        # an id past the alloc table raises IndexError in the alloc lookup
-        if flat and not (set(map(type, flat)) <= _INT and len(set(flat)) == len(flat) and min(flat) >= 0
-                         and max(map(alloc.__getitem__, flat)) <= t < min(map(end.__getitem__, flat))):
-            return False
-        c.layers[t] = list(map(new_gate, zip(map(_OP_NAMES.__getitem__, ops), map(tuple, params), map(tuple, ids))))
-    except (TypeError, KeyError, IndexError, ValueError):
-        return False
-    last_use = c._last_use
-    for i in flat:
-        last_use[i] = t
-    return True
-
-
-def _read_layers(c: Circuit, layers: Iterable, end: list) -> None:
-    """Append each parsed layer to ``c`` as it arrives; the parsed JSON is dropped after its layer.
-
-    A layer is checked as a whole (:func:`_read_layer`); a layer that fails
-    is re-read gate by gate through ``gate`` and ``place``, which raise its
-    typed error.
-    """
-    n = len(end)
-    for t, layer in enumerate(layers):
-        layer = _json_list(layer, f"layer {t}")
-        c.layers.append([])
-        if _read_layer(c, layer, t, end):
-            continue
-        for entry in layer:
-            try:
-                op, params, ids = entry["op"], entry["params"], entry["qubits"]
-            except (TypeError, KeyError):
-                raise MalformedCircuit(f"layer {t}: gate {entry!r} needs op, params and qubits") from None
-            if type(ids) is not list or type(params) is not list:
-                raise MalformedCircuit(f"layer {t}: gate {entry!r} needs lists of qubits and params")
-            if type(op) is str:
-                op = _OP_NAMES.get(op, op)
-            if not all(type(i) is int and 0 <= i < n for i in ids):
-                raise OperandNotLive(f"layer {t}: qubit ids {ids!r} are not all allocated")
-            c.place([gate(op, ids, *params)], t)
-
-
-def _drained(items: list) -> Iterator:
-    """The items of a list, each released from the list as it is handed out."""
-    for t, item in enumerate(items):
-        items[t] = None
-        yield item
+        ops, params, qubits = zip(*map(_FIELDS, layer))
+    except (TypeError, KeyError):
+        raise MalformedCircuit(f"layer {t}: every gate needs op, params and qubits") from None
+    if not (set(map(type, ops)) <= _STR and set(map(type, params)) | set(map(type, qubits)) <= _LIST):
+        raise MalformedCircuit(f"layer {t}: a gate needs a string op and lists of params and qubits")
+    if not set(map(type, chain.from_iterable(params))) <= _FLOAT:
+        params = [list(map(_angle, p)) for p in params]
+    return list(map(new_gate, zip(map(_OP_NAMES.get, ops, ops), map(tuple, params), map(tuple, qubits))))
 
 
 _KIND_NAMES = {CLEAN: CLEAN, DIRTY: DIRTY}
@@ -973,18 +933,13 @@ def _read_dealloc(entries: list, alloc: list[int]) -> list[int | None]:
     return dealloc
 
 
-def _read_tables(c: Circuit, fields: dict) -> list:
-    """Fill ``c``'s lifecycle tables from the parsed ``alloc`` and ``dealloc`` fields and drop them.
-
-    Returns each qubit's dealloc layer, or inf for never: the ``end`` of :func:`_read_layer`.
-    """
-    c._kind, alloc = _read_alloc(_json_list(fields.get("alloc"), '"alloc"'))
+def _read_tables(c: Circuit, fields: dict) -> None:
+    """Fill ``c``'s lifecycle tables from the parsed ``alloc`` and ``dealloc`` fields and drop them."""
+    c._kind, alloc = _read_alloc(_json_list(fields["alloc"], '"alloc"'))
     fields["alloc"] = None
-    dealloc = _read_dealloc(_json_list(fields.get("dealloc"), '"dealloc"'), alloc)
+    c._dealloc = _read_dealloc(_json_list(fields["dealloc"], '"dealloc"'), alloc)
     fields["dealloc"] = None
-    c._alloc, c._dealloc = alloc, dealloc
-    c._last_use = [t - 1 for t in alloc]
-    return [math.inf if d is None else d for d in dealloc]
+    c._alloc = alloc
 
 
 def _check_bounds(c: Circuit) -> None:
@@ -1083,12 +1038,15 @@ def loads(text: str | bytes) -> Circuit:
     are the ints 0..n-1 of the alloc table, kinds are "clean" or "dirty",
     and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
 
-    The top-level object is walked key by key.  Once the ``alloc`` and
-    ``dealloc`` tables are read, as they are in canonical documents (whose
-    keys come sorted), each element of ``layers`` is decoded, checked
-    (:func:`_read_layers`) and dropped before the next is decoded.  Layers
-    that come before the tables are decoded whole and read once the tables
-    are.  The tables' upper bound is checked when the layer count is known.
+    The top-level object is walked key by key, in any order.  Each element
+    of ``layers`` is decoded, turned into gates (:func:`_gates`) and dropped
+    before the next is decoded; the ``alloc`` and ``dealloc`` tables are
+    read as soon as both are decoded, as they are before ``layers`` in
+    canonical documents (whose keys come sorted).  The first
+    ``CircuitError`` is held until the whole text has been scanned, so a
+    syntax error anywhere comes first, as in ``json.loads``.  Then the
+    lifetimes are checked against the layer count and the circuit passes
+    :meth:`Circuit.validate`'s walk, which raises its first fault.
     """
     doc = _Cursor(json_text(text))
     if doc.peek() != "{":
@@ -1098,24 +1056,40 @@ def loads(text: str | bytes) -> Circuit:
         raise MalformedCircuit("circuit JSON must be an object")
     c = Circuit()
     fields: dict = {}
-    end = None
+    faults: list[CircuitError] = []
+
+    def hold(read, *args):
+        """``read(*args)`` with its CircuitError held; nothing is read once one is."""
+        if not faults:
+            try:
+                return read(*args)
+            except CircuitError as e:
+                faults.append(e)
+
     for key in doc.keys():
         if key in fields:
-            raise MalformedCircuit(f"circuit JSON repeats the key {key!r}")
-        if key == "layers" and "alloc" in fields and "dealloc" in fields and doc.peek() == "[":
-            end = _read_tables(c, fields)
-            _read_layers(c, doc.items(), end)
-            fields[key] = None
+            faults.append(MalformedCircuit(f"circuit JSON repeats the key {key!r}"))
+        if key == "layers" and doc.peek() == "[":
+            fields[key] = c.layers
+            for t, layer in enumerate(doc.items()):
+                c.layers.append(hold(_gates, layer, t))
         else:
             fields[key] = doc.value()
+        if key in ("alloc", "dealloc") and "alloc" in fields and "dealloc" in fields:
+            hold(_read_tables, c, fields)
     doc.end()
-    if end is None:
-        layers = _json_list(fields.get("layers"), '"layers"')
-        end = _read_tables(c, fields)
-        _read_layers(c, _drained(layers), end)
+    if faults:
+        raise faults[0]
+    if "alloc" not in fields or "dealloc" not in fields:
+        raise MalformedCircuit('circuit JSON needs "alloc" and "dealloc" lists')
+    if fields.get("layers") is not c.layers:
+        raise MalformedCircuit('"layers" must be a JSON list')
     _check_bounds(c)
+    for error, message in c._faults():
+        raise error(message)
+    c._reset_last_use()
 
-    n = len(end)
+    n = len(c._alloc)
 
     def qubits(ids: list) -> list[int]:
         """A list of ids, checked at once; a bad id is ``OperandNotLive``."""

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsprep import circuit_ir as cir
@@ -58,14 +58,6 @@ class TestAppend:
         c.append(gate("cnot", (qs[1], qs[2])))
         assert c.depth() == 2
 
-    def test_new_layer_policy(self):
-        c = Circuit()
-        qs = [c.alloc(at_layer=0) for _ in range(4)]
-        c.mark_persistent(qs)
-        c.append(gate("cnot", (qs[0], qs[1])), policy="new_layer")
-        c.append(gate("cnot", (qs[2], qs[3])), policy="new_layer")
-        assert c.depth() == 2
-
     def test_asap_never_deeper_than_new_layer(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -74,12 +66,16 @@ class TestAppend:
                 i, j = rng.choice(6, size=2, replace=False)
                 seq.append((int(i), int(j)))
             depths = []
-            for policy in ("asap", "new_layer"):
+            for asap in (True, False):
                 c = Circuit()
                 qs = [c.alloc(at_layer=0) for _ in range(6)]
                 c.mark_persistent(qs)
                 for i, j in seq:
-                    c.append(gate("cnot", (qs[i], qs[j])), policy=policy)
+                    g = gate("cnot", (qs[i], qs[j]))
+                    if asap:
+                        c.append(g)
+                    else:
+                        c.place([g], c.num_layers())
                 depths.append(c.depth())
             assert depths[0] <= depths[1]
 
@@ -108,7 +104,7 @@ class TestLifecycle:
         base = c.alloc(at_layer=0)
         c.mark_persistent([base])
         for _ in range(10):
-            c.append(gate("x", (base,)), policy="new_layer")
+            c.place([gate("x", (base,))], c.num_layers())
         q = c.alloc(at_layer=5)
         c.place([gate("x", (q,))], 5)
         c.dealloc(q, at_layer=9)
@@ -273,6 +269,7 @@ class TestValidate:
         ("unknown_op", "unknown op"),
         ("operand_count", "takes 2 qubits and 0 params"),
         ("repeated_operand", "repeats an operand"),
+        ("unhashable_operand", "is not an int qubit id"),
     ])
     def test_unchecked_hand_built_defect_reported(self, defect, found):
         # gates built as bare ``Gate`` tuples and put straight into the layers skip
@@ -291,6 +288,7 @@ class TestValidate:
             "unknown_op": [Gate("sqrtx", (), (a,))],
             "operand_count": [Gate("cnot", (), (a,))],
             "repeated_operand": [Gate("cnot", (), (a, a))],
+            "unhashable_operand": [Gate("x", (), ([0],))],
         }[defect]
         c.layers += [[Gate("x", (), (b,))], [Gate("x", (), (late,))]]
         c.layers[0 if defect == "before_alloc" else 1] += bad
@@ -572,6 +570,17 @@ def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def indented(order: str) -> str:
+    """``in_layer_doc`` as indented text, its keys as written ("layers_first") or sorted ("canonical")."""
+    return json.dumps(in_layer_doc(), indent=1, sort_keys=order == "canonical")
+
+
+_CANONICAL_TEXT = indented("canonical")
+#: where the canonical text opens layer 0's first gate, as an ``at`` of the one-edit test:
+#: a "[" inserted there is a syntax error that ``json.loads`` reports further on
+FIRST_GATE_AT = (_CANONICAL_TEXT.index("{", _CANONICAL_TEXT.index('"layers"')) + 0.5) / (len(_CANONICAL_TEXT) - 1)
+
+
 class TestStreamingReader:
     """``loads`` reads the top-level object key by key and ``layers`` element by
     element, and accepts and rejects what ``json.loads`` does."""
@@ -618,11 +627,13 @@ class TestStreamingReader:
             json.loads(text)
         assert (ours.value.msg, ours.value.pos) == (theirs.value.msg, theirs.value.pos)
 
+    @pytest.mark.parametrize("order", ["layers_first", "canonical"])
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(at=st.floats(0, 1), edit=st.sampled_from(["delete", "insert", "replace"]),
            char=st.sampled_from(list('{}[],:" \n0123456789.-eEtrufalsnNx')))
-    def test_one_edit_fails_to_decode_as_json_loads_does(self, at, edit, char):
-        text = json.dumps(in_layer_doc(), indent=1)
+    @example(at=FIRST_GATE_AT, edit="insert", char="[")
+    def test_one_edit_fails_to_decode_as_json_loads_does(self, order, at, edit, char):
+        text = indented(order)
         i = int(at * (len(text) - 1))
         text = text[:i] + {"delete": "", "insert": char + text[i], "replace": char}[edit] + text[i + 1:]
         try:
@@ -680,11 +691,18 @@ class TestStreamingReader:
         with pytest.raises(MalformedInput):
             cir.loads(text)
 
-    def test_peak_memory_is_under_half_of_json_loads(self):
+    @pytest.mark.parametrize("order, bound", [("canonical", 0.5), ("layers_first", 0.75)],
+                             ids=["canonical", "layers_first"])
+    def test_peak_memory_is_under_half_of_json_loads(self, order, bound):
         """The parsed document never exists whole: ``loads``'s traced peak (the circuit
-        it builds plus one parsed layer) stays under half of ``json.loads``'s."""
+        it builds plus one parsed layer, and the parsed tables while they wait for each
+        other) stays under half of ``json.loads``'s in canonical key order, and under
+        three quarters when ``layers`` comes first, before the tables are read."""
         rng = np.random.default_rng(10)
         text = cir.dumps(proto.spcsp(make_target(rng.random(1 << 10) + 0.05), proto.ProtocolConfig(n=10)))
+        if order == "layers_first":
+            doc = json.loads(text)
+            text = json.dumps({"layers": doc.pop("layers"), **doc}, separators=(",", ":"))
 
         def traced_peak(parse) -> int:
             tracemalloc.start()
@@ -694,7 +712,7 @@ class TestStreamingReader:
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(cir.loads) <= 0.5 * traced_peak(json.loads)
+        assert traced_peak(cir.loads) <= bound * traced_peak(json.loads)
 
 
 @pytest.mark.parametrize("flags", list(GOLDEN), ids=lambda flags: "_".join(flags) or "default")

@@ -61,3 +61,27 @@ def test_circuit_reader_never_parses_the_whole_document():
         elif isinstance(node, ast.alias) and node.name in ("loads", "parse_json"):
             found.append(f"{path}:{node.lineno}")
     assert found == []
+
+
+def test_circuit_reader_has_no_per_gate_path_of_its_own():
+    """`circuit_ir.loads` and every module function it reaches by name never call
+    `gate(...)` or `.place(...)`: the reader turns JSON into gates one way and leaves
+    their rules to the circuit's one walk, so it cannot grow a second per-gate path."""
+    path = PACKAGE / "circuit_ir.py"
+    functions = {node.name: node for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+    reader, todo = set(), ["loads"]
+    while todo:
+        name = todo.pop()
+        if name not in reader:
+            reader.add(name)
+            todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name) and n.id in functions]
+    assert {"loads", "_read_tables", "_check_bounds"} <= reader
+    found = []
+    for name in sorted(reader):
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                if (getattr(callee, "id", None) == "gate"
+                        or isinstance(callee, ast.Attribute) and callee.attr == "place"):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
