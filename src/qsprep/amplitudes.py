@@ -45,10 +45,6 @@ class TargetState:
         if len(self.amplitudes) != 1 << self.n:
             raise InternalInvariant(f"{len(self.amplitudes)} amplitudes for n={self.n}")
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
     def is_real_nonnegative(self, tol: float = 1e-14) -> bool:
         return bool(np.all(np.abs(self.amplitudes.imag) <= tol) and np.all(self.amplitudes.real >= -tol))
 

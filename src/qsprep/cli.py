@@ -133,15 +133,14 @@ def cmd_simulate(args, argv) -> int:
     from . import sim
 
     circuit, digest = _load_circuit(args.infile)
-    max_live = args.max_qubits
     if args.enumerate_basis:
         data = circuit.registers.get("D") or circuit.registers.get("D0")
         if not data:
             raise MalformedInput("circuit carries no D register to enumerate")
         cases = []
         for j in range(1 << len(data)):
-            prep = {q for bit, q in enumerate(data) if (j >> bit) & 1}
-            _, state = sim.run(circuit, max_live=max_live, basis_prep=prep)
+            seeds = {q: (0.0, 1.0) for bit, q in enumerate(data) if (j >> bit) & 1}
+            _, state = sim.run(circuit, seeds=seeds)
             value, prob = state.dominant_basis()
             regs = {
                 name: sum(((value >> state._pos[q]) & 1) << i for i, q in enumerate(qs))
@@ -152,16 +151,8 @@ def cmd_simulate(args, argv) -> int:
         doc = envelope(argv, digest, {"cases": cases})
         _write(args.report, [_dump(doc)])
         return 0
-    target = None
-    order = None
-    if args.target:
-        target_state = amp.target_from_json(_read(args.target))
-        target = target_state.amplitudes
-        order = circuit.registers.get("D")
-        if order is not None and len(target) != 1 << len(order):
-            raise MalformedInput(f"target has {len(target)} amplitudes, "
-                                 f"the circuit's D register {len(order)} qubits")
-    report, _ = sim.run(circuit, target=target, target_order=order, max_live=max_live)
+    target = amp.target_from_json(_read(args.target)).amplitudes if args.target else None
+    report, _ = sim.run(circuit, target=target, target_order=circuit.registers.get("D"))
     doc = envelope(argv, digest, {"report": report.to_json()})
     _write(args.report, [_dump(doc)])
     return 0
@@ -246,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"qsprep {__version__}")
     subs = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, infile=True, costed=False):
+    def common(sp, infile=True, costed=False, out=True):
         if infile:
             sp.add_argument("--in", dest="infile", required=True)
-        sp.add_argument("--out", default=None, help="circuit/CSV output path")
+        if out:
+            sp.add_argument("--out", default=None, help="circuit/CSV output path")
         sp.add_argument("--report", default=None, help="report JSON path (default stdout)")
         if costed:  # the commands whose report is priced by a gate-set cost model
             sp.add_argument("--epsilon", type=float, default=None)
@@ -267,10 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_synth)
 
     sp = subs.add_parser("simulate", help="run a circuit JSON on the sparse-state simulator")
-    common(sp)
+    common(sp, out=False)
     sp.add_argument("--target", default=None, help="amplitude JSON to compare against")
     sp.add_argument("--enumerate-basis", action="store_true")
-    sp.add_argument("--max-qubits", type=int, default=None)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = subs.add_parser("profile", help="per-layer live-qubit histogram as CSV")

@@ -140,7 +140,6 @@ def stack(plan: BatchPlan) -> BatchResult:
     peak_anc = _priced_peak(parts, k)
 
     batch, instances_meta = _merge(insts, k)
-    batch.meta["indentation"] = k
     report = spacetime_allocation(batch)
     return BatchResult(
         circuit=batch,
@@ -152,8 +151,7 @@ def stack(plan: BatchPlan) -> BatchResult:
     )
 
 
-def simulate_batch(result: BatchResult, targets: list[TargetState],
-                   max_live: int | None = None):
+def simulate_batch(result: BatchResult, targets: list[TargetState]):
     """Simulate a stacked circuit, splitting each finished copy off as it completes.
 
     Detaching completed data registers keeps the live width bounded by the
@@ -165,7 +163,7 @@ def simulate_batch(result: BatchResult, targets: list[TargetState],
     from .sim import run
 
     plan = [(meta["last_layer"], meta["data"]) for meta in result.instances]
-    report, _ = run(result.circuit, detach_plan=plan, max_live=max_live)
+    report, _ = run(result.circuit, detach_plan=plan)
     fidelities = []
     for factor, t in zip(report.detached, targets):
         fidelities.append(float(abs(np.vdot(t.amplitudes, factor))))

@@ -297,7 +297,6 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
     c.add_register("F", F)
     c.add_register("F0", F0)
     c.meta["sp_end"] = sp_end
-    c.meta["m"] = m
     nb = (1 << (t.n - m)) - 1
     c.meta["expected_register_sizes"] = {"D": t.n, "A": (1 << m) - 1, "B0": nb}
     return c

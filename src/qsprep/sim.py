@@ -10,10 +10,11 @@ ones (copy trees, one-hot addresses, flag ladders), so the map stays
 small at widths no dense vector could hold; this is the state-sparsity
 technique of Jaques & Häner, "Leveraging state sparsity for more
 efficient quantum simulations" (2021).  Allocation tensor-extends the
-state with |0> (or a dirty seed); deallocation verifies the qubit is
-disentangled in the expected state and contracts it out.  The live width
-is capped at ``max_live`` qubits and the support at ``MAX_SUPPORT`` keys;
-either cap raises ``PeakQubitsExceeded``.
+state with |0> (or the qubit's seed); deallocation verifies the qubit is
+disentangled in the expected state and contracts it out.  Memory follows
+the support times the key width, so that product, counted in 64-bit key
+words, is the one bound (``MAX_SUPPORT``); passing it raises
+``PeakQubitsExceeded``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ import numpy as np
 
 from .amplitudes import AngleSet, CSPAngleSet, PartitionNorms
 from .circuit_ir import DIRTY, GATE_SIGNATURES, Circuit, Gate, gate
-from .config import DEFAULT_MAX_LIVE_QUBITS, DEFAULT_TOLERANCES
-from .errors import DeallocNotZero, NormDrift, OperandNotLive, PeakQubitsExceeded
+from .errors import (
+    DeallocNotZero,
+    IndexOutOfRange,
+    MalformedInput,
+    NormDrift,
+    OperandNotLive,
+    PeakQubitsExceeded,
+)
 
-#: Most basis keys the state may hold.  An entry takes 100-130 bytes and a
-#: gate holds the old and the new map at once, so this is about 1 GiB: the
-#: size of a dense vector at the default cap of 26 live qubits.
+#: Most 64-bit key words the state may hold: its support times
+#: ceil(width / 64).  At widths up to 64 that is 2**22 keys; an entry takes
+#: 100-130 bytes and a gate holds the old and the new map at once, so about
+#: 1 GiB.
 MAX_SUPPORT = 1 << 22
 
 #: Amplitudes this small are rounding residue, such as cos(pi/2) after the
@@ -40,6 +48,15 @@ MAX_SUPPORT = 1 << 22
 #: are dropped after a mixing gate or a contraction, so they do not grow the
 #: support.
 _NEGLIGIBLE = 1e-15
+
+#: Mass a released qubit may hold outside its expected state.
+_DEALLOC_MASS = 1e-10
+
+#: Drift of the state's norm from 1 allowed after any layer.
+_NORM_DRIFT = 1e-9
+
+#: Mass a detached register may hold outside its product factor.
+_DETACH_DEFECT = 1e-8
 
 _DIAG_PHASE = {
     "s": 1j,
@@ -113,15 +130,15 @@ class SimState:
 
     ``_pos`` maps each live qubit id to its bit position, in allocation
     order; ``_free`` is a heap of the released positions below ``_width``.
+    A new position is opened only when none is free, so ``_width`` is also
+    the peak number of live qubits.
     """
 
-    def __init__(self, max_live: int | None = None):
+    def __init__(self):
         self._pos: dict[int, int] = {}
         self._free: list[int] = []
         self._width = 0
         self._amp: dict[int, complex] = {0: 1.0 + 0j}
-        self.max_live = DEFAULT_MAX_LIVE_QUBITS if max_live is None else max_live
-        self.peak_live = 0
 
     @property
     def num_live(self) -> int:
@@ -130,9 +147,15 @@ class SimState:
     def _store(self, amp: dict, prune: bool) -> None:
         if prune:
             amp = {k: a for k, a in amp.items() if abs(a) > _NEGLIGIBLE}
-        if len(amp) > MAX_SUPPORT:
-            raise PeakQubitsExceeded(f"state support {len(amp)} exceeds cap {MAX_SUPPORT}")
+        self._bound(len(amp), self._width)
         self._amp = amp
+
+    @staticmethod
+    def _bound(support: int, width: int) -> None:
+        """Refuse a state of this many keys, each ``width`` bits wide, past ``MAX_SUPPORT`` key words."""
+        words = -(-width // 64)
+        if support * words > MAX_SUPPORT:
+            raise PeakQubitsExceeded(f"state support {support} x {words} key words exceeds cap {MAX_SUPPORT}")
 
     def _forget(self, qubits: list[int]) -> None:
         """Drop these qubits, whose bits are clear in every key, and free their positions."""
@@ -173,9 +196,13 @@ class SimState:
     def alloc(self, q: int, seed=None) -> None:
         if q in self._pos:
             raise OperandNotLive(f"qubit {q} already live")
-        if self.num_live + 1 > self.max_live:
-            raise PeakQubitsExceeded(f"live qubits would exceed cap {self.max_live}")
-        p = self._free[0] if self._free else self._width
+        if self._free:
+            p = heapq.heappop(self._free)
+        else:  # the keys widen by one bit
+            p = self._width
+            self._width += 1
+            self._bound(len(self._amp), self._width)
+        self._pos[q] = p
         if seed is not None:
             s0, s1 = _seed_pair(seed)
             bit = 1 << p
@@ -183,12 +210,6 @@ class SimState:
             if s1:
                 amp.update((k | bit, s1 * a) for k, a in self._amp.items())
             self._store(amp, prune=False)
-        if self._free:
-            heapq.heappop(self._free)
-        else:
-            self._width += 1
-        self._pos[q] = p
-        self.peak_live = max(self.peak_live, self.num_live)
 
     def dealloc(self, q: int, seed=None, enforce: bool = True) -> float:
         """Contract a qubit out, verifying it sits in |0> (or the dirty seed).
@@ -208,7 +229,7 @@ class SimState:
                 rest = key & clear
                 comp[rest] = comp.get(rest, 0) + w * a
         residual = max(_mass(self._amp) - _mass(comp), 0.0)
-        if residual > DEFAULT_TOLERANCES.dealloc_mass and enforce:
+        if residual > _DEALLOC_MASS and enforce:
             raise DeallocNotZero(q, residual)
         self._store(comp, prune=True)
         self._forget([q])
@@ -275,28 +296,31 @@ class SimState:
 
 def run(
     c: Circuit,
-    dirty_seeds: dict[int, object] | None = None,
+    seeds: dict[int, object] | None = None,
     target=None,
     target_order: list[int] | None = None,
-    max_live: int | None = None,
     detach_plan: list[tuple[int, list[int]]] | None = None,
     enforce_dealloc: bool = True,
-    basis_prep: set[int] | None = None,
 ) -> tuple[SimReport, SimState]:
     """Execute a circuit layer by layer.
 
-    dirty_seeds maps qubit ids to single-qubit seed states for dirty
-    allocations; the same seed is enforced at deallocation.  detach_plan
-    lists (after_layer, qubits) product factors to split off mid-run, used
-    by the multi-copy scheduler to keep the live width bounded.  basis_prep
-    ids get an X right after allocation (basis-state enumeration).  When
-    target and target_order are given the report carries
-    |<target|final restricted state>|.  A qubit with an empty lifetime
-    (alloc layer = dealloc layer) is never live, as in the accounting.
+    seeds maps qubit ids to single-qubit states (a0, a1): a qubit is
+    allocated in its seed, |0> by default.  A dirty qubit must be released
+    in its seed and a clean one in |0>.  detach_plan lists (after_layer,
+    qubits) product factors to split off mid-run, used by the multi-copy
+    scheduler to keep the live width bounded.  A target needs a
+    target_order of log2(len(target)) qubits, checked before the run; the
+    report then carries |<target|final restricted state>|.  A qubit with
+    an empty lifetime (alloc layer = dealloc layer) is never live, as in
+    the accounting.
     """
-    dirty_seeds = dirty_seeds or {}
+    if target is not None:
+        width = len(target_order or ())
+        if len(target) != 1 << width:
+            raise MalformedInput(f"target has {len(target)} amplitudes but target_order {width} qubits")
+    seeds = seeds or {}
     c = c.compact()
-    state = SimState(max_live=max_live)
+    state = SimState()
     report = SimReport(fidelity=None)
     L = c.num_layers()
     detach_at: dict[int, list[list[int]]] = {}
@@ -304,44 +328,36 @@ def run(
         for after_layer, qs in detach_plan:
             detach_at.setdefault(after_layer, []).append(list(qs))
 
-    def seed_for(q: int):
-        if c.kind(q) == DIRTY:
-            return dirty_seeds.get(q, (1.0, 0.0))
-        return None
-
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
         for q in deallocs:
             if c.alloc_layer(q) == t:
                 continue
-            seed = seed_for(q)
-            residual = state.dealloc(q, seed=seed, enforce=enforce_dealloc)
+            dirty = c.kind(q) == DIRTY
+            residual = state.dealloc(q, seed=seeds.get(q) if dirty else None, enforce=enforce_dealloc)
             report.ancilla_verdicts.append((q, t, residual))
-            if seed is not None:
-                report.dirty_restoration.append((q, residual <= DEFAULT_TOLERANCES.dealloc_mass))
+            if dirty:
+                report.dirty_restoration.append((q, residual <= _DEALLOC_MASS))
         for q in allocs:
-            if c.dealloc_layer(q) == t:
-                continue
-            state.alloc(q, seed=seed_for(q))
-            if basis_prep and q in basis_prep:
-                state.apply(Gate("x", (), (q,)))
+            if c.dealloc_layer(q) != t:
+                state.alloc(q, seed=seeds.get(q))
         if t == L:
             break
         for g in c.layers[t]:
             state.apply(g)
         if enforce_dealloc:
             defect = state.norm_defect()
-            if defect > DEFAULT_TOLERANCES.norm_drift:
+            if defect > _NORM_DRIFT:
                 raise NormDrift(f"norm defect {defect:.3e} after layer {t}")
         for qs in detach_at.get(t, []):
             factor, defect = state.detach(qs)
-            if defect > 1e-8:
+            if defect > _DETACH_DEFECT:
                 raise DeallocNotZero(tuple(qs), defect,
                                      f"detached register not a product factor (defect {defect:.3e})")
             report.detached.append(factor)
 
-    report.peak_live_qubits = state.peak_live
+    report.peak_live_qubits = state._width
     report.norm_defect = state.norm_defect()
-    if target is not None and target_order is not None:
+    if target is not None:
         out = state.statevector(target_order)
         tvec = np.asarray(target, dtype=complex)
         tvec = tvec / np.linalg.norm(tvec)
@@ -359,7 +375,7 @@ def pair_index(s: int, p: int) -> int:
 def flag_oracle(j: int, m: int) -> dict[tuple[int, int], int]:
     """f[(s, p)] = 1 iff p = j mod 2**s, for 0 <= j < 2**m."""
     if not 0 <= j < (1 << m):
-        raise ValueError(f"j={j} outside [0, {1 << m})")
+        raise IndexOutOfRange(f"j={j} outside [0, {1 << m})")
     return {(s, p): int(p == j % (1 << s)) for s in range(m) for p in range(1 << s)}
 
 
@@ -432,7 +448,7 @@ def block_unitary(gates: list[Gate], qubit_order: list[int]) -> np.ndarray:
     k = len(qubit_order)
     U = np.zeros((1 << k, 1 << k), dtype=complex)
     for i in range(1 << k):
-        st = SimState(max_live=k)
+        st = SimState()
         for t, q in enumerate(qubit_order):
             st.alloc(q, seed=(0.0, 1.0) if (i >> t) & 1 else None)
         for g in gates:

@@ -136,7 +136,7 @@ class TestAcceptance:
         for m in (1, 2, 3, 4):
             for j in range(1 << m):
                 c = fragment_circuit("flag", m, basis=j)
-                _, state = run(c, max_live=32)
+                _, state = run(c)
                 vec = state.statevector(c.registers["D"] + c.registers["F"])
                 idx = int(np.argmax(np.abs(vec)))
                 assert abs(abs(vec[idx]) - 1.0) < 1e-12
@@ -188,7 +188,7 @@ class TestAcceptance:
                 if c.kind(q) == "dirty":
                     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                     seeds[q] = v / np.linalg.norm(v)
-            report, _ = run(c, dirty_seeds=seeds, target=t.amplitudes,
+            report, _ = run(c, seeds=seeds, target=t.amplitudes,
                             target_order=c.registers["D"])
             assert all(ok for _, ok in report.dirty_restoration)
             assert report.fidelity >= 1 - 1e-9

@@ -43,6 +43,12 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_on(capsys, cmd, path, tmp_path):
+    """Run ``cmd`` on one input file, with an ``--out`` path for every command but ``simulate``."""
+    out = [] if cmd == "simulate" else ["--out", str(tmp_path / "out")]
+    return run_cli(capsys, cmd, "--in", str(path), *out)
+
+
 class TestSynth:
     def test_report_fields(self, capsys, tmp_path, pixels):
         circ = tmp_path / "c.json"
@@ -192,14 +198,28 @@ class TestEpsilon:
             main([cmd, "--in", pixels, *flag])
         assert exc.value.code == 2
 
+    def test_simulate_takes_no_out_flag(self, capsys, pixels):
+        """`simulate` writes only its report: an `--out` path would be silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--in", pixels, "--out", "x"])
+        assert exc.value.code == 2
+
 
 class TestSimulate:
-    def test_fidelity_round_trip(self, capsys, tmp_path, pixels):
+    @pytest.mark.parametrize("n, flags", [(2, ("--m", "1", "--no-fanout")), (4, ()), (6, ())],
+                             ids=["no_fanout_n2", "default_n4", "default_n6"])
+    def test_fidelity_round_trip(self, capsys, tmp_path, pixels, n, flags):
+        """The default paper layout verifies with no flag, as the lean --no-fanout one does."""
+        target = pixels
+        if n > 2:
+            target = str(tmp_path / f"dense{n}.json")
+            rng = np.random.default_rng(n)
+            Path(target).write_text(json.dumps({"amplitudes": list(rng.random(1 << n) + 0.02)}))
         circ = tmp_path / "c.json"
-        run_cli(capsys, "synth", "--in", pixels, "--m", "1", "--out", str(circ),
-                "--no-fanout")
+        code, _, _ = run_cli(capsys, "synth", "--in", target, "--out", str(circ), *flags)
+        assert code == 0
         code, out, _ = run_cli(capsys, "simulate", "--in", str(circ),
-                               "--target", pixels)
+                               "--target", target)
         assert code == 0
         rep = json.loads(out)["report"]
         assert rep["fidelity"] >= 1 - 1e-9
@@ -229,9 +249,11 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
-    def test_enumerate_basis_without_d_register_is_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("with_target", [False, True], ids=["enumerate_basis", "target"])
+    def test_enumerate_basis_without_d_register_is_exit_2(self, capsys, tmp_path, pixels, with_target):
         path = one_qubit_circuit(tmp_path / "noreg.json", [True], 0, 1)
-        code, _, err = run_cli(capsys, "simulate", "--in", path, "--enumerate-basis")
+        flags = ["--target", pixels] if with_target else ["--enumerate-basis"]
+        code, _, err = run_cli(capsys, "simulate", "--in", path, *flags)
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
@@ -298,7 +320,7 @@ class TestDeepNesting:
     def test_deeply_nested_json_is_exit_2(self, capsys, tmp_path, cmd):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
-        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
@@ -335,7 +357,7 @@ class TestLifecycleBounds:
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
     def test_dealloc_after_trailing_empty_layer(self, capsys, tmp_path, cmd):
         path = one_qubit_circuit(tmp_path / "ok.json", [True, True, False], 0, 3)
-        code, out, _ = run_cli(capsys, cmd, "--in", path, "--out", str(tmp_path / "out"))
+        code, out, _ = run_on(capsys, cmd, path, tmp_path)
         assert code == 0
         assert json.loads(out)["report"]
 
@@ -357,7 +379,7 @@ class TestEmptyLifetime:
     def test_accepted(self, capsys, tmp_path, cmd):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(empty_lifetime_doc()))
-        code, out, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        code, out, err = run_on(capsys, cmd, path, tmp_path)
         assert (code, err) == (0, "")
         rep = json.loads(out)["report"]
         assert rep["peak_live_qubits" if cmd == "simulate" else "qubit_count"] == 1
@@ -415,7 +437,7 @@ class TestMalformedCircuit:
         error, doc = MALFORMED[name]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] == error
 
@@ -423,7 +445,7 @@ class TestMalformedCircuit:
     def test_well_formed_base_is_accepted(self, capsys, tmp_path, cmd):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(two_qubit_doc()))
-        code, _, _ = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        code, _, _ = run_on(capsys, cmd, path, tmp_path)
         assert code == 0
 
     @settings(max_examples=150, deadline=None, derandomize=True,
@@ -440,7 +462,7 @@ class TestMalformedCircuit:
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(doc))
         for cmd in ("simulate", "profile"):
-            code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+            code, _, err = run_on(capsys, cmd, path, tmp_path)
             assert code in (0, 2)
             if code == 2:
                 assert "error" in json.loads(err)
@@ -592,10 +614,10 @@ class TestSupportCap:
                              "--dirty-b1", "--out", circ)
         assert code == 0
         # the CLI seeds dirty qubits with |0>, so this run peaks at 32 keys
-        code, _, _ = run_cli(capsys, "simulate", "--in", circ, "--max-qubits", "64")
+        code, _, _ = run_cli(capsys, "simulate", "--in", circ)
         assert code == 0
         monkeypatch.setattr(sim, "MAX_SUPPORT", 1 << 4)
-        code, _, err = run_cli(capsys, "simulate", "--in", circ, "--max-qubits", "64")
+        code, _, err = run_cli(capsys, "simulate", "--in", circ)
         assert code == 2
         doc = json.loads(err)
         assert doc["error"] == "PeakQubitsExceeded"
@@ -634,7 +656,7 @@ class TestCircuitStreams:
     def test_trailing_garbage_is_exit_2(self, capsys, tmp_path, cmd, trailing):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(two_qubit_doc()) + trailing)
-        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] == "JSONDecodeError"
 
@@ -642,7 +664,7 @@ class TestCircuitStreams:
     def test_repeated_top_level_key_is_exit_2(self, capsys, tmp_path, cmd):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(two_qubit_doc())[:-1] + ', "persistent": [0, 1]}')
-        code, _, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] == "MalformedCircuit"
 
@@ -654,7 +676,7 @@ class TestCircuitStreams:
         for name, enc in (("plain.json", "utf-8"), ("encoded.json", encoding)):
             path = tmp_path / name
             path.write_bytes(text.encode(enc))
-            code, out, err = run_cli(capsys, cmd, "--in", str(path), "--out", str(tmp_path / "out"))
+            code, out, err = run_on(capsys, cmd, path, tmp_path)
             assert (code, err) == (0, "")
             doc = json.loads(out)
             assert doc.pop("input_digest") == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -7,7 +7,6 @@ from qsprep import amplitudes as amp
 from qsprep import protocols as proto
 from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
-from qsprep.config import DEFAULT_MAX_LIVE_QUBITS
 from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit, PeakQubitsExceeded
 from qsprep.sim import run
 from tests_reflection_helper import run_with_input
@@ -123,7 +122,7 @@ class TestCspCircuit:
     def test_basis_control_zero_target(self):
         t = amp.make_target([1, 0, 0, 0, 0, 0, 0, 0])
         c = proto.csp_circuit(amp.csp_angles(t, 1), control_state=0)
-        _, state = run(c, max_live=24)
+        _, state = run(c)
         vec = state.statevector(c.registers["D"])
         assert abs(abs(vec[0]) - 1.0) < 1e-10
 
@@ -137,7 +136,7 @@ class TestCspCircuit:
         want = np.zeros(8, dtype=complex)
         seg = t.amplitudes[4 * k: 4 * k + 4]
         want[4 * k: 4 * k + 4] = seg / y.values[k]
-        report, _ = run(c, target=want, target_order=data, max_live=24)
+        report, _ = run(c, target=want, target_order=data)
         assert report.fidelity >= 1 - 1e-9
 
 
@@ -221,11 +220,11 @@ class TestSpCsp:
             if c.kind(q) == "dirty":
                 v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 seeds[q] = v / np.linalg.norm(v)
-        report, _ = run(c, dirty_seeds=seeds, max_live=24)
+        report, _ = run(c, seeds=seeds)
         assert all(ok for _, ok in report.dirty_restoration)
         data = c.registers["D"]
         # rebuild to measure fidelity with the same seeds
-        report2, _ = run(c, dirty_seeds=seeds, target=t.amplitudes, target_order=data, max_live=24)
+        report2, _ = run(c, seeds=seeds, target=t.amplitudes, target_order=data)
         assert report2.fidelity >= 1 - 1e-9
 
     def test_rotation_layer_count_constant(self):
@@ -262,9 +261,6 @@ def paper_layout_case(n, m, complex_=False, dirty_b1=False, seed=0):
     return t, c, seeds
 
 
-PAPER_MAX_LIVE = 256
-
-
 class TestPaperLayout:
     """The paper's own layout, far wider than a dense statevector could hold."""
 
@@ -276,9 +272,9 @@ class TestPaperLayout:
     ])
     def test_verifies(self, n, m, complex_, dirty_b1):
         t, c, seeds = paper_layout_case(n, m, complex_, dirty_b1)
-        report, _ = run(c, dirty_seeds=seeds, target=t.amplitudes,
-                        target_order=c.registers["D"], max_live=PAPER_MAX_LIVE)
-        assert report.peak_live_qubits > DEFAULT_MAX_LIVE_QUBITS
+        report, _ = run(c, seeds=seeds, target=t.amplitudes,
+                        target_order=c.registers["D"])
+        assert report.peak_live_qubits > 26  # a dense vector of 2**26 amplitudes is 1 GiB
         assert report.fidelity >= 1 - 1e-9
         assert all(mass <= 1e-10 for _, _, mass in report.ancilla_verdicts)
         assert bool(report.dirty_restoration) == dirty_b1
@@ -289,7 +285,7 @@ class TestPaperLayout:
         _, c, seeds = paper_layout_case(4, 2, complex_=True, dirty_b1=True)
         monkeypatch.setattr(sim, "MAX_SUPPORT", 1 << 10)
         with pytest.raises(PeakQubitsExceeded, match="support"):
-            run(c, dirty_seeds=seeds, max_live=PAPER_MAX_LIVE)
+            run(c, seeds=seeds)
 
 
 class TestOracleTriangle:

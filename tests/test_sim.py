@@ -129,12 +129,26 @@ class TestSimBasics:
         assert state.num_live == 1
         assert report.ancilla_verdicts[0][2] <= 1e-12
 
-    def test_peak_cap(self):
-        c = Circuit()
-        qs = [c.alloc(at_layer=0) for _ in range(5)]
-        c.mark_persistent(qs)
-        with pytest.raises(PeakQubitsExceeded):
-            run(c, max_live=4)
+    @pytest.mark.parametrize("late", [False, True])
+    def test_wide_state_is_refused(self, monkeypatch, late):
+        """Two keys fit a bound of 3 words at 64 qubits, not at 65, where a key takes two words.
+
+        The last qubit comes in at layer 0 (refused when the H doubles the
+        support) or after the H (refused when its allocation widens the keys).
+        """
+        def wide(width):
+            c = Circuit()
+            qs = [c.alloc(at_layer=0) for _ in range(width - 1)]
+            qs.append(c.alloc(at_layer=int(late)))
+            c.mark_persistent(qs)
+            c.place([gate("h", (qs[0],))], 0)
+            return c
+
+        monkeypatch.setattr(sim, "MAX_SUPPORT", 3)
+        report, state = run(wide(64))
+        assert (report.peak_live_qubits, len(state._amp)) == (64, 2)
+        with pytest.raises(PeakQubitsExceeded, match="support"):
+            run(wide(65))
 
     def test_statevector_reorders(self):
         c = Circuit()
@@ -147,12 +161,12 @@ class TestSimBasics:
 
     def test_basis_fast_path_stays_symbolic(self):
         c = Circuit()
-        qs = [c.alloc(at_layer=0) for _ in range(40)]  # far beyond the dense cap
+        qs = [c.alloc(at_layer=0) for _ in range(40)]  # 2**40 amplitudes as a dense vector
         c.mark_persistent(qs)
         c.place([gate("x", (qs[0],))], 0)
         for i in range(39):
             c.place([gate("cnot", (qs[i], qs[i + 1]))], i + 1)
-        report, state = run(c, max_live=64)
+        report, state = run(c)
         assert state.dominant_basis() == ((1 << 40) - 1, 1.0)
 
     def test_dominant_basis_ties_go_to_lowest_key(self):
@@ -186,7 +200,7 @@ class TestSimBasics:
         c.place([gate("cnot", (a, d))], 1)
         c.dealloc(d, at_layer=2)
         seed = (0.6, 0.8j)
-        report, _ = run(c, dirty_seeds={d: seed})
+        report, _ = run(c, seeds={d: seed})
         assert report.dirty_restoration == [(d, True)]
 
     def test_dirty_seed_not_restored_raises(self):
@@ -195,7 +209,7 @@ class TestSimBasics:
         c.place([gate("x", (d,))], 0)
         c.dealloc(d, at_layer=1)
         with pytest.raises(DeallocNotZero):
-            run(c, dirty_seeds={d: (0.6, 0.8)})
+            run(c, seeds={d: (0.6, 0.8)})
 
     def test_norm_drift_raises(self):
         # each ancilla leaves 0.9e-10 of its mass behind, under the dealloc
@@ -268,10 +282,10 @@ class TestContractionSoundnessFragments:
     """Dynamic dealloc equals the flattened run projected on ancilla |0>."""
 
     def compare(self, circ, keep):
-        _, dstate = run(circ, max_live=32)
+        _, dstate = run(circ)
         dyn = dstate.statevector(keep)
         flat, id_map = strip_deallocs(circ)
-        _, fstate = run(flat, max_live=32)
+        _, fstate = run(flat)
         keep_mapped = [id_map[q] for q in keep]
         keep_ids = {q for q in keep_mapped}
         rest = [q for q in flat.qubits() if q not in keep_ids]
@@ -440,8 +454,8 @@ class TestPositionReuse:
             c = spcsp(t, ProtocolConfig(n=n, m=m, dirty_b1=dirty_b1))
             seeds = {q: (0.0, 1.0) if rng.integers(2) else (1.0, 0.0)
                      for q in c.qubits() if c.kind(q) == "dirty"}
-            report, state = run(c, dirty_seeds=seeds, target=t.amplitudes,
-                                target_order=c.registers["D"], max_live=1 << 16)
+            report, state = run(c, seeds=seeds, target=t.amplitudes,
+                                target_order=c.registers["D"])
             assert report.fidelity == 1.0
             assert all(mass == 0.0 for _, _, mass in report.ancilla_verdicts)
             assert bool(seeds) == dirty_b1

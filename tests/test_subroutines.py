@@ -343,7 +343,7 @@ class TestFlag:
             c = fragment_circuit("flag", m, basis=j)
             data = c.registers["D"]
             F = c.registers["F"]
-            _, state = run(c, max_live=32)
+            _, state = run(c)
             vec = state.statevector(data + F)
             idx = int(np.argmax(np.abs(vec)))
             assert abs(abs(vec[idx]) - 1.0) < 1e-12
@@ -392,7 +392,7 @@ class TestLoadf:
     def loadf_state(self, k, flags, **kwargs):
         c = fragment_circuit("loadf", m=1, angles=self.conv, basis=k,
                              flags=flags, **kwargs)
-        _, state = run(c, max_live=24)
+        _, state = run(c)
         B0 = c.registers["B0"]
         F0 = c.registers["F0"]
         ctrl = c.registers["D0"]
@@ -444,7 +444,7 @@ class TestLoadf:
         c.mark_persistent(F0 + B0)
         end, _ = loadf_frag(c, ctrl, B0, F0, self.conv, start=2)
         loadf_frag(c, ctrl, B0, F0, self.conv, start=end, adjoint=True)
-        _, state = run(c, max_live=24)
+        _, state = run(c)
         vec = state.statevector(ctrl + F0 + B0)
         want = np.zeros(1 << 7, dtype=complex)
         want[0b0001110] = 1 / math.sqrt(2)   # flags set, ctrl 0, buffer 0
@@ -462,7 +462,7 @@ class TestLoadf:
             for q in b1:
                 v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 seeds[q] = v / np.linalg.norm(v)
-            report, _ = run(c, dirty_seeds=seeds, max_live=24)
+            report, _ = run(c, seeds=seeds)
             assert all(ok for _, ok in report.dirty_restoration)
 
     def test_register_shapes_match_declared(self):

@@ -14,7 +14,7 @@ def run_with_input(circuit, data_vec):
     """
     c = circuit.compact()
     data = c.registers["D"]
-    state = SimState(max_live=26)
+    state = SimState()
     L = c.num_layers()
     report = SimReport(fidelity=None)
     seeded = False
@@ -37,5 +37,5 @@ def run_with_input(circuit, data_vec):
             break
         for g in c.layers[t]:
             state.apply(g)
-    report.peak_live_qubits = state.peak_live
+    report.peak_live_qubits = state._width
     return report, state
