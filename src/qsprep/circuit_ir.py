@@ -1,42 +1,61 @@
 """Layered circuit IR with qubit lifecycle events and resource accounting.
 
-A circuit is a list of layers (gate lists) plus, per qubit, an allocation
-layer, an optional deallocation layer, and a clean/dirty kind.  A qubit is
-its int id, an index into those per-qubit tables: the ids are 0..n-1 in
-allocation order, the same ints the circuit JSON carries.  Lifetimes
-are half-open: a qubit allocated at layer a and deallocated at layer d may
+A circuit is a list of layers plus, per qubit, an allocation layer, an
+optional deallocation layer, and a clean/dirty kind.  A qubit is its int
+id, an index into those per-qubit tables: the ids are 0..n-1 in
+allocation order, the same ints the circuit JSON carries.  Lifetimes are
+half-open: a qubit allocated at layer a and deallocated at layer d may
 carry gates on layers a..d-1 and contributes d-a to the spacetime
 allocation.  Qubits never deallocated must be marked persistent (data
 registers); they accrue from allocation to the end of the circuit.
 
-The check boundary: the per-gate rules are stated once, in
-:func:`_gate_faults` (known op, operand and parameter counts, finite
-``float`` parameters, distinct int operands), and the whole circuit is
-checked by one walk, :meth:`Circuit.validate`'s: each layer as a whole,
-then gate by gate only when it fails, to name each fault with its typed
-error.
+Storage is columnar, the layout of Stim's circuits (Gidney, "Stim: a fast
+stabilizer circuit simulator", Quantum 2021): a layer is three flat
+columns, a ``bytearray`` of op codes, an ``array('i')`` of qubit ids and
+an ``array('d')`` of parameters, and each op's code fixes how many ids
+and parameters it takes (``GATE_SIGNATURES``).  The per-qubit tables are
+flat arrays as well, with ``NEVER`` as the release layer of a qubit that
+is never released.  A gate costs about 12 bytes of columns and a qubit 13
+bytes of tables; whole-layer checks, relocation, compaction and
+serialization are passes over the columns in C.  :meth:`Circuit.gates`
+and ``Circuit.layers`` read the columns back as ``Gate`` tuples.
 
-* Emitters build ``Gate`` tuples directly, allocate each layer's fresh
-  qubits in one :meth:`Circuit.alloc_many` call and place gates a layer at
-  a time; :meth:`Circuit.place` checks only liveness and time order, one
-  combined test per operand.  An emitted circuit passes the walk before it
-  is written out.
-* :func:`loads` turns each layer of input JSON into ``Gate`` tuples,
-  checking only its form, and the loaded circuit passes the same walk,
-  which raises its first fault.
-* :func:`gate` is the checked constructor for hand-built gates: it raises
-  the first broken per-gate rule.
+The check boundary: the per-gate rules are stated once, split by where
+they are enforced.
+
+* :func:`_form_faults` (known op, operand and parameter counts, ``float``
+  parameters, int operands) holds for every packed batch: :func:`_pack`
+  raises a batch's first break, in the words :meth:`Circuit.validate`
+  uses ("layer t: ..."), since the columns cannot hold such a gate.
+* :func:`_value_faults` (finite parameters, distinct operands) and
+  liveness are checked by one walk, :meth:`Circuit.validate`'s: each layer
+  as a whole, then gate by gate only when it fails, to name each fault
+  with its typed error.
+
+Emitters build ``Gate`` tuples, allocate each layer's fresh qubits in one
+:meth:`Circuit.alloc_many` call and place gates a layer at a time;
+:meth:`Circuit.place` packs a batch and checks liveness and time order
+in one pass over its flat ids.  :meth:`Circuit.append_layer` adds a
+layer without the liveness check, for hand-built circuits.  :func:`loads`
+reads circuit JSON (a ``str``, ``bytes``, or a binary file read in
+blocks) into the columns a chunk of gates at a time, and the loaded
+circuit passes the walk.  :func:`gate` is the checked
+constructor for hand-built gates: it raises the first broken per-gate
+rule.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, attrgetter, is_not, itemgetter, le
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import itemgetter, le, ne, neg, sub
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     BadEpsilon,
@@ -63,20 +82,40 @@ GATE_SIGNATURES = {
     "cry": (2, 1), "crz": (2, 1), "ccry": (3, 1), "ccrz": (3, 1),
 }
 
+#: every op with a parameter is one of these, so its inverse negates the parameter
 ROTATION_OPS = frozenset({"ry", "rz", "phase", "cry", "crz", "ccry", "ccrz"})
 
-#: (op, number of qubits, number of parameters) of every well-formed gate
-_SHAPES = frozenset((op, nq, npar) for op, (nq, npar) in GATE_SIGNATURES.items())
 _FLOAT = frozenset({float})
 _INT = frozenset({int})
 _LIST = frozenset({list})
 _STR = frozenset({str})
-_OP = attrgetter("op")
-_PARAMS = attrgetter("params")
-_QUBITS = attrgetter("qubits")
 
 _INVERSE_SELF = frozenset({"x", "h", "cnot", "swap", "cswap", "toffoli"})
 _INVERSE_PAIR = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+
+#: op code -> op name; a code is the op's index in ``GATE_SIGNATURES``
+_OPS = tuple(GATE_SIGNATURES)
+_CODE = {op: code for code, op in enumerate(_OPS)}
+#: op code -> (number of qubits, number of parameters)
+_ARITY = tuple(GATE_SIGNATURES.values())
+#: (op, number of qubits, number of parameters) of every well-formed gate -> its op code
+_SHAPE_CODE = {(op, nq, npar): code for code, (op, (nq, npar)) in enumerate(GATE_SIGNATURES.items())}
+#: ``codes.translate(_INVERSE)`` are the codes of the inverse ops; their parameters are negated
+_INVERSE = bytes(_CODE[_INVERSE_PAIR.get(op, op)] for op in _OPS).ljust(256, b"\0")
+_ROTATION_CODES = bytes(sorted(map(_CODE.__getitem__, ROTATION_OPS)))
+
+#: kind code -> kind name
+_KINDS = (CLEAN, DIRTY)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+
+#: the release layer of a qubit that is never released: the largest ``array('i')`` value
+NEVER = 2**31 - 1
+#: the ints a qubit id or a layer index can be, and the ints a column can hold
+_INDEX = range(NEVER)
+_I32 = range(-2**31, NEVER)
+
+#: ``_consume(iterator)`` runs an iterator of C calls, such as ``map(setitem, ...)``, to its end
+_consume = deque(maxlen=0).extend
 
 
 #: A qubit is its int id in the circuit's alloc table; the name is kept for annotations.
@@ -115,11 +154,10 @@ def _angle(p) -> float:
     return x
 
 
-def _gate_faults(g: Gate) -> Iterator[tuple[type[CircuitError], str]]:
-    """The per-gate rules, each one ``g`` breaks as (error class, message): a known op
-    with its operand and parameter counts, finite ``float`` parameters, and distinct
-    int operands.  Operand types are checked before the operands are hashed."""
-    op, params, qubits = g
+def _form_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]]:
+    """The per-gate rules the columns hold by construction, each one the gate breaks as
+    (error class, message): a known op with its operand and parameter counts, ``float``
+    parameters (not ``np.float64``), and int operands (not ``bool``)."""
     sig = GATE_SIGNATURES.get(op) if type(op) is str else None
     if sig is None:
         yield MalformedCircuit, f"unknown op {op!r}"
@@ -127,14 +165,20 @@ def _gate_faults(g: Gate) -> Iterator[tuple[type[CircuitError], str]]:
         yield (DuplicateOperand if len(qubits) != sig[0] else MalformedCircuit,
                f"{op} takes {sig[0]} qubits and {sig[1]} params, got {len(qubits)} and {len(params)}")
     for p in params:
-        if type(p) is not float or not math.isfinite(p):
+        if type(p) is not float:
             yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
-    ids = []
     for i in qubits:
-        if type(i) is int:
-            ids.append(i)
-        else:
+        if type(i) is not int:
             yield OperandNotLive, f"{op} operand {i!r} is not an int qubit id"
+
+
+def _value_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]]:
+    """The per-gate rules left to the walk: finite parameters and distinct operands.
+    Only int operands are hashed."""
+    for p in params:
+        if type(p) is float and not math.isfinite(p):
+            yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
+    ids = [i for i in qubits if type(i) is int]
     if len(set(ids)) != len(ids):
         yield DuplicateOperand, f"{op} repeats an operand: {ids}"
 
@@ -143,9 +187,44 @@ def gate(op: str, qubits, *params) -> Gate:
     """A checked gate: the parameters become floats through :func:`_angle`, then the
     first per-gate rule the gate breaks is raised."""
     g = Gate(op, tuple(map(_angle, params)), tuple(qubits))
-    for error, message in _gate_faults(g):
+    for error, message in chain(_form_faults(*g), _value_faults(*g)):
         raise error(message)
     return g
+
+
+def _pack(ops, params, qubits, t: int) -> tuple[bytes, list[int], list[float]]:
+    """A batch of gates, given as parallel sequences of ops, parameter lists and operand
+    lists, as columns: (op codes, flat qubit ids, flat parameters).
+
+    The batch is checked as a whole, one pass per rule; only a batch that fails is walked
+    gate by gate, which raises its first :func:`_form_faults` fault as ``layer t: ...``.
+    """
+    try:
+        codes = bytes(map(_SHAPE_CODE.__getitem__, zip(ops, map(len, qubits), map(len, params))))
+        ids, values = list(chain.from_iterable(qubits)), list(chain.from_iterable(params))
+        if set(map(type, ids)) <= _INT and set(map(type, values)) <= _FLOAT:
+            return codes, ids, values
+    except (KeyError, TypeError):  # an unknown shape, or an unhashable op
+        pass
+    for fields in zip(ops, params, qubits):
+        for error, message in _form_faults(*fields):
+            raise error(f"layer {t}: {message}")
+    raise InternalInvariant(f"layer {t}: a batch failed its form check without a fault")
+
+
+class _Layers:
+    """A circuit's layers as a read-only sequence: ``layers[t]`` is layer t as a list of ``Gate``s."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, c: "Circuit"):
+        self._c = c
+
+    def __len__(self) -> int:
+        return len(self._c._ops)
+
+    def __getitem__(self, t: int) -> list[Gate]:
+        return list(self._c.gates(t))
 
 
 class Circuit:
@@ -160,11 +239,13 @@ class Circuit:
     """
 
     def __init__(self):
-        self.layers: list[list[Gate]] = []
-        self._kind: list[str] = []          # per qubit id
-        self._alloc: list[int] = []
-        self._dealloc: list[int | None] = []
-        self._last_use: list[int] = []      # latest layer with a gate (or alloc) on the qubit
+        self._ops: list[bytearray] = []     # per layer: op codes
+        self._qs: list[array] = []          # per layer: the operands, ``_ARITY`` of them per op
+        self._ps: list[array] = []          # per layer: the parameters, ``_ARITY`` of them per op
+        self._kind = bytearray()            # per qubit id: kind code
+        self._alloc = array("i")
+        self._dealloc = array("i")          # NEVER for a qubit never released
+        self._last_use = array("i")         # latest layer with a gate (or alloc - 1) on the qubit
         self._persistent: set[int] = set()
         self.registers: dict[str, list[int]] = {}
         self.meta: dict = {}
@@ -178,17 +259,21 @@ class Circuit:
         """Allocate ``count`` fresh qubits of one kind at one layer; returns their ids."""
         if at_layer is None:
             at_layer = self.num_layers()
+        return self._add_qubits(bytes((_KIND_CODE[kind],)) * count, array("i", (at_layer,)) * count)
+
+    def _add_qubits(self, kinds: bytes, layers: array) -> range:
+        """Allocate fresh qubits, one per kind code and alloc layer; returns their ids."""
         first = len(self._alloc)
-        self._kind += [kind] * count
-        self._alloc += [at_layer] * count
-        self._dealloc += [None] * count
-        self._last_use += [at_layer - 1] * count
-        return range(first, first + count)
+        self._kind += kinds
+        self._alloc += layers
+        self._dealloc += array("i", (NEVER,)) * len(layers)
+        self._last_use += array("i", map((-1).__add__, layers))
+        return range(first, len(self._alloc))
 
     def dealloc(self, q: int, at_layer: int | None = None) -> None:
         if not 0 <= q < len(self._alloc):
             raise OperandNotLive(f"qubit {q} is not allocated")
-        if self._dealloc[q] is not None:
+        if self._dealloc[q] != NEVER:
             raise DoubleDealloc(f"qubit {q} deallocated twice")
         if at_layer is None:
             at_layer = max(self._last_use[q] + 1, self._alloc[q])
@@ -210,10 +295,9 @@ class Circuit:
             return
         dealloc = self._dealloc
         if (min(qs) >= 0 and max(qs) < len(dealloc) and len(set(qs)) == len(qs)
-                and set(map(dealloc.__getitem__, qs)) == {None}
+                and set(map(dealloc.__getitem__, qs)) == {NEVER}
                 and max(map(self._last_use.__getitem__, qs)) < at_layer):
-            for q in qs:
-                dealloc[q] = at_layer
+            _consume(map(dealloc.__setitem__, qs, repeat(at_layer)))
         else:
             for q in qs:
                 self.dealloc(q, at_layer)
@@ -230,39 +314,50 @@ class Circuit:
     # -- gate placement ---------------------------------------------------------
 
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self._ops)
 
     def _grow(self, layer: int) -> None:
-        while len(self.layers) <= layer:
-            self.layers.append([])
+        while len(self._ops) <= layer:
+            self._ops.append(bytearray())
+            self._qs.append(array("i"))
+            self._ps.append(array("d"))
 
     def place(self, gates: list[Gate], layer: int) -> int:
         """Put a batch of gates at one explicit layer; every operand must be live there.
 
-        Gates on one qubit must arrive in time order: a layer at or before
-        the qubit's latest gate is a ``LayerCollision``, which also rejects a
-        qubit in two gates of the batch.  One loop tests each operand against
-        one combined condition; only a failing operand is examined for its
-        typed error.  The gates' signatures are checked by :func:`gate` or
-        :meth:`validate`.  A rejected batch adds no gate, but the qubits
+        The batch is packed into columns first (:func:`_pack`).  Gates on
+        one qubit must arrive in time order: a layer at or before the
+        qubit's latest gate is a ``LayerCollision``, which also rejects a
+        qubit in two gates of the batch.  One loop over the flat ids tests
+        each against one combined condition; only a failing id is examined
+        for its typed error.  A rejected batch adds no gate, but the qubits
         checked before the failing one keep their new latest layer.  An
         empty batch changes nothing.
         """
         if not gates:
             return layer
-        if layer >= len(self.layers):
+        ops, params, qubits = zip(*gates)
+        return self._place(*_pack(ops, params, qubits, layer), layer)
+
+    def _place(self, codes, ids, values, layer: int) -> int:
+        """:meth:`place` for a batch already in columns: ``ids`` and ``values`` are
+        sequences of ints and floats (lists or arrays)."""
+        if not codes:
+            return layer
+        if layer >= len(self._ops):
             self._grow(layer)
-        dealloc, last_use = self._dealloc, self._last_use
+        last_use, dealloc = self._last_use, self._dealloc
         n = len(last_use)
-        for g in gates:
-            for i in g.qubits:
-                # a qubit's latest layer is at least its alloc layer - 1, so
-                # last_use < layer also proves it allocated by then
-                if 0 <= i < n and last_use[i] < layer and (dealloc[i] is None or dealloc[i] > layer):
-                    last_use[i] = layer
-                else:
-                    raise self._operand_error(i, layer)
-        self.layers[layer] += gates
+        for i in ids:
+            # a qubit's latest layer is at least its alloc layer - 1, so
+            # last_use < layer also proves it allocated by then
+            if 0 <= i < n and last_use[i] < layer < dealloc[i]:
+                last_use[i] = layer
+            else:
+                raise self._operand_error(i, layer)
+        self._ops[layer] += codes
+        self._qs[layer].extend(ids)
+        self._ps[layer].extend(values)
         return layer
 
     def _operand_error(self, i: int, layer: int) -> CircuitError:
@@ -270,7 +365,7 @@ class Circuit:
         if not 0 <= i < len(self._alloc) or layer < self._alloc[i]:
             return OperandNotLive(f"qubit {i!r} not allocated at layer {layer}")
         d = self._dealloc[i]
-        if d is not None and layer >= d:
+        if layer >= d:
             return UseAfterDealloc(f"qubit {i} deallocated at layer {d}, gate at {layer}")
         return LayerCollision(f"qubit {i} has a gate at layer {self._last_use[i]}, next gate at {layer}")
 
@@ -283,23 +378,65 @@ class Circuit:
             layer = max(layer, self._last_use[q] + 1, self._alloc[q])
         return self.place([g], layer)
 
+    def append_layer(self, gates: list[Gate]) -> int:
+        """Add ``gates`` as a new last layer and return its index.
+
+        Only what the columns cannot hold is checked (:func:`_pack`), so a
+        hand-built layer may break liveness; :meth:`validate` reports that.
+        """
+        t = len(self._ops)
+        self._extend(t, *_pack(*(zip(*gates) if gates else ((), (), ())), t))
+        return t
+
+    def _extend(self, t: int, codes: bytes, ids: list[int], values: list[float]) -> None:
+        """Append a packed batch to layer ``t``'s columns, unchecked, growing the
+        circuit to that layer; an id outside the id column's range is ``OperandNotLive``."""
+        try:
+            qs = array("i", ids)
+        except OverflowError:
+            bad = next(i for i in ids if i not in _I32)
+            raise OperandNotLive(f"layer {t}: qubit {bad} is not in the circuit") from None
+        self._grow(t)
+        self._ops[t] += codes
+        self._qs[t] += qs
+        self._ps[t].extend(values)
+
+    def _ends(self, layer: int) -> tuple[int, int, int]:
+        """The lengths of layer ``layer``'s columns; zeros past the last layer."""
+        if layer >= len(self._ops):
+            return 0, 0, 0
+        return len(self._ops[layer]), len(self._qs[layer]), len(self._ps[layer])
+
     # -- views ------------------------------------------------------------------
+
+    @property
+    def layers(self) -> _Layers:
+        """The layers as a read-only sequence of ``Gate`` lists (see :meth:`gates`)."""
+        return _Layers(self)
+
+    def gates(self, t: int) -> Iterator[Gate]:
+        """Layer ``t``'s gates as ``Gate`` tuples, in the order they were placed."""
+        ids, values = iter(self._qs[t]), iter(self._ps[t])
+        for code in self._ops[t]:
+            nq, npar = _ARITY[code]
+            yield new_gate((_OPS[code], tuple(islice(values, npar)), tuple(islice(ids, nq))))
 
     def qubits(self) -> range:
         return range(len(self._alloc))
 
     def kind(self, q: int) -> str:
-        return self._kind[q]
+        return _KINDS[self._kind[q]]
 
     def of_kind(self, kind: str) -> list[int]:
         """The qubits of one kind, in id order: one pass over the kind table."""
-        return list(compress(range(len(self._kind)), map(kind.__eq__, self._kind)))
+        return list(compress(range(len(self._kind)), map(_KIND_CODE[kind].__eq__, self._kind)))
 
     def alloc_layer(self, q: int) -> int:
         return self._alloc[q]
 
     def dealloc_layer(self, q: int) -> int | None:
-        return self._dealloc[q]
+        d = self._dealloc[q]
+        return None if d == NEVER else d
 
     def last_use_layer(self, q: int) -> int:
         """The latest layer with a gate on ``q``, or its alloc layer - 1 if none."""
@@ -311,36 +448,32 @@ class Circuit:
         for q, a in enumerate(self._alloc):
             buckets[a][0].append(q)
         for q, d in enumerate(self._dealloc):
-            if d is not None:
+            if d != NEVER:
                 buckets[d][1].append(q)
         return buckets
 
-    def depth(self) -> int:
-        return sum(1 for layer in self.layers if layer)
+    def depth(self, stop: int | None = None) -> int:
+        """The number of non-empty layers, among the first ``stop`` if given."""
+        return sum(map(bool, self._ops[:stop]))
 
     def size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return sum(map(len, self._ops))
 
     def live_profile(self, qubits: Iterable[int] | None = None) -> list[int]:
         """Live-qubit count per layer (allocated and not yet deallocated).
 
         Counts only the given qubits when ``qubits`` is passed, else all.
+        The allocations and the releases (at most ``num_layers()``) are
+        counted per layer in C; a lifetime adds one from its alloc layer up
+        to its release layer, and an empty one nothing.
         """
         L = self.num_layers()
         alloc, dealloc = self._alloc, self._dealloc
         if qubits is not None:
             ids = list(qubits)
-            alloc = list(map(alloc.__getitem__, ids))
-            dealloc = list(map(dealloc.__getitem__, ids))
-        delta = [0] * (L + 1)
-        for a, d in zip(alloc, dealloc):
-            if d is None or d > L:
-                d = L
-            if a < d:
-                delta[a] += 1
-                delta[d] -= 1
-        del delta[L]
-        return list(accumulate(delta))
+            alloc, dealloc = map(alloc.__getitem__, ids), map(dealloc.__getitem__, ids)
+        starts, ends = Counter(alloc), Counter(map(min, dealloc, repeat(L)))
+        return list(accumulate(starts[t] - ends[t] for t in range(L)))
 
     def embed(self, src: "Circuit", shift: Callable[[int], int],
               shared: dict[int, int] | None = None) -> list[int]:
@@ -351,69 +484,72 @@ class Circuit:
         other qubit gets a fresh id (in order of its allocation layer) with
         the same kind, allocated at ``shift(alloc)``, released right after its
         shifted last layer, at ``shift(dealloc - 1) + 1``, and persistent here
-        if it is persistent in ``src``.
+        if it is persistent in ``src``.  Each layer's ids are remapped by one
+        ``map`` and placed as one batch.
         """
         shared = shared or {}
         mapping = [shared.get(q) for q in src.qubits()]
-        fresh = [q for q in src.qubits() if q not in shared]
-        for q in sorted(fresh, key=src._alloc.__getitem__):
-            mapping[q] = self.alloc(src._kind[q], at_layer=shift(src._alloc[q]))
+        fresh = sorted((q for q in src.qubits() if q not in shared), key=src._alloc.__getitem__)
+        ids = self._add_qubits(bytes(map(src._kind.__getitem__, fresh)),
+                               array("i", map(shift, map(src._alloc.__getitem__, fresh))))
+        _consume(map(mapping.__setitem__, fresh, ids))
         self.mark_persistent(mapping[q] for q in fresh if q in src._persistent)
-        for t, layer in enumerate(src.layers):
-            self.place([Gate(g.op, g.params, tuple(map(mapping.__getitem__, g.qubits))) for g in layer], shift(t))
+        for t, (codes, ids, values) in enumerate(zip(src._ops, src._qs, src._ps)):
+            self._place(codes, array("i", map(mapping.__getitem__, ids)), values, shift(t))
         for q in fresh:
             d = src._dealloc[q]
-            if d is not None:
+            if d != NEVER:
                 self.dealloc(mapping[q], at_layer=shift(d - 1) + 1)
         return mapping
 
     def _copy_tables(self) -> "Circuit":
         """A new circuit with this one's kinds, persistent set, registers and meta, and no layers."""
         c = Circuit()
-        c._kind = list(self._kind)
+        c._kind = self._kind[:]
         c._persistent = set(self._persistent)
         c.registers = {k: list(v) for k, v in self.registers.items()}
         c.meta = dict(self.meta)
         return c
 
     def compact(self) -> "Circuit":
-        """Drop empty layers, remapping gate and lifecycle layer indices."""
-        if all(self.layers):
+        """Drop empty layers, remapping lifecycle layer indices."""
+        if all(self._ops):
             return self
-        new_index = []
-        count = 0
-        for layer in self.layers:
-            new_index.append(count)
-            if layer:
-                count += 1
-        new_index.append(count)
+        new_index = dict(enumerate(accumulate(map(bool, self._ops), initial=0)))
+        new_index[NEVER] = NEVER
         c = self._copy_tables()
-        c._alloc = [new_index[a] for a in self._alloc]
-        c._dealloc = [None if d is None else new_index[d] for d in self._dealloc]
-        c.layers = [list(layer) for layer in self.layers if layer]
+        c._alloc = array("i", map(new_index.__getitem__, self._alloc))
+        c._dealloc = array("i", map(new_index.__getitem__, self._dealloc))
+        kept = list(map(bool, self._ops))
+        c._ops = [codes[:] for codes in compress(self._ops, kept)]
+        c._qs = [ids[:] for ids in compress(self._qs, kept)]
+        c._ps = [values[:] for values in compress(self._ps, kept)]
         c._reset_last_use()
         return c
 
     def _reset_last_use(self) -> None:
         """Set each qubit's latest layer from the gates: its last gate's layer, else its alloc layer - 1."""
-        last_use = self._last_use = [a - 1 for a in self._alloc]
-        for t, layer in enumerate(self.layers):
-            for q in chain.from_iterable(map(_QUBITS, layer)):
-                last_use[q] = t
+        last_use = list(map((-1).__add__, self._alloc))
+        for t, ids in enumerate(self._qs):
+            _consume(map(last_use.__setitem__, ids, repeat(t)))
+        self._last_use = array("i", last_use)
 
     def adjoint(self) -> "Circuit":
-        """Time-reversed circuit with inverted gates and mirrored lifecycles."""
+        """Time-reversed circuit with inverted gates and mirrored lifecycles.
+
+        Layer t becomes layer T-1-t with each op code translated to its
+        inverse's and every parameter negated (only rotations have one).
+        """
         T = self.num_layers()
         c = self._copy_tables()
-        for qid, (a, d) in enumerate(zip(self._alloc, self._dealloc)):
-            c._alloc.append(0 if d is None else T - d)
-            # non-persistent qubits allocated at 0 still mirror to a dealloc at T
-            c._dealloc.append(None if a == 0 and qid in self._persistent else T - a)
-        c._last_use = [a - 1 for a in c._alloc]
-        if T:
-            c._grow(T - 1)
-        for old in range(T - 1, -1, -1):
-            c.place([g.inverse() for g in self.layers[old]], T - 1 - old)
+        c._alloc = array("i", [0 if d == NEVER else T - d for d in self._dealloc])
+        # non-persistent qubits allocated at 0 still mirror to a dealloc at T
+        c._dealloc = array("i", [NEVER if a == 0 and q in self._persistent else T - a
+                                 for q, a in enumerate(self._alloc)])
+        c._ops = [codes.translate(_INVERSE) for codes in reversed(self._ops)]
+        c._qs = [ids[:] for ids in reversed(self._qs)]
+        c._ps = [array("d", map(neg, values)) for values in reversed(self._ps)]
+        c._reset_last_use()
         return c
 
     # -- validation ---------------------------------------------------------------
@@ -433,32 +569,28 @@ class Circuit:
     def _faults(self) -> Iterator[tuple[type[CircuitError], str]]:
         """Every gate and liveness fault, layer by layer, as (error class, message).
 
-        Each gate must keep the per-gate rules (:func:`_gate_faults`) and act
-        on qubits live at its layer, one gate per qubit per layer.  A layer is
-        checked as a whole, one pass per rule, and walked gate by gate only
+        The columns hold only well-formed gates (:func:`_pack`), so each
+        gate must keep :func:`_value_faults` and act on qubits live at its
+        layer, one gate per qubit per layer.  A layer is checked as a whole,
+        one pass per rule over its flat columns, and walked gate by gate only
         when it fails.
         """
-        alloc, n = self._alloc, len(self._alloc)
-        end = [math.inf if d is None else d for d in self._dealloc]
-        for t, layer in enumerate(self.layers):
-            qubits, params = list(map(_QUBITS, layer)), list(map(_PARAMS, layer))
-            ids = list(chain.from_iterable(qubits))
-            values = list(chain.from_iterable(params))
-            try:
-                if (set(zip(map(_OP, layer), map(len, qubits), map(len, params))) <= _SHAPES
-                        and set(map(type, values)) <= _FLOAT and math.isfinite(sum(values))
-                        and len(set(ids)) == len(ids)
-                        and (not ids or (set(map(type, ids)) <= _INT and min(ids) >= 0
-                                         and max(map(alloc.__getitem__, ids)) <= t
-                                         < min(map(end.__getitem__, ids))))):
-                    continue
-            except (TypeError, IndexError):  # an unhashable op or id, or an id past the alloc table
-                pass
+        n = len(self._alloc)
+        # as lists, for fast lookups; the release layers are capped at the layer count,
+        # so that one int object stands for every qubit never released
+        alloc, dealloc = self._alloc.tolist(), list(map(min, self._dealloc, repeat(len(self._ops))))
+        for t, (ids, values) in enumerate(zip(self._qs, self._ps)):
+            ids = ids.tolist()
+            if (math.isfinite(sum(values)) and len(set(ids)) == len(ids)
+                    and (not ids or (min(ids) >= 0 and max(ids) < n
+                                     and max(map(alloc.__getitem__, ids)) <= t
+                                     < min(map(dealloc.__getitem__, ids))))):
+                continue
             seen = set()
-            for g in layer:
-                for error, message in _gate_faults(g):
+            for g in self.gates(t):
+                for error, message in _value_faults(*g):
                     yield error, f"layer {t}: {message}"
-                for i in dict.fromkeys(i for i in g.qubits if type(i) is int):
+                for i in dict.fromkeys(g.qubits):
                     if i in seen:
                         yield LayerCollision, f"layer {t}: qubit {i} in two gates"
                     seen.add(i)
@@ -466,7 +598,7 @@ class Circuit:
                         yield OperandNotLive, f"layer {t}: qubit {i} is not in the circuit"
                     elif t < alloc[i]:
                         yield OperandNotLive, f"layer {t}: qubit {i} used before allocation"
-                    elif t >= end[i]:
+                    elif t >= dealloc[i]:
                         yield UseAfterDealloc, f"layer {t}: qubit {i} used after deallocation"
 
 
@@ -474,21 +606,25 @@ class Block:
     """A recorded span of a circuit, undone by its layer mirror.
 
     A pass-through ``place``/``alloc_many``/``num_layers`` view of ``c``
-    that records each gate batch and each allocation by its layer relative
-    to ``start``.  This is the compute/uncompute pattern: fresh ancillae are
-    allocated at their first use inside the block and released by
-    :meth:`mirror` right after their mirrored last use.
+    that records where each gate batch landed in the columns (its layer
+    and the start and stop of its op, id and parameter slices) and each
+    allocation by its layer relative to ``start``.  This is the
+    compute/uncompute pattern: fresh ancillae are allocated at their
+    first use inside the block and released by :meth:`mirror` right after
+    their mirrored last use.
     """
 
     def __init__(self, c: Circuit, start: int):
         self.c = c
         self.start = start
-        self.batches: list[tuple[int, list[Gate]]] = []
+        self.spans: list[tuple[int, tuple[int, int, int], tuple[int, int, int]]] = []
         self.allocs: list[tuple[int, range]] = []
 
     def place(self, gates: list[Gate], layer: int) -> int:
+        before = self.c._ends(layer)
         self.c.place(gates, layer)
-        self.batches.append((layer - self.start, gates))
+        if gates:
+            self.spans.append((layer, before, self.c._ends(layer)))
         return layer
 
     def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | None = None) -> range:
@@ -504,22 +640,29 @@ class Block:
     def mirror(self, at: int, span: int) -> int:
         """Undo the block in layers [at, at + span) and return ``at + span``.
 
-        A gate recorded at relative layer ``rel`` is inverted at
-        ``at + span - 1 - rel`` (gates sharing a layer keep their recorded
-        order), and the qubits allocated at ``rel`` are released at
-        ``at + span - rel``.  Each mirrored layer's gates are placed as one
-        batch and its qubits released in one call.
+        The batches recorded at relative layer ``rel`` are inverted at
+        ``at + span - 1 - rel`` (their gates keep their recorded order):
+        their column slices are joined, the op codes translated to their
+        inverses' and the parameters negated, and placed as one batch.  The
+        qubits allocated at ``rel`` are released at ``at + span - rel`` in
+        one call.
         """
-        by_rel: dict[int, list[Gate]] = {}
-        for rel, gates in self.batches:
-            by_rel.setdefault(rel, []).extend(gates)
-        for rel in sorted(by_rel, reverse=True):
-            self.c.place([g.inverse() for g in by_rel[rel]], at + span - 1 - rel)
+        c = self.c
+        by_layer: dict[int, tuple[bytearray, array, array]] = {}
+        for layer, (o0, q0, p0), (o1, q1, p1) in self.spans:
+            codes, ids, values = by_layer.setdefault(layer, (bytearray(), array("i"), array("d")))
+            codes += c._ops[layer][o0:o1]
+            ids += c._qs[layer][q0:q1]
+            values += c._ps[layer][p0:p1]
+        for layer in sorted(by_layer, reverse=True):
+            codes, ids, values = by_layer[layer]
+            c._place(codes.translate(_INVERSE), ids, array("d", map(neg, values)),
+                     at + span - 1 - (layer - self.start))
         released: dict[int, list[int]] = {}
         for rel, qubits in self.allocs:
             released.setdefault(rel, []).extend(qubits)
         for rel, qubits in released.items():
-            self.c.dealloc_many(qubits, at + span - rel)
+            c.dealloc_many(qubits, at + span - rel)
         return at + span
 
 
@@ -594,27 +737,26 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL,
     c = c.compact()
     L = c.num_layers()
     persistent = c._persistent
-    ends = c._dealloc
-    if None in ends:
-        leaked = next((q for q, d in enumerate(ends) if d is None and q not in persistent), None)
+    if NEVER in c._dealloc:
+        leaked = next((q for q, d in enumerate(c._dealloc) if d == NEVER and q not in persistent), None)
         if leaked is not None:
             raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
-        ends = [L if d is None else d for d in ends]
+    ends = list(map(min, c._dealloc, repeat(L)))
     sa_q = sum(ends) - sum(c._alloc)
-    dirty_sa = sum([d - a for k, a, d in zip(c._kind, c._alloc, ends) if k == DIRTY])
+    dirty_sa = sum(compress(map(sub, ends, c._alloc), map(_KIND_CODE[DIRTY].__eq__, c._kind)))
     clean_sa = sa_q - dirty_sa
     prof = c.live_profile() if profile is None else profile
     sa_t = sum(prof)
     if sa_q != sa_t:
         raise InternalInvariant(f"spacetime double-count mismatch: {sa_q} != {sa_t}")
 
-    per_layer = [sum(map(ROTATION_OPS.__contains__, map(_OP, layer))) for layer in c.layers]
+    per_layer = [len(codes) - len(codes.translate(None, _ROTATION_CODES)) for codes in c._ops]
     rot_layers = [k > 0 for k in per_layer]
     n_rot = sum(per_layer)
 
     if model.mode == "approximate" and n_rot:
         width = model.rotation_cost(model.epsilon / n_rot)
-        depth_approx = sum(width if r else 1 for layer, r in zip(c.layers, rot_layers) if layer)
+        depth_approx = sum(width if r else 1 for codes, r in zip(c._ops, rot_layers) if codes)
         sa_approx = sum(q_t * (width if r else 1) for q_t, r in zip(prof, rot_layers))
     else:
         depth_approx = c.depth()
@@ -733,7 +875,7 @@ def expand(c: Circuit) -> Circuit:
             out.dealloc(id_map[q])
         if t == L:
             break
-        for g in c.layers[t]:
+        for g in c.gates(t):
             for sub in expand_gate(g, U2_CNOT):
                 out.append(Gate(sub.op, sub.params, tuple(map(id_map.__getitem__, sub.qubits))))
     out.mark_persistent(map(id_map.__getitem__, c.persistent()))
@@ -741,19 +883,20 @@ def expand(c: Circuit) -> Circuit:
     return out
 
 
+
 # -- serialization -------------------------------------------------------------------
 
-def _layer_json(layer: list[Gate]) -> list[dict]:
-    return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in layer]
+def _layer_json(gates: Iterable[Gate]) -> list[dict]:
+    return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in gates]
 
 
 def to_json_dict(c: Circuit) -> dict:
     """The circuit JSON as a tree of lists and dicts: the reference :func:`json_chunks` matches."""
     c = c.compact()
     return {
-        "layers": [_layer_json(layer) for layer in c.layers],
-        "alloc": [[q, a, k] for q, (a, k) in enumerate(zip(c._alloc, c._kind))],
-        "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d is not None],
+        "layers": [_layer_json(c.gates(t)) for t in range(c.num_layers())],
+        "alloc": [[q, a, c.kind(q)] for q, a in enumerate(c._alloc)],
+        "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d != NEVER],
         "persistent": sorted(c._persistent),
         "registers": {name: list(qs) for name, qs in c.registers.items()},
     }
@@ -763,19 +906,23 @@ def to_json_dict(c: Circuit) -> dict:
 #: reference-cycle bookkeeping (one id() entry per container) is skipped.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
-#: op -> the gate's JSON text with its parameters (``%r``) and qubit ids (``%d``) left open,
-#: keys in sorted order as the encoder writes them
-_GATE_TEXT = {
-    op: '{"op":"%s","params":[%s],"qubits":[%s]}' % (op, ",".join(["%r"] * npar), ",".join(["%d"] * nq))
-    for op, (nq, npar) in GATE_SIGNATURES.items()
-}
+#: op code -> the gate's JSON text, keys in sorted order as the encoder writes them, with
+#: its qubit ids left open as ``%d`` and its parameters as ``%%r``, which the ``%`` that
+#: fills the ids turns into ``%r``
+_GATE_TEXT = tuple(
+    '{"op":"%s","params":[%s],"qubits":[%s]}' % (op, ",".join(["%%r"] * npar), ",".join(["%d"] * nq))
+    for op, (nq, npar) in GATE_SIGNATURES.items())
+
+#: the JSON text of each kind code
+_KIND_TEXT = tuple(map(_encode, _KINDS))
 
 
-def _layer_text(layer: list[Gate]) -> str:
-    """A layer's JSON text: one ``%`` over the joined gate templates, fed each gate's
-    parameters followed by its qubit ids."""
-    template = "[%s]" % ",".join(map(_GATE_TEXT.__getitem__, map(_OP, layer)))
-    return template % tuple(chain.from_iterable(map(add, map(_PARAMS, layer), map(_QUBITS, layer))))
+def _layer_text(codes: bytearray, ids: array, values: array) -> str:
+    """A layer's JSON text straight from its columns: the joined gate templates take
+    the flat qubit ids in one ``%``, then the flat parameters (``repr``, as the encoder
+    writes floats) in another."""
+    text = "[%s]" % ",".join(map(_GATE_TEXT.__getitem__, codes)) % tuple(ids)
+    return text % tuple(values) if values else text
 
 
 #: lifecycle-table rows written per piece of text
@@ -800,22 +947,21 @@ def json_chunks(c: Circuit) -> Iterator[str]:
     parse/re-emit round trips.  Rows and layers are written directly from
     text templates, with ``repr`` floats as the JSON encoder writes them, so
     neither passes through lists or dicts; that takes a circuit whose gates
-    pass :meth:`Circuit.validate` (known ops, finite ``float`` parameters).
-    No more than one layer's text exists at a time.
+    pass :meth:`Circuit.validate` (finite parameters).  No more than one
+    layer's text exists at a time.
     """
     c = c.compact()
-    kinds = {k: _encode(k) for k in set(c._kind)}
     dealloc = c._dealloc
     # keys in sorted order: alloc, dealloc, layers, persistent, registers
     yield '{"alloc":['
-    yield from _rows_text("[%d,%d,%s]", zip(count(), c._alloc, map(kinds.__getitem__, c._kind)))
+    yield from _rows_text("[%d,%d,%s]", zip(count(), c._alloc, map(_KIND_TEXT.__getitem__, c._kind)))
     yield '],"dealloc":['
-    yield from _rows_text("[%d,%d]", compress(zip(count(), dealloc), map(is_not, dealloc, repeat(None))))
+    yield from _rows_text("[%d,%d]", compress(zip(count(), dealloc), map(ne, dealloc, repeat(NEVER))))
     yield '],"layers":['
-    for t, layer in enumerate(c.layers):
+    for t, columns in enumerate(zip(c._ops, c._qs, c._ps)):
         if t:
             yield ","
-        yield _layer_text(layer)
+        yield _layer_text(*columns)
     yield '],"persistent":%s,"registers":%s}' % (
         _encode(sorted(c._persistent)), _encode({name: list(qs) for name, qs in c.registers.items()}))
 
@@ -823,11 +969,6 @@ def json_chunks(c: Circuit) -> Iterator[str]:
 def dumps(c: Circuit) -> str:
     """The canonical JSON text of :func:`json_chunks` as one string."""
     return "".join(json_chunks(c))
-
-
-#: Canonical op names: a gate keeps the interned name, not the string parsed from
-#: JSON, so no parsed object outlives its layer and its memory can be reused.
-_OP_NAMES = {op: op for op in GATE_SIGNATURES}
 
 
 def _json_list(value, what: str) -> list:
@@ -840,106 +981,120 @@ def _json_list(value, what: str) -> list:
 _FIELDS = itemgetter("op", "params", "qubits")
 
 
-def _gates(layer, t: int) -> list[Gate]:
-    """Layer ``t``'s parsed JSON as ``Gate`` tuples, checked for form only.
+def _read_gates(c: Circuit, t: int, gates: list) -> None:
+    """Append parsed gates of layer ``t`` to ``c``, packed into columns.
 
     Every gate must be an object with a string ``op`` and lists of
-    ``params`` and ``qubits``; each check is one pass over the layer in C.
+    ``params`` and ``qubits``; each check is one pass over the gates in C.
     Parameters that are not all floats go through :func:`_angle`, which
-    turns ints into floats and rejects booleans, strings and null.  Op
-    names are interned.  The gates' own rules and liveness are left to
-    :meth:`Circuit._faults`.
+    turns ints into floats and rejects booleans, strings and null.  Packing
+    (:func:`_pack`) rejects unknown ops, wrong counts and operands that are
+    not ints, or do not fit the id column; the gates' other rules and
+    liveness are left to :meth:`Circuit._faults`.
     """
-    if not _json_list(layer, f"layer {t}"):
-        return []
     try:
-        ops, params, qubits = zip(*map(_FIELDS, layer))
+        ops, params, qubits = zip(*map(_FIELDS, gates))
     except (TypeError, KeyError):
         raise MalformedCircuit(f"layer {t}: every gate needs op, params and qubits") from None
     if not (set(map(type, ops)) <= _STR and set(map(type, params)) | set(map(type, qubits)) <= _LIST):
         raise MalformedCircuit(f"layer {t}: a gate needs a string op and lists of params and qubits")
     if not set(map(type, chain.from_iterable(params))) <= _FLOAT:
         params = [list(map(_angle, p)) for p in params]
-    return list(map(new_gate, zip(map(_OP_NAMES.get, ops, ops), map(tuple, params), map(tuple, qubits))))
+    c._extend(t, *_pack(ops, params, qubits, t))
 
 
-_KIND_NAMES = {CLEAN: CLEAN, DIRTY: DIRTY}
+def _alloc_entry(e) -> tuple[int, int, int]:
+    """(id, layer, kind code) of one alloc table entry ``[id, layer, kind]``, or its typed error."""
+    if type(e) is not list or len(e) != 3:
+        raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
+    qid, t, kind = e
+    if type(qid) is not int or qid not in _INDEX:
+        raise OperandNotLive("alloc list must cover dense qubit ids")
+    if kind not in _KINDS:
+        raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
+    if type(t) is not int or t not in _INDEX:
+        raise OperandNotLive(f"qubit {qid} allocated at {t!r}, not a layer index")
+    return qid, t, _KIND_CODE[kind]
 
 
-def _read_alloc(entries: list) -> tuple[list[str], list[int]]:
-    """(kinds, alloc layers) from the alloc table ``[[id, layer, kind], ...]``.
+def _dealloc_entry(e) -> tuple[int, int]:
+    """(id, layer) of one dealloc table entry ``[id, layer]``, or its typed error."""
+    if type(e) is not list or len(e) != 2:
+        raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
+    qid, t = e
+    if type(qid) is not int or qid not in _INDEX:
+        raise OperandNotLive(f"qubit id {qid!r} is not allocated")
+    if type(t) is not int:
+        raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
+    if t not in _I32:
+        raise OperandNotLive(f"qubit {qid} deallocated at {t}, not a layer index")
+    return qid, t
 
-    A table listing ids 0..n-1 in order, as :func:`dumps` writes it, is
-    checked in one pass per column; any other table entry by entry, which
-    raises the first entry's typed error.  The layers' upper bound is
-    checked by :func:`_check_bounds` once the layer count is known.
+
+#: table name -> its entry reader and its number of columns: ids, layers (and kind codes)
+_TABLES = {"alloc": (_alloc_entry, 3), "dealloc": (_dealloc_entry, 2)}
+
+
+def _add_rows(columns: list, entry: Callable, rows: list) -> None:
+    """Append a block of a lifecycle table's parsed entries to its columns.
+
+    A block of lists of the right length whose ids and layers are ints in
+    ``_INDEX`` (and whose kinds are "clean" or "dirty") is checked in one
+    pass per column and appended whole; any other block entry by entry
+    through ``entry``, which raises the first entry's typed error.  Dense
+    ids, double releases and the layers' bounds are checked once both
+    tables are read (:func:`_read_tables`, :func:`_check_bounds`).
     """
-    n = len(entries)
     try:
-        if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {3}:
-            ids, layers, kinds = zip(*entries)
-            if (set(map(type, ids)) <= _INT and ids == tuple(range(n))
-                    and set(map(type, layers)) <= _INT and min(layers) >= 0):
-                return list(map(_KIND_NAMES.__getitem__, kinds)), list(layers)
+        if set(map(type, rows)) <= _LIST and set(map(len, rows)) == {len(columns)}:
+            ids, layers, *kinds = zip(*rows)
+            if (set(map(type, ids)) | set(map(type, layers)) <= _INT and min(ids) >= 0 and min(layers) >= 0
+                    and max(ids) < NEVER and max(layers) < NEVER):
+                for column, values in zip(columns, [ids, layers, *(bytes(map(_KIND_CODE.__getitem__, k))
+                                                                  for k in kinds)]):
+                    column.extend(values)
+                return
     except (TypeError, KeyError):  # an unhashable or unknown kind
         pass
-    kinds: list = [None] * n
-    alloc = [0] * n
-    for e in entries:
-        if type(e) is not list or len(e) != 3:
-            raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
-        qid, t, kind = e
-        if type(qid) is not int or not 0 <= qid < n or kinds[qid] is not None:
-            raise OperandNotLive("alloc list must cover dense qubit ids")
-        if kind not in (CLEAN, DIRTY):
-            raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
-        if type(t) is not int or t < 0:
-            raise OperandNotLive(f"qubit {qid} allocated at {t!r}, not a layer index")
-        kinds[qid] = _KIND_NAMES[kind]
-        alloc[qid] = t
-    return kinds, alloc
+    for e in rows:
+        for column, value in zip(columns, entry(e)):
+            column.append(value)
 
 
-def _read_dealloc(entries: list, alloc: list[int]) -> list[int | None]:
-    """Dealloc layers (None for never) from the dealloc table ``[[id, layer], ...]``.
+def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | None) -> None:
+    """Fill ``c``'s lifecycle tables from the columns of the ``alloc`` and ``dealloc`` tables.
 
-    The whole table is checked in one pass per rule; a table that fails is
-    read entry by entry, which raises the first entry's typed error.  The
-    layers' upper bound is checked by :func:`_check_bounds`.
+    A table given as anything but a list is passed as None.  The alloc ids
+    must be 0..n-1 in some order; the dealloc ids must be allocated, each
+    released once, no earlier than its allocation.  Each rule is one pass;
+    a dealloc table that fails is walked entry by entry, which raises the
+    first entry's typed error.  The layers' upper bound is checked by
+    :func:`_check_bounds` once the layer count is known.
     """
-    n = len(alloc)
-    dealloc: list = [None] * n
-    if entries and set(map(type, entries)) <= _LIST and set(map(len, entries)) == {2}:
-        ids, layers = zip(*entries)
-        if (set(map(type, ids)) <= _INT and set(map(type, layers)) <= _INT
-                and min(ids) >= 0 and max(ids) < n and len(set(ids)) == len(ids)
-                and all(map(le, map(alloc.__getitem__, ids), layers))):
-            for qid, t in zip(ids, layers):
-                dealloc[qid] = t
-            return dealloc
-    for e in entries:
-        if type(e) is not list or len(e) != 2:
-            raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
-        qid, t = e
-        if type(qid) is not int or not 0 <= qid < n:
-            raise OperandNotLive(f"qubit id {qid!r} is not allocated")
-        if type(t) is not int:
-            raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
-        if dealloc[qid] is not None:
-            raise DoubleDealloc(f"qubit {qid} deallocated twice")
-        if t < alloc[qid]:
-            raise UseAfterDealloc(f"qubit {qid} has activity at or past layer {t}")
-        dealloc[qid] = t
-    return dealloc
-
-
-def _read_tables(c: Circuit, fields: dict) -> None:
-    """Fill ``c``'s lifecycle tables from the parsed ``alloc`` and ``dealloc`` fields and drop them."""
-    c._kind, alloc = _read_alloc(_json_list(fields["alloc"], '"alloc"'))
-    fields["alloc"] = None
-    c._dealloc = _read_dealloc(_json_list(fields["dealloc"], '"dealloc"'), alloc)
-    fields["dealloc"] = None
-    c._alloc = alloc
+    for key, table in ("alloc", alloc_table), ("dealloc", dealloc_table):
+        if table is None:
+            raise MalformedCircuit(f'"{key}" must be a JSON list')
+    (ids, alloc, kinds), (qs, ends) = alloc_table, dealloc_table
+    n = len(ids)
+    if ids != array("i", range(n)):
+        if sorted(ids) != list(range(n)):
+            raise OperandNotLive("alloc list must cover dense qubit ids")
+        order = sorted(range(n), key=ids.__getitem__)
+        alloc, kinds = array("i", map(alloc.__getitem__, order)), bytearray(map(kinds.__getitem__, order))
+    dealloc = array("i", (NEVER,)) * n
+    if qs and min(qs) >= 0 and max(qs) < n:
+        _consume(map(dealloc.__setitem__, qs, ends))
+    if not (n - dealloc.count(NEVER) == len(qs) and all(map(le, map(alloc.__getitem__, qs), ends))):
+        dealloc = array("i", (NEVER,)) * n
+        for qid, t in zip(qs, ends):
+            if not 0 <= qid < n:
+                raise OperandNotLive(f"qubit id {qid!r} is not allocated")
+            if dealloc[qid] != NEVER:
+                raise DoubleDealloc(f"qubit {qid} deallocated twice")
+            if t < alloc[qid]:
+                raise UseAfterDealloc(f"qubit {qid} has activity at or past layer {t}")
+            dealloc[qid] = t
+    c._kind, c._alloc, c._dealloc = kinds, alloc, dealloc
 
 
 def _check_bounds(c: Circuit) -> None:
@@ -948,8 +1103,8 @@ def _check_bounds(c: Circuit) -> None:
     if max(c._alloc, default=0) > L:
         q = next(q for q, a in enumerate(c._alloc) if a > L)
         raise OperandNotLive(f"qubit {q} allocated at {c._alloc[q]}, outside layers 0..{L}")
-    if max(filter(None, c._dealloc), default=0) > L:
-        q = next(q for q, d in enumerate(c._dealloc) if d is not None and d > L)
+    if max(filter(NEVER.__ne__, c._dealloc), default=0) > L:
+        q = next(q for q, d in enumerate(c._dealloc) if L < d != NEVER)
         raise OperandNotLive(f"qubit {q} lifetime [{c._alloc[q]}, {c._dealloc[q]}] leaves layers 0..{L}")
 
 
@@ -968,37 +1123,116 @@ def json_text(data: str | bytes) -> str:
     return data.decode(json.detect_encoding(data), "surrogatepass")
 
 
-class _Cursor:
-    """A position in JSON text; values are decoded by the C scanner one at a time.
+#: bytes read from a circuit file at a time
+_BLOCK = 1 << 18
+#: characters of lifecycle-table text decoded at a time
+_CHUNK = 1 << 16
 
-    Whitespace after every token is skipped, so the cursor always rests on
-    the next token.  Syntax errors are ``JSONDecodeError``s as ``json.loads``
-    raises them, and nesting deeper than the parser's recursion limit is
-    ``MalformedInput``.
+
+def _text_blocks(fp: BinaryIO) -> Iterator[str]:
+    """The bytes of ``fp``, read ``_BLOCK`` at a time, as the text :func:`json_text`
+    makes of them: the encoding is detected from the first block."""
+    data = fp.read(_BLOCK)
+    decode = codecs.getincrementaldecoder(json.detect_encoding(data))("surrogatepass").decode
+    while data:
+        yield decode(data)
+        data = fp.read(_BLOCK)
+    yield decode(b"", True)
+
+
+class _Cursor:
+    """A position in JSON text read block by block; values are decoded by the C scanner
+    one at a time.
+
+    The cursor holds a window of the text: what it has not yet stepped
+    past, and at least what the value at the cursor needs.  A value or key
+    that does not decode, or a number that ends at the window's end, reads
+    on (at least as much again as the window holds) and is decoded again;
+    text the cursor has passed is dropped then.  Whitespace after every
+    token is skipped, so the cursor always rests on the next token or the
+    end of the input.  Syntax errors are ``JSONDecodeError``s as
+    ``json.loads`` raises them, positions counted from the start of the
+    input, and nesting deeper than the parser's recursion limit is
+    ``MalformedInput``; before either is raised the rest of the input is
+    decoded, so undecodable bytes anywhere are a ``UnicodeDecodeError``
+    first, as in ``json.loads``.
     """
 
-    def __init__(self, text: str):
-        self.s = text
-        self.i = _skip_ws(text, 0).end()
+    def __init__(self, blocks: Iterator[str]):
+        self._blocks = blocks
+        self.s = ""
+        self.i = 0
+        self._base = 0          # offset of s[0] in the text
+        self._lines = 0         # newlines before s[0]
+        self._last_nl = -1      # offset of the last newline before s[0]
+        self._skip()
+
+    def _more(self, want: int = 1) -> bool:
+        """Drop the text before the cursor and read on, until the window holds ``want``
+        characters past the cursor and at least as much new text as it kept; False, and
+        nothing changed, at the end of the input."""
+        rest = self.s[self.i:]
+        parts, need = [rest], max(want - len(rest), len(rest), 1)
+        for block in self._blocks:
+            parts.append(block)
+            need -= len(block)
+            if need <= 0:
+                break
+        text = list(filter(None, parts))
+        if len(text) == (1 if rest else 0):
+            return False
+        if self.s.find("\n", 0, self.i) >= 0:
+            self._lines += self.s.count("\n", 0, self.i)
+            self._last_nl = self._base + self.s.rfind("\n", 0, self.i)
+        self._base += self.i
+        self.s, self.i = text[0] if len(text) == 1 else "".join(text), 0
+        return True
+
+    def _skip(self) -> None:
+        self.i = _skip_ws(self.s, self.i).end()
+        while self.i == len(self.s) and self._more():
+            self.i = _skip_ws(self.s, self.i).end()
+
+    def _error(self, msg: str, pos: int) -> json.JSONDecodeError:
+        """The ``JSONDecodeError`` for window position ``pos``, placed in the whole text,
+        once the rest of the input has been decoded."""
+        _consume(self._blocks)
+        e = json.JSONDecodeError(msg, self.s, pos)
+        nl = self.s.rfind("\n", 0, pos)
+        e.pos = self._base + pos
+        e.lineno = self._lines + self.s.count("\n", 0, pos) + 1
+        e.colno = e.pos - (self._base + nl if nl >= 0 else self._last_nl)
+        e.args = ("%s: line %d column %d (char %d)" % (msg, e.lineno, e.colno, e.pos),)
+        return e
 
     def peek(self) -> str:
         return self.s[self.i:self.i + 1]
 
     def value(self):
         """Decode the value at the cursor and step past it."""
-        try:
-            obj, end = _decode_value(self.s, self.i)
-        except RecursionError:
-            raise MalformedInput("input JSON is nested too deeply") from None
-        self.i = _skip_ws(self.s, end).end()
-        return obj
+        while True:
+            try:
+                obj, end = _decode_value(self.s, self.i)
+            except json.JSONDecodeError as e:
+                if self._more():
+                    continue
+                raise self._error(e.msg, e.pos) from None
+            except RecursionError:
+                _consume(self._blocks)
+                raise MalformedInput("input JSON is nested too deeply") from None
+            if end == len(self.s) and self._more():  # a number may go on in the next block
+                continue
+            self.i = end
+            self._skip()
+            return obj
 
     def _step(self, token: str, expected: str) -> None:
         if self.peek() != token:
-            raise json.JSONDecodeError(f"Expecting {expected}", self.s, self.i)
-        self.i = _skip_ws(self.s, self.i + 1).end()
+            raise self._error(f"Expecting {expected}", self.i)
+        self.i += 1
+        self._skip()
 
-    def _members(self, opening: str, closing: str) -> Iterator[None]:
+    def members(self, opening: str, closing: str) -> Iterator[None]:
         """Step into the container at the cursor, yield once per member (which the
         caller reads), step over the commas between members and past the close."""
         self._step(opening, repr(opening))
@@ -1011,26 +1245,64 @@ class _Cursor:
 
     def keys(self) -> Iterator[str]:
         """Yield each key of the object at the cursor; the caller steps past its value."""
-        for _ in self._members("{", "}"):
+        for _ in self.members("{", "}"):
             if self.peek() != '"':
-                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", self.s, self.i)
-            key, end = json.decoder.scanstring(self.s, self.i + 1)
-            self.i = _skip_ws(self.s, end).end()
+                raise self._error("Expecting property name enclosed in double quotes", self.i)
+            while True:
+                try:
+                    key, end = json.decoder.scanstring(self.s, self.i + 1)
+                    break
+                except json.JSONDecodeError as e:
+                    if not self._more():
+                        raise self._error(e.msg, e.pos) from None
+            self.i = end
+            self._skip()
             self._step(":", "':' delimiter")
             yield key
 
-    def items(self) -> Iterator:
-        """Yield each element of the array at the cursor, decoded one at a time."""
-        for _ in self._members("[", "]"):
-            yield self.value()
-
     def end(self) -> None:
+        """Check that the input ends at the cursor, and drop the window."""
         if self.i != len(self.s):
-            raise json.JSONDecodeError("Extra data", self.s, self.i)
+            raise self._error("Extra data", self.i)
+        self.s = ""
+
+    def chunks(self, close: str) -> Iterator[list]:
+        """Yield the elements of the array at the cursor, each a list or an object that
+        ends in ``close``, in lists: as many at a time as one decode of up to ``_CHUNK``
+        characters takes.
+
+        A chunk ends at the last ``close`` + ``,`` in reach, and ``[`` +
+        chunk + ``]`` decodes as a list of whole elements only if that
+        ``close`` ends an element (a cut inside a string or a nested
+        container does not decode); its decode may also end early, at the
+        array's own ``]``.  Where no chunk decodes, one element is decoded on
+        its own, and chunks are tried again past the failed cut.
+        """
+        retry = 0   # offset in the text where chunks are tried again
+        for _ in self.members("[", "]"):
+            while True:
+                if len(self.s) - self.i < _CHUNK:
+                    self._more(_CHUNK)
+                cut = self.s.rfind(close + ",", self.i, self.i + _CHUNK) + 1
+                if cut > self.i and self._base + self.i >= retry:
+                    try:
+                        rows, end = _decode_value("[%s]" % self.s[self.i:cut])
+                    except (json.JSONDecodeError, RecursionError):
+                        rows, retry = None, self._base + cut
+                    if rows:  # not "[]": an empty chunk is a trailing comma, which value() reports
+                        # on the comma after the last element, or on the array's ']'
+                        self.i += end - 2
+                        yield rows
+                        if self.peek() != ",":
+                            break
+                        self._step(",", "',' delimiter")
+                        continue
+                yield [self.value()]
+                break
 
 
-def loads(text: str | bytes) -> Circuit:
-    """Parse and check circuit JSON, one layer at a time.
+def loads(source: str | bytes | BinaryIO) -> Circuit:
+    """Parse and check circuit JSON from text, bytes, or a binary file read in blocks.
 
     Accepts what ``json.loads`` accepts (whitespace anywhere, bytes in any
     encoding ``json.detect_encoding`` names) and rejects what it rejects,
@@ -1038,51 +1310,77 @@ def loads(text: str | bytes) -> Circuit:
     are the ints 0..n-1 of the alloc table, kinds are "clean" or "dirty",
     and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
 
-    The top-level object is walked key by key, in any order.  Each element
-    of ``layers`` is decoded, turned into gates (:func:`_gates`) and dropped
-    before the next is decoded; the ``alloc`` and ``dealloc`` tables are
-    read as soon as both are decoded, as they are before ``layers`` in
+    A file (anything with ``read``) is read ``_BLOCK`` bytes at a time and
+    decoded as it is read (:func:`_text_blocks`), so neither its bytes nor
+    its text are ever held whole; text and bytes are read from one block.
+    The top-level object is walked key by key, in any order.  The gates of
+    each layer and the entries of the ``alloc`` and ``dealloc`` tables are
+    decoded a chunk at a time (:meth:`_Cursor.chunks`), packed into the
+    circuit's columns (:func:`_read_gates`, :func:`_add_rows`) and dropped
+    before the next chunk is decoded.  The two tables are checked against
+    each other as soon as both are read, as they are before ``layers`` in
     canonical documents (whose keys come sorted).  The first
     ``CircuitError`` is held until the whole text has been scanned, so a
     syntax error anywhere comes first, as in ``json.loads``.  Then the
     lifetimes are checked against the layer count and the circuit passes
     :meth:`Circuit.validate`'s walk, which raises its first fault.
     """
-    doc = _Cursor(json_text(text))
+    doc = _Cursor(_text_blocks(source) if hasattr(source, "read") else iter([json_text(source)]))
     if doc.peek() != "{":
         # decoded only so that text json.loads rejects fails as it did there
         doc.value()
         doc.end()
         raise MalformedCircuit("circuit JSON must be an object")
     c = Circuit()
-    fields: dict = {}
+    seen: set[str] = set()
+    values: dict = {}
+    tables: dict = {}
     faults: list[CircuitError] = []
 
     def hold(read, *args):
         """``read(*args)`` with its CircuitError held; nothing is read once one is."""
         if not faults:
             try:
-                return read(*args)
+                read(*args)
             except CircuitError as e:
                 faults.append(e)
 
+    def each_chunk(close: str, read, *args) -> None:
+        """``hold(read, *args, chunk)`` for each chunk of the array at the cursor
+        (:meth:`_Cursor.chunks`); the last chunk is dropped on return."""
+        for chunk in doc.chunks(close):
+            hold(read, *args, chunk)
+
     for key in doc.keys():
-        if key in fields:
+        if key in seen:
             faults.append(MalformedCircuit(f"circuit JSON repeats the key {key!r}"))
+        seen.add(key)
         if key == "layers" and doc.peek() == "[":
-            fields[key] = c.layers
-            for t, layer in enumerate(doc.items()):
-                c.layers.append(hold(_gates, layer, t))
+            for _ in doc.members("[", "]"):
+                t = c.num_layers()
+                c._grow(t)
+                if doc.peek() == "[":
+                    each_chunk("}", _read_gates, c, t)
+                else:
+                    hold(_json_list, doc.value(), f"layer {t}")
+        elif key in _TABLES:
+            tables[key] = None
+            if doc.peek() == "[":
+                entry, width = _TABLES[key]
+                tables[key] = columns = [array("i"), array("i"), bytearray()][:width]
+                each_chunk("]", _add_rows, columns, entry)
+            else:
+                doc.value()
+            if len(tables) == 2:
+                hold(_read_tables, c, tables.pop("alloc"), tables.pop("dealloc"))
         else:
-            fields[key] = doc.value()
-        if key in ("alloc", "dealloc") and "alloc" in fields and "dealloc" in fields:
-            hold(_read_tables, c, fields)
+            values[key] = doc.value()
     doc.end()
     if faults:
         raise faults[0]
-    if "alloc" not in fields or "dealloc" not in fields:
+    if not {"alloc", "dealloc"} <= seen:
         raise MalformedCircuit('circuit JSON needs "alloc" and "dealloc" lists')
-    if fields.get("layers") is not c.layers:
+    if "layers" not in seen or "layers" in values:
         raise MalformedCircuit('"layers" must be a JSON list')
     _check_bounds(c)
     for error, message in c._faults():
@@ -1098,10 +1396,10 @@ def loads(text: str | bytes) -> Circuit:
             raise OperandNotLive(f"qubit id {bad!r} is not allocated")
         return ids
 
-    registers = fields.get("registers", {})
+    registers = values.get("registers", {})
     if type(registers) is not dict:
         raise MalformedCircuit('"registers" must be a JSON object')
-    c.mark_persistent(qubits(_json_list(fields.get("persistent", []), '"persistent"')))
+    c.mark_persistent(qubits(_json_list(values.get("persistent", []), '"persistent"')))
     for name, ids in registers.items():
         members = qubits(_json_list(ids, f"register {name}"))
         if len(set(ids)) != len(ids):
@@ -1112,9 +1410,10 @@ def loads(text: str | bytes) -> Circuit:
 
 def to_text(c: Circuit) -> str:
     """Gate-per-line dump for human inspection (the JSON form is canonical)."""
+    c = c.compact()
     lines = []
-    for t, layer in enumerate(c.compact().layers):
-        for g in layer:
+    for t in range(c.num_layers()):
+        for g in c.gates(t):
             args = ", ".join(f"q{q}" for q in g.qubits)
             if g.params:
                 lines.append(f"{g.op}({', '.join(f'{p:.12g}' for p in g.params)}) {args}")

@@ -58,13 +58,30 @@ def envelope(args_echo: list[str], input_digest: str, payload: dict) -> dict:
     }
 
 
+class _Hashed:
+    """A binary file whose bytes are hashed as they are read."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sha = hashlib.sha256()
+
+    def read(self, size: int) -> bytes:
+        data = self.fh.read(size)
+        self.sha.update(data)
+        return data
+
+
 def _load_circuit(path: str) -> tuple[cir.Circuit, str]:
-    """The circuit JSON at ``path`` and the digest of its bytes, which are dropped before it is parsed."""
-    raw = _read(path)
-    digest = _digest(raw)
-    text = cir.json_text(raw)
-    del raw
-    return cir.loads(text), digest
+    """The circuit JSON at ``path`` (stdin for "-") and the digest of its bytes.
+
+    The file is read a block at a time and each block is hashed and
+    decoded in the same pass (:func:`circuit_ir.loads`), so neither its
+    bytes nor its text are ever held whole.
+    """
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        source = _Hashed(fh)
+        circuit = cir.loads(source)
+    return circuit, source.sha.hexdigest()
 
 
 @contextlib.contextmanager
@@ -299,9 +316,11 @@ def main(argv: list[str] | None = None) -> int:
     exception, whose traceback the error object carries.  Either failure
     writes one JSON error object to stderr.
 
-    The circuit IR is acyclic (gate tuples, int qubit ids, lists), so
-    reference counting frees it; collector passes would only rescan its
-    tuples, about 6*10^5 at n=14.  The caller's collector state is restored on return.
+    Nothing a command builds holds a reference cycle, so reference
+    counting frees it.  The columnar IR is a few arrays per layer, but
+    reading circuit JSON makes a dict and two lists per gate and the
+    emitters a ``Gate`` tuple per gate, young objects that collector passes
+    would only rescan.  The caller's collector state is restored on return.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -60,7 +60,7 @@ def _ancillae(c: Circuit) -> list[int]:
 def _instance(t: TargetState, fanout: bool) -> tuple[Circuit, int, list[int]]:
     """One copy's compacted circuit, the layer its CSP stage starts at, and its ancilla profile."""
     c = _instance_circuit(t, fanout)
-    sp_end = sum(1 for layer in c.layers[:c.meta["sp_end"]] if layer)
+    sp_end = c.depth(c.meta["sp_end"])
     c = c.compact()
     return c, sp_end, c.live_profile(_ancillae(c))
 

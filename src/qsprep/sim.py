@@ -342,7 +342,7 @@ def run(
                 state.alloc(q, seed=seeds.get(q))
         if t == L:
             break
-        for g in c.layers[t]:
+        for g in c.gates(t):
             state.apply(g)
         if enforce_dealloc:
             defect = state.norm_defect()

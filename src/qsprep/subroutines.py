@@ -110,12 +110,28 @@ class CopyTree:
             return [self.slots[j * step] for j in range(1 << t)]
         return [self.slots[j] for j in range(min(1 << t, self.size))]
 
-    def emit(self, t: int, layer: int) -> None:
+    def grow(self, t: int, layer: int) -> list[Gate]:
+        """Allocate copy layer t's fresh targets at ``layer`` and return its CNOTs."""
         slots, pairs = self.slots, self._pairs(t)
         fresh = [dst for _, dst in pairs if slots[dst] is None]
         for dst, q in zip(fresh, self.c.alloc_many(len(fresh), self.kind, at_layer=layer)):
             slots[dst] = q
-        self.c.place([new_gate(("cnot", (), (slots[src], slots[dst]))) for src, dst in pairs], layer)
+        return [new_gate(("cnot", (), (slots[src], slots[dst]))) for src, dst in pairs]
+
+    def emit(self, t: int, layer: int) -> None:
+        self.c.place(self.grow(t, layer), layer)
+
+
+def emit_trees(c: Circuit, trees: list[tuple[CopyTree, int]]) -> None:
+    """Emit every layer of each (tree, start layer) pair, tree by tree as
+    ``CopyTree.emit`` would, so qubits are allocated in that order, but place
+    each circuit layer's CNOTs, in that same order, as one batch."""
+    batches: dict[int, list[Gate]] = {}
+    for tree, start in trees:
+        for t in range(tree.layers):
+            batches.setdefault(start + t, []).extend(tree.grow(t, start + t))
+    for layer in sorted(batches):
+        c.place(batches[layer], layer)
 
 
 def copy(c: Circuit, source: int, size: int, start: int | None = None,
@@ -173,8 +189,7 @@ def copyswap(c: Circuit, controls: list[int], payload: int,
     target_slots = [payload] + [None] * ((1 << m) - 1)
     for t in range(m):
         layer = start + t
-        for j in range(t + 1, m):
-            trees[j].emit(t, layer)
+        c.place([g for j in range(t + 1, m) for g in trees[j].grow(t, layer)], layer)
         target_slots[1 << t:2 << t] = c.alloc_many(1 << t, target_kind, at_layer=layer)
         cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
     return CopySwapResult(slots=target_slots, trees=trees, end=start + m)
@@ -290,9 +305,7 @@ def flag(c: Circuit, data: list[int], levels: list[list[int]],
     block = Block(c, start)
     trees = {q: CopyTree(block, data[q], size) for q, size in tree_sizes.items()}
     for i in range(copy_span):
-        for tr in trees.values():
-            if i < tr.layers:
-                tr.emit(i, start + i)
+        block.place([g for tr in trees.values() if i < tr.layers for g in tr.grow(i, start + i)], start + i)
     steps = reversed(range(ladder_span)) if adjoint else range(ladder_span)
     for layer, i in enumerate(steps, start + (copy_span if adjoint else ladder_start)):
         for q in range(m - 1 - i):
@@ -367,11 +380,10 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     if route_b:
         d2_end = start
         seeds_per_bit = []
-        for j in range(m):
-            tr = CopyTree(rec, ctrl[j], nb + 1, layout="doubling")
-            reg_start = start + 2 + j  # ctrl[j] is busy in the address routing until then
-            for t in range(tr.layers):
-                tr.emit(t, reg_start + t)
+        # ctrl[j] is busy in the address routing until start + 2 + j
+        trees = [(CopyTree(rec, ctrl[j], nb + 1, layout="doubling"), start + 2 + j) for j in range(m)]
+        emit_trees(rec, trees)
+        for tr, reg_start in trees:
             seeds_per_bit.append(tr.slots[1:])
             regs.d2.extend(tr.slots[1:])
             d2_end = max(d2_end, reg_start + tr.layers)
@@ -399,23 +411,18 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
         l_a = (nb - 1).bit_length()
         l_f = 0 if first_optimized else m
         setup_end = max(a_done, b_done, a_done + l_a, start + l_f)
-        a_rows = []
-        a_base = setup_end - l_a
-        for k in range(M):
-            tr = CopyTree(rec, a_slots[k], nb, layout="doubling")
-            for t in range(tr.layers):
-                tr.emit(t, a_base + t)
+        a_trees = [CopyTree(rec, a_slots[k], nb, layout="doubling") for k in range(M)]
+        emit_trees(rec, [(tr, setup_end - l_a) for tr in a_trees])
+        a_rows = [list(tr.slots) for tr in a_trees]
+        for tr in a_trees:
             regs.a2.extend(tr.slots[1:])
-            a_rows.append(list(tr.slots))
         f_rows = []
         if not first_optimized:
-            f_base = setup_end - l_f
-            for idx in range(nb):
-                tr = CopyTree(rec, flags[idx], M, layout="doubling")
-                for t in range(tr.layers):
-                    tr.emit(t, f_base + t)
+            f_trees = [CopyTree(rec, flags[idx], M, layout="doubling") for idx in range(nb)]
+            emit_trees(rec, [(tr, setup_end - l_f) for tr in f_trees])
+            f_rows = [list(tr.slots) for tr in f_trees]
+            for tr in f_trees:
                 regs.f1.extend(tr.slots[1:])
-                f_rows.append(list(tr.slots))
     else:
         a_rows = f_rows = None
         setup_end = max(a_done, b_done)

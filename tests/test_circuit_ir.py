@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
 from qsprep.amplitudes import make_target
 from qsprep.circuit_ir import Circuit, Gate, gate
-from qsprep.cli import main
+from qsprep.cli import _load_circuit, main
 from qsprep.errors import (
     CircuitError,
     DoubleDealloc,
@@ -251,7 +252,7 @@ class TestValidate:
 
     def test_hand_built_collision_reported(self):
         c, a, b = two_qubit_circuit()
-        c.layers.append([gate("x", (a,)), gate("cnot", (a, b))])
+        c.append_layer([gate("x", (a,)), gate("cnot", (a, b))])
         assert any("two gates" in v for v in c.validate())
 
     def test_register_size_violation(self):
@@ -272,8 +273,14 @@ class TestValidate:
         ("unhashable_operand", "is not an int qubit id"),
     ])
     def test_unchecked_hand_built_defect_reported(self, defect, found):
-        # gates built as bare ``Gate`` tuples and put straight into the layers skip
-        # every per-gate check, as an emitter's would; validate() must see the defect
+        # gates built as bare ``Gate`` tuples and added through append_layer skip the
+        # liveness check; a defect the columns cannot hold is raised where the layer is
+        # packed, any other one is reported by validate(), each with its class
+        error = {"collision": LayerCollision, "before_alloc": OperandNotLive,
+                 "after_dealloc": UseAfterDealloc, "nan_param": MalformedCircuit,
+                 "numpy_param": MalformedCircuit, "unknown_op": MalformedCircuit,
+                 "operand_count": DuplicateOperand, "repeated_operand": DuplicateOperand,
+                 "unhashable_operand": OperandNotLive}[defect]
         c, a, b = two_qubit_circuit()
         late = c.alloc(at_layer=1)
         gone = c.alloc(at_layer=0)
@@ -290,11 +297,62 @@ class TestValidate:
             "repeated_operand": [Gate("cnot", (), (a, a))],
             "unhashable_operand": [Gate("x", (), ([0],))],
         }[defect]
-        c.layers += [[Gate("x", (), (b,))], [Gate("x", (), (late,))]]
-        c.layers[0 if defect == "before_alloc" else 1] += bad
-        violations = c.validate()
-        assert violations and all(v.startswith("layer ") for v in violations)
-        assert any(found in v for v in violations), violations
+        layers = [[Gate("x", (), (b,))], [Gate("x", (), (late,))]]
+        layers[0 if defect == "before_alloc" else 1] += bad
+        try:
+            for layer in layers:
+                c.append_layer(layer)
+        except CircuitError as e:
+            faults = [(type(e), str(e))]
+        else:
+            faults = list(c._faults())
+            assert [message for _, message in faults] == c.validate()
+        assert faults and all(message.startswith("layer ") for _, message in faults)
+        assert any(cls is error and found in message for cls, message in faults), faults
+
+
+#: hand-built gate -> (error class, message) it raises where it is packed: each is a
+#: defect the columns cannot hold, reported as validate()'s walk reported it before
+UNPACKABLE = {
+    "unknown_op": (Gate("sqrtx", (), (0,)), MalformedCircuit, "layer 0: unknown op 'sqrtx'"),
+    "operand_count": (Gate("cnot", (), (0,)), DuplicateOperand,
+                      "layer 0: cnot takes 2 qubits and 0 params, got 1 and 0"),
+    "param_count": (Gate("ry", (), (0,)), MalformedCircuit,
+                    "layer 0: ry takes 1 qubits and 1 params, got 1 and 0"),
+    "numpy_param": (Gate("ry", (np.float64(0.5),), (0,)), MalformedCircuit,
+                    "layer 0: ry parameter np.float64(0.5) is not a finite float"),
+    "int_param": (Gate("rz", (1,), (0,)), MalformedCircuit, "layer 0: rz parameter 1 is not a finite float"),
+    "bool_operand": (Gate("x", (), (True,)), OperandNotLive, "layer 0: x operand True is not an int qubit id"),
+    "numpy_operand": (Gate("x", (), (np.int64(0),)), OperandNotLive,
+                      "layer 0: x operand np.int64(0) is not an int qubit id"),
+}
+
+
+class TestPackedBoundary:
+    """A batch is packed into the layer columns where it is placed: what they cannot
+    hold is rejected there, with the class and message validate() gave before."""
+
+    @pytest.mark.parametrize("name", list(UNPACKABLE))
+    @pytest.mark.parametrize("entry", ["place", "append_layer"])
+    def test_rejected_where_packed(self, name, entry):
+        bad, error, message = UNPACKABLE[name]
+        c = Circuit()
+        c.alloc_many(2, at_layer=0)
+        batch = [gate("x", (1,)), bad]
+        with pytest.raises(error) as info:
+            c.place(batch, 0) if entry == "place" else c.append_layer(batch)
+        assert (info.type, str(info.value)) == (error, message)
+        assert c.size() == 0 and c.last_use_layer(1) == -1
+
+    @pytest.mark.parametrize("qubit", [2**31, 2**40, -2**40])
+    @pytest.mark.parametrize("entry", ["place", "append_layer"])
+    def test_id_past_the_column_is_not_live(self, qubit, entry):
+        c = Circuit()
+        c.alloc_many(2, at_layer=0)
+        with pytest.raises(OperandNotLive, match=f"qubit {qubit} (not allocated at|is not in the circuit)"):
+            bad = [Gate("x", (), (qubit,))]
+            c.place(bad, 0) if entry == "place" else c.append_layer(bad)
+        assert c.size() == 0
 
 
 class TestExpansion:
@@ -556,6 +614,79 @@ class TestLoadsLayerChecks:
             c.place([gate("x", (b,))], 2)
         c.place([gate("x", (b,))], 3)
         assert c.append(gate("cnot", (a, b))) == 4
+
+
+def released_doc() -> dict:
+    """Two qubits; qubit 1 is released after the last layer."""
+    return {
+        "layers": [[{"op": "ry", "params": [0.5], "qubits": [0]}],
+                   [{"op": "cnot", "params": [], "qubits": [0, 1]}]],
+        "alloc": [[0, 0, "clean"], [1, 0, "clean"]],
+        "dealloc": [[1, 2]],
+        "persistent": [0],
+        "registers": {"D": [0]},
+    }
+
+
+#: where an int of the circuit JSON sits -> how to put a value there
+INT_FIELDS = {
+    "gate_qubit": lambda d, v: d["layers"][1][0].update(qubits=[0, v]),
+    "alloc_id": lambda d, v: d["alloc"][1].__setitem__(0, v),
+    "alloc_layer": lambda d, v: d["alloc"][1].__setitem__(1, v),
+    "dealloc_id": lambda d, v: d["dealloc"][0].__setitem__(0, v),
+    "dealloc_layer": lambda d, v: d["dealloc"][0].__setitem__(1, v),
+    "register_id": lambda d, v: d["registers"]["D"].append(v),
+    "persistent_id": lambda d, v: d["persistent"].append(v),
+}
+
+
+class TestColumnRange:
+    """Ints of the circuit JSON that the int32 columns cannot hold are typed input errors."""
+
+    @pytest.mark.parametrize("value", [2**31 - 1, 2**31, 2**40, -2**40, 2**70])
+    @pytest.mark.parametrize("field", list(INT_FIELDS))
+    def test_out_of_range_int_is_a_circuit_error(self, field, value):
+        doc = released_doc()
+        INT_FIELDS[field](doc, value)
+        with pytest.raises((OperandNotLive, MalformedCircuit)):
+            cir.loads(json.dumps(doc))
+
+
+def spcsp_n(n: int) -> Circuit:
+    rng = np.random.default_rng(10)
+    return proto.spcsp(make_target(rng.random(1 << n) + 0.05), proto.ProtocolConfig(n=n))
+
+
+class TestFootprint:
+    """The columnar IR costs at most 40 traced bytes per gate, and reading a circuit
+    from its file never holds the file's bytes or text whole."""
+
+    @pytest.mark.parametrize("how", ["built", "loaded"])
+    def test_ir_bytes_per_gate(self, how):
+        text = cir.dumps(spcsp_n(10))  # and the modules the build imports on first use
+        gc.collect()
+        tracemalloc.start()
+        try:
+            c = cir.loads(text) if how == "loaded" else spcsp_n(10)
+            gc.collect()  # also empties the free lists, whose blocks stay traced
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert c.size() > 15_000
+        assert held <= 40 * c.size()
+
+    def test_reading_a_file_peaks_below_its_size(self, tmp_path):
+        path = tmp_path / "n12.json"
+        path.write_text(cir.dumps(spcsp_n(12)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            c, _ = _load_circuit(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.size() > 70_000
+        assert peak < path.stat().st_size
 
 
 class TestOfKind:

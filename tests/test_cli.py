@@ -20,6 +20,7 @@ from qsprep import sim, subroutines
 from qsprep.circuit_ir import Circuit, Gate
 from qsprep.cli import main
 from qsprep.sim import flag_oracle, pair_index
+from test_circuit_ir import INT_FIELDS, released_doc
 
 
 @pytest.fixture
@@ -481,6 +482,20 @@ def json_paths(node, prefix=()):
     for k, v in items:
         yield prefix + (k,)
         yield from json_paths(v, prefix + (k,))
+
+
+class TestColumnRange:
+    @pytest.mark.parametrize("cmd", ["simulate", "profile"])
+    @pytest.mark.parametrize("value", [2**40, -2**40])
+    @pytest.mark.parametrize("field", list(INT_FIELDS))
+    def test_out_of_range_int_is_exit_2(self, capsys, tmp_path, cmd, field, value):
+        doc = released_doc()
+        INT_FIELDS[field](doc, value)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
+        assert code == 2
+        assert json.loads(err)["error"] in ("OperandNotLive", "MalformedCircuit")
 
 
 class TestGarbageCollector:

@@ -1,0 +1,159 @@
+"""Simulator properties of the IR's time reversal, gate expansion and block mirror.
+
+Each random circuit uses every op of ``GATE_SIGNATURES`` at least once and
+allocates and releases qubits mid-circuit.  The simulator checks every
+release: a clean qubit must come back in |0>, a dirty one in its seed.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsprep import circuit_ir as cir
+from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, gate
+from qsprep.sim import run
+
+OPS = list(GATE_SIGNATURES)
+ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
+SEEDS = st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi)).map(
+    lambda a: (math.cos(a[0] / 2), complex(math.cos(a[1]), math.sin(a[1])) * math.sin(a[0] / 2)))
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def op_order(draw) -> list[str]:
+    """Every op once, plus a few more, in a random order."""
+    return draw(st.permutations(OPS + draw(st.lists(st.sampled_from(OPS), max_size=6))))
+
+
+def random_gate(draw, op: str, first: list[int], others: list[int]) -> cir.Gate:
+    """``op`` on one qubit of ``first`` and distinct others, with random angles."""
+    nq, npar = GATE_SIGNATURES[op]
+    qubits = [draw(st.sampled_from(first))]
+    qubits += draw(st.permutations([q for q in others if q not in qubits]))[:nq - 1]
+    return gate(op, draw(st.permutations(qubits)), *(draw(ANGLES) for _ in range(npar)))
+
+
+@st.composite
+def circuits(draw) -> Circuit:
+    """Gates appended ASAP on three persistent data qubits (register D).  Some gates
+    act on a fresh ancilla allocated mid-circuit, and are undone right after it
+    (compute, then uncompute) so that it is released in |0>; one late qubit may be
+    allocated mid-circuit and kept (register L)."""
+    c = Circuit()
+    live = list(c.alloc_many(3, at_layer=0))
+    c.mark_persistent(live)
+    c.add_register("D", live)
+    for op in op_order(draw):
+        step = draw(st.sampled_from(["gate", "ancilla", "late"]))
+        if step == "late" and "L" not in c.registers:
+            late = c.alloc(at_layer=draw(st.integers(0, c.num_layers())))
+            c.mark_persistent([late])
+            c.add_register("L", [late])
+            live.append(late)
+        if step == "ancilla":
+            anc = c.alloc(at_layer=draw(st.integers(0, c.num_layers())))
+            compute = [random_gate(draw, op, [anc], live),
+                       random_gate(draw, draw(st.sampled_from(OPS)), [anc], live)]
+            for g in compute + [g.inverse() for g in reversed(compute)]:
+                c.append(g)
+            c.dealloc(anc)
+        else:
+            c.append(random_gate(draw, op, live, live))
+    return c
+
+
+def kept(c: Circuit) -> list[int]:
+    return c.registers["D"] + c.registers.get("L", [])
+
+
+def final_state(c: Circuit, seeds: list) -> np.ndarray:
+    """The state of the kept qubits after a run from the data register in ``seeds``."""
+    report, state = run(c, seeds=dict(zip(c.registers["D"], seeds)))
+    assert all(mass < 1e-10 for _, _, mass in report.ancilla_verdicts)
+    return state.statevector(kept(c))
+
+
+def product(seeds: list) -> np.ndarray:
+    """The product state with ``seeds[t]`` on bit t."""
+    vec = np.ones(1, dtype=complex)
+    for a0, a1 in seeds:
+        vec = np.kron(np.array([a0, a1], dtype=complex), vec)
+    return vec
+
+
+@PROPERTY
+@given(c=circuits(), seeds=st.lists(SEEDS, min_size=3, max_size=3))
+def test_circuit_then_adjoint_is_the_identity(c, seeds):
+    """c, then c.adjoint(): the kept qubits are shared by the two halves, and a late
+    qubit is released where the adjoint mirrors its allocation, in |0> (one allocated
+    at layer 0 is kept to the end, in |0>)."""
+    T = c.num_layers()
+    adj = c.adjoint()
+    both = Circuit()
+    ids = both.embed(c, lambda t: t)
+    shared = {q: ids[q] for q in kept(c)}
+    both.embed(adj, lambda t: T + t, shared)
+    for q, at in shared.items():
+        if adj.dealloc_layer(q) is not None:
+            both.dealloc(at, at_layer=T + adj.dealloc_layer(q))
+    both.add_register("D", [ids[q] for q in c.registers["D"]])
+    both.add_register("L", [ids[q] for q in c.registers.get("L", []) if adj.dealloc_layer(q) is None])
+    assert both.validate() == []
+    zeros = [(1.0, 0.0)] * len(both.registers["L"])
+    assert np.allclose(final_state(both, seeds), product(seeds + zeros), atol=1e-9)
+
+
+@PROPERTY
+@given(c=circuits(), seeds=st.lists(SEEDS, min_size=3, max_size=3))
+def test_expand_preserves_the_final_state(c, seeds):
+    out = cir.expand(c)
+    assert {g.op for t in range(out.num_layers()) for g in out.gates(t)} <= cir.U2_CNOT
+    assert np.allclose(final_state(out, seeds), final_state(c, seeds), atol=1e-9)
+
+
+@st.composite
+def blocks(draw) -> tuple[Circuit, int]:
+    """A ``Block`` over three persistent data qubits, mirrored: at each of its layers
+    it allocates a few clean or dirty ancillae and places a batch of gates on disjoint
+    live qubits, until every op has been placed; the mirror follows a gap of empty
+    layers.  Returns the circuit and the number of dirty ancillae."""
+    c = Circuit()
+    data = list(c.alloc_many(3, at_layer=0))
+    c.mark_persistent(data)
+    c.add_register("D", data)
+    block, live, ops, dirty = Block(c, 0), list(data), op_order(draw), 0
+    layer = 0
+    while ops:
+        kind = draw(st.sampled_from([CLEAN, DIRTY]))
+        fresh = list(block.alloc_many(draw(st.integers(0, 2)), kind, at_layer=layer))
+        dirty += len(fresh) if kind == DIRTY else 0
+        live += fresh
+        free, batch = draw(st.permutations(live)), []
+        while ops and GATE_SIGNATURES[ops[0]][0] <= len(free):
+            nq, npar = GATE_SIGNATURES[ops[0]]
+            batch.append(gate(ops.pop(0), free[:nq], *(draw(ANGLES) for _ in range(npar))))
+            free = free[nq:]
+            if draw(st.booleans()):
+                break
+        block.place(batch, layer)
+        layer += 1
+    assert block.mirror(layer + draw(st.integers(0, 2)), layer) == c.num_layers()
+    return c, dirty
+
+
+@PROPERTY
+@given(built=blocks(), seeds=st.lists(SEEDS, min_size=3, max_size=3), dirty_seed=SEEDS)
+def test_mirrored_block_returns_every_ancilla(built, seeds, dirty_seed):
+    c, dirty = built
+    data = c.registers["D"]
+    ancillae = [q for q in c.qubits() if q not in data]
+    assert all(c.dealloc_layer(q) is not None for q in ancillae)
+    assert c.validate() == []
+    seeded = {q: dirty_seed for q in c.of_kind(DIRTY)} | dict(zip(data, seeds))
+    report, state = run(c, seeds=seeded)
+    assert sorted(q for q, _, _ in report.ancilla_verdicts) == ancillae
+    assert all(mass < 1e-10 for _, _, mass in report.ancilla_verdicts)
+    assert [ok for _, ok in report.dirty_restoration] == [True] * dirty
+    assert np.allclose(state.statevector(data), product(seeds), atol=1e-9)
