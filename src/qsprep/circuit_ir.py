@@ -18,7 +18,7 @@ flat arrays as well, with ``NEVER`` as the release layer of a qubit that
 is never released.  A gate costs about 12 bytes of columns and a qubit 13
 bytes of tables; whole-layer checks, relocation, compaction and
 serialization are passes over the columns in C.  :meth:`Circuit.gates`
-and ``Circuit.layers`` read the columns back as ``Gate`` tuples.
+reads a layer's columns back as ``Gate`` tuples.
 
 The check boundary: the per-gate rules are stated once, split by where
 they are enforced.
@@ -32,16 +32,16 @@ they are enforced.
   as a whole, then gate by gate only when it fails, to name each fault
   with its typed error.
 
-Emitters build ``Gate`` tuples, allocate each layer's fresh qubits in one
-:meth:`Circuit.alloc_many` call and place gates a layer at a time;
-:meth:`Circuit.place` packs a batch and checks liveness and time order
-in one pass over its flat ids.  :meth:`Circuit.append_layer` adds a
-layer without the liveness check, for hand-built circuits.  :func:`loads`
-reads circuit JSON (a ``str``, ``bytes``, or a binary file read in
-blocks) into the columns a chunk of gates at a time, and the loaded
-circuit passes the walk.  :func:`gate` is the checked
-constructor for hand-built gates: it raises the first broken per-gate
-rule.
+Emitters write the columns directly: each batch of one op goes in through
+:meth:`Circuit.put` as flat operands and parameters, the path
+:meth:`Circuit.embed` and :meth:`Block.mirror` take with column slices,
+which checks liveness and time order in one pass over the batch's ids.
+``Gate`` tuples are for hand-built circuits: :func:`gate` is their checked
+constructor, :meth:`Circuit.place` packs a mixed batch of them and
+:meth:`Circuit.append_layer` adds one as a layer without the liveness
+check.  :func:`loads` reads circuit JSON (a ``str``, ``bytes``, or a
+binary file read in blocks) into the columns a chunk of gates at a time,
+and the loaded circuit passes the walk.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, le, ne, neg, sub
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadEpsilon,
@@ -116,10 +116,6 @@ _I32 = range(-2**31, NEVER)
 
 #: ``_consume(iterator)`` runs an iterator of C calls, such as ``map(setitem, ...)``, to its end
 _consume = deque(maxlen=0).extend
-
-
-#: A qubit is its int id in the circuit's alloc table; the name is kept for annotations.
-QubitId = int
 
 
 class Gate(NamedTuple):
@@ -212,30 +208,15 @@ def _pack(ops, params, qubits, t: int) -> tuple[bytes, list[int], list[float]]:
     raise InternalInvariant(f"layer {t}: a batch failed its form check without a fault")
 
 
-class _Layers:
-    """A circuit's layers as a read-only sequence: ``layers[t]`` is layer t as a list of ``Gate``s."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, c: "Circuit"):
-        self._c = c
-
-    def __len__(self) -> int:
-        return len(self._c._ops)
-
-    def __getitem__(self, t: int) -> list[Gate]:
-        return list(self._c.gates(t))
-
-
 class Circuit:
     """Mutable layered circuit builder.
 
     Gates can be appended ASAP (earliest layer after every operand's latest
     prior use) or placed a layer's batch at a time at an explicit layer
-    (``num_layers()`` for a fresh one); the subroutine emitters use
-    explicit placement to realize their published schedules.  Qubits are the ints 0..n-1 that
-    :meth:`alloc` and :meth:`alloc_many` hand out; their kinds are read
-    through :meth:`kind`.
+    (``num_layers()`` for a fresh one); the subroutine emitters put batches
+    of one op at explicit layers to realize their published schedules.
+    Qubits are the ints 0..n-1 that :meth:`alloc` and :meth:`alloc_many`
+    hand out; their kinds are read through :meth:`kind`.
     """
 
     def __init__(self):
@@ -330,22 +311,39 @@ class Circuit:
         qubit's latest gate is a ``LayerCollision``, which also rejects a
         qubit in two gates of the batch.  One loop over the flat ids tests
         each against one combined condition; only a failing id is examined
-        for its typed error.  A rejected batch adds no gate, but the qubits
-        checked before the failing one keep their new latest layer.  An
-        empty batch changes nothing.
+        for its typed error.  A rejected batch adds no gate or layer, but the
+        qubits checked before the failing one keep their new latest layer.
+        An empty batch changes nothing.
         """
         if not gates:
             return layer
         ops, params, qubits = zip(*gates)
         return self._place(*_pack(ops, params, qubits, layer), layer)
 
+    def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
+        """:meth:`place` for a batch of one op given as its flat operands (the op's arity
+        of them per gate) and flat parameters.  Its op and counts are checked once; if
+        its operands are not all ints or its parameters not all floats it is packed
+        gate by gate (:func:`_pack`), which raises its first fault as ``place`` does."""
+        sig = GATE_SIGNATURES.get(op) if type(op) is str else None
+        if sig is None:
+            raise MalformedCircuit(f"layer {layer}: unknown op {op!r}")
+        nq, npar = sig
+        n = len(ids) // nq
+        if len(ids) != n * nq or len(params) != n * npar:
+            raise (DuplicateOperand if len(ids) % nq else MalformedCircuit)(
+                f"layer {layer}: {op} takes {nq} qubits and {npar} params, got {len(ids)} and {len(params)}")
+        codes = bytes((_CODE[op],)) * n
+        if not (set(map(type, ids)) <= _INT and set(map(type, params)) <= _FLOAT):
+            codes, ids, params = _pack((op,) * n, [params[i * npar:(i + 1) * npar] for i in range(n)],
+                                       [ids[i * nq:(i + 1) * nq] for i in range(n)], layer)
+        return self._place(codes, ids, params, layer)
+
     def _place(self, codes, ids, values, layer: int) -> int:
         """:meth:`place` for a batch already in columns: ``ids`` and ``values`` are
-        sequences of ints and floats (lists or arrays)."""
+        sequences of ints and floats (lists, tuples, ranges or arrays)."""
         if not codes:
             return layer
-        if layer >= len(self._ops):
-            self._grow(layer)
         last_use, dealloc = self._last_use, self._dealloc
         n = len(last_use)
         for i in ids:
@@ -355,6 +353,8 @@ class Circuit:
                 last_use[i] = layer
             else:
                 raise self._operand_error(i, layer)
+        if layer >= len(self._ops):
+            self._grow(layer)
         self._ops[layer] += codes
         self._qs[layer].extend(ids)
         self._ps[layer].extend(values)
@@ -408,11 +408,6 @@ class Circuit:
         return len(self._ops[layer]), len(self._qs[layer]), len(self._ps[layer])
 
     # -- views ------------------------------------------------------------------
-
-    @property
-    def layers(self) -> _Layers:
-        """The layers as a read-only sequence of ``Gate`` lists (see :meth:`gates`)."""
-        return _Layers(self)
 
     def gates(self, t: int) -> Iterator[Gate]:
         """Layer ``t``'s gates as ``Gate`` tuples, in the order they were placed."""
@@ -605,13 +600,13 @@ class Circuit:
 class Block:
     """A recorded span of a circuit, undone by its layer mirror.
 
-    A pass-through ``place``/``alloc_many``/``num_layers`` view of ``c``
-    that records where each gate batch landed in the columns (its layer
-    and the start and stop of its op, id and parameter slices) and each
-    allocation by its layer relative to ``start``.  This is the
-    compute/uncompute pattern: fresh ancillae are allocated at their
-    first use inside the block and released by :meth:`mirror` right after
-    their mirrored last use.
+    A pass-through ``put``/``place``/``alloc_many``/``num_layers`` view of
+    ``c`` that records where each gate batch landed in the columns (its
+    layer and the start and stop of its op, id and parameter slices) and
+    each allocation by its layer relative to ``start``.  This is the
+    compute/uncompute pattern: fresh ancillae are allocated at their first
+    use inside the block and released by :meth:`mirror` right after their
+    mirrored last use.
     """
 
     def __init__(self, c: Circuit, start: int):
@@ -620,10 +615,17 @@ class Block:
         self.spans: list[tuple[int, tuple[int, int, int], tuple[int, int, int]]] = []
         self.allocs: list[tuple[int, range]] = []
 
+    def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
+        return self._recorded(layer, self.c.put, op, ids, layer, params)
+
     def place(self, gates: list[Gate], layer: int) -> int:
+        return self._recorded(layer, self.c.place, gates, layer)
+
+    def _recorded(self, layer: int, add: Callable, *args) -> int:
+        """``add(*args)``, which adds a batch at ``layer``, with the batch's column slices recorded."""
         before = self.c._ends(layer)
-        self.c.place(gates, layer)
-        if gates:
+        add(*args)
+        if self.c._ends(layer) != before:
             self.spans.append((layer, before, self.c._ends(layer)))
         return layer
 
@@ -670,9 +672,8 @@ class Block:
 
 
 #: a rotation synthesized to precision eps' in the discrete gate set takes
-#: ``ceil(ROTATION_SLOPE * log2(1/eps')) + ROTATION_OFFSET`` layers
+#: ``ceil(ROTATION_SLOPE * log2(1/eps'))`` layers
 ROTATION_SLOPE = 4.0
-ROTATION_OFFSET = 0.0
 
 
 @dataclass(frozen=True)
@@ -696,7 +697,7 @@ class GateSetModel:
         inverse = 1.0 / eps_prime if eps_prime > 0.0 else math.inf
         if math.isinf(inverse):
             raise BadEpsilon(f"per-rotation budget {eps_prime!r} of epsilon {self.epsilon!r} underflows")
-        return int(math.ceil(ROTATION_SLOPE * math.log2(inverse)) + ROTATION_OFFSET)
+        return math.ceil(ROTATION_SLOPE * math.log2(inverse))
 
 
 EXACT_MODEL = GateSetModel(mode="exact")
@@ -863,7 +864,6 @@ def expand(c: Circuit) -> Circuit:
     """
     c = c.compact()
     out = Circuit()
-    out.registers = {k: list(v) for k, v in c.registers.items()}
     out.meta = dict(c.meta)
     id_map: list[int] = [0] * len(c.qubits())
     L = c.num_layers()

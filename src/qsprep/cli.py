@@ -318,9 +318,10 @@ def main(argv: list[str] | None = None) -> int:
 
     Nothing a command builds holds a reference cycle, so reference
     counting frees it.  The columnar IR is a few arrays per layer, but
-    reading circuit JSON makes a dict and two lists per gate and the
-    emitters a ``Gate`` tuple per gate, young objects that collector passes
-    would only rescan.  The caller's collector state is restored on return.
+    reading circuit JSON makes a dict and two lists per gate, and the
+    emitters flat operand lists and small per-gate tuples (LOADF's rotation
+    sequences), young objects that collector passes would only rescan.  The
+    caller's collector state is restored on return.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -25,7 +25,7 @@ from .amplitudes import (
     csp_angles,
     partition_norms,
 )
-from .circuit_ir import CLEAN, Block, Circuit, Gate
+from .circuit_ir import CLEAN, Block, Circuit
 from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
 from .subroutines import flag, loadf, spf, split_levels
 
@@ -141,7 +141,7 @@ class ProtocolConfig:
 
 def _flip(c: Circuit, qubits: list[int], layer: int) -> None:
     """X on each of ``qubits`` at ``layer``, in one batch."""
-    c.place([Gate("x", (), (q,)) for q in qubits], layer)
+    c.put("x", qubits, layer)
 
 
 def _emit_sp(c: Circuit, data: list[int], values, start: int,
@@ -156,7 +156,7 @@ def _emit_sp(c: Circuit, data: list[int], values, start: int,
     aset = injection_angles(values)
     pairs = [(s, p) for s in range(m) for p in range(1 << s)]   # pair (s, p) owns A[2**s - 1 + p]
     A = c.alloc_many((1 << m) - 1, at_layer=start)
-    c.place([Gate("ry", (aset.theta(s, p),), (q,)) for q, (s, p) in zip(A, pairs)], start)
+    c.put("ry", A, start, [aset.theta(s, p) for s, p in pairs])
     a_levels = split_levels(A)
     spf_end, _ = spf(c, data, a_levels, start=start + 1)
 
@@ -164,7 +164,7 @@ def _emit_sp(c: Circuit, data: list[int], values, start: int,
     _flip(c, F, spf_end)
     f_levels = split_levels(F)
     fl_end = flag(c, data, f_levels, start=spf_end + 1)
-    c.place([Gate("cry", (-aset.theta(s, p),), (f, a)) for f, a, (s, p) in zip(F, A, pairs)], fl_end)
+    c.put("cry", [q for fa in zip(F, A) for q in fa], fl_end, [-aset.theta(s, p) for s, p in pairs])
     fl2_end = flag(c, data, f_levels, start=fl_end + 1, adjoint=True)
     _flip(c, F, fl2_end)
     end = fl2_end + 1
@@ -334,13 +334,12 @@ def zero_reflection(c: Circuit, qubits: list[int], start: int) -> int:
     current = list(qubits)
     while len(current) > 1:
         nxt = list(tree.alloc_many(len(current) // 2, CLEAN, at_layer=frontier))
-        tree.place([Gate("toffoli", (), (current[2 * i], current[2 * i + 1], anc))
-                    for i, anc in enumerate(nxt)], frontier)
+        tree.put("toffoli", [q for i, anc in enumerate(nxt) for q in (*current[2 * i:2 * i + 2], anc)], frontier)
         if len(current) % 2:
             nxt.append(current[-1])
         current = nxt
         frontier += 1
-    c.place([Gate("phase", (math.pi,), (current[0],))], frontier)
+    c.put("phase", [current[0]], frontier, [math.pi])
     frontier = tree.mirror(frontier + 1, frontier - tree.start)
     _flip(c, qubits, frontier)
     return frontier + 1

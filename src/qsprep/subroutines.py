@@ -16,18 +16,21 @@ Register conventions shared by every fragment:
   their published spacetime allocation.  Every fragment records the part
   it uncomputes in a ``circuit_ir.Block``; ``Block.mirror`` is the one
   place that rule and its layer arithmetic live.
-* Qubits are the circuit's int ids.  Every fragment builds ``Gate`` tuples
-  directly, allocates a layer's fresh qubits in one ``alloc_many`` call and
-  places gates a layer at a time; the emitted circuit is checked once, as
-  a whole, by ``Circuit.validate``.
+* Qubits are the circuit's int ids.  Every fragment allocates a layer's
+  fresh qubits in one ``alloc_many`` call and puts each batch of one op as
+  flat operand and parameter lists (``Circuit.put``), straight into the
+  layer's columns; the emitted circuit is checked once, as a whole, by
+  ``Circuit.validate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, groupby, zip_longest
+from operator import itemgetter
 
 from .amplitudes import CSPAngleSet
-from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Gate, new_gate
+from .circuit_ir import CLEAN, DIRTY, Block, Circuit
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
@@ -79,7 +82,8 @@ class CopyTree:
     layer t connects slot j*size/2**t to the slot half a stride further.
     ``layout="doubling"`` supports arbitrary sizes (layer t copies slots
     [0, 2**t) onto [2**t, min(2**(t+1), size))).  Targets are allocated in
-    the layer their copy layer runs, one ``alloc_many`` call per layer; a
+    the layer their copy layer runs, one ``alloc_many`` call per layer, and
+    :meth:`grow` returns the layer's CNOT operands for the caller to put; a
     ``Block`` undoes the tree.
     """
 
@@ -110,28 +114,26 @@ class CopyTree:
             return [self.slots[j * step] for j in range(1 << t)]
         return [self.slots[j] for j in range(min(1 << t, self.size))]
 
-    def grow(self, t: int, layer: int) -> list[Gate]:
-        """Allocate copy layer t's fresh targets at ``layer`` and return its CNOTs."""
+    def grow(self, t: int, layer: int) -> list[int]:
+        """Allocate copy layer t's fresh targets at ``layer`` and return its CNOTs'
+        operands, flat: (control, target) per CNOT."""
         slots, pairs = self.slots, self._pairs(t)
         fresh = [dst for _, dst in pairs if slots[dst] is None]
         for dst, q in zip(fresh, self.c.alloc_many(len(fresh), self.kind, at_layer=layer)):
             slots[dst] = q
-        return [new_gate(("cnot", (), (slots[src], slots[dst]))) for src, dst in pairs]
-
-    def emit(self, t: int, layer: int) -> None:
-        self.c.place(self.grow(t, layer), layer)
+        return list(map(slots.__getitem__, chain.from_iterable(pairs)))
 
 
 def emit_trees(c: Circuit, trees: list[tuple[CopyTree, int]]) -> None:
-    """Emit every layer of each (tree, start layer) pair, tree by tree as
-    ``CopyTree.emit`` would, so qubits are allocated in that order, but place
-    each circuit layer's CNOTs, in that same order, as one batch."""
-    batches: dict[int, list[Gate]] = {}
+    """Emit every layer of each (tree, start layer) pair, tree by tree, so qubits
+    are allocated in that order, and put each circuit layer's CNOTs, in that
+    same order, as one batch."""
+    batches: dict[int, list[int]] = {}
     for tree, start in trees:
         for t in range(tree.layers):
             batches.setdefault(start + t, []).extend(tree.grow(t, start + t))
     for layer in sorted(batches):
-        c.place(batches[layer], layer)
+        c.put("cnot", batches[layer], layer)
 
 
 def copy(c: Circuit, source: int, size: int, start: int | None = None,
@@ -144,8 +146,7 @@ def copy(c: Circuit, source: int, size: int, start: int | None = None,
     if start is None:
         start = c.num_layers()
     tree = CopyTree(c, source, size)
-    for t in range(tree.layers):
-        tree.emit(t, start + t)
+    emit_trees(c, [(tree, start)])
     return list(tree.slots), start + tree.layers
 
 
@@ -159,8 +160,8 @@ def cs_layer(c: Circuit, t: int, controls: list[int], targets: list[int],
     if at_layer is None:
         at_layer = c.num_layers()
     half = 1 << t
-    c.place([new_gate(("cswap", (), (controls[i], targets[i], targets[i + half]))) for i in range(half)],
-            at_layer)
+    c.put("cswap", list(chain.from_iterable(zip(controls[:half], targets[:half], targets[half:2 * half]))),
+          at_layer)
     return at_layer + 1
 
 
@@ -189,7 +190,7 @@ def copyswap(c: Circuit, controls: list[int], payload: int,
     target_slots = [payload] + [None] * ((1 << m) - 1)
     for t in range(m):
         layer = start + t
-        c.place([g for j in range(t + 1, m) for g in trees[j].grow(t, layer)], layer)
+        c.put("cnot", [q for j in range(t + 1, m) for q in trees[j].grow(t, layer)], layer)
         target_slots[1 << t:2 << t] = c.alloc_many(1 << t, target_kind, at_layer=layer)
         cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
     return CopySwapResult(slots=target_slots, trees=trees, end=start + m)
@@ -262,13 +263,13 @@ def spf(c: Circuit, data: list[int], levels: list[list[int]],
                     + [(layer, 2, *key) for key, layer in plan.oplus_layer.items()])
     for layer, kind, a, b in events:
         if kind == 0:
-            c.place([Gate("swap", (), (data[a], slots[a][0]))], layer)
+            c.put("swap", [data[a], slots[a][0]], layer)
         elif kind == 1:
             q = a - 1 - b
             controls = trees[q].populated(b) if b else [data[q]]
             cs_layer(block, b, controls, slots[a][:2 << b], layer)
         else:
-            trees[a].emit(b, layer)
+            block.put("cnot", trees[a].grow(b, layer), layer)
     return block.mirror(plan.end, span), plan
 
 
@@ -298,14 +299,14 @@ def flag(c: Circuit, data: list[int], levels: list[list[int]],
     span = ladder_start + ladder_span + copy_span
 
     def flip_slot_zeros(layer: int) -> None:
-        c.place([Gate("x", (), (slots[s][0],)) for s in range(m)], layer)
+        c.put("x", [level[0] for level in slots], layer)
 
     if not adjoint:
         flip_slot_zeros(start)
     block = Block(c, start)
     trees = {q: CopyTree(block, data[q], size) for q, size in tree_sizes.items()}
     for i in range(copy_span):
-        block.place([g for tr in trees.values() if i < tr.layers for g in tr.grow(i, start + i)], start + i)
+        block.put("cnot", [q for tr in trees.values() if i < tr.layers for q in tr.grow(i, start + i)], start + i)
     steps = reversed(range(ladder_span)) if adjoint else range(ladder_span)
     for layer, i in enumerate(steps, start + (copy_span if adjoint else ladder_start)):
         for q in range(m - 1 - i):
@@ -369,7 +370,7 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     # -- setup: one-hot address ---------------------------------------------------
     (a0,) = rec.alloc_many(1, CLEAN, at_layer=start)
     regs.a0 = [a0]
-    rec.place([Gate("x", (), (a0,))], start)
+    rec.put("x", [a0], start)
     a_cs = copyswap(rec, ctrl, a0, start=start + 1)
     regs.d1 = [q for tr in a_cs.trees for q in tr.slots[1:]]
     regs.a1 = a_cs.slots[1:]
@@ -432,37 +433,33 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     complex_mode = angles.phases is not None
     rot_base = setup_end
 
-    def rotation_gates(k, s, p, a_ctl, f_ctl, target):
-        theta = angles.theta(k, s, p)
-        if f_ctl is not None:
-            seq = [Gate("ccry", (theta,), (a_ctl, f_ctl, target))]
-        else:
-            seq = [Gate("cry", (theta,), (a_ctl, target))]
+    def rotations(k, s, p, a_ctl, f_ctl, target):
+        """Pair (s, p)'s rotations under control value k, in time order, as (op,
+        operands, angle); the bottom level's phases are a controlled z-rotation and
+        a phase on the controls.  Every op is a rotation, so the adjoint runs the
+        sequence backwards with each angle negated."""
+        ctl = (a_ctl,) if f_ctl is None else (a_ctl, f_ctl)
+        seq = [("c" * len(ctl) + "ry", (*ctl, target), angles.theta(k, s, p))]
         if complex_mode and s == sub - 1:
-            lo = float(angles.phases[k, 2 * p])
-            hi = float(angles.phases[k, 2 * p + 1])
+            lo, hi = float(angles.phases[k, 2 * p]), float(angles.phases[k, 2 * p + 1])
+            seq.append(("c" * len(ctl) + "rz", (*ctl, target), hi - lo))
             if f_ctl is not None:
-                seq += [Gate("ccrz", (hi - lo,), (a_ctl, f_ctl, target)),
-                        Gate("crz", ((hi + lo) / 2,), (a_ctl, f_ctl)),
-                        Gate("phase", ((hi + lo) / 4,), (a_ctl,))]
-            else:
-                seq += [Gate("crz", (hi - lo,), (a_ctl, target)),
-                        Gate("phase", ((hi + lo) / 2,), (a_ctl,))]
+                seq.append(("crz", ctl, (hi + lo) / 2))
+            seq.append(("phase", ctl[:1], (hi + lo) / (2 * len(ctl))))
         if adjoint:
-            seq = [g.inverse() for g in reversed(seq)]
+            seq = [(op, qubits, -angle) for op, qubits, angle in reversed(seq)]
         return seq
 
     stages = 4 if complex_mode else 1
     pair_of = [(s, p) for s in range(sub) for p in range(1 << s)]
 
-    def place_stages(base: int, seqs) -> None:
-        """Place gate i of every sequence at layer ``base + i``, one batch per layer."""
-        batches = [[] for _ in range(stages)]
-        for seq in seqs:
-            for stage, g in enumerate(seq):
-                batches[stage].append(g)
-        for stage, gates in enumerate(batches):
-            c.place(gates, base + stage)
+    def put_stages(base: int, seqs) -> None:
+        """Put rotation i of every sequence at layer ``base + i``, each run of one op
+        in a layer as one batch."""
+        for layer, batch in enumerate(zip_longest(*seqs), base):
+            for op, run in groupby(filter(None, batch), itemgetter(0)):
+                _, qubits, thetas = zip(*run)
+                c.put(op, list(chain.from_iterable(qubits)), layer, thetas)
 
     if fanout:
         rot_span = stages
@@ -470,8 +467,8 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
         for idx, (s, p) in enumerate(pair_of):
             for k in range(M):
                 f_ctl = None if first_optimized else f_rows[idx][k]
-                seqs.append(rotation_gates(k, s, p, a_rows[k][idx], f_ctl, t_slots[idx][k]))
-        place_stages(rot_base, seqs)
+                seqs.append(rotations(k, s, p, a_rows[k][idx], f_ctl, t_slots[idx][k]))
+        put_stages(rot_base, seqs)
     else:
         # colour-major, so the gates on each shared control arrive in time order
         C = max(M, nb)
@@ -484,8 +481,8 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
                     continue
                 f_ctl = None if first_optimized else flags[idx]
                 target = t_slots[idx][k] if route_b else t_slots[idx][0]
-                seqs.append(rotation_gates(k, s, p, a_slots[k], f_ctl, target))
-            place_stages(rot_base + color * stages, seqs)
+                seqs.append(rotations(k, s, p, a_slots[k], f_ctl, target))
+            put_stages(rot_base + color * stages, seqs)
 
     return rec.mirror(rot_base + rot_span, t_setup), regs
 

@@ -328,31 +328,104 @@ UNPACKABLE = {
 }
 
 
+def add_batch(c: Circuit, entry: str, gates: list[Gate], layer: int) -> None:
+    """Add ``gates`` at ``layer`` through one entry; ``put`` takes them as one batch of
+    their op (the first gate's), from their flat operands and parameters."""
+    if entry == "put":
+        c.put(gates[0].op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
+    elif entry == "place":
+        c.place(gates, layer)
+    else:
+        assert layer == c.num_layers()
+        c.append_layer(gates)
+
+
 class TestPackedBoundary:
     """A batch is packed into the layer columns where it is placed: what they cannot
-    hold is rejected there, with the class and message validate() gave before."""
+    hold is rejected there, with the class and message validate() gave before.
+    ``put`` takes a batch of one op, so it is given the faulty gate alone."""
 
     @pytest.mark.parametrize("name", list(UNPACKABLE))
-    @pytest.mark.parametrize("entry", ["place", "append_layer"])
+    @pytest.mark.parametrize("entry", ["place", "append_layer", "put"])
     def test_rejected_where_packed(self, name, entry):
         bad, error, message = UNPACKABLE[name]
         c = Circuit()
         c.alloc_many(2, at_layer=0)
-        batch = [gate("x", (1,)), bad]
+        batch = [bad] if entry == "put" else [gate("x", (1,)), bad]
         with pytest.raises(error) as info:
-            c.place(batch, 0) if entry == "place" else c.append_layer(batch)
+            add_batch(c, entry, batch, 0)
         assert (info.type, str(info.value)) == (error, message)
         assert c.size() == 0 and c.last_use_layer(1) == -1
 
     @pytest.mark.parametrize("qubit", [2**31, 2**40, -2**40])
-    @pytest.mark.parametrize("entry", ["place", "append_layer"])
+    @pytest.mark.parametrize("entry", ["place", "append_layer", "put"])
     def test_id_past_the_column_is_not_live(self, qubit, entry):
         c = Circuit()
         c.alloc_many(2, at_layer=0)
         with pytest.raises(OperandNotLive, match=f"qubit {qubit} (not allocated at|is not in the circuit)"):
-            bad = [Gate("x", (), (qubit,))]
-            c.place(bad, 0) if entry == "place" else c.append_layer(bad)
+            add_batch(c, entry, [Gate("x", (), (qubit,))], 0)
         assert c.size() == 0
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("dead", OperandNotLive, "qubit 2 not allocated at layer 1"),
+        ("released", UseAfterDealloc, "qubit 3 deallocated at layer 1, gate at 1"),
+        ("collided", LayerCollision, "qubit 1 has a gate at layer 1, next gate at 1"),
+    ])
+    @pytest.mark.parametrize("entry", ["place", "put"])
+    def test_operand_not_live_there_is_rejected_alike(self, fault, error, message, entry):
+        c = Circuit()
+        a, b = c.alloc_many(2, at_layer=0)
+        late = c.alloc(at_layer=2)
+        gone = c.alloc(at_layer=0)
+        c.dealloc(gone, at_layer=1)
+        c.place([gate("x", (b,))], 1)
+        bad = {"dead": late, "released": gone, "collided": b}[fault]
+        with pytest.raises(error) as info:
+            add_batch(c, entry, [gate("ry", (a,), 0.5), gate("ry", (bad,), 0.25)], 1)
+        assert (info.type, str(info.value)) == (error, message)
+        assert c.size() == 1 and len(list(c.gates(1))) == 1
+
+
+class TestPut:
+    """``Circuit.put`` places a batch of one op from flat operands and parameters."""
+
+    def test_batch_lands_as_its_gates(self):
+        c = Circuit()
+        qs = c.alloc_many(4, at_layer=0)
+        assert c.put("cry", qs, 2, (0.5, -0.25)) == 2
+        assert list(c.gates(2)) == [gate("cry", (0, 1), 0.5), gate("cry", (2, 3), -0.25)]
+        assert c.put("x", [], 5) == 5 and c.num_layers() == 3
+
+    @pytest.mark.parametrize("op, ids, params, error, message", [
+        ("sqrtx", [0, 1], (), MalformedCircuit, "layer 0: unknown op 'sqrtx'"),
+        ("cnot", [0, 1, 2], (), DuplicateOperand, "layer 0: cnot takes 2 qubits and 0 params, got 3 and 0"),
+        ("ry", [0, 1], (0.5,), MalformedCircuit, "layer 0: ry takes 1 qubits and 1 params, got 2 and 1"),
+        ("ry", [0], (0.5, 0.25), MalformedCircuit, "layer 0: ry takes 1 qubits and 1 params, got 1 and 2"),
+        ("x", [0, 2**31], (), OperandNotLive, "qubit 2147483648 not allocated at layer 0"),
+        ("x", [0, -2**31 - 1], (), OperandNotLive, "qubit -2147483649 not allocated at layer 0"),
+    ], ids=["unknown_op", "operand_count", "param_count_short", "param_count_long",
+            "id_past_int32", "id_below_int32"])
+    def test_batch_form_fault_is_typed(self, op, ids, params, error, message):
+        c = Circuit()
+        c.alloc_many(3, at_layer=0)
+        with pytest.raises(error) as info:
+            c.put(op, ids, 0, params)
+        assert (info.type, str(info.value)) == (error, message)
+        assert c.size() == 0 and c.num_layers() == 0
+
+    def test_block_records_put_batches_for_its_mirror(self):
+        c = Circuit()
+        src = c.alloc(at_layer=0)
+        c.mark_persistent([src])
+        block = cir.Block(c, 0)
+        (anc,) = block.alloc_many(1, at_layer=0)
+        block.put("cry", [src, anc], 0, [0.5])
+        block.put("x", [], 1)
+        block.place([gate("h", (anc,))], 1)
+        assert block.mirror(2, 2) == 4
+        assert list(c.gates(2)) == [gate("h", (anc,))]
+        assert list(c.gates(3)) == [gate("cry", (src, anc), -0.5)]
+        assert c.dealloc_layer(anc) == 4
 
 
 class TestExpansion:
@@ -367,7 +440,7 @@ class TestExpansion:
         c.mark_persistent(qs)
         c.append(gate("toffoli", tuple(qs)))
         out = cir.expand(c)
-        t_type = sum(1 for layer in out.layers for g in layer if g.op in ("t", "tdg"))
+        t_type = sum(1 for t in range(out.num_layers()) for g in out.gates(t) if g.op in ("t", "tdg"))
         assert t_type == 7
 
     def test_cswap_rule_shape(self):
@@ -531,7 +604,8 @@ class TestEmbed:
         assert [dst.dealloc_layer(q) for q in mapping] == [None, 7, None]
         assert dst.kind(2) == cir.DIRTY
         assert dst.persistent() == {1, 3}
-        assert [[g.qubits for g in layer] for layer in dst.layers] == [[(1,)], [(1, 2)], [], [], [], [], [(2, 3)]]
+        assert [[g.qubits for g in dst.gates(t)] for t in range(dst.num_layers())] == [
+            [(1,)], [(1, 2)], [], [], [], [], [(2, 3)]]
 
     def test_shared_qubits_keep_their_lifecycle(self):
         dst = Circuit()
@@ -541,7 +615,7 @@ class TestEmbed:
         assert mapping[0] == outer
         assert dst.persistent() == {mapping[2]}
         assert dst.dealloc_layer(outer) is None and dst.dealloc_layer(mapping[1]) == 13
-        assert dst.alloc_layer(mapping[1]) == 11 and dst.layers[10] == [gate("ry", (outer,), 0.5)]
+        assert dst.alloc_layer(mapping[1]) == 11 and list(dst.gates(10)) == [gate("ry", (outer,), 0.5)]
 
 
 class TestAdjoint:
@@ -553,8 +627,8 @@ class TestAdjoint:
         c.append(gate("cnot", (qs[0], qs[1])))
         c.append(gate("ry", (qs[1],), 0.7))
         adj = c.adjoint()
-        fwd_gates = [g for layer in c.layers for g in layer]
-        rev_gates = [g for layer in adj.layers for g in layer]
+        fwd_gates = [g for t in range(c.num_layers()) for g in c.gates(t)]
+        rev_gates = [g for t in range(adj.num_layers()) for g in adj.gates(t)]
         U = block_unitary(fwd_gates, qs)
         V = block_unitary(rev_gates, qs)
         assert np.max(np.abs(V @ U - np.eye(4))) < 1e-12

@@ -134,6 +134,24 @@ class TestSynth:
         assert json.loads(err)["error"] == "InternalInvariant"
         assert not circ.exists()
 
+    @pytest.mark.parametrize("fault, error", [
+        ("unknown_op", "MalformedCircuit"), ("operand_count", "DuplicateOperand"),
+        ("param_count", "MalformedCircuit"), ("id_past_int32", "OperandNotLive")])
+    def test_faulty_put_batch_is_exit_3(self, capsys, monkeypatch, tmp_path, fault, error):
+        # a batch Circuit.put rejects is an emitter bug, reported through cli._emitting
+        put = {"unknown_op": lambda c, qs, layer: c.put("not", qs, layer),
+               "operand_count": lambda c, qs, layer: c.put("cnot", qs[:3], layer),
+               "param_count": lambda c, qs, layer: c.put("ry", qs, layer, (0.5,)),
+               "id_past_int32": lambda c, qs, layer: c.put("x", [*qs, 2**40], layer)}[fault]
+        monkeypatch.setattr(proto, "_flip", lambda c, qubits, layer: put(c, list(qubits), layer))
+        out = tmp_path / "f.json"
+        code, _, err = run_cli(capsys, "fragment", "flag", "--m", "3", "--out", str(out))
+        assert code == 3
+        doc = json.loads(err)
+        assert doc["error"] == "InternalInvariant"
+        assert doc["message"].startswith(f"emitter broke the circuit IR: {error}: ")
+        assert not out.exists()
+
     def test_internal_key_error_is_exit_3(self, capsys, monkeypatch, pixels):
         def broken(*args, **kwargs):
             raise KeyError("internal")

@@ -10,7 +10,11 @@ qubits became plain ints; the `spf` fragment cases from the code before
 the SPF ladder schedule became a closed form.  The multicopy digests were
 re-recorded when the indentation walk began at k = 1: that batch's k went
 from 9 to 3, and its circuit is byte-identical to the older code's output
-under `--indent 3`.  A change that alters
+under `--indent 3`.  The two `--complex --loadf-first-optimized` cases,
+which pin LOADF's flag-free complex rotation sequence and its adjoint,
+were recorded from the code before the emitters placed gate columns
+directly (before LOADF's adjoint stopped going through `Gate.inverse`).
+A change that alters
 the circuit JSON, a report or the profile CSV on purpose records new
 digests here and says why.
 """
@@ -66,6 +70,18 @@ GOLDEN = {
         "profile.csv": "91111a4dedfcfbcc866dbdd6802d20c3fd780430acce37baff05018ec28529fb",
         "profile.json": "e21bcd74b9581ae28816553982103ce601c3af9f07b7e7d88d45dc48a1cba5c7",
     },
+    ("--complex", "--loadf-first-optimized"): {
+        "circuit.json": "e0247e09e7ae1cdc99d3e8ac5c445fe4f951b54d823cd8ddac51b916217c2399",
+        "synth.json": "27d8dacc621b56a2eff8c07c75b704650e8c632412590661004cf7653069102d",
+        "profile.csv": "56d5c9b4d78d5d03d0012e801a5268d73a39472c0cb6082fb278fdc5ce07ece9",
+        "profile.json": "02118fab70916e63b1ff7d050ec7d6ea56adf1945d8283b888b3adcc87635ac3",
+    },
+    ("--complex", "--loadf-first-optimized", "--no-fanout"): {
+        "circuit.json": "a8ae222a99cb20dc87aea6b25da05ae0ab50d5b5feaec368c5a96d933fdcf86f",
+        "synth.json": "45693eba8648cb15a31f239909ea8e53cf3ea8b9f489cca07d7ed827c475fc8b",
+        "profile.csv": "529958052b04c5e97d3ea902ce4b9c7d0502c61091edf2466dd6ccc416b1485c",
+        "profile.json": "56019b7dd26d6eae5fc38a6fd140b08544654defb4e1c9653c34f0a3cdd1439b",
+    },
 }
 
 
@@ -88,7 +104,9 @@ def output_digests(workdir, flags) -> dict:
 
 @pytest.mark.parametrize("flags", list(GOLDEN), ids=["paper", "dirty_b1_epsilon", "complex",
                                                      "no_fanout", "complex_no_fanout",
-                                                     "loadf_first_optimized"])
+                                                     "loadf_first_optimized",
+                                                     "complex_loadf_first_optimized",
+                                                     "complex_loadf_first_optimized_no_fanout"])
 def test_outputs_match_golden_digests(tmp_path, monkeypatch, flags):
     monkeypatch.chdir(tmp_path)
     assert output_digests(tmp_path, flags) == GOLDEN[flags]

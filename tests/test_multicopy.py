@@ -187,8 +187,8 @@ class TestStack:
         rng = np.random.default_rng(8)
         res = mc.stack(mc.BatchPlan(targets(rng, 4, 3)))
         last_gate = {}
-        for t, layer in enumerate(res.circuit.layers):
-            for g in layer:
+        for t in range(res.circuit.num_layers()):
+            for g in res.circuit.gates(t):
                 for q in g.qubits:
                     last_gate[q] = t
         for meta in res.instances:

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qsprep import amplitudes as amp
+from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
 from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
@@ -98,7 +100,7 @@ class TestSpCircuit:
 
     def test_basis_vector_zero_rotations(self):
         c = proto.sp_circuit(amp.PartitionNorms(m=2, values=np.array([1.0, 0, 0, 0])))
-        rotations = [g for layer in c.layers for g in layer if g.op in ROTATION_OPS]
+        rotations = [g for t in range(c.num_layers()) for g in c.gates(t) if g.op in ROTATION_OPS]
         assert all(abs(g.params[0]) == 0.0 for g in rotations)
         _, fid = fidelity(c, [1, 0, 0, 0])
         assert fid >= 1 - 1e-12
@@ -173,6 +175,16 @@ class TestSpCsp:
         c = proto.spcsp(t, proto.ProtocolConfig(n=n, m=m, fanout=False))
         report, fid = fidelity(c, t.amplitudes)
         assert fid >= 1 - 1e-9
+
+    @pytest.mark.parametrize("n,m,fanout", [(3, 1, True), (4, 2, False), (4, 2, True)])
+    def test_complex_targets_first_optimized(self, n, m, fanout):
+        # LOADF without flag controls: its bottom-level phases ride on one control, not two
+        rng = np.random.default_rng(70 + n + fanout)
+        t = random_targets(rng, n, 1, complex_=True)[0]
+        c = proto.spcsp(t, proto.ProtocolConfig(n=n, m=m, fanout=fanout, loadf_first_optimized=True))
+        report, fid = fidelity(c, t.amplitudes)
+        assert fid >= 1 - 1e-9
+        assert all(mass <= 1e-10 for _, _, mass in report.ancilla_verdicts)
 
     def test_fanout_with_single_qubit_buffer(self):
         rng = np.random.default_rng(60)
@@ -385,16 +397,17 @@ class TestAngleErrorPropagation:
         t = random_targets(rng, 4, 1)[0]
         cfg = proto.ProtocolConfig(n=4, m=2, fanout=False)
         base = proto.spcsp(t, cfg)
+        n_rot = sum(1 for layer in range(base.num_layers()) for g in base.gates(layer) if g.op in ROTATION_OPS)
         for delta in (1e-3, 1e-4):
-            c = proto.spcsp(t, cfg)
-            for layer in c.layers:
-                for i, g in enumerate(layer):
-                    if g.op in ROTATION_OPS:
-                        layer[i] = type(g)(g.op, tuple(p + delta for p in g.params), g.qubits)
+            # every op with a parameter is a rotation, so this perturbs each rotation's angle
+            doc = cir.to_json_dict(base)
+            for layer in doc["layers"]:
+                for g in layer:
+                    g["params"] = [p + delta for p in g["params"]]
+            c = cir.loads(json.dumps(doc))
             report, _ = run(c, target=t.amplitudes, target_order=c.registers["D"],
                             enforce_dealloc=False)
-            n_rot = sum(1 for layer in base.layers for g in layer if g.op in ROTATION_OPS)
-            assert 1 - report.fidelity <= (n_rot * delta) ** 2 / 2 + 1e-9
+            assert 0 < 1 - report.fidelity <= (n_rot * delta) ** 2 / 2 + 1e-9
 
 
 class TestReflection:

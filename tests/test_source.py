@@ -98,3 +98,19 @@ def test_circuit_reader_has_no_per_gate_path_of_its_own():
                         or isinstance(callee, ast.Attribute) and callee.attr == "place"):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_emitters_build_no_gate_tuples():
+    """The fragment and protocol emitters put column batches (`Circuit.put`): they
+    neither import nor name `Gate`, `new_gate` or `gate`, the constructors of
+    hand-built circuits."""
+    names = {"Gate", "new_gate", "gate"}
+    found = []
+    for path, node in package_nodes():
+        if str(path) not in ("subroutines.py", "protocols.py"):
+            continue
+        if (isinstance(node, ast.alias) and node.name in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names):
+            found.append(f"{path}:{getattr(node, 'lineno', '?')} {ast.unparse(node)}")
+    assert found == []

@@ -222,7 +222,7 @@ def spf_fragment(y_values):
 class TestSpf:
     def test_m1_is_single_swap(self):
         c, data, A, aset, _ = spf_fragment([0.6, 0.8])
-        swaps = [g for layer in c.layers for g in layer if g.op == "swap"]
+        swaps = [g for t in range(c.num_layers()) for g in c.gates(t) if g.op == "swap"]
         assert len(swaps) == 1
         _, state = run(c)
         vec = state.statevector(data + A)

@@ -35,7 +35,7 @@ def run_with_input(circuit, data_vec):
             seeded = True
         if t == L:
             break
-        for g in c.layers[t]:
+        for g in c.gates(t):
             state.apply(g)
     report.peak_live_qubits = state._width
     return report, state
