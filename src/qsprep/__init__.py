@@ -13,12 +13,11 @@ _EXPORTS = {
     **dict.fromkeys(["AngleSet", "AngleTree", "CSPAngleSet", "PartitionNorms", "TargetState",
                      "build_angle_tree", "csp_angles", "make_target", "partition_norms",
                      "sp_angles", "update_leaf"], "amplitudes"),
-    **dict.fromkeys(["Circuit", "Gate", "GateSetModel", "ResourceReport",
-                     "approx_model", "expand", "gate", "spacetime_allocation"], "circuit_ir"),
+    **dict.fromkeys(["Circuit", "Gate", "GateSetModel", "ResourceReport", "expand", "gate",
+                     "spacetime_allocation"], "circuit_ir"),
     **dict.fromkeys(["ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit",
                      "spcsp"], "protocols"),
-    **dict.fromkeys(["SimReport", "SimState", "flag_oracle", "loadf_oracle", "run",
-                     "spf_oracle"], "sim"),
+    **dict.fromkeys(["SimReport", "SimState", "run"], "sim"),
 }
 
 __all__ = list(_EXPORTS)

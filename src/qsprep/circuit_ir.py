@@ -82,15 +82,14 @@ GATE_SIGNATURES = {
     "cry": (2, 1), "crz": (2, 1), "ccry": (3, 1), "ccrz": (3, 1),
 }
 
-#: every op with a parameter is one of these, so its inverse negates the parameter
-ROTATION_OPS = frozenset({"ry", "rz", "phase", "cry", "crz", "ccry", "ccrz"})
+#: the ops that take a parameter, an angle: each one's inverse negates it
+ROTATION_OPS = frozenset(op for op, (_, npar) in GATE_SIGNATURES.items() if npar)
 
 _FLOAT = frozenset({float})
 _INT = frozenset({int})
 _LIST = frozenset({list})
 _STR = frozenset({str})
 
-_INVERSE_SELF = frozenset({"x", "h", "cnot", "swap", "cswap", "toffoli"})
 _INVERSE_PAIR = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
 #: op code -> op name; a code is the op's index in ``GATE_SIGNATURES``
@@ -122,13 +121,6 @@ class Gate(NamedTuple):
     op: str
     params: tuple
     qubits: tuple
-
-    def inverse(self) -> "Gate":
-        if self.op in _INVERSE_SELF:
-            return self
-        if self.op in _INVERSE_PAIR:
-            return Gate(_INVERSE_PAIR[self.op], (), self.qubits)
-        return Gate(self.op, tuple(-p for p in self.params), self.qubits)
 
 
 #: ``new_gate((op, params, qubits))`` is ``Gate(op, params, qubits)`` without a
@@ -549,11 +541,11 @@ class Circuit:
 
     # -- validation ---------------------------------------------------------------
 
-    def validate(self, expected_registers: dict[str, int] | None = None) -> list[str]:
+    def validate(self) -> list[str]:
         """The whole-circuit check: every gate and liveness fault of :meth:`_faults`,
-        then every register whose size differs from the expected one."""
+        then every register whose size differs from ``meta["expected_register_sizes"]``."""
         violations = [message for _, message in self._faults()]
-        expected = expected_registers or self.meta.get("expected_register_sizes")
+        expected = self.meta.get("expected_register_sizes")
         if expected:
             for name, size in expected.items():
                 have = len(self.registers.get(name, []))
@@ -600,7 +592,7 @@ class Circuit:
 class Block:
     """A recorded span of a circuit, undone by its layer mirror.
 
-    A pass-through ``put``/``place``/``alloc_many``/``num_layers`` view of
+    A pass-through ``put``/``alloc_many``/``num_layers`` view of
     ``c`` that records where each gate batch landed in the columns (its
     layer and the start and stop of its op, id and parameter slices) and
     each allocation by its layer relative to ``start``.  This is the
@@ -617,9 +609,6 @@ class Block:
 
     def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
         return self._recorded(layer, self.c.put, op, ids, layer, params)
-
-    def place(self, gates: list[Gate], layer: int) -> int:
-        return self._recorded(layer, self.c.place, gates, layer)
 
     def _recorded(self, layer: int, add: Callable, *args) -> int:
         """``add(*args)``, which adds a batch at ``layer``, with the batch's column slices recorded."""
@@ -678,18 +667,18 @@ ROTATION_SLOPE = 4.0
 
 @dataclass(frozen=True)
 class GateSetModel:
-    """Cost model for the two gate sets.
+    """Cost model for the two gate sets, chosen by ``epsilon``.
 
-    "exact" charges every gate one layer.  "approximate" widens each layer
-    that contains a rotation to a rotation's synthesized depth (see
-    ``ROTATION_SLOPE``) at the per-rotation budget ``eps / n_rot``.
+    With no ``epsilon`` every gate costs one layer (the exact gate set).
+    With one, in (0, 1), the gate set is discrete: each layer that contains
+    a rotation widens to a rotation's synthesized depth (see
+    ``ROTATION_SLOPE``) at the per-rotation budget ``epsilon / n_rot``.
     """
 
-    mode: str = "exact"
-    epsilon: float = 1e-10
+    epsilon: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:  # NaN fails too
+        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:  # NaN fails too
             raise BadEpsilon(f"epsilon {self.epsilon!r} outside (0, 1)")
 
     def rotation_cost(self, eps_prime: float) -> int:
@@ -698,13 +687,6 @@ class GateSetModel:
         if math.isinf(inverse):
             raise BadEpsilon(f"per-rotation budget {eps_prime!r} of epsilon {self.epsilon!r} underflows")
         return math.ceil(ROTATION_SLOPE * math.log2(inverse))
-
-
-EXACT_MODEL = GateSetModel(mode="exact")
-
-
-def approx_model(epsilon: float) -> GateSetModel:
-    return GateSetModel(mode="approximate", epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -726,7 +708,7 @@ class ResourceReport:
         return d
 
 
-def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL,
+def spacetime_allocation(c: Circuit, model: GateSetModel = GateSetModel(),
                          profile: list[int] | None = None) -> ResourceReport:
     """Exact and approximate-model resource accounting.
 
@@ -755,7 +737,7 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = EXACT_MODEL,
     rot_layers = [k > 0 for k in per_layer]
     n_rot = sum(per_layer)
 
-    if model.mode == "approximate" and n_rot:
+    if model.epsilon is not None and n_rot:
         width = model.rotation_cost(model.epsilon / n_rot)
         depth_approx = sum(width if r else 1 for codes, r in zip(c._ops, rot_layers) if codes)
         sa_approx = sum(q_t * (width if r else 1) for q_t, r in zip(prof, rot_layers))
@@ -886,22 +868,6 @@ def expand(c: Circuit) -> Circuit:
 
 # -- serialization -------------------------------------------------------------------
 
-def _layer_json(gates: Iterable[Gate]) -> list[dict]:
-    return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in gates]
-
-
-def to_json_dict(c: Circuit) -> dict:
-    """The circuit JSON as a tree of lists and dicts: the reference :func:`json_chunks` matches."""
-    c = c.compact()
-    return {
-        "layers": [_layer_json(c.gates(t)) for t in range(c.num_layers())],
-        "alloc": [[q, a, c.kind(q)] for q, a in enumerate(c._alloc)],
-        "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d != NEVER],
-        "persistent": sorted(c._persistent),
-        "registers": {name: list(qs) for name, qs in c.registers.items()},
-    }
-
-
 #: What it encodes is fresh lists, dicts and strings, so the encoder's
 #: reference-cycle bookkeeping (one id() entry per container) is skipped.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
@@ -942,8 +908,12 @@ def json_chunks(c: Circuit) -> Iterator[str]:
     """Canonical JSON text in pieces: the lifecycle tables a block of rows at a time,
     then each layer, then the persistent list and the registers.
 
-    ``"".join(json_chunks(c))`` is ``json.dumps(to_json_dict(c),
-    sort_keys=True, separators=(",", ":"))``, byte-identical across
+    The text is ``json.dumps`` of the document, with sorted keys and no
+    spaces: ``alloc`` rows ``[qubit, layer, kind]``, ``dealloc`` rows
+    ``[qubit, layer]``, ``layers`` of gates ``{"op", "params", "qubits"}``,
+    the sorted ``persistent`` ids and the ``registers``.  The tests build
+    that document as lists and dicts (``tests/reference.py``) as the
+    reference this text must match.  It is byte-identical across
     parse/re-emit round trips.  Rows and layers are written directly from
     text templates, with ``repr`` floats as the JSON encoder writes them, so
     neither passes through lists or dicts; that takes a circuit whose gates

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from . import __version__
 from . import circuit_ir as cir
-from .errors import CircuitError, InternalInvariant, MalformedInput, QsprepError, parse_json
+from .errors import BadFlag, CircuitError, InternalInvariant, MalformedInput, QsprepError, parse_json
 
 
 def _read(path: str) -> bytes:
@@ -101,19 +101,11 @@ def _checked(circuit: cir.Circuit) -> cir.Circuit:
     return circuit
 
 
-def _model_for(args) -> cir.GateSetModel:
-    """The cost model of ``--gateset`` and ``--epsilon``; a given epsilon is checked even under u2cnot."""
-    approx = cir.approx_model(1e-10 if args.epsilon is None else args.epsilon)
-    if args.gateset == "hstcnot" or (args.gateset is None and args.epsilon is not None):
-        return approx
-    return cir.EXACT_MODEL
-
-
 def cmd_synth(args, argv) -> int:
     from . import amplitudes as amp
     from . import protocols as proto
 
-    model = _model_for(args)
+    model = cir.GateSetModel(args.epsilon)
     raw = _read(args.infile)
     target = amp.target_from_json(raw)
     cfg = proto.ProtocolConfig(
@@ -176,7 +168,7 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_profile(args, argv) -> int:
-    model = _model_for(args)
+    model = cir.GateSetModel(args.epsilon)
     circuit, digest = _load_circuit(args.infile)
     circuit = circuit.compact()
     live = circuit.live_profile()
@@ -194,6 +186,9 @@ def cmd_multicopy(args, argv) -> int:
     from . import amplitudes as amp
     from . import multicopy as mc
 
+    for flag, value, least in (("--w", args.w, 1), ("--pool", args.pool, 0)):
+        if value is not None and value < least:
+            raise BadFlag(f"{flag} must be at least {least}, got {value}")
     raw = _read(args.infile)
     doc_in = parse_json(raw)
     vectors = doc_in.get("targets") if type(doc_in) is dict else doc_in
@@ -225,7 +220,7 @@ def cmd_fragment(args, argv) -> int:
     from . import amplitudes as amp
     from . import protocols as proto
 
-    model = _model_for(args)
+    model = cir.GateSetModel(args.epsilon)
     raw = b""
     kwargs = {}
     angles = None
@@ -248,9 +243,16 @@ def cmd_fragment(args, argv) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` (its subcommands' too) whose usage errors raise ``BadFlag``,
+    exit 2 with one JSON error; ``--help`` and ``--version`` still print and exit 0."""
+
+    def error(self, message):
+        raise BadFlag(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qsprep",
-                                description="low-depth state preparation compiler")
+    p = _Parser(prog="qsprep", description="low-depth state preparation compiler")
     p.add_argument("--version", action="version", version=f"qsprep {__version__}")
     subs = p.add_subparsers(dest="cmd", required=True)
 
@@ -262,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--report", default=None, help="report JSON path (default stdout)")
         if costed:  # the commands whose report is priced by a gate-set cost model
             sp.add_argument("--epsilon", type=float, default=None)
-            sp.add_argument("--gateset", choices=["u2cnot", "hstcnot"], default=None)
 
     sp = subs.add_parser("synth", help="compile an amplitude vector")
     common(sp, costed=True)
@@ -310,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic garbage collector off.
 
-    Exit 0 on success; 2 for bad input: a typed ``QsprepError``, an
-    unreadable file, or input that does not decode as JSON text; 3 for
-    anything else, which is a bug: ``InternalInvariant`` or any other
-    exception, whose traceback the error object carries.  Either failure
-    writes one JSON error object to stderr.
+    Exit 0 on success; 2 for bad input: a typed ``QsprepError`` (a bad
+    flag is ``BadFlag``), an unreadable file, or input that does not decode
+    as JSON text; 3 for anything else, which is a bug: ``InternalInvariant``
+    or any other exception, whose traceback the error object carries.
+    Either failure writes one JSON error object to stderr.
 
     Nothing a command builds holds a reference cycle, so reference
     counting frees it.  The columnar IR is a few arrays per layer, but

@@ -11,6 +11,10 @@ class InternalInvariant(QsprepError):
     """An identity the package guarantees does not hold: a bug, not bad input."""
 
 
+class BadFlag(QsprepError):
+    """A command-line flag is unknown, missing, or has a value its command cannot take."""
+
+
 # -- amplitude preprocessing ------------------------------------------------
 
 class LengthNotPowerOfTwo(QsprepError):

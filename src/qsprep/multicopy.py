@@ -134,9 +134,9 @@ def stack(plan: BatchPlan) -> BatchResult:
     k = plan.indentation or fit
     if fit is None or fit != k:
         shown = start if fit else depth  # the k asked for, or the last k walked when none fits
+        found = f"the smallest that fits is {fit}" if fit else "none fits"
         raise PoolExceeded(f"peak ancillae {_priced_peak(parts, shown)} exceeds pool cap {plan.pool_cap} at "
-                           f"k={shown}; the smallest k in [{start}, {depth}] that fits is {fit}",
-                           feasible_k=fit)
+                           f"k={shown}; of k in [{start}, {depth}], {found}", feasible_k=fit)
     peak_anc = _priced_peak(parts, k)
 
     batch, instances_meta = _merge(insts, k)

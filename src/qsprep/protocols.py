@@ -181,27 +181,18 @@ def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
     F0 = c.alloc_many(nb, at_layer=start)
     _flip(c, F0, start)
     B0 = c.alloc_many(nb, at_layer=start + 1)
-    lf_end, regs = loadf(c, ctrl, B0, F0, conv, start=start + 1,
-                         dirty_b1=cfg.dirty_b1, fanout=cfg.fanout,
-                         first_optimized=cfg.loadf_first_optimized)
-    _record_loadf_registers(c, regs)
+    lf_end = loadf(c, ctrl, B0, F0, conv, start=start + 1,
+                   dirty_b1=cfg.dirty_b1, fanout=cfg.fanout,
+                   first_optimized=cfg.loadf_first_optimized)
     spf_end, _ = spf(c, lower, split_levels(B0), start=lf_end)
     fl_end = flag(c, lower, split_levels(F0), start=spf_end)
-    lf2_end, _ = loadf(c, ctrl, B0, F0, conv, start=fl_end, adjoint=True,
-                       dirty_b1=cfg.dirty_b1, fanout=cfg.fanout)
+    lf2_end = loadf(c, ctrl, B0, F0, conv, start=fl_end, adjoint=True,
+                    dirty_b1=cfg.dirty_b1, fanout=cfg.fanout)
     fl2_end = flag(c, lower, split_levels(F0), start=lf2_end, adjoint=True)
     _flip(c, F0, fl2_end)
     end = fl2_end + 1
     c.dealloc_many(F0 if keep_b else [*F0, *B0], end)
     return end, B0, F0
-
-
-def _record_loadf_registers(c: Circuit, regs) -> None:
-    for name, qs in (("D1", regs.d1), ("D2", regs.d2), ("D3", regs.d3),
-                     ("A0", regs.a0), ("A1", regs.a1), ("A2", regs.a2),
-                     ("B1", regs.b1), ("F1", regs.f1)):
-        if name not in c.registers:
-            c.add_register(name, qs)
 
 
 def _resolve_complex(t: TargetState, cfg: ProtocolConfig) -> bool:
@@ -382,8 +373,7 @@ def reflection(t: TargetState, cfg: ProtocolConfig | None = None) -> Circuit:
 FRAGMENT_MAX_M = 20
 
 
-def fragment_circuit(name: str, m: int, n: int | None = None,
-                     angles: CSPAngleSet | None = None, t: int = 0,
+def fragment_circuit(name: str, m: int, angles: CSPAngleSet | None = None, t: int = 0,
                      basis: int | None = None, **kwargs) -> Circuit:
     """Wire one fragment into a standalone circuit with canonical registers.
 
@@ -449,8 +439,7 @@ def fragment_circuit(name: str, m: int, n: int | None = None,
         _flip(c, [q for i, q in enumerate(F0) if flags[i]], start)
         B0 = c.alloc_many(nb, at_layer=start + 1)
         c.mark_persistent([*F0, *B0])
-        end, regs = loadf(c, ctrl, B0, F0, angles, start=start + 1, **kwargs)
-        _record_loadf_registers(c, regs)
+        loadf(c, ctrl, B0, F0, angles, start=start + 1, **kwargs)
         c.add_register("D0", ctrl)
         c.add_register("B0", B0)
         c.add_register("F0", F0)

@@ -25,7 +25,7 @@ Register conventions shared by every fragment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, groupby, zip_longest
 from operator import itemgetter
 
@@ -87,13 +87,11 @@ class CopyTree:
     ``Block`` undoes the tree.
     """
 
-    def __init__(self, c: Circuit, source: int, size: int, kind: str = CLEAN,
-                 layout: str = "halving"):
+    def __init__(self, c: Circuit, source: int, size: int, layout: str = "halving"):
         if layout == "halving" and size & (size - 1):
             raise NotPowerOfTwo(f"copy register size {size} not a power of two")
         self.c = c
         self.size = size
-        self.kind = kind
         self.layout = layout
         self.slots: list[int | None] = [None] * size
         self.slots[0] = source
@@ -119,7 +117,7 @@ class CopyTree:
         operands, flat: (control, target) per CNOT."""
         slots, pairs = self.slots, self._pairs(t)
         fresh = [dst for _, dst in pairs if slots[dst] is None]
-        for dst, q in zip(fresh, self.c.alloc_many(len(fresh), self.kind, at_layer=layer)):
+        for dst, q in zip(fresh, self.c.alloc_many(len(fresh), at_layer=layer)):
             slots[dst] = q
         return list(map(slots.__getitem__, chain.from_iterable(pairs)))
 
@@ -136,8 +134,7 @@ def emit_trees(c: Circuit, trees: list[tuple[CopyTree, int]]) -> None:
         c.put("cnot", batches[layer], layer)
 
 
-def copy(c: Circuit, source: int, size: int, start: int | None = None,
-         kind: str = CLEAN) -> tuple[list[int], int]:
+def copy(c: Circuit, source: int, size: int, start: int | None = None) -> tuple[list[int], int]:
     """Fan a qubit out to ``size`` total copies (CNOT tree, depth log2 size).
 
     Ancillae are allocated in the layer of their first CNOT, so an isolated
@@ -320,24 +317,10 @@ def flag(c: Circuit, data: list[int], levels: list[list[int]],
 # -- LOADF ---------------------------------------------------------------------
 
 
-@dataclass
-class LoadfRegisters:
-    """Ancilla registers one LOADF invocation creates."""
-
-    d1: list = field(default_factory=list)
-    d2: list = field(default_factory=list)
-    d3: list = field(default_factory=list)
-    a0: list = field(default_factory=list)
-    a1: list = field(default_factory=list)
-    a2: list = field(default_factory=list)
-    b1: list = field(default_factory=list)
-    f1: list = field(default_factory=list)
-
-
 def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
           angles: CSPAngleSet, start: int | None = None, adjoint: bool = False,
           dirty_b1: bool = False, fanout: bool = True,
-          first_optimized: bool = False) -> tuple[int, LoadfRegisters]:
+          first_optimized: bool = False) -> int:
     """Load flagged angle states for the addressed segment into the buffer.
 
     For control value k, buffer pair (s, p) ends in Ry(f_sp * theta^(k)_sp)|0>
@@ -352,6 +335,10 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     adjoint is the same sandwich with inverted rotations.
     ``first_optimized`` drops the flag controls, valid only when every flag
     is |1>.
+
+    Returns the end layer.  Its ancilla registers (D1, D2, D3, A0, A1, A2,
+    B1, F1 of ``FRAGMENTS["loadf"]``) join ``c.registers`` under each name
+    not yet there, so a circuit's first LOADF names them.
     """
     m = len(ctrl)
     M = 1 << m
@@ -364,16 +351,16 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     route_b = fanout or dirty_b1
     if start is None:
         start = c.num_layers()
-    regs = LoadfRegisters()
+    regs: dict[str, list[int]] = {name: [] for name in ("D1", "D2", "D3", "A0", "A1", "A2", "B1", "F1")}
     rec = Block(c, start)
 
     # -- setup: one-hot address ---------------------------------------------------
     (a0,) = rec.alloc_many(1, CLEAN, at_layer=start)
-    regs.a0 = [a0]
+    regs["A0"] = [a0]
     rec.put("x", [a0], start)
     a_cs = copyswap(rec, ctrl, a0, start=start + 1)
-    regs.d1 = [q for tr in a_cs.trees for q in tr.slots[1:]]
-    regs.a1 = a_cs.slots[1:]
+    regs["D1"] = [q for tr in a_cs.trees for q in tr.slots[1:]]
+    regs["A1"] = a_cs.slots[1:]
     a_slots = a_cs.slots
     a_done = a_cs.end
 
@@ -386,7 +373,7 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
         emit_trees(rec, trees)
         for tr, reg_start in trees:
             seeds_per_bit.append(tr.slots[1:])
-            regs.d2.extend(tr.slots[1:])
+            regs["D2"].extend(tr.slots[1:])
             d2_end = max(d2_end, reg_start + tr.layers)
         r3 = d2_end
         t_slots: list[list[int]] = []
@@ -396,8 +383,8 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
                            start=r3, target_kind=DIRTY if dirty_b1 else CLEAN,
                            trees=inst_trees)
             for tr in inst_trees:
-                regs.d3.extend(tr.slots[1:])
-            regs.b1.extend(res.slots[1:])
+                regs["D3"].extend(tr.slots[1:])
+            regs["B1"].extend(res.slots[1:])
             t_slots.append(res.slots)
         b_done = r3 + m
     else:
@@ -416,14 +403,14 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
         emit_trees(rec, [(tr, setup_end - l_a) for tr in a_trees])
         a_rows = [list(tr.slots) for tr in a_trees]
         for tr in a_trees:
-            regs.a2.extend(tr.slots[1:])
+            regs["A2"].extend(tr.slots[1:])
         f_rows = []
         if not first_optimized:
             f_trees = [CopyTree(rec, flags[idx], M, layout="doubling") for idx in range(nb)]
             emit_trees(rec, [(tr, setup_end - l_f) for tr in f_trees])
             f_rows = [list(tr.slots) for tr in f_trees]
             for tr in f_trees:
-                regs.f1.extend(tr.slots[1:])
+                regs["F1"].extend(tr.slots[1:])
     else:
         a_rows = f_rows = None
         setup_end = max(a_done, b_done)
@@ -484,7 +471,9 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
                 seqs.append(rotations(k, s, p, a_slots[k], f_ctl, target))
             put_stages(rot_base + color * stages, seqs)
 
-    return rec.mirror(rot_base + rot_span, t_setup), regs
+    for name, qubits in regs.items():
+        c.registers.setdefault(name, qubits)
+    return rec.mirror(rot_base + rot_span, t_setup)
 
 
 FRAGMENTS = {

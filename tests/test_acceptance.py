@@ -13,11 +13,12 @@ import pytest
 from qsprep import amplitudes as amp
 from qsprep import multicopy as mc
 from qsprep import protocols as proto
-from qsprep.circuit_ir import Circuit, approx_model, spacetime_allocation
+from qsprep.circuit_ir import Circuit, GateSetModel, spacetime_allocation
 from qsprep.protocols import fragment_circuit, injection_angles
-from qsprep.sim import flag_oracle, pair_index, run, spf_oracle
+from qsprep.sim import run
 from qsprep.subroutines import copy, spf, split_levels
 from qsprep.circuit_ir import gate
+from reference import flag_oracle, pair_index, spf_oracle
 
 
 def report_line(num, text):
@@ -260,7 +261,7 @@ class TestAcceptance:
         from qsprep.circuit_ir import (
             DECOMPOSITIONS, GATE_SIGNATURES, U2_CNOT, expand_gate,
         )
-        from qsprep.sim import block_unitary, gate_unitary
+        from reference import block_unitary, gate_unitary
 
         checked = []
         for op, params in [("swap", ()), ("toffoli", ()), ("cswap", ()),
@@ -279,7 +280,7 @@ class TestAcceptance:
         rng = np.random.default_rng(215)
         t = random_real_targets(rng, 4, 1)[0]
         c = proto.spcsp(t, proto.ProtocolConfig(n=4))
-        values = [spacetime_allocation(c, approx_model(eps)).sa_approx
+        values = [spacetime_allocation(c, GateSetModel(eps)).sa_approx
                   for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
         assert all(a < b for a, b in zip(values, values[1:]))
         report_line(15, f"sa_approx strictly increases as epsilon shrinks: {values}")

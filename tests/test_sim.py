@@ -8,17 +8,9 @@ from qsprep import amplitudes as amp
 from qsprep import sim
 from qsprep.circuit_ir import Block, Circuit, gate
 from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
-from qsprep.sim import (
-    SimState,
-    block_unitary,
-    flag_oracle,
-    gate_unitary,
-    loadf_oracle,
-    pair_index,
-    run,
-    spf_oracle,
-)
+from qsprep.sim import SimState, run
 from qsprep.subroutines import copy
+from reference import block_unitary, flag_oracle, gate_unitary, loadf_oracle, pair_index, spf_oracle, to_json_dict
 
 
 def ry_matrix(theta):
@@ -241,7 +233,7 @@ class TestSimBasics:
 
 def strip_deallocs(c: Circuit) -> tuple[Circuit, dict]:
     """Same gates and allocations, but no qubit is ever contracted out."""
-    from qsprep.circuit_ir import loads, to_json_dict
+    from qsprep.circuit_ir import loads
     import json
 
     doc = to_json_dict(c)

@@ -114,3 +114,18 @@ def test_emitters_build_no_gate_tuples():
                 or isinstance(node, ast.Attribute) and node.attr in names):
             found.append(f"{path}:{getattr(node, 'lineno', '?')} {ast.unparse(node)}")
     assert found == []
+
+
+def test_every_parameter_is_read():
+    """No function takes a parameter its body never reads: a caller could pass it and
+    change nothing.  Lambdas are exempt, because ``FRAGMENTS`` fixes their ``(m, n)``
+    signature whether or not a budget uses both."""
+    found = []
+    for path, node in package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path}:{node.lineno} {node.name}({name})" for name in params if name not in read]
+    assert found == []

@@ -7,7 +7,7 @@ from qsprep import amplitudes as amp
 from qsprep.circuit_ir import Block, Circuit, gate, spacetime_allocation
 from qsprep.errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
 from qsprep.protocols import FRAGMENT_MAX_M, fragment_circuit, injection_angles, injection_csp_angles
-from qsprep.sim import flag_oracle, loadf_oracle, pair_index, run, spf_oracle
+from qsprep.sim import run
 from qsprep.subroutines import (
     CopyTree,
     _spf_plan,
@@ -19,6 +19,7 @@ from qsprep.subroutines import (
     spf,
     split_levels,
 )
+from reference import flag_oracle, loadf_oracle, pair_index, spf_oracle
 
 
 def extract_block(state, keep, fixed):
@@ -442,7 +443,7 @@ class TestLoadf:
             c.place([gate("x", (q,))], 1)
         B0 = [c.alloc(at_layer=2) for _ in range(3)]
         c.mark_persistent(F0 + B0)
-        end, _ = loadf_frag(c, ctrl, B0, F0, self.conv, start=2)
+        end = loadf_frag(c, ctrl, B0, F0, self.conv, start=2)
         loadf_frag(c, ctrl, B0, F0, self.conv, start=end, adjoint=True)
         _, state = run(c)
         vec = state.statevector(ctrl + F0 + B0)
