@@ -53,8 +53,8 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter, le, ne, neg, sub
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
+from operator import itemgetter, le, lt, ne, neg, sub
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -115,6 +115,17 @@ _I32 = range(-2**31, NEVER)
 
 #: ``_consume(iterator)`` runs an iterator of C calls, such as ``map(setitem, ...)``, to its end
 _consume = deque(maxlen=0).extend
+
+
+class Register(array):
+    """A register's qubit ids: an ``array('i')`` that, like a list, concatenates with any
+    iterable of ids."""
+
+    def __new__(cls, ids: Iterable[int] = ()):
+        return super().__new__(cls, "i", ids)
+
+    def __add__(self, other: Iterable[int]) -> "Register":
+        return Register(chain(self, other))
 
 
 class Gate(NamedTuple):
@@ -220,7 +231,7 @@ class Circuit:
         self._dealloc = array("i")          # NEVER for a qubit never released
         self._last_use = array("i")         # latest layer with a gate (or alloc - 1) on the qubit
         self._persistent: set[int] = set()
-        self.registers: dict[str, list[int]] = {}
+        self.registers: dict[str, Register] = {}
         self.meta: dict = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -257,17 +268,19 @@ class Circuit:
     def dealloc_many(self, qubits: Iterable[int], at_layer: int) -> None:
         """Release qubits at one layer.
 
-        The whole list is checked in one pass per rule; only a list that
-        fails is released qubit by qubit through :meth:`dealloc`, which
-        raises its typed error.  A qubit's latest layer is at least its
-        alloc layer - 1, so ``last_use < at_layer`` also proves it allocated
-        by then.
+        The whole list is checked in one pass per rule; ids that increase,
+        as a ``Block`` releases them, are distinct without being hashed.
+        Only a list that fails is released qubit by qubit through
+        :meth:`dealloc`, which raises its typed error.  A qubit's latest
+        layer is at least its alloc layer - 1, so ``last_use < at_layer``
+        also proves it allocated by then.
         """
         qs = list(qubits)
         if not qs:
             return
         dealloc = self._dealloc
-        if (min(qs) >= 0 and max(qs) < len(dealloc) and len(set(qs)) == len(qs)
+        if (min(qs) >= 0 and max(qs) < len(dealloc)
+                and (all(map(lt, qs, islice(qs, 1, None))) or len(set(qs)) == len(qs))
                 and set(map(dealloc.__getitem__, qs)) == {NEVER}
                 and max(map(self._last_use.__getitem__, qs)) < at_layer):
             _consume(map(dealloc.__setitem__, qs, repeat(at_layer)))
@@ -282,7 +295,7 @@ class Circuit:
         return set(self._persistent)
 
     def add_register(self, name: str, qubits: Iterable[int]) -> None:
-        self.registers[name] = list(qubits)
+        self.registers[name] = Register(qubits)
 
     # -- gate placement ---------------------------------------------------------
 
@@ -494,7 +507,7 @@ class Circuit:
         c = Circuit()
         c._kind = self._kind[:]
         c._persistent = set(self._persistent)
-        c.registers = {k: list(v) for k, v in self.registers.items()}
+        c.registers = {k: Register(v) for k, v in self.registers.items()}
         c.meta = dict(self.meta)
         return c
 
@@ -567,7 +580,6 @@ class Circuit:
         # so that one int object stands for every qubit never released
         alloc, dealloc = self._alloc.tolist(), list(map(min, self._dealloc, repeat(len(self._ops))))
         for t, (ids, values) in enumerate(zip(self._qs, self._ps)):
-            ids = ids.tolist()
             if (math.isfinite(sum(values)) and len(set(ids)) == len(ids)
                     and (not ids or (min(ids) >= 0 and max(ids) < n
                                      and max(map(alloc.__getitem__, ids)) <= t
@@ -631,29 +643,19 @@ class Block:
     def mirror(self, at: int, span: int) -> int:
         """Undo the block in layers [at, at + span) and return ``at + span``.
 
-        The batches recorded at relative layer ``rel`` are inverted at
-        ``at + span - 1 - rel`` (their gates keep their recorded order):
-        their column slices are joined, the op codes translated to their
-        inverses' and the parameters negated, and placed as one batch.  The
-        qubits allocated at ``rel`` are released at ``at + span - rel`` in
-        one call.
+        A batch recorded at relative layer ``rel`` is inverted at
+        ``at + span - 1 - rel``: its column slices are placed with the op
+        codes translated to their inverses' and the parameters negated,
+        latest recorded layer first and, within a layer, in recorded order,
+        so each mirrored layer keeps its gates' order.  The qubits allocated
+        at ``rel`` are released at ``at + span - rel`` in one call.
         """
         c = self.c
-        by_layer: dict[int, tuple[bytearray, array, array]] = {}
-        for layer, (o0, q0, p0), (o1, q1, p1) in self.spans:
-            codes, ids, values = by_layer.setdefault(layer, (bytearray(), array("i"), array("d")))
-            codes += c._ops[layer][o0:o1]
-            ids += c._qs[layer][q0:q1]
-            values += c._ps[layer][p0:p1]
-        for layer in sorted(by_layer, reverse=True):
-            codes, ids, values = by_layer[layer]
-            c._place(codes.translate(_INVERSE), ids, array("d", map(neg, values)),
-                     at + span - 1 - (layer - self.start))
-        released: dict[int, list[int]] = {}
-        for rel, qubits in self.allocs:
-            released.setdefault(rel, []).extend(qubits)
-        for rel, qubits in released.items():
-            c.dealloc_many(qubits, at + span - rel)
+        for layer, (o0, q0, p0), (o1, q1, p1) in sorted(self.spans, key=itemgetter(0), reverse=True):
+            c._place(c._ops[layer][o0:o1].translate(_INVERSE), c._qs[layer][q0:q1],
+                     array("d", map(neg, c._ps[layer][p0:p1])), at + span - 1 - (layer - self.start))
+        for rel, allocs in groupby(sorted(self.allocs, key=itemgetter(0)), itemgetter(0)):
+            c.dealloc_many(chain.from_iterable(qubits for _, qubits in allocs), at + span - rel)
         return at + span
 
 
@@ -861,7 +863,7 @@ def expand(c: Circuit) -> Circuit:
             for sub in expand_gate(g, U2_CNOT):
                 out.append(Gate(sub.op, sub.params, tuple(map(id_map.__getitem__, sub.qubits))))
     out.mark_persistent(map(id_map.__getitem__, c.persistent()))
-    out.registers = {k: list(map(id_map.__getitem__, v)) for k, v in c.registers.items()}
+    out.registers = {k: Register(map(id_map.__getitem__, v)) for k, v in c.registers.items()}
     return out
 
 
@@ -883,16 +885,20 @@ _GATE_TEXT = tuple(
 _KIND_TEXT = tuple(map(_encode, _KINDS))
 
 
-def _layer_text(codes: bytearray, ids: array, values: array) -> str:
-    """A layer's JSON text straight from its columns: the joined gate templates take
-    the flat qubit ids in one ``%``, then the flat parameters (``repr``, as the encoder
-    writes floats) in another."""
-    text = "[%s]" % ",".join(map(_GATE_TEXT.__getitem__, codes)) % tuple(ids)
-    return text % tuple(values) if values else text
-
-
-#: lifecycle-table rows written per piece of text
+#: lifecycle-table rows, or gates, written per piece of text
 _ROWS = 4096
+
+
+def _layer_text(codes: bytearray, ids: array, values: array) -> Iterator[str]:
+    """A layer's JSON text straight from its columns, ``_ROWS`` gates to a piece: the
+    piece's joined gate templates take its qubit ids in one ``%``, then its parameters
+    (``repr``, as the encoder writes floats) in another."""
+    ids, values = iter(ids), iter(values)
+    for g in range(0, len(codes), _ROWS):
+        template = ",".join(map(_GATE_TEXT.__getitem__, codes[g:g + _ROWS]))
+        text = template % tuple(islice(ids, template.count("%d")))
+        yield ("," if g else "[") + text % tuple(islice(values, template.count("%%r")))
+    yield "]" if codes else "[]"
 
 
 def _rows_text(template: str, rows: Iterator[tuple]) -> Iterator[str]:
@@ -906,7 +912,7 @@ def _rows_text(template: str, rows: Iterator[tuple]) -> Iterator[str]:
 
 def json_chunks(c: Circuit) -> Iterator[str]:
     """Canonical JSON text in pieces: the lifecycle tables a block of rows at a time,
-    then each layer, then the persistent list and the registers.
+    then each layer a block of gates at a time, the persistent list, and each register.
 
     The text is ``json.dumps`` of the document, with sorted keys and no
     spaces: ``alloc`` rows ``[qubit, layer, kind]``, ``dealloc`` rows
@@ -914,11 +920,11 @@ def json_chunks(c: Circuit) -> Iterator[str]:
     the sorted ``persistent`` ids and the ``registers``.  The tests build
     that document as lists and dicts (``tests/reference.py``) as the
     reference this text must match.  It is byte-identical across
-    parse/re-emit round trips.  Rows and layers are written directly from
-    text templates, with ``repr`` floats as the JSON encoder writes them, so
-    neither passes through lists or dicts; that takes a circuit whose gates
-    pass :meth:`Circuit.validate` (finite parameters).  No more than one
-    layer's text exists at a time.
+    parse/re-emit round trips.  Rows, gates and registers are written
+    directly from text templates, with ``repr`` floats as the JSON encoder
+    writes them, so none passes through lists or dicts; that takes a circuit
+    whose gates pass :meth:`Circuit.validate` (finite parameters).  No more
+    than one piece's text exists at a time.
     """
     c = c.compact()
     dealloc = c._dealloc
@@ -931,9 +937,12 @@ def json_chunks(c: Circuit) -> Iterator[str]:
     for t, columns in enumerate(zip(c._ops, c._qs, c._ps)):
         if t:
             yield ","
-        yield _layer_text(*columns)
-    yield '],"persistent":%s,"registers":%s}' % (
-        _encode(sorted(c._persistent)), _encode({name: list(qs) for name, qs in c.registers.items()}))
+        yield from _layer_text(*columns)
+    yield '],"persistent":%s,"registers":{' % _encode(sorted(c._persistent))
+    for i, name in enumerate(sorted(c.registers)):
+        qs = c.registers[name]
+        yield "%s%s:[%s]" % ("," if i else "", _encode(name), ",".join(["%d"] * len(qs)) % tuple(qs))
+    yield "}}"
 
 
 def dumps(c: Circuit) -> str:

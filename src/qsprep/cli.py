@@ -186,7 +186,7 @@ def cmd_multicopy(args, argv) -> int:
     from . import amplitudes as amp
     from . import multicopy as mc
 
-    for flag, value, least in (("--w", args.w, 1), ("--pool", args.pool, 0)):
+    for flag, value, least in (("--w", args.w, 1), ("--pool", args.pool, 0), ("--indent", args.indent, 1)):
         if value is not None and value < least:
             raise BadFlag(f"{flag} must be at least {least}, got {value}")
     raw = _read(args.infile)
@@ -216,10 +216,20 @@ def cmd_multicopy(args, argv) -> int:
     return 0
 
 
+#: fragment -> the flags it reads besides --m, the output flags and --epsilon
+_FRAGMENT_FLAGS = {"copy": (), "cs": ("--t",), "copyswap": ("--basis",), "spf": ("--basis",), "flag": ("--basis",),
+                  "loadf": ("--in", "--basis", "--complex", "--dirty-b1", "--no-fanout")}
+
+
 def cmd_fragment(args, argv) -> int:
     from . import amplitudes as amp
     from . import protocols as proto
 
+    given = {"--in": args.infile is not None, "--t": args.t is not None, "--basis": args.basis is not None,
+             "--complex": args.complex_amps, "--dirty-b1": args.dirty_b1, "--no-fanout": args.no_fanout}
+    unread = [flag for flag, on in given.items() if on and flag not in _FRAGMENT_FLAGS[args.name]]
+    if unread:
+        raise BadFlag(f"fragment {args.name} does not read {', '.join(unread)}")
     model = cir.GateSetModel(args.epsilon)
     raw = b""
     kwargs = {}
@@ -235,7 +245,7 @@ def cmd_fragment(args, argv) -> int:
         kwargs["dirty_b1"] = args.dirty_b1
     with _emitting():
         circuit = _checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
-                                                  t=args.t, basis=args.basis, **kwargs))
+                                                  t=args.t or 0, basis=args.basis, **kwargs))
         report = cir.spacetime_allocation(circuit, model)
     _write(args.out, cir.json_chunks(circuit))
     doc = envelope(argv, _digest(raw), {"report": report.to_json()})
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, infile=False, costed=True)
     sp.add_argument("--in", dest="infile", default=None)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--t", type=int, default=0)
+    sp.add_argument("--t", type=int, default=None)
     sp.add_argument("--basis", type=int, default=None)
     sp.add_argument("--complex", dest="complex_amps", action="store_true")
     sp.add_argument("--dirty-b1", dest="dirty_b1", action="store_true")
@@ -320,9 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     Nothing a command builds holds a reference cycle, so reference
     counting frees it.  The columnar IR is a few arrays per layer, but
     reading circuit JSON makes a dict and two lists per gate, and the
-    emitters flat operand lists and small per-gate tuples (LOADF's rotation
-    sequences), young objects that collector passes would only rescan.  The
-    caller's collector state is restored on return.
+    emitters make flat operand lists, young objects that collector passes
+    would only rescan.  The caller's collector state is restored on return.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()

@@ -23,6 +23,7 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from .errors import (
 #: 100-130 bytes and a gate holds the old and the new map at once, so about
 #: 1 GiB.
 MAX_SUPPORT = 1 << 22
+
+#: Keys of the old map a gate moves between two checks of the new map's support
+_STEP = 1 << 14
 
 #: Amplitudes this small are rounding residue, such as cos(pi/2) after the
 #: ry(pi) a sparse target needs, or a branch that cancelled inexactly.  They
@@ -99,6 +103,12 @@ def _seed_pair(seed) -> tuple[complex, complex]:
     return complex(sv[0]), complex(sv[1])
 
 
+def _prune(amp: dict) -> None:
+    """Drop the negligible entries of ``amp``, in place."""
+    for key in [key for key, a in amp.items() if abs(a) <= _NEGLIGIBLE]:
+        del amp[key]
+
+
 def _mass(amp: dict) -> float:
     v = np.fromiter(amp.values(), dtype=complex, count=len(amp))
     return float(np.vdot(v, v).real)
@@ -144,7 +154,7 @@ class SimState:
 
     def _store(self, amp: dict, prune: bool) -> None:
         if prune:
-            amp = {k: a for k, a in amp.items() if abs(a) > _NEGLIGIBLE}
+            _prune(amp)
         self._bound(len(amp), self._width)
         self._amp = amp
 
@@ -279,17 +289,26 @@ class SimState:
                    for j in range(len(cols))]
         tmask = deposit[-1]
         moves = {deposit[i]: [(deposit[j], u) for j, u in col if u] for i, col in enumerate(cols)}
+        mixing = any(len(m) > 1 for m in moves.values())
+        # only a mixing gate grows the support: its new map is checked against the bound
+        # every _STEP keys, pruned once past it, and refused while it is still over
+        limit = MAX_SUPPORT // -(-self._width // 64)
         new: dict[int, complex] = {}
-        for key, a in self._amp.items():
-            if key & cmask != cmask:
-                new[key] = a
-                continue
-            src = key & tmask
-            rest = key ^ src
-            for dst, u in moves[src]:
-                dst |= rest
-                new[dst] = new.get(dst, 0) + u * a
-        self._store(new, prune=any(len(m) > 1 for m in moves.values()))
+        items = iter(self._amp.items())
+        for _ in range(0, len(self._amp), _STEP):
+            for key, a in islice(items, _STEP):
+                if key & cmask != cmask:
+                    new[key] = a
+                    continue
+                src = key & tmask
+                rest = key ^ src
+                for dst, u in moves[src]:
+                    dst |= rest
+                    new[dst] = new.get(dst, 0) + u * a
+            if mixing and len(new) > limit:
+                _prune(new)
+                self._bound(len(new), self._width)
+        self._store(new, prune=mixing)
 
 
 def run(

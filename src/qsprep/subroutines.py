@@ -25,12 +25,14 @@ Register conventions shared by every fragment:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import chain, groupby, zip_longest
-from operator import itemgetter
+from itertools import chain
+
+import numpy as np
 
 from .amplitudes import CSPAngleSet
-from .circuit_ir import CLEAN, DIRTY, Block, Circuit
+from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Register
 from .errors import (
     AngleCountMismatch,
     BadRegisterShape,
@@ -84,7 +86,7 @@ class CopyTree:
     [0, 2**t) onto [2**t, min(2**(t+1), size))).  Targets are allocated in
     the layer their copy layer runs, one ``alloc_many`` call per layer, and
     :meth:`grow` returns the layer's CNOT operands for the caller to put; a
-    ``Block`` undoes the tree.
+    ``Block`` undoes the tree.  ``slots`` holds -1 where no copy is yet.
     """
 
     def __init__(self, c: Circuit, source: int, size: int, layout: str = "halving"):
@@ -93,8 +95,7 @@ class CopyTree:
         self.c = c
         self.size = size
         self.layout = layout
-        self.slots: list[int | None] = [None] * size
-        self.slots[0] = source
+        self.slots = array("i", (source,)) + array("i", (-1,)) * (size - 1)
 
     @property
     def layers(self) -> int:
@@ -116,7 +117,7 @@ class CopyTree:
         """Allocate copy layer t's fresh targets at ``layer`` and return its CNOTs'
         operands, flat: (control, target) per CNOT."""
         slots, pairs = self.slots, self._pairs(t)
-        fresh = [dst for _, dst in pairs if slots[dst] is None]
+        fresh = [dst for _, dst in pairs if slots[dst] < 0]
         for dst, q in zip(fresh, self.c.alloc_many(len(fresh), at_layer=layer)):
             slots[dst] = q
         return list(map(slots.__getitem__, chain.from_iterable(pairs)))
@@ -126,15 +127,15 @@ def emit_trees(c: Circuit, trees: list[tuple[CopyTree, int]]) -> None:
     """Emit every layer of each (tree, start layer) pair, tree by tree, so qubits
     are allocated in that order, and put each circuit layer's CNOTs, in that
     same order, as one batch."""
-    batches: dict[int, list[int]] = {}
+    batches: dict[int, array] = {}
     for tree, start in trees:
         for t in range(tree.layers):
-            batches.setdefault(start + t, []).extend(tree.grow(t, start + t))
+            batches.setdefault(start + t, array("i")).extend(tree.grow(t, start + t))
     for layer in sorted(batches):
         c.put("cnot", batches[layer], layer)
 
 
-def copy(c: Circuit, source: int, size: int, start: int | None = None) -> tuple[list[int], int]:
+def copy(c: Circuit, source: int, size: int, start: int | None = None) -> tuple[array, int]:
     """Fan a qubit out to ``size`` total copies (CNOT tree, depth log2 size).
 
     Ancillae are allocated in the layer of their first CNOT, so an isolated
@@ -144,7 +145,7 @@ def copy(c: Circuit, source: int, size: int, start: int | None = None) -> tuple[
         start = c.num_layers()
     tree = CopyTree(c, source, size)
     emit_trees(c, [(tree, start)])
-    return list(tree.slots), start + tree.layers
+    return tree.slots, start + tree.layers
 
 
 def cs_layer(c: Circuit, t: int, controls: list[int], targets: list[int],
@@ -164,7 +165,7 @@ def cs_layer(c: Circuit, t: int, controls: list[int], targets: list[int],
 
 @dataclass
 class CopySwapResult:
-    slots: list[int]     # size-2**m target register, slot order
+    slots: array     # size-2**m target register, slot order
     trees: list[CopyTree]    # per control bit, its copy register
     end: int
 
@@ -184,12 +185,12 @@ def copyswap(c: Circuit, controls: list[int], payload: int,
         start = c.num_layers()
     if trees is None:
         trees = [CopyTree(c, controls[j], 1 << j) for j in range(m)]
-    target_slots = [payload] + [None] * ((1 << m) - 1)
+    target_slots = array("i", (payload,))
     for t in range(m):
         layer = start + t
         c.put("cnot", [q for j in range(t + 1, m) for q in trees[j].grow(t, layer)], layer)
-        target_slots[1 << t:2 << t] = c.alloc_many(1 << t, target_kind, at_layer=layer)
-        cs_layer(c, t, trees[t].populated(t), target_slots[:2 << t], layer)
+        target_slots.extend(c.alloc_many(1 << t, target_kind, at_layer=layer))
+        cs_layer(c, t, trees[t].populated(t), target_slots, layer)
     return CopySwapResult(slots=target_slots, trees=trees, end=start + m)
 
 
@@ -336,9 +337,10 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     ``first_optimized`` drops the flag controls, valid only when every flag
     is |1>.
 
-    Returns the end layer.  Its ancilla registers (D1, D2, D3, A0, A1, A2,
-    B1, F1 of ``FRAGMENTS["loadf"]``) join ``c.registers`` under each name
-    not yet there, so a circuit's first LOADF names them.
+    The rotations go in as columns computed from the angle tables.  Returns
+    the end layer.  Its ancilla registers (D1, D2, D3, A0, A1, A2, B1, F1 of
+    ``FRAGMENTS["loadf"]``) join ``c.registers`` under each name not yet
+    there, so a circuit's first LOADF names them.
     """
     m = len(ctrl)
     M = 1 << m
@@ -351,44 +353,45 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     route_b = fanout or dirty_b1
     if start is None:
         start = c.num_layers()
-    regs: dict[str, list[int]] = {name: [] for name in ("D1", "D2", "D3", "A0", "A1", "A2", "B1", "F1")}
+    regs = {name: Register() for name in ("D1", "D2", "D3", "A0", "A1", "A2", "B1", "F1")}
     rec = Block(c, start)
 
     # -- setup: one-hot address ---------------------------------------------------
     (a0,) = rec.alloc_many(1, CLEAN, at_layer=start)
-    regs["A0"] = [a0]
+    regs["A0"].append(a0)
     rec.put("x", [a0], start)
     a_cs = copyswap(rec, ctrl, a0, start=start + 1)
-    regs["D1"] = [q for tr in a_cs.trees for q in tr.slots[1:]]
-    regs["A1"] = a_cs.slots[1:]
+    for tr in a_cs.trees:
+        regs["D1"] += tr.slots[1:]
+    regs["A1"] += a_cs.slots[1:]
     a_slots = a_cs.slots
     a_done = a_cs.end
 
     # -- setup: buffer block routing ------------------------------------------------
+    # nb rows: buffer qubit idx's block of M slots, or the buffer qubit alone
+    t_slots = array("i")
     if route_b:
         d2_end = start
-        seeds_per_bit = []
         # ctrl[j] is busy in the address routing until start + 2 + j
         trees = [(CopyTree(rec, ctrl[j], nb + 1, layout="doubling"), start + 2 + j) for j in range(m)]
         emit_trees(rec, trees)
+        seeds_per_bit = [tr.slots[1:] for tr, _ in trees]
         for tr, reg_start in trees:
-            seeds_per_bit.append(tr.slots[1:])
-            regs["D2"].extend(tr.slots[1:])
+            regs["D2"] += tr.slots[1:]
             d2_end = max(d2_end, reg_start + tr.layers)
         r3 = d2_end
-        t_slots: list[list[int]] = []
         for idx in range(nb):
             inst_trees = [CopyTree(rec, seeds_per_bit[j][idx], 1 << j) for j in range(m)]
             res = copyswap(rec, [seeds_per_bit[j][idx] for j in range(m)], buffer[idx],
                            start=r3, target_kind=DIRTY if dirty_b1 else CLEAN,
                            trees=inst_trees)
             for tr in inst_trees:
-                regs["D3"].extend(tr.slots[1:])
-            regs["B1"].extend(res.slots[1:])
-            t_slots.append(res.slots)
+                regs["D3"] += tr.slots[1:]
+            regs["B1"] += res.slots[1:]
+            t_slots += res.slots
         b_done = r3 + m
     else:
-        t_slots = [[buffer[idx]] for idx in range(nb)]
+        t_slots.extend(buffer)
         b_done = start
 
     # -- setup: control fan-outs for the rotation layer ---------------------------------
@@ -396,80 +399,79 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     # qubits never idle: they finish exactly when the rotations start and
     # are the first thing the mirrored teardown removes
     if fanout:
+        a_rows, f_rows = array("i"), array("i")   # M rows of a_slots[k]'s nb copies, nb of flags[idx]'s M
         l_a = (nb - 1).bit_length()
         l_f = 0 if first_optimized else m
         setup_end = max(a_done, b_done, a_done + l_a, start + l_f)
         a_trees = [CopyTree(rec, a_slots[k], nb, layout="doubling") for k in range(M)]
         emit_trees(rec, [(tr, setup_end - l_a) for tr in a_trees])
-        a_rows = [list(tr.slots) for tr in a_trees]
         for tr in a_trees:
-            regs["A2"].extend(tr.slots[1:])
-        f_rows = []
+            a_rows += tr.slots
+            regs["A2"] += tr.slots[1:]
         if not first_optimized:
             f_trees = [CopyTree(rec, flags[idx], M, layout="doubling") for idx in range(nb)]
             emit_trees(rec, [(tr, setup_end - l_f) for tr in f_trees])
-            f_rows = [list(tr.slots) for tr in f_trees]
             for tr in f_trees:
-                regs["F1"].extend(tr.slots[1:])
+                f_rows += tr.slots
+                regs["F1"] += tr.slots[1:]
     else:
-        a_rows = f_rows = None
         setup_end = max(a_done, b_done)
     t_setup = setup_end - start
 
     # -- rotation block ---------------------------------------------------------------
-    complex_mode = angles.phases is not None
     rot_base = setup_end
+    theta = np.asarray(angles.angles, dtype=float)
+    phases = None if angles.phases is None else np.asarray(angles.phases, dtype=float)
+    stages = 1 if phases is None else 4
+    bottom = (1 << (sub - 1)) - 1   # the bottom level's first pair index
 
-    def rotations(k, s, p, a_ctl, f_ctl, target):
-        """Pair (s, p)'s rotations under control value k, in time order, as (op,
-        operands, angle); the bottom level's phases are a controlled z-rotation and
-        a phase on the controls.  Every op is a rotation, so the adjoint runs the
-        sequence backwards with each angle negated."""
-        ctl = (a_ctl,) if f_ctl is None else (a_ctl, f_ctl)
-        seq = [("c" * len(ctl) + "ry", (*ctl, target), angles.theta(k, s, p))]
-        if complex_mode and s == sub - 1:
-            lo, hi = float(angles.phases[k, 2 * p]), float(angles.phases[k, 2 * p + 1])
-            seq.append(("c" * len(ctl) + "rz", (*ctl, target), hi - lo))
-            if f_ctl is not None:
-                seq.append(("crz", ctl, (hi + lo) / 2))
-            seq.append(("phase", ctl[:1], (hi + lo) / (2 * len(ctl))))
-        if adjoint:
-            seq = [(op, qubits, -angle) for op, qubits, angle in reversed(seq)]
-        return seq
-
-    stages = 4 if complex_mode else 1
-    pair_of = [(s, p) for s in range(sub) for p in range(1 << s)]
-
-    def put_stages(base: int, seqs) -> None:
-        """Put rotation i of every sequence at layer ``base + i``, each run of one op
-        in a layer as one batch."""
-        for layer, batch in enumerate(zip_longest(*seqs), base):
-            for op, run in groupby(filter(None, batch), itemgetter(0)):
-                _, qubits, thetas = zip(*run)
-                c.put(op, list(chain.from_iterable(qubits)), layer, thetas)
+    def put_stages(layer, pair, k, ctl: tuple, target) -> None:
+        """Put step i of each gate's sequence at the gate's layer + i: one batch per layer,
+        step and level group, in layer order.  The gates are numpy columns: first layer
+        (non-decreasing), pair index (ascending within a layer), control value, controls
+        (address, then any flag) and target.  A pair's sequence is its y-rotation and, on
+        a phased bottom level, z-rotations and a phase on the controls.  Every op is a
+        rotation, so the adjoint runs each sequence backwards, angles negated."""
+        cc = "c" * len(ctl)
+        bases = sorted(set(layer.tolist()))
+        groups = []   # the upper levels' steps, then the bottom level's, with where each base starts
+        for sel, phased in (pair < bottom, False), (pair >= bottom, phases is not None):
+            p, kk, cs, tg = pair[sel], k[sel], tuple(col[sel] for col in ctl), target[sel]
+            seq = [(cc + "ry", (*cs, tg), theta[kk, p])]
+            if phased:
+                lo, hi = phases[kk, 2 * (p - bottom)], phases[kk, 2 * (p - bottom) + 1]
+                seq.append((cc + "rz", (*cs, tg), hi - lo))
+                if len(cs) == 2:
+                    seq.append(("crz", cs, (hi + lo) / 2))
+                seq.append(("phase", cs[:1], (hi + lo) / (2 * len(cs))))
+            steps = [(op, len(ids), array("i", np.stack(ids, axis=-1).astype(np.intc).tobytes()),
+                      array("d", (-angle if adjoint else angle).tobytes()))
+                     for op, ids, angle in (reversed(seq) if adjoint else seq)]
+            groups.append((steps, [*np.searchsorted(layer[sel], bases).tolist(), len(p)]))
+        for r, base in enumerate(bases):
+            for i in range(stages):
+                for steps, cuts in groups:
+                    if i < len(steps):
+                        op, nq, ids, thetas = steps[i]
+                        c.put(op, ids[cuts[r] * nq:cuts[r + 1] * nq], base + i, thetas[cuts[r]:cuts[r + 1]])
 
     if fanout:
         rot_span = stages
-        seqs = []
-        for idx, (s, p) in enumerate(pair_of):
-            for k in range(M):
-                f_ctl = None if first_optimized else f_rows[idx][k]
-                seqs.append(rotations(k, s, p, a_rows[k][idx], f_ctl, t_slots[idx][k]))
-        put_stages(rot_base, seqs)
+        pair, k = np.repeat(np.arange(nb), M), np.tile(np.arange(M), nb)
+        a_ctl = np.frombuffer(a_rows, np.intc).reshape(M, nb)[k, pair]
+        f_ctl = () if first_optimized else (np.frombuffer(f_rows, np.intc),)
+        put_stages(np.full(nb * M, rot_base), pair, k, (a_ctl, *f_ctl), np.frombuffer(t_slots, np.intc))
     else:
         # colour-major, so the gates on each shared control arrive in time order
         C = max(M, nb)
         rot_span = C * stages
-        for color in range(C):
-            seqs = []
-            for idx, (s, p) in enumerate(pair_of):
-                k = (color - idx) % C
-                if k >= M:
-                    continue
-                f_ctl = None if first_optimized else flags[idx]
-                target = t_slots[idx][k] if route_b else t_slots[idx][0]
-                seqs.append(rotations(k, s, p, a_slots[k], f_ctl, target))
-            put_stages(rot_base + color * stages, seqs)
+        a_ids, f_ids = np.frombuffer(a_slots, np.intc), np.asarray(flags)
+        blocks = np.frombuffer(t_slots, np.intc).reshape(nb, -1)
+        color, pair = np.repeat(np.arange(C), nb), np.tile(np.arange(nb), C)
+        k = (color - pair) % C
+        color, pair, k = color[k < M], pair[k < M], k[k < M]
+        ctl = (a_ids[k],) if first_optimized else (a_ids[k], f_ids[pair])
+        put_stages(rot_base + color * stages, pair, k, ctl, blocks[pair, k if route_b else 0])
 
     for name, qubits in regs.items():
         c.registers.setdefault(name, qubits)

@@ -813,7 +813,7 @@ class TestStreamingReader:
         doc = in_layer_doc()
         doc["registers"]["layers"] = [1]
         c = cir.loads(canonical(doc))
-        assert c.registers == {"D": [0, 1], "layers": [1]}
+        assert {k: list(v) for k, v in c.registers.items()} == {"D": [0, 1], "layers": [1]}
         assert c.num_layers() == 3
         assert cir.dumps(c) == canonical(doc)
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -119,8 +120,8 @@ class TestSynth:
     def test_faulty_emitter_is_exit_3(self, capsys, monkeypatch, tmp_path, rand_n4, fault):
         # emitters build gates without per-gate checks; the one validate() must catch them
         if fault == "numpy_angle":
-            monkeypatch.setattr(amp.CSPAngleSet, "theta",
-                                lambda self, k, s, p: np.float64(self.angles[k, (1 << s) + p - 1]))
+            monkeypatch.setattr(amp.AngleSet, "theta",
+                                lambda self, s, p: np.float64(self.angles[(1 << s) + p - 1]))
         elif fault == "repeated_operand":
             cs_layer = subroutines.cs_layer
             monkeypatch.setattr(subroutines, "cs_layer", lambda c, t, controls, targets, at_layer=None:
@@ -599,9 +600,10 @@ class TestMulticopyCmd:
         assert code == 2
         assert json.loads(err)["error"] == "MalformedInput"
 
-    @pytest.mark.parametrize("flag, value", [("--w", "0"), ("--w", "-2"), ("--pool", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--w", "0"), ("--w", "-2"), ("--pool", "-1"), ("--indent", "0")])
     def test_bad_batch_flag_is_named_up_front(self, capsys, tmp_path, flag, value):
-        """A batch of no copies or a negative pool is refused before any target is read."""
+        """A batch of no copies, a negative pool or an indentation of 0 is refused before
+        any target is read."""
         code, _, err = run_cli(capsys, "multicopy", "--in", str(tmp_path / "absent.json"), flag, value)
         assert code == 2
         doc = json.loads(err)
@@ -660,6 +662,21 @@ class TestFragmentCmd:
         rep = json.loads(out)["report"]
         assert all(mass <= 1e-10 for _, _, mass in rep["ancilla_verdicts"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("copy", "--m", "3", "--in", "/nonexistent.json"), "--in"),
+        (("copyswap", "--m", "2", "--t", "1"), "--t"),
+        (("cs", "--m", "1", "--basis", "0"), "--basis"),
+    ])
+    def test_unread_flag_is_bad_flag(self, capsys, tmp_path, argv, flag):
+        """A flag the fragment does not read is refused, by name, before any input is read."""
+        out = tmp_path / "f.json"
+        code, _, err = run_cli(capsys, "fragment", *argv, "--out", str(out))
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "BadFlag"
+        assert doc["message"].endswith(f"does not read {flag}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, error", [
         (("flag", "--m", "40"), "BadSplit"),
         (("copy", "--m", "-1"), "BadSplit"),
@@ -702,6 +719,27 @@ class TestSupportCap:
         doc = json.loads(err)
         assert doc["error"] == "PeakQubitsExceeded"
         assert "support" in doc["message"]
+
+    def test_over_bound_state_is_refused_while_it_is_built(self, capsys, tmp_path):
+        """The n=5 default (the SP-only fallback) grows a product state over its 31 angle
+        qubits; the ry that would take it from 2**22 keys, the bound, to 2**23 is refused
+        once its new map passes the bound, not after it is finished.  A state at the bound
+        takes about 430 MB and the refused gate's map as much again; finishing that map
+        took the peak to 1.8 GB."""
+        rng = np.random.default_rng(3)
+        target = tmp_path / "t5.json"
+        target.write_text(json.dumps({"amplitudes": list(rng.uniform(0.05, 1.0, 32))}))
+        circ = str(tmp_path / "c.json")
+        assert run_cli(capsys, "synth", "--in", str(target), "--out", circ)[0] == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(qsprep.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "qsprep.cli", "simulate", "--in", circ,
+                                 "--target", str(target)], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        err = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 2
+        assert json.loads(err)["error"] == "PeakQubitsExceeded"
+        assert usage.ru_maxrss < 1100 * 1024  # kB
 
 
 class TestDeterminism:
