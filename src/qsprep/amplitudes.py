@@ -62,8 +62,11 @@ def make_target(raw) -> TargetState:
     n = _log2_exact(len(amps))
     if not np.isfinite(amps).all():
         raise NonFiniteAmplitude("amplitudes must be finite numbers")
+    # summed by numpy, not by a BLAS dot, which OpenBLAS splits across threads (in an
+    # order that depends on their number) above 10,000 entries
+    re, im = amps.real, amps.imag
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(float(np.sum(re * re) + np.sum(im * im)))
     if norm == 0.0:
         raise ZeroVector("all amplitudes are zero")
     if not math.isfinite(norm):

@@ -265,17 +265,21 @@ class Circuit:
             raise UseAfterDealloc(f"qubit {q} has activity at or past layer {at_layer}")
         self._dealloc[q] = at_layer
 
-    def dealloc_many(self, qubits: Iterable[int], at_layer: int) -> None:
+    def dealloc_many(self, qubits: Sequence[int], at_layer: int) -> None:
         """Release qubits at one layer.
 
-        The whole list is checked in one pass per rule; ids that increase,
-        as a ``Block`` releases them, are distinct without being hashed.
-        Only a list that fails is released qubit by qubit through
-        :meth:`dealloc`, which raises its typed error.  A qubit's latest
-        layer is at least its alloc layer - 1, so ``last_use < at_layer``
-        also proves it allocated by then.
+        The ids are copied into an ``array('i')`` and checked in one pass
+        per rule; ids that increase, as a ``Block`` releases them, are
+        distinct without being hashed.  Only ids that fail, or that no
+        column holds, are released qubit by qubit through :meth:`dealloc`,
+        which raises its typed error.  A qubit's latest layer is at least
+        its alloc layer - 1, so ``last_use < at_layer`` also proves it
+        allocated by then.
         """
-        qs = list(qubits)
+        try:
+            qs = array("i", qubits)
+        except (TypeError, OverflowError):
+            qs = qubits
         if not qs:
             return
         dealloc = self._dealloc
@@ -529,10 +533,10 @@ class Circuit:
 
     def _reset_last_use(self) -> None:
         """Set each qubit's latest layer from the gates: its last gate's layer, else its alloc layer - 1."""
-        last_use = list(map((-1).__add__, self._alloc))
+        last_use = array("i", map((-1).__add__, self._alloc))
         for t, ids in enumerate(self._qs):
             _consume(map(last_use.__setitem__, ids, repeat(t)))
-        self._last_use = array("i", last_use)
+        self._last_use = last_use
 
     def adjoint(self) -> "Circuit":
         """Time-reversed circuit with inverted gates and mirrored lifecycles.
@@ -542,10 +546,10 @@ class Circuit:
         """
         T = self.num_layers()
         c = self._copy_tables()
-        c._alloc = array("i", [0 if d == NEVER else T - d for d in self._dealloc])
+        c._alloc = array("i", (0 if d == NEVER else T - d for d in self._dealloc))
         # non-persistent qubits allocated at 0 still mirror to a dealloc at T
-        c._dealloc = array("i", [NEVER if a == 0 and q in self._persistent else T - a
-                                 for q, a in enumerate(self._alloc)])
+        c._dealloc = array("i", (NEVER if a == 0 and q in self._persistent else T - a
+                                 for q, a in enumerate(self._alloc)))
         c._ops = [codes.translate(_INVERSE) for codes in reversed(self._ops)]
         c._qs = [ids[:] for ids in reversed(self._qs)]
         c._ps = [array("d", map(neg, values)) for values in reversed(self._ps)]
@@ -573,18 +577,23 @@ class Circuit:
         gate must keep :func:`_value_faults` and act on qubits live at its
         layer, one gate per qubit per layer.  A layer is checked as a whole,
         one pass per rule over its flat columns, and walked gate by gate only
-        when it fails.
+        when it fails.  The walk makes no Python object per id: the lifecycle
+        tables are read in place, and a repeated operand is found by
+        :func:`_distinct` with one byte of scratch per qubit, for a layer whose
+        ids are all qubits of the circuit.
         """
         n = len(self._alloc)
-        # as lists, for fast lookups; the release layers are capped at the layer count,
-        # so that one int object stands for every qubit never released
-        alloc, dealloc = self._alloc.tolist(), list(map(min, self._dealloc, repeat(len(self._ops))))
+        alloc, dealloc = self._alloc, self._dealloc
+        marks = bytearray(n)
         for t, (ids, values) in enumerate(zip(self._qs, self._ps)):
-            if (math.isfinite(sum(values)) and len(set(ids)) == len(ids)
-                    and (not ids or (min(ids) >= 0 and max(ids) < n
-                                     and max(map(alloc.__getitem__, ids)) <= t
-                                     < min(map(dealloc.__getitem__, ids))))):
-                continue
+            if math.isfinite(sum(values)):
+                if not ids:
+                    continue
+                lo, hi = min(ids), max(ids)
+                if (0 <= lo and hi < n
+                        and max(map(alloc.__getitem__, ids)) <= t < min(map(dealloc.__getitem__, ids))
+                        and _distinct(marks, ids, lo, hi)):
+                    continue
             seen = set()
             for g in self.gates(t):
                 for error, message in _value_faults(*g):
@@ -599,6 +608,15 @@ class Circuit:
                         yield OperandNotLive, f"layer {t}: qubit {i} used before allocation"
                     elif t >= dealloc[i]:
                         yield UseAfterDealloc, f"layer {t}: qubit {i} used after deallocation"
+
+
+def _distinct(marks: bytearray, ids: array, lo: int, hi: int) -> bool:
+    """Whether ``ids``, which lie in [lo, hi], repeat no id: each id's byte of ``marks``
+    (all zero) is set, the set bytes in [lo, hi] are counted, and the span is zeroed again."""
+    _consume(map(marks.__setitem__, ids, repeat(1)))
+    distinct = marks.count(1, lo, hi + 1) == len(ids)
+    marks[lo:hi + 1] = bytes(hi + 1 - lo)
+    return distinct
 
 
 class Block:
@@ -655,7 +673,7 @@ class Block:
             c._place(c._ops[layer][o0:o1].translate(_INVERSE), c._qs[layer][q0:q1],
                      array("d", map(neg, c._ps[layer][p0:p1])), at + span - 1 - (layer - self.start))
         for rel, allocs in groupby(sorted(self.allocs, key=itemgetter(0)), itemgetter(0)):
-            c.dealloc_many(chain.from_iterable(qubits for _, qubits in allocs), at + span - rel)
+            c.dealloc_many(array("i", chain.from_iterable(qubits for _, qubits in allocs)), at + span - rel)
         return at + span
 
 
@@ -726,7 +744,7 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = GateSetModel(),
         leaked = next((q for q, d in enumerate(c._dealloc) if d == NEVER and q not in persistent), None)
         if leaked is not None:
             raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
-    ends = list(map(min, c._dealloc, repeat(L)))
+    ends = array("i", map(min, c._dealloc, repeat(L)))
     sa_q = sum(ends) - sum(c._alloc)
     dirty_sa = sum(compress(map(sub, ends, c._alloc), map(_KIND_CODE[DIRTY].__eq__, c._kind)))
     clean_sa = sa_q - dirty_sa

@@ -79,11 +79,14 @@ def _merge(insts: list[tuple[Circuit, int]], k: int) -> tuple[Circuit, list[dict
     """Overlay instance circuits: SP parts at layer 0, CSP part of copy d at d*k.
 
     Releases at the stage boundary belong to the SP side: a qubit released
-    at ``sp_end`` is released there in the batch too.
+    at ``sp_end`` is released there in the batch too.  Each entry of
+    ``insts`` is set to None once it is embedded, so an instance circuit the
+    caller holds nowhere else is freed after its last copy.
     """
     batch = Circuit()
     copies = []
-    for d, (inst, sp_end) in enumerate(insts):
+    for d in range(len(insts)):
+        (inst, sp_end), insts[d] = insts[d], None
         offset = d * k
         mapping = batch.embed(inst, lambda t: t if t < sp_end else t + offset)
         copies.append([mapping[q] for q in inst.registers["D"]])
@@ -139,6 +142,7 @@ def stack(plan: BatchPlan) -> BatchResult:
                            f"k={shown}; of k in [{start}, {depth}], {found}", feasible_k=fit)
     peak_anc = _priced_peak(parts, k)
 
+    built.clear()  # _merge frees each instance circuit once it has embedded its last copy
     batch, instances_meta = _merge(insts, k)
     report = spacetime_allocation(batch)
     return BatchResult(

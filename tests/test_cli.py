@@ -752,6 +752,24 @@ class TestDeterminism:
             outs.append((out, circ.read_text()))
         assert outs[0] == outs[1]
 
+    def test_target_norm_does_not_depend_on_blas_threads(self):
+        """A target of 2**14 entries, past the size from which OpenBLAS splits a dot product
+        across threads, normalizes to the same bytes on one thread and on two."""
+        script = "\n".join([
+            "import hashlib",
+            "import numpy as np",
+            "from qsprep.amplitudes import make_target",
+            "x = np.random.default_rng(3).uniform(0.05, 1.0, 1 << 14)",
+            "print(hashlib.sha256(make_target(x).amplitudes.tobytes()).hexdigest())",
+        ])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(qsprep.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads}
+            digests.add(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                       env=env, check=True).stdout)
+        assert len(digests) == 1
+
     def test_circuit_json_round_trip_bytes(self, capsys, tmp_path, pixels):
         from qsprep.circuit_ir import dumps, loads
 

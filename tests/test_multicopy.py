@@ -205,7 +205,7 @@ class TestStack:
         insts = [(c, sp_end) for c, sp_end, _ in built]
         parts = [(sp_end, prof) for _, sp_end, prof in built]
         for k in range(1, insts[0][0].num_layers() + 1):
-            merged, _ = mc._merge(insts, k)
+            merged, _ = mc._merge(list(insts), k)  # _merge empties the list it is given
             assert mc._priced_peak(parts, k) == max(merged.live_profile(mc._ancillae(merged)))
 
     @pytest.mark.parametrize("indentation, pool_cap, merges", [(None, None, 1), (1, None, 0), (1, 22, 0)])
