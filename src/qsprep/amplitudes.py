@@ -243,6 +243,11 @@ class CSPAngleSet:
         return int(self.angles.size)
 
 
+def _phases(values: np.ndarray) -> list[float]:
+    """The complex argument of each entry, 0 for a zero amplitude."""
+    return [cmath.phase(a) if a != 0 else 0.0 for a in values.tolist()]
+
+
 def csp_angles(t: TargetState, m: int, with_phases: bool = False) -> CSPAngleSet:
     """Angle families theta[k, s, p] from the magnitudes of each length-N/M segment.
 
@@ -260,7 +265,7 @@ def csp_angles(t: TargetState, m: int, with_phases: bool = False) -> CSPAngleSet
         tree = build_angle_tree(np.abs(seg))
         angles[k] = sp_angles(tree).angles
         if with_phases:
-            phases[k] = [cmath.phase(a) if a != 0 else 0.0 for a in seg]
+            phases[k] = _phases(seg)
     return CSPAngleSet(m=m, n=t.n, angles=angles, phases=phases)
 
 

@@ -111,7 +111,7 @@ def cmd_synth(args, argv) -> int:
     cfg = proto.ProtocolConfig(
         n=target.n,
         m=args.m,
-        complex_mode=True if args.complex_amps else None,
+        complex_mode=args.complex_amps,
         dirty_b1=args.dirty_b1,
         loadf_first_optimized=args.loadf_first_optimized,
         fanout=not args.no_fanout,
@@ -239,8 +239,7 @@ def cmd_fragment(args, argv) -> int:
             raise MalformedInput("loadf fragment needs --in with amplitudes")
         raw = _read(args.infile)
         target = amp.target_from_json(raw)
-        std = amp.csp_angles(target, args.m, with_phases=args.complex_amps)
-        angles = proto.injection_csp_angles(std)
+        angles = proto.injection_csp_angles(target, args.m, with_phases=args.complex_amps)
         kwargs["fanout"] = not args.no_fanout
         kwargs["dirty_b1"] = args.dirty_b1
     with _emitting():

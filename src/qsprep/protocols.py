@@ -1,12 +1,11 @@
 """Full protocol assembly: SP, CSP, SP+CSP circuits and reflections.
 
-The classical angle operations index blocks contiguously (block p at level
-s covers indices [p*2**(L-s), (p+1)*2**(L-s))), while the injection
-fragments select pair (s, j mod 2**s) for data value j.  The two orderings
-are reconciled here: the emitters feed the fragments *injection-ordered*
-angles, where the mass behind pair (s, p) is the strided congruence class
-{j : j = p mod 2**s}.  Everything downstream (fragments, oracles, tests)
-then agrees label-for-label.
+The injection fragments select pair (s, j mod 2**s) for data value j, so
+every angle the emitters use is *injection-ordered*: pair (s, p) splits the
+mass of the strided congruence class {j : j = p mod 2**s}.  The angles are
+computed in that order straight from the target's masses, for the SP stage
+(:func:`injection_angles`) and for each CSP segment
+(:func:`injection_csp_angles`) alike.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from .amplitudes import (
     CSPAngleSet,
     PartitionNorms,
     TargetState,
+    _phases,
     _split_angle,
-    csp_angles,
     partition_norms,
 )
 from .circuit_ir import CLEAN, Block, Circuit
@@ -33,19 +32,20 @@ from .subroutines import flag, loadf, spf, split_levels
 # -- injection-ordered angles ----------------------------------------------------
 
 
-def _class_split(sq: np.ndarray, levels: int) -> np.ndarray:
-    """Injection-ordered angles of the squared masses ``sq`` (length 2**levels).
+def _class_split(sq: np.ndarray) -> np.ndarray:
+    """Injection-ordered angles of each row of the squared masses ``sq``, shape (rows, 2**L).
 
     cos^2(theta[s,p]/2) is the mass fraction of the subclass j = p (mod
     2**(s+1)) inside the class j = p (mod 2**s).
     """
-    out = np.zeros((1 << levels) - 1)
-    for s in range(levels):
-        parent = sq.reshape(-1, 1 << s).sum(axis=0).tolist()          # class masses mod 2**s
-        child = sq.reshape(-1, 1 << (s + 1)).sum(axis=0).tolist()     # class masses mod 2**(s+1)
-        base = (1 << s) - 1
-        for p in range(1 << s):
-            out[base + p] = _split_angle(parent[p], child[p])
+    rows, size = sq.shape
+    out = np.zeros((rows, size - 1))
+    parent = sq.reshape(rows, -1, 1).sum(axis=1)                 # class masses mod 2**s
+    for s in range(size.bit_length() - 1):
+        child = sq.reshape(rows, -1, 2 << s).sum(axis=1)         # class masses mod 2**(s+1)
+        angles = map(_split_angle, parent.ravel().tolist(), child[:, :1 << s].ravel().tolist())
+        out[:, (1 << s) - 1:(2 << s) - 1] = np.reshape(list(angles), (rows, -1))
+        parent = child
     return out
 
 
@@ -59,40 +59,26 @@ def injection_angles(values) -> AngleSet:
     m = (len(vals) - 1).bit_length()
     if len(vals) != 1 << m:
         raise BadSplit(f"length {len(vals)} is not a power of two")
-    return AngleSet(m=m, angles=_class_split(vals**2, m))
+    return AngleSet(m=m, angles=_class_split(vals[None, :] ** 2)[0])
 
 
-def reconstructed_weights(flat_angles: np.ndarray, levels: int) -> np.ndarray:
-    """Squared-magnitude vector a contiguous-ordered angle set describes."""
-    w = np.array([1.0])
-    for s in range(levels):
-        theta = flat_angles[(1 << s) - 1:(2 << s) - 1]
-        c2 = np.cos(theta / 2) ** 2
-        stacked = np.empty(2 << s)
-        stacked[0::2] = w * c2
-        stacked[1::2] = w * (1 - c2)
-        w = stacked
-    return w
+def injection_csp_angles(t: TargetState, m: int, with_phases: bool = False) -> CSPAngleSet:
+    """The injection-ordered angle families for control values k = 0..2**m - 1.
 
-
-def injection_csp_angles(std: CSPAngleSet) -> CSPAngleSet:
-    """Convert a contiguous-ordered CSP angle set into injection order.
-
-    Per control value the segment weights are reconstructed from the given
-    angles, re-split over congruence classes, and the bottom-level phase
-    pairs are re-keyed to the children (p, p + 2**(sub-1)) of each pair.
+    ``angles[k]`` is :func:`injection_angles` of segment k's magnitudes.  With
+    ``with_phases``, ``phases[k]`` lists the segment's entry phases (0 for a
+    zero amplitude) keyed to the bottom pairs' children: entries 2p and 2p + 1
+    are the phases of segment entries p and p + 2**(n-m-1).
     """
-    sub = std.sub_levels
-    out = np.zeros_like(std.angles)
-    phases = None if std.phases is None else np.zeros_like(std.phases)
-    half = 1 << (sub - 1)
-    for k in range(std.angles.shape[0]):
-        out[k] = _class_split(reconstructed_weights(std.angles[k], sub), sub)
-        if phases is not None:
-            for p in range(half):
-                phases[k, 2 * p] = std.phases[k, p]
-                phases[k, 2 * p + 1] = std.phases[k, p + half]
-    return CSPAngleSet(m=std.m, n=std.n, angles=out, phases=phases)
+    if not 1 <= m < t.n:
+        raise BadSplit(f"m={m} outside [1, {t.n - 1}]")
+    segments = t.amplitudes.reshape(1 << m, -1)
+    angles = _class_split(np.abs(segments) ** 2)
+    phases = None
+    if with_phases:
+        phases = np.array(_phases(t.amplitudes)).reshape(1 << m, 2, -1).transpose(0, 2, 1)
+        phases = phases.reshape(segments.shape)
+    return CSPAngleSet(m=m, n=t.n, angles=angles, phases=phases)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -117,7 +103,7 @@ def choose_m(n: int) -> int:
 class ProtocolConfig:
     n: int
     m: int | None = None                 # None: choose_m, falling back to SP-only
-    complex_mode: bool | None = None     # None: detect from the target
+    complex_mode: bool = False           # track phases even for a real non-negative target
     dirty_b1: bool = False
     loadf_first_optimized: bool = False
     fanout: bool = True                  # paper layout; False packs rotations, tiny footprint
@@ -154,9 +140,8 @@ def _emit_sp(c: Circuit, data: list[int], values, start: int,
     """
     m = len(data)
     aset = injection_angles(values)
-    pairs = [(s, p) for s in range(m) for p in range(1 << s)]   # pair (s, p) owns A[2**s - 1 + p]
-    A = c.alloc_many((1 << m) - 1, at_layer=start)
-    c.put("ry", A, start, [aset.theta(s, p) for s, p in pairs])
+    A = c.alloc_many((1 << m) - 1, at_layer=start)   # pair (s, p) owns A[2**s - 1 + p]
+    c.put("ry", A, start, aset.angles.tolist())
     a_levels = split_levels(A)
     spf_end, _ = spf(c, data, a_levels, start=start + 1)
 
@@ -164,7 +149,7 @@ def _emit_sp(c: Circuit, data: list[int], values, start: int,
     _flip(c, F, spf_end)
     f_levels = split_levels(F)
     fl_end = flag(c, data, f_levels, start=spf_end + 1)
-    c.put("cry", [q for fa in zip(F, A) for q in fa], fl_end, [-aset.theta(s, p) for s, p in pairs])
+    c.put("cry", [q for fa in zip(F, A) for q in fa], fl_end, (-aset.angles).tolist())
     fl2_end = flag(c, data, f_levels, start=fl_end + 1, adjoint=True)
     _flip(c, F, fl2_end)
     end = fl2_end + 1
@@ -173,32 +158,26 @@ def _emit_sp(c: Circuit, data: list[int], values, start: int,
 
 
 def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
-              std_angles: CSPAngleSet, cfg: ProtocolConfig, start: int,
+              angles: CSPAngleSet, cfg: ProtocolConfig, start: int,
               keep_b: bool = False) -> tuple[int, list[int], list[int]]:
-    """Controlled state preparation of the lower register for each |k> of ctrl."""
-    conv = injection_csp_angles(std_angles)
-    nb = (1 << conv.sub_levels) - 1
+    """Controlled state preparation of the lower register for each |k> of ctrl,
+    from the injection-ordered angle set ``angles``."""
+    nb = (1 << angles.sub_levels) - 1
     F0 = c.alloc_many(nb, at_layer=start)
     _flip(c, F0, start)
     B0 = c.alloc_many(nb, at_layer=start + 1)
-    lf_end = loadf(c, ctrl, B0, F0, conv, start=start + 1,
+    lf_end = loadf(c, ctrl, B0, F0, angles, start=start + 1,
                    dirty_b1=cfg.dirty_b1, fanout=cfg.fanout,
                    first_optimized=cfg.loadf_first_optimized)
     spf_end, _ = spf(c, lower, split_levels(B0), start=lf_end)
     fl_end = flag(c, lower, split_levels(F0), start=spf_end)
-    lf2_end = loadf(c, ctrl, B0, F0, conv, start=fl_end, adjoint=True,
+    lf2_end = loadf(c, ctrl, B0, F0, angles, start=fl_end, adjoint=True,
                     dirty_b1=cfg.dirty_b1, fanout=cfg.fanout)
     fl2_end = flag(c, lower, split_levels(F0), start=lf2_end, adjoint=True)
     _flip(c, F0, fl2_end)
     end = fl2_end + 1
     c.dealloc_many(F0 if keep_b else [*F0, *B0], end)
     return end, B0, F0
-
-
-def _resolve_complex(t: TargetState, cfg: ProtocolConfig) -> bool:
-    if cfg.complex_mode is not None:
-        return cfg.complex_mode
-    return not t.is_real_nonnegative()
 
 
 def sp_circuit(y: PartitionNorms, keep_a: bool = False) -> Circuit:
@@ -228,7 +207,8 @@ def _prepare_basis(c: Circuit, qubits: list[int], basis: int | None) -> int:
 
 def csp_circuit(angles: CSPAngleSet, control_state: int | None = None,
                 cfg: ProtocolConfig | None = None) -> Circuit:
-    """Standalone controlled-state-preparation circuit.
+    """Standalone controlled-state-preparation circuit for the injection-ordered
+    ``angles`` (:func:`injection_csp_angles`).
 
     When ``control_state`` is given, the control register is prepared in
     that basis state first (for per-branch testing).
@@ -261,7 +241,7 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
     cfg = cfg or ProtocolConfig(n=t.n)
     if cfg.n != t.n:
         raise BadSplit(f"config is for n={cfg.n}, target has n={t.n}")
-    complex_mode = _resolve_complex(t, cfg)
+    complex_mode = cfg.complex_mode or not t.is_real_nonnegative()
     m = cfg.resolved_m()
     if m is None:
         if complex_mode:
@@ -272,14 +252,14 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
         return c
 
     y = partition_norms(t, m)
-    std = csp_angles(t, m, with_phases=complex_mode)
+    angles = injection_csp_angles(t, m, with_phases=complex_mode)
     c = Circuit()
     ctrl = c.alloc_many(m, at_layer=0)
     c.mark_persistent(ctrl)
     sp_end, A, F = _emit_sp(c, ctrl, y.values, 0, keep_a=keep_ab)
     lower = c.alloc_many(t.n - m, at_layer=sp_end)
     c.mark_persistent(lower)
-    end, B0, F0 = _emit_csp(c, ctrl, lower, std, cfg, sp_end, keep_b=keep_ab)
+    end, B0, F0 = _emit_csp(c, ctrl, lower, angles, cfg, sp_end, keep_b=keep_ab)
     c.add_register("D", [*lower, *ctrl])
     c.add_register("C", ctrl)
     c.add_register("L", lower)
@@ -377,6 +357,7 @@ def fragment_circuit(name: str, m: int, angles: CSPAngleSet | None = None, t: in
                      basis: int | None = None, **kwargs) -> Circuit:
     """Wire one fragment into a standalone circuit with canonical registers.
 
+    ``loadf`` reads the injection-ordered ``angles`` (:func:`injection_csp_angles`).
     ``m`` must lie in [1, FRAGMENT_MAX_M], ``t`` in [0, FRAGMENT_MAX_M] and
     ``basis`` in [0, 2**m).
     """

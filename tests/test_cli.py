@@ -23,6 +23,12 @@ from qsprep.cli import main
 from reference import flag_oracle, pair_index
 from test_circuit_ir import INT_FIELDS, released_doc
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:   # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+AVX512 = any(on and name.startswith("AVX512") for name, on in __cpu_features__.items())
+
 
 @pytest.fixture
 def pixels(tmp_path):
@@ -120,8 +126,14 @@ class TestSynth:
     def test_faulty_emitter_is_exit_3(self, capsys, monkeypatch, tmp_path, rand_n4, fault):
         # emitters build gates without per-gate checks; the one validate() must catch them
         if fault == "numpy_angle":
-            monkeypatch.setattr(amp.AngleSet, "theta",
-                                lambda self, s, p: np.float64(self.angles[(1 << s) + p - 1]))
+            injection_angles = proto.injection_angles
+
+            def numpy_angles(values):
+                # numpy scalars in an object array stay numpy scalars through .tolist()
+                aset = injection_angles(values)
+                return amp.AngleSet(m=aset.m, angles=np.array(list(aset.angles), dtype=object))
+
+            monkeypatch.setattr(proto, "injection_angles", numpy_angles)
         elif fault == "repeated_operand":
             cs_layer = subroutines.cs_layer
             monkeypatch.setattr(subroutines, "cs_layer", lambda c, t, controls, targets, at_layer=None:
@@ -768,6 +780,27 @@ class TestDeterminism:
                    "OPENBLAS_NUM_THREADS": threads}
             digests.add(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                        env=env, check=True).stdout)
+        assert len(digests) == 1
+
+    @pytest.mark.skipif(not AVX512, reason="numpy reports no AVX-512 features")
+    def test_circuit_does_not_depend_on_numpy_simd_dispatch(self, tmp_path):
+        """numpy's AVX-512 arccos differs from libm's in the last bit on some inputs; the
+        angles come from math.acos, so a complex n=10 target compiles to the same bytes
+        with numpy's AVX-512 dispatch turned off."""
+        rng = np.random.default_rng(10)
+        amps = [[re, im] for re, im in zip(rng.standard_normal(1 << 10).tolist(),
+                                           rng.standard_normal(1 << 10).tolist())]
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"amplitudes": amps}))
+        script = "import sys; from qsprep.cli import main; sys.exit(main(sys.argv[1:]))"
+        digests = set()
+        for i, disabled in enumerate(("", "X86_V4 AVX512_ICL AVX512_SPR")):
+            env = {**os.environ, "PYTHONPATH": str(Path(qsprep.__file__).parents[1]),
+                   "NPY_DISABLE_CPU_FEATURES": disabled}
+            out = tmp_path / f"circuit{i}.json"
+            subprocess.run([sys.executable, "-c", script, "synth", "--in", str(target), "--out", str(out)],
+                           capture_output=True, env=env, check=True)
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert len(digests) == 1
 
     def test_circuit_json_round_trip_bytes(self, capsys, tmp_path, pixels):

@@ -14,6 +14,12 @@ under `--indent 3`.  The two `--complex --loadf-first-optimized` cases,
 which pin LOADF's flag-free complex rotation sequence and its adjoint,
 were recorded from the code before the emitters placed gate columns
 directly (before LOADF's adjoint stopped going through `Gate.inverse`).
+The digests of every output that holds LOADF rotations (the 8 synth
+circuits and their profile reports, the reflections with a CSP stage, the
+multicopy circuit and the 3 `loadf` fragments) were re-recorded when the
+CSP angles began to come straight from each segment's masses instead of
+from cos^2 of the contiguous angles: only LOADF's rotation parameters
+moved, by at most 3.5e-15 here, the rounding error the round trip left.
 A change that alters
 the circuit JSON, a report or the profile CSV on purpose records new
 digests here and says why.
@@ -35,52 +41,52 @@ SYNTH_ONLY = {"--complex", "--dirty-b1", "--loadf-first-optimized", "--no-fanout
 #: flags -> sha256 of each output, for the seeded n=8 target below
 GOLDEN = {
     (): {
-        "circuit.json": "4f07f4e970934e1d63fd268aceb3a04f327371f44509fba9feb5fae3e2d1938f",
+        "circuit.json": "8d57c10018cb610ba1797e453232ea6cb93643ec56b3ed2dab7f43c74304621d",
         "synth.json": "241250356cc3acf542e9d74d92ea7732d071c8ea637aefb8c2371c7737341cfa",
         "profile.csv": "420d6b50c8420a876911d737cadd857f97b2c53141a544cc136b1d50354ed00c",
-        "profile.json": "867471a3b83bd216d843922af4ba4942aee4f83f49a2663c53a6a526e2c605b5",
+        "profile.json": "483ec3e7834798f07408ee2d6127e3d74dec7a5844af9c08d98296d3a8f9b0e8",
     },
     ("--dirty-b1", "--epsilon", "1e-6"): {
-        "circuit.json": "9d3fa44efff7605a3a40787b47f2dc61202223504f8eb9348d678dac1f9c67f2",
+        "circuit.json": "97882b0d67f24ba54ee6663e535fddc822e711e34ff599914f7a148f4f35c553",
         "synth.json": "22c133432532b9fec2ce619e7bf64f8c0f6118e9a702d441c32a6175e4f31c97",
         "profile.csv": "7650d02366eb8269bd0662cc5e6096583d34c4fdf7e52bd891b3f837f814b60c",
-        "profile.json": "31674d66e63a1fa78af327f22b2b74c9cde3f43908b75462aa576cce82ff1713",
+        "profile.json": "2a97358a0adf26b4f70bdba693a0bf31eb594a55cd8807184989eba6be549f35",
     },
     ("--complex",): {
-        "circuit.json": "c05451a36fcd71461a45180b2666bc527310f5af2dc7f9635a3d37b35f9ebb95",
+        "circuit.json": "c3d83ebf86e14595e63e4bb6deeb2fa2c37f5fc038f4033193574e1d71b01001",
         "synth.json": "948e26cc206fe8b8b07f0ff1537a8948eb5f8bce30d847cfd1e2e405a7c40c61",
         "profile.csv": "eb4b6a97fb88c005aa72bb7445e893e2f666cae7e8ee3e7f5ee26b11599cd7b1",
-        "profile.json": "126864df4b124374adfb7517ee7722e364c19e92b38a5d6b1475253dcb74b84e",
+        "profile.json": "9c0361c90e5975078e10a4bb7fedcfb07bcb7d87e990107bbcf505df11e9c754",
     },
     ("--no-fanout",): {
-        "circuit.json": "84b47f2a7f3c07f7b861316d67541d459c5d2af55c69f09ed230fa2eda8ba36c",
+        "circuit.json": "d7014ca1a01aa8de626ff3f3936841cd6c1c23b82e5f6f72ddd8939b01f77838",
         "synth.json": "16f51eb6b5896159539e31f7ba145a749a2190c640c25e750b460bba9ae90aba",
         "profile.csv": "cb43ef40a2d5e2b66d0143135629bf4c1505fee885bfe2d217356ce1f1114b61",
-        "profile.json": "606bc00c83a1404d5a1fdd033e0ee5f89001ddfbaefea5d42b3cf8393220ee43",
+        "profile.json": "76a1e83e948e71cbfdf28a6c81427f765c2cec76ff1859cebe8eebcb4232341b",
     },
     ("--complex", "--no-fanout"): {
-        "circuit.json": "9fab271f9bf334b7e57fef47c5868559b85feae6596426d17ab8b9a840eb6cd8",
+        "circuit.json": "8ce8604d55e8310207ef8ab5670b2562f6034e7ec51dcf5117032b8c8e58c9b6",
         "synth.json": "c679e0f6ef98a04dd901659b7dff191791e6480adc22a2a9aaf96fbfc3e5ef88",
         "profile.csv": "0e11586c8c02b4cc3bd406e0b29914af3f739bb811d8ab0b8720f3b39969c1fe",
-        "profile.json": "05ad87d3855a1db526976573e08e470b4fa0c4521fc37b45f0a2a7b3a955fe4b",
+        "profile.json": "b23e60efb66b19fdd9a36fcadbdcf2b8d84ffe8495b6b9aeafa0dbeca25f8516",
     },
     ("--loadf-first-optimized",): {
-        "circuit.json": "fcd7be5b16e36093d1cec8c3803aa62eafc1d5d438941bd2349dc8f2256a6298",
+        "circuit.json": "9abd9069739434e2a65206be5d2332d346879321bb02d1363b22d35d8eba1ebf",
         "synth.json": "7192474ff59e7ff7b71ad766008609c1cf8a034f4dc58ea61e347feaf4d2f9e7",
         "profile.csv": "91111a4dedfcfbcc866dbdd6802d20c3fd780430acce37baff05018ec28529fb",
-        "profile.json": "e21bcd74b9581ae28816553982103ce601c3af9f07b7e7d88d45dc48a1cba5c7",
+        "profile.json": "cc2739e81bafd775cdf062fff7df9871aa00747d1600e6d6c9beabf099118522",
     },
     ("--complex", "--loadf-first-optimized"): {
-        "circuit.json": "e0247e09e7ae1cdc99d3e8ac5c445fe4f951b54d823cd8ddac51b916217c2399",
+        "circuit.json": "d69710663bcfb0b072aa949ec2cfe8b39393a3a48540a5f8481401932eb9b755",
         "synth.json": "27d8dacc621b56a2eff8c07c75b704650e8c632412590661004cf7653069102d",
         "profile.csv": "56d5c9b4d78d5d03d0012e801a5268d73a39472c0cb6082fb278fdc5ce07ece9",
-        "profile.json": "02118fab70916e63b1ff7d050ec7d6ea56adf1945d8283b888b3adcc87635ac3",
+        "profile.json": "beb4871b18ed50284aa2ba1d3af512f2aabf36c9c8922c4cb8bcd82e4721f000",
     },
     ("--complex", "--loadf-first-optimized", "--no-fanout"): {
-        "circuit.json": "a8ae222a99cb20dc87aea6b25da05ae0ab50d5b5feaec368c5a96d933fdcf86f",
+        "circuit.json": "7e201e4307fdcc20618ac07c83374b5762cd418744718c96d0a47bfa2b58392b",
         "synth.json": "45693eba8648cb15a31f239909ea8e53cf3ea8b9f489cca07d7ed827c475fc8b",
         "profile.csv": "529958052b04c5e97d3ea902ce4b9c7d0502c61091edf2466dd6ccc416b1485c",
-        "profile.json": "56019b7dd26d6eae5fc38a6fd140b08544654defb4e1c9653c34f0a3cdd1439b",
+        "profile.json": "8ee04506db96e2c07953bbb70bf48cb171843e6b3e592d2b56f866b537938da4",
     },
 }
 
@@ -118,20 +124,20 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch, flags):
 #: target of ``reflection_target(n)``; m=None is the default split (SP-only at n=3, 5)
 REFLECTION_GOLDEN = {
     (3, None, True, False): "c306aac3a87db08c19b0cd7f709bc97f37d2ed305bd3b4e5095f23e7a5291983",
-    (3, 1, False, False): "94d50ffc986a67a666d967bcd828b4e82822821313bdc8082c1ee289e1879e84",
-    (3, 1, False, True): "27d8328fd1a22c3d7d34f3ec224dba0a94588f34bc598f55b571613742b9e606",
-    (3, 1, True, False): "e0d2262c33bfc5f89ca960c7adeb37dc161ea5d9615fe56d5559783c3fb4d123",
-    (3, 1, True, True): "48308c0cde07917b5cb787269fc053d68657d5433dd4326fa5dd622d0e5fc9da",
+    (3, 1, False, False): "7bf6ccebd7b8de211a5e935da79348841046cffa8deafbb037749d23c1afc053",
+    (3, 1, False, True): "f0977e5796bf6b1960581dc4f2693e73db5e897af675c9cd249d8e89d1294625",
+    (3, 1, True, False): "c9689788ed964957f108d8d9e2ed75e4ce4dee7ccfec65b9b00a76277a2c100d",
+    (3, 1, True, True): "4dfea7d5150a0da7508c6d28f67fe1994203f23088b5cb8995a00795b73b2b36",
     (5, None, True, False): "39c95888efdb9ce219f42a50200f30602a1c62a3f229b13e42845ddbf031d142",
-    (5, 2, False, False): "c8a529c5d5433f24ebe22a7549a359b6567a42654e2ed3250e03ad9b01286aae",
-    (5, 2, False, True): "55c2a41add36b84a6e5152958ea2fd321ca29d88828f8cb2d8a0b47cf9811e4f",
-    (5, 2, True, False): "f67946c873a95ebf2d1515dd097e11eb82c5aa6a46439ce9993e0e2b4329ae18",
-    (5, 2, True, True): "cccef60d4cc531a5a8066888f88c4822138c84a0c482bb41f17eb94c70e184e4",
+    (5, 2, False, False): "67b83dcb28848343b526bc2486a5122d552445e053dd751013855a31a91525e2",
+    (5, 2, False, True): "37a57689cfcba4bf1e1363a64cd7940666943e7d07c8d61fd3ceb3a4a32755ff",
+    (5, 2, True, False): "c773f7b3bbd666cec7f146e4716a6eecad7ccf3f4e466ee5bc6802673126fd50",
+    (5, 2, True, True): "f499116994e1d88d0f052be135ded74b0bfc7fe595fb1fc615bc0e144a55724e",
 }
 
 #: output name -> sha256, for the seeded 4 x n=5 batch of ``batch_targets()``
 MULTICOPY_GOLDEN = {
-    "batch_circuit.json": "f9b9ed99196db1b434bb91b0358984514d0971537b688ea3e7c348c4fcd66a96",
+    "batch_circuit.json": "7d3664823766cac2cfe804b51a69d4560bdd7aaebc9d15df1f828baa0fe29350",
     "batch_report.json": "4740824562caddc0a335fbe38110fa5dd5359b4b351c202adca00eda2e670311",
 }
 
@@ -152,15 +158,15 @@ FRAGMENT_GOLDEN = {
         "fragment_report.json": "d888e922c12e6fa6bfdebe198fabb34f98fd53f3e76db3691f74ba84ca54c8ff",
     },
     "loadf": {
-        "fragment.json": "b364565133aeff72ab83f8898d400fd2d41aa64c403797dc75ff44f118af6ad2",
+        "fragment.json": "f73390c53c24ce2271f54163ab7d5c973f774f75fed0fad11c15f83d348c1df1",
         "fragment_report.json": "7f53eb213b10555535093d501bd07c66459938f0eba1120a4637fee1d5d9a010",
     },
     "loadf_dirty_b1_no_fanout": {
-        "fragment.json": "8136deaed4ff69cf8b8a69adc06b04dfa3649e7898fde788b13a89013605dae3",
+        "fragment.json": "2cd631b59cf540d1ec8c1ba7dd37af2b7a478f9b7b55ad5389be7734aac5245e",
         "fragment_report.json": "09eeeeac103bc690331e826c75cc822ce20026368b55e0cfc7e38a7e06e996d0",
     },
     "loadf_complex": {
-        "fragment.json": "7e9cd8a15cb8bb9a03398d56cf7713e7c44a4b291b542eff8a2c806339d92d1c",
+        "fragment.json": "01fc25b3376b2a13df644fa46405f8341f9f48f6299c4c0a80f53caaa1b1b995",
         "fragment_report.json": "8bb64eef117bea43d73e64c6f96157e7028465801c58388f4f5b54e70251d0e2",
     },
     "spf": {

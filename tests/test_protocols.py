@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import tracemalloc
@@ -57,13 +58,6 @@ class TestChooseM:
 
 
 class TestInjectionAngles:
-    def test_weights_round_trip(self):
-        rng = np.random.default_rng(0)
-        vals = rng.random(8)
-        std = amp.sp_angles(amp.build_angle_tree(vals))
-        w = proto.reconstructed_weights(std.angles, 3)
-        assert np.allclose(w, vals**2 / np.sum(vals**2), atol=1e-12)
-
     def test_injection_masses(self):
         rng = np.random.default_rng(1)
         vals = rng.random(8)
@@ -76,21 +70,19 @@ class TestInjectionAngles:
                 want = 2 * math.acos(math.sqrt(sub / cls))
                 assert abs(aset.theta(s, p) - want) < 1e-12
 
-    def test_csp_conversion_preserves_segments(self):
-        rng = np.random.default_rng(2)
-        t = amp.make_target(rng.random(16))
-        std = amp.csp_angles(t, 2)
-        conv = proto.injection_csp_angles(std)
-        # the converted set still describes the same per-branch weights
-        for k in range(4):
-            w_std = proto.reconstructed_weights(std.angles[k], 2)
-            sq = w_std
-            for s in range(2):
-                for p in range(1 << s):
-                    cls = sq[p::1 << s].sum()
-                    sub = sq[p::1 << (s + 1)].sum()
-                    want = 2 * math.acos(math.sqrt(min(max(sub / cls, 0), 1))) if cls > 0 else 0.0
-                    assert abs(conv.theta(k, s, p) - want) < 1e-12
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n, m", [(3, 1), (6, 2), (8, 5)])
+    def test_one_angle_definition_for_both_stages(self, n, m, complex_):
+        """Control value k's CSP angles are the SP angles of segment k's magnitudes, bit for
+        bit, and each phase is that of the segment entry its bottom pair child selects."""
+        t = random_targets(np.random.default_rng(n + 10 * m), n, 1, complex_)[0]
+        cset = proto.injection_csp_angles(t, m, with_phases=True)
+        half = 1 << (n - m - 1)
+        for k, seg in enumerate(t.amplitudes.reshape(1 << m, -1)):
+            assert np.array_equal(cset.angles[k], proto.injection_angles(np.abs(seg)).angles)
+            for p in range(half):
+                for i in (0, 1):
+                    assert cset.phases[k, 2 * p + i] == cmath.phase(seg[p + i * half])
 
 
 class TestSpCircuit:
@@ -125,7 +117,7 @@ class TestSpCircuit:
 class TestCspCircuit:
     def test_basis_control_zero_target(self):
         t = amp.make_target([1, 0, 0, 0, 0, 0, 0, 0])
-        c = proto.csp_circuit(amp.csp_angles(t, 1), control_state=0)
+        c = proto.csp_circuit(proto.injection_csp_angles(t, 1), control_state=0)
         _, state = run(c)
         vec = state.statevector(c.registers["D"])
         assert abs(abs(vec[0]) - 1.0) < 1e-10
@@ -135,7 +127,7 @@ class TestCspCircuit:
         rng = np.random.default_rng(40 + k)
         t = amp.make_target(rng.random(8) + 0.05)
         y = amp.partition_norms(t, 1)
-        c = proto.csp_circuit(amp.csp_angles(t, 1), control_state=k)
+        c = proto.csp_circuit(proto.injection_csp_angles(t, 1), control_state=k)
         data = c.registers["D"]
         want = np.zeros(8, dtype=complex)
         seg = t.amplitudes[4 * k: 4 * k + 4]
@@ -188,6 +180,15 @@ class TestSpCsp:
         assert fid >= 1 - 1e-9
         assert all(mass <= 1e-10 for _, _, mass in report.ancilla_verdicts)
 
+    @pytest.mark.parametrize("complex_mode", [False, True])
+    def test_complex_target_keeps_its_phases(self, complex_mode):
+        """A target that is not real non-negative tracks its phases whatever complex_mode says."""
+        t = amp.make_target([0.5, -0.5, 0.5, 0.5, 0.1, 0.2, -0.3, 0.4j])
+        c = proto.spcsp(t, proto.ProtocolConfig(n=3, m=1, complex_mode=complex_mode))
+        assert c.validate() == []
+        _, fid = fidelity(c, t.amplitudes)
+        assert fid >= 1 - 1e-9
+
     def test_fanout_with_single_qubit_buffer(self):
         rng = np.random.default_rng(60)
         t = random_targets(rng, 3, 1)[0]
@@ -202,7 +203,7 @@ class TestSpCsp:
 
         rng = np.random.default_rng(61)
         t = random_targets(rng, 3, 1)[0]
-        conv = proto.injection_csp_angles(amp.csp_angles(t, 1))
+        conv = proto.injection_csp_angles(t, 1)
         c = Circuit()
         ctrl = [c.alloc(at_layer=0), c.alloc(at_layer=0)]  # wrong width
         B0 = [c.alloc(at_layer=0) for _ in range(3)]
@@ -328,7 +329,7 @@ class TestOracleTriangle:
         rng = np.random.default_rng(23)
         t = amp.make_target(rng.random(8) + 0.02)
         y = amp.partition_norms(t, 1)
-        conv = proto.injection_csp_angles(amp.csp_angles(t, 1))
+        conv = proto.injection_csp_angles(t, 1)
         for k in range(2):
             seg = np.abs(t.amplitudes[4 * k: 4 * k + 4]) / y.values[k]
             direct = proto.injection_angles(seg)
@@ -340,7 +341,7 @@ class TestOracleTriangle:
         rng = np.random.default_rng(24)
         t = amp.make_target(rng.random(8) + 0.02)
         y = amp.partition_norms(t, 1)
-        conv = proto.injection_csp_angles(amp.csp_angles(t, 1))
+        conv = proto.injection_csp_angles(t, 1)
         for k in range(2):
             theta_state = loadf_oracle(conv, k, [1, 1, 1])
             pair_states = [_angle_state(conv.theta(k, s, p))

@@ -336,7 +336,7 @@ class TestContractionSoundnessFragments:
 
         rng = np.random.default_rng(45)
         t = amp.make_target(rng.random(8) + 0.05)
-        conv = injection_csp_angles(amp.csp_angles(t, 1))
+        conv = injection_csp_angles(t, 1)
         c = fragment_circuit("loadf", m=1, angles=conv, basis=1,
                              flags=[1, 1, 1], fanout=False)
         keep = c.registers["D0"] + c.registers["B0"] + c.registers["F0"]

@@ -387,8 +387,7 @@ class TestLoadf:
     def setup_method(self):
         rng = np.random.default_rng(33)
         self.t = amp.make_target(rng.random(8) + 0.05)
-        self.std = amp.csp_angles(self.t, 1)
-        self.conv = injection_csp_angles(self.std)
+        self.conv = injection_csp_angles(self.t, 1)
 
     def loadf_state(self, k, flags, **kwargs):
         c = fragment_circuit("loadf", m=1, angles=self.conv, basis=k,
