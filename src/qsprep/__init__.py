@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 #: exported name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(["AngleSet", "AngleTree", "CSPAngleSet", "PartitionNorms", "TargetState",
-                     "build_angle_tree", "csp_angles", "make_target", "partition_norms",
-                     "sp_angles", "update_leaf"], "amplitudes"),
+    **dict.fromkeys(["AngleSet", "CSPAngleSet", "PartitionNorms", "TargetState", "csp_angles",
+                     "make_target", "partition_norms", "sp_angles"], "amplitudes"),
     **dict.fromkeys(["Circuit", "Gate", "GateSetModel", "ResourceReport", "expand", "gate",
                      "spacetime_allocation"], "circuit_ir"),
     **dict.fromkeys(["ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit",

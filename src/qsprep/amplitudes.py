@@ -1,9 +1,11 @@
-"""Classical preprocessing: target normalization, partial-sum trees, rotation angles.
+"""Classical preprocessing: target normalization, partition norms, rotation angles.
 
-The rotation angles follow the two-index convention: level ``s`` holds the
-angles that split contiguous index blocks of size ``2**(levels-s)`` in half,
-so ``theta[s, p]`` is read off the partial-sum tree from node ``(s, p)`` and
-its first child.
+The injection fragment selects pair (s, j mod 2**s) for data value j, so
+the rotation on pair (s, p) splits the congruence class
+{j : j = p (mod 2**s)}: cos^2(theta[s, p]/2) is the mass fraction of its
+subclass j = p (mod 2**(s+1)).  :func:`sp_angles` computes these angles
+for one weight vector and :func:`csp_angles` for each segment of a
+target; index ``2**s + p - 1`` of an angle array holds theta[s, p].
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadSplit,
-    IndexOutOfRange,
     InternalInvariant,
     LengthNotPowerOfTwo,
     MalformedInput,
@@ -39,7 +40,6 @@ class TargetState:
 
     n: int
     amplitudes: np.ndarray
-    norm: float
 
     def __post_init__(self):
         if len(self.amplitudes) != 1 << self.n:
@@ -53,25 +53,27 @@ def make_target(raw) -> TargetState:
     """Validate and normalize a raw amplitude sequence.
 
     Raises LengthNotPowerOfTwo unless len(raw) is a power of two >= 2,
-    NonFiniteAmplitude for a NaN or infinite entry or norm, and ZeroVector
-    for an all-zero input.
+    NonFiniteAmplitude for a NaN or infinite entry, and ZeroVector for an
+    all-zero input.
     """
     amps = np.asarray(list(raw), dtype=complex)
     if amps.ndim != 1 or len(amps) < 2:
         raise LengthNotPowerOfTwo(f"need a 1-d vector of length >= 2, got shape {amps.shape}")
     n = _log2_exact(len(amps))
-    if not np.isfinite(amps).all():
+    parts = amps.view(float)  # re and im interleaved
+    top = float(np.abs(parts).max())  # NaN if any part is NaN
+    if not math.isfinite(top):
         raise NonFiniteAmplitude("amplitudes must be finite numbers")
+    if top == 0.0:
+        raise ZeroVector("all amplitudes are zero")
+    # scaled by the power of two that brings the largest part into [0.5, 1), which is
+    # exact, so no square overflows or underflows and ordinary inputs keep their bits
+    np.ldexp(parts, -math.frexp(top)[1], out=parts)
     # summed by numpy, not by a BLAS dot, which OpenBLAS splits across threads (in an
     # order that depends on their number) above 10,000 entries
     re, im = amps.real, amps.imag
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(float(np.sum(re * re) + np.sum(im * im)))
-    if norm == 0.0:
-        raise ZeroVector("all amplitudes are zero")
-    if not math.isfinite(norm):
-        raise NonFiniteAmplitude("the norm of the amplitudes overflows")
-    return TargetState(n=n, amplitudes=amps / norm, norm=norm)
+    norm = math.sqrt(float(np.sum(re * re) + np.sum(im * im)))
+    return TargetState(n=n, amplitudes=amps / norm)
 
 
 @dataclass(frozen=True)
@@ -96,82 +98,7 @@ def partition_norms(t: TargetState, m: int) -> PartitionNorms:
     return PartitionNorms(m=m, values=values)
 
 
-class AngleTree:
-    """Binary tree of squared-magnitude partial sums, stored as a flat heap.
-
-    Level ``s`` (0 = root) holds ``2**s`` nodes; node ``(s, p)`` sits at heap
-    index ``2**s + p`` and stores the squared mass of the contiguous block of
-    ``2**(levels-s)`` input entries starting at ``p * 2**(levels-s)``.  The
-    bottom row (level ``levels``) stores the squared inputs themselves; the
-    stored leaves in the tree sense are level ``levels-1``, the pairwise sums.
-    """
-
-    __slots__ = ("levels", "_heap", "_writes")
-
-    def __init__(self, levels: int, heap: np.ndarray, writes: int = 0):
-        self.levels = levels
-        self._heap = heap
-        self._heap.setflags(write=False)
-        self._writes = writes  # node assignments performed by the producing call
-
-    def node(self, s: int, p: int) -> float:
-        if not (0 <= s <= self.levels and 0 <= p < (1 << s)):
-            raise IndexOutOfRange(f"no node ({s}, {p}) in a {self.levels}-level tree")
-        return float(self._heap[(1 << s) + p])
-
-    def level(self, s: int) -> np.ndarray:
-        return self._heap[(1 << s):(2 << s)]
-
-    @property
-    def root(self) -> float:
-        return float(self._heap[1])
-
-    @property
-    def write_count(self) -> int:
-        return self._writes
-
-    def nonzero_nodes(self) -> int:
-        """Count nonzero entries over levels 0..levels-1 (the tree proper)."""
-        return int(np.count_nonzero(self._heap[1:1 << self.levels]))
-
-
-def build_angle_tree(values) -> AngleTree:
-    """Build the partial-sum tree over a sequence of (real, non-negative) weights.
-
-    Construction is a single bottom-up pass, linear in the leaf count.
-    """
-    vals = np.asarray(list(values), dtype=float)
-    m = _log2_exact(len(vals))
-    heap = np.zeros(2 << m)
-    heap[(1 << m):(2 << m)] = vals**2
-    writes = 1 << m
-    for s in range(m - 1, -1, -1):
-        lo, hi = 1 << s, 2 << s
-        child = heap[2 * lo:2 * hi]
-        heap[lo:hi] = child[0::2] + child[1::2]
-        writes += hi - lo
-    return AngleTree(m, heap, writes)
-
-
-def update_leaf(tree: AngleTree, index: int, new_value: float) -> AngleTree:
-    """Replace input entry ``index`` and repair the root-to-leaf path.
-
-    Returns a new tree; only the path nodes are recomputed (the write count
-    on the result records exactly how many node assignments happened).
-    """
-    m = tree.levels
-    if not 0 <= index < (1 << m):
-        raise IndexOutOfRange(f"leaf index {index} outside [0, {1 << m})")
-    heap = tree._heap.copy()
-    heap.setflags(write=True)
-    i = (1 << m) + index
-    heap[i] = float(new_value) ** 2
-    writes = 1
-    while i > 1:
-        i //= 2
-        heap[i] = heap[2 * i] + heap[2 * i + 1]
-        writes += 1
-    return AngleTree(m, heap, writes)
+# -- rotation angles ------------------------------------------------------------
 
 
 def _split_angle(parent: float, first_child: float) -> float:
@@ -182,12 +109,30 @@ def _split_angle(parent: float, first_child: float) -> float:
     return 2.0 * math.acos(min(ratio, 1.0))
 
 
+def _class_split(sq: np.ndarray) -> np.ndarray:
+    """The angles of each row of the squared masses ``sq``, shape (rows, 2**L).
+
+    cos^2(theta[s,p]/2) is the mass fraction of the subclass j = p (mod
+    2**(s+1)) inside the class j = p (mod 2**s); a class of zero mass gets
+    angle 0.
+    """
+    rows, size = sq.shape
+    out = np.zeros((rows, size - 1))
+    parent = sq.reshape(rows, -1, 1).sum(axis=1)                 # class masses mod 2**s
+    for s in range(size.bit_length() - 1):
+        child = sq.reshape(rows, -1, 2 << s).sum(axis=1)         # class masses mod 2**(s+1)
+        angles = map(_split_angle, parent.ravel().tolist(), child[:, :1 << s].ravel().tolist())
+        out[:, (1 << s) - 1:(2 << s) - 1] = np.reshape(list(angles), (rows, -1))
+        parent = child
+    return out
+
+
 @dataclass(frozen=True)
 class AngleSet:
     """The 2**m - 1 rotation angles for one state-preparation stage."""
 
     m: int
-    angles: np.ndarray  # flat heap order: index 2**s + p - 1 holds theta[s, p]
+    angles: np.ndarray  # index 2**s + p - 1 holds theta[s, p]
 
     def theta(self, s: int, p: int) -> float:
         return float(self.angles[(1 << s) + p - 1])
@@ -195,36 +140,22 @@ class AngleSet:
     def __len__(self) -> int:
         return len(self.angles)
 
-    def items(self):
-        for s in range(self.m):
-            for p in range(1 << s):
-                yield s, p, float(self.angles[(1 << s) + p - 1])
 
-
-def sp_angles(tree: AngleTree) -> AngleSet:
-    """Read every rotation angle off the tree.
-
-    theta[s, p] = 2*arccos(sqrt(S[s+1, 2p] / S[s, p])); degenerate branches
-    (zero parent mass) yield angle 0.
-    """
-    m = tree.levels
-    out = np.zeros((1 << m) - 1)
-    for s in range(m):
-        parents = tree.level(s).tolist()   # Python floats: the same values, cheaper scalar math
-        children = tree.level(s + 1).tolist()
-        base = (1 << s) - 1
-        for p in range(1 << s):
-            out[base + p] = _split_angle(parents[p], children[2 * p])
-    return AngleSet(m=m, angles=out)
+def sp_angles(values) -> AngleSet:
+    """The SP angles of the non-negative weights ``values``: fed to the injection
+    fragment, they prepare ``values`` divided by its norm."""
+    vals = np.asarray(values, dtype=float)
+    m = _log2_exact(len(vals))
+    return AngleSet(m=m, angles=_class_split(vals[None, :] ** 2)[0])
 
 
 @dataclass(frozen=True)
 class CSPAngleSet:
     """Per-control-value angle families for controlled state preparation.
 
-    ``angles[k]`` is the AngleSet-shaped flat array for control value ``k``
-    over the length-2**(n-m) segment of the target; ``phases[k][j]`` is the
-    complex argument of segment entry ``j`` when phases are tracked.
+    ``angles[k]`` is the AngleSet-shaped array for control value ``k`` over
+    the length-2**(n-m) segment k of the target; ``phases[k]``, when phases
+    are tracked, holds the phases of that segment's entries.
     """
 
     m: int
@@ -249,64 +180,59 @@ def _phases(values: np.ndarray) -> list[float]:
 
 
 def csp_angles(t: TargetState, m: int, with_phases: bool = False) -> CSPAngleSet:
-    """Angle families theta[k, s, p] from the magnitudes of each length-N/M segment.
+    """The angle families for control values k = 0..2**m - 1.
 
-    Phases, when requested, are the arguments of the segment entries with 0
-    substituted for zero amplitudes.
+    ``angles[k]`` is :func:`sp_angles` of segment k's magnitudes.  With
+    ``with_phases``, ``phases[k]`` lists the segment's entry phases (0 for a
+    zero amplitude) keyed to the bottom pairs' children: entries 2p and 2p + 1
+    are the phases of segment entries p and p + 2**(n-m-1).
     """
     if not 1 <= m < t.n:
         raise BadSplit(f"m={m} outside [1, {t.n - 1}]")
-    sub = t.n - m
-    seg_len = 1 << sub
-    angles = np.zeros((1 << m, seg_len - 1))
-    phases = np.zeros((1 << m, seg_len)) if with_phases else None
-    for k in range(1 << m):
-        seg = t.amplitudes[k * seg_len:(k + 1) * seg_len]
-        tree = build_angle_tree(np.abs(seg))
-        angles[k] = sp_angles(tree).angles
-        if with_phases:
-            phases[k] = _phases(seg)
+    segments = t.amplitudes.reshape(1 << m, -1)
+    angles = _class_split(np.abs(segments) ** 2)
+    phases = None
+    if with_phases:
+        phases = np.array(_phases(t.amplitudes)).reshape(1 << m, 2, -1).transpose(0, 2, 1)
+        phases = phases.reshape(segments.shape)
     return CSPAngleSet(m=m, n=t.n, angles=angles, phases=phases)
 
 
 # -- JSON interface -----------------------------------------------------------
 
+
 def target_from_json(doc) -> TargetState:
-    """Parse {"amplitudes": [[re, im], ...]} or {"amplitudes": [re, ...]}."""
+    """Parse {"amplitudes": [[re, im], ...]} or {"amplitudes": [re, ...]}.
+
+    Each re and im is a JSON number: a bool, a string or a null is
+    NonFiniteAmplitude, and an ``amplitudes`` that is not an array is
+    MalformedInput.
+    """
     if isinstance(doc, (str, bytes)):
         doc = parse_json(doc)
     try:
         raw = doc["amplitudes"]
     except (TypeError, KeyError):
         raise MalformedInput('input document must carry an "amplitudes" key') from None
+    if type(raw) is not list:
+        raise MalformedInput(f'"amplitudes" must be an array, got {type(raw).__name__}')
     amps = []
-    try:
-        for entry in raw:
-            if isinstance(entry, (list, tuple)):
-                re, im = entry
-                amps.append(complex(re, im))
-            else:
-                amps.append(complex(entry))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise NonFiniteAmplitude(f"amplitudes must be numbers or [re, im] pairs: {e}") from None
+    for entry in raw:
+        re, im = entry if type(entry) is list and len(entry) == 2 else (entry, 0)
+        if type(re) not in (int, float) or type(im) not in (int, float):
+            raise NonFiniteAmplitude(f"amplitudes must be numbers or [re, im] pairs, got {entry!r}")
+        try:
+            amps.append(complex(re, im))
+        except OverflowError:  # an integer past the float range
+            raise NonFiniteAmplitude(f"amplitude {entry!r} overflows a float") from None
     return make_target(amps)
 
 
-def angles_to_json(sp: AngleSet | None = None, csp: CSPAngleSet | None = None) -> dict:
-    doc: dict = {}
-    if sp is not None:
-        doc["sp_angles"] = [{"s": s, "p": p, "theta": theta} for s, p, theta in sp.items()]
+def angles_to_json(sp: AngleSet, csp: CSPAngleSet | None = None) -> dict:
+    """The angle sets as lists: index 2**s + p - 1 of each holds the rotation on pair (s, p)."""
+    doc = {"sp_angles": sp.angles.tolist()}
     if csp is not None:
-        doc["csp_angles"] = [
-            {"k": k, "s": s, "p": p, "theta": csp.theta(k, s, p)}
-            for k in range(1 << csp.m)
-            for s in range(csp.sub_levels)
-            for p in range(1 << s)
-        ]
+        doc["csp_angles"] = csp.angles.tolist()
         if csp.phases is not None:
-            doc["phases"] = [
-                {"k": k, "j": j, "phi": float(csp.phases[k, j])}
-                for k in range(1 << csp.m)
-                for j in range(1 << csp.sub_levels)
-            ]
+            doc["phases"] = csp.phases.tolist()
     return doc

@@ -681,7 +681,10 @@ class Block:
 
 
 #: a rotation synthesized to precision eps' in the discrete gate set takes
-#: ``ceil(ROTATION_SLOPE * log2(1/eps'))`` layers
+#: ``ceil(ROTATION_SLOPE * log2(1/eps'))`` layers.  Ross and Selinger's
+#: Clifford+T synthesis (arXiv:1403.2975) needs about 3*log2(1/eps') +
+#: O(log log(1/eps')) T gates per z-rotation; 4 is this package's slope,
+#: rounded up to cover the lower-order term.
 ROTATION_SLOPE = 4.0
 
 

@@ -122,17 +122,7 @@ def cmd_synth(args, argv) -> int:
     _write(args.out, cir.json_chunks(circuit))
     doc = envelope(argv, _digest(raw), {"report": report.to_json()})
     if args.angles_out:
-        m = cfg.resolved_m()
-        if m is not None:
-            y = amp.partition_norms(target, m)
-            doc_angles = amp.angles_to_json(
-                amp.sp_angles(amp.build_angle_tree(y.values)),
-                amp.csp_angles(target, m, with_phases=True),
-            )
-        else:
-            doc_angles = amp.angles_to_json(
-                amp.sp_angles(amp.build_angle_tree(abs(target.amplitudes))))
-        _write(args.angles_out, [_dump(doc_angles)])
+        _write(args.angles_out, [_dump(amp.angles_to_json(*proto.stage_angles(target, cfg)))])
     _write(args.report, [_dump(doc)])
     return 0
 
@@ -239,7 +229,7 @@ def cmd_fragment(args, argv) -> int:
             raise MalformedInput("loadf fragment needs --in with amplitudes")
         raw = _read(args.infile)
         target = amp.target_from_json(raw)
-        angles = proto.injection_csp_angles(target, args.m, with_phases=args.complex_amps)
+        angles = amp.csp_angles(target, args.m, with_phases=args.complex_amps)
         kwargs["fanout"] = not args.no_fanout
         kwargs["dirty_b1"] = args.dirty_b1
     with _emitting():

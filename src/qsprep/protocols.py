@@ -1,11 +1,8 @@
 """Full protocol assembly: SP, CSP, SP+CSP circuits and reflections.
 
-The injection fragments select pair (s, j mod 2**s) for data value j, so
-every angle the emitters use is *injection-ordered*: pair (s, p) splits the
-mass of the strided congruence class {j : j = p mod 2**s}.  The angles are
-computed in that order straight from the target's masses, for the SP stage
-(:func:`injection_angles`) and for each CSP segment
-(:func:`injection_csp_angles`) alike.
+The angles of both stages come from :mod:`amplitudes` (:func:`sp_angles`,
+:func:`csp_angles`); :func:`stage_angles` picks the ones :func:`spcsp`
+emits for a target and a configuration.
 """
 
 from __future__ import annotations
@@ -15,70 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    AngleSet,
-    CSPAngleSet,
-    PartitionNorms,
-    TargetState,
-    _phases,
-    _split_angle,
-    partition_norms,
-)
+from .amplitudes import AngleSet, CSPAngleSet, TargetState, csp_angles, partition_norms, sp_angles
 from .circuit_ir import CLEAN, Block, Circuit
 from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
 from .subroutines import flag, loadf, spf, split_levels
 
-
-# -- injection-ordered angles ----------------------------------------------------
-
-
-def _class_split(sq: np.ndarray) -> np.ndarray:
-    """Injection-ordered angles of each row of the squared masses ``sq``, shape (rows, 2**L).
-
-    cos^2(theta[s,p]/2) is the mass fraction of the subclass j = p (mod
-    2**(s+1)) inside the class j = p (mod 2**s).
-    """
-    rows, size = sq.shape
-    out = np.zeros((rows, size - 1))
-    parent = sq.reshape(rows, -1, 1).sum(axis=1)                 # class masses mod 2**s
-    for s in range(size.bit_length() - 1):
-        child = sq.reshape(rows, -1, 2 << s).sum(axis=1)         # class masses mod 2**(s+1)
-        angles = map(_split_angle, parent.ravel().tolist(), child[:, :1 << s].ravel().tolist())
-        out[:, (1 << s) - 1:(2 << s) - 1] = np.reshape(list(angles), (rows, -1))
-        parent = child
-    return out
-
-
-def injection_angles(values) -> AngleSet:
-    """Angles keyed so pair (s, p) splits the congruence class j = p (mod 2**s).
-
-    Feeding these to the injection fragment reproduces exactly the
-    amplitudes ``values``.
-    """
-    vals = np.asarray(list(values), dtype=float)
-    m = (len(vals) - 1).bit_length()
-    if len(vals) != 1 << m:
-        raise BadSplit(f"length {len(vals)} is not a power of two")
-    return AngleSet(m=m, angles=_class_split(vals[None, :] ** 2)[0])
-
-
-def injection_csp_angles(t: TargetState, m: int, with_phases: bool = False) -> CSPAngleSet:
-    """The injection-ordered angle families for control values k = 0..2**m - 1.
-
-    ``angles[k]`` is :func:`injection_angles` of segment k's magnitudes.  With
-    ``with_phases``, ``phases[k]`` lists the segment's entry phases (0 for a
-    zero amplitude) keyed to the bottom pairs' children: entries 2p and 2p + 1
-    are the phases of segment entries p and p + 2**(n-m-1).
-    """
-    if not 1 <= m < t.n:
-        raise BadSplit(f"m={m} outside [1, {t.n - 1}]")
-    segments = t.amplitudes.reshape(1 << m, -1)
-    angles = _class_split(np.abs(segments) ** 2)
-    phases = None
-    if with_phases:
-        phases = np.array(_phases(t.amplitudes)).reshape(1 << m, 2, -1).transpose(0, 2, 1)
-        phases = phases.reshape(segments.shape)
-    return CSPAngleSet(m=m, n=t.n, angles=angles, phases=phases)
+# perfbench/traced.py looks the angle functions up under these older names
+injection_angles, injection_csp_angles = sp_angles, csp_angles
 
 
 # -- configuration ----------------------------------------------------------------
@@ -122,6 +62,26 @@ class ProtocolConfig:
             return None
 
 
+def stage_angles(t: TargetState, cfg: ProtocolConfig) -> tuple[AngleSet, CSPAngleSet | None]:
+    """The angles :func:`spcsp` emits for ``t`` under ``cfg``.
+
+    With a split m, the SP angles of the partition norms and the CSP angle
+    families, with phases for a target that is not real non-negative or
+    under ``cfg.complex_mode``.  In the SP-only fallback (no valid split),
+    the SP angles of the target's magnitudes and None.
+    """
+    if cfg.n != t.n:
+        raise BadSplit(f"config is for n={cfg.n}, target has n={t.n}")
+    complex_mode = cfg.complex_mode or not t.is_real_nonnegative()
+    m = cfg.resolved_m()
+    if m is None:
+        if complex_mode:
+            raise ComplexTargetNeedsCSP(
+                f"n={t.n} has no valid split; SP-only fallback handles real non-negative targets only")
+        return sp_angles(np.abs(t.amplitudes)), None
+    return sp_angles(partition_norms(t, m).values), csp_angles(t, m, with_phases=complex_mode)
+
+
 # -- emitters -----------------------------------------------------------------------
 
 
@@ -130,16 +90,15 @@ def _flip(c: Circuit, qubits: list[int], layer: int) -> None:
     c.put("x", qubits, layer)
 
 
-def _emit_sp(c: Circuit, data: list[int], values, start: int,
+def _emit_sp(c: Circuit, data: list[int], aset: AngleSet, start: int,
              keep_a: bool = False) -> tuple[int, list[int], list[int]]:
-    """State preparation on ``data`` from non-negative weights ``values``.
+    """State preparation on ``data`` from the angle set ``aset``.
 
     Emits the parallel angle rotations, the injection, and the flag-driven
     uncomputation; the angle and flag registers are freed in |0> unless the
     angle register is kept for a caller-managed reflection.
     """
     m = len(data)
-    aset = injection_angles(values)
     A = c.alloc_many((1 << m) - 1, at_layer=start)   # pair (s, p) owns A[2**s - 1 + p]
     c.put("ry", A, start, aset.angles.tolist())
     a_levels = split_levels(A)
@@ -161,7 +120,7 @@ def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
               angles: CSPAngleSet, cfg: ProtocolConfig, start: int,
               keep_b: bool = False) -> tuple[int, list[int], list[int]]:
     """Controlled state preparation of the lower register for each |k> of ctrl,
-    from the injection-ordered angle set ``angles``."""
+    from the angle families ``angles``."""
     nb = (1 << angles.sub_levels) - 1
     F0 = c.alloc_many(nb, at_layer=start)
     _flip(c, F0, start)
@@ -180,20 +139,21 @@ def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
     return end, B0, F0
 
 
-def sp_circuit(y: PartitionNorms, keep_a: bool = False) -> Circuit:
-    """Standalone state-preparation circuit for the partition-norm weights.
+def sp_circuit(angles: AngleSet, keep_a: bool = False) -> Circuit:
+    """Standalone state-preparation circuit for the angle set ``angles`` (:func:`sp_angles`).
 
     With ``keep_a`` the angle register stays live to the end.
     """
+    m = angles.m
     c = Circuit()
-    data = c.alloc_many(y.m, at_layer=0)
+    data = c.alloc_many(m, at_layer=0)
     c.mark_persistent(data)
-    end, A, F = _emit_sp(c, data, y.values, 0, keep_a=keep_a)
+    end, A, F = _emit_sp(c, data, angles, 0, keep_a=keep_a)
     c.add_register("D", data)
     c.add_register("A", A)
     c.add_register("F", F)
     c.meta["sp_end"] = end
-    c.meta["expected_register_sizes"] = {"D": y.m, "A": (1 << y.m) - 1}
+    c.meta["expected_register_sizes"] = {"D": m, "A": (1 << m) - 1}
     return c
 
 
@@ -207,8 +167,8 @@ def _prepare_basis(c: Circuit, qubits: list[int], basis: int | None) -> int:
 
 def csp_circuit(angles: CSPAngleSet, control_state: int | None = None,
                 cfg: ProtocolConfig | None = None) -> Circuit:
-    """Standalone controlled-state-preparation circuit for the injection-ordered
-    ``angles`` (:func:`injection_csp_angles`).
+    """Standalone controlled-state-preparation circuit for the angle families
+    ``angles`` (:func:`csp_angles`).
 
     When ``control_state`` is given, the control register is prepared in
     that basis state first (for per-branch testing).
@@ -239,24 +199,17 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
     end (for reflection constructions).
     """
     cfg = cfg or ProtocolConfig(n=t.n)
-    if cfg.n != t.n:
-        raise BadSplit(f"config is for n={cfg.n}, target has n={t.n}")
-    complex_mode = cfg.complex_mode or not t.is_real_nonnegative()
-    m = cfg.resolved_m()
-    if m is None:
-        if complex_mode:
-            raise ComplexTargetNeedsCSP(
-                f"n={t.n} has no valid split; SP-only fallback handles real non-negative targets only")
-        c = sp_circuit(PartitionNorms(m=t.n, values=np.abs(t.amplitudes)), keep_a=keep_ab)
+    aset, angles = stage_angles(t, cfg)
+    if angles is None:
+        c = sp_circuit(aset, keep_a=keep_ab)
         c.meta["sp_only"] = True
         return c
 
-    y = partition_norms(t, m)
-    angles = injection_csp_angles(t, m, with_phases=complex_mode)
+    m = angles.m
     c = Circuit()
     ctrl = c.alloc_many(m, at_layer=0)
     c.mark_persistent(ctrl)
-    sp_end, A, F = _emit_sp(c, ctrl, y.values, 0, keep_a=keep_ab)
+    sp_end, A, F = _emit_sp(c, ctrl, aset, 0, keep_a=keep_ab)
     lower = c.alloc_many(t.n - m, at_layer=sp_end)
     c.mark_persistent(lower)
     end, B0, F0 = _emit_csp(c, ctrl, lower, angles, cfg, sp_end, keep_b=keep_ab)
@@ -357,7 +310,7 @@ def fragment_circuit(name: str, m: int, angles: CSPAngleSet | None = None, t: in
                      basis: int | None = None, **kwargs) -> Circuit:
     """Wire one fragment into a standalone circuit with canonical registers.
 
-    ``loadf`` reads the injection-ordered ``angles`` (:func:`injection_csp_angles`).
+    ``loadf`` reads the angle families ``angles`` (:func:`csp_angles`).
     ``m`` must lie in [1, FRAGMENT_MAX_M], ``t`` in [0, FRAGMENT_MAX_M] and
     ``basis`` in [0, 2**m).
     """

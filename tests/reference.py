@@ -5,6 +5,7 @@ writer involved:
 
 * the circuit JSON document as lists and dicts (:func:`to_json_dict`),
   which ``circuit_ir.json_chunks`` must write byte for byte;
+* the rotation angle on pair (s, p), from the masses of a congruence class;
 * the fragments' target states: the FLAG marking, the SPF injection state
   and the LOADF buffer state;
 * dense unitaries of single gates and small gate lists, for decomposition
@@ -45,6 +46,15 @@ def to_json_dict(c: Circuit) -> dict:
 def pair_index(s: int, p: int) -> int:
     """Flat position of angle pair (s, p) in level-concatenated register order."""
     return (1 << s) - 1 + p
+
+
+def class_split_oracle(values, s: int, p: int) -> float:
+    """theta[s, p] from its definition: 2*arccos of the root of the mass fraction of the
+    subclass j = p (mod 2**(s+1)) inside the class j = p (mod 2**s), 0 for an empty class."""
+    sq = [abs(v) ** 2 for v in values]
+    cls = sum(sq[p::1 << s])
+    sub = sum(sq[p::1 << (s + 1)])
+    return 2 * math.acos(min(math.sqrt(sub / cls), 1.0)) if cls else 0.0
 
 
 def flag_oracle(j: int, m: int) -> dict[tuple[int, int], int]:

@@ -14,7 +14,7 @@ from qsprep import amplitudes as amp
 from qsprep import multicopy as mc
 from qsprep import protocols as proto
 from qsprep.circuit_ir import Circuit, GateSetModel, spacetime_allocation
-from qsprep.protocols import fragment_circuit, injection_angles
+from qsprep.protocols import fragment_circuit
 from qsprep.sim import run
 from qsprep.subroutines import copy, spf, split_levels
 from qsprep.circuit_ir import gate
@@ -156,7 +156,7 @@ class TestAcceptance:
         rng = np.random.default_rng(209)
         for _ in range(20):
             vals = rng.random(8) + 0.02
-            aset = injection_angles(vals)
+            aset = amp.sp_angles(vals)
             c = Circuit()
             data = [c.alloc(at_layer=0) for _ in range(3)]
             A = [c.alloc(at_layer=0) for _ in range(7)]

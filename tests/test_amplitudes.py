@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qsprep import amplitudes as amp
-from qsprep.errors import BadSplit, IndexOutOfRange, LengthNotPowerOfTwo, ZeroVector
+from qsprep.errors import BadSplit, LengthNotPowerOfTwo, ZeroVector
+from reference import class_split_oracle
 
 PIXELS = [232, 31, 62, 137]
 
@@ -15,17 +16,6 @@ def partition_oracle(x, m):
     block = 1 << (n - m)
     return [math.sqrt(sum(abs(x[i * block + l]) ** 2 for l in range(block)))
             for i in range(1 << m)]
-
-
-def angle_oracle(values, s, p):
-    """Direct evaluation of the two-index angle formula."""
-    m = int(math.log2(len(values)))
-    block = 1 << (m - s)
-    num = sum(abs(values[p * block + l]) ** 2 for l in range(block // 2))
-    den = sum(abs(values[p * block + l]) ** 2 for l in range(block))
-    if den == 0:
-        return 0.0
-    return 2 * math.acos(math.sqrt(num / den))
 
 
 class TestMakeTarget:
@@ -51,6 +41,20 @@ class TestMakeTarget:
     def test_rejects_scalar(self):
         with pytest.raises(LengthNotPowerOfTwo):
             amp.make_target([1])
+
+    @pytest.mark.parametrize("raw", [[1e-170] * 4, [1e200] * 4, [3e-160, 4e-160], [1e300, 1e300, 1, 1]],
+                             ids=["tiny", "huge", "subnormal_squares", "norm_overflow"])
+    def test_extreme_magnitudes_normalize(self, raw):
+        t = amp.make_target(raw)
+        assert abs(np.sum(np.abs(t.amplitudes) ** 2) - 1.0) <= 1e-15
+
+    def test_power_of_two_scale_keeps_every_bit(self):
+        """Scaling by a power of two is exact, so a rescaled input normalizes to the same bits."""
+        rng = np.random.default_rng(29)
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        want = amp.make_target(v).amplitudes
+        for k in (-900, -300, 300, 900):
+            assert np.array_equal(amp.make_target(v * 2.0**k).amplitudes, want)
 
 
 class TestPartitionNorms:
@@ -84,117 +88,33 @@ class TestPartitionNorms:
                 amp.partition_norms(t, m)
 
 
-class TestAngleTree:
-    def test_uniform_tree(self):
-        tree = amp.build_angle_tree([1, 1, 1, 1])
-        assert tree.root == 4
-        assert list(tree.level(1)) == [2, 2]
-
-    def test_pixel_root(self):
-        t = amp.make_target(PIXELS)
-        tree = amp.build_angle_tree(np.abs(t.amplitudes))
-        assert abs(tree.root - 1.0) < 1e-12
-
-    def test_two_leaf(self):
-        tree = amp.build_angle_tree([1, 0])
-        assert tree.root == 1
-        assert list(tree.level(1)) == [1, 0]
-
-    def test_parent_sum_rule(self):
-        rng = np.random.default_rng(3)
-        tree = amp.build_angle_tree(rng.random(32))
-        for s in range(tree.levels):
-            for p in range(1 << s):
-                assert abs(tree.node(s, p) - tree.node(s + 1, 2 * p) - tree.node(s + 1, 2 * p + 1)) < 1e-12
-
-    def test_rejects_non_power(self):
-        with pytest.raises(LengthNotPowerOfTwo):
-            amp.build_angle_tree([1, 1, 1])
-
-    def test_sparse_tree_nonzeros(self):
-        # d-sparse input leaves at most d*m nonzero internal nodes
-        m, d = 6, 3
-        vals = np.zeros(1 << m)
-        vals[[1, 17, 40]] = [0.3, 0.5, 0.7]
-        tree = amp.build_angle_tree(vals)
-        assert tree.nonzero_nodes() <= d * m
-
-
-class TestUpdateLeaf:
-    def test_zeroing_leaf_drops_root(self):
-        tree = amp.build_angle_tree([1, 1, 1, 1])
-        new = amp.update_leaf(tree, 0, 0.0)
-        assert new.root == 3
-        assert tree.root == 4  # original untouched
-
-    def test_update_matches_rebuild(self):
-        rng = np.random.default_rng(11)
-        vals = rng.random(16)
-        tree = amp.build_angle_tree(vals)
-        vals[5] = 0.123
-        updated = amp.update_leaf(tree, 5, 0.123)
-        rebuilt = amp.build_angle_tree(vals)
-        for s in range(5):
-            assert np.allclose(updated.level(s), rebuilt.level(s), atol=1e-12)
-
-    def test_idempotent_update(self):
-        vals = [0.1, 0.4, 0.3, 0.2]
-        tree = amp.build_angle_tree(vals)
-        same = amp.update_leaf(tree, 2, 0.3)
-        for s in range(3):
-            assert np.allclose(same.level(s), tree.level(s))
-
-    def test_write_count_is_path_length(self):
-        tree = amp.build_angle_tree([1.0] * 256)  # m = 8
-        updated = amp.update_leaf(tree, 37, 0.5)
-        assert updated.write_count == 9  # leaf plus 8 path nodes
-
-    def test_random_update_sequence_stays_consistent(self):
-        rng = np.random.default_rng(19)
-        vals = rng.random(32)
-        tree = amp.build_angle_tree(vals)
-        for _ in range(40):
-            idx = int(rng.integers(0, 32))
-            vals[idx] = rng.random()
-            tree = amp.update_leaf(tree, idx, vals[idx])
-        for s in range(tree.levels):
-            for p in range(1 << s):
-                kids = tree.node(s + 1, 2 * p) + tree.node(s + 1, 2 * p + 1)
-                assert abs(tree.node(s, p) - kids) < 1e-12
-        rebuilt = amp.build_angle_tree(vals)
-        for s in range(tree.levels + 1):
-            assert np.allclose(tree.level(s), rebuilt.level(s), atol=1e-12)
-
-    def test_index_range(self):
-        tree = amp.build_angle_tree([1, 1])
-        with pytest.raises(IndexOutOfRange):
-            amp.update_leaf(tree, 2, 1.0)
-
-
 class TestSpAngles:
     def test_uniform_gives_pi_over_2(self):
-        tree = amp.build_angle_tree([1, 1, 1, 1])
-        aset = amp.sp_angles(tree)
-        for s, p, theta in aset.items():
-            assert abs(theta - math.pi / 2) < 1e-12
+        aset = amp.sp_angles([1, 1, 1, 1])
+        assert np.allclose(aset.angles, math.pi / 2, rtol=0, atol=1e-12)
 
     def test_basis_vector_all_zero(self):
-        tree = amp.build_angle_tree([1, 0, 0, 0])
-        aset = amp.sp_angles(tree)
-        assert all(theta == 0.0 for _, _, theta in aset.items())
+        for j in range(8):
+            aset = amp.sp_angles(np.eye(8)[j])
+            assert all(theta == 0.0 for theta in aset.angles.tolist()) == (j == 0)
 
     def test_pixels_against_oracle(self):
         t = amp.make_target(PIXELS)
         vals = np.abs(t.amplitudes)
-        aset = amp.sp_angles(amp.build_angle_tree(vals))
-        for s, p, theta in aset.items():
-            assert abs(theta - angle_oracle(vals, s, p)) < 1e-12
-        assert abs(aset.theta(0, 0) - 1.1396) < 5e-3
+        aset = amp.sp_angles(vals)
+        for s in range(2):
+            for p in range(1 << s):
+                assert abs(aset.theta(s, p) - class_split_oracle(vals, s, p)) < 1e-12
+        assert abs(aset.theta(0, 0) - 1.0585) < 5e-3
 
     def test_angle_count(self):
         for m in range(1, 6):
-            aset = amp.sp_angles(amp.build_angle_tree([1.0] * (1 << m)))
-            assert len(aset) == (1 << m) - 1
+            aset = amp.sp_angles([1.0] * (1 << m))
+            assert aset.m == m and len(aset) == (1 << m) - 1
+
+    def test_rejects_non_power(self):
+        with pytest.raises(LengthNotPowerOfTwo):
+            amp.sp_angles([1, 1, 1])
 
     def test_degenerate_zero_patterns_stay_finite(self):
         rng = np.random.default_rng(5)
@@ -203,27 +123,29 @@ class TestSpAngles:
             vals[rng.random(16) < 0.5] = 0.0
             if not vals.any():
                 vals[0] = 1.0
-            aset = amp.sp_angles(amp.build_angle_tree(vals))
+            aset = amp.sp_angles(vals)
             assert np.all(np.isfinite(aset.angles))
             assert np.all(aset.angles >= 0) and np.all(aset.angles <= math.pi + 1e-12)
+            for s in range(4):
+                for p in range(1 << s):
+                    assert abs(aset.theta(s, p) - class_split_oracle(vals, s, p)) < 1e-12
 
 
 class TestCspAngles:
     def test_real_target_has_zero_phases(self):
         t = amp.make_target(PIXELS)
         cset = amp.csp_angles(t, 1, with_phases=True)
-        assert np.allclose(cset.phases, 0.0)
+        assert np.array_equal(cset.phases, np.zeros((2, 2)))
 
     def test_basis_top_entry(self):
         # only the k = 1 branch carries weight; its angles walk to the last leaf
-        t = amp.make_target([0, 0, 0, 1])
+        t = amp.make_target([0] * 7 + [1])
         cset = amp.csp_angles(t, 1)
         for s in range(cset.sub_levels):
             for p in range(1 << s):
-                expect = angle_oracle([0.0, 1.0], s, p)
-                assert abs(cset.theta(1, s, p) - expect) < 1e-12
-        assert all(cset.theta(0, s, p) == 0.0
-                   for s in range(cset.sub_levels) for p in range(1 << s))
+                assert cset.theta(1, s, p) == class_split_oracle([0, 0, 0, 1], s, p)
+        assert cset.angles[1].tolist() == [math.pi, 0.0, math.pi]
+        assert not cset.angles[0].any()
 
     def test_brute_force_every_entry(self):
         rng = np.random.default_rng(13)
@@ -235,7 +157,7 @@ class TestCspAngles:
                 seg = np.abs(t.amplitudes[k * block:(k + 1) * block])
                 for s in range(cset.sub_levels):
                     for p in range(1 << s):
-                        assert abs(cset.theta(k, s, p) - angle_oracle(seg, s, p)) < 1e-12
+                        assert abs(cset.theta(k, s, p) - class_split_oracle(seg, s, p)) < 1e-12
 
     def test_global_phase_pattern(self):
         mags = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
@@ -247,8 +169,7 @@ class TestCspAngles:
         rng = np.random.default_rng(17)
         for n, m in [(3, 1), (4, 2), (5, 2), (6, 3)]:
             t = amp.make_target(rng.random(1 << n))
-            y = amp.partition_norms(t, m)
-            sp = amp.sp_angles(amp.build_angle_tree(y.values))
+            sp = amp.sp_angles(amp.partition_norms(t, m).values)
             csp = amp.csp_angles(t, m, with_phases=True)
             assert len(sp) + csp.count() == (1 << n) - 1
             assert csp.phases.size == 1 << n
@@ -257,6 +178,7 @@ class TestCspAngles:
         t = amp.make_target([1j, 0, 0, 1])
         cset = amp.csp_angles(t, 1, with_phases=True)
         assert cset.phases[0, 1] == 0.0 and cset.phases[1, 0] == 0.0
+        assert cset.phases[0, 0] == math.pi / 2 and cset.phases[1, 1] == 0.0
 
 
 class TestJsonInterface:
@@ -268,11 +190,11 @@ class TestJsonInterface:
 
     def test_angles_document_shape(self):
         t = amp.make_target(PIXELS)
-        y = amp.partition_norms(t, 1)
-        doc = amp.angles_to_json(
-            amp.sp_angles(amp.build_angle_tree(y.values)),
-            amp.csp_angles(t, 1, with_phases=True),
-        )
-        assert {e["s"] for e in doc["sp_angles"]} == {0}
-        assert len(doc["csp_angles"]) == 2
-        assert len(doc["phases"]) == 4
+        sp = amp.sp_angles(amp.partition_norms(t, 1).values)
+        csp = amp.csp_angles(t, 1, with_phases=True)
+        doc = amp.angles_to_json(sp, csp)
+        assert doc == {"sp_angles": [sp.theta(0, 0)],
+                       "csp_angles": [[csp.theta(0, 0, 0)], [csp.theta(1, 0, 0)]],
+                       "phases": [[0.0, 0.0], [0.0, 0.0]]}
+        assert amp.angles_to_json(sp, amp.csp_angles(t, 1)).keys() == {"sp_angles", "csp_angles"}
+        assert amp.angles_to_json(sp) == {"sp_angles": [sp.theta(0, 0)]}

@@ -87,13 +87,36 @@ class TestSynth:
         rep = json.loads(out)["report"]
         assert rep["sa_approx"] > rep["sa_exact"]
 
-    def test_angles_out(self, capsys, tmp_path, pixels):
-        angles = tmp_path / "a.json"
-        code, _, _ = run_cli(capsys, "synth", "--in", pixels, "--m", "1",
-                             "--out", str(tmp_path / "c.json"), "--angles-out", str(angles))
-        assert code == 0
-        doc = json.loads(angles.read_text())
-        assert len(doc["sp_angles"]) == 1 and len(doc["csp_angles"]) == 2
+    def test_angles_out(self, capsys, tmp_path):
+        """The angle file holds the circuit's own parameters: the layer-0 ``ry`` on register
+        A, in register order, and the first LOADF rotation layer, pair by pair and within
+        a pair control value by control value.  Without a valid split (n=3) the circuit
+        is SP alone, and so is the file."""
+        rng = np.random.default_rng(31)
+        for n, m, complex_ in (6, 2, False), (6, 2, True), (8, 5, False), (8, 5, True), (3, None, False):
+            amps = rng.random(1 << n) + 0.05
+            if complex_:
+                amps = amps * np.exp(2j * np.pi * rng.random(1 << n))
+            path, circ, angles = (tmp_path / name for name in ("t.json", "c.json", "a.json"))
+            path.write_text(json.dumps({"amplitudes": [[a.real, a.imag] for a in amps.tolist()]}))
+            split = [] if m is None else ["--m", str(m)]
+            code, _, _ = run_cli(capsys, "synth", "--in", str(path), *split,
+                                 "--out", str(circ), "--angles-out", str(angles))
+            assert code == 0
+            doc, c = json.loads(angles.read_text()), json.loads(circ.read_text())
+            ry = {g["qubits"][0]: g["params"][0] for g in c["layers"][0] if g["op"] == "ry"}
+            assert [ry[q] for q in c["registers"]["A"]] == doc["sp_angles"]
+            if m is None:
+                assert list(doc) == ["sp_angles"]
+                continue
+            ccry = next(layer for layer in c["layers"] if any(g["op"] == "ccry" for g in layer))
+            params = [g["params"][0] for g in ccry if g["op"] == "ccry"]
+            assert params == np.asarray(doc["csp_angles"]).T.ravel().tolist()
+            assert np.shape(doc["csp_angles"]) == (1 << m, (1 << (n - m)) - 1)
+            assert ("phases" in doc) == complex_
+            if complex_:
+                target = amp.target_from_json(path.read_bytes())
+                assert doc["phases"] == amp.csp_angles(target, m, with_phases=True).phases.tolist()
 
     def test_bad_input_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -106,15 +129,38 @@ class TestSynth:
         [1, float("inf"), 1, 1],
         [1, float("nan"), 1, 1],
         [[1, 0], [float("nan"), 0], [1, 0], [1, 0]],
-        [1e300, 1e300, 1, 1],
         [None, 1],
-    ], ids=["inf", "nan", "complex_nan", "norm_overflow", "null"])
+        [True, False],
+        ["1", "1j"],
+        [[1, True], [0, 0]],
+        [10**400, 1],
+    ], ids=["inf", "nan", "complex_nan", "null", "bool", "string", "complex_bool", "int_overflow"])
     def test_non_finite_amplitude_is_exit_2(self, capsys, tmp_path, amplitudes):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"amplitudes": amplitudes}))
         code, _, err = run_cli(capsys, "synth", "--in", str(path))
         assert code == 2
         assert json.loads(err)["error"] == "NonFiniteAmplitude"
+
+    @pytest.mark.parametrize("amplitudes", ["0101", {"0": 1, "1": 1}, 4], ids=["string", "object", "number"])
+    def test_non_array_amplitudes_is_exit_2(self, capsys, tmp_path, amplitudes):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"amplitudes": amplitudes}))
+        code, _, err = run_cli(capsys, "synth", "--in", str(path))
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize("amplitudes", [[1e300, 1e300, 1, 1], [1e-170] * 4, [3e-160, 4e-160]],
+                             ids=["norm_overflow", "tiny", "subnormal_squares"])
+    def test_extreme_magnitudes_compile(self, capsys, tmp_path, amplitudes):
+        """A vector whose squares overflow or underflow is scaled before it is normalized."""
+        path, circ = tmp_path / "t.json", tmp_path / "c.json"
+        path.write_text(json.dumps({"amplitudes": amplitudes}))
+        code, _, _ = run_cli(capsys, "synth", "--in", str(path), "--out", str(circ))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "simulate", "--in", str(circ), "--target", str(path))
+        assert code == 0
+        assert json.loads(out)["report"]["fidelity"] > 1 - 1e-12
 
     def test_validation_violation_is_exit_3(self, capsys, monkeypatch, pixels):
         monkeypatch.setattr(Circuit, "validate", lambda self: ["layer 0: forced"])
@@ -126,14 +172,14 @@ class TestSynth:
     def test_faulty_emitter_is_exit_3(self, capsys, monkeypatch, tmp_path, rand_n4, fault):
         # emitters build gates without per-gate checks; the one validate() must catch them
         if fault == "numpy_angle":
-            injection_angles = proto.injection_angles
+            sp_angles = proto.sp_angles
 
             def numpy_angles(values):
                 # numpy scalars in an object array stay numpy scalars through .tolist()
-                aset = injection_angles(values)
+                aset = sp_angles(values)
                 return amp.AngleSet(m=aset.m, angles=np.array(list(aset.angles), dtype=object))
 
-            monkeypatch.setattr(proto, "injection_angles", numpy_angles)
+            monkeypatch.setattr(proto, "sp_angles", numpy_angles)
         elif fault == "repeated_operand":
             cs_layer = subroutines.cs_layer
             monkeypatch.setattr(subroutines, "cs_layer", lambda c, t, controls, targets, at_layer=None:
@@ -358,9 +404,8 @@ class TestLazyImports:
         """The package exports exactly these names; the fragment oracles are test references
         (``tests/reference.py``), not API."""
         assert qsprep.__all__ == [
-            "AngleSet", "AngleTree", "CSPAngleSet", "PartitionNorms", "TargetState",
-            "build_angle_tree", "csp_angles", "make_target", "partition_norms", "sp_angles",
-            "update_leaf",
+            "AngleSet", "CSPAngleSet", "PartitionNorms", "TargetState", "csp_angles",
+            "make_target", "partition_norms", "sp_angles",
             "Circuit", "Gate", "GateSetModel", "ResourceReport", "expand", "gate",
             "spacetime_allocation",
             "ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit", "spcsp",
@@ -589,7 +634,7 @@ class TestMulticopyCmd:
         assert doc["peak_ancillae"] <= 64
         assert doc["report"]["depth"] > 0
 
-    @pytest.mark.parametrize("doc", [{"vectors": [[1, 2]]}, {"targets": 3}, 7])
+    @pytest.mark.parametrize("doc", [{"vectors": [[1, 2]]}, {"targets": 3}, 7, {"targets": ["0101"]}])
     def test_malformed_batch_is_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(doc))

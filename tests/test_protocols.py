@@ -13,7 +13,7 @@ from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
 from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit, PeakQubitsExceeded
 from qsprep.sim import run
-from reference import to_json_dict
+from reference import class_split_oracle, to_json_dict
 from tests_reflection_helper import run_with_input
 
 
@@ -58,17 +58,18 @@ class TestChooseM:
 
 
 class TestInjectionAngles:
+    def test_older_names_are_the_angle_functions(self):
+        """The benchmark's tracer times the angles under the older protocols names."""
+        assert proto.injection_angles is amp.sp_angles
+        assert proto.injection_csp_angles is amp.csp_angles
+
     def test_injection_masses(self):
         rng = np.random.default_rng(1)
         vals = rng.random(8)
-        aset = proto.injection_angles(vals)
-        sq = vals**2
+        aset = amp.sp_angles(vals)
         for s in range(3):
             for p in range(1 << s):
-                cls = sq[p::1 << s].sum()
-                sub = sq[p::1 << (s + 1)].sum()
-                want = 2 * math.acos(math.sqrt(sub / cls))
-                assert abs(aset.theta(s, p) - want) < 1e-12
+                assert abs(aset.theta(s, p) - class_split_oracle(vals, s, p)) < 1e-12
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n, m", [(3, 1), (6, 2), (8, 5)])
@@ -76,10 +77,10 @@ class TestInjectionAngles:
         """Control value k's CSP angles are the SP angles of segment k's magnitudes, bit for
         bit, and each phase is that of the segment entry its bottom pair child selects."""
         t = random_targets(np.random.default_rng(n + 10 * m), n, 1, complex_)[0]
-        cset = proto.injection_csp_angles(t, m, with_phases=True)
+        cset = amp.csp_angles(t, m, with_phases=True)
         half = 1 << (n - m - 1)
         for k, seg in enumerate(t.amplitudes.reshape(1 << m, -1)):
-            assert np.array_equal(cset.angles[k], proto.injection_angles(np.abs(seg)).angles)
+            assert np.array_equal(cset.angles[k], amp.sp_angles(np.abs(seg)).angles)
             for p in range(half):
                 for i in (0, 1):
                     assert cset.phases[k, 2 * p + i] == cmath.phase(seg[p + i * half])
@@ -88,12 +89,12 @@ class TestInjectionAngles:
 class TestSpCircuit:
     def test_pixel_example(self):
         t = amp.make_target([232, 31, 62, 137])
-        c = proto.sp_circuit(amp.PartitionNorms(m=2, values=np.abs(t.amplitudes)))
+        c = proto.sp_circuit(amp.sp_angles(np.abs(t.amplitudes)))
         _, fid = fidelity(c, [0.834, 0.111, 0.223, 0.492])
         assert fid >= 1 - 5e-4
 
     def test_basis_vector_zero_rotations(self):
-        c = proto.sp_circuit(amp.PartitionNorms(m=2, values=np.array([1.0, 0, 0, 0])))
+        c = proto.sp_circuit(amp.sp_angles(np.array([1.0, 0, 0, 0])))
         rotations = [g for t in range(c.num_layers()) for g in c.gates(t) if g.op in ROTATION_OPS]
         assert all(abs(g.params[0]) == 0.0 for g in rotations)
         _, fid = fidelity(c, [1, 0, 0, 0])
@@ -103,13 +104,13 @@ class TestSpCircuit:
         rng = np.random.default_rng(3)
         for _ in range(5):
             vals = rng.random(8) + 0.02
-            c = proto.sp_circuit(amp.PartitionNorms(m=3, values=vals))
+            c = proto.sp_circuit(amp.sp_angles(vals))
             report, fid = fidelity(c, vals / np.linalg.norm(vals))
             assert fid >= 1 - 1e-9
             assert all(mass <= 1e-10 for _, _, mass in report.ancilla_verdicts)
 
     def test_ancillae_all_freed(self):
-        c = proto.sp_circuit(amp.PartitionNorms(m=2, values=np.array([1.0, 2, 3, 4])))
+        c = proto.sp_circuit(amp.sp_angles(np.array([1.0, 2, 3, 4])))
         live_at_end = [q for q in c.qubits() if c.dealloc_layer(q) is None]
         assert {q for q in live_at_end} == c.persistent()
 
@@ -117,7 +118,7 @@ class TestSpCircuit:
 class TestCspCircuit:
     def test_basis_control_zero_target(self):
         t = amp.make_target([1, 0, 0, 0, 0, 0, 0, 0])
-        c = proto.csp_circuit(proto.injection_csp_angles(t, 1), control_state=0)
+        c = proto.csp_circuit(amp.csp_angles(t, 1), control_state=0)
         _, state = run(c)
         vec = state.statevector(c.registers["D"])
         assert abs(abs(vec[0]) - 1.0) < 1e-10
@@ -127,7 +128,7 @@ class TestCspCircuit:
         rng = np.random.default_rng(40 + k)
         t = amp.make_target(rng.random(8) + 0.05)
         y = amp.partition_norms(t, 1)
-        c = proto.csp_circuit(proto.injection_csp_angles(t, 1), control_state=k)
+        c = proto.csp_circuit(amp.csp_angles(t, 1), control_state=k)
         data = c.registers["D"]
         want = np.zeros(8, dtype=complex)
         seg = t.amplitudes[4 * k: 4 * k + 4]
@@ -203,7 +204,7 @@ class TestSpCsp:
 
         rng = np.random.default_rng(61)
         t = random_targets(rng, 3, 1)[0]
-        conv = proto.injection_csp_angles(t, 1)
+        conv = amp.csp_angles(t, 1)
         c = Circuit()
         ctrl = [c.alloc(at_layer=0), c.alloc(at_layer=0)]  # wrong width
         B0 = [c.alloc(at_layer=0) for _ in range(3)]
@@ -329,10 +330,10 @@ class TestOracleTriangle:
         rng = np.random.default_rng(23)
         t = amp.make_target(rng.random(8) + 0.02)
         y = amp.partition_norms(t, 1)
-        conv = proto.injection_csp_angles(t, 1)
+        conv = amp.csp_angles(t, 1)
         for k in range(2):
             seg = np.abs(t.amplitudes[4 * k: 4 * k + 4]) / y.values[k]
-            direct = proto.injection_angles(seg)
+            direct = amp.sp_angles(seg)
             assert np.allclose(conv.angles[k], direct.angles, atol=1e-12)
 
     def test_loadf_oracle_feeds_spf_oracle(self):
@@ -341,7 +342,7 @@ class TestOracleTriangle:
         rng = np.random.default_rng(24)
         t = amp.make_target(rng.random(8) + 0.02)
         y = amp.partition_norms(t, 1)
-        conv = proto.injection_csp_angles(t, 1)
+        conv = amp.csp_angles(t, 1)
         for k in range(2):
             theta_state = loadf_oracle(conv, k, [1, 1, 1])
             pair_states = [_angle_state(conv.theta(k, s, p))

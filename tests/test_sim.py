@@ -10,7 +10,8 @@ from qsprep.circuit_ir import Block, Circuit, gate
 from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
 from qsprep.sim import SimState, run
 from qsprep.subroutines import copy
-from reference import block_unitary, flag_oracle, gate_unitary, loadf_oracle, pair_index, spf_oracle, to_json_dict
+from reference import (block_unitary, class_split_oracle, flag_oracle, gate_unitary, loadf_oracle, pair_index,
+                       spf_oracle, to_json_dict)
 
 
 def ry_matrix(theta):
@@ -285,12 +286,11 @@ class TestContractionSoundnessFragments:
         assert np.max(np.abs(full[0, :] - dyn)) < 1e-10
 
     def test_spf_fragment(self):
-        from qsprep.protocols import injection_angles
         from qsprep.subroutines import spf, split_levels
 
         rng = np.random.default_rng(44)
         vals = rng.random(8) + 0.05
-        aset = injection_angles(vals)
+        aset = amp.sp_angles(vals)
         c = Circuit()
         data = [c.alloc(at_layer=0) for _ in range(3)]
         A = [c.alloc(at_layer=0) for _ in range(7)]
@@ -331,12 +331,11 @@ class TestContractionSoundnessFragments:
         self.compare(c, ctrl + [payload])
 
     def test_loadf_fragment(self):
-        from qsprep import amplitudes as amp
-        from qsprep.protocols import fragment_circuit, injection_csp_angles
+        from qsprep.protocols import fragment_circuit
 
         rng = np.random.default_rng(45)
         t = amp.make_target(rng.random(8) + 0.05)
-        conv = injection_csp_angles(t, 1)
+        conv = amp.csp_angles(t, 1)
         c = fragment_circuit("loadf", m=1, angles=conv, basis=1,
                              flags=[1, 1, 1], fanout=False)
         keep = c.registers["D0"] + c.registers["B0"] + c.registers["F0"]
@@ -371,13 +370,19 @@ class TestOracles:
         for m in (2, 3):
             vals = rng.random(1 << m)
             y = amp.PartitionNorms(m=m, values=vals)
-            aset = amp.sp_angles(amp.build_angle_tree(vals))
+            aset = amp.sp_angles(vals)
             vec = spf_oracle(y, aset)
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+            for s in range(m):
+                for p in range(1 << s):
+                    assert abs(aset.theta(s, p) - class_split_oracle(vals, s, p)) < 1e-12
 
     def test_loadf_oracle_zero_flags(self):
         t = amp.make_target(np.arange(1, 9))
         cset = amp.csp_angles(t, 1)
+        seg = np.abs(t.amplitudes[:4])
+        assert all(abs(cset.theta(0, s, p) - class_split_oracle(seg, s, p)) < 1e-12
+                   for s in range(2) for p in range(1 << s))
         vec = loadf_oracle(cset, 0, [0, 0, 0])
         want = np.zeros(8)
         want[0] = 1.0
@@ -386,6 +391,9 @@ class TestOracles:
     def test_loadf_oracle_all_flags(self):
         t = amp.make_target(np.arange(1, 9))
         cset = amp.csp_angles(t, 1)
+        seg = np.abs(t.amplitudes[4:])
+        assert all(abs(cset.theta(1, s, p) - class_split_oracle(seg, s, p)) < 1e-12
+                   for s in range(2) for p in range(1 << s))
         vec = loadf_oracle(cset, 1, [1, 1, 1])
         states = [np.array([math.cos(cset.theta(1, s, p) / 2), math.sin(cset.theta(1, s, p) / 2)])
                   for s in range(2) for p in range(1 << s)]

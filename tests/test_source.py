@@ -129,3 +129,15 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += [f"{path}:{node.lineno} {node.name}({name})" for name in params if name not in read]
     assert found == []
+
+
+def test_no_private_imports_across_modules():
+    """No module imports another package module's underscore name: each private helper
+    (the angle rule `_class_split` and `_split_angle` among them) stays in the module
+    that owns it, so the package computes its angles in one place."""
+    found = []
+    for path, node in package_nodes():
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qsprep")):
+            found += [f"{path}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert found == []

@@ -6,7 +6,7 @@ import pytest
 from qsprep import amplitudes as amp
 from qsprep.circuit_ir import Block, Circuit, gate, spacetime_allocation
 from qsprep.errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
-from qsprep.protocols import FRAGMENT_MAX_M, fragment_circuit, injection_angles, injection_csp_angles
+from qsprep.protocols import FRAGMENT_MAX_M, fragment_circuit
 from qsprep.sim import run
 from qsprep.subroutines import (
     CopyTree,
@@ -208,7 +208,7 @@ def spf_fragment(y_values):
     """Build data + angle registers, prep |Theta>, run spf; return pieces."""
     vals = np.asarray(y_values, float)
     m = int(math.log2(len(vals)))
-    aset = injection_angles(vals)
+    aset = amp.sp_angles(vals)
     c = Circuit()
     data = [c.alloc(at_layer=0) for _ in range(m)]
     A = [c.alloc(at_layer=0) for _ in range((1 << m) - 1)]
@@ -387,7 +387,7 @@ class TestLoadf:
     def setup_method(self):
         rng = np.random.default_rng(33)
         self.t = amp.make_target(rng.random(8) + 0.05)
-        self.conv = injection_csp_angles(self.t, 1)
+        self.conv = amp.csp_angles(self.t, 1)
 
     def loadf_state(self, k, flags, **kwargs):
         c = fragment_circuit("loadf", m=1, angles=self.conv, basis=k,
