@@ -16,9 +16,13 @@ an ``array('d')`` of parameters, and each op's code fixes how many ids
 and parameters it takes (``GATE_SIGNATURES``).  The per-qubit tables are
 flat arrays as well, with ``NEVER`` as the release layer of a qubit that
 is never released.  A gate costs about 12 bytes of columns and a qubit 13
-bytes of tables; whole-layer checks, relocation, compaction and
-serialization are passes over the columns in C.  :meth:`Circuit.gates`
-reads a layer's columns back as ``Gate`` tuples.
+bytes of tables.  The whole-circuit passes (:meth:`Circuit.validate`'s
+walk, the latest layers, the live profile, compaction, time reversal and
+the accounting) read the columns and tables through numpy views that
+share their memory (:func:`_view`), a few numpy calls per layer or per
+table; placement, relocation and serialization take the columns an id at
+a time in C.  :meth:`Circuit.gates` reads a layer's columns back as
+``Gate`` tuples.
 
 The check boundary: the per-gate rules are stated once, split by where
 they are enforced.
@@ -50,12 +54,14 @@ import codecs
 import json
 import math
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat
-from operator import itemgetter, le, lt, ne, neg, sub
+from operator import itemgetter, lt, ne, neg
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     BadEpsilon,
@@ -115,6 +121,22 @@ _I32 = range(-2**31, NEVER)
 
 #: ``_consume(iterator)`` runs an iterator of C calls, such as ``map(setitem, ...)``, to its end
 _consume = deque(maxlen=0).extend
+
+
+def _view(column: array) -> np.ndarray:
+    """An ``array('i')`` column or table as a numpy array that shares its memory.  The
+    array cannot be resized while a view of it exists (``BufferError``), so each
+    whole-circuit pass drops its views when it returns."""
+    return np.frombuffer(column, np.intc)
+
+
+def _before(layers: array) -> array:
+    """A copy of a table of layers, each one less: the latest layer of a qubit allocated
+    there that has no gate yet."""
+    out = layers[:]
+    earlier = _view(out)
+    earlier -= 1
+    return out
 
 
 class Register(array):
@@ -399,16 +421,19 @@ class Circuit:
 
     def _extend(self, t: int, codes: bytes, ids: list[int], values: list[float]) -> None:
         """Append a packed batch to layer ``t``'s columns, unchecked, growing the
-        circuit to that layer; an id outside the id column's range is ``OperandNotLive``."""
+        circuit to that layer.  The id list goes straight into the id column
+        (``fromlist`` leaves the column as it was if an id does not fit); an id
+        outside the column's range is ``OperandNotLive`` and adds no layer."""
+        layers = len(self._ops)
+        self._grow(t)
         try:
-            qs = array("i", ids)
+            self._qs[t].fromlist(ids)
         except OverflowError:
+            del self._ops[layers:], self._qs[layers:], self._ps[layers:]
             bad = next(i for i in ids if i not in _I32)
             raise OperandNotLive(f"layer {t}: qubit {bad} is not in the circuit") from None
-        self._grow(t)
         self._ops[t] += codes
-        self._qs[t] += qs
-        self._ps[t].extend(values)
+        self._ps[t].fromlist(values)
 
     def _ends(self, layer: int) -> tuple[int, int, int]:
         """The lengths of layer ``layer``'s columns; zeros past the last layer."""
@@ -433,7 +458,7 @@ class Circuit:
 
     def of_kind(self, kind: str) -> list[int]:
         """The qubits of one kind, in id order: one pass over the kind table."""
-        return list(compress(range(len(self._kind)), map(_KIND_CODE[kind].__eq__, self._kind)))
+        return np.flatnonzero(np.frombuffer(self._kind, np.uint8) == _KIND_CODE[kind]).tolist()
 
     def alloc_layer(self, q: int) -> int:
         return self._alloc[q]
@@ -467,17 +492,21 @@ class Circuit:
         """Live-qubit count per layer (allocated and not yet deallocated).
 
         Counts only the given qubits when ``qubits`` is passed, else all.
-        The allocations and the releases (at most ``num_layers()``) are
-        counted per layer in C; a lifetime adds one from its alloc layer up
-        to its release layer, and an empty one nothing.
+        A lifetime adds one at its alloc layer and takes one away at its
+        release layer (at most ``num_layers()``), so an empty one adds
+        nothing, and one allocated past the last layer counts nowhere: both
+        are counted per layer by ``np.add.at`` over the tables, and the
+        profile is the running sum of the counts.
         """
         L = self.num_layers()
-        alloc, dealloc = self._alloc, self._dealloc
+        alloc, dealloc = _view(self._alloc), _view(self._dealloc)
         if qubits is not None:
-            ids = list(qubits)
-            alloc, dealloc = map(alloc.__getitem__, ids), map(dealloc.__getitem__, ids)
-        starts, ends = Counter(alloc), Counter(map(min, dealloc, repeat(L)))
-        return list(accumulate(starts[t] - ends[t] for t in range(L)))
+            ids = np.fromiter(qubits, np.intc)
+            alloc, dealloc = alloc[ids], dealloc[ids]
+        steps = np.zeros(max(L, int(alloc.max(initial=0))) + 1, np.int64)
+        np.add.at(steps, alloc, 1)
+        np.subtract.at(steps, np.minimum(dealloc, L), 1)
+        return np.cumsum(steps[:L]).tolist()
 
     def embed(self, src: "Circuit", shift: Callable[[int], int],
               shared: dict[int, int] | None = None) -> list[int]:
@@ -519,12 +548,14 @@ class Circuit:
         """Drop empty layers, remapping lifecycle layer indices."""
         if all(self._ops):
             return self
-        new_index = dict(enumerate(accumulate(map(bool, self._ops), initial=0)))
-        new_index[NEVER] = NEVER
-        c = self._copy_tables()
-        c._alloc = array("i", map(new_index.__getitem__, self._alloc))
-        c._dealloc = array("i", map(new_index.__getitem__, self._dealloc))
         kept = list(map(bool, self._ops))
+        new_index = np.fromiter(accumulate(kept, initial=0), np.intc, len(kept) + 1)
+        c = self._copy_tables()
+        c._alloc, c._dealloc = self._alloc[:], self._dealloc[:]
+        alloc, dealloc = _view(c._alloc), _view(c._dealloc)
+        alloc[:] = new_index[alloc]
+        released = dealloc != NEVER
+        dealloc[released] = new_index[dealloc[released]]
         c._ops = [codes[:] for codes in compress(self._ops, kept)]
         c._qs = [ids[:] for ids in compress(self._qs, kept)]
         c._ps = [values[:] for values in compress(self._ps, kept)]
@@ -533,10 +564,10 @@ class Circuit:
 
     def _reset_last_use(self) -> None:
         """Set each qubit's latest layer from the gates: its last gate's layer, else its alloc layer - 1."""
-        last_use = array("i", map((-1).__add__, self._alloc))
+        self._last_use = _before(self._alloc)
+        last_use = _view(self._last_use)
         for t, ids in enumerate(self._qs):
-            _consume(map(last_use.__setitem__, ids, repeat(t)))
-        self._last_use = last_use
+            last_use[_view(ids)] = t
 
     def adjoint(self) -> "Circuit":
         """Time-reversed circuit with inverted gates and mirrored lifecycles.
@@ -546,13 +577,22 @@ class Circuit:
         """
         T = self.num_layers()
         c = self._copy_tables()
-        c._alloc = array("i", (0 if d == NEVER else T - d for d in self._dealloc))
+        c._alloc, c._dealloc = self._dealloc[:], self._alloc[:]
+        alloc, dealloc = _view(c._alloc), _view(c._dealloc)
+        never = alloc == NEVER
+        np.subtract(T, alloc, out=alloc)
+        alloc[never] = 0
         # non-persistent qubits allocated at 0 still mirror to a dealloc at T
-        c._dealloc = array("i", (NEVER if a == 0 and q in self._persistent else T - a
-                                 for q, a in enumerate(self._alloc)))
+        kept = np.fromiter(self._persistent, np.intc, len(self._persistent))
+        kept = kept[dealloc[kept] == 0]
+        np.subtract(T, dealloc, out=dealloc)
+        dealloc[kept] = NEVER
         c._ops = [codes.translate(_INVERSE) for codes in reversed(self._ops)]
         c._qs = [ids[:] for ids in reversed(self._qs)]
-        c._ps = [array("d", map(neg, values)) for values in reversed(self._ps)]
+        c._ps = [values[:] for values in reversed(self._ps)]
+        for values in c._ps:
+            negated = np.frombuffer(values)
+            np.negative(negated, out=negated)
         c._reset_last_use()
         return c
 
@@ -570,29 +610,40 @@ class Circuit:
                     violations.append(f"register {name}: size {have}, expected {size}")
         return violations
 
-    def _faults(self) -> Iterator[tuple[type[CircuitError], str]]:
+    def _faults(self, last_use: np.ndarray | None = None) -> Iterator[tuple[type[CircuitError], str]]:
         """Every gate and liveness fault, layer by layer, as (error class, message).
 
         The columns hold only well-formed gates (:func:`_pack`), so each
         gate must keep :func:`_value_faults` and act on qubits live at its
-        layer, one gate per qubit per layer.  A layer is checked as a whole,
-        one pass per rule over its flat columns, and walked gate by gate only
-        when it fails.  The walk makes no Python object per id: the lifecycle
-        tables are read in place, and a repeated operand is found by
-        :func:`_distinct` with one byte of scratch per qubit, for a layer whose
-        ids are all qubits of the circuit.
+        layer, one gate per qubit per layer.  A layer is checked as a whole
+        by a few numpy calls on views of its columns and of the lifecycle
+        tables (:func:`_view`): its parameters are finite, its ids lie in
+        [0, n) with ``alloc[ids].max() <= t < dealloc[ids].min()``, and none
+        repeats, which one mark per qubit shows: the layer's ids are marked,
+        the marks over the span they cover are counted and cleared again.
+        Only a layer that fails is walked gate by gate.
+
+        ``last_use``, if given, is a view of a table that holds each qubit's
+        alloc layer - 1: each layer that passes sets its ids' entries to its
+        index, so the walk of a circuit without faults leaves each qubit's
+        latest layer there.
         """
         n = len(self._alloc)
-        alloc, dealloc = self._alloc, self._dealloc
-        marks = bytearray(n)
+        alloc, dealloc = _view(self._alloc), _view(self._dealloc)
+        marks = np.zeros(n, np.bool_)
         for t, (ids, values) in enumerate(zip(self._qs, self._ps)):
-            if math.isfinite(sum(values)):
-                if not ids:
-                    continue
-                lo, hi = min(ids), max(ids)
-                if (0 <= lo and hi < n
-                        and max(map(alloc.__getitem__, ids)) <= t < min(map(dealloc.__getitem__, ids))
-                        and _distinct(marks, ids, lo, hi)):
+            if not ids:
+                continue
+            at = _view(ids)
+            lo, hi = int(at.min()), int(at.max())
+            if (np.isfinite(np.frombuffer(values)).all() and 0 <= lo and hi < n
+                    and alloc[at].max() <= t < dealloc[at].min()):
+                marks[at] = True
+                distinct = np.count_nonzero(marks[lo:hi + 1]) == len(ids)
+                marks[lo:hi + 1] = False
+                if distinct:
+                    if last_use is not None:
+                        last_use[at] = t
                     continue
             seen = set()
             for g in self.gates(t):
@@ -608,15 +659,6 @@ class Circuit:
                         yield OperandNotLive, f"layer {t}: qubit {i} used before allocation"
                     elif t >= dealloc[i]:
                         yield UseAfterDealloc, f"layer {t}: qubit {i} used after deallocation"
-
-
-def _distinct(marks: bytearray, ids: array, lo: int, hi: int) -> bool:
-    """Whether ``ids``, which lie in [lo, hi], repeat no id: each id's byte of ``marks``
-    (all zero) is set, the set bytes in [lo, hi] are counted, and the span is zeroed again."""
-    _consume(map(marks.__setitem__, ids, repeat(1)))
-    distinct = marks.count(1, lo, hi + 1) == len(ids)
-    marks[lo:hi + 1] = bytes(hi + 1 - lo)
-    return distinct
 
 
 class Block:
@@ -743,15 +785,18 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = GateSetModel(),
     c = c.compact()
     L = c.num_layers()
     persistent = c._persistent
-    if NEVER in c._dealloc:
-        leaked = next((q for q, d in enumerate(c._dealloc) if d == NEVER and q not in persistent), None)
-        if leaked is not None:
-            raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
-    ends = array("i", map(min, c._dealloc, repeat(L)))
-    sa_q = sum(ends) - sum(c._alloc)
-    dirty_sa = sum(compress(map(sub, ends, c._alloc), map(_KIND_CODE[DIRTY].__eq__, c._kind)))
-    clean_sa = sa_q - dirty_sa
+    alloc, dealloc = _view(c._alloc), _view(c._dealloc)
+    never = np.flatnonzero(dealloc == NEVER).tolist()
+    leaked = next((q for q in never if q not in persistent), None)
+    if leaked is not None:
+        raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
     prof = c.live_profile() if profile is None else profile
+    lifetimes = np.minimum(dealloc, L)
+    lifetimes -= alloc
+    sa_q = int(lifetimes.sum())
+    # the kind codes viewed as booleans, True for DIRTY (code 1): a mask that copies nothing
+    dirty_sa = int(lifetimes.sum(where=np.frombuffer(c._kind, np.bool_)))
+    clean_sa = sa_q - dirty_sa
     sa_t = sum(prof)
     if sa_q != sa_t:
         raise InternalInvariant(f"spacetime double-count mismatch: {sa_q} != {sa_t}")
@@ -986,11 +1031,14 @@ def _read_gates(c: Circuit, t: int, gates: list) -> None:
 
     Every gate must be an object with a string ``op`` and lists of
     ``params`` and ``qubits``; each check is one pass over the gates in C.
-    Parameters that are not all floats go through :func:`_angle`, which
-    turns ints into floats and rejects booleans, strings and null.  Packing
-    (:func:`_pack`) rejects unknown ops, wrong counts and operands that are
-    not ints, or do not fit the id column; the gates' other rules and
-    liveness are left to :meth:`Circuit._faults`.
+    Packing (:func:`_pack`) flattens and checks each column once, and
+    rejects unknown ops, wrong counts, parameters that are not floats and
+    operands that are not ints; :meth:`Circuit._extend` rejects operands
+    that do not fit the id column.  Only a batch that fails to pack while
+    some parameter is not a float is packed again with every parameter
+    through :func:`_angle`, which turns ints into floats and rejects
+    booleans, strings and null.  The gates' other rules and liveness are
+    left to :meth:`Circuit._faults`.
     """
     try:
         ops, params, qubits = zip(*map(_FIELDS, gates))
@@ -998,9 +1046,13 @@ def _read_gates(c: Circuit, t: int, gates: list) -> None:
         raise MalformedCircuit(f"layer {t}: every gate needs op, params and qubits") from None
     if not (set(map(type, ops)) <= _STR and set(map(type, params)) | set(map(type, qubits)) <= _LIST):
         raise MalformedCircuit(f"layer {t}: a gate needs a string op and lists of params and qubits")
-    if not set(map(type, chain.from_iterable(params))) <= _FLOAT:
-        params = [list(map(_angle, p)) for p in params]
-    c._extend(t, *_pack(ops, params, qubits, t))
+    try:
+        columns = _pack(ops, params, qubits, t)
+    except CircuitError:
+        if set(map(type, chain.from_iterable(params))) <= _FLOAT:
+            raise
+        columns = _pack(ops, [list(map(_angle, p)) for p in params], qubits, t)
+    c._extend(t, *columns)
 
 
 def _alloc_entry(e) -> tuple[int, int, int]:
@@ -1066,25 +1118,30 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
 
     A table given as anything but a list is passed as None.  The alloc ids
     must be 0..n-1 in some order; the dealloc ids must be allocated, each
-    released once, no earlier than its allocation.  Each rule is one pass;
-    a dealloc table that fails is walked entry by entry, which raises the
-    first entry's typed error.  The layers' upper bound is checked by
-    :func:`_check_bounds` once the layer count is known.
+    released once, no earlier than its allocation.  Each rule is a numpy
+    pass over views of the table columns; a dealloc table that fails is
+    walked entry by entry, which raises the first entry's typed error.  The
+    layers' upper bound is checked by :func:`_check_bounds` once the layer
+    count is known.
     """
     for key, table in ("alloc", alloc_table), ("dealloc", dealloc_table):
         if table is None:
             raise MalformedCircuit(f'"{key}" must be a JSON list')
     (ids, alloc, kinds), (qs, ends) = alloc_table, dealloc_table
     n = len(ids)
-    if ids != array("i", range(n)):
-        if sorted(ids) != list(range(n)):
+    rows, dense = _view(ids), np.arange(n, dtype=np.intc)
+    if not (rows == dense).all():
+        if not (np.sort(rows) == dense).all():
             raise OperandNotLive("alloc list must cover dense qubit ids")
-        order = sorted(range(n), key=ids.__getitem__)
-        alloc, kinds = array("i", map(alloc.__getitem__, order)), bytearray(map(kinds.__getitem__, order))
+        alloc_by_id, kinds_by_id = alloc[:], kinds[:]
+        _view(alloc_by_id)[rows] = _view(alloc)
+        np.frombuffer(kinds_by_id, np.uint8)[rows] = np.frombuffer(kinds, np.uint8)
+        alloc, kinds = alloc_by_id, kinds_by_id
     dealloc = array("i", (NEVER,)) * n
-    if qs and min(qs) >= 0 and max(qs) < n:
-        _consume(map(dealloc.__setitem__, qs, ends))
-    if not (n - dealloc.count(NEVER) == len(qs) and all(map(le, map(alloc.__getitem__, qs), ends))):
+    who, when, table = _view(qs), _view(ends), _view(dealloc)
+    if len(qs) and who.min() >= 0 and who.max() < n:
+        table[who] = when
+    if not (np.count_nonzero(table != NEVER) == len(qs) and (_view(alloc)[who] <= when).all()):
         dealloc = array("i", (NEVER,)) * n
         for qid, t in zip(qs, ends):
             if not 0 <= qid < n:
@@ -1100,11 +1157,13 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
 def _check_bounds(c: Circuit) -> None:
     """Every lifetime lies within the layers: alloc and dealloc are at most ``num_layers()``."""
     L = c.num_layers()
-    if max(c._alloc, default=0) > L:
-        q = next(q for q, a in enumerate(c._alloc) if a > L)
+    alloc, dealloc = _view(c._alloc), _view(c._dealloc)
+    if alloc.max(initial=0) > L:
+        q = int(np.argmax(alloc > L))
         raise OperandNotLive(f"qubit {q} allocated at {c._alloc[q]}, outside layers 0..{L}")
-    if max(filter(NEVER.__ne__, c._dealloc), default=0) > L:
-        q = next(q for q, d in enumerate(c._dealloc) if L < d != NEVER)
+    released = dealloc != NEVER
+    if dealloc.max(initial=0, where=released) > L:
+        q = int(np.argmax(released & (dealloc > L)))
         raise OperandNotLive(f"qubit {q} lifetime [{c._alloc[q]}, {c._dealloc[q]}] leaves layers 0..{L}")
 
 
@@ -1383,9 +1442,9 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
     if "layers" not in seen or "layers" in values:
         raise MalformedCircuit('"layers" must be a JSON list')
     _check_bounds(c)
-    for error, message in c._faults():
+    c._last_use = _before(c._alloc)
+    for error, message in c._faults(_view(c._last_use)):
         raise error(message)
-    c._reset_last_use()
 
     n = len(c._alloc)
 

@@ -1,8 +1,12 @@
 """Command-line surface: synth, simulate, profile, multicopy, fragment.
 
-Only the IR module is imported up front.  The numpy-based modules
-(``amplitudes``, ``protocols``, ``sim``, ``multicopy``) are imported by the
-commands that use them, so ``profile`` and ``--version`` never load numpy.
+Every package module but ``errors`` loads numpy, the IR's whole-circuit
+passes included, so each is imported by the commands that use it:
+``--version``, a usage error and a bare ``import qsprep.cli`` never load
+numpy.  A command imports ``circuit_ir`` before the other modules: when
+Python runs without a bytecode cache, compiling the package's largest
+module before numpy is loaded keeps the compiler's transient memory below
+the process's later peak.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import hashlib
 import json
 import sys
 import traceback
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
-from . import circuit_ir as cir
 from .errors import BadFlag, CircuitError, InternalInvariant, MalformedInput, QsprepError, parse_json
+
+if TYPE_CHECKING:
+    from .circuit_ir import Circuit
 
 
 def _read(path: str) -> bytes:
@@ -71,13 +77,15 @@ class _Hashed:
         return data
 
 
-def _load_circuit(path: str) -> tuple[cir.Circuit, str]:
+def _load_circuit(path: str) -> tuple[Circuit, str]:
     """The circuit JSON at ``path`` (stdin for "-") and the digest of its bytes.
 
     The file is read a block at a time and each block is hashed and
     decoded in the same pass (:func:`circuit_ir.loads`), so neither its
     bytes nor its text are ever held whole.
     """
+    from . import circuit_ir as cir
+
     with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
         source = _Hashed(fh)
         circuit = cir.loads(source)
@@ -93,7 +101,7 @@ def _emitting():
         raise InternalInvariant(f"emitter broke the circuit IR: {type(e).__name__}: {e}") from e
 
 
-def _checked(circuit: cir.Circuit) -> cir.Circuit:
+def _checked(circuit: Circuit) -> Circuit:
     """An emitted circuit after its one whole-circuit check; a violation is a bug (exit 3)."""
     violations = circuit.validate()
     if violations:
@@ -102,6 +110,7 @@ def _checked(circuit: cir.Circuit) -> cir.Circuit:
 
 
 def cmd_synth(args, argv) -> int:
+    from . import circuit_ir as cir
     from . import amplitudes as amp
     from . import protocols as proto
 
@@ -128,10 +137,10 @@ def cmd_synth(args, argv) -> int:
 
 
 def cmd_simulate(args, argv) -> int:
+    circuit, digest = _load_circuit(args.infile)
     from . import amplitudes as amp
     from . import sim
 
-    circuit, digest = _load_circuit(args.infile)
     if args.enumerate_basis:
         data = circuit.registers.get("D") or circuit.registers.get("D0")
         if not data:
@@ -158,6 +167,8 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_profile(args, argv) -> int:
+    from . import circuit_ir as cir
+
     model = cir.GateSetModel(args.epsilon)
     circuit, digest = _load_circuit(args.infile)
     circuit = circuit.compact()
@@ -173,6 +184,7 @@ def cmd_profile(args, argv) -> int:
 
 
 def cmd_multicopy(args, argv) -> int:
+    from . import circuit_ir as cir
     from . import amplitudes as amp
     from . import multicopy as mc
 
@@ -212,6 +224,7 @@ _FRAGMENT_FLAGS = {"copy": (), "cs": ("--t",), "copyswap": ("--basis",), "spf": 
 
 
 def cmd_fragment(args, argv) -> int:
+    from . import circuit_ir as cir
     from . import amplitudes as amp
     from . import protocols as proto
 

@@ -5,6 +5,9 @@ writer involved:
 
 * the circuit JSON document as lists and dicts (:func:`to_json_dict`),
   which ``circuit_ir.json_chunks`` must write byte for byte;
+* the IR's whole-circuit walks, one gate or one qubit at a time: the
+  faults ``Circuit.validate`` reports, each qubit's latest layer, the live
+  profile and the ``ResourceReport``;
 * the rotation angle on pair (s, p), from the masses of a congruence class;
 * the fragments' target states: the FLAG marking, the SPF injection state
   and the LOADF buffer state;
@@ -17,7 +20,8 @@ import math
 import numpy as np
 
 from qsprep.amplitudes import AngleSet, CSPAngleSet, PartitionNorms
-from qsprep.circuit_ir import GATE_SIGNATURES, NEVER, Circuit, Gate, gate
+from qsprep.circuit_ir import (DIRTY, GATE_SIGNATURES, NEVER, ROTATION_OPS, Circuit, Gate, GateSetModel,
+                               ResourceReport, gate)
 from qsprep.errors import IndexOutOfRange
 from qsprep.sim import SimState
 
@@ -38,6 +42,86 @@ def to_json_dict(c: Circuit) -> dict:
         "persistent": sorted(c._persistent),
         "registers": {name: list(qs) for name, qs in c.registers.items()},
     }
+
+
+# -- the whole-circuit walks, plainly -------------------------------------------
+
+
+def fault_messages(c: Circuit) -> list[str]:
+    """What ``c.validate()`` reports, walking every gate of every layer: its infinite
+    or NaN parameters, a repeated operand, then each of its distinct operands that an
+    earlier gate of the layer used, that is no qubit of the circuit, or that is not live."""
+    n = len(c.qubits())
+    out = []
+    for t in range(c.num_layers()):
+        seen = set()
+        for g in c.gates(t):
+            out += [f"layer {t}: {g.op} parameter {p!r} is not a finite float" for p in g.params
+                    if not math.isfinite(p)]
+            if len(set(g.qubits)) < len(g.qubits):
+                out.append(f"layer {t}: {g.op} repeats an operand: {list(g.qubits)}")
+            for q in dict.fromkeys(g.qubits):
+                if q in seen:
+                    out.append(f"layer {t}: qubit {q} in two gates")
+                seen.add(q)
+                if not 0 <= q < n:
+                    out.append(f"layer {t}: qubit {q} is not in the circuit")
+                elif t < c.alloc_layer(q):
+                    out.append(f"layer {t}: qubit {q} used before allocation")
+                elif c.dealloc_layer(q) is not None and t >= c.dealloc_layer(q):
+                    out.append(f"layer {t}: qubit {q} used after deallocation")
+    return out
+
+
+def last_use_oracle(c: Circuit) -> list[int]:
+    """Each qubit's latest layer with a gate on it, else its alloc layer - 1."""
+    last = [c.alloc_layer(q) - 1 for q in c.qubits()]
+    for t in range(c.num_layers()):
+        for g in c.gates(t):
+            for q in g.qubits:
+                last[q] = t
+    return last
+
+
+def live_oracle(c: Circuit, qubits=None) -> list[int]:
+    """Per layer, how many of ``qubits`` (all if None) are allocated and not yet released."""
+    qubits = c.qubits() if qubits is None else qubits
+    ends = {q: NEVER if c.dealloc_layer(q) is None else c.dealloc_layer(q) for q in qubits}
+    return [sum(c.alloc_layer(q) <= t < ends[q] for q in qubits) for t in range(c.num_layers())]
+
+
+def report_oracle(c: Circuit, model: GateSetModel) -> ResourceReport:
+    """``spacetime_allocation(c, model)`` from the definitions: empty layers are dropped,
+    each qubit's lifetime [alloc, release) is counted in the layers that remain (to the
+    end for one never released), and the discrete gate set widens a rotation layer."""
+    L = c.num_layers()
+    kept = [t for t in range(L) if list(c.gates(t))]
+    new = [sum(u < t for u in kept) for t in range(L + 1)]
+    spans = {q: (new[c.alloc_layer(q)], new[L if c.dealloc_layer(q) is None else c.dealloc_layer(q)])
+             for q in c.qubits()}
+    live = [sum(a <= t < e for a, e in spans.values()) for t in range(len(kept))]
+    rotations = [sum(g.op in ROTATION_OPS for g in c.gates(t)) for t in kept]
+    sa = sum(e - a for a, e in spans.values())
+    dirty = sum(e - a for q, (a, e) in spans.items() if c.kind(q) == DIRTY)
+    width = model.rotation_cost(model.epsilon / sum(rotations)) if model.epsilon and sum(rotations) else 1
+    cost = [width if r else 1 for r in rotations]
+    return ResourceReport(
+        depth=len(kept),
+        size=c.size(),
+        qubit_count=max(live, default=0),
+        sa_exact=sa,
+        sa_approx=sum(map(int.__mul__, live, cost)),
+        clean_sa=sa - dirty,
+        dirty_sa=dirty,
+        depth_approx=sum(cost),
+        rotation_gates=sum(rotations),
+        rotation_layers=sum(map(bool, rotations)),
+        lower_bound_refs={
+            "size_lower_bound": "Omega(2^n) two-qubit gates for arbitrary targets",
+            "depth_lower_bound": "Omega(n + log(1/eps)) in the discrete gate set",
+            "n_data_qubits": len(c.registers.get("D", [])) or len(c.persistent()),
+        },
+    )
 
 
 # -- fragment oracles -----------------------------------------------------------

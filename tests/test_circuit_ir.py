@@ -783,6 +783,49 @@ class TestFootprint:
         assert peak < path.stat().st_size
 
 
+def gapped_circuit() -> Circuit:
+    """Two persistent data qubits and a dirty ancilla, with an empty layer between gates."""
+    c = Circuit()
+    data = list(c.alloc_many(2, at_layer=0))
+    c.mark_persistent(data)
+    anc = c.alloc(cir.DIRTY, at_layer=0)
+    c.put("cry", [data[0], anc], 0, [0.5])
+    c.put("cnot", [anc, data[1]], 2)
+    c.dealloc(anc, at_layer=3)
+    return c
+
+
+#: a whole-circuit pass -> what it is called with
+PASSES = {
+    "validate": Circuit.validate,
+    "spacetime_allocation": cir.spacetime_allocation,
+    "live_profile": Circuit.live_profile,
+    "live_profile_dirty": lambda c: c.live_profile(c.of_kind(cir.DIRTY)),
+    "of_kind": lambda c: c.of_kind(cir.CLEAN),
+    "compact": Circuit.compact,
+    "adjoint": Circuit.adjoint,
+    "loads": lambda c: cir.loads(cir.dumps(c)),
+}
+
+
+class TestTablesStayResizable:
+    """The whole-circuit passes read the tables and columns through numpy views, and
+    an array cannot be resized while a view of it exists (``BufferError``): after each
+    pass, the circuit it read and the one it returns still take qubits, gates and
+    releases."""
+
+    @pytest.mark.parametrize("name", list(PASSES))
+    def test_circuit_grows_after_the_pass(self, name):
+        c = gapped_circuit()
+        out = PASSES[name](c)
+        for circuit in [c] + [out] * isinstance(out, Circuit):
+            last = circuit.num_layers() - 1
+            fresh = circuit.alloc_many(2, cir.DIRTY, at_layer=last)
+            circuit.put("cnot", fresh, last)
+            circuit.dealloc_many(fresh, last + 1)
+            assert circuit.validate() == []
+
+
 class TestOfKind:
     def test_matches_the_kind_of_each_qubit(self):
         c = proto.spcsp(make_target(np.arange(1.0, 65.0)), proto.ProtocolConfig(n=6, dirty_b1=True))

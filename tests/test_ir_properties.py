@@ -1,8 +1,13 @@
-"""Simulator properties of the IR's time reversal, gate expansion and block mirror.
+"""Properties of the IR: its time reversal, gate expansion and block mirror under the
+simulator, and its whole-circuit walks against plain references.
 
-Each random circuit uses every op of ``GATE_SIGNATURES`` at least once and
-allocates and releases qubits mid-circuit.  The simulator checks every
-release: a clean qubit must come back in |0>, a dirty one in its seed.
+Each random circuit of the simulator properties uses every op of
+``GATE_SIGNATURES`` at least once and allocates and releases qubits
+mid-circuit.  The simulator checks every release: a clean qubit must come
+back in |0>, a dirty one in its seed.  The walks (``validate``, the latest
+layers, the live profiles and ``spacetime_allocation``) are checked on
+random lifecycles with empty layers and one injected defect against the
+gate-by-gate and qubit-by-qubit references of ``tests/reference.py``.
 """
 
 import math
@@ -10,12 +15,13 @@ from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsprep import circuit_ir as cir
-from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, gate
+from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, Gate, GateSetModel, gate
 from qsprep.sim import run
+from reference import fault_messages, last_use_oracle, live_oracle, report_oracle
 
 OPS = list(GATE_SIGNATURES)
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -167,3 +173,84 @@ def test_mirrored_block_returns_every_ancilla(built, seeds, dirty_seed):
     assert all(mass < 1e-10 for _, _, mass in report.ancilla_verdicts)
     assert [ok for _, ok in report.dirty_restoration] == [True] * dirty
     assert np.allclose(state.statevector(data), product(seeds), atol=1e-9)
+
+
+@st.composite
+def lifecycles(draw) -> Circuit:
+    """A circuit on two persistent data qubits (register D) and up to eight clean or
+    dirty qubits allocated at any layer up to the end.  Each layer that is not left
+    empty gets a few random gates on distinct qubits allocated by then, and the last
+    layer always gets one.  Every qubit but the data is then released at a layer
+    after its last gate (the end, and an empty lifetime, included) or kept."""
+    L = draw(st.integers(1, 7))
+    c = Circuit()
+    data = list(c.alloc_many(2, at_layer=0))
+    c.mark_persistent(data)
+    c.add_register("D", data)
+    for a in draw(st.lists(st.integers(0, L), max_size=8)):
+        c.alloc(draw(st.sampled_from([CLEAN, DIRTY])), at_layer=a)
+    for t in range(L):
+        if t < L - 1 and draw(st.booleans()):
+            continue
+        free = draw(st.permutations([q for q in c.qubits() if c.alloc_layer(q) <= t]))
+        for op in draw(st.lists(st.sampled_from(OPS), min_size=1, max_size=4)):
+            nq, npar = GATE_SIGNATURES[op]
+            if nq <= len(free):
+                c.put(op, free[:nq], t, [draw(ANGLES) for _ in range(npar)])
+                free = free[nq:]
+        if t == L - 1 and set(data) <= set(free):
+            c.put("cnot", data, t)
+    for q in c.qubits()[2:]:
+        last = max(c.last_use_layer(q) + 1, c.alloc_layer(q))
+        release = draw(st.one_of(st.none(), st.integers(last, L)))
+        if release is None:
+            c.mark_persistent([q])
+        else:
+            c.dealloc(q, at_layer=release)
+    return c
+
+
+#: defect -> the faulty gates it puts in a new last layer, given the circuit, a qubit
+#: live there, a qubit released before it (None if there is none) and the layer's index;
+#: a gate on the id one past the circuit's also has an operand that is not live
+DEFECTS = {
+    "collision": lambda c, live, gone, t: [Gate("x", (), (live,)), Gate("h", (), (live,))],
+    "before_allocation": lambda c, live, gone, t: [Gate("h", (), (c.alloc(at_layer=t + 1),))],
+    "not_in_circuit": lambda c, live, gone, t: [Gate("h", (), (len(c.qubits()),))],
+    "after_deallocation": lambda c, live, gone, t: [Gate("ry", (0.5,), (gone,))],
+    "nan": lambda c, live, gone, t: [Gate("rz", (math.nan,), (live,))],
+    "inf": lambda c, live, gone, t: [Gate("cry", (-math.inf,), (live, len(c.qubits())))],
+    "repeated_operand": lambda c, live, gone, t: [Gate("cswap", (), (live, len(c.qubits()), live))],
+}
+
+
+@PROPERTY
+@given(c=lifecycles(), defect=st.sampled_from(list(DEFECTS)), data=st.data())
+def test_walks_match_their_plain_references(c, defect, data):
+    """A circuit without faults validates, its latest layers (as ``loads``, ``compact``
+    and ``adjoint`` set them) and its report equal the references, and its adjoint's
+    adjoint is itself; with one defective layer appended (among valid gates on other live
+    qubits), ``validate`` reports exactly the reference's messages in its order."""
+    assert c.validate() == fault_messages(c) == []
+    assert cir.loads(cir.dumps(c))._last_use.tolist() == last_use_oracle(c.compact())
+    for other in (c.compact(), c.adjoint()):
+        assert other._last_use.tolist() == last_use_oracle(other)
+    assert cir.dumps(c.adjoint().adjoint()) == cir.dumps(c)
+    for model in (GateSetModel(), GateSetModel(1e-3)):
+        assert cir.spacetime_allocation(c, model) == report_oracle(c, model)
+
+    t = c.num_layers()
+    live = [q for q in c.qubits() if c.dealloc_layer(q) is None]
+    gone = [q for q in c.qubits() if c.dealloc_layer(q) is not None]
+    assume(gone or defect != "after_deallocation")
+    q = data.draw(st.sampled_from(live))
+    bad = DEFECTS[defect](c, q, data.draw(st.sampled_from(gone)) if gone else None, t)
+    others = data.draw(st.permutations([p for p in live if p != q]))
+    valid = [Gate("x", (), (p,)) for p in others[:data.draw(st.integers(0, len(others)))]]
+    layer = data.draw(st.permutations(valid + bad))
+    c.append_layer(layer)
+    assert c.validate() == fault_messages(c) != []
+    dirty = c.of_kind(DIRTY)
+    assert dirty == [p for p in c.qubits() if c.kind(p) == DIRTY]
+    assert c.live_profile() == live_oracle(c)
+    assert c.live_profile(dirty) == live_oracle(c, dirty)
