@@ -450,6 +450,10 @@ class Circuit:
             nq, npar = _ARITY[code]
             yield new_gate((_OPS[code], tuple(islice(values, npar)), tuple(islice(ids, nq))))
 
+    def params(self, t: int) -> np.ndarray:
+        """Layer ``t``'s parameter column as a writable numpy array (see :func:`_view`)."""
+        return np.frombuffer(self._ps[t])
+
     def qubits(self) -> range:
         return range(len(self._alloc))
 
@@ -517,23 +521,29 @@ class Circuit:
         other qubit gets a fresh id (in order of its allocation layer) with
         the same kind, allocated at ``shift(alloc)``, released right after its
         shifted last layer, at ``shift(dealloc - 1) + 1``, and persistent here
-        if it is persistent in ``src``.  Each layer's ids are remapped by one
-        ``map`` and placed as one batch.
+        if it is persistent in ``src``.  ``shift`` is called once per layer,
+        each layer's ids are remapped by one numpy gather and placed as one
+        batch, and each release layer's qubits are released in one call.
         """
         shared = shared or {}
-        mapping = [shared.get(q) for q in src.qubits()]
-        fresh = sorted((q for q in src.qubits() if q not in shared), key=src._alloc.__getitem__)
-        ids = self._add_qubits(bytes(map(src._kind.__getitem__, fresh)),
-                               array("i", map(shift, map(src._alloc.__getitem__, fresh))))
-        _consume(map(mapping.__setitem__, fresh, ids))
-        self.mark_persistent(mapping[q] for q in fresh if q in src._persistent)
-        for t, (codes, ids, values) in enumerate(zip(src._ops, src._qs, src._ps)):
-            self._place(codes, array("i", map(mapping.__getitem__, ids)), values, shift(t))
-        for q in fresh:
-            d = src._dealloc[q]
-            if d != NEVER:
-                self.dealloc(mapping[q], at_layer=shift(d - 1) + 1)
-        return mapping
+        mapping = np.full(len(src._alloc), -1, np.intc)
+        mapping[list(shared)] = list(shared.values())
+        fresh = np.flatnonzero(mapping < 0)
+        fresh = fresh[np.argsort(_view(src._alloc)[fresh], kind="stable")]
+        alloc, dealloc = _view(src._alloc)[fresh].tolist(), _view(src._dealloc)[fresh]
+        freed = dealloc != NEVER
+        last = (dealloc[freed] - 1).tolist()
+        at = {t: shift(t) for t in {*range(src.num_layers()), *alloc, *last}}
+        mapping[fresh] = self._add_qubits(np.frombuffer(src._kind, np.uint8)[fresh].tobytes(),
+                                          array("i", map(at.__getitem__, alloc)))
+        self.mark_persistent(mapping[[q for q in src._persistent if q not in shared]].tolist())
+        for t, (codes, qs, values) in enumerate(zip(src._ops, src._qs, src._ps)):
+            if codes:
+                self._place(codes, array("i", mapping[_view(qs)].tobytes()), values, at[t])
+        ends, freed = np.fromiter(map(at.__getitem__, last), np.int64, len(last)) + 1, mapping[fresh[freed]]
+        for end in sorted(set(ends.tolist())):
+            self.dealloc_many(array("i", freed[ends == end].tobytes()), end)
+        return mapping.tolist()
 
     def _copy_tables(self) -> "Circuit":
         """A new circuit with this one's kinds, persistent set, registers and meta, and no layers."""
@@ -544,21 +554,25 @@ class Circuit:
         c.meta = dict(self.meta)
         return c
 
+    def copy(self) -> "Circuit":
+        """An independent copy: its own columns, lifecycle tables, registers and meta."""
+        c = self._copy_tables()
+        c._alloc, c._dealloc, c._last_use = self._alloc[:], self._dealloc[:], self._last_use[:]
+        c._ops, c._qs, c._ps = ([column[:] for column in columns] for columns in (self._ops, self._qs, self._ps))
+        return c
+
     def compact(self) -> "Circuit":
         """Drop empty layers, remapping lifecycle layer indices."""
         if all(self._ops):
             return self
         kept = list(map(bool, self._ops))
         new_index = np.fromiter(accumulate(kept, initial=0), np.intc, len(kept) + 1)
-        c = self._copy_tables()
-        c._alloc, c._dealloc = self._alloc[:], self._dealloc[:]
+        c = self.copy()
         alloc, dealloc = _view(c._alloc), _view(c._dealloc)
         alloc[:] = new_index[alloc]
         released = dealloc != NEVER
         dealloc[released] = new_index[dealloc[released]]
-        c._ops = [codes[:] for codes in compress(self._ops, kept)]
-        c._qs = [ids[:] for ids in compress(self._qs, kept)]
-        c._ps = [values[:] for values in compress(self._ps, kept)]
+        c._ops, c._qs, c._ps = (list(compress(columns, kept)) for columns in (c._ops, c._qs, c._ps))
         c._reset_last_use()
         return c
 
@@ -1090,24 +1104,28 @@ _TABLES = {"alloc": (_alloc_entry, 3), "dealloc": (_dealloc_entry, 2)}
 def _add_rows(columns: list, entry: Callable, rows: list) -> None:
     """Append a block of a lifecycle table's parsed entries to its columns.
 
-    A block of lists of the right length whose ids and layers are ints in
-    ``_INDEX`` (and whose kinds are "clean" or "dirty") is checked in one
-    pass per column and appended whole; any other block entry by entry
-    through ``entry``, which raises the first entry's typed error.  Dense
-    ids, double releases and the layers' bounds are checked once both
-    tables are read (:func:`_read_tables`, :func:`_check_bounds`).
+    A block of lists of the right length whose ids and layers are ints (and
+    whose kinds are "clean" or "dirty") is appended whole, then its ids and
+    layers are checked to lie in ``_INDEX`` by one numpy pass each; any
+    other block is cut off and appended entry by entry through ``entry``,
+    which raises the first entry's typed error.  Dense ids, double releases
+    and the layers' bounds are checked once both tables are read.
     """
+    starts = list(map(len, columns))
     try:
         if set(map(type, rows)) <= _LIST and set(map(len, rows)) == {len(columns)}:
             ids, layers, *kinds = zip(*rows)
-            if (set(map(type, ids)) | set(map(type, layers)) <= _INT and min(ids) >= 0 and min(layers) >= 0
-                    and max(ids) < NEVER and max(layers) < NEVER):
-                for column, values in zip(columns, [ids, layers, *(bytes(map(_KIND_CODE.__getitem__, k))
-                                                                  for k in kinds)]):
-                    column.extend(values)
-                return
-    except (TypeError, KeyError):  # an unhashable or unknown kind
+            if set(map(type, ids)) | set(map(type, layers)) <= _INT:
+                kinds = [bytes(map(_KIND_CODE.__getitem__, k)) for k in kinds]
+                for column, values in zip(columns, [array("i", ids), array("i", layers), *kinds]):
+                    column += values
+                if all(new.min() >= 0 and new.max() < NEVER  # each view is dropped before any cut
+                       for new in (_view(column)[start:] for column, start in zip(columns, starts[:2]))):
+                    return
+    except (TypeError, KeyError, OverflowError):  # an unhashable or unknown kind, an id past 32 bits
         pass
+    for column, start in zip(columns, starts):
+        del column[start:]
     for e in rows:
         for column, value in zip(columns, entry(e)):
             column.append(value)

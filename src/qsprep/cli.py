@@ -6,7 +6,8 @@ passes included, so each is imported by the commands that use it:
 numpy.  A command imports ``circuit_ir`` before the other modules: when
 Python runs without a bytecode cache, compiling the package's largest
 module before numpy is loaded keeps the compiler's transient memory below
-the process's later peak.
+the process's later peak.  No command gains from BLAS threads, so
+:func:`main` pins OpenBLAS to one before any command loads numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import os
 import sys
 import traceback
 from typing import TYPE_CHECKING, Iterable
@@ -334,7 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     reading circuit JSON makes a dict and two lists per gate, and the
     emitters make flat operand lists, young objects that collector passes
     would only rescan.  The caller's collector state is restored on return.
+    OpenBLAS reads its thread count once, as numpy loads it.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .amplitudes import TargetState
 from .circuit_ir import Circuit, ResourceReport, spacetime_allocation
 from .errors import NoValidSplit, PoolExceeded
-from .protocols import ProtocolConfig, spcsp
+from .protocols import ProtocolConfig, spcsp_shape, stage_angles
 
 
 def batch_split(n: int) -> int:
@@ -46,23 +46,31 @@ class BatchPlan:
             raise NoValidSplit("indentation must be >= 1")
 
 
-def _instance_circuit(t: TargetState, fanout: bool) -> Circuit:
-    cfg = ProtocolConfig(n=t.n, m=batch_split(t.n), fanout=fanout)
-    return spcsp(t, cfg)
-
-
 def _ancillae(c: Circuit) -> list[int]:
     """The non-persistent qubits of a circuit."""
     persistent = c.persistent()
     return [q for q in c.qubits() if q not in persistent]
 
 
-def _instance(t: TargetState, fanout: bool) -> tuple[Circuit, int, list[int]]:
-    """One copy's compacted circuit, the layer its CSP stage starts at, and its ancilla profile."""
-    c = _instance_circuit(t, fanout)
-    sp_end = c.depth(c.meta["sp_end"])
-    c = c.compact()
-    return c, sp_end, c.live_profile(_ancillae(c))
+def _instances(targets: list[TargetState], fanout: bool) -> tuple[list, list]:
+    """Each target's (compacted circuit, layer its CSP stage starts at) and (that layer,
+    ancilla profile).  One shape is built and profiled per phase key (whether the angles
+    carry phases), and each distinct target object gets a copy with its angles written in."""
+    n = targets[0].n
+    cfg = ProtocolConfig(n=n, m=batch_split(n), fanout=fanout)
+    shapes, built = {}, {}
+    for t in targets:
+        if id(t) in built:
+            continue
+        aset, angles = stage_angles(t, cfg)
+        key = angles.phases is not None
+        if key not in shapes:
+            shape = spcsp_shape(cfg, key)
+            c = shape.circuit
+            shapes[key] = shape, c.depth(c.meta["sp_end"]), c.compact().live_profile(_ancillae(c))
+        shape, sp_end, profile = shapes[key]
+        built[id(t)] = shape._replace(circuit=shape.circuit.copy()).write(aset, angles).compact(), sp_end, profile
+    return [built[id(t)][:2] for t in targets], [built[id(t)][1:] for t in targets]
 
 
 @dataclass
@@ -119,17 +127,13 @@ def min_indentation(parts: list[tuple[int, list[int]]], pool_cap: float, start: 
 def stack(plan: BatchPlan) -> BatchResult:
     """Schedule all SP stages in parallel and the CSP stages k layers apart.
 
-    Each distinct target object is built and profiled once, however often
-    the batch repeats it.  One walk over the priced peaks finds the smallest
+    One instance shape is built and profiled per phase key among the
+    targets, and each distinct target object takes a copy of it with its
+    angles written in (:func:`_instances`).  One walk over the priced peaks finds the smallest
     fitting k from 1, or from an explicit k, which must then fit itself and
     lie in [1, depth]; only that k is merged.
     """
-    built = {}  # id(target) -> _instance(target)
-    for t in plan.targets:
-        if id(t) not in built:
-            built[id(t)] = _instance(t, plan.fanout)
-    insts = [built[id(t)][:2] for t in plan.targets]
-    parts = [built[id(t)][1:] for t in plan.targets]
+    insts, parts = _instances(plan.targets, plan.fanout)  # _merge frees each instance once embedded
     start, depth = plan.indentation or 1, insts[0][0].num_layers()
     if start > depth:
         raise NoValidSplit(f"indentation {start} exceeds the instance depth {depth}")
@@ -142,7 +146,6 @@ def stack(plan: BatchPlan) -> BatchResult:
                            f"k={shown}; of k in [{start}, {depth}], {found}", feasible_k=fit)
     peak_anc = _priced_peak(parts, k)
 
-    built.clear()  # _merge frees each instance circuit once it has embedded its last copy
     batch, instances_meta = _merge(insts, k)
     report = spacetime_allocation(batch)
     return BatchResult(

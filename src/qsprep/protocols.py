@@ -2,20 +2,22 @@
 
 The angles of both stages come from :mod:`amplitudes` (:func:`sp_angles`,
 :func:`csp_angles`); :func:`stage_angles` picks the ones :func:`spcsp`
-emits for a target and a configuration.
+emits for a target and a configuration, and :meth:`Shape.write` writes them.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .amplitudes import AngleSet, CSPAngleSet, TargetState, csp_angles, partition_norms, sp_angles
 from .circuit_ir import CLEAN, Block, Circuit
-from .errors import BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
-from .subroutines import flag, loadf, spf, split_levels
+from .errors import AngleCountMismatch, BadSplit, ComplexTargetNeedsCSP, IndexOutOfRange, NoValidSplit
+from .subroutines import AngleRef, flag, loadf, spf, split_levels
 
 # perfbench/traced.py looks the angle functions up under these older names
 injection_angles, injection_csp_angles = sp_angles, csp_angles
@@ -85,22 +87,54 @@ def stage_angles(t: TargetState, cfg: ProtocolConfig) -> tuple[AngleSet, CSPAngl
 # -- emitters -----------------------------------------------------------------------
 
 
+def _sets(aset: AngleSet | None, angles: CSPAngleSet | None) -> tuple:
+    """The SP set's width and the CSP set's (m, n, phased), each None without the set."""
+    return getattr(aset, "m", None), angles and (angles.m, angles.n, angles.phases is not None)
+
+
+class Shape(NamedTuple):
+    """A circuit with its rotation parameters unset, the angle-table entries they read,
+    and :func:`_sets` of the angle sets it takes."""
+
+    circuit: Circuit
+    refs: list[AngleRef]
+    sets: tuple
+
+    def write(self, aset: AngleSet | None, angles: CSPAngleSet | None = None) -> Circuit:
+        """The circuit with every rotation parameter written from the angle sets."""
+        if _sets(aset, angles) != self.sets:
+            raise AngleCountMismatch(f"circuit takes angle sets {self.sets}, got {_sets(aset, angles)}")
+        tables = {"sp": getattr(aset, "angles", None), "theta": getattr(angles, "angles", None),
+                  "phases": getattr(angles, "phases", None)}
+        for table, at, spans, how, negate in self.refs:
+            x = tables[table].reshape(-1)
+            lo = x[at]
+            values = lo if how == "x" else x[at + 1] - lo if how == "hi-lo" else (x[at + 1] + lo) / how
+            values, done = -values if negate else values, 0
+            for layer, first, count in zip(spans[::3], spans[1::3], spans[2::3]):
+                self.circuit.params(layer)[first:first + count] = values[done:done + count]
+                done += count
+        return self.circuit
+
+
 def _flip(c: Circuit, qubits: list[int], layer: int) -> None:
     """X on each of ``qubits`` at ``layer``, in one batch."""
     c.put("x", qubits, layer)
 
 
-def _emit_sp(c: Circuit, data: list[int], aset: AngleSet, start: int,
+def _emit_sp(c: Circuit, data: list[int], refs: list[AngleRef], start: int,
              keep_a: bool = False) -> tuple[int, list[int], list[int]]:
-    """State preparation on ``data`` from the angle set ``aset``.
+    """State preparation on ``data`` from the "sp" angle table.
 
     Emits the parallel angle rotations, the injection, and the flag-driven
     uncomputation; the angle and flag registers are freed in |0> unless the
     angle register is kept for a caller-managed reflection.
     """
     m = len(data)
+    ry, cry = (AngleRef("sp", np.arange((1 << m) - 1), array("i"), negate=negate) for negate in (False, True))
+    refs.extend((ry, cry))
     A = c.alloc_many((1 << m) - 1, at_layer=start)   # pair (s, p) owns A[2**s - 1 + p]
-    c.put("ry", A, start, aset.angles.tolist())
+    ry.put(c, "ry", A, start, len(A))
     a_levels = split_levels(A)
     spf_end, _ = spf(c, data, a_levels, start=start + 1)
 
@@ -108,7 +142,7 @@ def _emit_sp(c: Circuit, data: list[int], aset: AngleSet, start: int,
     _flip(c, F, spf_end)
     f_levels = split_levels(F)
     fl_end = flag(c, data, f_levels, start=spf_end + 1)
-    c.put("cry", [q for fa in zip(F, A) for q in fa], fl_end, (-aset.angles).tolist())
+    cry.put(c, "cry", [q for fa in zip(F, A) for q in fa], fl_end, len(A))
     fl2_end = flag(c, data, f_levels, start=fl_end + 1, adjoint=True)
     _flip(c, F, fl2_end)
     end = fl2_end + 1
@@ -116,21 +150,20 @@ def _emit_sp(c: Circuit, data: list[int], aset: AngleSet, start: int,
     return end, A, F
 
 
-def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
-              angles: CSPAngleSet, cfg: ProtocolConfig, start: int,
-              keep_b: bool = False) -> tuple[int, list[int], list[int]]:
+def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int], refs: list[AngleRef], phased: bool,
+              cfg: ProtocolConfig, start: int, keep_b: bool = False) -> tuple[int, list[int], list[int]]:
     """Controlled state preparation of the lower register for each |k> of ctrl,
-    from the angle families ``angles``."""
-    nb = (1 << angles.sub_levels) - 1
+    from the "theta" (and, when ``phased``, "phases") angle tables."""
+    nb = (1 << len(lower)) - 1
     F0 = c.alloc_many(nb, at_layer=start)
     _flip(c, F0, start)
     B0 = c.alloc_many(nb, at_layer=start + 1)
-    lf_end = loadf(c, ctrl, B0, F0, angles, start=start + 1,
+    lf_end = loadf(c, ctrl, B0, F0, refs, phased, start=start + 1,
                    dirty_b1=cfg.dirty_b1, fanout=cfg.fanout,
                    first_optimized=cfg.loadf_first_optimized)
     spf_end, _ = spf(c, lower, split_levels(B0), start=lf_end)
     fl_end = flag(c, lower, split_levels(F0), start=spf_end)
-    lf2_end = loadf(c, ctrl, B0, F0, angles, start=fl_end, adjoint=True,
+    lf2_end = loadf(c, ctrl, B0, F0, refs, phased, start=fl_end, adjoint=True,
                     dirty_b1=cfg.dirty_b1, fanout=cfg.fanout)
     fl2_end = flag(c, lower, split_levels(F0), start=lf2_end, adjoint=True)
     _flip(c, F0, fl2_end)
@@ -139,22 +172,25 @@ def _emit_csp(c: Circuit, ctrl: list[int], lower: list[int],
     return end, B0, F0
 
 
-def sp_circuit(angles: AngleSet, keep_a: bool = False) -> Circuit:
-    """Standalone state-preparation circuit for the angle set ``angles`` (:func:`sp_angles`).
-
-    With ``keep_a`` the angle register stays live to the end.
-    """
-    m = angles.m
-    c = Circuit()
+def _sp_shape(m: int, keep_a: bool) -> Shape:
+    c, refs = Circuit(), []
     data = c.alloc_many(m, at_layer=0)
     c.mark_persistent(data)
-    end, A, F = _emit_sp(c, data, angles, 0, keep_a=keep_a)
+    end, A, F = _emit_sp(c, data, refs, 0, keep_a=keep_a)
     c.add_register("D", data)
     c.add_register("A", A)
     c.add_register("F", F)
     c.meta["sp_end"] = end
     c.meta["expected_register_sizes"] = {"D": m, "A": (1 << m) - 1}
-    return c
+    return Shape(c, refs, (m, None))
+
+
+def sp_circuit(angles: AngleSet, keep_a: bool = False) -> Circuit:
+    """Standalone state-preparation circuit for the angle set ``angles`` (:func:`sp_angles`).
+
+    With ``keep_a`` the angle register stays live to the end.
+    """
+    return _sp_shape(angles.m, keep_a).write(angles)
 
 
 def _prepare_basis(c: Circuit, qubits: list[int], basis: int | None) -> int:
@@ -174,19 +210,47 @@ def csp_circuit(angles: CSPAngleSet, control_state: int | None = None,
     that basis state first (for per-branch testing).
     """
     cfg = cfg or ProtocolConfig(n=angles.n, m=angles.m)
-    c = Circuit()
+    c, refs = Circuit(), []
     ctrl = c.alloc_many(angles.m, at_layer=0)
     lower = c.alloc_many(angles.sub_levels, at_layer=0)
     c.mark_persistent(ctrl)
     c.mark_persistent(lower)
     start = _prepare_basis(c, ctrl, control_state)
-    _, B0, F0 = _emit_csp(c, ctrl, lower, angles, cfg, start)
+    _, B0, F0 = _emit_csp(c, ctrl, lower, refs, angles.phases is not None, cfg, start)
     c.add_register("D", [*lower, *ctrl])
     c.add_register("C", ctrl)
     c.add_register("L", lower)
     c.add_register("B0", B0)
     c.add_register("F0", F0)
-    return c
+    return Shape(c, refs, _sets(None, angles)).write(None, angles)
+
+
+def spcsp_shape(cfg: ProtocolConfig, phased: bool = False, keep_ab: bool = False) -> Shape:
+    """:func:`spcsp`'s circuit under ``cfg`` for any target whose angles carry phases iff
+    ``phased``, its rotation parameters unset; in the SP-only fallback, :func:`sp_circuit`'s."""
+    m = cfg.resolved_m()
+    if m is None:
+        shape = _sp_shape(cfg.n, keep_ab)
+        shape.circuit.meta["sp_only"] = True
+        return shape
+    c, refs = Circuit(), []
+    ctrl = c.alloc_many(m, at_layer=0)
+    c.mark_persistent(ctrl)
+    sp_end, A, F = _emit_sp(c, ctrl, refs, 0, keep_a=keep_ab)
+    lower = c.alloc_many(cfg.n - m, at_layer=sp_end)
+    c.mark_persistent(lower)
+    end, B0, F0 = _emit_csp(c, ctrl, lower, refs, phased, cfg, sp_end, keep_b=keep_ab)
+    c.add_register("D", [*lower, *ctrl])
+    c.add_register("C", ctrl)
+    c.add_register("L", lower)
+    c.add_register("A", A)
+    c.add_register("B0", B0)
+    c.add_register("F", F)
+    c.add_register("F0", F0)
+    c.meta["sp_end"] = sp_end
+    nb = (1 << (cfg.n - m)) - 1
+    c.meta["expected_register_sizes"] = {"D": cfg.n, "A": (1 << m) - 1, "B0": nb}
+    return Shape(c, refs, (m, (m, cfg.n, phased)))
 
 
 def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
@@ -200,30 +264,7 @@ def spcsp(t: TargetState, cfg: ProtocolConfig | None = None,
     """
     cfg = cfg or ProtocolConfig(n=t.n)
     aset, angles = stage_angles(t, cfg)
-    if angles is None:
-        c = sp_circuit(aset, keep_a=keep_ab)
-        c.meta["sp_only"] = True
-        return c
-
-    m = angles.m
-    c = Circuit()
-    ctrl = c.alloc_many(m, at_layer=0)
-    c.mark_persistent(ctrl)
-    sp_end, A, F = _emit_sp(c, ctrl, aset, 0, keep_a=keep_ab)
-    lower = c.alloc_many(t.n - m, at_layer=sp_end)
-    c.mark_persistent(lower)
-    end, B0, F0 = _emit_csp(c, ctrl, lower, angles, cfg, sp_end, keep_b=keep_ab)
-    c.add_register("D", [*lower, *ctrl])
-    c.add_register("C", ctrl)
-    c.add_register("L", lower)
-    c.add_register("A", A)
-    c.add_register("B0", B0)
-    c.add_register("F", F)
-    c.add_register("F0", F0)
-    c.meta["sp_end"] = sp_end
-    nb = (1 << (t.n - m)) - 1
-    c.meta["expected_register_sizes"] = {"D": t.n, "A": (1 << m) - 1, "B0": nb}
-    return c
+    return spcsp_shape(cfg, getattr(angles, "phases", None) is not None, keep_ab).write(aset, angles)
 
 
 # -- reflections ------------------------------------------------------------------
@@ -373,10 +414,12 @@ def fragment_circuit(name: str, m: int, angles: CSPAngleSet | None = None, t: in
         _flip(c, [q for i, q in enumerate(F0) if flags[i]], start)
         B0 = c.alloc_many(nb, at_layer=start + 1)
         c.mark_persistent([*F0, *B0])
-        loadf(c, ctrl, B0, F0, angles, start=start + 1, **kwargs)
+        refs = []
+        loadf(c, ctrl, B0, F0, refs, angles.phases is not None, start=start + 1, **kwargs)
         c.add_register("D0", ctrl)
         c.add_register("B0", B0)
         c.add_register("F0", F0)
+        Shape(c, refs, _sets(None, angles)).write(None, angles)
     else:
         raise BadSplit(f"unknown fragment {name!r}")
     return c

@@ -21,6 +21,9 @@ Register conventions shared by every fragment:
   flat operand and parameter lists (``Circuit.put``), straight into the
   layer's columns; the emitted circuit is checked once, as a whole, by
   ``Circuit.validate``.
+* Rotations go in with their parameters unset (:meth:`AngleRef.put`), and
+  an :class:`AngleRef` names the stage-angle entries they read, so one built
+  circuit takes any target's angles.
 """
 
 from __future__ import annotations
@@ -28,17 +31,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .amplitudes import CSPAngleSet
 from .circuit_ir import CLEAN, DIRTY, Block, Circuit, Register
-from .errors import (
-    AngleCountMismatch,
-    BadRegisterShape,
-    NotPowerOfTwo,
-    RegisterTooSmall,
-)
+from .errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
 
 
 def bitrev(x: int, bits: int) -> int:
@@ -315,17 +313,40 @@ def flag(c: Circuit, data: list[int], levels: list[list[int]],
     return block.mirror(start + ladder_start + ladder_span, copy_span)
 
 
+# -- rotation parameters -------------------------------------------------------
+
+
+class AngleRef(NamedTuple):
+    """Where one op's rotations take their parameters: rotation i reads entry lo = x[at[i]]
+    of the flat angle table ``table`` ("sp", "theta" or "phases") and, for a bottom pair's
+    phases, hi = x[at[i] + 1].  ``how`` is "x" for lo, "hi-lo", or a divisor d for
+    (hi + lo) / d, negated if ``negate``.  ``spans`` holds (layer, first parameter
+    position, count) per batch :meth:`put`, in the order of ``at``."""
+
+    table: str
+    at: np.ndarray
+    spans: array
+    how: str | int = "x"
+    negate: bool = False
+
+    def put(self, c: Circuit, op: str, ids, layer: int, count: int) -> None:
+        """Put the next ``count`` rotations as ``op`` gates, their parameters unset (0.0)."""
+        if count:
+            c.put(op, ids, layer, array("d", bytes(8 * count)))
+            self.spans.extend((layer, len(c.params(layer)) - count, count))
+
+
 # -- LOADF ---------------------------------------------------------------------
 
 
 def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
-          angles: CSPAngleSet, start: int | None = None, adjoint: bool = False,
-          dirty_b1: bool = False, fanout: bool = True,
+          refs: list[AngleRef], phased: bool = False, start: int | None = None,
+          adjoint: bool = False, dirty_b1: bool = False, fanout: bool = True,
           first_optimized: bool = False) -> int:
     """Load flagged angle states for the addressed segment into the buffer.
 
     For control value k, buffer pair (s, p) ends in Ry(f_sp * theta^(k)_sp)|0>
-    (plus the bottom-level z-rotations and phases when the angle set carries
+    (plus the bottom-level z-rotations and phases when ``phased``: the set carries
     them).  Setup builds a one-hot address, fans out the controls the
     rotation layer needs, and routes each clean buffer qubit to slot k of a
     private size-2**m block whose other slots may be dirty; the mirrored
@@ -337,19 +358,18 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     ``first_optimized`` drops the flag controls, valid only when every flag
     is |1>.
 
-    The rotations go in as columns computed from the angle tables.  Returns
+    The rotations go in with their parameters unset, and ``refs`` gets the
+    entries of a ``CSPAngleSet``'s "theta" and "phases" tables they read.  Returns
     the end layer.  Its ancilla registers (D1, D2, D3, A0, A1, A2, B1, F1 of
     ``FRAGMENTS["loadf"]``) join ``c.registers`` under each name not yet
     there, so a circuit's first LOADF names them.
     """
     m = len(ctrl)
     M = 1 << m
-    sub = angles.sub_levels
-    if angles.m != m:
-        raise AngleCountMismatch(f"angle set is for m={angles.m}, control register has {m}")
-    nb = (1 << sub) - 1
-    if len(buffer) != nb or len(flags) != nb:
-        raise BadRegisterShape(f"buffer/flag registers need {nb} qubits for n-m={sub}")
+    nb = len(buffer)
+    sub = nb.bit_length()
+    if nb != (1 << sub) - 1 or not nb or len(flags) != nb:
+        raise BadRegisterShape(f"buffer/flag registers need 2**(n-m) - 1 qubits, got {nb} and {len(flags)}")
     route_b = fanout or dirty_b1
     if start is None:
         start = c.num_layers()
@@ -420,9 +440,7 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
 
     # -- rotation block ---------------------------------------------------------------
     rot_base = setup_end
-    theta = np.asarray(angles.angles, dtype=float)
-    phases = None if angles.phases is None else np.asarray(angles.phases, dtype=float)
-    stages = 1 if phases is None else 4
+    stages = 4 if phased else 1
     bottom = (1 << (sub - 1)) - 1   # the bottom level's first pair index
 
     def put_stages(layer, pair, k, ctl: tuple, target) -> None:
@@ -431,33 +449,35 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
         (non-decreasing), pair index (ascending within a layer), control value, controls
         (address, then any flag) and target.  A pair's sequence is its y-rotation and, on
         a phased bottom level, z-rotations and a phase on the controls.  Every op is a
-        rotation, so the adjoint runs each sequence backwards, angles negated."""
-        cc = "c" * len(ctl)
+        rotation, so the adjoint runs each sequence backwards, angles negated.  Each
+        batch's operands are made from its group's operand rows as it is put."""
+        nc = len(ctl)
         bases = sorted(set(layer.tolist()))
         groups = []   # the upper levels' steps, then the bottom level's, with where each base starts
-        for sel, phased in (pair < bottom, False), (pair >= bottom, phases is not None):
-            p, kk, cs, tg = pair[sel], k[sel], tuple(col[sel] for col in ctl), target[sel]
-            seq = [(cc + "ry", (*cs, tg), theta[kk, p])]
-            if phased:
-                lo, hi = phases[kk, 2 * (p - bottom)], phases[kk, 2 * (p - bottom) + 1]
-                seq.append((cc + "rz", (*cs, tg), hi - lo))
-                if len(cs) == 2:
-                    seq.append(("crz", cs, (hi + lo) / 2))
-                seq.append(("phase", cs[:1], (hi + lo) / (2 * len(cs))))
-            steps = [(op, len(ids), array("i", np.stack(ids, axis=-1).astype(np.intc).tobytes()),
-                      array("d", (-angle if adjoint else angle).tobytes()))
-                     for op, ids, angle in (reversed(seq) if adjoint else seq)]
-            groups.append((steps, [*np.searchsorted(layer[sel], bases).tolist(), len(p)]))
+        for sel, on in (pair < bottom, False), (pair >= bottom, phased):
+            p, kk = pair[sel], k[sel]
+            rows = np.stack([col[sel] for col in (*ctl, target)], axis=-1).astype(np.intc, copy=False)
+            seq = [("c" * nc + "ry", nc + 1, AngleRef("theta", kk * nb + p, array("i"), "x", adjoint))]
+            if on:
+                lo = (kk << sub) + 2 * (p - bottom)
+                seq.append(("c" * nc + "rz", nc + 1, AngleRef("phases", lo, array("i"), "hi-lo", adjoint)))
+                if nc == 2:
+                    seq.append(("crz", 2, AngleRef("phases", lo, array("i"), 2, adjoint)))
+                seq.append(("phase", 1, AngleRef("phases", lo, array("i"), 2 * nc, adjoint)))
+            refs.extend(ref for _, _, ref in seq)
+            groups.append((seq[::-1] if adjoint else seq, rows,
+                           [*np.searchsorted(layer[sel], bases).tolist(), len(p)]))
         for r, base in enumerate(bases):
             for i in range(stages):
-                for steps, cuts in groups:
-                    if i < len(steps):
-                        op, nq, ids, thetas = steps[i]
-                        c.put(op, ids[cuts[r] * nq:cuts[r + 1] * nq], base + i, thetas[cuts[r]:cuts[r + 1]])
+                for seq, rows, cuts in groups:
+                    if i < len(seq):
+                        op, width, ref = seq[i]
+                        a, b = cuts[r], cuts[r + 1]
+                        ref.put(c, op, array("i", rows[a:b, :width].tobytes()), base + i, b - a)
 
     if fanout:
         rot_span = stages
-        pair, k = np.repeat(np.arange(nb), M), np.tile(np.arange(M), nb)
+        pair, k = np.repeat(np.arange(nb, dtype=np.intc), M), np.tile(np.arange(M, dtype=np.intc), nb)
         a_ctl = np.frombuffer(a_rows, np.intc).reshape(M, nb)[k, pair]
         f_ctl = () if first_optimized else (np.frombuffer(f_rows, np.intc),)
         put_stages(np.full(nb * M, rot_base), pair, k, (a_ctl, *f_ctl), np.frombuffer(t_slots, np.intc))
@@ -467,7 +487,7 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
         rot_span = C * stages
         a_ids, f_ids = np.frombuffer(a_slots, np.intc), np.asarray(flags)
         blocks = np.frombuffer(t_slots, np.intc).reshape(nb, -1)
-        color, pair = np.repeat(np.arange(C), nb), np.tile(np.arange(nb), C)
+        color, pair = np.repeat(np.arange(C, dtype=np.intc), nb), np.tile(np.arange(nb, dtype=np.intc), C)
         k = (color - pair) % C
         color, pair, k = color[k < M], pair[k < M], k[k < M]
         ctl = (a_ids[k],) if first_optimized else (a_ids[k], f_ids[pair])

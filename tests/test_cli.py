@@ -168,18 +168,18 @@ class TestSynth:
         assert code == 3
         assert json.loads(err)["error"] == "InternalInvariant"
 
-    @pytest.mark.parametrize("fault", ["numpy_angle", "repeated_operand", "unknown_op"])
+    @pytest.mark.parametrize("fault", ["nan_angle", "repeated_operand", "unknown_op"])
     def test_faulty_emitter_is_exit_3(self, capsys, monkeypatch, tmp_path, rand_n4, fault):
         # emitters build gates without per-gate checks; the one validate() must catch them
-        if fault == "numpy_angle":
+        if fault == "nan_angle":
             sp_angles = proto.sp_angles
 
-            def numpy_angles(values):
-                # numpy scalars in an object array stay numpy scalars through .tolist()
+            def nan_angles(values):
+                # angles are written into the float columns as they are: a NaN stays one
                 aset = sp_angles(values)
-                return amp.AngleSet(m=aset.m, angles=np.array(list(aset.angles), dtype=object))
+                return amp.AngleSet(m=aset.m, angles=np.full_like(aset.angles, np.nan))
 
-            monkeypatch.setattr(proto, "sp_angles", numpy_angles)
+            monkeypatch.setattr(proto, "sp_angles", nan_angles)
         elif fault == "repeated_operand":
             cs_layer = subroutines.cs_layer
             monkeypatch.setattr(subroutines, "cs_layer", lambda c, t, controls, targets, at_layer=None:
@@ -398,6 +398,22 @@ class TestLazyImports:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, check=True).stdout
         assert out.splitlines()[-1] == "0 False False"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads the thread list in /proc")
+    def test_a_command_runs_one_thread(self, tmp_path):
+        """``main`` pins OpenBLAS to one thread before a command loads numpy, so the
+        process runs no BLAS thread pool (OpenBLAS starts one thread per core by default)."""
+        (tmp_path / "t.json").write_text(json.dumps({"amplitudes": [1.0] * 64}))
+        script = "\n".join([
+            "import os",
+            "from qsprep.cli import main",
+            "code = main(['synth', '--in', 't.json', '--out', 'c.json', '--report', 'r.json'])",
+            "print(code, len(os.listdir('/proc/self/task')))",
+        ])
+        env = {"PYTHONPATH": str(Path(qsprep.__file__).parents[1]), "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, cwd=tmp_path, check=True).stdout
+        assert out.splitlines()[-1] == "0 1"
 
     def test_public_api_is_pinned(self):
         """The package exports exactly these names; the fragment oracles are test references
@@ -679,7 +695,7 @@ class TestMulticopyCmd:
         """A k past the instance's depth only adds layers that compaction drops; k = depth still runs."""
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"targets": [[1, 2, 3, 4, 5, 6, 7, 8]]}))
-        depth = mc._instance_circuit(amp.make_target([1, 2, 3, 4, 5, 6, 7, 8]), True).depth()
+        depth = mc._instances([amp.make_target([1, 2, 3, 4, 5, 6, 7, 8])], True)[0][0][0].depth()
         code, out, _ = run_cli(capsys, "multicopy", "--in", str(path), "--w", "2",
                                "--indent", str(depth), "--out", str(tmp_path / "b.json"))
         assert code == 0

@@ -38,7 +38,7 @@ def single_depth(n, fanout=True):
 
 def priced_parts(ts, fanout=True):
     """Each target's (sp_end, ancilla profile), as ``stack`` prices them."""
-    return [mc._instance(t, fanout)[1:] for t in ts]
+    return mc._instances(ts, fanout)[1]
 
 
 class TestMinIndentation:
@@ -200,10 +200,8 @@ class TestStack:
         """For every k the priced peak equals the ancilla peak measured on the merged batch."""
         rng = np.random.default_rng(n * 10 + w)
         phases = np.exp(1j * rng.random((w, 1 << n)) * 6) if complex_amps else np.ones((w, 1 << n))
-        built = [mc._instance(amp.make_target(t.amplitudes * phase), fanout)
-                 for t, phase in zip(targets(rng, n, w), phases)]
-        insts = [(c, sp_end) for c, sp_end, _ in built]
-        parts = [(sp_end, prof) for _, sp_end, prof in built]
+        insts, parts = mc._instances([amp.make_target(t.amplitudes * phase)
+                                      for t, phase in zip(targets(rng, n, w), phases)], fanout)
         for k in range(1, insts[0][0].num_layers() + 1):
             merged, _ = mc._merge(list(insts), k)  # _merge empties the list it is given
             assert mc._priced_peak(parts, k) == max(merged.live_profile(mc._ancillae(merged)))
@@ -222,22 +220,35 @@ class TestStack:
                 mc.stack(plan)
         assert len(calls) == merges
 
-    @pytest.mark.parametrize("indentation, builds", [(None, 1), (3, 1)])
-    def test_a_repeated_target_is_built_once(self, monkeypatch, indentation, builds):
-        """``--w`` repeats one target object: it is built once, and the batch
-        is the same as for equal but distinct targets."""
+    @pytest.mark.parametrize("indentation", [None, 3])
+    def test_one_shape_is_built_per_phase_key(self, monkeypatch, indentation):
+        """Instances differ only in their angles once their phase key is fixed: five
+        distinct real targets build one shape, a mix of real and complex targets two.
+        A repeated target object gives the batch of equal distinct targets, and a mix
+        gives the merge of each target's own ``spcsp`` circuit."""
         calls = []
-        build = mc._instance_circuit
-        monkeypatch.setattr(mc, "_instance_circuit", lambda *args: calls.append(args) or build(*args))
+        build = mc.spcsp_shape
+        monkeypatch.setattr(mc, "spcsp_shape", lambda *args: calls.append(args) or build(*args))
         amplitudes = np.random.default_rng(12).random(1 << 4) + 0.02
         repeated = mc.stack(mc.BatchPlan([amp.make_target(amplitudes)] * 5, indentation=indentation))
-        assert len(calls) == builds
         distinct = mc.stack(mc.BatchPlan([amp.make_target(amplitudes) for _ in range(5)],
                                          indentation=indentation))
-        assert len(calls) == builds + 5
+        assert len(calls) == 2
         assert cir.dumps(repeated.circuit) == cir.dumps(distinct.circuit)
         assert (repeated.report, repeated.peak_ancillae, repeated.indentation, repeated.instances) == \
             (distinct.report, distinct.peak_ancillae, distinct.indentation, distinct.instances)
+
+        rng = np.random.default_rng(13)
+        mixed = [t if d % 2 else amp.make_target(t.amplitudes * np.exp(1j * rng.random(1 << 4) * 6))
+                 for d, t in enumerate(targets(rng, 4, 5))]
+        res = mc.stack(mc.BatchPlan(mixed, indentation=indentation, pool_cap=1 << 10))
+        assert len(calls) == 4
+        cfg = proto.ProtocolConfig(n=4, m=mc.batch_split(4))
+        own = []
+        for t in mixed:
+            c = proto.spcsp(t, cfg)
+            own.append((c.compact(), c.depth(c.meta["sp_end"])))
+        assert cir.dumps(mc._merge(own, res.indentation)[0]) == cir.dumps(res.circuit)
 
     @pytest.mark.parametrize("indentation", [None, 1])
     def test_sp_overlap_past_the_pool_has_no_feasible_k(self, indentation):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsprep import amplitudes as amp
 from qsprep import circuit_ir as cir
@@ -198,19 +200,18 @@ class TestSpCsp:
         assert fid >= 1 - 1e-9
 
     def test_loadf_angle_count_mismatch(self):
-        from qsprep.circuit_ir import Circuit
+        """A circuit takes only angle sets of its own widths and phase key."""
         from qsprep.errors import AngleCountMismatch
-        from qsprep.subroutines import loadf
 
         rng = np.random.default_rng(61)
         t = random_targets(rng, 3, 1)[0]
         conv = amp.csp_angles(t, 1)
-        c = Circuit()
-        ctrl = [c.alloc(at_layer=0), c.alloc(at_layer=0)]  # wrong width
-        B0 = [c.alloc(at_layer=0) for _ in range(3)]
-        F0 = [c.alloc(at_layer=0) for _ in range(3)]
+        shape = proto.spcsp_shape(proto.ProtocolConfig(n=3, m=2))  # wrong control width
         with pytest.raises(AngleCountMismatch):
-            loadf(c, ctrl, B0, F0, conv, start=1)
+            shape.write(amp.sp_angles([1.0] * 4), conv)
+        shape = proto.spcsp_shape(proto.ProtocolConfig(n=3, m=1), phased=True)  # wrong phase key
+        with pytest.raises(AngleCountMismatch):
+            shape.write(amp.sp_angles([1.0] * 2), conv)
 
     def test_sp_only_fallback(self):
         t = amp.make_target([3, 1, 2, 5])
@@ -262,6 +263,41 @@ class TestSpCsp:
         t = amp.make_target([1, 0, 0, 0])
         with pytest.raises(BadSplit):
             proto.spcsp(t, proto.ProtocolConfig(n=5))
+
+
+def kind_target(kind: str, n: int, seed: int):
+    """A dense target, one with zeros, a real signed one or a complex one."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.05, 1.0, 1 << n)
+    if kind == "zeros":
+        v[rng.random(1 << n) < 0.5] = 0.0
+        v[rng.integers(1 << n)] = 1.0
+    elif kind == "signed":
+        v *= rng.choice([-1.0, 1.0], 1 << n)
+    elif kind == "complex":
+        v = v * np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << n))
+    return amp.make_target(v)
+
+
+class TestShape:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(4, 7), kind=st.sampled_from(["dense", "zeros", "signed", "complex"]),
+           fanout=st.booleans(), dirty_b1=st.booleans(), first_optimized=st.booleans(),
+           seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
+    def test_a_shape_built_for_one_target_takes_another(self, data, n, kind, fanout, dirty_b1,
+                                                        first_optimized, seeds):
+        """A circuit depends on its target only through its rotation parameters, once the
+        phase key is fixed: built for one target and re-angled for another of the same key,
+        it is ``spcsp`` of the other, byte for byte."""
+        m = data.draw(st.sampled_from([None, *range(1, n)]))
+        cfg = proto.ProtocolConfig(n=n, m=m, dirty_b1=dirty_b1, fanout=fanout,
+                                   loadf_first_optimized=first_optimized)
+        assume(cfg.resolved_m() is not None or kind in ("dense", "zeros"))
+        one, other = (kind_target(kind, n, seed) for seed in seeds)
+        aset, angles = proto.stage_angles(one, cfg)
+        shape = proto.spcsp_shape(cfg, angles is not None and angles.phases is not None)
+        shape.write(aset, angles)
+        assert cir.dumps(shape.write(*proto.stage_angles(other, cfg))) == cir.dumps(proto.spcsp(other, cfg))
 
 
 def paper_layout_case(n, m, complex_=False, dirty_b1=False, seed=0):

@@ -431,6 +431,7 @@ class TestLoadf:
         assert np.max(np.abs(full - opt)) < 1e-12
 
     def test_forward_then_adjoint_is_identity(self):
+        from qsprep.protocols import Shape
         from qsprep.subroutines import loadf as loadf_frag
 
         c = Circuit()
@@ -442,8 +443,10 @@ class TestLoadf:
             c.place([gate("x", (q,))], 1)
         B0 = [c.alloc(at_layer=2) for _ in range(3)]
         c.mark_persistent(F0 + B0)
-        end = loadf_frag(c, ctrl, B0, F0, self.conv, start=2)
-        loadf_frag(c, ctrl, B0, F0, self.conv, start=end, adjoint=True)
+        refs = []
+        end = loadf_frag(c, ctrl, B0, F0, refs, start=2)
+        loadf_frag(c, ctrl, B0, F0, refs, start=end, adjoint=True)
+        Shape(c, refs, (None, (1, 3, False))).write(None, self.conv)
         _, state = run(c)
         vec = state.statevector(ctrl + F0 + B0)
         want = np.zeros(1 << 7, dtype=complex)
