@@ -48,6 +48,10 @@ class TargetState:
     def is_real_nonnegative(self, tol: float = 1e-14) -> bool:
         return bool(np.all(np.abs(self.amplitudes.imag) <= tol) and np.all(self.amplitudes.real >= -tol))
 
+    def phased(self, complex_mode: bool) -> bool:
+        """Whether this target's circuit carries phases: under ``complex_mode``, or if it is not real non-negative."""
+        return complex_mode or not self.is_real_nonnegative()
+
 
 def make_target(raw) -> TargetState:
     """Validate and normalize a raw amplitude sequence.

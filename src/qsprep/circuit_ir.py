@@ -16,36 +16,34 @@ an ``array('d')`` of parameters, and each op's code fixes how many ids
 and parameters it takes (``GATE_SIGNATURES``).  The per-qubit tables are
 flat arrays as well, with ``NEVER`` as the release layer of a qubit that
 is never released.  A gate costs about 12 bytes of columns and a qubit 13
-bytes of tables.  The whole-circuit passes (:meth:`Circuit.validate`'s
-walk, the latest layers, the live profile, compaction, time reversal and
-the accounting) read the columns and tables through numpy views that
-share their memory (:func:`_view`), a few numpy calls per layer or per
-table; placement, relocation and serialization take the columns an id at
-a time in C.  :meth:`Circuit.gates` reads a layer's columns back as
-``Gate`` tuples.
+bytes of tables.  Every check and whole-circuit pass reads the columns
+and tables through numpy views that share their memory (:func:`_view`);
+serialization takes the columns an id at a time in C, and
+:meth:`Circuit.gates` reads a layer back as ``Gate`` tuples.
 
-The check boundary: the per-gate rules are stated once, split by where
-they are enforced.
+The check boundary: each rule is stated once.
 
 * :func:`_form_faults` (known op, operand and parameter counts, ``float``
   parameters, int operands) holds for every packed batch: :func:`_pack`
   raises a batch's first break, in the words :meth:`Circuit.validate`
   uses ("layer t: ..."), since the columns cannot hold such a gate.
-* :func:`_value_faults` (finite parameters, distinct operands) and
-  liveness are checked by one walk, :meth:`Circuit.validate`'s: each layer
-  as a whole, then gate by gate only when it fails, to name each fault
-  with its typed error.
+* The lifecycle rules are one batch test, :func:`_claim`, which placement
+  (:meth:`Circuit.put` and every path through it), release
+  (:meth:`Circuit.dealloc_many`), the reader's dealloc table and
+  :meth:`Circuit.validate`'s walk all run.  A batch that fails changes
+  nothing; a read-only diagnosis raises its first fault, typed.
+* :func:`_value_faults` (finite parameters, distinct operands) is left to
+  the walk, which tests each layer as a whole and goes gate by gate only
+  when the layer fails, to name each fault with its typed error.
 
-Emitters write the columns directly: each batch of one op goes in through
-:meth:`Circuit.put` as flat operands and parameters, the path
-:meth:`Circuit.embed` and :meth:`Block.mirror` take with column slices,
-which checks liveness and time order in one pass over the batch's ids.
-``Gate`` tuples are for hand-built circuits: :func:`gate` is their checked
-constructor, :meth:`Circuit.place` packs a mixed batch of them and
-:meth:`Circuit.append_layer` adds one as a layer without the liveness
-check.  :func:`loads` reads circuit JSON (a ``str``, ``bytes``, or a
-binary file read in blocks) into the columns a chunk of gates at a time,
-and the loaded circuit passes the walk.
+Emitters put each batch of one op through :meth:`Circuit.put` as flat
+operands and parameters; :meth:`Circuit.embed` and :meth:`Block.mirror`
+place column slices the same way.  ``Gate`` tuples are for hand-built
+circuits: :func:`gate` is their checked constructor, :meth:`Circuit.place`
+packs a mixed batch of them and :meth:`Circuit.append_layer` adds one as a
+layer without the liveness test.  :func:`loads` reads circuit JSON (a
+``str``, ``bytes``, or a binary file read in blocks) into the columns a
+chunk of gates at a time, and the loaded circuit passes the walk.
 """
 
 from __future__ import annotations
@@ -57,8 +55,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, compress, count, groupby, islice, repeat
-from operator import itemgetter, lt, ne, neg
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import itemgetter, ne, neg
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -128,6 +126,50 @@ def _view(column: array) -> np.ndarray:
     array cannot be resized while a view of it exists (``BufferError``), so each
     whole-circuit pass drops its views when it returns."""
     return np.frombuffer(column, np.intc)
+
+
+def _ids(ids: Sequence[int]) -> array:
+    """A batch's qubit ids as an ``array('i')``: the batch itself if it is one, else a copy
+    (``OverflowError`` for an id that does not fit, ``TypeError`` for one that is no int)."""
+    return ids if isinstance(ids, array) and ids.typecode == "i" else array("i", ids)
+
+
+def _claim(ids: np.ndarray, t, last_use: np.ndarray, dealloc: np.ndarray, release: bool = False) -> bool:
+    """The lifecycle rules, tested on a whole batch of qubit ids (numpy views, like the
+    tables) at once: every id is a qubit, none repeats, and each is live at ``t`` after
+    its latest gate, ``last_use[ids] < t < dealloc[ids]``.  A gate batch then writes
+    ``last_use[ids] = t``; a release, whose ``t`` may be one layer per id, also needs the
+    qubits not yet released (``dealloc[ids] == NEVER``) and writes ``dealloc[ids] = t``.
+    A batch that fails changes nothing.  A qubit's latest layer is at least its alloc
+    layer - 1, so ``last_use < t`` also proves it allocated by then, and a repeated id
+    marks one qubit twice, so fewer qubits than ids are marked."""
+    if not len(ids):
+        return True
+    top = int(ids.view(np.uintc).max())  # a negative id reads as one past 2**31 - 1
+    if top >= len(last_use):
+        return False
+    if release:  # t may be one layer per id; int32 indices, which numpy buffers, copy no ids
+        live = np.max(t) < NEVER == dealloc[ids].min() and (last_use[ids] < t).all()
+    else:  # numpy gathers and scatters fastest through intp indices
+        ids = ids.astype(np.intp)
+        live = np.take(last_use, ids).max() < t < np.take(dealloc, ids).min()
+    if not live:
+        return False
+    marks = np.zeros(top + 1, np.bool_)
+    marks[ids] = True
+    if np.count_nonzero(marks) != len(ids):
+        return False
+    (dealloc if release else last_use)[ids] = t
+    return True
+
+
+def _live_counts(alloc: np.ndarray, ends: np.ndarray, L: int) -> list[int]:
+    """The live count per layer 0..L-1 of the lifetimes [alloc, ends) (``ends`` at most
+    ``L``): a running sum of steps up at allocs and down at releases (``np.add.at``)."""
+    steps = np.zeros(max(L, int(alloc.max(initial=0))) + 1, np.int64)
+    np.add.at(steps, alloc, 1)
+    np.subtract.at(steps, ends, 1)
+    return np.cumsum(steps[:L]).tolist()
 
 
 def _before(layers: array) -> array:
@@ -277,42 +319,35 @@ class Circuit:
         return range(first, len(self._alloc))
 
     def dealloc(self, q: int, at_layer: int | None = None) -> None:
-        if not 0 <= q < len(self._alloc):
-            raise OperandNotLive(f"qubit {q} is not allocated")
-        if self._dealloc[q] != NEVER:
-            raise DoubleDealloc(f"qubit {q} deallocated twice")
-        if at_layer is None:
-            at_layer = max(self._last_use[q] + 1, self._alloc[q])
-        if at_layer < self._alloc[q] or at_layer <= self._last_use[q]:
-            raise UseAfterDealloc(f"qubit {q} has activity at or past layer {at_layer}")
-        self._dealloc[q] = at_layer
+        """:meth:`dealloc_many` of one qubit, by default right after its latest gate."""
+        if at_layer is None:  # a qubit not in the circuit is refused before its layer is read
+            at_layer = self._last_use[q] + 1 if 0 <= q < len(self._last_use) else 0
+        self.dealloc_many((q,), at_layer)
 
-    def dealloc_many(self, qubits: Sequence[int], at_layer: int) -> None:
-        """Release qubits at one layer.
-
-        The ids are copied into an ``array('i')`` and checked in one pass
-        per rule; ids that increase, as a ``Block`` releases them, are
-        distinct without being hashed.  Only ids that fail, or that no
-        column holds, are released qubit by qubit through :meth:`dealloc`,
-        which raises its typed error.  A qubit's latest layer is at least
-        its alloc layer - 1, so ``last_use < at_layer`` also proves it
-        allocated by then.
-        """
+    def dealloc_many(self, qubits: Sequence[int], at) -> None:
+        """Release qubits at one layer ``at``, or each at its own (``at`` a sequence as long
+        as ``qubits``), if the batch passes :func:`_claim`; else release none and raise the
+        first fault in batch order: a qubit not in the circuit, released already or
+        earlier in the batch, or with a gate at or past its release layer."""
+        one = isinstance(at, (int, np.integer))
         try:
-            qs = array("i", qubits)
-        except (TypeError, OverflowError):
-            qs = qubits
-        if not qs:
-            return
-        dealloc = self._dealloc
-        if (min(qs) >= 0 and max(qs) < len(dealloc)
-                and (all(map(lt, qs, islice(qs, 1, None))) or len(set(qs)) == len(qs))
-                and set(map(dealloc.__getitem__, qs)) == {NEVER}
-                and max(map(self._last_use.__getitem__, qs)) < at_layer):
-            _consume(map(dealloc.__setitem__, qs, repeat(at_layer)))
-        else:
-            for q in qs:
-                self.dealloc(q, at_layer)
+            if _claim(_view(_ids(qubits)), at if one else _view(_ids(at)),
+                      _view(self._last_use), _view(self._dealloc), release=True):
+                return
+        except (TypeError, OverflowError):  # an id or a layer that is no int32
+            pass
+        seen = set()
+        for q, t in zip(qubits, repeat(at) if one else at):
+            if not 0 <= q < len(self._alloc):
+                raise OperandNotLive(f"qubit {q} is not allocated")
+            if self._dealloc[q] != NEVER or q in seen:
+                raise DoubleDealloc(f"qubit {q} deallocated twice")
+            if t <= self._last_use[q]:
+                raise UseAfterDealloc(f"qubit {q} has activity at or past layer {t}")
+            if t >= NEVER:
+                raise OperandNotLive(f"qubit {q} deallocated at {t}, not a layer index")
+            seen.add(q)
+        raise InternalInvariant(f"a release at {at} failed its test without a fault")
 
     def mark_persistent(self, qubits: Iterable[int]) -> None:
         self._persistent.update(qubits)
@@ -340,11 +375,9 @@ class Circuit:
         The batch is packed into columns first (:func:`_pack`).  Gates on
         one qubit must arrive in time order: a layer at or before the
         qubit's latest gate is a ``LayerCollision``, which also rejects a
-        qubit in two gates of the batch.  One loop over the flat ids tests
-        each against one combined condition; only a failing id is examined
-        for its typed error.  A rejected batch adds no gate or layer, but the
-        qubits checked before the failing one keep their new latest layer.
-        An empty batch changes nothing.
+        qubit in two gates of the batch.  The flat ids are tested as a whole
+        (:meth:`_place`); a rejected batch, like an empty one, changes
+        nothing.
         """
         if not gates:
             return layer
@@ -371,43 +404,45 @@ class Circuit:
         return self._place(codes, ids, params, layer)
 
     def _place(self, codes, ids, values, layer: int) -> int:
-        """:meth:`place` for a batch already in columns: ``ids`` and ``values`` are
-        sequences of ints and floats (lists, tuples, ranges or arrays)."""
+        """:meth:`place` for a batch already in columns (``ids`` any sequence of ints, an
+        ``array('i')`` read in place): written only if its ids pass :func:`_claim`, else
+        :meth:`_operand_error` is raised."""
         if not codes:
             return layer
-        last_use, dealloc = self._last_use, self._dealloc
-        n = len(last_use)
-        for i in ids:
-            # a qubit's latest layer is at least its alloc layer - 1, so
-            # last_use < layer also proves it allocated by then
-            if 0 <= i < n and last_use[i] < layer < dealloc[i]:
-                last_use[i] = layer
-            else:
-                raise self._operand_error(i, layer)
+        try:
+            qs = _ids(ids)
+            placed = _claim(_view(qs), layer, _view(self._last_use), _view(self._dealloc))
+        except OverflowError:  # an id that is no int32
+            placed = False
+        if not placed:
+            raise self._operand_error(ids, layer)
         if layer >= len(self._ops):
             self._grow(layer)
         self._ops[layer] += codes
-        self._qs[layer].extend(ids)
+        self._qs[layer] += qs
         self._ps[layer].extend(values)
         return layer
 
-    def _operand_error(self, i: int, layer: int) -> CircuitError:
-        """Why qubit ``i`` cannot take a gate at ``layer``."""
-        if not 0 <= i < len(self._alloc) or layer < self._alloc[i]:
-            return OperandNotLive(f"qubit {i!r} not allocated at layer {layer}")
-        d = self._dealloc[i]
-        if layer >= d:
-            return UseAfterDealloc(f"qubit {i} deallocated at layer {d}, gate at {layer}")
-        return LayerCollision(f"qubit {i} has a gate at layer {self._last_use[i]}, next gate at {layer}")
+    def _operand_error(self, ids: Sequence[int], layer: int) -> CircuitError:
+        """The typed error of a batch's first id, in batch order, that is no qubit live at
+        ``layer`` or has a gate there already (earlier in the batch too).  Reads only."""
+        seen = set()
+        for i in ids:
+            if not 0 <= i < len(self._alloc) or layer < self._alloc[i]:
+                return OperandNotLive(f"qubit {i!r} not allocated at layer {layer}")
+            d = self._dealloc[i]
+            if layer >= d:
+                return UseAfterDealloc(f"qubit {i} deallocated at layer {d}, gate at {layer}")
+            last = layer if i in seen else self._last_use[i]
+            if last >= layer:
+                return LayerCollision(f"qubit {i} has a gate at layer {last}, next gate at {layer}")
+            seen.add(i)
+        return InternalInvariant(f"layer {layer}: a batch failed its liveness test without a fault")
 
     def append(self, g: Gate) -> int:
         """Place one gate ASAP: at the earliest layer after each operand's latest layer."""
-        layer = 0
-        for q in g.qubits:
-            if not 0 <= q < len(self._alloc):
-                raise OperandNotLive(f"qubit {q} not allocated")
-            layer = max(layer, self._last_use[q] + 1, self._alloc[q])
-        return self.place([g], layer)
+        n = len(self._last_use)
+        return self.place([g], max((self._last_use[q] + 1 for q in g.qubits if 0 <= q < n), default=0))
 
     def append_layer(self, gates: list[Gate]) -> int:
         """Add ``gates`` as a new last layer and return its index.
@@ -493,24 +528,13 @@ class Circuit:
         return sum(map(len, self._ops))
 
     def live_profile(self, qubits: Iterable[int] | None = None) -> list[int]:
-        """Live-qubit count per layer (allocated and not yet deallocated).
-
-        Counts only the given qubits when ``qubits`` is passed, else all.
-        A lifetime adds one at its alloc layer and takes one away at its
-        release layer (at most ``num_layers()``), so an empty one adds
-        nothing, and one allocated past the last layer counts nowhere: both
-        are counted per layer by ``np.add.at`` over the tables, and the
-        profile is the running sum of the counts.
-        """
+        """Live-qubit count per layer (:func:`_live_counts`) of the given qubits, else of all."""
         L = self.num_layers()
         alloc, dealloc = _view(self._alloc), _view(self._dealloc)
         if qubits is not None:
             ids = np.fromiter(qubits, np.intc)
             alloc, dealloc = alloc[ids], dealloc[ids]
-        steps = np.zeros(max(L, int(alloc.max(initial=0))) + 1, np.int64)
-        np.add.at(steps, alloc, 1)
-        np.subtract.at(steps, np.minimum(dealloc, L), 1)
-        return np.cumsum(steps[:L]).tolist()
+        return _live_counts(alloc, np.minimum(dealloc, L), L)
 
     def embed(self, src: "Circuit", shift: Callable[[int], int],
               shared: dict[int, int] | None = None) -> list[int]:
@@ -523,7 +547,7 @@ class Circuit:
         shifted last layer, at ``shift(dealloc - 1) + 1``, and persistent here
         if it is persistent in ``src``.  ``shift`` is called once per layer,
         each layer's ids are remapped by one numpy gather and placed as one
-        batch, and each release layer's qubits are released in one call.
+        batch, and every qubit released in ``src`` is released here in one call.
         """
         shared = shared or {}
         mapping = np.full(len(src._alloc), -1, np.intc)
@@ -540,9 +564,8 @@ class Circuit:
         for t, (codes, qs, values) in enumerate(zip(src._ops, src._qs, src._ps)):
             if codes:
                 self._place(codes, array("i", mapping[_view(qs)].tobytes()), values, at[t])
-        ends, freed = np.fromiter(map(at.__getitem__, last), np.int64, len(last)) + 1, mapping[fresh[freed]]
-        for end in sorted(set(ends.tolist())):
-            self.dealloc_many(array("i", freed[ends == end].tobytes()), end)
+        self.dealloc_many(array("i", mapping[fresh[freed]].tobytes()),
+                          array("i", (at[t] + 1 for t in last)))
         return mapping.tolist()
 
     def _copy_tables(self) -> "Circuit":
@@ -629,36 +652,19 @@ class Circuit:
 
         The columns hold only well-formed gates (:func:`_pack`), so each
         gate must keep :func:`_value_faults` and act on qubits live at its
-        layer, one gate per qubit per layer.  A layer is checked as a whole
-        by a few numpy calls on views of its columns and of the lifecycle
-        tables (:func:`_view`): its parameters are finite, its ids lie in
-        [0, n) with ``alloc[ids].max() <= t < dealloc[ids].min()``, and none
-        repeats, which one mark per qubit shows: the layer's ids are marked,
-        the marks over the span they cover are counted and cleared again.
-        Only a layer that fails is walked gate by gate.
-
-        ``last_use``, if given, is a view of a table that holds each qubit's
-        alloc layer - 1: each layer that passes sets its ids' entries to its
-        index, so the walk of a circuit without faults leaves each qubit's
-        latest layer there.
+        layer, one gate per qubit per layer.  A layer is checked as a whole:
+        its parameters are finite and its ids pass :func:`_claim` against
+        ``last_use``, a view of each qubit's alloc layer - 1 (by default a
+        fresh copy).  Layers come in time order, so the walk of a circuit
+        without faults leaves each qubit's latest layer there.  Only a layer
+        that fails is walked gate by gate.
         """
-        n = len(self._alloc)
-        alloc, dealloc = _view(self._alloc), _view(self._dealloc)
-        marks = np.zeros(n, np.bool_)
+        alloc, dealloc = self._alloc, self._dealloc
+        last_use = _view(_before(alloc)) if last_use is None else last_use
         for t, (ids, values) in enumerate(zip(self._qs, self._ps)):
-            if not ids:
+            if not ids or (np.isfinite(np.frombuffer(values)).all()
+                           and _claim(_view(ids), t, last_use, _view(dealloc))):
                 continue
-            at = _view(ids)
-            lo, hi = int(at.min()), int(at.max())
-            if (np.isfinite(np.frombuffer(values)).all() and 0 <= lo and hi < n
-                    and alloc[at].max() <= t < dealloc[at].min()):
-                marks[at] = True
-                distinct = np.count_nonzero(marks[lo:hi + 1]) == len(ids)
-                marks[lo:hi + 1] = False
-                if distinct:
-                    if last_use is not None:
-                        last_use[at] = t
-                    continue
             seen = set()
             for g in self.gates(t):
                 for error, message in _value_faults(*g):
@@ -667,7 +673,7 @@ class Circuit:
                     if i in seen:
                         yield LayerCollision, f"layer {t}: qubit {i} in two gates"
                     seen.add(i)
-                    if not 0 <= i < n:
+                    if not 0 <= i < len(alloc):
                         yield OperandNotLive, f"layer {t}: qubit {i} is not in the circuit"
                     elif t < alloc[i]:
                         yield OperandNotLive, f"layer {t}: qubit {i} used before allocation"
@@ -721,15 +727,17 @@ class Block:
         ``at + span - 1 - rel``: its column slices are placed with the op
         codes translated to their inverses' and the parameters negated,
         latest recorded layer first and, within a layer, in recorded order,
-        so each mirrored layer keeps its gates' order.  The qubits allocated
-        at ``rel`` are released at ``at + span - rel`` in one call.
+        so each mirrored layer keeps its gates' order.  Every qubit allocated
+        at ``rel`` is released at ``at + span - rel``, all in one call made
+        first, while the circuit is smallest.
         """
         c = self.c
+        c.dealloc_many(array("i", chain.from_iterable(qubits for _, qubits in self.allocs)),
+                       array("i", chain.from_iterable(repeat(at + span - rel, len(qubits))
+                                                      for rel, qubits in self.allocs)))
         for layer, (o0, q0, p0), (o1, q1, p1) in sorted(self.spans, key=itemgetter(0), reverse=True):
             c._place(c._ops[layer][o0:o1].translate(_INVERSE), c._qs[layer][q0:q1],
                      array("d", map(neg, c._ps[layer][p0:p1])), at + span - 1 - (layer - self.start))
-        for rel, allocs in groupby(sorted(self.allocs, key=itemgetter(0)), itemgetter(0)):
-            c.dealloc_many(array("i", chain.from_iterable(qubits for _, qubits in allocs)), at + span - rel)
         return at + span
 
 
@@ -804,8 +812,9 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = GateSetModel(),
     leaked = next((q for q in never if q not in persistent), None)
     if leaked is not None:
         raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
-    prof = c.live_profile() if profile is None else profile
+    # the one table-sized copy: release layers clipped to L, then the lifetimes
     lifetimes = np.minimum(dealloc, L)
+    prof = _live_counts(alloc, lifetimes, L) if profile is None else profile
     lifetimes -= alloc
     sa_q = int(lifetimes.sum())
     # the kind codes viewed as booleans, True for DIRTY (code 1): a mask that copies nothing
@@ -1135,12 +1144,10 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
     """Fill ``c``'s lifecycle tables from the columns of the ``alloc`` and ``dealloc`` tables.
 
     A table given as anything but a list is passed as None.  The alloc ids
-    must be 0..n-1 in some order; the dealloc ids must be allocated, each
-    released once, no earlier than its allocation.  Each rule is a numpy
-    pass over views of the table columns; a dealloc table that fails is
-    walked entry by entry, which raises the first entry's typed error.  The
-    layers' upper bound is checked by :func:`_check_bounds` once the layer
-    count is known.
+    must be 0..n-1 in some order.  The qubits have no gate yet, and the
+    dealloc table is released through :meth:`Circuit.dealloc_many`, each
+    qubit at its own layer, with its rules and errors.  The layers' upper
+    bound is checked by :func:`_check_bounds` once the layer count is known.
     """
     for key, table in ("alloc", alloc_table), ("dealloc", dealloc_table):
         if table is None:
@@ -1155,21 +1162,8 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
         _view(alloc_by_id)[rows] = _view(alloc)
         np.frombuffer(kinds_by_id, np.uint8)[rows] = np.frombuffer(kinds, np.uint8)
         alloc, kinds = alloc_by_id, kinds_by_id
-    dealloc = array("i", (NEVER,)) * n
-    who, when, table = _view(qs), _view(ends), _view(dealloc)
-    if len(qs) and who.min() >= 0 and who.max() < n:
-        table[who] = when
-    if not (np.count_nonzero(table != NEVER) == len(qs) and (_view(alloc)[who] <= when).all()):
-        dealloc = array("i", (NEVER,)) * n
-        for qid, t in zip(qs, ends):
-            if not 0 <= qid < n:
-                raise OperandNotLive(f"qubit id {qid!r} is not allocated")
-            if dealloc[qid] != NEVER:
-                raise DoubleDealloc(f"qubit {qid} deallocated twice")
-            if t < alloc[qid]:
-                raise UseAfterDealloc(f"qubit {qid} has activity at or past layer {t}")
-            dealloc[qid] = t
-    c._kind, c._alloc, c._dealloc = kinds, alloc, dealloc
+    c._kind, c._alloc, c._dealloc, c._last_use = kinds, alloc, array("i", (NEVER,)) * n, _before(alloc)
+    c.dealloc_many(qs, ends)
 
 
 def _check_bounds(c: Circuit) -> None:
@@ -1460,7 +1454,6 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
     if "layers" not in seen or "layers" in values:
         raise MalformedCircuit('"layers" must be a JSON list')
     _check_bounds(c)
-    c._last_use = _before(c._alloc)
     for error, message in c._faults(_view(c._last_use)):
         raise error(message)
 

@@ -244,7 +244,7 @@ def cmd_fragment(args, argv) -> int:
             raise MalformedInput("loadf fragment needs --in with amplitudes")
         raw = _read(args.infile)
         target = amp.target_from_json(raw)
-        angles = amp.csp_angles(target, args.m, with_phases=args.complex_amps)
+        angles = amp.csp_angles(target, args.m, with_phases=target.phased(args.complex_amps))
         kwargs["fanout"] = not args.no_fanout
         kwargs["dirty_b1"] = args.dirty_b1
     with _emitting():

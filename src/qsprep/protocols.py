@@ -74,7 +74,7 @@ def stage_angles(t: TargetState, cfg: ProtocolConfig) -> tuple[AngleSet, CSPAngl
     """
     if cfg.n != t.n:
         raise BadSplit(f"config is for n={cfg.n}, target has n={t.n}")
-    complex_mode = cfg.complex_mode or not t.is_real_nonnegative()
+    complex_mode = t.phased(cfg.complex_mode)
     m = cfg.resolved_m()
     if m is None:
         if complex_mode:

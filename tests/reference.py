@@ -8,6 +8,8 @@ writer involved:
 * the IR's whole-circuit walks, one gate or one qubit at a time: the
   faults ``Circuit.validate`` reports, each qubit's latest layer, the live
   profile and the ``ResourceReport``;
+* the lifecycle rules one id at a time: what placing or releasing a
+  batch raises;
 * the rotation angle on pair (s, p), from the masses of a congruence class;
 * the fragments' target states: the FLAG marking, the SPF injection state
   and the LOADF buffer state;
@@ -22,7 +24,7 @@ import numpy as np
 from qsprep.amplitudes import AngleSet, CSPAngleSet, PartitionNorms
 from qsprep.circuit_ir import (DIRTY, GATE_SIGNATURES, NEVER, ROTATION_OPS, Circuit, Gate, GateSetModel,
                                ResourceReport, gate)
-from qsprep.errors import IndexOutOfRange
+from qsprep.errors import DoubleDealloc, IndexOutOfRange, LayerCollision, OperandNotLive, UseAfterDealloc
 from qsprep.sim import SimState
 
 # -- the circuit JSON document -------------------------------------------------
@@ -81,6 +83,41 @@ def last_use_oracle(c: Circuit) -> list[int]:
             for q in g.qubits:
                 last[q] = t
     return last
+
+
+def place_oracle(c: Circuit, ids, layer: int):
+    """What placing gates on ``ids`` at ``layer`` raises, one id at a time in batch
+    order, as (error class, message), or None if it passes: each id must be a qubit
+    allocated by ``layer`` and not released by then, and its latest gate, which each
+    id moves to ``layer`` in turn, must come before ``layer``."""
+    latest = {}
+    for i in ids:
+        if i not in c.qubits() or layer < c.alloc_layer(i):
+            return OperandNotLive, f"qubit {i} not allocated at layer {layer}"
+        end = c.dealloc_layer(i)
+        if end is not None and layer >= end:
+            return UseAfterDealloc, f"qubit {i} deallocated at layer {end}, gate at {layer}"
+        last = latest.get(i, c.last_use_layer(i))
+        if last >= layer:
+            return LayerCollision, f"qubit {i} has a gate at layer {last}, next gate at {layer}"
+        latest[i] = layer
+    return None
+
+
+def release_oracle(c: Circuit, ids, layers):
+    """What releasing each of ``ids`` at its layer raises, one id at a time in batch
+    order, as (error class, message), or None if it passes: each id must be a qubit,
+    released once, and after its allocation and its latest gate."""
+    released = set()
+    for q, t in zip(ids, layers):
+        if q not in c.qubits():
+            return OperandNotLive, f"qubit {q} is not allocated"
+        if c.dealloc_layer(q) is not None or q in released:
+            return DoubleDealloc, f"qubit {q} deallocated twice"
+        if t < c.alloc_layer(q) or t <= c.last_use_layer(q):
+            return UseAfterDealloc, f"qubit {q} has activity at or past layer {t}"
+        released.add(q)
+    return None
 
 
 def live_oracle(c: Circuit, qubits=None) -> list[int]:

@@ -170,6 +170,29 @@ class TestLifecycle:
         with pytest.raises(error):
             release(c, qs)
 
+    def test_rejected_put_changes_nothing(self):
+        """A batch with a qubit not yet allocated leaves its live qubit's latest layer
+        alone, so placing that qubit alone there afterwards is no collision."""
+        c = Circuit()
+        a = c.alloc(at_layer=0)
+        late = c.alloc(at_layer=2)
+        with pytest.raises(OperandNotLive):
+            c.put("x", [a, late], 1)
+        assert c.last_use_layer(a) == -1 and c.size() == 0
+        c.put("x", [a], 1)
+        assert c.last_use_layer(a) == 1
+
+    def test_rejected_release_changes_nothing(self):
+        """A release with one qubit used past its layer releases none of the batch."""
+        c = Circuit()
+        a, b = c.alloc_many(2, at_layer=0)
+        c.put("x", [b], 4)
+        with pytest.raises(UseAfterDealloc):
+            c.dealloc_many([a, b], 3)
+        assert c.dealloc_layer(a) is None and c.dealloc_layer(b) is None
+        c.dealloc_many([a], 3)
+        assert c.dealloc_layer(a) == 3
+
     @pytest.mark.parametrize("operand", [-1, 2])
     def test_operand_outside_the_alloc_table_rejected(self, operand):
         c = Circuit()

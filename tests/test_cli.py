@@ -734,6 +734,21 @@ class TestFragmentCmd:
         rep = json.loads(out)["report"]
         assert all(mass <= 1e-10 for _, _, mass in rep["ancilla_verdicts"])
 
+    def test_loadf_keeps_the_phases_of_a_signed_target(self, capsys, tmp_path):
+        """A target that is not real non-negative gets its phases without ``--complex``,
+        as in ``synth``: the fragment is the one ``--complex`` writes (51 gates at n=3,
+        m=1, where dropping the phases left 39)."""
+        path = tmp_path / "n3.json"
+        path.write_text(json.dumps({"amplitudes": [0.5, -0.5, 0.5, 0.5, [0.1, 0.2], -0.3, 0.4, [0, 0.4]]}))
+        texts = []
+        for flags in ((), ("--complex",)):
+            circ = tmp_path / f"lf{len(flags)}.json"
+            code, out, _ = run_cli(capsys, "fragment", "loadf", "--m", "1", "--in", str(path), *flags,
+                                   "--out", str(circ))
+            assert code == 0 and json.loads(out)["report"]["size"] == 51
+            texts.append(circ.read_text())
+        assert texts[0] == texts[1]
+
     @pytest.mark.parametrize("argv, flag", [
         (("copy", "--m", "3", "--in", "/nonexistent.json"), "--in"),
         (("copyswap", "--m", "2", "--t", "1"), "--t"),

@@ -20,6 +20,10 @@ multicopy circuit and the 3 `loadf` fragments) were re-recorded when the
 CSP angles began to come straight from each segment's masses instead of
 from cos^2 of the contiguous angles: only LOADF's rotation parameters
 moved, by at most 3.5e-15 here, the rounding error the round trip left.
+The `loadf` and `loadf_dirty_b1_no_fanout` fragment digests were
+re-recorded when `fragment loadf` began to keep the phases of a target
+that is not real non-negative without `--complex`, as `synth` does: their
+target is complex, so the `loadf` circuit is now `loadf_complex`'s.
 A change that alters
 the circuit JSON, a report or the profile CSV on purpose records new
 digests here and says why.
@@ -158,12 +162,12 @@ FRAGMENT_GOLDEN = {
         "fragment_report.json": "d888e922c12e6fa6bfdebe198fabb34f98fd53f3e76db3691f74ba84ca54c8ff",
     },
     "loadf": {
-        "fragment.json": "f73390c53c24ce2271f54163ab7d5c973f774f75fed0fad11c15f83d348c1df1",
-        "fragment_report.json": "7f53eb213b10555535093d501bd07c66459938f0eba1120a4637fee1d5d9a010",
+        "fragment.json": "01fc25b3376b2a13df644fa46405f8341f9f48f6299c4c0a80f53caaa1b1b995",
+        "fragment_report.json": "874fd9471d1381672b94a2a9c43bb528774e28566f1fc3368c42a159eca25adc",
     },
     "loadf_dirty_b1_no_fanout": {
-        "fragment.json": "2cd631b59cf540d1ec8c1ba7dd37af2b7a478f9b7b55ad5389be7734aac5245e",
-        "fragment_report.json": "09eeeeac103bc690331e826c75cc822ce20026368b55e0cfc7e38a7e06e996d0",
+        "fragment.json": "021fe386e096c0b30d90da23e45b5b29896db452c6b5583aed3a981cf7a46f34",
+        "fragment_report.json": "4acc16b36c1e184a095cfb5cfaa13b17d5f1a92e80ced416831bbbe0b33c2e42",
     },
     "loadf_complex": {
         "fragment.json": "01fc25b3376b2a13df644fa46405f8341f9f48f6299c4c0a80f53caaa1b1b995",

@@ -7,21 +7,27 @@ mid-circuit.  The simulator checks every release: a clean qubit must come
 back in |0>, a dirty one in its seed.  The walks (``validate``, the latest
 layers, the live profiles and ``spacetime_allocation``) are checked on
 random lifecycles with empty layers and one injected defect against the
-gate-by-gate and qubit-by-qubit references of ``tests/reference.py``.
+gate-by-gate and qubit-by-qubit references of ``tests/reference.py``, and
+so are the batch lifecycle test's verdicts on placing and releasing
+random batches.
 """
 
+import json
 import math
+from array import array
 from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsprep import circuit_ir as cir
 from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, Gate, GateSetModel, gate
+from qsprep.errors import CircuitError
 from qsprep.sim import run
-from reference import fault_messages, last_use_oracle, live_oracle, report_oracle
+from reference import fault_messages, last_use_oracle, live_oracle, place_oracle, release_oracle, report_oracle
 
 OPS = list(GATE_SIGNATURES)
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -254,3 +260,61 @@ def test_walks_match_their_plain_references(c, defect, data):
     assert dirty == [p for p in c.qubits() if c.kind(p) == DIRTY]
     assert c.live_profile() == live_oracle(c)
     assert c.live_profile(dirty) == live_oracle(c, dirty)
+
+
+def tables(c: Circuit) -> tuple:
+    """Everything placing or releasing a batch may write, as bytes."""
+    return (bytes(c._kind), c._alloc.tobytes(), c._dealloc.tobytes(), c._last_use.tobytes(),
+            [(bytes(o), q.tobytes(), p.tobytes()) for o, q, p in zip(c._ops, c._qs, c._ps)])
+
+
+def verdict(add, c: Circuit):
+    """``add(c)``'s error as (class, message), or None if it passes."""
+    try:
+        add(c)
+    except CircuitError as e:
+        return type(e), str(e)
+    return None
+
+
+@PROPERTY
+@given(c=lifecycles(), data=st.data())
+def test_batches_pass_exactly_the_per_id_rules(c, data):
+    """A random batch of ids (in the circuit or not, allocated yet or not, released or
+    not, repeated, or already used at the layer) is placed by ``put`` and released by
+    ``dealloc_many`` (at one layer, and at one layer per id) just when the per-id
+    references accept it.  Otherwise the first (class, message) is theirs, and every
+    table is byte for byte as it was."""
+    n, L = len(c.qubits()), c.num_layers()
+    ids = data.draw(st.lists(st.integers(-1, n + 1), max_size=5))
+    layer = data.draw(st.integers(0, L + 1))
+    per_id = data.draw(st.lists(st.integers(0, L + 1), min_size=len(ids), max_size=len(ids)))
+    for add, want, wrote in (
+            (lambda d: d.put("x", ids, layer), place_oracle(c, ids, layer),
+             lambda d: [d.last_use_layer(i) for i in ids] == [layer] * len(ids)),
+            (lambda d: d.dealloc_many(ids, layer), release_oracle(c, ids, [layer] * len(ids)),
+             lambda d: [d.dealloc_layer(q) for q in ids] == [layer] * len(ids)),
+            (lambda d: d.dealloc_many(ids, array("i", per_id)), release_oracle(c, ids, per_id),
+             lambda d: [d.dealloc_layer(q) for q in ids] == per_id)):
+        d = c.copy()
+        before = tables(d)
+        assert verdict(add, d) == want
+        assert tables(d) == before if want else wrote(d)
+
+
+@PROPERTY
+@given(c=lifecycles(), data=st.data())
+def test_a_release_fault_read_from_json_is_deallocs(c, data):
+    """A dealloc table entry that ``Circuit.dealloc`` would refuse (a qubit not in the
+    circuit, released twice, or released at or before its allocation or a gate on it)
+    makes ``loads`` raise ``dealloc``'s class."""
+    n, L = len(c.qubits()), c.num_layers()
+    q, t = data.draw(st.integers(-1, n + 1)), data.draw(st.integers(0, L + 1))
+    fault = release_oracle(c, [q], [t])
+    assume(fault is not None)
+    doc = {"alloc": [[p, c.alloc_layer(p), c.kind(p)] for p in c.qubits()],
+           "dealloc": [[p, c.dealloc_layer(p)] for p in c.qubits() if c.dealloc_layer(p) is not None] + [[q, t]],
+           "layers": [[{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in c.gates(u)]
+                      for u in range(L)] + [[], []]}
+    with pytest.raises(fault[0]):
+        cir.loads(json.dumps(doc))

@@ -158,3 +158,18 @@ def test_no_private_imports_across_modules():
             found += [f"{path}:{node.lineno} {alias.name}" for alias in node.names
                       if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert found == []
+
+
+def test_each_release_fault_is_worded_at_one_site():
+    """The release rules are stated once: `DoubleDealloc`, and `UseAfterDealloc` with its
+    "has activity at or past layer" message, are each built at exactly one site in the
+    package, the diagnosis of `Circuit.dealloc_many` that `dealloc` and the circuit
+    reader's dealloc table go through."""
+    sites = {"DoubleDealloc": [], "has activity at or past layer": []}
+    for path, node in package_nodes():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "DoubleDealloc":
+                sites["DoubleDealloc"].append(f"{path}:{node.lineno}")
+            elif node.func.id == "UseAfterDealloc" and "has activity at or past layer" in ast.unparse(node):
+                sites["has activity at or past layer"].append(f"{path}:{node.lineno}")
+    assert {rule: len(found) for rule, found in sites.items()} == dict.fromkeys(sites, 1), sites
