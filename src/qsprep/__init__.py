@@ -1,7 +1,8 @@
 """Low-depth quantum state preparation compiler with spacetime accounting.
 
 The names below are imported from their modules on first access (PEP 562),
-so importing the package, or only its IR module, does not load numpy.
+so importing the bare package does not load numpy; importing any of its
+modules, ``circuit_ir`` among them, does.
 """
 
 import importlib

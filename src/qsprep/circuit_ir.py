@@ -303,11 +303,16 @@ class Circuit:
     def alloc(self, kind: str = CLEAN, at_layer: int | None = None) -> int:
         return self.alloc_many(1, kind, at_layer)[0]
 
-    def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | None = None) -> range:
-        """Allocate ``count`` fresh qubits of one kind at one layer; returns their ids."""
+    def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | Sequence[int] | None = None) -> range:
+        """Allocate ``count`` fresh qubits of one kind at one layer ``at_layer`` (by default
+        the next new one), or each at its own (``at_layer`` a sequence of ``count``
+        layers); returns their ids."""
         if at_layer is None:
             at_layer = self.num_layers()
-        return self._add_qubits(bytes((_KIND_CODE[kind],)) * count, array("i", (at_layer,)) * count)
+        layers = array("i", (at_layer,)) * count if isinstance(at_layer, (int, np.integer)) else _ids(at_layer)
+        if len(layers) != count:
+            raise MalformedCircuit(f"{count} qubits need {count} alloc layers, got {len(layers)}")
+        return self._add_qubits(bytes((_KIND_CODE[kind],)) * count, layers)
 
     def _add_qubits(self, kinds: bytes, layers: array) -> range:
         """Allocate fresh qubits, one per kind code and alloc layer; returns their ids."""
@@ -315,7 +320,7 @@ class Circuit:
         self._kind += kinds
         self._alloc += layers
         self._dealloc += array("i", (NEVER,)) * len(layers)
-        self._last_use += array("i", map((-1).__add__, layers))
+        self._last_use += _before(layers)
         return range(first, len(self._alloc))
 
     def dealloc(self, q: int, at_layer: int | None = None) -> None:
@@ -449,9 +454,13 @@ class Circuit:
 
         Only what the columns cannot hold is checked (:func:`_pack`), so a
         hand-built layer may break liveness; :meth:`validate` reports that.
+        Each operand that is a qubit of the circuit gets ``t`` as its latest
+        layer, unless it has a later one, so :meth:`append` goes after it.
         """
         t = len(self._ops)
         self._extend(t, *_pack(*(zip(*gates) if gates else ((), (), ())), t))
+        ids = _view(self._qs[t])
+        np.maximum.at(_view(self._last_use), ids[(ids >= 0) & (ids < len(self._last_use))], t)
         return t
 
     def _extend(self, t: int, codes: bytes, ids: list[int], values: list[float]) -> None:
@@ -687,17 +696,16 @@ class Block:
     A pass-through ``put``/``alloc_many``/``num_layers`` view of
     ``c`` that records where each gate batch landed in the columns (its
     layer and the start and stop of its op, id and parameter slices) and
-    each allocation by its layer relative to ``start``.  This is the
-    compute/uncompute pattern: fresh ancillae are allocated at their first
-    use inside the block and released by :meth:`mirror` right after their
-    mirrored last use.
+    the ids of each qubit it allocated.  This is the compute/uncompute
+    pattern: fresh ancillae are allocated at their first use inside the
+    block and released by :meth:`mirror` right after their mirrored last use.
     """
 
     def __init__(self, c: Circuit, start: int):
         self.c = c
         self.start = start
         self.spans: list[tuple[int, tuple[int, int, int], tuple[int, int, int]]] = []
-        self.allocs: list[tuple[int, range]] = []
+        self.qubits = array("i")
 
     def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
         return self._recorded(layer, self.c.put, op, ids, layer, params)
@@ -710,11 +718,9 @@ class Block:
             self.spans.append((layer, before, self.c._ends(layer)))
         return layer
 
-    def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | None = None) -> range:
-        if at_layer is None:
-            at_layer = self.c.num_layers()
+    def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | Sequence[int] | None = None) -> range:
         qubits = self.c.alloc_many(count, kind, at_layer)
-        self.allocs.append((at_layer - self.start, qubits))
+        self.qubits.frombytes(np.arange(qubits.start, qubits.stop, dtype=np.intc).tobytes())
         return qubits
 
     def num_layers(self) -> int:
@@ -728,13 +734,12 @@ class Block:
         codes translated to their inverses' and the parameters negated,
         latest recorded layer first and, within a layer, in recorded order,
         so each mirrored layer keeps its gates' order.  Every qubit allocated
-        at ``rel`` is released at ``at + span - rel``, all in one call made
-        first, while the circuit is smallest.
+        at ``start + rel`` is released at ``at + span - rel``, all in one call
+        made first, while the circuit is smallest.
         """
         c = self.c
-        c.dealloc_many(array("i", chain.from_iterable(qubits for _, qubits in self.allocs)),
-                       array("i", chain.from_iterable(repeat(at + span - rel, len(qubits))
-                                                      for rel, qubits in self.allocs)))
+        ends = at + span + self.start - _view(c._alloc)[_view(self.qubits)]
+        c.dealloc_many(self.qubits, array("i", ends.astype(np.intc).tobytes()))
         for layer, (o0, q0, p0), (o1, q1, p1) in sorted(self.spans, key=itemgetter(0), reverse=True):
             c._place(c._ops[layer][o0:o1].translate(_INVERSE), c._qs[layer][q0:q1],
                      array("d", map(neg, c._ps[layer][p0:p1])), at + span - 1 - (layer - self.start))

@@ -383,9 +383,9 @@ def fragment_circuit(name: str, m: int, angles: CSPAngleSet | None = None, t: in
         c.mark_persistent([*ctrl, payload])
         start = _prepare_basis(c, ctrl, basis)
         res = sub.copyswap(c, ctrl, payload, start=start)
-        c.mark_persistent(q for q in res.slots[1:])
+        c.mark_persistent(res.slots[1:])
         for tr in res.trees:
-            c.mark_persistent(q for q in tr.slots[1:])
+            c.mark_persistent(tr[1:])
         c.add_register("C", ctrl)
         c.add_register("S", res.slots)
     elif name in ("spf", "flag"):

@@ -16,11 +16,21 @@ Register conventions shared by every fragment:
   their published spacetime allocation.  Every fragment records the part
   it uncomputes in a ``circuit_ir.Block``; ``Block.mirror`` is the one
   place that rule and its layer arithmetic live.
-* Qubits are the circuit's int ids.  Every fragment allocates a layer's
-  fresh qubits in one ``alloc_many`` call and puts each batch of one op as
-  flat operand and parameter lists (``Circuit.put``), straight into the
-  layer's columns; the emitted circuit is checked once, as a whole, by
-  ``Circuit.validate``.
+* Qubits are the circuit's int ids, and a CNOT copy tree is its ids alone.
+  The copies of K trees after t copy layers are a (K, 2**t) id matrix P_t,
+  a row per tree in slot order; copy layer t allocates the fresh copies
+  ``new_t`` and puts the CNOTs of ``zip(P_t, new_t)``, flattened, as one
+  batch.  P_{t+1} interleaves P_t and ``new_t`` in the power-of-two trees
+  of COPY, CopySwap, SPF and FLAG (:func:`copy_layer`), and concatenates
+  them in LOADF's fan-outs (:func:`fan_out`), which are cut short at any
+  size; the register a tree leaves is its last P.  The fresh ids come in
+  one of two orders: :func:`copy_layer` allocates a layer at a time, one
+  ``alloc_many`` call for the trees it grows (SPF grows each tree alone,
+  since its trees reach a layer at different widths), and :func:`fan_out`
+  allocates tree by tree, every tree in one call with one layer per qubit.
+* Every batch of one op goes in as flat operand and parameter lists
+  (``Circuit.put``), straight into the layer's columns; the emitted
+  circuit is checked once, as a whole, by ``Circuit.validate``.
 * Rotations go in with their parameters unset (:meth:`AngleRef.put`), and
   an :class:`AngleRef` names the stage-angle entries they read, so one built
   circuit takes any target's angles.
@@ -75,62 +85,50 @@ class FragmentSpec:
     fresh_ancillae: object
 
 
-class CopyTree:
-    """Incremental fan-out of one source qubit into a register of copies.
+def _ints(ids: np.ndarray) -> array:
+    """An id array, flattened row by row, as an ``array('i')``, whose items are ints."""
+    return array("i", ids.astype(np.intc, copy=False).tobytes())
 
-    ``layout="halving"`` reproduces the canonical power-of-two tree whose
-    layer t connects slot j*size/2**t to the slot half a stride further.
-    ``layout="doubling"`` supports arbitrary sizes (layer t copies slots
-    [0, 2**t) onto [2**t, min(2**(t+1), size))).  Targets are allocated in
-    the layer their copy layer runs, one ``alloc_many`` call per layer, and
-    :meth:`grow` returns the layer's CNOT operands for the caller to put; a
-    ``Block`` undoes the tree.  ``slots`` holds -1 where no copy is yet.
+
+def _fresh(qubits: range) -> np.ndarray:
+    """A range of fresh qubit ids as a numpy id array."""
+    return np.arange(qubits.start, qubits.stop, dtype=np.intc)
+
+
+def copy_layer(c: Circuit, trees: np.ndarray, layer: int) -> np.ndarray:
+    """One copy layer of K power-of-two trees at ``layer``; returns their grown id matrix.
+
+    ``trees`` is the (K, w) id matrix of their copies, a row per tree in
+    slot order.  One ``alloc_many`` call takes a fresh copy per entry, row
+    by row, and one batch puts a CNOT from each entry onto its fresh copy.
+    The grown (K, 2w) matrix interleaves each copy with its fresh one, which
+    is also the batch's operand order: in a tree of ``size`` copies, layer t
+    copies slot j*size/2**t onto the slot half that stride further.
     """
-
-    def __init__(self, c: Circuit, source: int, size: int, layout: str = "halving"):
-        if layout == "halving" and size & (size - 1):
-            raise NotPowerOfTwo(f"copy register size {size} not a power of two")
-        self.c = c
-        self.size = size
-        self.layout = layout
-        self.slots = array("i", (source,)) + array("i", (-1,)) * (size - 1)
-
-    @property
-    def layers(self) -> int:
-        return (self.size - 1).bit_length()
-
-    def _pairs(self, t: int):
-        if self.layout == "halving":
-            step = self.size >> t
-            return [(j * step, j * step + (step >> 1)) for j in range(1 << t)]
-        return [(j, j + (1 << t)) for j in range(1 << t) if j + (1 << t) < self.size]
-
-    def populated(self, t: int) -> list[int]:
-        if self.layout == "halving":
-            step = self.size >> t
-            return [self.slots[j * step] for j in range(1 << t)]
-        return [self.slots[j] for j in range(min(1 << t, self.size))]
-
-    def grow(self, t: int, layer: int) -> list[int]:
-        """Allocate copy layer t's fresh targets at ``layer`` and return its CNOTs'
-        operands, flat: (control, target) per CNOT."""
-        slots, pairs = self.slots, self._pairs(t)
-        fresh = [dst for _, dst in pairs if slots[dst] < 0]
-        for dst, q in zip(fresh, self.c.alloc_many(len(fresh), at_layer=layer)):
-            slots[dst] = q
-        return list(map(slots.__getitem__, chain.from_iterable(pairs)))
+    fresh = _fresh(c.alloc_many(trees.size, at_layer=layer)).reshape(trees.shape)
+    grown = np.stack((trees, fresh), axis=-1).reshape(len(trees), 2 * trees.shape[1])
+    c.put("cnot", _ints(grown), layer)
+    return grown
 
 
-def emit_trees(c: Circuit, trees: list[tuple[CopyTree, int]]) -> None:
-    """Emit every layer of each (tree, start layer) pair, tree by tree, so qubits
-    are allocated in that order, and put each circuit layer's CNOTs, in that
-    same order, as one batch."""
-    batches: dict[int, array] = {}
-    for tree, start in trees:
-        for t in range(tree.layers):
-            batches.setdefault(start + t, array("i")).extend(tree.grow(t, start + t))
-    for layer in sorted(batches):
-        c.put("cnot", batches[layer], layer)
+def fan_out(c: Circuit, roots, size: int, starts: list[int]) -> np.ndarray:
+    """Fan each of K roots out to ``size`` copies, tree k's copy layer t at ``starts[k] + t``.
+
+    Layer t copies slots [0, 2**t) onto [2**t, 2**(t+1)), cut short at
+    ``size``, so any size works.  One ``alloc_many`` call takes every fresh
+    copy, tree by tree in slot order, each at its layer, and each circuit
+    layer's CNOTs go in as one batch, tree by tree.  Returns the (K, size)
+    id matrix of the registers, each root first.
+    """
+    slot = np.arange(1, size)
+    t = np.frexp(slot)[1] - 1   # the copy layer that fills the slot, from slot - 2**t
+    layers = np.add.outer(starts, t)
+    fresh = _fresh(c.alloc_many(layers.size, at_layer=_ints(layers)))
+    trees = np.column_stack((roots, fresh.reshape(len(roots), size - 1)))
+    pairs = np.stack((trees[:, slot - (1 << t)], trees[:, 1:]), axis=-1)
+    for layer in range(min(starts, default=0), max(starts, default=0) + (size - 1).bit_length()):
+        c.put("cnot", _ints(pairs[layers == layer]), layer)
+    return trees
 
 
 def copy(c: Circuit, source: int, size: int, start: int | None = None) -> tuple[array, int]:
@@ -139,11 +137,14 @@ def copy(c: Circuit, source: int, size: int, start: int | None = None) -> tuple[
     Ancillae are allocated in the layer of their first CNOT, so an isolated
     copy occupies spacetime exactly 2*size - 2.  Returns (register, end).
     """
+    if size < 1 or size & (size - 1):
+        raise NotPowerOfTwo(f"copy register size {size} not a power of two")
     if start is None:
         start = c.num_layers()
-    tree = CopyTree(c, source, size)
-    emit_trees(c, [(tree, start)])
-    return tree.slots, start + tree.layers
+    tree, end = np.array([[source]], np.intc), start + size.bit_length() - 1
+    for layer in range(start, end):
+        tree = copy_layer(c, tree, layer)
+    return _ints(tree), end
 
 
 def cs_layer(c: Circuit, t: int, controls: list[int], targets: list[int],
@@ -163,14 +164,13 @@ def cs_layer(c: Circuit, t: int, controls: list[int], targets: list[int],
 
 @dataclass
 class CopySwapResult:
-    slots: array     # size-2**m target register, slot order
-    trees: list[CopyTree]    # per control bit, its copy register
+    slots: array         # size-2**m target register, slot order
+    trees: list[array]   # per control bit j, its 2**j copies in slot order
     end: int
 
 
-def copyswap(c: Circuit, controls: list[int], payload: int,
-             start: int | None = None, target_kind: str = CLEAN,
-             trees: list[CopyTree] | None = None) -> CopySwapResult:
+def copyswap(c: Circuit, controls, payload: int,
+             start: int | None = None, target_kind: str = CLEAN) -> CopySwapResult:
     """Copy m control bits while routing the payload to slot k of a 2**m register.
 
     Layer t fans control bits j > t one step further and applies CS_t
@@ -181,14 +181,14 @@ def copyswap(c: Circuit, controls: list[int], payload: int,
     m = len(controls)
     if start is None:
         start = c.num_layers()
-    if trees is None:
-        trees = [CopyTree(c, controls[j], 1 << j) for j in range(m)]
-    target_slots = array("i", (payload,))
+    growing = np.asarray(controls, np.intc).reshape(m, 1)   # at layer t: bits t.., 2**t copies each
+    trees, target_slots = [], array("i", (payload,))
     for t in range(m):
         layer = start + t
-        c.put("cnot", [q for j in range(t + 1, m) for q in trees[j].grow(t, layer)], layer)
+        trees.append(_ints(growing[0]))
+        growing = copy_layer(c, growing[1:], layer)
         target_slots.extend(c.alloc_many(1 << t, target_kind, at_layer=layer))
-        cs_layer(c, t, trees[t].populated(t), target_slots, layer)
+        cs_layer(c, t, trees[t], target_slots, layer)
     return CopySwapResult(slots=target_slots, trees=trees, end=start + m)
 
 
@@ -250,7 +250,7 @@ def spf(c: Circuit, data: list[int], levels: list[list[int]],
     # the CS and copy layers run from start + 1 to the last CS layer, start + 3m - 5
     lo, span = (start + 1, 3 * m - 5) if m >= 2 else (start, 0)
     block = Block(c, lo)
-    trees = {q: CopyTree(block, data[q], 1 << (m - 2 - q)) for q in range(m) if m - 2 - q >= 1}
+    trees = [np.array([[q]], np.intc) for q in data]   # data qubit q's copies so far, in slot order
 
     # (layer, kind, a, b): kind 0 swaps level a in, 1 is CS_b on level a, 2 is copy layer b
     # of data qubit a; layer-major, and within a layer the swaps, CS layers, copy layers
@@ -260,12 +260,11 @@ def spf(c: Circuit, data: list[int], levels: list[list[int]],
     for layer, kind, a, b in events:
         if kind == 0:
             c.put("swap", [data[a], slots[a][0]], layer)
-        elif kind == 1:
-            q = a - 1 - b
-            controls = trees[q].populated(b) if b else [data[q]]
-            cs_layer(block, b, controls, slots[a][:2 << b], layer)
+        elif kind == 1:  # copy layers interleave, so every (len >> b)-th copy is one of the first 2**b
+            copies = trees[a - 1 - b][0]
+            cs_layer(block, b, copies[::len(copies) >> b].tolist(), slots[a][:2 << b], layer)
         else:
-            block.put("cnot", trees[a].grow(b, layer), layer)
+            trees[a] = copy_layer(block, trees[a], layer)
     return block.mirror(plan.end, span), plan
 
 
@@ -288,8 +287,7 @@ def flag(c: Circuit, data: list[int], levels: list[list[int]],
     if start is None:
         start = c.num_layers()
 
-    tree_sizes = {q: 1 << (m - q - 2) for q in range(m - 1) if m - q - 2 >= 1}
-    copy_span = max((sz.bit_length() - 1 for sz in tree_sizes.values()), default=0)
+    copy_span = max(m - 2, 0)   # data bit q < m - 2 fans out to 2**(m-2-q) copies in m-2-q layers
     ladder_span = max(m - 1, 0)
     ladder_start = max(copy_span, 1)   # the flips take layer 0 when no tree does
     span = ladder_start + ladder_span + copy_span
@@ -300,14 +298,15 @@ def flag(c: Circuit, data: list[int], levels: list[list[int]],
     if not adjoint:
         flip_slot_zeros(start)
     block = Block(c, start)
-    trees = {q: CopyTree(block, data[q], size) for q, size in tree_sizes.items()}
+    trees = np.array(data[:m - 1], np.intc).reshape(-1, 1)
+    copies = [trees.tolist()]   # copies[i][q]: data bit q's 2**i copies, the controls of ladder step i
     for i in range(copy_span):
-        block.put("cnot", [q for tr in trees.values() if i < tr.layers for q in tr.grow(i, start + i)], start + i)
+        trees = copy_layer(block, trees[:m - 2 - i], start + i)
+        copies.append(trees.tolist())
     steps = reversed(range(ladder_span)) if adjoint else range(ladder_span)
     for layer, i in enumerate(steps, start + (copy_span if adjoint else ladder_start)):
         for q in range(m - 1 - i):
-            controls = trees[q].populated(i) if i else [data[q]]
-            cs_layer(c, i, controls, slots[q + 1 + i][:2 << i], layer)
+            cs_layer(c, i, copies[i][q], slots[q + 1 + i][:2 << i], layer)
     if adjoint:
         flip_slot_zeros(start + span - 1)
     return block.mirror(start + ladder_start + ladder_span, copy_span)
@@ -382,7 +381,7 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     rec.put("x", [a0], start)
     a_cs = copyswap(rec, ctrl, a0, start=start + 1)
     for tr in a_cs.trees:
-        regs["D1"] += tr.slots[1:]
+        regs["D1"] += tr[1:]
     regs["A1"] += a_cs.slots[1:]
     a_slots = a_cs.slots
     a_done = a_cs.end
@@ -391,22 +390,17 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     # nb rows: buffer qubit idx's block of M slots, or the buffer qubit alone
     t_slots = array("i")
     if route_b:
-        d2_end = start
-        # ctrl[j] is busy in the address routing until start + 2 + j
-        trees = [(CopyTree(rec, ctrl[j], nb + 1, layout="doubling"), start + 2 + j) for j in range(m)]
-        emit_trees(rec, trees)
-        seeds_per_bit = [tr.slots[1:] for tr, _ in trees]
-        for tr, reg_start in trees:
-            regs["D2"] += tr.slots[1:]
-            d2_end = max(d2_end, reg_start + tr.layers)
-        r3 = d2_end
+        # ctrl[j] is busy in the address routing until start + 2 + j; its nb + 1 = 2**sub
+        # copies take sub layers
+        starts = [start + 2 + j for j in range(m)]
+        seeds = fan_out(rec, ctrl, nb + 1, starts)
+        regs["D2"] += _ints(seeds[:, 1:])
+        r3 = max([start, *(s + sub for s in starts)])
         for idx in range(nb):
-            inst_trees = [CopyTree(rec, seeds_per_bit[j][idx], 1 << j) for j in range(m)]
-            res = copyswap(rec, [seeds_per_bit[j][idx] for j in range(m)], buffer[idx],
-                           start=r3, target_kind=DIRTY if dirty_b1 else CLEAN,
-                           trees=inst_trees)
-            for tr in inst_trees:
-                regs["D3"] += tr.slots[1:]
+            res = copyswap(rec, seeds[:, 1 + idx], buffer[idx], start=r3,
+                           target_kind=DIRTY if dirty_b1 else CLEAN)
+            for tr in res.trees:
+                regs["D3"] += tr[1:]
             regs["B1"] += res.slots[1:]
             t_slots += res.slots
         b_done = r3 + m
@@ -419,21 +413,14 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     # qubits never idle: they finish exactly when the rotations start and
     # are the first thing the mirrored teardown removes
     if fanout:
-        a_rows, f_rows = array("i"), array("i")   # M rows of a_slots[k]'s nb copies, nb of flags[idx]'s M
         l_a = (nb - 1).bit_length()
         l_f = 0 if first_optimized else m
         setup_end = max(a_done, b_done, a_done + l_a, start + l_f)
-        a_trees = [CopyTree(rec, a_slots[k], nb, layout="doubling") for k in range(M)]
-        emit_trees(rec, [(tr, setup_end - l_a) for tr in a_trees])
-        for tr in a_trees:
-            a_rows += tr.slots
-            regs["A2"] += tr.slots[1:]
+        a_rows = fan_out(rec, a_slots, nb, [setup_end - l_a] * M)   # row k: a_slots[k]'s nb copies
+        regs["A2"] += _ints(a_rows[:, 1:])
         if not first_optimized:
-            f_trees = [CopyTree(rec, flags[idx], M, layout="doubling") for idx in range(nb)]
-            emit_trees(rec, [(tr, setup_end - l_f) for tr in f_trees])
-            for tr in f_trees:
-                f_rows += tr.slots
-                regs["F1"] += tr.slots[1:]
+            f_rows = fan_out(rec, flags, M, [setup_end - l_f] * nb)   # row idx: flags[idx]'s M copies
+            regs["F1"] += _ints(f_rows[:, 1:])
     else:
         setup_end = max(a_done, b_done)
     t_setup = setup_end - start
@@ -478,8 +465,8 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
     if fanout:
         rot_span = stages
         pair, k = np.repeat(np.arange(nb, dtype=np.intc), M), np.tile(np.arange(M, dtype=np.intc), nb)
-        a_ctl = np.frombuffer(a_rows, np.intc).reshape(M, nb)[k, pair]
-        f_ctl = () if first_optimized else (np.frombuffer(f_rows, np.intc),)
+        a_ctl = a_rows[k, pair]
+        f_ctl = () if first_optimized else (f_rows.ravel(),)
         put_stages(np.full(nb * M, rot_base), pair, k, (a_ctl, *f_ctl), np.frombuffer(t_slots, np.intc))
     else:
         # colour-major, so the gates on each shared control arrive in time order

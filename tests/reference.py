@@ -11,6 +11,7 @@ writer involved:
 * the lifecycle rules one id at a time: what placing or releasing a
   batch raises;
 * the rotation angle on pair (s, p), from the masses of a congruence class;
+* CNOT copy trees, a slot at a time: their qubit ids, CNOTs and registers;
 * the fragments' target states: the FLAG marking, the SPF injection state
   and the LOADF buffer state;
 * dense unitaries of single gates and small gate lists, for decomposition
@@ -176,6 +177,33 @@ def class_split_oracle(values, s: int, p: int) -> float:
     cls = sum(sq[p::1 << s])
     sub = sum(sq[p::1 << (s + 1)])
     return 2 * math.acos(min(math.sqrt(sub / cls), 1.0)) if cls else 0.0
+
+
+def copy_tree_oracle(c: Circuit, roots, size: int, starts, halving: bool, tree_major: bool):
+    """CNOT copy trees a slot at a time: tree k fans roots[k] out to ``size`` slots, its
+    copy layer t at starts[k] + t.  A halving tree (a power-of-two size) copies slot
+    j*size/2**t onto the slot half that stride further; a doubling tree copies slot j
+    onto slot j + 2**t, cut short at ``size``.  Each copy layer's fresh slots, in pair
+    order, are allocated by ``c.alloc``, all of one tree before the next (``tree_major``)
+    or a circuit layer at a time, tree by tree.  Returns the registers in slot order and
+    {layer: flat CNOT operands, tree by tree}."""
+    def pairs(t):
+        if halving:
+            step = size >> t
+            return [(j * step, j * step + step // 2) for j in range(1 << t)]
+        return [(j, j + (1 << t)) for j in range(1 << t) if j + (1 << t) < size]
+
+    grows = [(k, t) for k in range(len(roots)) for t in range((size - 1).bit_length())]
+    if not tree_major:
+        grows.sort(key=lambda kt: starts[kt[0]] + kt[1])
+    slots = [[root] + [None] * (size - 1) for root in roots]
+    for k, t in grows:
+        for _, dst in pairs(t):
+            slots[k][dst] = c.alloc(at_layer=starts[k] + t)
+    cnots = {}
+    for k, t in sorted(grows):
+        cnots.setdefault(starts[k] + t, []).extend(slots[k][q] for pair in pairs(t) for q in pair)
+    return slots, cnots
 
 
 def flag_oracle(j: int, m: int) -> dict[tuple[int, int], int]:

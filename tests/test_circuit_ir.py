@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -99,6 +100,15 @@ class TestAppend:
         with pytest.raises(LayerCollision):
             c.place([gate("cnot", (a, b))], 2)
 
+    def test_append_goes_after_an_appended_layer(self):
+        """``append_layer`` moves each operand's latest layer, so an ``append`` on the same
+        qubit lands in the next layer, not in the appended one."""
+        c = Circuit()
+        q = c.alloc(at_layer=0)
+        c.append_layer([gate("x", (q,))])
+        assert c.append(gate("h", (q,))) == 1
+        assert c.validate() == []
+
 
 class TestLifecycle:
     def test_interval_contributes_length(self):
@@ -148,6 +158,18 @@ class TestLifecycle:
         assert qs == range(first + 1, first + 4)
         assert [c.kind(q) for q in qs] == [cir.DIRTY] * 3
         assert [c.alloc_layer(q) for q in qs] == [2, 2, 2]
+
+    def test_alloc_many_takes_a_layer_per_qubit(self):
+        c = Circuit()
+        c.alloc(at_layer=0)
+        qs = c.alloc_many(3, cir.DIRTY, at_layer=array("i", [4, 1, 2]))
+        assert qs == range(1, 4)
+        assert [c.alloc_layer(q) for q in qs] == [4, 1, 2]
+        assert [c.last_use_layer(q) for q in qs] == [3, 0, 1]
+        assert [c.kind(q) for q in qs] == [cir.DIRTY] * 3
+        with pytest.raises(MalformedCircuit):
+            c.alloc_many(2, at_layer=[1, 2, 3])
+        assert len(c.qubits()) == 4
 
     def test_dealloc_many_releases_at_one_layer(self):
         c = Circuit()

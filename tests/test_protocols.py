@@ -332,6 +332,20 @@ class TestEmissionMemory:
         assert peak / c.size() < 31
 
 
+class TestEmissionWork:
+    def test_allocation_calls_scale_with_layers(self, monkeypatch):
+        """Copy trees grow as id matrices, a copy layer or a whole fan-out per
+        ``alloc_many`` call, so emission's Python work follows the circuit's layers, not
+        its trees.  ``spcsp_shape`` at n=12 (paper layout) makes 566 allocation calls
+        (``Circuit._add_qubits``); the bound is that plus 25%.  A ``CopyTree`` object per
+        tree, grown one tree and one layer at a time, made 3,584."""
+        calls = []
+        add_qubits = cir.Circuit._add_qubits
+        monkeypatch.setattr(cir.Circuit, "_add_qubits", lambda c, *args: calls.append(1) or add_qubits(c, *args))
+        proto.spcsp_shape(proto.ProtocolConfig(n=12))
+        assert len(calls) <= 566 * 1.25
+
+
 class TestPaperLayout:
     """The paper's own layout, far wider than a dense statevector could hold."""
 

@@ -1,7 +1,10 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsprep import amplitudes as amp
 from qsprep.circuit_ir import Block, Circuit, gate, spacetime_allocation
@@ -9,17 +12,18 @@ from qsprep.errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
 from qsprep.protocols import FRAGMENT_MAX_M, fragment_circuit
 from qsprep.sim import run
 from qsprep.subroutines import (
-    CopyTree,
     _spf_plan,
     bitrev,
     copy,
+    copy_layer,
     copyswap,
     cs_layer,
+    fan_out,
     flag,
     spf,
     split_levels,
 )
-from reference import flag_oracle, loadf_oracle, pair_index, spf_oracle
+from reference import copy_tree_oracle, flag_oracle, loadf_oracle, pair_index, spf_oracle
 
 
 def extract_block(state, keep, fixed):
@@ -84,6 +88,68 @@ class TestCopy:
             copy(c, src, 6)
 
 
+def grow_copy_trees(c, roots, size, starts, halving, tree_major):
+    """The package's copy trees for :func:`copy_tree_oracle`'s arguments: ``fan_out``
+    for doubling trees, ``copy`` per tree for halving trees grown tree by tree, and for
+    halving trees grown a layer at a time ``copy_layer`` on the trees that grow at each
+    layer, those of one start in one call.  Returns the registers as lists."""
+    if not halving:
+        return fan_out(c, roots, size, starts).tolist()
+    if tree_major:
+        return [list(copy(c, root, size, start)[0]) for root, start in zip(roots, starts)]
+    depth = size.bit_length() - 1
+    trees = [np.array([[root]], np.intc) for root in roots]
+    for layer in sorted({s + t for s in starts for t in range(depth)}):
+        growing = [k for k, s in enumerate(starts) if s <= layer < s + depth]
+        for _, group in groupby(growing, key=starts.__getitem__):
+            group = list(group)
+            grown = copy_layer(c, np.vstack([trees[k] for k in group]), layer)
+            for k, row in zip(group, grown):
+                trees[k] = row[None]
+    return [tree[0].tolist() for tree in trees]
+
+
+@st.composite
+def forests(draw):
+    """(size, starts, halving, tree_major, in_block): 1..5 trees of one size, 1..64 for
+    doubling trees and a power of two for halving ones, with equal or staggered starts."""
+    halving = draw(st.booleans())
+    size = 1 << draw(st.integers(0, 6)) if halving else draw(st.integers(1, 64))
+    count, first = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    starts = [first] * count if draw(st.booleans()) else draw(st.lists(st.integers(0, 6), min_size=count,
+                                                                       max_size=count))
+    tree_major = draw(st.booleans()) if halving else True
+    return size, starts, halving, tree_major, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(forests())
+def test_copy_trees_match_the_reference(forest):
+    """Halving trees grown tree by tree (``copy``) and a layer at a time (``copy_layer``),
+    and doubling trees grown tree by tree (``fan_out``), on a bare circuit or in a
+    ``Block`` followed by ``mirror``: the qubit ids with their alloc layers, each layer's
+    CNOT column and the registers equal the slot-at-a-time reference, and the mirror
+    releases each copy allocated at ``start + rel`` at ``at + span - rel``."""
+    size, starts, halving, tree_major, in_block = forest
+    ref = Circuit()
+    want, cnots = copy_tree_oracle(ref, ref.alloc_many(len(starts), at_layer=0), size, starts, halving, tree_major)
+    c = Circuit()
+    roots = c.alloc_many(len(starts), at_layer=0)
+    c.mark_persistent(roots)
+    start, span = min(starts), max(starts) + (size - 1).bit_length() - min(starts)
+    block = Block(c, start)
+    got = grow_copy_trees(block if in_block else c, roots, size, starts, halving, tree_major)
+    assert got == want
+    assert list(c._alloc) == list(ref._alloc)
+    assert {t: list(c._qs[t]) for t in range(c.num_layers()) if c._qs[t]} == cnots
+    if in_block:
+        at = start + span
+        assert block.mirror(at, span) == at + span
+        copies = [q for q in c.qubits() if q not in roots]
+        assert [c.dealloc_layer(q) for q in copies] == [at + span - (c.alloc_layer(q) - start) for q in copies]
+        assert c.validate() == []
+
+
 class TestCsLayer:
     @pytest.mark.parametrize("t,count", [(0, 1), (1, 2), (2, 4)])
     def test_gate_count_single_layer(self, t, count):
@@ -137,13 +203,13 @@ class TestCopySwap:
             res = copyswap(c, ctrl, payload, start=1)
             c.mark_persistent(res.slots[1:])
             for tr in res.trees:
-                c.mark_persistent(tr.slots[1:])
+                c.mark_persistent(tr[1:])
             _, state = run(c)
             # payload |1> must sit at slot k, every other slot |0>; the copy
             # registers of bit j hold that bit everywhere
             fixed = []
             for j, tr in enumerate(res.trees):
-                for q in tr.slots:
+                for q in tr:
                     fixed.append(([q], (k >> j) & 1))
             slot_vec = extract_block(state, res.slots, fixed)
             assert np.argmax(np.abs(slot_vec)) == 1 << k
@@ -159,9 +225,9 @@ class TestCopySwap:
         res = copyswap(c, ctrl, payload, start=1)
         c.mark_persistent(res.slots[1:])
         for tr in res.trees:
-            c.mark_persistent(tr.slots[1:])
+            c.mark_persistent(tr[1:])
         _, state = run(c)
-        fixed = [([q], 0) for tr in res.trees for q in tr.slots]
+        fixed = [([q], 0) for tr in res.trees for q in tr]
         vec = extract_block(state, res.slots, fixed)
         assert abs(vec[0]) == pytest.approx(math.cos(0.6))
         assert abs(vec[1]) == pytest.approx(math.sin(0.6))
@@ -179,9 +245,9 @@ class TestCopySwap:
         res = copyswap(c, ctrl, payload, start=1)
         c.mark_persistent(res.slots[1:])
         for tr in res.trees:
-            c.mark_persistent(tr.slots[1:])
+            c.mark_persistent(tr[1:])
         _, state = run(c)
-        fixed = [([q], (k >> j) & 1) for j, tr in enumerate(res.trees) for q in tr.slots]
+        fixed = [([q], (k >> j) & 1) for j, tr in enumerate(res.trees) for q in tr]
         slot_vec = extract_block(state, res.slots, fixed)
         # xi lives at slot k: amplitudes on slot-k bit, rest |0>
         assert abs(slot_vec[0]) == pytest.approx(math.cos(0.77 / 2))
