@@ -21,20 +21,17 @@ and tables through numpy views that share their memory (:func:`_view`);
 serialization takes the columns an id at a time in C, and
 :meth:`Circuit.gates` reads a layer back as ``Gate`` tuples.
 
-The check boundary: each rule is stated once.
-
-* :func:`_form_faults` (known op, operand and parameter counts, ``float``
-  parameters, int operands) holds for every packed batch: :func:`_pack`
-  raises a batch's first break, in the words :meth:`Circuit.validate`
-  uses ("layer t: ..."), since the columns cannot hold such a gate.
-* The lifecycle rules are one batch test, :func:`_claim`, which placement
-  (:meth:`Circuit.put` and every path through it), release
-  (:meth:`Circuit.dealloc_many`), the reader's dealloc table and
-  :meth:`Circuit.validate`'s walk all run.  A batch that fails changes
-  nothing; a read-only diagnosis raises its first fault, typed.
-* :func:`_value_faults` (finite parameters, distinct operands) is left to
-  the walk, which tests each layer as a whole and goes gate by gate only
-  when the layer fails, to name each fault with its typed error.
+The check boundary: a valid circuit is one the walk :meth:`Circuit._faults`
+finds no fault in (lifetimes within the layers, gates on live qubits, and
+persistent and register ids that are qubits); :meth:`Circuit.validate`
+reports its faults and :func:`loads` raises the first.  What the columns
+and tables cannot hold is refused where it is put in: a gate that breaks
+:func:`_form_faults` where a batch is packed, and ids that are not ints,
+alloc layers outside ``_INDEX`` and unknown kinds at the builder's call.
+The reader checks only that, and that the alloc ids are dense.  Placement
+and release test a batch at once (:func:`_claim`), and a batch that fails
+changes nothing; one per-id diagnosis, :meth:`Circuit._id_faults`, names
+their faults and the walk's.
 
 Emitters put each batch of one op through :meth:`Circuit.put` as flat
 operands and parameters; :meth:`Circuit.embed` and :meth:`Block.mirror`
@@ -43,7 +40,8 @@ circuits: :func:`gate` is their checked constructor, :meth:`Circuit.place`
 packs a mixed batch of them and :meth:`Circuit.append_layer` adds one as a
 layer without the liveness test.  :func:`loads` reads circuit JSON (a
 ``str``, ``bytes``, or a binary file read in blocks) into the columns a
-chunk of gates at a time, and the loaded circuit passes the walk.
+chunk of gates at a time, and the loaded circuit passes the walk;
+:func:`checked` refuses an emitted circuit that does not.
 """
 
 from __future__ import annotations
@@ -134,6 +132,38 @@ def _ids(ids: Sequence[int]) -> array:
     return ids if isinstance(ids, array) and ids.typecode == "i" else array("i", ids)
 
 
+def _all_ints(ids: Sequence) -> bool:
+    """Whether every id is an int, not a bool: at once for an ``array('i')`` or a ``range``."""
+    return type(ids) is range or isinstance(ids, array) and ids.typecode == "i" or set(map(type, ids)) <= _INT
+
+
+def _int_ids(ids: Iterable[int], what: str) -> "Register":
+    """The persistent or register ids ``ids`` as a :class:`Register` if each is an int it
+    can hold, else ``OperandNotLive``; that each is a qubit is left to the walk."""
+    ids = ids if isinstance(ids, (array, range, list)) else list(ids)
+    try:
+        if _all_ints(ids):
+            return Register(ids)
+    except OverflowError:
+        pass
+    bad = next(i for i in ids if type(i) is not int or i not in _I32)
+    raise OperandNotLive(f"{what} id {bad!r} is not an int qubit id")
+
+
+def _distinct(ids: np.ndarray, top: int) -> bool:
+    """Whether no id of ``ids`` (each in 0..top) repeats: a repeated id marks one flag twice."""
+    marks = np.zeros(top + 1, np.bool_)
+    marks[ids] = True
+    return np.count_nonzero(marks) == len(ids)
+
+
+def _first(faults: Iterable[tuple[type[CircuitError], str]], prefix: str = "") -> CircuitError:
+    """The first of ``faults`` as its typed error led by ``prefix``, else an ``InternalInvariant``."""
+    for error, message in faults:
+        return error(prefix + message)
+    return InternalInvariant(f"{prefix}a batch failed its test without a fault")
+
+
 def _claim(ids: np.ndarray, t, last_use: np.ndarray, dealloc: np.ndarray, release: bool = False) -> bool:
     """The lifecycle rules, tested on a whole batch of qubit ids (numpy views, like the
     tables) at once: every id is a qubit, none repeats, and each is live at ``t`` after
@@ -141,8 +171,7 @@ def _claim(ids: np.ndarray, t, last_use: np.ndarray, dealloc: np.ndarray, releas
     ``last_use[ids] = t``; a release, whose ``t`` may be one layer per id, also needs the
     qubits not yet released (``dealloc[ids] == NEVER``) and writes ``dealloc[ids] = t``.
     A batch that fails changes nothing.  A qubit's latest layer is at least its alloc
-    layer - 1, so ``last_use < t`` also proves it allocated by then, and a repeated id
-    marks one qubit twice, so fewer qubits than ids are marked."""
+    layer - 1, so ``last_use < t`` also proves it allocated by then."""
     if not len(ids):
         return True
     top = int(ids.view(np.uintc).max())  # a negative id reads as one past 2**31 - 1
@@ -153,11 +182,7 @@ def _claim(ids: np.ndarray, t, last_use: np.ndarray, dealloc: np.ndarray, releas
     else:  # numpy gathers and scatters fastest through intp indices
         ids = ids.astype(np.intp)
         live = np.take(last_use, ids).max() < t < np.take(dealloc, ids).min()
-    if not live:
-        return False
-    marks = np.zeros(top + 1, np.bool_)
-    marks[ids] = True
-    if np.count_nonzero(marks) != len(ids):
+    if not (live and _distinct(ids, top)):
         return False
     (dealloc if release else last_use)[ids] = t
     return True
@@ -217,15 +242,16 @@ def _angle(p) -> float:
     return x
 
 
-def _form_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]]:
-    """The per-gate rules the columns hold by construction, each one the gate breaks as
-    (error class, message): a known op with its operand and parameter counts, ``float``
-    parameters (not ``np.float64``), and int operands (not ``bool``)."""
+def _form_faults(op, params, qubits, gates: int = 1) -> Iterator[tuple[type[CircuitError], str]]:
+    """The per-gate rules the columns hold by construction, each one ``gates`` gates of
+    one op, given as flat operands and parameters, break as (error class, message): a
+    known op with its operand and parameter counts, ``float`` parameters (not
+    ``np.float64``), and int operands (not ``bool``)."""
     sig = GATE_SIGNATURES.get(op) if type(op) is str else None
     if sig is None:
         yield MalformedCircuit, f"unknown op {op!r}"
-    elif (len(qubits), len(params)) != sig:
-        yield (DuplicateOperand if len(qubits) != sig[0] else MalformedCircuit,
+    elif (len(qubits), len(params)) != (gates * sig[0], gates * sig[1]):
+        yield (DuplicateOperand if len(qubits) != gates * sig[0] else MalformedCircuit,
                f"{op} takes {sig[0]} qubits and {sig[1]} params, got {len(qubits)} and {len(params)}")
     for p in params:
         if type(p) is not float:
@@ -236,14 +262,13 @@ def _form_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]]
 
 
 def _value_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]]:
-    """The per-gate rules left to the walk: finite parameters and distinct operands.
-    Only int operands are hashed."""
+    """The per-gate rules left to the walk, for a gate that keeps :func:`_form_faults`:
+    finite parameters and distinct operands."""
     for p in params:
-        if type(p) is float and not math.isfinite(p):
+        if not math.isfinite(p):
             yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
-    ids = [i for i in qubits if type(i) is int]
-    if len(set(ids)) != len(ids):
-        yield DuplicateOperand, f"{op} repeats an operand: {ids}"
+    if len(set(qubits)) != len(qubits):
+        yield DuplicateOperand, f"{op} repeats an operand: {list(qubits)}"
 
 
 def gate(op: str, qubits, *params) -> Gate:
@@ -269,10 +294,7 @@ def _pack(ops, params, qubits, t: int) -> tuple[bytes, list[int], list[float]]:
             return codes, ids, values
     except (KeyError, TypeError):  # an unknown shape, or an unhashable op
         pass
-    for fields in zip(ops, params, qubits):
-        for error, message in _form_faults(*fields):
-            raise error(f"layer {t}: {message}")
-    raise InternalInvariant(f"layer {t}: a batch failed its form check without a fault")
+    raise _first(chain.from_iterable(map(_form_faults, ops, params, qubits)), f"layer {t}: ")
 
 
 class Circuit:
@@ -306,10 +328,21 @@ class Circuit:
     def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | Sequence[int] | None = None) -> range:
         """Allocate ``count`` fresh qubits of one kind at one layer ``at_layer`` (by default
         the next new one), or each at its own (``at_layer`` a sequence of ``count``
-        layers); returns their ids."""
+        layers); returns their ids.  A kind that is not clean or dirty, or a layer
+        outside ``_INDEX``, is refused."""
+        if kind not in _KINDS:
+            raise MalformedCircuit(f"unknown kind {kind!r}")
         if at_layer is None:
             at_layer = self.num_layers()
-        layers = array("i", (at_layer,)) * count if isinstance(at_layer, (int, np.integer)) else _ids(at_layer)
+        one = isinstance(at_layer, (int, np.integer))
+        try:
+            layers = array("i", (at_layer,)) * count if one else _ids(at_layer)
+            fits = not layers or 0 <= _view(layers).min() and _view(layers).max() < NEVER
+        except OverflowError:
+            fits = False
+        if not fits:
+            bad = next(t for t in ((at_layer,) if one else at_layer) if t not in _INDEX)
+            raise OperandNotLive(f"alloc layer {bad} is not a layer index")
         if len(layers) != count:
             raise MalformedCircuit(f"{count} qubits need {count} alloc layers, got {len(layers)}")
         return self._add_qubits(bytes((_KIND_CODE[kind],)) * count, layers)
@@ -332,36 +365,27 @@ class Circuit:
     def dealloc_many(self, qubits: Sequence[int], at) -> None:
         """Release qubits at one layer ``at``, or each at its own (``at`` a sequence as long
         as ``qubits``), if the batch passes :func:`_claim`; else release none and raise the
-        first fault in batch order: a qubit not in the circuit, released already or
-        earlier in the batch, or with a gate at or past its release layer."""
+        first fault in batch order (:meth:`_id_faults`), a ``bool`` id included."""
         one = isinstance(at, (int, np.integer))
+        qubits = qubits if isinstance(qubits, (array, range, list)) else list(qubits)
         try:
-            if _claim(_view(_ids(qubits)), at if one else _view(_ids(at)),
-                      _view(self._last_use), _view(self._dealloc), release=True):
+            if _all_ints(qubits) and _claim(_view(_ids(qubits)), at if one else _view(_ids(at)),
+                                            _view(self._last_use), _view(self._dealloc), release=True):
                 return
         except (TypeError, OverflowError):  # an id or a layer that is no int32
             pass
-        seen = set()
-        for q, t in zip(qubits, repeat(at) if one else at):
-            if not 0 <= q < len(self._alloc):
-                raise OperandNotLive(f"qubit {q} is not allocated")
-            if self._dealloc[q] != NEVER or q in seen:
-                raise DoubleDealloc(f"qubit {q} deallocated twice")
-            if t <= self._last_use[q]:
-                raise UseAfterDealloc(f"qubit {q} has activity at or past layer {t}")
-            if t >= NEVER:
-                raise OperandNotLive(f"qubit {q} deallocated at {t}, not a layer index")
-            seen.add(q)
-        raise InternalInvariant(f"a release at {at} failed its test without a fault")
+        raise _first(self._id_faults(qubits, at, self._last_use, release=True))
 
     def mark_persistent(self, qubits: Iterable[int]) -> None:
-        self._persistent.update(qubits)
+        """Keep qubits live to the end of the circuit, unreleased (:func:`_int_ids`)."""
+        self._persistent.update(_int_ids(qubits, "persistent"))
 
     def persistent(self) -> set[int]:
         return set(self._persistent)
 
     def add_register(self, name: str, qubits: Iterable[int]) -> None:
-        self.registers[name] = Register(qubits)
+        """Name a register of qubits (:func:`_int_ids`)."""
+        self.registers[name] = _int_ids(qubits, f"register {name}")
 
     # -- gate placement ---------------------------------------------------------
 
@@ -375,15 +399,9 @@ class Circuit:
             self._ps.append(array("d"))
 
     def place(self, gates: list[Gate], layer: int) -> int:
-        """Put a batch of gates at one explicit layer; every operand must be live there.
-
-        The batch is packed into columns first (:func:`_pack`).  Gates on
-        one qubit must arrive in time order: a layer at or before the
-        qubit's latest gate is a ``LayerCollision``, which also rejects a
-        qubit in two gates of the batch.  The flat ids are tested as a whole
-        (:meth:`_place`); a rejected batch, like an empty one, changes
-        nothing.
-        """
+        """Put a batch of gates at one explicit layer, packed into columns first
+        (:func:`_pack`): every operand must be live there, after its latest gate
+        (:meth:`_place`).  A rejected batch, like an empty one, changes nothing."""
         if not gates:
             return layer
         ops, params, qubits = zip(*gates)
@@ -391,27 +409,20 @@ class Circuit:
 
     def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
         """:meth:`place` for a batch of one op given as its flat operands (the op's arity
-        of them per gate) and flat parameters.  Its op and counts are checked once; if
-        its operands are not all ints or its parameters not all floats it is packed
-        gate by gate (:func:`_pack`), which raises its first fault as ``place`` does."""
+        of them per gate) and flat parameters.  Its op, counts and types are checked as
+        a whole, the types at once for an ``array('i')`` or ``range`` of operands and an
+        ``array('d')`` of parameters; the first :func:`_form_faults` fault is raised."""
         sig = GATE_SIGNATURES.get(op) if type(op) is str else None
-        if sig is None:
-            raise MalformedCircuit(f"layer {layer}: unknown op {op!r}")
-        nq, npar = sig
-        n = len(ids) // nq
-        if len(ids) != n * nq or len(params) != n * npar:
-            raise (DuplicateOperand if len(ids) % nq else MalformedCircuit)(
-                f"layer {layer}: {op} takes {nq} qubits and {npar} params, got {len(ids)} and {len(params)}")
-        codes = bytes((_CODE[op],)) * n
-        if not (set(map(type, ids)) <= _INT and set(map(type, params)) <= _FLOAT):
-            codes, ids, params = _pack((op,) * n, [params[i * npar:(i + 1) * npar] for i in range(n)],
-                                       [ids[i * nq:(i + 1) * nq] for i in range(n)], layer)
-        return self._place(codes, ids, params, layer)
+        n = len(ids) // sig[0] if sig else 0
+        if not (sig and (len(ids), len(params)) == (n * sig[0], n * sig[1]) and _all_ints(ids)
+                and (isinstance(params, array) and params.typecode == "d" or set(map(type, params)) <= _FLOAT)):
+            raise _first(_form_faults(op, params, ids, n), f"layer {layer}: ")
+        return self._place(bytes((_CODE[op],)) * n, ids, params, layer)
 
     def _place(self, codes, ids, values, layer: int) -> int:
         """:meth:`place` for a batch already in columns (``ids`` any sequence of ints, an
         ``array('i')`` read in place): written only if its ids pass :func:`_claim`, else
-        :meth:`_operand_error` is raised."""
+        its first fault (:meth:`_id_faults`) is raised."""
         if not codes:
             return layer
         try:
@@ -420,7 +431,7 @@ class Circuit:
         except OverflowError:  # an id that is no int32
             placed = False
         if not placed:
-            raise self._operand_error(ids, layer)
+            raise _first(self._id_faults(ids, layer, self._last_use))
         if layer >= len(self._ops):
             self._grow(layer)
         self._ops[layer] += codes
@@ -428,21 +439,34 @@ class Circuit:
         self._ps[layer].extend(values)
         return layer
 
-    def _operand_error(self, ids: Sequence[int], layer: int) -> CircuitError:
-        """The typed error of a batch's first id, in batch order, that is no qubit live at
-        ``layer`` or has a gate there already (earlier in the batch too).  Reads only."""
-        seen = set()
-        for i in ids:
-            if not 0 <= i < len(self._alloc) or layer < self._alloc[i]:
-                return OperandNotLive(f"qubit {i!r} not allocated at layer {layer}")
-            d = self._dealloc[i]
-            if layer >= d:
-                return UseAfterDealloc(f"qubit {i} deallocated at layer {d}, gate at {layer}")
-            last = layer if i in seen else self._last_use[i]
-            if last >= layer:
-                return LayerCollision(f"qubit {i} has a gate at layer {last}, next gate at {layer}")
+    def _id_faults(self, ids: Iterable, at, latest: Sequence[int] | None = None,
+                   release: bool = False) -> Iterator[tuple[type[CircuitError], str]]:
+        """For each id of a batch, in batch order, the first lifecycle rule it breaks, as
+        (error class, message).  A gate at layer ``at`` takes a live qubit whose latest
+        layer (``at`` if earlier in the batch, else ``latest``; the walk has none) comes
+        before ``at``; a release (``at`` one layer or one per id) a qubit released
+        neither yet nor earlier in the batch, past its ``latest`` layer.  Reads only."""
+        n, seen = len(self._alloc), set()
+        for i, t in zip(ids, repeat(at) if isinstance(at, (int, np.integer)) else at):
+            if type(i) is not int or not 0 <= i < n:
+                yield OperandNotLive, f"qubit {i!r} is not allocated" if release else \
+                    f"layer {t}: qubit {i!r} is not in the circuit"
+                continue
+            if release:
+                if self._dealloc[i] != NEVER or i in seen:
+                    yield DoubleDealloc, f"qubit {i} deallocated twice"
+                elif t <= latest[i]:
+                    yield UseAfterDealloc, f"qubit {i} has activity at or past layer {t}"
+                elif t >= NEVER:
+                    yield OperandNotLive, f"qubit {i} deallocated at {t}, not a layer index"
+            elif t < self._alloc[i]:
+                yield OperandNotLive, f"layer {t}: qubit {i} used before allocation at layer {self._alloc[i]}"
+            elif t >= self._dealloc[i]:
+                yield UseAfterDealloc, f"layer {t}: qubit {i} used after deallocation at layer {self._dealloc[i]}"
+            elif i in seen or latest is not None and latest[i] >= t:
+                yield LayerCollision, f"layer {t}: qubit {i} in two gates, one already at layer " \
+                    f"{t if i in seen else latest[i]}"
             seen.add(i)
-        return InternalInvariant(f"layer {layer}: a batch failed its liveness test without a fault")
 
     def append(self, g: Gate) -> int:
         """Place one gate ASAP: at the earliest layer after each operand's latest layer."""
@@ -467,15 +491,14 @@ class Circuit:
         """Append a packed batch to layer ``t``'s columns, unchecked, growing the
         circuit to that layer.  The id list goes straight into the id column
         (``fromlist`` leaves the column as it was if an id does not fit); an id
-        outside the column's range is ``OperandNotLive`` and adds no layer."""
+        outside the column's range is no qubit (:meth:`_id_faults`) and adds no layer."""
         layers = len(self._ops)
         self._grow(t)
         try:
             self._qs[t].fromlist(ids)
         except OverflowError:
             del self._ops[layers:], self._qs[layers:], self._ps[layers:]
-            bad = next(i for i in ids if i not in _I32)
-            raise OperandNotLive(f"layer {t}: qubit {bad} is not in the circuit") from None
+            raise _first(self._id_faults([i for i in ids if i not in _I32], t)) from None
         self._ops[t] += codes
         self._ps[t].fromlist(values)
 
@@ -645,49 +668,66 @@ class Circuit:
     # -- validation ---------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """The whole-circuit check: every gate and liveness fault of :meth:`_faults`,
-        then every register whose size differs from ``meta["expected_register_sizes"]``."""
-        violations = [message for _, message in self._faults()]
-        expected = self.meta.get("expected_register_sizes")
-        if expected:
-            for name, size in expected.items():
-                have = len(self.registers.get(name, []))
-                if have != size:
-                    violations.append(f"register {name}: size {have}, expected {size}")
-        return violations
+        """The whole-circuit check: every fault of :meth:`_faults`, then every register
+        whose size differs from ``meta["expected_register_sizes"]``."""
+        expected = self.meta.get("expected_register_sizes") or {}
+        have = {name: len(self.registers.get(name, ())) for name in expected}
+        return [message for _, message in self._faults()] + [f"register {name}: size {have[name]}, expected {size}"
+                                                             for name, size in expected.items() if have[name] != size]
 
     def _faults(self, last_use: np.ndarray | None = None) -> Iterator[tuple[type[CircuitError], str]]:
-        """Every gate and liveness fault, layer by layer, as (error class, message).
+        """Every fault of the circuit, as (error class, message), in order: each lifetime
+        outside 0 <= alloc <= dealloc <= ``num_layers()``; each gate that breaks
+        :func:`_value_faults` or acts on a qubit not live at its layer or twice in it;
+        each persistent or register id that is no qubit, or is repeated.
 
-        The columns hold only well-formed gates (:func:`_pack`), so each
-        gate must keep :func:`_value_faults` and act on qubits live at its
-        layer, one gate per qubit per layer.  A layer is checked as a whole:
-        its parameters are finite and its ids pass :func:`_claim` against
-        ``last_use``, a view of each qubit's alloc layer - 1 (by default a
-        fresh copy).  Layers come in time order, so the walk of a circuit
-        without faults leaves each qubit's latest layer there.  Only a layer
-        that fails is walked gate by gate.
+        A layer is tested as a whole (finite parameters, distinct ids with
+        ``alloc <= t < dealloc``) and walked gate by gate (:meth:`_id_faults`) only if
+        it fails.  A layer that passes sets ``last_use[ids] = t`` if ``last_use`` is
+        given.  The walk copies no table and gathers through the int32 ids.
         """
-        alloc, dealloc = self._alloc, self._dealloc
-        last_use = _view(_before(alloc)) if last_use is None else last_use
+        n, L = len(self._alloc), self.num_layers()
+        alloc, dealloc = _view(self._alloc), _view(self._dealloc)
+        if not (alloc.min(initial=0) >= 0 and alloc.max(initial=0) <= L and (alloc <= dealloc).all()
+                and dealloc.max(initial=0, where=dealloc != NEVER) <= L):
+            for q, (a, d) in enumerate(zip(self._alloc, self._dealloc)):
+                if not 0 <= a <= L:
+                    yield OperandNotLive, f"qubit {q} allocated at {a}, outside layers 0..{L}"
+                elif d != NEVER and not a <= d <= L:
+                    yield OperandNotLive, f"qubit {q} lifetime [{a}, {d}] leaves layers 0..{L}"
         for t, (ids, values) in enumerate(zip(self._qs, self._ps)):
-            if not ids or (np.isfinite(np.frombuffer(values)).all()
-                           and _claim(_view(ids), t, last_use, _view(dealloc))):
+            if not ids:
                 continue
-            seen = set()
-            for g in self.gates(t):
-                for error, message in _value_faults(*g):
-                    yield error, f"layer {t}: {message}"
-                for i in dict.fromkeys(g.qubits):
-                    if i in seen:
-                        yield LayerCollision, f"layer {t}: qubit {i} in two gates"
+            q = _view(ids)
+            top = int(q.view(np.uintc).max())  # a negative id reads as one past 2**31 - 1
+            if not (top < n and alloc[q].max() <= t < dealloc[q].min() and _distinct(q, top)
+                    and np.isfinite(np.frombuffer(values)).all()):
+                gates = list(self.gates(t))
+                yield from ((error, f"layer {t}: {message}") for g in gates for error, message in _value_faults(*g))
+                yield from self._id_faults(chain.from_iterable(dict.fromkeys(g.qubits) for g in gates), t)
+            elif last_use is not None:
+                last_use[q] = t
+        registers = ((f"register {name}", reg) for name, reg in self.registers.items())
+        for what, reg in chain([("persistent", sorted(self._persistent))], registers):
+            ids = _view(_ids(reg))
+            top = int(ids.view(np.uintc).max(initial=0))
+            if not (top < n and _distinct(ids, top)):
+                seen = set()
+                for i in reg:
+                    if not 0 <= i < n:
+                        yield OperandNotLive, f"{what} id {i} is not a qubit of the circuit"
+                    elif i in seen:
+                        yield DuplicateOperand, f"{what} lists qubit {i} twice"
                     seen.add(i)
-                    if not 0 <= i < len(alloc):
-                        yield OperandNotLive, f"layer {t}: qubit {i} is not in the circuit"
-                    elif t < alloc[i]:
-                        yield OperandNotLive, f"layer {t}: qubit {i} used before allocation"
-                    elif t >= dealloc[i]:
-                        yield UseAfterDealloc, f"layer {t}: qubit {i} used after deallocation"
+
+
+def checked(c: Circuit) -> Circuit:
+    """An emitted circuit after its one whole-circuit check; a violation is a bug
+    (``InternalInvariant``, exit 3), caught before the circuit is accounted or written."""
+    violations = c.validate()
+    if violations:
+        raise InternalInvariant(f"emitted circuit failed validation: {violations[:3]}")
+    return c
 
 
 class Block:
@@ -708,12 +748,9 @@ class Block:
         self.qubits = array("i")
 
     def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
-        return self._recorded(layer, self.c.put, op, ids, layer, params)
-
-    def _recorded(self, layer: int, add: Callable, *args) -> int:
-        """``add(*args)``, which adds a batch at ``layer``, with the batch's column slices recorded."""
+        """``Circuit.put``, with the batch's column slices recorded."""
         before = self.c._ends(layer)
-        add(*args)
+        self.c.put(op, ids, layer, params)
         if self.c._ends(layer) != before:
             self.spans.append((layer, before, self.c._ends(layer)))
         return layer
@@ -961,7 +998,6 @@ def expand(c: Circuit) -> Circuit:
     return out
 
 
-
 # -- serialization -------------------------------------------------------------------
 
 #: What it encodes is fresh lists, dicts and strings, so the encoder's
@@ -1055,18 +1091,14 @@ _FIELDS = itemgetter("op", "params", "qubits")
 
 
 def _read_gates(c: Circuit, t: int, gates: list) -> None:
-    """Append parsed gates of layer ``t`` to ``c``, packed into columns.
+    """Append parsed gates of layer ``t`` to ``c``, packed into columns (:func:`_pack`).
 
     Every gate must be an object with a string ``op`` and lists of
     ``params`` and ``qubits``; each check is one pass over the gates in C.
-    Packing (:func:`_pack`) flattens and checks each column once, and
-    rejects unknown ops, wrong counts, parameters that are not floats and
-    operands that are not ints; :meth:`Circuit._extend` rejects operands
-    that do not fit the id column.  Only a batch that fails to pack while
-    some parameter is not a float is packed again with every parameter
-    through :func:`_angle`, which turns ints into floats and rejects
-    booleans, strings and null.  The gates' other rules and liveness are
-    left to :meth:`Circuit._faults`.
+    Only a batch that fails to pack while some parameter is not a float is
+    packed again with every parameter through :func:`_angle`, which turns
+    ints into floats and rejects booleans, strings and null.  The gates'
+    other rules are left to :meth:`Circuit._faults`.
     """
     try:
         ops, params, qubits = zip(*map(_FIELDS, gates))
@@ -1088,8 +1120,8 @@ def _alloc_entry(e) -> tuple[int, int, int]:
     if type(e) is not list or len(e) != 3:
         raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
     qid, t, kind = e
-    if type(qid) is not int or qid not in _INDEX:
-        raise OperandNotLive("alloc list must cover dense qubit ids")
+    if type(qid) is not int or qid not in _I32:
+        raise OperandNotLive(f"alloc id {qid!r} is not an int32 qubit id")
     if kind not in _KINDS:
         raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
     if type(t) is not int or t not in _INDEX:
@@ -1102,8 +1134,8 @@ def _dealloc_entry(e) -> tuple[int, int]:
     if type(e) is not list or len(e) != 2:
         raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
     qid, t = e
-    if type(qid) is not int or qid not in _INDEX:
-        raise OperandNotLive(f"qubit id {qid!r} is not allocated")
+    if type(qid) is not int or qid not in _I32:
+        raise OperandNotLive(f"dealloc id {qid!r} is not an int32 qubit id")
     if type(t) is not int:
         raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
     if t not in _I32:
@@ -1116,15 +1148,10 @@ _TABLES = {"alloc": (_alloc_entry, 3), "dealloc": (_dealloc_entry, 2)}
 
 
 def _add_rows(columns: list, entry: Callable, rows: list) -> None:
-    """Append a block of a lifecycle table's parsed entries to its columns.
-
-    A block of lists of the right length whose ids and layers are ints (and
-    whose kinds are "clean" or "dirty") is appended whole, then its ids and
-    layers are checked to lie in ``_INDEX`` by one numpy pass each; any
-    other block is cut off and appended entry by entry through ``entry``,
-    which raises the first entry's typed error.  Dense ids, double releases
-    and the layers' bounds are checked once both tables are read.
-    """
+    """Append a block of a lifecycle table's parsed entries to its columns: at once if
+    they are lists of the right length with int ids and layers in ``_INDEX`` (and
+    kinds "clean" or "dirty"), else entry by entry through ``entry``, which raises the
+    first entry's typed error for what the columns cannot hold."""
     starts = list(map(len, columns))
     try:
         if set(map(type, rows)) <= _LIST and set(map(len, rows)) == {len(columns)}:
@@ -1151,8 +1178,7 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
     A table given as anything but a list is passed as None.  The alloc ids
     must be 0..n-1 in some order.  The qubits have no gate yet, and the
     dealloc table is released through :meth:`Circuit.dealloc_many`, each
-    qubit at its own layer, with its rules and errors.  The layers' upper
-    bound is checked by :func:`_check_bounds` once the layer count is known.
+    qubit at its own layer, with its rules and errors.
     """
     for key, table in ("alloc", alloc_table), ("dealloc", dealloc_table):
         if table is None:
@@ -1169,19 +1195,6 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
         alloc, kinds = alloc_by_id, kinds_by_id
     c._kind, c._alloc, c._dealloc, c._last_use = kinds, alloc, array("i", (NEVER,)) * n, _before(alloc)
     c.dealloc_many(qs, ends)
-
-
-def _check_bounds(c: Circuit) -> None:
-    """Every lifetime lies within the layers: alloc and dealloc are at most ``num_layers()``."""
-    L = c.num_layers()
-    alloc, dealloc = _view(c._alloc), _view(c._dealloc)
-    if alloc.max(initial=0) > L:
-        q = int(np.argmax(alloc > L))
-        raise OperandNotLive(f"qubit {q} allocated at {c._alloc[q]}, outside layers 0..{L}")
-    released = dealloc != NEVER
-    if dealloc.max(initial=0, where=released) > L:
-        q = int(np.argmax(released & (dealloc > L)))
-        raise OperandNotLive(f"qubit {q} lifetime [{c._alloc[q]}, {c._dealloc[q]}] leaves layers 0..{L}")
 
 
 _skip_ws = json.decoder.WHITESPACE.match
@@ -1382,9 +1395,8 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
 
     Accepts what ``json.loads`` accepts (whitespace anywhere, bytes in any
     encoding ``json.detect_encoding`` names) and rejects what it rejects,
-    except that a repeated top-level key is ``MalformedCircuit``.  Qubit ids
-    are the ints 0..n-1 of the alloc table, kinds are "clean" or "dirty",
-    and every lifetime satisfies 0 <= alloc <= dealloc <= len(layers).
+    except that a repeated top-level key is ``MalformedCircuit``.  The
+    circuit it returns is valid: it has no fault of :meth:`Circuit._faults`.
 
     A file (anything with ``read``) is read ``_BLOCK`` bytes at a time and
     decoded as it is read (:func:`_text_blocks`), so neither its bytes nor
@@ -1397,9 +1409,10 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
     each other as soon as both are read, as they are before ``layers`` in
     canonical documents (whose keys come sorted).  The first
     ``CircuitError`` is held until the whole text has been scanned, so a
-    syntax error anywhere comes first, as in ``json.loads``.  Then the
-    lifetimes are checked against the layer count and the circuit passes
-    :meth:`Circuit.validate`'s walk, which raises its first fault.
+    syntax error anywhere comes first, as in ``json.loads``.  The reader
+    checks only the JSON shapes and types, what the columns cannot hold and
+    that the alloc ids are dense; then it sets the persistent set and the
+    registers, and the circuit's walk raises its first fault.
     """
     doc = _Cursor(_text_blocks(source) if hasattr(source, "read") else iter([json_text(source)]))
     if doc.peek() != "{":
@@ -1458,28 +1471,14 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
         raise MalformedCircuit('circuit JSON needs "alloc" and "dealloc" lists')
     if "layers" not in seen or "layers" in values:
         raise MalformedCircuit('"layers" must be a JSON list')
-    _check_bounds(c)
-    for error, message in c._faults(_view(c._last_use)):
-        raise error(message)
-
-    n = len(c._alloc)
-
-    def qubits(ids: list) -> list[int]:
-        """A list of ids, checked at once; a bad id is ``OperandNotLive``."""
-        if not (set(map(type, ids)) <= _INT and (not ids or (min(ids) >= 0 and max(ids) < n))):
-            bad = next(i for i in ids if type(i) is not int or not 0 <= i < n)
-            raise OperandNotLive(f"qubit id {bad!r} is not allocated")
-        return ids
-
     registers = values.get("registers", {})
     if type(registers) is not dict:
         raise MalformedCircuit('"registers" must be a JSON object')
-    c.mark_persistent(qubits(_json_list(values.get("persistent", []), '"persistent"')))
+    c.mark_persistent(_json_list(values.get("persistent", []), '"persistent"'))
     for name, ids in registers.items():
-        members = qubits(_json_list(ids, f"register {name}"))
-        if len(set(ids)) != len(ids):
-            raise DuplicateOperand(f"register {name} lists a qubit twice: {ids}")
-        c.add_register(name, members)
+        c.add_register(name, _json_list(ids, f"register {name}"))
+    for error, message in c._faults(_view(c._last_use)):
+        raise error(message)
     return c
 
 

@@ -103,14 +103,6 @@ def _emitting():
         raise InternalInvariant(f"emitter broke the circuit IR: {type(e).__name__}: {e}") from e
 
 
-def _checked(circuit: Circuit) -> Circuit:
-    """An emitted circuit after its one whole-circuit check; a violation is a bug (exit 3)."""
-    violations = circuit.validate()
-    if violations:
-        raise InternalInvariant(f"emitted circuit failed validation: {violations[:3]}")
-    return circuit
-
-
 def cmd_synth(args, argv) -> int:
     from . import circuit_ir as cir
     from . import amplitudes as amp
@@ -128,7 +120,7 @@ def cmd_synth(args, argv) -> int:
         fanout=not args.no_fanout,
     )
     with _emitting():
-        circuit = _checked(proto.spcsp(target, cfg))
+        circuit = cir.checked(proto.spcsp(target, cfg))
         report = cir.spacetime_allocation(circuit, model)
     _write(args.out, cir.json_chunks(circuit))
     doc = envelope(argv, _digest(raw), {"report": report.to_json()})
@@ -208,7 +200,6 @@ def cmd_multicopy(args, argv) -> int:
                         fanout=not args.no_fanout)
     with _emitting():
         result = mc.stack(plan)
-        _checked(result.circuit)
     _write(args.out, cir.json_chunks(result.circuit))
     doc = envelope(argv, _digest(raw), {
         "report": result.report.to_json(),
@@ -248,8 +239,8 @@ def cmd_fragment(args, argv) -> int:
         kwargs["fanout"] = not args.no_fanout
         kwargs["dirty_b1"] = args.dirty_b1
     with _emitting():
-        circuit = _checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
-                                                  t=args.t or 0, basis=args.basis, **kwargs))
+        circuit = cir.checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
+                                                     t=args.t or 0, basis=args.basis, **kwargs))
         report = cir.spacetime_allocation(circuit, model)
     _write(args.out, cir.json_chunks(circuit))
     doc = envelope(argv, _digest(raw), {"report": report.to_json()})

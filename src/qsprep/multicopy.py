@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .amplitudes import TargetState
-from .circuit_ir import Circuit, ResourceReport, spacetime_allocation
+from .circuit_ir import Circuit, ResourceReport, checked, spacetime_allocation
 from .errors import NoValidSplit, PoolExceeded
 from .protocols import ProtocolConfig, spcsp_shape, stage_angles
 
@@ -131,7 +131,8 @@ def stack(plan: BatchPlan) -> BatchResult:
     targets, and each distinct target object takes a copy of it with its
     angles written in (:func:`_instances`).  One walk over the priced peaks finds the smallest
     fitting k from 1, or from an explicit k, which must then fit itself and
-    lie in [1, depth]; only that k is merged.
+    lie in [1, depth]; only that k is merged, and the batch passes the
+    circuit's walk (:func:`checked`) before it is accounted.
     """
     insts, parts = _instances(plan.targets, plan.fanout)  # _merge frees each instance once embedded
     start, depth = plan.indentation or 1, insts[0][0].num_layers()
@@ -147,7 +148,7 @@ def stack(plan: BatchPlan) -> BatchResult:
     peak_anc = _priced_peak(parts, k)
 
     batch, instances_meta = _merge(insts, k)
-    report = spacetime_allocation(batch)
+    report = spacetime_allocation(checked(batch))
     return BatchResult(
         circuit=batch,
         report=report,

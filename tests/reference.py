@@ -51,29 +51,57 @@ def to_json_dict(c: Circuit) -> dict:
 
 
 def fault_messages(c: Circuit) -> list[str]:
-    """What ``c.validate()`` reports, walking every gate of every layer: its infinite
-    or NaN parameters, a repeated operand, then each of its distinct operands that an
-    earlier gate of the layer used, that is no qubit of the circuit, or that is not live."""
-    n = len(c.qubits())
+    """What ``c.validate()`` reports: each qubit whose lifetime leaves 0 <= alloc <= dealloc
+    <= the layer count; then, per layer, every gate's infinite or NaN parameters and
+    repeated operand, then each gate's distinct operands that are not live there
+    (:func:`place_oracle`'s words) or in an earlier gate of the layer; then each
+    persistent or register id that is no qubit, and each repeated register id."""
+    n, L = len(c.qubits()), c.num_layers()
     out = []
-    for t in range(c.num_layers()):
-        seen = set()
-        for g in c.gates(t):
+    for q in c.qubits():
+        a, d = c.alloc_layer(q), c.dealloc_layer(q)
+        if not 0 <= a <= L:
+            out.append(f"qubit {q} allocated at {a}, outside layers 0..{L}")
+        elif d is not None and not a <= d <= L:
+            out.append(f"qubit {q} lifetime [{a}, {d}] leaves layers 0..{L}")
+    for t in range(L):
+        gates = list(c.gates(t))
+        operands = []
+        for g in gates:
             out += [f"layer {t}: {g.op} parameter {p!r} is not a finite float" for p in g.params
                     if not math.isfinite(p)]
             if len(set(g.qubits)) < len(g.qubits):
                 out.append(f"layer {t}: {g.op} repeats an operand: {list(g.qubits)}")
-            for q in dict.fromkeys(g.qubits):
-                if q in seen:
-                    out.append(f"layer {t}: qubit {q} in two gates")
-                seen.add(q)
-                if not 0 <= q < n:
-                    out.append(f"layer {t}: qubit {q} is not in the circuit")
-                elif t < c.alloc_layer(q):
-                    out.append(f"layer {t}: qubit {q} used before allocation")
-                elif c.dealloc_layer(q) is not None and t >= c.dealloc_layer(q):
-                    out.append(f"layer {t}: qubit {q} used after deallocation")
+            operands += dict.fromkeys(g.qubits)
+        seen = set()
+        for q in operands:
+            fault = _liveness_fault(c, q, t)
+            if fault is None and q in seen:
+                fault = LayerCollision, f"layer {t}: qubit {q} in two gates, one already at layer {t}"
+            if fault is not None:
+                out.append(fault[1])
+            seen.add(q)
+    for what, ids in [("persistent", sorted(c.persistent())),
+                      *((f"register {name}", list(ids)) for name, ids in c.registers.items())]:
+        for k, q in enumerate(ids):
+            if q not in c.qubits():
+                out.append(f"{what} id {q} is not a qubit of the circuit")
+            elif q in ids[:k]:
+                out.append(f"{what} lists qubit {q} twice")
     return out
+
+
+def _liveness_fault(c: Circuit, q, t: int):
+    """Why qubit id ``q`` cannot take a gate at layer ``t``, as (error class, message):
+    it is no qubit of the circuit, or not yet allocated or already released there."""
+    if type(q) is not int or q not in c.qubits():
+        return OperandNotLive, f"layer {t}: qubit {q!r} is not in the circuit"
+    if t < c.alloc_layer(q):
+        return OperandNotLive, f"layer {t}: qubit {q} used before allocation at layer {c.alloc_layer(q)}"
+    end = c.dealloc_layer(q)
+    if end is not None and t >= end:
+        return UseAfterDealloc, f"layer {t}: qubit {q} used after deallocation at layer {end}"
+    return None
 
 
 def last_use_oracle(c: Circuit) -> list[int]:
@@ -89,18 +117,16 @@ def last_use_oracle(c: Circuit) -> list[int]:
 def place_oracle(c: Circuit, ids, layer: int):
     """What placing gates on ``ids`` at ``layer`` raises, one id at a time in batch
     order, as (error class, message), or None if it passes: each id must be a qubit
-    allocated by ``layer`` and not released by then, and its latest gate, which each
-    id moves to ``layer`` in turn, must come before ``layer``."""
+    live at ``layer`` (:func:`_liveness_fault`), and its latest gate, which each id
+    moves to ``layer`` in turn, must come before ``layer``."""
     latest = {}
     for i in ids:
-        if i not in c.qubits() or layer < c.alloc_layer(i):
-            return OperandNotLive, f"qubit {i} not allocated at layer {layer}"
-        end = c.dealloc_layer(i)
-        if end is not None and layer >= end:
-            return UseAfterDealloc, f"qubit {i} deallocated at layer {end}, gate at {layer}"
+        fault = _liveness_fault(c, i, layer)
+        if fault is not None:
+            return fault
         last = latest.get(i, c.last_use_layer(i))
         if last >= layer:
-            return LayerCollision, f"qubit {i} has a gate at layer {last}, next gate at {layer}"
+            return LayerCollision, f"layer {layer}: qubit {i} in two gates, one already at layer {last}"
         latest[i] = layer
     return None
 

@@ -177,6 +177,9 @@ class TestLifecycle:
         c.place([gate("x", (qs[1],))], 2)
         c.dealloc_many(qs, 3)
         assert [c.dealloc_layer(q) for q in qs] == [3, 3, 3]
+        more = c.alloc_many(2, at_layer=3)
+        c.dealloc_many(iter(more), 4)  # any iterable of ids, read once
+        assert [c.dealloc_layer(q) for q in more] == [4, 4]
 
     @pytest.mark.parametrize("release, error", [
         (lambda c, qs: c.dealloc_many([qs[0], qs[0]], 3), DoubleDealloc),
@@ -358,6 +361,63 @@ class TestValidate:
         assert any(cls is error and found in message for cls, message in faults), faults
 
 
+def one_qubit_circuit(layers: int = 1):
+    """A persistent qubit allocated at layer 0, with an x on it at each of ``layers`` layers."""
+    c = Circuit()
+    q = c.alloc(at_layer=0)
+    c.mark_persistent([q])
+    for t in range(layers):
+        c.put("x", [q], t)
+    return c, q
+
+
+#: defect -> how to build it through the public API into ``one_qubit_circuit()``
+STORED_DEFECTS = {
+    "register_repeats_a_qubit": lambda c, q: c.add_register("R", [q, q]),
+    "register_id_not_a_qubit": lambda c, q: c.add_register("R", [7]),
+    "persistent_id_not_a_qubit": lambda c, q: c.mark_persistent([7]),
+    "release_past_the_last_layer": lambda c, q: c.dealloc(c.alloc(at_layer=0), 5),
+    "lifetime_past_the_last_layer": lambda c, q: c.dealloc(c.alloc(at_layer=4), 9),
+}
+
+#: argument -> (error class, the call on ``one_qubit_circuit(3)`` that must refuse it)
+REFUSED_ARGUMENTS = {
+    "negative_alloc_layer": (OperandNotLive, lambda c, q: c.alloc(at_layer=-3)),
+    "alloc_layer_past_int32": (OperandNotLive, lambda c, q: c.alloc_many(1, at_layer=2**31)),
+    "alloc_layers_past_int32": (OperandNotLive, lambda c, q: c.alloc_many(2, at_layer=[0, -2**40])),
+    "unknown_kind": (MalformedCircuit, lambda c, q: c.alloc_many(2, "bogus")),
+    "bool_release": (OperandNotLive, lambda c, q: c.dealloc_many([True], 3)),
+    "bool_persistent": (OperandNotLive, lambda c, q: c.mark_persistent([True])),
+    "bool_register": (OperandNotLive, lambda c, q: c.add_register("R", [q, False])),
+    "register_id_past_int32": (OperandNotLive, lambda c, q: c.add_register("R", [2**31])),
+}
+
+
+class TestOneRuleSet:
+    """What ``loads`` refuses, ``validate`` reports, and the builders refuse what the
+    tables cannot hold at the call."""
+
+    @pytest.mark.parametrize("name", list(STORED_DEFECTS))
+    def test_validate_reports_what_loads_raises(self, name):
+        c, q = one_qubit_circuit()
+        STORED_DEFECTS[name](c, q)
+        faults = list(c._faults())
+        assert faults and [message for _, message in faults] == c.validate()
+        with pytest.raises(CircuitError) as info:
+            cir.loads(cir.dumps(c))
+        assert (info.type, str(info.value)) == faults[0]
+
+    @pytest.mark.parametrize("name", list(REFUSED_ARGUMENTS))
+    def test_builder_refuses_at_the_call(self, name):
+        error, call = REFUSED_ARGUMENTS[name]
+        c, q = one_qubit_circuit(3)
+        c.alloc(at_layer=0)
+        before = cir.dumps(c), set(c.registers)
+        with pytest.raises(error):
+            call(c, q)
+        assert (cir.dumps(c), set(c.registers)) == before and c.validate() == []
+
+
 #: hand-built gate -> (error class, message) it raises where it is packed: each is a
 #: defect the columns cannot hold, reported as validate()'s walk reported it before
 UNPACKABLE = {
@@ -409,14 +469,14 @@ class TestPackedBoundary:
     def test_id_past_the_column_is_not_live(self, qubit, entry):
         c = Circuit()
         c.alloc_many(2, at_layer=0)
-        with pytest.raises(OperandNotLive, match=f"qubit {qubit} (not allocated at|is not in the circuit)"):
+        with pytest.raises(OperandNotLive, match=f"layer 0: qubit {qubit} is not in the circuit"):
             add_batch(c, entry, [Gate("x", (), (qubit,))], 0)
         assert c.size() == 0
 
     @pytest.mark.parametrize("fault, error, message", [
-        ("dead", OperandNotLive, "qubit 2 not allocated at layer 1"),
-        ("released", UseAfterDealloc, "qubit 3 deallocated at layer 1, gate at 1"),
-        ("collided", LayerCollision, "qubit 1 has a gate at layer 1, next gate at 1"),
+        ("dead", OperandNotLive, "layer 1: qubit 2 used before allocation at layer 2"),
+        ("released", UseAfterDealloc, "layer 1: qubit 3 used after deallocation at layer 1"),
+        ("collided", LayerCollision, "layer 1: qubit 1 in two gates, one already at layer 1"),
     ])
     @pytest.mark.parametrize("entry", ["place", "put"])
     def test_operand_not_live_there_is_rejected_alike(self, fault, error, message, entry):
@@ -448,8 +508,8 @@ class TestPut:
         ("cnot", [0, 1, 2], (), DuplicateOperand, "layer 0: cnot takes 2 qubits and 0 params, got 3 and 0"),
         ("ry", [0, 1], (0.5,), MalformedCircuit, "layer 0: ry takes 1 qubits and 1 params, got 2 and 1"),
         ("ry", [0], (0.5, 0.25), MalformedCircuit, "layer 0: ry takes 1 qubits and 1 params, got 1 and 2"),
-        ("x", [0, 2**31], (), OperandNotLive, "qubit 2147483648 not allocated at layer 0"),
-        ("x", [0, -2**31 - 1], (), OperandNotLive, "qubit -2147483649 not allocated at layer 0"),
+        ("x", [0, 2**31], (), OperandNotLive, "layer 0: qubit 2147483648 is not in the circuit"),
+        ("x", [0, -2**31 - 1], (), OperandNotLive, "layer 0: qubit -2147483649 is not in the circuit"),
     ], ids=["unknown_op", "operand_count", "param_count_short", "param_count_long",
             "id_past_int32", "id_below_int32"])
     def test_batch_form_fault_is_typed(self, op, ids, params, error, message):
@@ -797,12 +857,14 @@ class TestFootprint:
         assert c.size() > 15_000
         assert held <= 40 * c.size()
 
-    @pytest.mark.parametrize("walk, bound", [(Circuit.validate, 5), (cir.spacetime_allocation, 3)],
+    @pytest.mark.parametrize("walk, bound", [(Circuit.validate, 2.1), (cir.spacetime_allocation, 3)],
                              ids=["validate", "spacetime_allocation"])
     def test_whole_circuit_pass_scratch_per_gate(self, walk, bound):
         """A whole-circuit pass makes no Python object per qubit id: at n=12 (72,790 gates)
-        its tracemalloc peak above the circuit is a few bytes per gate.  A set of a layer's
-        ids and list copies of the lifecycle tables took ``validate`` to 20 B a gate."""
+        its tracemalloc peak above the circuit is a few bytes per gate.  ``validate`` peaks
+        at 1.7 B a gate (one layer's gathers and a mark per qubit); a copy of the alloc
+        table and one layer's ids as intp indices took it to 4.1, and a set of a layer's
+        ids and list copies of the lifecycle tables to 20."""
         c = spcsp_n(12)
         gc.collect()
         tracemalloc.start()

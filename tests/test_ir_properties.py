@@ -9,7 +9,8 @@ layers, the live profiles and ``spacetime_allocation``) are checked on
 random lifecycles with empty layers and one injected defect against the
 gate-by-gate and qubit-by-qubit references of ``tests/reference.py``, and
 so are the batch lifecycle test's verdicts on placing and releasing
-random batches.
+random batches.  A circuit built by random builder calls that ``validate``
+passes reads back through ``loads`` byte for byte.
 """
 
 import json
@@ -318,3 +319,43 @@ def test_a_release_fault_read_from_json_is_deallocs(c, data):
                       for u in range(L)] + [[], []]}
     with pytest.raises(fault[0]):
         cir.loads(json.dumps(doc))
+
+
+#: an id a builder may be handed: a qubit or not, or a bool
+ANY_ID = st.one_of(st.integers(-1, 5), st.booleans())
+
+
+@st.composite
+def built(draw) -> Circuit:
+    """A circuit made by random calls of the public builders: ``alloc_many``, ``put``,
+    ``append_layer``, ``dealloc_many``, ``add_register`` and ``mark_persistent``, with
+    ids out of range, repeated or bools and layers up to two past the last.  A call that
+    a builder refuses (a ``CircuitError``) is skipped."""
+    c = Circuit()
+    for _ in range(draw(st.integers(1, 10))):
+        ids = draw(st.lists(ANY_ID, max_size=3))
+        layer = draw(st.integers(-1, c.num_layers() + 2))
+        call = draw(st.sampled_from([
+            lambda: c.alloc_many(draw(st.integers(0, 2)), draw(st.sampled_from([CLEAN, DIRTY])), layer),
+            lambda: c.put("x", ids, layer),
+            lambda: c.append_layer([Gate("h", (), (i,)) for i in ids]),
+            lambda: c.dealloc_many(ids, layer),
+            lambda: c.add_register(draw(st.sampled_from("RS")), ids),
+            lambda: c.mark_persistent(ids),
+        ]))
+        try:
+            call()
+        except CircuitError:
+            pass
+    return c
+
+
+@PROPERTY
+@given(c=built())
+def test_a_valid_circuit_reads_back_byte_identical(c):
+    """``validate`` and ``loads`` state one rule set: a circuit built through the public
+    API that ``validate`` finds no fault in is read back by ``loads`` and written again
+    byte for byte."""
+    if c.validate() == []:
+        text = cir.dumps(c)
+        assert cir.dumps(cir.loads(text)) == text

@@ -105,7 +105,7 @@ def test_circuit_reader_has_no_per_gate_path_of_its_own():
         if name not in reader:
             reader.add(name)
             todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name) and n.id in functions]
-    assert {"loads", "_read_tables", "_check_bounds"} <= reader
+    assert {"loads", "_read_tables"} <= reader
     found = []
     for name in sorted(reader):
         for node in ast.walk(functions[name]):
@@ -160,16 +160,50 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
-def test_each_release_fault_is_worded_at_one_site():
-    """The release rules are stated once: `DoubleDealloc`, and `UseAfterDealloc` with its
-    "has activity at or past layer" message, are each built at exactly one site in the
-    package, the diagnosis of `Circuit.dealloc_many` that `dealloc` and the circuit
-    reader's dealloc table go through."""
-    sites = {"DoubleDealloc": [], "has activity at or past layer": []}
+#: lifecycle condition -> (the error class that names it, a phrase of its message)
+ONE_SITE = {
+    "release of no qubit": ("OperandNotLive", "is not allocated"),
+    "second release": ("DoubleDealloc", "deallocated twice"),
+    "release at or before a gate": ("UseAfterDealloc", "has activity at or past layer"),
+    "gate on no qubit": ("OperandNotLive", "is not in the circuit"),
+    "gate before allocation": ("OperandNotLive", "used before allocation"),
+    "gate after release": ("UseAfterDealloc", "used after deallocation"),
+    "second gate at or before a layer": ("LayerCollision", "in two gates"),
+    "allocation outside the layers": ("OperandNotLive", "outside layers"),
+    "lifetime leaving the layers": ("OperandNotLive", "leaves layers"),
+    "alloc ids not dense": ("OperandNotLive", "dense qubit ids"),
+    "unknown op": ("MalformedCircuit", "unknown op"),
+    "operand or parameter count": ("MalformedCircuit", "qubits and"),
+}
+
+
+def fault_sites():
+    """(place, error classes named, message text) of every site in the package that builds
+    a typed fault: a call of an error class, or an (error class, message) pair."""
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
     for path, node in package_nodes():
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "DoubleDealloc":
-                sites["DoubleDealloc"].append(f"{path}:{node.lineno}")
-            elif node.func.id == "UseAfterDealloc" and "has activity at or past layer" in ast.unparse(node):
-                sites["has activity at or past layer"].append(f"{path}:{node.lineno}")
-    assert {rule: len(found) for rule, found in sites.items()} == dict.fromkeys(sites, 1), sites
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in classes:
+            yield f"{path}:{node.lineno}", {node.func.id}, ast.unparse(node)
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            named = {n.id for n in ast.walk(node.elts[0]) if isinstance(n, ast.Name)} & classes
+            if named:
+                yield f"{path}:{node.lineno}", named, ast.unparse(node.elts[1])
+
+
+def test_each_release_fault_is_worded_at_one_site():
+    """Each condition is worded once: every condition of ``ONE_SITE`` (a release's
+    faults, a gate on a qubit not live at its layer, a lifetime outside the layers,
+    sparse alloc ids, and a gate's op and counts) is built at exactly one site in the
+    package, and every ``DoubleDealloc``, ``UseAfterDealloc`` and ``LayerCollision`` is
+    one of them.  Placement, release and the walk name a gate's or a release's fault
+    through one diagnosis, ``Circuit._id_faults``."""
+    sites = {condition: [] for condition in ONE_SITE}
+    stray = []
+    for place, named, text in fault_sites():
+        found = [condition for condition, (error, phrase) in ONE_SITE.items() if error in named and phrase in text]
+        for condition in found:
+            sites[condition].append(place)
+        if not found and named & {"DoubleDealloc", "UseAfterDealloc", "LayerCollision"}:
+            stray.append(f"{place} {text}")
+    assert {condition: len(found) for condition, found in sites.items()} == dict.fromkeys(ONE_SITE, 1), sites
+    assert stray == []
