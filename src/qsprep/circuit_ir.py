@@ -18,8 +18,10 @@ flat arrays as well, with ``NEVER`` as the release layer of a qubit that
 is never released.  A gate costs about 12 bytes of columns and a qubit 13
 bytes of tables.  Every check and whole-circuit pass reads the columns
 and tables through numpy views that share their memory (:func:`_view`);
-serialization takes the columns an id at a time in C, and
-:meth:`Circuit.gates` reads a layer back as ``Gate`` tuples.
+serialization takes the columns an id at a time in C,
+:meth:`Circuit.gates` reads a layer back as ``Gate`` tuples and
+:meth:`Circuit.groups` as one id and parameter matrix per op (the
+simulator's input).
 
 The check boundary: a valid circuit is one the walk :meth:`Circuit._faults`
 finds no fault in (lifetimes within the layers, gates on live qubits, and
@@ -132,6 +134,12 @@ def _ids(ids: Sequence[int]) -> array:
     return ids if isinstance(ids, array) and ids.typecode == "i" else array("i", ids)
 
 
+def _sequence(values: Iterable) -> Sequence:
+    """``values`` read once into something that can be read again: itself if it is an
+    ``array``, ``range`` or ``list``, else a list of them."""
+    return values if isinstance(values, (array, range, list)) else list(values)
+
+
 def _all_ints(ids: Sequence) -> bool:
     """Whether every id is an int, not a bool: at once for an ``array('i')`` or a ``range``."""
     return type(ids) is range or isinstance(ids, array) and ids.typecode == "i" or set(map(type, ids)) <= _INT
@@ -140,7 +148,7 @@ def _all_ints(ids: Sequence) -> bool:
 def _int_ids(ids: Iterable[int], what: str) -> "Register":
     """The persistent or register ids ``ids`` as a :class:`Register` if each is an int it
     can hold, else ``OperandNotLive``; that each is a qubit is left to the walk."""
-    ids = ids if isinstance(ids, (array, range, list)) else list(ids)
+    ids = _sequence(ids)
     try:
         if _all_ints(ids):
             return Register(ids)
@@ -335,6 +343,7 @@ class Circuit:
         if at_layer is None:
             at_layer = self.num_layers()
         one = isinstance(at_layer, (int, np.integer))
+        at_layer = at_layer if one else _sequence(at_layer)
         try:
             layers = array("i", (at_layer,)) * count if one else _ids(at_layer)
             fits = not layers or 0 <= _view(layers).min() and _view(layers).max() < NEVER
@@ -367,7 +376,7 @@ class Circuit:
         as ``qubits``), if the batch passes :func:`_claim`; else release none and raise the
         first fault in batch order (:meth:`_id_faults`), a ``bool`` id included."""
         one = isinstance(at, (int, np.integer))
-        qubits = qubits if isinstance(qubits, (array, range, list)) else list(qubits)
+        qubits, at = _sequence(qubits), at if one else _sequence(at)
         try:
             if _all_ints(qubits) and _claim(_view(_ids(qubits)), at if one else _view(_ids(at)),
                                             _view(self._last_use), _view(self._dealloc), release=True):
@@ -516,6 +525,25 @@ class Circuit:
         for code in self._ops[t]:
             nq, npar = _ARITY[code]
             yield new_gate((_OPS[code], tuple(islice(values, npar)), tuple(islice(ids, nq))))
+
+    def groups(self, t: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """Layer ``t``'s gates as one (op, ids, params) group per op in it, in op-code order:
+        ``ids`` holds each of the op's n gates' operands as an (n, qubits) array and
+        ``params`` its parameters as an (n, parameters) array, in the order they were
+        placed.  Both are copies, so the circuit can change while a caller holds them."""
+        codes = np.frombuffer(self._ops[t], np.uint8)
+        ids, values = _view(self._qs[t]), np.frombuffer(self._ps[t])
+        present = sorted(set(self._ops[t]))
+        if len(present) == 1:  # the columns are the matrices
+            nq, npar = _ARITY[present[0]]
+            return [(_OPS[present[0]], ids.reshape(len(codes), nq).copy(), values.reshape(len(codes), npar).copy())]
+        ends = np.array(_ARITY, np.intp)[codes].cumsum(axis=0)  # per gate: its last id and parameter, + 1
+        out = []
+        for code in present:
+            nq, npar = _ARITY[code]
+            at = ends[codes == code]
+            out.append((_OPS[code], ids[at[:, :1] - nq + np.arange(nq)], values[at[:, 1:] - npar + np.arange(npar)]))
+        return out
 
     def params(self, t: int) -> np.ndarray:
         """Layer ``t``'s parameter column as a writable numpy array (see :func:`_view`)."""

@@ -1,20 +1,25 @@
 """Sparse-state simulator with dynamic qubit allocation.
 
-The state is a map from basis key to amplitude that holds only the
-nonzero entries.  Each live qubit owns one bit position of the keys.  A
-freed qubit's bit is cleared and its position reused by a later
-allocation (the lowest free one first), so keys are as wide as the peak
-live count and no live position is ever renumbered.  The circuits qsprep
-emits keep most live qubits as classical functions of a few superposed
-ones (copy trees, one-hot addresses, flag ladders), so the map stays
-small at widths no dense vector could hold; this is the state-sparsity
-technique of Jaques & Häner, "Leveraging state sparsity for more
-efficient quantum simulations" (2021).  Allocation tensor-extends the
-state with |0> (or the qubit's seed); deallocation verifies the qubit is
-disentangled in the expected state and contracts it out.  Memory follows
-the support times the key width, so that product, counted in 64-bit key
-words, is the one bound (``MAX_SUPPORT``); passing it raises
-``PeakQubitsExceeded``.
+The state holds only the nonzero amplitudes: ``_amp``, one complex entry
+per branch, and ``_keys``, the branches' basis keys as a uint64 matrix of
+one row per 64-bit key word and one column per branch.  Each live qubit
+owns one bit position of the keys.  A freed qubit's bit is cleared and its
+position reused by a later allocation (the lowest free one first), so keys
+are as wide as the peak live count and no live position is ever
+renumbered.  The circuits qsprep emits keep most live qubits as classical
+functions of a few superposed ones (copy trees, one-hot addresses, flag
+ladders), so the support stays small at widths no dense vector could hold;
+this is the state-sparsity technique of Jaques & Häner, "Leveraging state
+sparsity for more efficient quantum simulations" (2021).
+
+A layer is applied an op group at a time from the circuit's columns
+(:meth:`Circuit.groups`): permutations flip key bits and diagonal gates
+multiply amplitudes, many gates per numpy call, and a mixing gate pairs
+branches through one exact step, :meth:`SimState._split`, which also
+contracts released qubits, splits off detached factors and lays out the
+dense vector.  Memory follows the support times the key width, so that
+product, counted in 64-bit key words, is the one bound (``MAX_SUPPORT``); a
+state past it raises ``PeakQubitsExceeded`` before it is built.
 """
 
 from __future__ import annotations
@@ -23,32 +28,25 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
-from .circuit_ir import DIRTY, Circuit, Gate
-from .errors import (
-    DeallocNotZero,
-    MalformedInput,
-    NormDrift,
-    OperandNotLive,
-    PeakQubitsExceeded,
-)
+from .circuit_ir import DIRTY, Circuit
+from .errors import DeallocNotZero, MalformedInput, NormDrift, OperandNotLive, PeakQubitsExceeded
 
 #: Most 64-bit key words the state may hold: its support times
-#: ceil(width / 64).  At widths up to 64 that is 2**22 keys; an entry takes
-#: 100-130 bytes and a gate holds the old and the new map at once, so about
-#: 1 GiB.
+#: ceil(width / 64).  At widths up to 64 that is 2**22 branches of 24 bytes
+#: (a key word and an amplitude); a mixing gate holds the old state, its
+#: split and its new amplitudes at once: refusing one there peaks at 0.43 GB.
 MAX_SUPPORT = 1 << 22
 
-#: Keys of the old map a gate moves between two checks of the new map's support
-_STEP = 1 << 14
+#: Gates x branches one chunk of an op group covers, so its temporaries stay small.
+_CHUNK = 1 << 12
 
 #: Amplitudes this small are rounding residue, such as cos(pi/2) after the
 #: ry(pi) a sparse target needs, or a branch that cancelled inexactly.  They
-#: are dropped after a mixing gate or a contraction, so they do not grow the
-#: support.
+#: are dropped after a mixing gate (a seeded allocation is one) or a
+#: contraction, so they do not grow the support.
 _NEGLIGIBLE = 1e-15
 
 #: Mass a released qubit may hold outside its expected state.
@@ -60,38 +58,31 @@ _NORM_DRIFT = 1e-9
 #: Mass a detached register may hold outside its product factor.
 _DETACH_DEFECT = 1e-8
 
-_DIAG_PHASE = {
-    "s": 1j,
-    "sdg": -1j,
-    "t": cmath.exp(1j * math.pi / 4),
-    "tdg": cmath.exp(-1j * math.pi / 4),
+#: op -> family.  The target is the last operand (the last two for "swap"), the
+#: operands before are controls that must all be 1.  "flip" flips the target, "swap"
+#: exchanges the two, "phase" multiplies by a phase per target value (``_PHASES``)
+#: and "mix" applies a 2x2 unitary (:func:`_mixer`).
+_FAMILY = {op: family for family, ops in (("flip", "x cnot toffoli"), ("swap", "swap cswap"),
+                                          ("phase", "s sdg t tdg phase rz crz ccrz"), ("mix", "h ry cry ccry"))
+           for op in ops.split()}
+
+#: diagonal op -> its phases on target 0 and on target 1, given its angles (a column)
+_PHASES = {
+    "s": lambda theta: (1, 1j), "sdg": lambda theta: (1, -1j),
+    "t": lambda theta: (1, cmath.exp(1j * math.pi / 4)), "tdg": lambda theta: (1, cmath.exp(-1j * math.pi / 4)),
+    "phase": lambda theta: (1, np.exp(1j * theta)),
+    **dict.fromkeys(("rz", "crz", "ccrz"), lambda theta: (np.exp(-0.5j * theta), np.exp(0.5j * theta))),
 }
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_ONE, _WORD, _BIT = np.uint64(1), np.uint64(6), np.uint64(63)  # uint64, so key arithmetic converts no int
 
 
-def _target_columns(op: str, params: tuple) -> tuple:
-    """Columns of a gate's unitary on its target operands.
-
-    The targets are the last operand (the last two for swap and cswap); the
-    operands before them are controls that must all be 1.  Column i lists
-    the (row, entry) pairs of the nonzero entries, target t owning bit t of
-    the row and column index.
-    """
-    if op in ("x", "cnot", "toffoli"):
-        return ((1, 1.0),), ((0, 1.0),)
-    if op in ("swap", "cswap"):
-        return ((0, 1.0),), ((2, 1.0),), ((1, 1.0),), ((3, 1.0),)
+def _mixer(op: str, params: np.ndarray) -> np.ndarray:
+    """A mixing gate's 2x2 unitary on its target, [new local value, old local value]."""
     if op == "h":
-        return ((0, _SQRT_HALF), (1, _SQRT_HALF)), ((0, _SQRT_HALF), (1, -_SQRT_HALF))
-    if op in ("ry", "cry", "ccry"):
-        c, s = math.cos(params[0] / 2), math.sin(params[0] / 2)
-        return ((0, c), (1, s)), ((0, -s), (1, c))
-    if op in ("rz", "crz", "ccrz"):
-        ph = cmath.exp(0.5j * params[0])
-        return ((0, ph.conjugate()),), ((1, ph),)
-    ph = cmath.exp(1j * params[0]) if op == "phase" else _DIAG_PHASE[op]
-    return ((0, 1.0),), ((1, ph),)
+        return np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
+    c, s = math.cos(params[0] / 2), math.sin(params[0] / 2)
+    return np.array([[c, -s], [s, c]])
 
 
 def _seed_pair(seed) -> tuple[complex, complex]:
@@ -103,15 +94,14 @@ def _seed_pair(seed) -> tuple[complex, complex]:
     return complex(sv[0]), complex(sv[1])
 
 
-def _prune(amp: dict) -> None:
-    """Drop the negligible entries of ``amp``, in place."""
-    for key in [key for key, a in amp.items() if abs(a) <= _NEGLIGIBLE]:
-        del amp[key]
+def _bits(positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The bits (0 or 1) of ``keys`` at ``positions``, a uint64 array of any shape,
+    with one more axis, over the branches."""
+    return keys[positions >> _WORD] >> (positions & _BIT)[..., None] & _ONE
 
 
-def _mass(amp: dict) -> float:
-    v = np.fromiter(amp.values(), dtype=complex, count=len(amp))
-    return float(np.vdot(v, v).real)
+def _mass(amp: np.ndarray) -> float:
+    return float(np.vdot(amp, amp).real)
 
 
 @dataclass
@@ -134,7 +124,9 @@ class SimReport:
 
 
 class SimState:
-    """Sparse state {basis key: amplitude} over a dynamic set of live qubits.
+    """Sparse state over a dynamic set of live qubits: branch j is basis key
+    ``_keys[:, j]`` (word w holding bit positions 64w..64w+63) with amplitude
+    ``_amp[j]``; no amplitude is negligible.
 
     ``_pos`` maps each live qubit id to its bit position, in allocation
     order; ``_free`` is a heap of the released positions below ``_width``.
@@ -146,17 +138,8 @@ class SimState:
         self._pos: dict[int, int] = {}
         self._free: list[int] = []
         self._width = 0
-        self._amp: dict[int, complex] = {0: 1.0 + 0j}
-
-    @property
-    def num_live(self) -> int:
-        return len(self._pos)
-
-    def _store(self, amp: dict, prune: bool) -> None:
-        if prune:
-            _prune(amp)
-        self._bound(len(amp), self._width)
-        self._amp = amp
+        self._keys = np.zeros((0, 1), np.uint64)
+        self._amp = np.ones(1, complex)
 
     @staticmethod
     def _bound(support: int, width: int) -> None:
@@ -165,10 +148,50 @@ class SimState:
         if support * words > MAX_SUPPORT:
             raise PeakQubitsExceeded(f"state support {support} x {words} key words exceeds cap {MAX_SUPPORT}")
 
+    def _store(self, keys: np.ndarray, amp: np.ndarray) -> None:
+        """Hold these branches, less the negligible ones."""
+        kept = np.abs(amp) > _NEGLIGIBLE
+        self._keys, self._amp = keys[:, kept], amp[kept]
+
+    def _positions(self, qubits) -> list[int]:
+        try:
+            return list(map(self._pos.__getitem__, qubits))
+        except KeyError as e:
+            raise OperandNotLive(f"qubit {e.args[0]} not live") from None
+
     def _forget(self, qubits: list[int]) -> None:
         """Drop these qubits, whose bits are clear in every key, and free their positions."""
         for q in qubits:
             heapq.heappush(self._free, self._pos.pop(q))
+
+    def _mask(self, positions: list[int]) -> np.ndarray:
+        """A key with the bits at ``positions`` set, as a column of words."""
+        words = [0] * len(self._keys)
+        for p in positions:
+            words[p >> 6] |= 1 << (p & 63)
+        return np.array(words, np.uint64)[:, None]
+
+    def _split(self, positions: list[int], keys=None, amp=None) -> tuple[np.ndarray, np.ndarray]:
+        """Group the branches (all, or the given ones) by their key outside ``positions``.
+
+        Returns the R distinct rests, key words x R with those bits clear, and
+        the amplitudes as a (2**len(positions), R) matrix whose row i holds
+        bit t of i at positions[t].  Rests are told apart by exact comparison
+        of their words (a sort), never by a hash; when the branches agree on
+        ``positions`` their keys are distinct, and so are their rests.
+        """
+        keys, amp = (self._keys, self._amp) if keys is None else (keys, amp)
+        local = (_ONE << np.arange(len(positions), dtype=np.uint64)) @ _bits(np.array(positions, np.uint64), keys)
+        rest = keys & ~self._mask(positions)
+        if (local == local[:1]).all():
+            inverse = np.arange(len(amp))
+        else:
+            rows, inverse = np.unique(np.ascontiguousarray(rest.T).view(f"V{8 * len(rest)}")[:, 0]
+                                      if len(rest) > 1 else rest[0], return_inverse=True)
+            rest = rows.view(np.uint64).reshape(-1, len(rest)).T
+        mat = np.zeros((1 << len(positions), rest.shape[1]), complex)
+        mat[local, inverse] = amp
+        return rest, mat
 
     def norm_defect(self) -> float:
         return abs(1.0 - _mass(self._amp))
@@ -179,69 +202,60 @@ class SimState:
         Ties go to the lowest key read over the live qubits in allocation
         order, so the choice does not depend on the positions they took.
         """
-        if not self._amp:
+        if not len(self._amp):
             return 0, 0.0
-        top = max(map(abs, self._amp.values()))
-        tied = [key for key, a in self._amp.items() if abs(a) == top]
-        positions = list(self._pos.values())
-        key = min(tied, key=lambda k: sum(((k >> p) & 1) << t for t, p in enumerate(positions)))
-        return key, top ** 2
+        mag = np.abs(self._amp)
+        tied = np.flatnonzero(mag == mag.max())
+        if len(tied) > 1:  # lexsort's last key, the latest qubit's bit, is its first
+            order = np.fromiter(self._pos.values(), np.uint64, len(self._pos))
+            tied = tied[np.lexsort(_bits(order, self._keys[:, tied]))]
+        return int.from_bytes(self._keys[:, tied[0]].astype("<u8").tobytes(), "little"), float(mag[tied[0]]) ** 2
 
     def statevector(self, order: list[int]) -> np.ndarray:
         """Dense amplitudes with order[t] owning bit t; order must be the live set."""
         if sorted(order) != sorted(self._pos):
             raise OperandNotLive("statevector order must match the live qubit set")
-        out = np.zeros(1 << len(order), dtype=complex)
-        keys = np.fromiter(self._amp, dtype=np.int64, count=len(self._amp))
-        index = np.zeros_like(keys)
-        for t, q in enumerate(order):
-            index |= ((keys >> self._pos[q]) & 1) << t
-        out[index] = np.fromiter(self._amp.values(), dtype=complex, count=len(self._amp))
-        return out
+        return self._split(self._positions(order))[1].sum(axis=1)  # one rest, the empty key
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def alloc(self, q: int, seed=None) -> None:
-        if q in self._pos:
-            raise OperandNotLive(f"qubit {q} already live")
-        if self._free:
-            p = heapq.heappop(self._free)
-        else:  # the keys widen by one bit
-            p = self._width
-            self._width += 1
-            self._bound(len(self._amp), self._width)
-        self._pos[q] = p
-        if seed is not None:
-            s0, s1 = _seed_pair(seed)
-            bit = 1 << p
-            amp = {k: s0 * a for k, a in self._amp.items()} if s0 else {}
-            if s1:
-                amp.update((k | bit, s1 * a) for k, a in self._amp.items())
-            self._store(amp, prune=False)
+    def alloc(self, qubits: list[int], seeds: list | None = None) -> None:
+        """Allocate qubits in order, each at the lowest free position, in |0> or in
+        its seed (``seeds[i]`` for ``qubits[i]``, None for |0>).  A state past the
+        bound is refused before it is built."""
+        for q in qubits:
+            if q in self._pos:
+                raise OperandNotLive(f"qubit {q} already live")
+            self._pos[q] = heapq.heappop(self._free) if self._free else self._width
+            self._width = max(self._width, self._pos[q] + 1)
+        self._bound(len(self._amp), self._width)
+        grow = -(-self._width // 64) - len(self._keys)  # new key words
+        if grow > 0:
+            self._keys = np.vstack([self._keys, np.zeros((grow, len(self._amp)), np.uint64)])
+        for q, seed in zip(qubits, seeds or ()):
+            if seed is not None:  # from |0>, the bit clear in every branch, to the seed
+                s0, s1 = _seed_pair(seed)
+                self._mix(np.array([[s0, 0], [s1, 0]]), np.array([self._pos[q]], np.uint64))
 
-    def dealloc(self, q: int, seed=None, enforce: bool = True) -> float:
-        """Contract a qubit out, verifying it sits in |0> (or the dirty seed).
+    def dealloc(self, qubits: list[int], seeds: list | None = None, enforce: bool = True) -> list[float]:
+        """Contract qubits out in order, verifying each sits in |0> or in its seed
+        (``seeds[i]`` for ``qubits[i]``, None for |0>).
 
-        Returns the residual mass outside the expected state.
+        Returns each one's residual mass outside its expected state.
         """
-        p = self._pos.get(q)
-        if p is None:
-            raise OperandNotLive(f"qubit {q} not live")
-        s0, s1 = _seed_pair(seed)
-        weights = (s0.conjugate(), s1.conjugate())
-        clear = ~(1 << p)
-        comp: dict[int, complex] = {}
-        for key, a in self._amp.items():
-            w = weights[(key >> p) & 1]
-            if w:
-                rest = key & clear
-                comp[rest] = comp.get(rest, 0) + w * a
-        residual = max(_mass(self._amp) - _mass(comp), 0.0)
-        if residual > _DEALLOC_MASS and enforce:
-            raise DeallocNotZero(q, residual)
-        self._store(comp, prune=True)
-        self._forget([q])
-        return residual
+        seeds = seeds or [None] * len(qubits)
+        positions = self._positions(qubits)
+        residuals = [0.0] * len(qubits)  # each one |0> in every branch already: nothing to contract
+        if any(seed is not None for seed in seeds) or (self._keys & self._mask(positions)).any():
+            for i, (q, p, seed) in enumerate(zip(qubits, positions, seeds)):
+                rest, mat = self._split([p])
+                comp = np.conj(_seed_pair(seed)) @ mat
+                residuals[i] = max(_mass(self._amp) - _mass(comp), 0.0)
+                if residuals[i] > _DEALLOC_MASS and enforce:
+                    raise DeallocNotZero(q, residuals[i])
+                self._store(rest, comp)
+        self._forget(qubits)
+        return residuals
 
     def detach(self, order: list[int]) -> tuple[np.ndarray, float]:
         """Split off a product factor over the given qubits and drop them.
@@ -249,17 +263,7 @@ class SimState:
         Verifies the state factorizes (within tolerance) as factor x rest;
         returns (factor amplitudes little-endian over order, defect).
         """
-        positions = [self._pos[q] for q in order]
-        clear = ~sum(1 << p for p in positions)
-        rows: dict[int, int] = {}
-        entries = []
-        for key, a in self._amp.items():
-            rest = key & clear
-            local = sum(((key >> p) & 1) << t for t, p in enumerate(positions))
-            entries.append((local, rows.setdefault(rest, len(rows)), a))
-        mat = np.zeros((1 << len(order), len(rows)), dtype=complex)
-        for local, col, a in entries:
-            mat[local, col] = a
+        rest, mat = self._split(self._positions(order))
         gram = mat @ mat.conj().T
         vals, vecs = np.linalg.eigh(gram)
         top = int(np.argmax(vals))
@@ -268,47 +272,46 @@ class SimState:
         factor = vecs[:, top]
         anchor = int(np.argmax(np.abs(factor)))
         factor = factor * (np.abs(factor[anchor]) / factor[anchor])
-        rest_amps = factor.conj() @ mat
-        self._store({rest: complex(rest_amps[col]) for rest, col in rows.items()}, prune=True)
+        self._store(rest, factor.conj() @ mat)
         self._forget(order)
         return factor, defect
 
     # -- gates ---------------------------------------------------------------------
 
-    def apply(self, g: Gate) -> None:
-        pos = []
-        for q in g.qubits:
-            p = self._pos.get(q)
-            if p is None:
-                raise OperandNotLive(f"qubit {q} not live")
-            pos.append(p)
-        cols = _target_columns(g.op, g.params)
-        k = len(cols).bit_length() - 1  # number of target operands
-        cmask = sum(1 << p for p in pos[:-k])
-        deposit = [sum(1 << p for t, p in enumerate(pos[-k:]) if (j >> t) & 1)
-                   for j in range(len(cols))]
-        tmask = deposit[-1]
-        moves = {deposit[i]: [(deposit[j], u) for j, u in col if u] for i, col in enumerate(cols)}
-        mixing = any(len(m) > 1 for m in moves.values())
-        # only a mixing gate grows the support: its new map is checked against the bound
-        # every _STEP keys, pruned once past it, and refused while it is still over
-        limit = MAX_SUPPORT // -(-self._width // 64)
-        new: dict[int, complex] = {}
-        items = iter(self._amp.items())
-        for _ in range(0, len(self._amp), _STEP):
-            for key, a in islice(items, _STEP):
-                if key & cmask != cmask:
-                    new[key] = a
-                    continue
-                src = key & tmask
-                rest = key ^ src
-                for dst, u in moves[src]:
-                    dst |= rest
-                    new[dst] = new.get(dst, 0) + u * a
-            if mixing and len(new) > limit:
-                _prune(new)
-                self._bound(len(new), self._width)
-        self._store(new, prune=mixing)
+    def apply(self, layer: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
+        """Apply one layer, given as its (op, ids, params) groups (:meth:`Circuit.groups`)."""
+        for op, ids, params in layer:
+            pos = np.array(self._positions(ids.ravel().tolist()), np.uint64).reshape(ids.shape)
+            family, mixing = _FAMILY[op], []
+            k = 2 if family == "swap" else 1
+            step = max(1, _CHUNK // max(len(self._amp), 1))
+            for lo in range(0, len(pos), step):
+                words, shifts = pos[lo:lo + step] >> _WORD, pos[lo:lo + step, :, None] & _BIT
+                bits = self._keys[words] >> shifts & _ONE
+                on = np.logical_and.reduce(bits[:, :-k], axis=1)  # per gate and branch: the controls are 1
+                if family == "mix":  # one at a time, after the group's test: the others' controls stay
+                    mixing += (lo + np.flatnonzero(on.any(axis=1))).tolist()
+                elif family == "phase":
+                    ph0, ph1 = _PHASES[op](params[lo:lo + step, :1])
+                    self._amp *= np.where(on, np.where(bits[:, -1], ph1, ph0), 1).prod(axis=0)
+                else:
+                    if family == "swap":  # only where the targets differ
+                        on &= bits[:, -1] != bits[:, -2]
+                    np.bitwise_xor.at(self._keys, words[:, -k:], on[:, None] << shifts[:, -k:])
+            for j in mixing:
+                self._mix(_mixer(op, params[j]), pos[j])
+
+    def _mix(self, u: np.ndarray, pos: np.ndarray) -> None:
+        """Apply the 2x2 ``u`` to the target, the last of positions ``pos``, of the branches
+        whose controls, the others, are all 1: pair them on the target (:meth:`_split`),
+        mix each pair and drop negligible amplitudes, refusing a state past the bound."""
+        p, on = int(pos[-1]), np.logical_and.reduce(_bits(pos[:-1], self._keys), axis=0)
+        rest, mat = self._split([p], self._keys[:, on], self._amp[on])
+        new = u @ mat
+        kept, off = np.abs(new) > _NEGLIGIBLE, ~on
+        self._bound(np.count_nonzero(off) + np.count_nonzero(kept), self._width)
+        self._keys = np.concatenate([self._keys[:, off], rest[:, kept[0]], rest[:, kept[1]] | self._mask([p])], axis=1)
+        self._amp = np.concatenate([self._amp[off], new[kept]])
 
 
 def run(
@@ -341,26 +344,23 @@ def run(
     report = SimReport(fidelity=None)
     L = c.num_layers()
     detach_at: dict[int, list[list[int]]] = {}
-    if detach_plan:
-        for after_layer, qs in detach_plan:
-            detach_at.setdefault(after_layer, []).append(list(qs))
+    for after_layer, qs in detach_plan or ():
+        detach_at.setdefault(after_layer, []).append(list(qs))
 
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
-        for q in deallocs:
-            if c.alloc_layer(q) == t:
-                continue
-            dirty = c.kind(q) == DIRTY
-            residual = state.dealloc(q, seed=seeds.get(q) if dirty else None, enforce=enforce_dealloc)
-            report.ancilla_verdicts.append((q, t, residual))
-            if dirty:
-                report.dirty_restoration.append((q, residual <= _DEALLOC_MASS))
-        for q in allocs:
-            if c.dealloc_layer(q) != t:
-                state.alloc(q, seed=seeds.get(q))
+        released = [q for q in deallocs if c.alloc_layer(q) != t]
+        if released:  # in id order, each against its expected state
+            dirty = [c.kind(q) == DIRTY for q in released]
+            residuals = state.dealloc(released, [seeds.get(q) if d else None for q, d in zip(released, dirty)],
+                                      enforce=enforce_dealloc)
+            report.ancilla_verdicts += [(q, t, residual) for q, residual in zip(released, residuals)]
+            report.dirty_restoration += [(q, residual <= _DEALLOC_MASS)
+                                         for q, d, residual in zip(released, dirty, residuals) if d]
+        born = [q for q in allocs if c.dealloc_layer(q) != t]
+        state.alloc(born, [seeds.get(q) for q in born])
         if t == L:
             break
-        for g in c.gates(t):
-            state.apply(g)
+        state.apply(c.groups(t))
         if enforce_dealloc:
             defect = state.norm_defect()
             if defect > _NORM_DRIFT:
@@ -380,4 +380,3 @@ def run(
         tvec = tvec / np.linalg.norm(tvec)
         report.fidelity = float(abs(np.vdot(tvec, out)))
     return report, state
-

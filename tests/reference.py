@@ -14,8 +14,10 @@ writer involved:
 * CNOT copy trees, a slot at a time: their qubit ids, CNOTs and registers;
 * the fragments' target states: the FLAG marking, the SPF injection state
   and the LOADF buffer state;
-* dense unitaries of single gates and small gate lists, for decomposition
-  and time-reversal checks.
+* a dense statevector oracle, from the gates' textbook unitaries: the
+  unitaries of single gates and small gate lists (for decomposition and
+  time-reversal checks) and whole runs with allocation, release and
+  residuals, which the sparse simulator must match.
 """
 
 import math
@@ -23,10 +25,8 @@ import math
 import numpy as np
 
 from qsprep.amplitudes import AngleSet, CSPAngleSet, PartitionNorms
-from qsprep.circuit_ir import (DIRTY, GATE_SIGNATURES, NEVER, ROTATION_OPS, Circuit, Gate, GateSetModel,
-                               ResourceReport, gate)
+from qsprep.circuit_ir import DIRTY, NEVER, ROTATION_OPS, Circuit, Gate, GateSetModel, ResourceReport
 from qsprep.errors import DoubleDealloc, IndexOutOfRange, LayerCollision, OperandNotLive, UseAfterDealloc
-from qsprep.sim import SimState
 
 # -- the circuit JSON document -------------------------------------------------
 
@@ -295,24 +295,89 @@ def loadf_oracle(angles: CSPAngleSet, k: int, flags) -> np.ndarray:
     return _kron_le(factors)
 
 
-# -- dense unitaries for decomposition checks ------------------------------------
+# -- a dense statevector oracle ---------------------------------------------------
+
+
+def _controlled(u: np.ndarray, controls: int) -> np.ndarray:
+    """``u`` on the last operands when the first ``controls`` operands are all 1."""
+    on = (1 << controls) - 1
+    idx = [on | (j << controls) for j in range(len(u))]
+    m = np.eye(len(u) << controls, dtype=complex)
+    m[np.ix_(idx, idx)] = u
+    return m
 
 
 def gate_unitary(op: str, params=()) -> np.ndarray:
-    """Unitary of a single gate; operand t owns bit t of the index."""
-    qs = list(range(GATE_SIGNATURES[op][0]))
-    return block_unitary([gate(op, qs, *params)], qs)
+    """Unitary of a single gate from its textbook definition; operand t owns bit t of the index."""
+    theta = params[0] if params else 0.0
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    base = {
+        "x": [[0, 1], [1, 0]], "h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+        "s": np.diag([1, 1j]), "sdg": np.diag([1, -1j]),
+        "t": np.diag([1, np.exp(1j * math.pi / 4)]), "tdg": np.diag([1, np.exp(-1j * math.pi / 4)]),
+        "ry": [[c, -s], [s, c]], "rz": np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]),
+        "phase": np.diag([1, np.exp(1j * theta)]), "swap": np.eye(4)[[0, 2, 1, 3]],
+    }
+    controls, name = {"cnot": (1, "x"), "toffoli": (2, "x"), "cswap": (1, "swap"), "cry": (1, "ry"),
+                      "crz": (1, "rz"), "ccry": (2, "ry"), "ccrz": (2, "rz")}.get(op, (0, op))
+    return _controlled(np.array(base[name], dtype=complex), controls)
+
+
+def _apply_dense(psi: np.ndarray, axes: list[int], g: Gate) -> np.ndarray:
+    """``g`` on a state tensor whose axis i is qubit axes[i]'s bit (and any further
+    axes after those, untouched)."""
+    k = len(g.qubits)
+    at = [axes.index(q) for q in reversed(g.qubits)]  # the unitary's axes run from operand k-1 down
+    out = np.tensordot(gate_unitary(g.op, g.params).reshape((2,) * 2 * k), psi, axes=(list(range(k, 2 * k)), at))
+    return np.moveaxis(out, list(range(k)), at)
+
+
+def _dense_vector(psi: np.ndarray, axes: list[int], order: list[int]) -> np.ndarray:
+    """The state tensor as a vector (a matrix, with a further axis) with order[t] owning bit t."""
+    return psi.transpose([axes.index(q) for q in reversed(order)] + list(range(len(axes), psi.ndim))) \
+        .reshape((1 << len(order),) + psi.shape[len(axes):])
+
+
+def _seed_vector(seed) -> np.ndarray:
+    v = np.array((1.0, 0.0) if seed is None else seed, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+def dense_run(c: Circuit, seeds: dict | None = None):
+    """A circuit run on a dense tensor over its live qubits, from the definitions: each
+    layer releases (in id order), then allocates, then applies its gates one by one.  A
+    qubit is allocated in its seed (|0> by default); a release contracts the qubit with
+    its expected state, its seed if dirty and |0> if clean, and its residual is the mass
+    lost.  An empty lifetime is skipped.  Returns ([(qubit, layer, residual)], the final
+    state as a function of an order of the live qubits)."""
+    seeds = seeds or {}
+    c = c.compact()
+    psi, axes, verdicts = np.ones((), dtype=complex), [], []
+    for t, (allocs, deallocs) in enumerate(c.lifecycle()):
+        for q in deallocs:
+            if c.alloc_layer(q) == t:
+                continue
+            before = np.vdot(psi, psi).real
+            expected = _seed_vector(seeds.get(q) if c.kind(q) == DIRTY else None)
+            psi = np.tensordot(psi, expected.conj(), axes=([axes.index(q)], [0]))
+            axes.remove(q)
+            verdicts.append((q, t, before - np.vdot(psi, psi).real))
+        for q in allocs:
+            if c.dealloc_layer(q) != t:
+                psi = np.multiply.outer(psi, _seed_vector(seeds.get(q)))
+                axes.append(q)
+        if t == c.num_layers():
+            break
+        for g in c.gates(t):
+            psi = _apply_dense(psi, axes, g)
+    return verdicts, lambda order: _dense_vector(psi, axes, order)
 
 
 def block_unitary(gates: list[Gate], qubit_order: list[int]) -> np.ndarray:
     """Unitary of a gate list on a small block; qubit_order[t] owns bit t."""
     k = len(qubit_order)
-    U = np.zeros((1 << k, 1 << k), dtype=complex)
-    for i in range(1 << k):
-        st = SimState()
-        for t, q in enumerate(qubit_order):
-            st.alloc(q, seed=(0.0, 1.0) if (i >> t) & 1 else None)
-        for g in gates:
-            st.apply(g)
-        U[:, i] = st.statevector(qubit_order)
-    return U
+    psi = np.eye(1 << k, dtype=complex).reshape((2,) * k + (1 << k,))  # a column per basis input
+    axes = list(reversed(qubit_order))
+    for g in gates:
+        psi = _apply_dense(psi, axes, g)
+    return _dense_vector(psi, axes, qubit_order)

@@ -53,6 +53,19 @@ class TestAppend:
         c.append(gate("cnot", (qs[2], qs[3])))
         assert c.depth() == 1
 
+    def test_groups_are_the_gates_by_op(self):
+        """``groups`` holds a layer's gates per op, in op-code order, each op's gates in
+        the order they were placed; a one-op layer is one group."""
+        c = Circuit()
+        qs = c.alloc_many(6, at_layer=0)
+        c.place([gate("cnot", (qs[0], qs[1])), gate("ry", (qs[2],), 0.5), gate("cnot", (qs[4], qs[3])),
+                 gate("x", (qs[5],))], 0)
+        c.put("h", qs, 1)
+        assert [(op, ids.tolist(), params.tolist()) for op, ids, params in c.groups(0)] == [
+            ("x", [[5]], [[]]), ("ry", [[2]], [[0.5]]), ("cnot", [[0, 1], [4, 3]], [[], []])]
+        assert [(op, ids.tolist(), params.shape) for op, ids, params in c.groups(1)] == [
+            ("h", [[q] for q in qs], (6, 0))]
+
     def test_shared_operand_serializes(self):
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(3)]
@@ -194,6 +207,19 @@ class TestLifecycle:
         c.place([gate("x", (qs[1],))], 2)
         with pytest.raises(error):
             release(c, qs)
+
+    @pytest.mark.parametrize("read", [list, iter], ids=["list", "iterator"])
+    @pytest.mark.parametrize("batch, error", [
+        (lambda c, qs, read: c.dealloc_many(qs, read([2, 5])), UseAfterDealloc),
+        (lambda c, qs, read: c.alloc_many(2, at_layer=read([0, -1])), OperandNotLive),
+    ], ids=["dealloc_many", "alloc_many"])
+    def test_per_qubit_layers_are_read_once(self, batch, error, read):
+        """Layers given one per qubit as an iterator fail with the error a list gets."""
+        c = Circuit()
+        qs = c.alloc_many(2, at_layer=0)
+        c.place([gate("x", (qs[0],))], 3)
+        with pytest.raises(error):
+            batch(c, qs, read)
 
     def test_rejected_put_changes_nothing(self):
         """A batch with a qubit not yet allocated leaves its live qubit's latest layer
@@ -656,7 +682,7 @@ class TestBlock:
         report, state = run(c)
         assert sorted(qid for qid, _, _ in report.ancilla_verdicts) == sorted(q for q in reg[1:])
         assert all(mass < 1e-12 for _, _, mass in report.ancilla_verdicts)
-        assert state.num_live == 1
+        assert len(state._pos) == 1
         vec = state.statevector([src])
         assert np.max(np.abs(vec - [math.cos(0.45), math.sin(0.45)])) < 1e-12
 

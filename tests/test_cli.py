@@ -810,9 +810,9 @@ class TestSupportCap:
     def test_over_bound_state_is_refused_while_it_is_built(self, capsys, tmp_path):
         """The n=5 default (the SP-only fallback) grows a product state over its 31 angle
         qubits; the ry that would take it from 2**22 keys, the bound, to 2**23 is refused
-        once its new map passes the bound, not after it is finished.  A state at the bound
-        takes about 430 MB and the refused gate's map as much again; finishing that map
-        took the peak to 1.8 GB."""
+        once its new amplitudes are counted, before a key of the new state is built.  A
+        state at the bound takes 96 MB (a key word and an amplitude per branch), and the
+        refused gate's pairing and new amplitudes take the run to about 430 MB."""
         rng = np.random.default_rng(3)
         target = tmp_path / "t5.json"
         target.write_text(json.dumps({"amplitudes": list(rng.uniform(0.05, 1.0, 32))}))

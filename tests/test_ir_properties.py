@@ -4,7 +4,9 @@ simulator, and its whole-circuit walks against plain references.
 Each random circuit of the simulator properties uses every op of
 ``GATE_SIGNATURES`` at least once and allocates and releases qubits
 mid-circuit.  The simulator checks every release: a clean qubit must come
-back in |0>, a dirty one in its seed.  The walks (``validate``, the latest
+back in |0>, a dirty one in its seed; on random circuits whose releases
+leave residuals it matches the dense oracle of ``tests/reference.py``
+verdict by verdict and in its final state.  The walks (``validate``, the latest
 layers, the live profiles and ``spacetime_allocation``) are checked on
 random lifecycles with empty layers and one injected defect against the
 gate-by-gate and qubit-by-qubit references of ``tests/reference.py``, and
@@ -28,7 +30,8 @@ from qsprep import circuit_ir as cir
 from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, Gate, GateSetModel, gate
 from qsprep.errors import CircuitError
 from qsprep.sim import run
-from reference import fault_messages, last_use_oracle, live_oracle, place_oracle, release_oracle, report_oracle
+from reference import (dense_run, fault_messages, last_use_oracle, live_oracle, place_oracle, release_oracle,
+                       report_oracle)
 
 OPS = list(GATE_SIGNATURES)
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -180,6 +183,71 @@ def test_mirrored_block_returns_every_ancilla(built, seeds, dirty_seed):
     assert all(mass < 1e-10 for _, _, mass in report.ancilla_verdicts)
     assert [ok for _, ok in report.dirty_restoration] == [True] * dirty
     assert np.allclose(state.statevector(data), product(seeds), atol=1e-9)
+
+
+@st.composite
+def open_circuits(draw) -> Circuit:
+    """Layers over three persistent data qubits (register D): at each, up to two clean
+    or dirty ancillae come in while fewer than nine qubits are live, a batch of random
+    gates on disjoint live qubits is put, one put per run of one op, until every op has
+    been put, and up to two live ancillae are released at the next layer in whatever
+    state they are in, so their residuals need not be 0."""
+    c = Circuit()
+    data = list(c.alloc_many(3, at_layer=0))
+    c.mark_persistent(data)
+    c.add_register("D", data)
+    live, ancillae, ops, layer = list(data), [], op_order(draw), 0
+    while ops:
+        if len(live) < 9:
+            fresh = list(c.alloc_many(draw(st.integers(0, 2)), draw(st.sampled_from([CLEAN, DIRTY])), at_layer=layer))
+            live += fresh
+            ancillae += fresh
+        free, batch = draw(st.permutations(live)), []
+        while ops and GATE_SIGNATURES[ops[0]][0] <= len(free):
+            nq, npar = GATE_SIGNATURES[ops[0]]
+            batch.append(gate(ops.pop(0), free[:nq], *(draw(ANGLES) for _ in range(npar))))
+            free = free[nq:]
+            if draw(st.booleans()):
+                break
+        for op, run_of_op in groupby(batch, attrgetter("op")):
+            gates = list(run_of_op)
+            c.put(op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
+        layer += 1
+        for q in draw(st.lists(st.sampled_from(ancillae), unique=True, max_size=2)) if ancillae else []:
+            c.dealloc(q, at_layer=layer)
+            live.remove(q)
+            ancillae.remove(q)
+    return c
+
+
+@PROPERTY
+@given(c=open_circuits(), data=st.data())
+def test_sparse_run_matches_the_dense_oracle(c, data):
+    """``run`` (releases unenforced) and the dense oracle give the same verdicts in the
+    same order, the same residuals and the same final state, within 1e-12; the data
+    and the dirty qubits start in random seeds."""
+    seeds = {q: data.draw(SEEDS) for q in c.registers["D"] + c.of_kind(DIRTY)}
+    report, state = run(c, seeds=seeds, enforce_dealloc=False)
+    verdicts, vector = dense_run(c, seeds)
+    assert [(q, t) for q, t, _ in report.ancilla_verdicts] == [(q, t) for q, t, _ in verdicts]
+    assert all(abs(got[2] - want[2]) <= 1e-12 for got, want in zip(report.ancilla_verdicts, verdicts))
+    live = [q for q in c.qubits() if c.dealloc_layer(q) is None]
+    assert np.max(np.abs(state.statevector(live) - vector(live))) <= 1e-12
+
+
+def test_full_support_run_matches_the_dense_oracle():
+    """h on 12 qubits, cnots on pairs, rz and h again: all 4,096 basis keys are branches."""
+    c = Circuit()
+    qs = list(c.alloc_many(12, at_layer=0))
+    c.mark_persistent(qs)
+    c.put("h", qs, 0)
+    c.put("cnot", qs, 1)
+    c.put("rz", qs, 2, [float(a) for a in np.random.default_rng(3).uniform(0, 6, 12)])
+    c.put("h", qs, 3)
+    _, state = run(c)
+    _, vector = dense_run(c)
+    assert len(state._amp) == 1 << 12
+    assert np.max(np.abs(state.statevector(qs) - vector(qs))) <= 1e-12
 
 
 @st.composite

@@ -6,17 +6,31 @@ import pytest
 
 from qsprep import amplitudes as amp
 from qsprep import sim
-from qsprep.circuit_ir import Block, Circuit, gate
+from qsprep.circuit_ir import GATE_SIGNATURES, Block, Circuit, gate
 from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
-from qsprep.sim import SimState, run
+from qsprep.sim import run
 from qsprep.subroutines import copy
-from reference import (block_unitary, class_split_oracle, flag_oracle, gate_unitary, loadf_oracle, pair_index,
+from reference import (class_split_oracle, flag_oracle, gate_unitary, loadf_oracle, pair_index,
                        spf_oracle, to_json_dict)
 
 
 def ry_matrix(theta):
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def sim_unitary(op, params=()):
+    """The simulator's unitary of one gate, a column per basis input run through
+    ``run``; operand t owns bit t."""
+    c = Circuit()
+    qs = list(c.alloc_many(GATE_SIGNATURES[op][0], at_layer=0))
+    c.mark_persistent(qs)
+    c.put(op, qs, 0, list(params))
+    columns = []
+    for i in range(1 << len(qs)):
+        _, state = run(c, seeds={q: (0.0, 1.0) if (i >> t) & 1 else None for t, q in enumerate(qs)})
+        columns.append(state.statevector(qs))
+    return np.array(columns).T
 
 
 class TestGateUnitaries:
@@ -27,46 +41,51 @@ class TestGateUnitaries:
     """
 
     def test_x_h_ry(self):
-        assert np.allclose(gate_unitary("x"), [[0, 1], [1, 0]])
-        assert np.allclose(gate_unitary("h"), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-        assert np.allclose(gate_unitary("ry", (0.7,)), ry_matrix(0.7))
+        assert np.allclose(sim_unitary("x"), [[0, 1], [1, 0]])
+        assert np.allclose(sim_unitary("h"), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+        assert np.allclose(sim_unitary("ry", (0.7,)), ry_matrix(0.7))
 
     def test_s_t(self):
-        assert np.allclose(gate_unitary("s"), np.diag([1, 1j]))
-        assert np.allclose(gate_unitary("t"), np.diag([1, cmath.exp(1j * math.pi / 4)]))
-        assert np.allclose(gate_unitary("phase", (0.3,)), np.diag([1, cmath.exp(0.3j)]))
+        assert np.allclose(sim_unitary("s"), np.diag([1, 1j]))
+        assert np.allclose(sim_unitary("t"), np.diag([1, cmath.exp(1j * math.pi / 4)]))
+        assert np.allclose(sim_unitary("phase", (0.3,)), np.diag([1, cmath.exp(0.3j)]))
 
     def test_cnot(self):
         # control = bit 0: basis 1 (a=1,b=0) <-> basis 3 (a=1,b=1)
         want = np.eye(4)[:, [0, 3, 2, 1]]
-        assert np.allclose(gate_unitary("cnot"), want)
+        assert np.allclose(sim_unitary("cnot"), want)
 
     def test_swap(self):
         want = np.eye(4)[:, [0, 2, 1, 3]]
-        assert np.allclose(gate_unitary("swap"), want)
+        assert np.allclose(sim_unitary("swap"), want)
 
     def test_toffoli(self):
         # controls bits 0,1: swaps basis 3 (011) and 7 (111)
         perm = list(range(8))
         perm[3], perm[7] = 7, 3
-        assert np.allclose(gate_unitary("toffoli"), np.eye(8)[:, perm])
+        assert np.allclose(sim_unitary("toffoli"), np.eye(8)[:, perm])
 
     def test_cswap(self):
         # control bit 0: swaps targets bits 1, 2 when bit 0 set: 011 <-> 101
         perm = list(range(8))
         perm[3], perm[5] = 5, 3
-        assert np.allclose(gate_unitary("cswap"), np.eye(8)[:, perm])
+        assert np.allclose(sim_unitary("cswap"), np.eye(8)[:, perm])
 
     def test_cry(self):
-        U = gate_unitary("cry", (0.9,))
+        U = sim_unitary("cry", (0.9,))
         R = ry_matrix(0.9)
         want = np.eye(4, dtype=complex)
         want[np.ix_([1, 3], [1, 3])] = R
         assert np.allclose(U, want)
 
     def test_rz_phases(self):
-        U = gate_unitary("rz", (0.5,))
+        U = sim_unitary("rz", (0.5,))
         assert np.allclose(U, np.diag([cmath.exp(-0.25j), cmath.exp(0.25j)]))
+
+    @pytest.mark.parametrize("op", list(GATE_SIGNATURES))
+    def test_every_op_matches_the_dense_oracle(self, op):
+        params = (0.7,) * GATE_SIGNATURES[op][1]
+        assert np.max(np.abs(sim_unitary(op, params) - gate_unitary(op, params))) < 1e-15
 
 
 class TestSimBasics:
@@ -119,7 +138,7 @@ class TestSimBasics:
         c.place([gate("cnot", (a, b))], 2)  # uncompute
         c.dealloc(b, at_layer=3)
         report, state = run(c)
-        assert state.num_live == 1
+        assert len(state._pos) == 1
         assert report.ancilla_verdicts[0][2] <= 1e-12
 
     @pytest.mark.parametrize("late", [False, True])
@@ -229,7 +248,7 @@ class TestSimBasics:
         factor, defect = state.detach([e])
         assert defect < 1e-12
         assert np.allclose(np.abs(factor), np.abs(ry_matrix(1.3) @ [1, 0]))
-        assert state.num_live == 2
+        assert len(state._pos) == 2
 
 
 def strip_deallocs(c: Circuit) -> tuple[Circuit, dict]:

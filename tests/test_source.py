@@ -117,6 +117,24 @@ def test_circuit_reader_has_no_per_gate_path_of_its_own():
     assert found == []
 
 
+def test_simulator_has_no_per_gate_or_per_key_path():
+    """`sim.py` reads a layer as op groups (`Circuit.groups`), never through `.gates(...)`,
+    and no `for` loop or comprehension walks the branches: none iterates over anything
+    that names the amplitudes or the keys, or over a dict's `.items()` or `.values()`."""
+    branchy = {"_amp", "amp", "_keys", "keys", "items", "values"}
+    found = []
+    for path, node in package_nodes():
+        if str(path) != "sim.py":
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "gates":
+            found.append(f"{path}:{node.lineno} {ast.unparse(node)}")
+        if isinstance(node, (ast.For, ast.comprehension)):
+            named = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node.iter)}
+            if named & branchy:
+                found.append(f"{path}:{getattr(node.iter, 'lineno', '?')} for ... in {ast.unparse(node.iter)}")
+    assert found == []
+
+
 def test_emitters_build_no_gate_tuples():
     """The fragment and protocol emitters put column batches (`Circuit.put`): they
     neither import nor name `Gate`, `new_gate` or `gate`, the constructors of

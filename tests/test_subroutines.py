@@ -79,7 +79,7 @@ class TestCopy:
         reg, end = copy(block, src, 8, start=1)
         block.mirror(end, end - 1)
         _, state = run(c)  # dealloc checks pass
-        assert state.num_live == 1
+        assert len(state._pos) == 1
 
     def test_rejects_non_power(self):
         c = Circuit()
@@ -266,7 +266,7 @@ class TestCopySwap:
         res = copyswap(block, ctrl, payload, start=1)
         block.mirror(res.end, m)  # releases the copies and the target slots
         report, state = run(c)
-        assert state.num_live == m + 1
+        assert len(state._pos) == m + 1
         assert all(mass <= 1e-12 for _, _, mass in report.ancilla_verdicts)
 
 

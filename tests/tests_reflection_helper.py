@@ -10,7 +10,8 @@ def run_with_input(circuit, data_vec):
 
     Drives the simulator layer by layer and, the moment the data register is
     fully allocated (it must still be |0...0> then), tensors the requested
-    amplitudes into the simulator's sparse basis-key map.
+    amplitudes into the simulator's sparse branches (key words x branches, and
+    their amplitudes).
     """
     c = circuit.compact()
     data = c.registers["D"]
@@ -19,23 +20,23 @@ def run_with_input(circuit, data_vec):
     report = SimReport(fidelity=None)
     seeded = False
     for t, (allocs, deallocs) in enumerate(c.lifecycle()):
-        for q in deallocs:
-            report.ancilla_verdicts.append((q, t, state.dealloc(q)))
-        for q in allocs:
-            state.alloc(q)
+        report.ancilla_verdicts += [(q, t, residual) for q, residual in zip(deallocs, state.dealloc(deallocs))]
+        state.alloc(allocs)
         if not seeded and all(q in state._pos for q in data):
-            offsets = [1 << state._pos[q] for q in data]
-            assert not any(key & off for key in state._amp for off in offsets)
-            state._amp = {
-                key | sum(off for bit, off in enumerate(offsets) if (j >> bit) & 1): a * amp_j
-                for key, a in state._amp.items()
-                for j, amp_j in enumerate(np.asarray(data_vec, complex))
-                if amp_j
-            }
+            positions = [state._pos[q] for q in data]
+            assert not any((state._keys[p >> 6] >> np.uint64(p & 63) & 1).any() for p in positions)
+            keys, amps = [], []
+            for j, amp_j in enumerate(np.asarray(data_vec, complex)):
+                if amp_j:
+                    mask = np.zeros((len(state._keys), 1), np.uint64)
+                    for bit, p in enumerate(positions):
+                        mask[p >> 6] |= np.uint64(((j >> bit) & 1) << (p & 63))
+                    keys.append(state._keys | mask)
+                    amps.append(state._amp * amp_j)
+            state._keys, state._amp = np.concatenate(keys, axis=1), np.concatenate(amps)
             seeded = True
         if t == L:
             break
-        for g in c.gates(t):
-            state.apply(g)
+        state.apply(c.groups(t))
     report.peak_live_qubits = state._width
     return report, state
