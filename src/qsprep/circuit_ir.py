@@ -101,6 +101,9 @@ _OPS = tuple(GATE_SIGNATURES)
 _CODE = {op: code for code, op in enumerate(_OPS)}
 #: op code -> (number of qubits, number of parameters)
 _ARITY = tuple(GATE_SIGNATURES.values())
+#: ``codes.translate(_QUBIT_COUNT)`` are the codes' numbers of qubits, and likewise of parameters
+_QUBIT_COUNT = bytes(nq for nq, _ in _ARITY).ljust(256, b"\0")
+_PARAM_COUNT = bytes(npar for _, npar in _ARITY).ljust(256, b"\0")
 #: (op, number of qubits, number of parameters) of every well-formed gate -> its op code
 _SHAPE_CODE = {(op, nq, npar): code for code, (op, (nq, npar)) in enumerate(GATE_SIGNATURES.items())}
 #: ``codes.translate(_INVERSE)`` are the codes of the inverse ops; their parameters are negated
@@ -531,18 +534,16 @@ class Circuit:
         ``ids`` holds each of the op's n gates' operands as an (n, qubits) array and
         ``params`` its parameters as an (n, parameters) array, in the order they were
         placed.  Both are copies, so the circuit can change while a caller holds them."""
-        codes = np.frombuffer(self._ops[t], np.uint8)
+        ops = self._ops[t]
+        codes = np.frombuffer(ops, np.uint8)  # the op of each id and of each parameter:
+        id_op = codes.repeat(np.frombuffer(ops.translate(_QUBIT_COUNT), np.uint8))
+        value_op = codes.repeat(np.frombuffer(ops.translate(_PARAM_COUNT), np.uint8))
         ids, values = _view(self._qs[t]), np.frombuffer(self._ps[t])
-        present = sorted(set(self._ops[t]))
-        if len(present) == 1:  # the columns are the matrices
-            nq, npar = _ARITY[present[0]]
-            return [(_OPS[present[0]], ids.reshape(len(codes), nq).copy(), values.reshape(len(codes), npar).copy())]
-        ends = np.array(_ARITY, np.intp)[codes].cumsum(axis=0)  # per gate: its last id and parameter, + 1
         out = []
-        for code in present:
+        for code in sorted(set(ops)):
             nq, npar = _ARITY[code]
-            at = ends[codes == code]
-            out.append((_OPS[code], ids[at[:, :1] - nq + np.arange(nq)], values[at[:, 1:] - npar + np.arange(npar)]))
+            op_ids = ids[id_op == code].reshape(-1, nq)
+            out.append((_OPS[code], op_ids, values[value_op == code].reshape(len(op_ids), npar)))
         return out
 
     def params(self, t: int) -> np.ndarray:

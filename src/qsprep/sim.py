@@ -16,10 +16,12 @@ A layer is applied an op group at a time from the circuit's columns
 (:meth:`Circuit.groups`): permutations flip key bits and diagonal gates
 multiply amplitudes, many gates per numpy call, and a mixing gate pairs
 branches through one exact step, :meth:`SimState._split`, which also
-contracts released qubits, splits off detached factors and lays out the
-dense vector.  Memory follows the support times the key width, so that
-product, counted in 64-bit key words, is the one bound (``MAX_SUPPORT``); a
-state past it raises ``PeakQubitsExceeded`` before it is built.
+splits off detached factors and lays out the dense vector.  A release
+turns each seeded qubit to |0> with a mixing gate, then keeps the branches
+whose released bits are all clear.  Memory follows the support times the
+key width, so that product, counted in 64-bit key words, is the one bound
+(``MAX_SUPPORT``); a state past it raises ``PeakQubitsExceeded`` before it
+is built.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from .errors import DeallocNotZero, MalformedInput, NormDrift, OperandNotLive, P
 #: split and its new amplitudes at once: refusing one there peaks at 0.43 GB.
 MAX_SUPPORT = 1 << 22
 
-#: Gates x branches one chunk of an op group covers, so its temporaries stay small.
+#: Gates x branches one chunk of a group's gates covers, so its temporaries stay small.
 _CHUNK = 1 << 12
 
 #: Amplitudes this small are rounding residue, such as cos(pi/2) after the
 #: ry(pi) a sparse target needs, or a branch that cancelled inexactly.  They
-#: are dropped after a mixing gate (a seeded allocation is one) or a
-#: contraction, so they do not grow the support.
+#: are dropped after a mixing gate (a seeded allocation or release is one) or a
+#: detach, so they do not grow the support.
 _NEGLIGIBLE = 1e-15
 
 #: Mass a released qubit may hold outside its expected state.
@@ -85,23 +87,10 @@ def _mixer(op: str, params: np.ndarray) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _seed_pair(seed) -> tuple[complex, complex]:
-    """Normalized single-qubit amplitudes (a0, a1); None is |0>."""
-    if seed is None:
-        return 1.0 + 0j, 0.0 + 0j
-    sv = np.asarray(seed, dtype=complex)
-    sv = sv / np.linalg.norm(sv)
-    return complex(sv[0]), complex(sv[1])
-
-
-def _bits(positions: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The bits (0 or 1) of ``keys`` at ``positions``, a uint64 array of any shape,
-    with one more axis, over the branches."""
-    return keys[positions >> _WORD] >> (positions & _BIT)[..., None] & _ONE
-
-
-def _mass(amp: np.ndarray) -> float:
-    return float(np.vdot(amp, amp).real)
+def _seed_turn(seed) -> np.ndarray:
+    """A unitary taking |0> to the normalized seed (a0, a1): [[a0, -a1*], [a1, a0*]]."""
+    a0, a1 = np.asarray(seed, dtype=complex) / np.linalg.norm(seed)
+    return np.array([[a0, -a1.conjugate()], [a1, a0.conjugate()]])
 
 
 @dataclass
@@ -148,53 +137,55 @@ class SimState:
         if support * words > MAX_SUPPORT:
             raise PeakQubitsExceeded(f"state support {support} x {words} key words exceeds cap {MAX_SUPPORT}")
 
-    def _store(self, keys: np.ndarray, amp: np.ndarray) -> None:
-        """Hold these branches, less the negligible ones."""
-        kept = np.abs(amp) > _NEGLIGIBLE
-        self._keys, self._amp = keys[:, kept], amp[kept]
-
-    def _positions(self, qubits) -> list[int]:
+    def _places(self, qubits) -> tuple[np.ndarray, np.ndarray]:
+        """Each live qubit's key word and the mask of its bit there, uint64 arrays shaped like ``qubits``."""
+        qubits = np.asarray(qubits)
         try:
-            return list(map(self._pos.__getitem__, qubits))
+            pos = np.array(list(map(self._pos.__getitem__, qubits.ravel().tolist())), np.uint64).reshape(qubits.shape)
         except KeyError as e:
             raise OperandNotLive(f"qubit {e.args[0]} not live") from None
+        return pos >> _WORD, _ONE << (pos & _BIT)
 
     def _forget(self, qubits: list[int]) -> None:
         """Drop these qubits, whose bits are clear in every key, and free their positions."""
         for q in qubits:
             heapq.heappush(self._free, self._pos.pop(q))
 
-    def _mask(self, positions: list[int]) -> np.ndarray:
-        """A key with the bits at ``positions`` set, as a column of words."""
-        words = [0] * len(self._keys)
-        for p in positions:
-            words[p >> 6] |= 1 << (p & 63)
-        return np.array(words, np.uint64)[:, None]
+    def _chunks(self, words: np.ndarray, masks: np.ndarray):
+        """Per chunk of the rows of ``words`` and ``masks`` (:meth:`_places`; a row is a gate's
+        operands, or one released qubit), at most ``_CHUNK`` rows x branches: its first row,
+        and where its places are 1 as (rows, places, branches), read when the chunk is reached."""
+        step = max(1, _CHUNK // max(len(self._amp), 1))
+        for lo in range(0, len(words), step):
+            yield lo, self._keys[words[lo:lo + step]] & masks[lo:lo + step, ..., None] != 0
 
-    def _split(self, positions: list[int], keys=None, amp=None) -> tuple[np.ndarray, np.ndarray]:
-        """Group the branches (all, or the given ones) by their key outside ``positions``.
+    def _split(self, words: np.ndarray, masks: np.ndarray, keys=None, amp=None) -> tuple[np.ndarray, np.ndarray]:
+        """Group the branches (all, or the given ones) by their key outside some bits:
+        bit t is ``masks[t]`` of key word ``words[t]``.
 
-        Returns the R distinct rests, key words x R with those bits clear, and
-        the amplitudes as a (2**len(positions), R) matrix whose row i holds
-        bit t of i at positions[t].  Rests are told apart by exact comparison
-        of their words (a sort), never by a hash; when the branches agree on
-        ``positions`` their keys are distinct, and so are their rests.
+        Returns the R distinct rests, key words x R with those bits clear, and the
+        amplitudes as a (2**len(words), R) matrix whose row i holds bit t of i at
+        bit t.  Rests are told apart by exact comparison of their words (a sort),
+        never by a hash; when the branches agree on those bits their keys are
+        distinct, and so are their rests.
         """
         keys, amp = (self._keys, self._amp) if keys is None else (keys, amp)
-        local = (_ONE << np.arange(len(positions), dtype=np.uint64)) @ _bits(np.array(positions, np.uint64), keys)
-        rest = keys & ~self._mask(positions)
+        rest, set_ = keys.copy(), keys[words] & masks[:, None]
+        for w, bit in zip(words, set_):
+            rest[w] ^= bit
+        local = (1 << np.arange(len(words))) @ (set_ != 0)
         if (local == local[:1]).all():
             inverse = np.arange(len(amp))
         else:
             rows, inverse = np.unique(np.ascontiguousarray(rest.T).view(f"V{8 * len(rest)}")[:, 0]
                                       if len(rest) > 1 else rest[0], return_inverse=True)
             rest = rows.view(np.uint64).reshape(-1, len(rest)).T
-        mat = np.zeros((1 << len(positions), rest.shape[1]), complex)
+        mat = np.zeros((1 << len(words), rest.shape[1]), complex)
         mat[local, inverse] = amp
         return rest, mat
 
     def norm_defect(self) -> float:
-        return abs(1.0 - _mass(self._amp))
+        return abs(1.0 - float(np.vdot(self._amp, self._amp).real))
 
     def dominant_basis(self) -> tuple[int, float]:
         """(most likely basis key, its probability).
@@ -207,15 +198,16 @@ class SimState:
         mag = np.abs(self._amp)
         tied = np.flatnonzero(mag == mag.max())
         if len(tied) > 1:  # lexsort's last key, the latest qubit's bit, is its first
-            order = np.fromiter(self._pos.values(), np.uint64, len(self._pos))
-            tied = tied[np.lexsort(_bits(order, self._keys[:, tied]))]
+            words, masks = self._places(list(self._pos))
+            tied = tied[np.lexsort(self._keys[:, tied][words] & masks[:, None] != 0)]
         return int.from_bytes(self._keys[:, tied[0]].astype("<u8").tobytes(), "little"), float(mag[tied[0]]) ** 2
 
     def statevector(self, order: list[int]) -> np.ndarray:
         """Dense amplitudes with order[t] owning bit t; order must be the live set."""
         if sorted(order) != sorted(self._pos):
             raise OperandNotLive("statevector order must match the live qubit set")
-        return self._split(self._positions(order))[1].sum(axis=1)  # one rest, the empty key
+        words, masks = self._places(order)
+        return self._split(words, masks)[1].sum(axis=1)  # one rest, the empty key
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -234,26 +226,31 @@ class SimState:
             self._keys = np.vstack([self._keys, np.zeros((grow, len(self._amp)), np.uint64)])
         for q, seed in zip(qubits, seeds or ()):
             if seed is not None:  # from |0>, the bit clear in every branch, to the seed
-                s0, s1 = _seed_pair(seed)
-                self._mix(np.array([[s0, 0], [s1, 0]]), np.array([self._pos[q]], np.uint64))
+                self._mix(_seed_turn(seed), *self._places([q]))
 
     def dealloc(self, qubits: list[int], seeds: list | None = None, enforce: bool = True) -> list[float]:
         """Contract qubits out in order, verifying each sits in |0> or in its seed
         (``seeds[i]`` for ``qubits[i]``, None for |0>).
 
-        Returns each one's residual mass outside its expected state.
+        Returns each one's residual mass outside its expected state.  A seeded qubit
+        is first turned so that its seed is |0> (a mixing gate); then each qubit's
+        residual is the mass of the branches whose first set bit, in the given
+        order, is its own, and the branches with none are the contracted state.
         """
-        seeds = seeds or [None] * len(qubits)
-        positions = self._positions(qubits)
-        residuals = [0.0] * len(qubits)  # each one |0> in every branch already: nothing to contract
-        if any(seed is not None for seed in seeds) or (self._keys & self._mask(positions)).any():
-            for i, (q, p, seed) in enumerate(zip(qubits, positions, seeds)):
-                rest, mat = self._split([p])
-                comp = np.conj(_seed_pair(seed)) @ mat
-                residuals[i] = max(_mass(self._amp) - _mass(comp), 0.0)
-                if residuals[i] > _DEALLOC_MASS and enforce:
-                    raise DeallocNotZero(q, residuals[i])
-                self._store(rest, comp)
+        words, masks = self._places(qubits)
+        for i, seed in enumerate(seeds or ()):
+            if seed is not None:  # row 0 is <seed|, row 1 the state orthogonal to it
+                self._mix(_seed_turn(seed).conj().T, words[i:i + 1], masks[i:i + 1])
+        kept, mass, residuals = np.ones(len(self._amp), bool), np.abs(self._amp) ** 2, []
+        for _, set_ in self._chunks(words[:, None], masks[:, None]):
+            set_ = set_[:, 0] & kept  # of the branches no earlier qubit took
+            hit = set_.any(axis=0)
+            residuals += np.bincount(set_.argmax(axis=0), np.where(hit, mass, 0), len(set_)).tolist()
+            kept &= ~hit
+        self._keys, self._amp = self._keys[:, kept], self._amp[kept]
+        for q, residual in zip(qubits, residuals):
+            if residual > _DEALLOC_MASS and enforce:
+                raise DeallocNotZero(q, residual)
         self._forget(qubits)
         return residuals
 
@@ -263,7 +260,8 @@ class SimState:
         Verifies the state factorizes (within tolerance) as factor x rest;
         returns (factor amplitudes little-endian over order, defect).
         """
-        rest, mat = self._split(self._positions(order))
+        words, masks = self._places(order)
+        rest, mat = self._split(words, masks)
         gram = mat @ mat.conj().T
         vals, vecs = np.linalg.eigh(gram)
         top = int(np.argmax(vals))
@@ -272,7 +270,9 @@ class SimState:
         factor = vecs[:, top]
         anchor = int(np.argmax(np.abs(factor)))
         factor = factor * (np.abs(factor[anchor]) / factor[anchor])
-        self._store(rest, factor.conj() @ mat)
+        amp = factor.conj() @ mat
+        kept = np.abs(amp) > _NEGLIGIBLE
+        self._keys, self._amp = rest[:, kept], amp[kept]
         self._forget(order)
         return factor, defect
 
@@ -281,36 +281,36 @@ class SimState:
     def apply(self, layer: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
         """Apply one layer, given as its (op, ids, params) groups (:meth:`Circuit.groups`)."""
         for op, ids, params in layer:
-            pos = np.array(self._positions(ids.ravel().tolist()), np.uint64).reshape(ids.shape)
-            family, mixing = _FAMILY[op], []
+            (words, masks), family, mixing = self._places(ids), _FAMILY[op], []
             k = 2 if family == "swap" else 1
-            step = max(1, _CHUNK // max(len(self._amp), 1))
-            for lo in range(0, len(pos), step):
-                words, shifts = pos[lo:lo + step] >> _WORD, pos[lo:lo + step, :, None] & _BIT
-                bits = self._keys[words] >> shifts & _ONE
-                on = np.logical_and.reduce(bits[:, :-k], axis=1)  # per gate and branch: the controls are 1
+            for lo, set_ in self._chunks(words, masks):
+                on = np.logical_and.reduce(set_[:, :-k], axis=1)  # per gate and branch: the controls are 1
                 if family == "mix":  # one at a time, after the group's test: the others' controls stay
                     mixing += (lo + np.flatnonzero(on.any(axis=1))).tolist()
                 elif family == "phase":
-                    ph0, ph1 = _PHASES[op](params[lo:lo + step, :1])
-                    self._amp *= np.where(on, np.where(bits[:, -1], ph1, ph0), 1).prod(axis=0)
+                    ph0, ph1 = _PHASES[op](params[lo:lo + len(on), :1])
+                    self._amp *= np.where(on, np.where(set_[:, -1], ph1, ph0), 1).prod(axis=0)
                 else:
                     if family == "swap":  # only where the targets differ
-                        on &= bits[:, -1] != bits[:, -2]
-                    np.bitwise_xor.at(self._keys, words[:, -k:], on[:, None] << shifts[:, -k:])
+                        on &= set_[:, -1] != set_[:, -2]
+                    hi = lo + len(on)
+                    np.bitwise_xor.at(self._keys, words[lo:hi, -k:], on[:, None] * masks[lo:hi, -k:, None])
             for j in mixing:
-                self._mix(_mixer(op, params[j]), pos[j])
+                self._mix(_mixer(op, params[j]), words[j], masks[j])
 
-    def _mix(self, u: np.ndarray, pos: np.ndarray) -> None:
-        """Apply the 2x2 ``u`` to the target, the last of positions ``pos``, of the branches
-        whose controls, the others, are all 1: pair them on the target (:meth:`_split`),
-        mix each pair and drop negligible amplitudes, refusing a state past the bound."""
-        p, on = int(pos[-1]), np.logical_and.reduce(_bits(pos[:-1], self._keys), axis=0)
-        rest, mat = self._split([p], self._keys[:, on], self._amp[on])
+    def _mix(self, u: np.ndarray, words: np.ndarray, masks: np.ndarray) -> None:
+        """Apply the 2x2 ``u`` to the target, the last of the places ``words`` and ``masks``, of
+        the branches whose controls, the others, are all 1: pair them on the target
+        (:meth:`_split`), mix each pair and drop negligible amplitudes, refusing a state
+        past the bound before it is built."""
+        on = np.logical_and.reduce(self._keys[words[:-1]] & masks[:-1, None] != 0, axis=0)
+        rest, mat = self._split(words[-1:], masks[-1:], self._keys[:, on], self._amp[on])
         new = u @ mat
         kept, off = np.abs(new) > _NEGLIGIBLE, ~on
         self._bound(np.count_nonzero(off) + np.count_nonzero(kept), self._width)
-        self._keys = np.concatenate([self._keys[:, off], rest[:, kept[0]], rest[:, kept[1]] | self._mask([p])], axis=1)
+        one = rest[:, kept[1]]
+        one[words[-1]] |= masks[-1]
+        self._keys = np.concatenate([self._keys[:, off], rest[:, kept[0]], one], axis=1)
         self._amp = np.concatenate([self._amp[off], new[kept]])
 
 

@@ -55,7 +55,7 @@ class TestAppend:
 
     def test_groups_are_the_gates_by_op(self):
         """``groups`` holds a layer's gates per op, in op-code order, each op's gates in
-        the order they were placed; a one-op layer is one group."""
+        the order they were placed; a one-op layer is one group, an empty layer none."""
         c = Circuit()
         qs = c.alloc_many(6, at_layer=0)
         c.place([gate("cnot", (qs[0], qs[1])), gate("ry", (qs[2],), 0.5), gate("cnot", (qs[4], qs[3])),
@@ -65,6 +65,8 @@ class TestAppend:
             ("x", [[5]], [[]]), ("ry", [[2]], [[0.5]]), ("cnot", [[0, 1], [4, 3]], [[], []])]
         assert [(op, ids.tolist(), params.shape) for op, ids, params in c.groups(1)] == [
             ("h", [[q] for q in qs], (6, 0))]
+        c.put("x", qs[:1], 3)
+        assert c.groups(2) == []
 
     def test_shared_operand_serializes(self):
         c = Circuit()

@@ -137,6 +137,22 @@ def test_expand_preserves_the_final_state(c, seeds):
     assert np.allclose(final_state(out, seeds), final_state(c, seeds), atol=1e-9)
 
 
+def put_random_batch(draw, target, live: list[int], ops: list[str], layer: int) -> None:
+    """Take ops off the front of ``ops`` onto disjoint qubits drawn from ``live`` until the
+    next does not fit or a draw stops the batch, and put them on ``target`` (a ``Circuit``
+    or a ``Block``) at ``layer``, one put per run of one op."""
+    free, batch = draw(st.permutations(live)), []
+    while ops and GATE_SIGNATURES[ops[0]][0] <= len(free):
+        nq, npar = GATE_SIGNATURES[ops[0]]
+        batch.append(gate(ops.pop(0), free[:nq], *(draw(ANGLES) for _ in range(npar))))
+        free = free[nq:]
+        if draw(st.booleans()):
+            break
+    for op, run_of_op in groupby(batch, attrgetter("op")):
+        gates = list(run_of_op)
+        target.put(op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
+
+
 @st.composite
 def blocks(draw) -> tuple[Circuit, int]:
     """A ``Block`` over three persistent data qubits, mirrored: at each of its layers
@@ -154,16 +170,7 @@ def blocks(draw) -> tuple[Circuit, int]:
         fresh = list(block.alloc_many(draw(st.integers(0, 2)), kind, at_layer=layer))
         dirty += len(fresh) if kind == DIRTY else 0
         live += fresh
-        free, batch = draw(st.permutations(live)), []
-        while ops and GATE_SIGNATURES[ops[0]][0] <= len(free):
-            nq, npar = GATE_SIGNATURES[ops[0]]
-            batch.append(gate(ops.pop(0), free[:nq], *(draw(ANGLES) for _ in range(npar))))
-            free = free[nq:]
-            if draw(st.booleans()):
-                break
-        for op, run_of_op in groupby(batch, attrgetter("op")):
-            gates = list(run_of_op)
-            block.put(op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
+        put_random_batch(draw, block, live, ops, layer)
         layer += 1
     assert block.mirror(layer + draw(st.integers(0, 2)), layer) == c.num_layers()
     return c, dirty
@@ -202,16 +209,7 @@ def open_circuits(draw) -> Circuit:
             fresh = list(c.alloc_many(draw(st.integers(0, 2)), draw(st.sampled_from([CLEAN, DIRTY])), at_layer=layer))
             live += fresh
             ancillae += fresh
-        free, batch = draw(st.permutations(live)), []
-        while ops and GATE_SIGNATURES[ops[0]][0] <= len(free):
-            nq, npar = GATE_SIGNATURES[ops[0]]
-            batch.append(gate(ops.pop(0), free[:nq], *(draw(ANGLES) for _ in range(npar))))
-            free = free[nq:]
-            if draw(st.booleans()):
-                break
-        for op, run_of_op in groupby(batch, attrgetter("op")):
-            gates = list(run_of_op)
-            c.put(op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
+        put_random_batch(draw, c, live, ops, layer)
         layer += 1
         for q in draw(st.lists(st.sampled_from(ancillae), unique=True, max_size=2)) if ancillae else []:
             c.dealloc(q, at_layer=layer)

@@ -23,15 +23,16 @@ def run_with_input(circuit, data_vec):
         report.ancilla_verdicts += [(q, t, residual) for q, residual in zip(deallocs, state.dealloc(deallocs))]
         state.alloc(allocs)
         if not seeded and all(q in state._pos for q in data):
-            positions = [state._pos[q] for q in data]
-            assert not any((state._keys[p >> 6] >> np.uint64(p & 63) & 1).any() for p in positions)
+            words, masks = state._places(data)  # each data qubit's key word and bit there
+            assert not (state._keys[words] & masks[:, None]).any()
             keys, amps = [], []
             for j, amp_j in enumerate(np.asarray(data_vec, complex)):
                 if amp_j:
-                    mask = np.zeros((len(state._keys), 1), np.uint64)
-                    for bit, p in enumerate(positions):
-                        mask[p >> 6] |= np.uint64(((j >> bit) & 1) << (p & 63))
-                    keys.append(state._keys | mask)
+                    key = state._keys.copy()
+                    for bit, (w, m) in enumerate(zip(words, masks)):
+                        if (j >> bit) & 1:
+                            key[w] |= m
+                    keys.append(key)
                     amps.append(state._amp * amp_j)
             state._keys, state._amp = np.concatenate(keys, axis=1), np.concatenate(amps)
             seeded = True
