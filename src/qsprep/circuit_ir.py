@@ -49,14 +49,17 @@ chunk of gates at a time, and the loaded circuit passes the walk;
 from __future__ import annotations
 
 import codecs
+import contextlib
 import json
 import math
+import os
+import stat
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter, ne, neg
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter, neg
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -1040,8 +1043,8 @@ _GATE_TEXT = tuple(
     '{"op":"%s","params":[%s],"qubits":[%s]}' % (op, ",".join(["%%r"] * npar), ",".join(["%d"] * nq))
     for op, (nq, npar) in GATE_SIGNATURES.items())
 
-#: the JSON text of each kind code
-_KIND_TEXT = tuple(map(_encode, _KINDS))
+#: kind code -> the JSON text of an alloc row of that kind, its id and layer left open as ``%d``
+_ALLOC_ROW = tuple("[%%d,%%d,%s]" % _encode(kind) for kind in _KINDS)
 
 
 #: lifecycle-table rows, or gates, written per piece of text
@@ -1051,22 +1054,56 @@ _ROWS = 4096
 def _layer_text(codes: bytearray, ids: array, values: array) -> Iterator[str]:
     """A layer's JSON text straight from its columns, ``_ROWS`` gates to a piece: the
     piece's joined gate templates take its qubit ids in one ``%``, then its parameters
-    (``repr``, as the encoder writes floats) in another."""
+    (``repr``, as the encoder writes floats), if it has any, in another.  The numbers
+    of each come from the op codes (``_QUBIT_COUNT``, ``_PARAM_COUNT``)."""
     ids, values = iter(ids), iter(values)
     for g in range(0, len(codes), _ROWS):
-        template = ",".join(map(_GATE_TEXT.__getitem__, codes[g:g + _ROWS]))
-        text = template % tuple(islice(ids, template.count("%d")))
-        yield ("," if g else "[") + text % tuple(islice(values, template.count("%%r")))
+        block = codes[g:g + _ROWS]
+        text = ",".join(map(_GATE_TEXT.__getitem__, block)) % tuple(islice(ids, sum(block.translate(_QUBIT_COUNT))))
+        npar = sum(block.translate(_PARAM_COUNT))
+        yield ("," if g else "[") + (text % tuple(islice(values, npar)) if npar else text)
     yield "]" if codes else "[]"
 
 
-def _rows_text(template: str, rows: Iterator[tuple]) -> Iterator[str]:
-    """A JSON table's rows, ``_ROWS`` to a piece: each piece is one ``%`` over the row
-    template repeated, and every piece after the first is led by a comma."""
+def _rows_text(layers: np.ndarray, templates: Iterator[str]) -> Iterator[str]:
+    """The rows ``[id, layer, ...]`` of a lifecycle table, given its layer column: one per
+    qubit whose layer is not ``NEVER`` (every qubit's alloc row, a released qubit's
+    dealloc row), in id order, ``_ROWS`` qubits at a time.  Each piece is one ``%`` over
+    the next row templates joined, and every piece after the first is led by a comma."""
     lead = ""
-    while block := list(islice(rows, _ROWS)):
-        yield lead + ",".join([template] * len(block)) % tuple(chain.from_iterable(block))
-        lead = ","
+    for lo in range(0, len(layers), _ROWS):
+        ids = lo + np.flatnonzero(layers[lo:lo + _ROWS] != NEVER)
+        if len(ids):
+            rows = np.column_stack((ids, layers[ids]))
+            yield lead + ",".join(islice(templates, len(ids))) % tuple(rows.ravel().tolist())
+            lead = ","
+
+
+def _head_text(c: Circuit) -> Iterator[str]:
+    """The text of a compact circuit up to its first layer: the lifecycle tables, keys in
+    sorted order (alloc, dealloc, layers, persistent, registers)."""
+    yield '{"alloc":['
+    yield from _rows_text(_view(c._alloc), map(_ALLOC_ROW.__getitem__, c._kind))
+    yield '],"dealloc":['
+    yield from _rows_text(_view(c._dealloc), repeat("[%d,%d]"))
+    yield '],"layers":['
+
+
+def _layers_text(c: Circuit, start: int, stop: int) -> Iterator[str]:
+    """The text of layers ``start``..``stop``-1 of a compact circuit, each led by a comma but layer 0."""
+    for t in range(start, stop):
+        if t:
+            yield ","
+        yield from _layer_text(c._ops[t], c._qs[t], c._ps[t])
+
+
+def _tail_text(c: Circuit) -> Iterator[str]:
+    """The text of a compact circuit after its last layer: the persistent list and the registers."""
+    yield '],"persistent":%s,"registers":{' % _encode(sorted(c._persistent))
+    for i, name in enumerate(sorted(c.registers)):
+        qs = c.registers[name]
+        yield "%s%s:[%s]" % ("," if i else "", _encode(name), ",".join(["%d"] * len(qs)) % tuple(qs))
+    yield "}}"
 
 
 def json_chunks(c: Circuit) -> Iterator[str]:
@@ -1079,34 +1116,156 @@ def json_chunks(c: Circuit) -> Iterator[str]:
     the sorted ``persistent`` ids and the ``registers``.  The tests build
     that document as lists and dicts (``tests/reference.py``) as the
     reference this text must match.  It is byte-identical across
-    parse/re-emit round trips.  Rows, gates and registers are written
-    directly from text templates, with ``repr`` floats as the JSON encoder
-    writes them, so none passes through lists or dicts; that takes a circuit
-    whose gates pass :meth:`Circuit.validate` (finite parameters).  No more
-    than one piece's text exists at a time.
+    parse/re-emit round trips, and it is ASCII (the encoder escapes any
+    other character of a register name).  Rows, gates and registers are
+    written directly from text templates, with ``repr`` floats as the JSON
+    encoder writes them, so none passes through lists or dicts; that takes a
+    circuit whose gates pass :meth:`Circuit.validate` (finite parameters).
+    No more than one piece's text exists at a time.  :func:`write` writes
+    the same text to a file.
     """
     c = c.compact()
-    dealloc = c._dealloc
-    # keys in sorted order: alloc, dealloc, layers, persistent, registers
-    yield '{"alloc":['
-    yield from _rows_text("[%d,%d,%s]", zip(count(), c._alloc, map(_KIND_TEXT.__getitem__, c._kind)))
-    yield '],"dealloc":['
-    yield from _rows_text("[%d,%d]", compress(zip(count(), dealloc), map(ne, dealloc, repeat(NEVER))))
-    yield '],"layers":['
-    for t, columns in enumerate(zip(c._ops, c._qs, c._ps)):
-        if t:
-            yield ","
-        yield from _layer_text(*columns)
-    yield '],"persistent":%s,"registers":{' % _encode(sorted(c._persistent))
-    for i, name in enumerate(sorted(c.registers)):
-        qs = c.registers[name]
-        yield "%s%s:[%s]" % ("," if i else "", _encode(name), ",".join(["%d"] * len(qs)) % tuple(qs))
-    yield "}}"
+    yield from _head_text(c)
+    yield from _layers_text(c, 0, c.num_layers())
+    yield from _tail_text(c)
 
 
 def dumps(c: Circuit) -> str:
     """The canonical JSON text of :func:`json_chunks` as one string."""
     return "".join(json_chunks(c))
+
+
+# -- two cores ------------------------------------------------------------------------
+#
+# Reading or writing a large circuit file takes one forked child that does the
+# later part of the layers while this process does the rest (:func:`_forked`).
+# A fork copies only the calling thread, so it is safe only while the process
+# runs one, when no other thread can hold a lock the child would inherit (the
+# CLI pins OpenBLAS to one thread; pytest's process, for one, runs more).  The
+# child leaves through ``os._exit`` and is always reaped.
+
+#: gates from which :func:`write` renders half the layers in a forked child, and bytes
+#: of circuit JSON from which :func:`loads` reads half of them in one: above the sizes
+#: where a fork, its result's transfer and its reaping cost what half the work saves
+#: (on 2 vCPUs, about 12,000 gates written and 280 KB read)
+_SPLIT_GATES = 1 << 14
+_SPLIT_BYTES = 1 << 19
+#: the cost of a qubit's lifecycle-table rows to :func:`write`, in gates: this process
+#: renders the tables and the layers up to the gate that evens the two parts (the best
+#: of 0, 0.7, 1.4 and 2 on 2 vCPUs, for n=14 and 16 x n=9 circuits)
+_QUBIT_GATES = 0.7
+#: where in a circuit file the child's part starts: the first gate boundary past this
+#: fraction of its bytes, which leaves this process the tables and the earlier layers
+#: as well as the stepping over, hashing and decoding of the child's bytes
+_SPLIT_AT = 0.47
+#: the bytes between two gates of a layer in canonical circuit JSON
+_GATE_BOUNDARY = b'},{"op":'
+
+
+def _two_cores() -> bool:
+    """Whether a forked helper can run beside this process: the system has ``os.fork``
+    and ``os.memfd_create`` (Linux), this process runs one thread (a fork copies no
+    lock another thread holds) and it may run on two CPUs or more."""
+    try:
+        return (hasattr(os, "fork") and hasattr(os, "memfd_create")
+                and len(os.listdir("/proc/self/task")) == 1 and len(os.sched_getaffinity(0)) > 1)
+    except (OSError, AttributeError):
+        return False
+
+
+@contextlib.contextmanager
+def _forked(work: Callable[[BinaryIO], None]) -> Iterator[Callable[[], int | None]]:
+    """Run ``work(out)`` in one forked child while this process goes on; ``out`` is an
+    anonymous file (``os.memfd_create``) for the child's result.
+
+    Yields ``result()``, which waits for the child to end and returns the
+    anonymous file's descriptor if ``work`` returned, else None: on any error
+    the child declines, and so does a child that could not be made (no
+    descriptor or no process to spare), and this process does its part too.
+    The child leaves through ``os._exit``, so it never returns from here,
+    flushes no buffer it inherited and runs no exit handler.  When the block
+    is left the child is killed, unless ``result`` saw it end, and reaped.
+    """
+    fd = pid = -1
+    try:
+        fd = os.memfd_create("qsprep", os.MFD_CLOEXEC)
+        pid = os.fork()
+    except OSError:
+        pass
+    if not pid:
+        status = 1
+        try:
+            with open(fd, "wb", closefd=False) as out:
+                work(out)
+            status = 0
+        finally:
+            os._exit(status)
+    ended = pid < 0
+
+    def result() -> int | None:
+        nonlocal ended
+        if pid < 0:
+            return None
+        info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # leaves it to reap
+        ended = True
+        return fd if info.si_code == os.CLD_EXITED and info.si_status == 0 else None
+
+    try:
+        yield result
+    finally:
+        if not ended:
+            import signal  # only a command that gives up early needs it
+            os.kill(pid, signal.SIGKILL)
+        if pid > 0:
+            os.waitpid(pid, 0)
+        if fd >= 0:
+            os.close(fd)
+
+
+def _regular_file(fp) -> os.stat_result | None:
+    """The status of the file ``fp`` if it is a regular one, else None."""
+    try:
+        status = os.fstat(fp.fileno())
+    except (AttributeError, OSError, ValueError):  # no descriptor, or a closed file
+        return None
+    return status if stat.S_ISREG(status.st_mode) else None
+
+
+def _put(pieces: Iterable[str], out: BinaryIO) -> None:
+    """Write pieces of circuit JSON, which is ASCII, to a binary file."""
+    out.writelines(map(str.encode, pieces))
+
+
+def write(c: Circuit, fh: BinaryIO) -> None:
+    """Write the text of :func:`json_chunks` to the binary file ``fh``.
+
+    A circuit of ``_SPLIT_GATES`` gates or more going to a regular file is
+    written on two cores, if the process can fork a helper
+    (:func:`_two_cores`): a forked child renders the later layers into an
+    anonymous file (:func:`_forked`) while this process writes the tables and
+    the earlier layers, as many as even the two parts (``_QUBIT_GATES``);
+    then the child's bytes are copied in (``os.sendfile``) and the tail is
+    written.  If the child declines, this process renders its layers as well.
+    The bytes are those of :func:`json_chunks` either way.
+    """
+    c = c.compact()
+    L = c.num_layers()
+    if c.size() < _SPLIT_GATES or not (_regular_file(fh) and _two_cores()):
+        _put(json_chunks(c), fh)
+        return
+    mid = int(np.searchsorted(np.cumsum(list(map(len, c._ops))), (c.size() - _QUBIT_GATES * len(c._alloc)) / 2))
+    with _forked(partial(_put, _layers_text(c, mid, L))) as result:
+        _put(chain(_head_text(c), _layers_text(c, 0, mid)), fh)
+        later = result()
+        if later is None:
+            _put(_layers_text(c, mid, L), fh)
+        else:
+            fh.flush()
+            start, size, sent = fh.tell(), os.fstat(later).st_size, 0
+            while sent < size:
+                sent += os.sendfile(fh.fileno(), later, sent, size - sent)
+            fh.seek(start + size)  # the buffered file learns where the copy left the descriptor
+    _put(_tail_text(c), fh)
 
 
 def _json_list(value, what: str) -> list:
@@ -1120,14 +1279,30 @@ _FIELDS = itemgetter("op", "params", "qubits")
 
 
 def _read_gates(c: Circuit, t: int, gates: list) -> None:
-    """Append parsed gates of layer ``t`` to ``c``, packed into columns (:func:`_pack`).
+    """Append parsed gates of layer ``t`` to ``c``, packed into columns (:func:`_gate_columns`).
+
+    A batch of several gates that fails is read again a gate at a time, so
+    its error is that of its first faulty gate, wherever the reader cut the
+    layer into batches.  The gates' other rules are left to
+    :meth:`Circuit._faults`.
+    """
+    try:
+        c._extend(t, *_gate_columns(t, gates))
+    except CircuitError:
+        if len(gates) == 1:
+            raise
+        for g in gates:
+            _read_gates(c, t, [g])
+
+
+def _gate_columns(t: int, gates: list) -> tuple[bytes, list[int], list[float]]:
+    """Parsed gates of layer ``t`` packed into columns (:func:`_pack`).
 
     Every gate must be an object with a string ``op`` and lists of
     ``params`` and ``qubits``; each check is one pass over the gates in C.
     Only a batch that fails to pack while some parameter is not a float is
     packed again with every parameter through :func:`_angle`, which turns
-    ints into floats and rejects booleans, strings and null.  The gates'
-    other rules are left to :meth:`Circuit._faults`.
+    ints into floats and rejects booleans, strings and null.
     """
     try:
         ops, params, qubits = zip(*map(_FIELDS, gates))
@@ -1136,12 +1311,11 @@ def _read_gates(c: Circuit, t: int, gates: list) -> None:
     if not (set(map(type, ops)) <= _STR and set(map(type, params)) | set(map(type, qubits)) <= _LIST):
         raise MalformedCircuit(f"layer {t}: a gate needs a string op and lists of params and qubits")
     try:
-        columns = _pack(ops, params, qubits, t)
+        return _pack(ops, params, qubits, t)
     except CircuitError:
         if set(map(type, chain.from_iterable(params))) <= _FLOAT:
             raise
-        columns = _pack(ops, [list(map(_angle, p)) for p in params], qubits, t)
-    c._extend(t, *columns)
+        return _pack(ops, [list(map(_angle, p)) for p in params], qubits, t)
 
 
 def _alloc_entry(e) -> tuple[int, int, int]:
@@ -1247,10 +1421,10 @@ _BLOCK = 1 << 18
 _CHUNK = 1 << 16
 
 
-def _text_blocks(fp: BinaryIO) -> Iterator[str]:
-    """The bytes of ``fp``, read ``_BLOCK`` at a time, as the text :func:`json_text`
-    makes of them: the encoding is detected from the first block."""
-    data = fp.read(_BLOCK)
+def _text_blocks(fp: BinaryIO, data: bytes) -> Iterator[str]:
+    """The bytes of ``fp``, of which ``data`` were its first read of ``_BLOCK``, read a
+    block at a time, as the text :func:`json_text` makes of them: the encoding is
+    detected from the first block."""
     decode = codecs.getincrementaldecoder(json.detect_encoding(data))("surrogatepass").decode
     while data:
         yield decode(data)
@@ -1283,7 +1457,12 @@ class _Cursor:
         self._base = 0          # offset of s[0] in the text
         self._lines = 0         # newlines before s[0]
         self._last_nl = -1      # offset of the last newline before s[0]
+        self.ascii = True       # whether all the text read so far is ASCII
         self._skip()
+
+    def offset(self) -> int:
+        """The cursor's offset in the text."""
+        return self._base + self.i
 
     def _more(self, want: int = 1) -> bool:
         """Drop the text before the cursor and read on, until the window holds ``want``
@@ -1304,6 +1483,7 @@ class _Cursor:
             self._last_nl = self._base + self.s.rfind("\n", 0, self.i)
         self._base += self.i
         self.s, self.i = text[0] if len(text) == 1 else "".join(text), 0
+        self.ascii = self.ascii and self.s.isascii()
         return True
 
     def _skip(self) -> None:
@@ -1322,6 +1502,16 @@ class _Cursor:
         e.colno = e.pos - (self._base + nl if nl >= 0 else self._last_nl)
         e.args = ("%s: line %d column %d (char %d)" % (msg, e.lineno, e.colno, e.pos),)
         return e
+
+    def skip_to(self, pos: int) -> None:
+        """Step, without decoding any value, to offset ``pos``, which the caller knows to
+        be a token or the end of the input."""
+        while self._base + len(self.s) < pos:
+            self.i = len(self.s)
+            if not self._more():
+                break
+        self.i = min(pos - self._base, len(self.s))
+        self._skip()
 
     def peek(self) -> str:
         return self.s[self.i:self.i + 1]
@@ -1384,7 +1574,7 @@ class _Cursor:
             raise self._error("Extra data", self.i)
         self.s = ""
 
-    def chunks(self, close: str) -> Iterator[list]:
+    def chunks(self, close: str, stop: int = -1) -> Iterator[list]:
         """Yield the elements of the array at the cursor, each a list or an object that
         ends in ``close``, in lists: as many at a time as one decode of up to ``_CHUNK``
         characters takes.
@@ -1394,14 +1584,19 @@ class _Cursor:
         ``close`` ends an element (a cut inside a string or a nested
         container does not decode); its decode may also end early, at the
         array's own ``]``.  Where no chunk decodes, one element is decoded on
-        its own, and chunks are tried again past the failed cut.
+        its own, and chunks are tried again past the failed cut.  No chunk
+        before offset ``stop`` ends past it, so if an element ends there a
+        chunk leaves the cursor on it.
         """
         retry = 0   # offset in the text where chunks are tried again
         for _ in self.members("[", "]"):
             while True:
                 if len(self.s) - self.i < _CHUNK:
                     self._more(_CHUNK)
-                cut = self.s.rfind(close + ",", self.i, self.i + _CHUNK) + 1
+                reach = self.i + _CHUNK
+                if self._base + self.i < stop:
+                    reach = min(reach, stop - self._base + 1)
+                cut = self.s.rfind(close + ",", self.i, reach) + 1
                 if cut > self.i and self._base + self.i >= retry:
                     try:
                         rows, end = _decode_value("[%s]" % self.s[self.i:cut])
@@ -1417,6 +1612,95 @@ class _Cursor:
                         continue
                 yield [self.value()]
                 break
+
+
+def _read_layers(doc: _Cursor, c: Circuit, hold: Callable, stop: int = -1,
+                 handover: Callable[[int], bool] | None = None) -> None:
+    """Read the array of layers at the cursor into ``c``'s columns, a chunk of each
+    layer's gates at a time (:meth:`_Cursor.chunks`, :func:`_read_gates`), each read
+    through ``hold(read, *args)``.  Where a chunk of layer t ends at offset ``stop``,
+    ``handover(t)`` may take over the rest of the array: it returns True once it has
+    read it and stepped the cursor past it."""
+    for _ in doc.members("[", "]"):
+        t = c.num_layers()
+        c._grow(t)
+        if doc.peek() == "[":
+            for chunk in doc.chunks("}", stop):
+                hold(_read_gates, c, t, chunk)
+                if doc.offset() == stop and handover(t):
+                    return
+        else:
+            hold(_json_list, doc.value(), f"layer {t}")
+
+
+def _split_point(fp: BinaryIO, first: bytes) -> tuple[int, int, int] | None:
+    """Where a forked child takes over reading the circuit file ``fp``, whose first read
+    of ``_BLOCK`` bytes returned ``first``: (its descriptor, the file offset where the
+    text starts, the offset in the text of the comma after the first gate that ends
+    past ``_SPLIT_AT`` of it).  None unless the file splits: it is a regular file of
+    ``_SPLIT_BYTES`` or more in UTF-8 with no BOM, the process can fork a helper
+    (:func:`_two_cores`), and ``_GATE_BOUNDARY`` occurs within ``_CHUNK`` bytes of that
+    point."""
+    if len(first) < _BLOCK or json.detect_encoding(first) != "utf-8":
+        return None
+    status = _regular_file(fp)
+    if status is None:
+        return None
+    fd, start = fp.fileno(), fp.tell() - len(first)
+    size = status.st_size - start
+    if size < _SPLIT_BYTES or not _two_cores():
+        return None
+    past = int(size * _SPLIT_AT)
+    found = os.pread(fd, _CHUNK, start + past).find(_GATE_BOUNDARY)
+    return None if found < 0 else (fd, start, past + found + 1)
+
+
+def _ascii_blocks(fd: int, offset: int) -> Iterator[str]:
+    """The bytes of the file ``fd`` from ``offset`` on, ``_BLOCK`` at a time, as ASCII text
+    (``UnicodeDecodeError`` at any other byte); its file offset is left as it was."""
+    while data := os.pread(fd, _BLOCK, offset):
+        yield data.decode("ascii")
+        offset += len(data)
+
+
+def _now(read: Callable, *args) -> None:
+    """``read(*args)``: the ``hold`` of a reader that holds no fault, but raises it."""
+    read(*args)
+
+
+def _read_later(fd: int, offset: int, out: BinaryIO) -> None:
+    """The child's part of :func:`loads`: read the circuit file ``fd`` from ``offset``,
+    the start of a gate inside a layer, to the end of the array of layers, the way
+    :func:`loads` reads layers (:func:`_read_layers`) with ``[[`` put before the text;
+    write to ``out`` how far past ``offset`` it stepped (to the token after the
+    array), then the columns of each layer it read.  Text that is not ASCII, and any
+    fault or syntax error, raises: the child declines and the parent reads on."""
+    doc = _Cursor(chain(["[["], _ascii_blocks(fd, offset)))
+    c = Circuit()
+    _read_layers(doc, c, _now)
+    head = array("q", [doc.offset() - 2, c.num_layers()])
+    for columns in zip(c._ops, c._qs, c._ps):
+        head.extend(map(len, columns))
+    out.write(head)
+    out.writelines(chain.from_iterable(zip(c._ops, c._qs, c._ps)))
+
+
+def _adopt(c: Circuit, t: int, fd: int) -> int:
+    """Append the layers the child read (:func:`_read_later`), from its anonymous file
+    ``fd``, to ``c``: the first one's gates to layer ``t``, the others as new layers.
+    Returns how far the child stepped."""
+    with open(fd, "rb", closefd=False) as f:
+        f.seek(0)
+        head, lengths = array("q"), array("q")
+        head.fromfile(f, 2)
+        stepped, k = head
+        lengths.fromfile(f, 3 * k)
+        c._grow(t + k - 1)
+        for layer, (ops, ids, values) in zip(range(t, t + k), zip(*[iter(lengths)] * 3)):
+            c._ops[layer] += f.read(ops)
+            c._qs[layer].fromfile(f, ids)
+            c._ps[layer].fromfile(f, values)
+    return stepped
 
 
 def loads(source: str | bytes | BinaryIO) -> Circuit:
@@ -1442,8 +1726,32 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
     checks only the JSON shapes and types, what the columns cannot hold and
     that the alloc ids are dense; then it sets the persistent set and the
     registers, and the circuit's walk raises its first fault.
+
+    A large file is read on two cores (:func:`_split_point`): as soon as its
+    first block is read, a forked child (:func:`_forked`) reads the layers
+    from a gate boundary past the middle of the file (:func:`_read_later`).
+    This process reads up to that boundary, with no chunk cut past it, and
+    takes the child's layers (:func:`_adopt`) only if its cursor stands on it
+    inside a layer, holds no fault and has read only ASCII text (so text and
+    file offsets agree); then it steps over the text the child read, still
+    hashing and decoding every byte, and reads on.  In any other case, and if
+    the child declined, it reads on itself, so every error is the one it
+    raises alone.
     """
-    doc = _Cursor(_text_blocks(source) if hasattr(source, "read") else iter([json_text(source)]))
+    if not hasattr(source, "read"):
+        return _load(_Cursor(iter([json_text(source)])))
+    first = source.read(_BLOCK)
+    split = _split_point(source, first)
+    if split is None:
+        return _load(_Cursor(_text_blocks(source, first)))
+    fd, start, at = split
+    with _forked(partial(_read_later, fd, start + at + 1)) as result:
+        return _load(_Cursor(_text_blocks(source, first)), at, result)
+
+
+def _load(doc: _Cursor, at: int = -1, result: Callable[[], int | None] | None = None) -> Circuit:
+    """:func:`loads` of the text at the cursor; a child that reads the layers from the
+    comma at offset ``at`` on gives its anonymous file's descriptor through ``result``."""
     if doc.peek() != "{":
         # decoded only so that text json.loads rejects fails as it did there
         doc.value()
@@ -1469,18 +1777,21 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
         for chunk in doc.chunks(close):
             hold(read, *args, chunk)
 
+    def handover(t: int) -> bool:
+        """At the child's start, a gate boundary of layer ``t``: take its layers if no
+        fault is held, all the text read is ASCII and the child read them."""
+        later = None if faults or not doc.ascii else result()
+        if later is None:
+            return False
+        doc.skip_to(at + 1 + _adopt(c, t, later))
+        return True
+
     for key in doc.keys():
         if key in seen:
             faults.append(MalformedCircuit(f"circuit JSON repeats the key {key!r}"))
         seen.add(key)
         if key == "layers" and doc.peek() == "[":
-            for _ in doc.members("[", "]"):
-                t = c.num_layers()
-                c._grow(t)
-                if doc.peek() == "[":
-                    each_chunk("}", _read_gates, c, t)
-                else:
-                    hold(_json_list, doc.value(), f"layer {t}")
+            _read_layers(doc, c, hold, at, handover)
         elif key in _TABLES:
             tables[key] = None
             if doc.peek() == "[":

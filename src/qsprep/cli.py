@@ -7,7 +7,11 @@ numpy.  A command imports ``circuit_ir`` before the other modules: when
 Python runs without a bytecode cache, compiling the package's largest
 module before numpy is loaded keeps the compiler's transient memory below
 the process's later peak.  No command gains from BLAS threads, so
-:func:`main` pins OpenBLAS to one before any command loads numpy.
+:func:`main` pins OpenBLAS to one before any command loads numpy.  The pin
+also keeps the process to one thread, which is what lets ``circuit_ir``
+fork a helper for a large circuit file (:func:`circuit_ir.write`,
+:func:`circuit_ir.loads`): a fork copies only the calling thread, so with
+no other thread there is no lock the child could inherit held.
 """
 
 from __future__ import annotations
@@ -49,6 +53,17 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
             fh.writelines(chunks)
 
 
+def _write_circuit(path: str | None, circuit: Circuit) -> None:
+    """Write the circuit JSON to ``path`` (:func:`circuit_ir.write`); to stdout as :func:`_write` does."""
+    from . import circuit_ir as cir
+
+    if path is None or path == "-":
+        _write(path, cir.json_chunks(circuit))
+    else:
+        with open(path, "wb") as fh:
+            cir.write(circuit, fh)
+
+
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -72,6 +87,7 @@ class _Hashed:
     def __init__(self, fh):
         self.fh = fh
         self.sha = hashlib.sha256()
+        self.fileno, self.tell = fh.fileno, fh.tell
 
     def read(self, size: int) -> bytes:
         data = self.fh.read(size)
@@ -122,7 +138,7 @@ def cmd_synth(args, argv) -> int:
     with _emitting():
         circuit = cir.checked(proto.spcsp(target, cfg))
         report = cir.spacetime_allocation(circuit, model)
-    _write(args.out, cir.json_chunks(circuit))
+    _write_circuit(args.out, circuit)
     doc = envelope(argv, _digest(raw), {"report": report.to_json()})
     if args.angles_out:
         _write(args.angles_out, [_dump(amp.angles_to_json(*proto.stage_angles(target, cfg)))])
@@ -200,7 +216,7 @@ def cmd_multicopy(args, argv) -> int:
                         fanout=not args.no_fanout)
     with _emitting():
         result = mc.stack(plan)
-    _write(args.out, cir.json_chunks(result.circuit))
+    _write_circuit(args.out, result.circuit)
     doc = envelope(argv, _digest(raw), {
         "report": result.report.to_json(),
         "peak_ancillae": result.peak_ancillae,
@@ -242,7 +258,7 @@ def cmd_fragment(args, argv) -> int:
         circuit = cir.checked(proto.fragment_circuit(args.name, m=args.m, angles=angles,
                                                      t=args.t or 0, basis=args.basis, **kwargs))
         report = cir.spacetime_allocation(circuit, model)
-    _write(args.out, cir.json_chunks(circuit))
+    _write_circuit(args.out, circuit)
     doc = envelope(argv, _digest(raw), {"report": report.to_json()})
     _write(args.report, [_dump(doc)])
     return 0

@@ -42,8 +42,10 @@ from .errors import DeallocNotZero, MalformedInput, NormDrift, OperandNotLive, P
 #: split and its new amplitudes at once: refusing one there peaks at 0.43 GB.
 MAX_SUPPORT = 1 << 22
 
-#: Gates x branches one chunk of a group's gates covers, so its temporaries stay small.
-_CHUNK = 1 << 12
+#: Gates x branches one chunk of a group's gates (or of the released qubits) covers:
+#: its temporaries stay a few MB, and a state of up to 2**15 branches still takes two
+#: rows or more per pass, so the per-chunk overhead does not fall on every row.
+_CHUNK = 1 << 16
 
 #: Amplitudes this small are rounding residue, such as cos(pi/2) after the
 #: ry(pi) a sparse target needs, or a branch that cancelled inexactly.  They

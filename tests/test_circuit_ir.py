@@ -1078,6 +1078,18 @@ class TestStreamingReader:
         else:
             assert cir.dumps(cir.loads(data)) == canonical(doc)
 
+    @pytest.mark.parametrize("chunk", [1, 64, 1 << 16])
+    def test_first_faulty_gate_names_the_error_however_the_layer_is_cut(self, monkeypatch, chunk):
+        """An unknown op, then a gate with no ``qubits``, in one layer: the first gate's error
+        is raised whether the reader decodes them in one chunk or apart (``_CHUNK``)."""
+        doc = in_layer_doc()
+        doc["layers"][1][0]["op"] = "nop"
+        del doc["layers"][1][1]["qubits"]
+        doc["layers"][1].append({"op": "x", "params": [], "qubits": [2]})  # a chunk ends at "},"
+        monkeypatch.setattr(cir, "_CHUNK", chunk)
+        with pytest.raises(MalformedCircuit, match="layer 1: unknown op 'nop'"):
+            cir.loads(canonical(doc))
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_parameter_is_malformed(self, literal):
         text = canonical(in_layer_doc()).replace("0.5", literal)

@@ -225,3 +225,35 @@ def test_each_release_fault_is_worded_at_one_site():
             stray.append(f"{place} {text}")
     assert {condition: len(found) for condition, found in sites.items()} == dict.fromkeys(ONE_SITE, 1), sites
     assert stray == []
+
+
+def _os_calls(tree, name: str) -> list:
+    """The calls ``os.<name>(...)`` under ``tree``."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == name and getattr(n.func.value, "id", None) == "os"]
+
+
+def test_one_fork_whose_child_exits_and_is_reaped():
+    """The package forks at one site, in one function: the branch the child takes
+    (``if not pid:``) ends in ``os._exit``, so a child never returns into its caller,
+    flushes a buffer it inherited or runs an exit handler, and every ``os.waitpid`` of
+    the package sits in that function's ``finally``, so no path leaves the child unreaped."""
+    modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    forks = [(path, call) for path, tree in modules.items() for call in _os_calls(tree, "fork")]
+    assert len(forks) == 1, forks
+    path, call = forks[0]
+    site = max((f for f in ast.walk(modules[path]) if isinstance(f, ast.FunctionDef) and call in ast.walk(f)),
+               key=lambda f: f.lineno)  # the innermost function around the call
+    pid, = (n.targets[0].id for n in ast.walk(site) if isinstance(n, ast.Assign) and n.value is call)
+
+    def exits(stmt) -> bool:
+        if isinstance(stmt, ast.Try):
+            return bool(stmt.finalbody) and exits(stmt.finalbody[-1])
+        return isinstance(stmt, ast.Expr) and stmt.value in _os_calls(stmt, "_exit")
+
+    child = [n for n in ast.walk(site) if isinstance(n, ast.If) and isinstance(n.test, ast.UnaryOp)
+             and isinstance(n.test.op, ast.Not) and getattr(n.test.operand, "id", None) == pid]
+    assert len(child) == 1 and exits(child[0].body[-1]), ast.unparse(site)
+    reaped = [c for t in ast.walk(site) if isinstance(t, ast.Try) for s in t.finalbody for c in _os_calls(s, "waitpid")]
+    waits = [c for tree in modules.values() for c in _os_calls(tree, "waitpid")]
+    assert reaped and sorted(map(id, waits)) == sorted(map(id, reaped))
