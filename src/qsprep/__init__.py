@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["AngleSet", "CSPAngleSet", "PartitionNorms", "TargetState", "csp_angles",
                      "make_target", "partition_norms", "sp_angles"], "amplitudes"),
-    **dict.fromkeys(["Circuit", "Gate", "GateSetModel", "ResourceReport", "expand", "gate",
-                     "spacetime_allocation"], "circuit_ir"),
+    **dict.fromkeys(["Circuit", "GateSetModel", "ResourceReport", "spacetime_allocation"], "circuit_ir"),
     **dict.fromkeys(["ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit",
                      "spcsp"], "protocols"),
     **dict.fromkeys(["SimReport", "SimState", "run"], "sim"),

@@ -18,31 +18,30 @@ flat arrays as well, with ``NEVER`` as the release layer of a qubit that
 is never released.  A gate costs about 12 bytes of columns and a qubit 13
 bytes of tables.  Every check and whole-circuit pass reads the columns
 and tables through numpy views that share their memory (:func:`_view`);
-serialization takes the columns an id at a time in C,
-:meth:`Circuit.gates` reads a layer back as ``Gate`` tuples and
-:meth:`Circuit.groups` as one id and parameter matrix per op (the
-simulator's input).
+serialization takes the columns an id at a time in C, and
+:meth:`Circuit.groups` reads a layer back as one id and parameter matrix
+per op (the simulator's input).
 
 The check boundary: a valid circuit is one the walk :meth:`Circuit._faults`
-finds no fault in (lifetimes within the layers, gates on live qubits, and
-persistent and register ids that are qubits); :meth:`Circuit.validate`
-reports its faults and :func:`loads` raises the first.  What the columns
-and tables cannot hold is refused where it is put in: a gate that breaks
-:func:`_form_faults` where a batch is packed, and ids that are not ints,
-alloc layers outside ``_INDEX`` and unknown kinds at the builder's call.
-The reader checks only that, and that the alloc ids are dense.  Placement
-and release test a batch at once (:func:`_claim`), and a batch that fails
-changes nothing; one per-id diagnosis, :meth:`Circuit._id_faults`, names
-their faults and the walk's.
+finds no fault in (lifetimes within the layers, gates on live qubits,
+persistent and register ids that are qubits, and every qubit never released
+persistent); :meth:`Circuit.validate` reports its faults and :func:`loads`
+raises the first.  What the columns and tables cannot hold is refused where
+it is put in: a gate that breaks :func:`_form_faults` where a batch is
+packed, and ids that are not ints, alloc layers outside ``_INDEX`` and
+unknown kinds at the builder's call.  The reader checks only that, and that
+the alloc ids are dense.  Placement and release test a batch at once
+(:func:`_claim`), and a batch that fails changes nothing; one per-id
+diagnosis, :meth:`Circuit._id_faults`, names their faults, and a failed
+placement and the walk word a layer through one per-layer one,
+:meth:`Circuit._layer_faults`.
 
-Emitters put each batch of one op through :meth:`Circuit.put` as flat
-operands and parameters; :meth:`Circuit.embed` and :meth:`Block.mirror`
-place column slices the same way.  ``Gate`` tuples are for hand-built
-circuits: :func:`gate` is their checked constructor, :meth:`Circuit.place`
-packs a mixed batch of them and :meth:`Circuit.append_layer` adds one as a
-layer without the liveness test.  :func:`loads` reads circuit JSON (a
-``str``, ``bytes``, or a binary file read in blocks) into the columns a
-chunk of gates at a time, and the loaded circuit passes the walk;
+Gates enter a circuit one way: a batch of one op goes through
+:meth:`Circuit.put` as flat operands and parameters, and :meth:`Circuit.embed`
+and :meth:`Block.mirror` place column slices through the same
+:meth:`Circuit._place`.  :func:`loads` reads circuit JSON (a ``str``,
+``bytes``, or a binary file read in blocks) into the columns a chunk of
+gates at a time (:func:`_pack`), and the loaded circuit passes the walk;
 :func:`checked` refuses an emitted circuit that does not.
 """
 
@@ -60,7 +59,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, neg
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -231,29 +230,18 @@ class Register(array):
         return Register(chain(self, other))
 
 
-class Gate(NamedTuple):
-    op: str
-    params: tuple
-    qubits: tuple
-
-
-#: ``new_gate((op, params, qubits))`` is ``Gate(op, params, qubits)`` without a
-#: Python frame per gate (``Gate.__new__`` makes the same ``tuple.__new__`` call);
-#: for hot loops that build many gates
-new_gate = partial(tuple.__new__, Gate)
-
-
-def _angle(p) -> float:
-    """A gate parameter as a finite float; booleans, strings, null and NaN/inf are rejected."""
-    if isinstance(p, (bool, str)):
-        raise MalformedCircuit(f"gate parameter {p!r} is not a number")
-    try:
-        x = float(p)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedCircuit(f"gate parameter {p!r} is not a finite number") from None
-    if not math.isfinite(x):
-        raise MalformedCircuit(f"gate parameter {p!r} is not finite")
-    return x
+def _angle(p, t: int, op: str) -> float:
+    """A parsed parameter of an ``op`` gate of layer ``t`` as a float: an int becomes
+    one; booleans, strings, null, containers and ints past the float range are
+    refused.  Whether it is finite is left to the walk (:func:`_value_faults`)."""
+    if type(p) is float:
+        return p
+    if type(p) is int:
+        try:
+            return float(p)
+        except OverflowError:
+            raise MalformedCircuit(f"layer {t}: {op} parameter {p} is not a finite number") from None
+    raise MalformedCircuit(f"layer {t}: {op} parameter {p!r} is not a number")
 
 
 def _form_faults(op, params, qubits, gates: int = 1) -> Iterator[tuple[type[CircuitError], str]]:
@@ -285,15 +273,6 @@ def _value_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]
         yield DuplicateOperand, f"{op} repeats an operand: {list(qubits)}"
 
 
-def gate(op: str, qubits, *params) -> Gate:
-    """A checked gate: the parameters become floats through :func:`_angle`, then the
-    first per-gate rule the gate breaks is raised."""
-    g = Gate(op, tuple(map(_angle, params)), tuple(qubits))
-    for error, message in chain(_form_faults(*g), _value_faults(*g)):
-        raise error(message)
-    return g
-
-
 def _pack(ops, params, qubits, t: int) -> tuple[bytes, list[int], list[float]]:
     """A batch of gates, given as parallel sequences of ops, parameter lists and operand
     lists, as columns: (op codes, flat qubit ids, flat parameters).
@@ -314,12 +293,11 @@ def _pack(ops, params, qubits, t: int) -> tuple[bytes, list[int], list[float]]:
 class Circuit:
     """Mutable layered circuit builder.
 
-    Gates can be appended ASAP (earliest layer after every operand's latest
-    prior use) or placed a layer's batch at a time at an explicit layer
-    (``num_layers()`` for a fresh one); the subroutine emitters put batches
-    of one op at explicit layers to realize their published schedules.
-    Qubits are the ints 0..n-1 that :meth:`alloc` and :meth:`alloc_many`
-    hand out; their kinds are read through :meth:`kind`.
+    Gates are put a batch of one op at a time at an explicit layer
+    (``num_layers()`` for a fresh one), after each operand's latest gate,
+    which is how the subroutine emitters realize their published
+    schedules.  Qubits are the ints 0..n-1 that :meth:`alloc` and
+    :meth:`alloc_many` hand out; their kinds are read through :meth:`kind`.
     """
 
     def __init__(self):
@@ -413,20 +391,13 @@ class Circuit:
             self._qs.append(array("i"))
             self._ps.append(array("d"))
 
-    def place(self, gates: list[Gate], layer: int) -> int:
-        """Put a batch of gates at one explicit layer, packed into columns first
-        (:func:`_pack`): every operand must be live there, after its latest gate
-        (:meth:`_place`).  A rejected batch, like an empty one, changes nothing."""
-        if not gates:
-            return layer
-        ops, params, qubits = zip(*gates)
-        return self._place(*_pack(ops, params, qubits, layer), layer)
-
     def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
-        """:meth:`place` for a batch of one op given as its flat operands (the op's arity
-        of them per gate) and flat parameters.  Its op, counts and types are checked as
-        a whole, the types at once for an ``array('i')`` or ``range`` of operands and an
-        ``array('d')`` of parameters; the first :func:`_form_faults` fault is raised."""
+        """Put a batch of one op at one explicit layer, given as its flat operands (the
+        op's arity of them per gate) and flat parameters: every operand must be live
+        there, after its latest gate (:meth:`_place`).  Its op, counts and types are
+        checked as a whole, the types at once for an ``array('i')`` or ``range`` of
+        operands and an ``array('d')`` of parameters; the first :func:`_form_faults`
+        fault is raised.  A rejected batch, like an empty one, changes nothing."""
         sig = GATE_SIGNATURES.get(op) if type(op) is str else None
         n = len(ids) // sig[0] if sig else 0
         if not (sig and (len(ids), len(params)) == (n * sig[0], n * sig[1]) and _all_ints(ids)
@@ -435,9 +406,9 @@ class Circuit:
         return self._place(bytes((_CODE[op],)) * n, ids, params, layer)
 
     def _place(self, codes, ids, values, layer: int) -> int:
-        """:meth:`place` for a batch already in columns (``ids`` any sequence of ints, an
-        ``array('i')`` read in place): written only if its ids pass :func:`_claim`, else
-        its first fault (:meth:`_id_faults`) is raised."""
+        """Put a batch already in columns (``ids`` any sequence of ints, an ``array('i')``
+        read in place) at ``layer``: written only if its ids pass :func:`_claim`, else its
+        first fault (:meth:`_layer_faults`) is raised."""
         if not codes:
             return layer
         try:
@@ -446,13 +417,26 @@ class Circuit:
         except OverflowError:  # an id that is no int32
             placed = False
         if not placed:
-            raise _first(self._id_faults(ids, layer, self._last_use))
+            raise _first(self._layer_faults(layer, codes, ids, values, self._last_use))
         if layer >= len(self._ops):
             self._grow(layer)
         self._ops[layer] += codes
         self._qs[layer] += qs
         self._ps[layer].extend(values)
         return layer
+
+    def _layer_faults(self, t: int, codes, ids: Iterable, values: Iterable,
+                      latest: Sequence[int] | None = None) -> Iterator[tuple[type[CircuitError], str]]:
+        """The faults of gates at layer ``t`` given as columns, as (error class, message)
+        led by ``layer t: ``: first each gate's :func:`_value_faults`, then
+        :meth:`_id_faults` over each gate's distinct operands, with ``latest`` as there.
+        The walk words a layer with it, and so does a placement that fails its test."""
+        ids, values = iter(ids), iter(values)
+        gates = [(_OPS[code], tuple(islice(values, _ARITY[code][1])), tuple(islice(ids, _ARITY[code][0])))
+                 for code in codes]
+        for g in gates:
+            yield from ((error, f"layer {t}: {message}") for error, message in _value_faults(*g))
+        yield from self._id_faults(chain.from_iterable(dict.fromkeys(qubits) for _, _, qubits in gates), t, latest)
 
     def _id_faults(self, ids: Iterable, at, latest: Sequence[int] | None = None,
                    release: bool = False) -> Iterator[tuple[type[CircuitError], str]]:
@@ -483,25 +467,6 @@ class Circuit:
                     f"{t if i in seen else latest[i]}"
             seen.add(i)
 
-    def append(self, g: Gate) -> int:
-        """Place one gate ASAP: at the earliest layer after each operand's latest layer."""
-        n = len(self._last_use)
-        return self.place([g], max((self._last_use[q] + 1 for q in g.qubits if 0 <= q < n), default=0))
-
-    def append_layer(self, gates: list[Gate]) -> int:
-        """Add ``gates`` as a new last layer and return its index.
-
-        Only what the columns cannot hold is checked (:func:`_pack`), so a
-        hand-built layer may break liveness; :meth:`validate` reports that.
-        Each operand that is a qubit of the circuit gets ``t`` as its latest
-        layer, unless it has a later one, so :meth:`append` goes after it.
-        """
-        t = len(self._ops)
-        self._extend(t, *_pack(*(zip(*gates) if gates else ((), (), ())), t))
-        ids = _view(self._qs[t])
-        np.maximum.at(_view(self._last_use), ids[(ids >= 0) & (ids < len(self._last_use))], t)
-        return t
-
     def _extend(self, t: int, codes: bytes, ids: list[int], values: list[float]) -> None:
         """Append a packed batch to layer ``t``'s columns, unchecked, growing the
         circuit to that layer.  The id list goes straight into the id column
@@ -524,13 +489,6 @@ class Circuit:
         return len(self._ops[layer]), len(self._qs[layer]), len(self._ps[layer])
 
     # -- views ------------------------------------------------------------------
-
-    def gates(self, t: int) -> Iterator[Gate]:
-        """Layer ``t``'s gates as ``Gate`` tuples, in the order they were placed."""
-        ids, values = iter(self._qs[t]), iter(self._ps[t])
-        for code in self._ops[t]:
-            nq, npar = _ARITY[code]
-            yield new_gate((_OPS[code], tuple(islice(values, npar)), tuple(islice(ids, nq))))
 
     def groups(self, t: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """Layer ``t``'s gates as one (op, ids, params) group per op in it, in op-code order:
@@ -711,11 +669,12 @@ class Circuit:
         """Every fault of the circuit, as (error class, message), in order: each lifetime
         outside 0 <= alloc <= dealloc <= ``num_layers()``; each gate that breaks
         :func:`_value_faults` or acts on a qubit not live at its layer or twice in it;
-        each persistent or register id that is no qubit, or is repeated.
+        each persistent or register id that is no qubit, or is repeated; each qubit
+        never released that is not persistent (:meth:`_leaks`).
 
         A layer is tested as a whole (finite parameters, distinct ids with
-        ``alloc <= t < dealloc``) and walked gate by gate (:meth:`_id_faults`) only if
-        it fails.  A layer that passes sets ``last_use[ids] = t`` if ``last_use`` is
+        ``alloc <= t < dealloc``) and walked gate by gate (:meth:`_layer_faults`) only
+        if it fails.  A layer that passes sets ``last_use[ids] = t`` if ``last_use`` is
         given.  The walk copies no table and gathers through the int32 ids.
         """
         n, L = len(self._alloc), self.num_layers()
@@ -734,9 +693,7 @@ class Circuit:
             top = int(q.view(np.uintc).max())  # a negative id reads as one past 2**31 - 1
             if not (top < n and alloc[q].max() <= t < dealloc[q].min() and _distinct(q, top)
                     and np.isfinite(np.frombuffer(values)).all()):
-                gates = list(self.gates(t))
-                yield from ((error, f"layer {t}: {message}") for g in gates for error, message in _value_faults(*g))
-                yield from self._id_faults(chain.from_iterable(dict.fromkeys(g.qubits) for g in gates), t)
+                yield from self._layer_faults(t, self._ops[t], ids, values)
             elif last_use is not None:
                 last_use[q] = t
         registers = ((f"register {name}", reg) for name, reg in self.registers.items())
@@ -751,6 +708,13 @@ class Circuit:
                     elif i in seen:
                         yield DuplicateOperand, f"{what} lists qubit {i} twice"
                     seen.add(i)
+        yield from self._leaks()
+
+    def _leaks(self) -> Iterator[tuple[type[CircuitError], str]]:
+        """Each qubit never released that is not persistent, in id order, as (error class, message)."""
+        for q in np.flatnonzero(_view(self._dealloc) == NEVER).tolist():
+            if q not in self._persistent:
+                yield LeakedQubit, f"qubit {q} never deallocated and not persistent"
 
 
 def checked(c: Circuit) -> Circuit:
@@ -882,10 +846,8 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = GateSetModel(),
     L = c.num_layers()
     persistent = c._persistent
     alloc, dealloc = _view(c._alloc), _view(c._dealloc)
-    never = np.flatnonzero(dealloc == NEVER).tolist()
-    leaked = next((q for q in never if q not in persistent), None)
-    if leaked is not None:
-        raise LeakedQubit(f"qubit {leaked} never deallocated and not persistent")
+    for error, message in c._leaks():
+        raise error(message)
     # the one table-sized copy: release layers clipped to L, then the lifetimes
     lifetimes = np.minimum(dealloc, L)
     prof = _live_counts(alloc, lifetimes, L) if profile is None else profile
@@ -929,105 +891,6 @@ def spacetime_allocation(c: Circuit, model: GateSetModel = GateSetModel(),
         rotation_layers=sum(rot_layers),
         lower_bound_refs=refs,
     )
-
-
-# -- gate-set expansion -------------------------------------------------------------
-
-def _swap_rule(g: Gate):
-    a, b = g.qubits
-    return [gate("cnot", (a, b)), gate("cnot", (b, a)), gate("cnot", (a, b))]
-
-
-def _toffoli_rule(g: Gate):
-    a, b, t = g.qubits
-    return [
-        gate("h", (t,)),
-        gate("cnot", (b, t)),
-        gate("tdg", (t,)),
-        gate("cnot", (a, t)),
-        gate("t", (t,)),
-        gate("cnot", (b, t)),
-        gate("tdg", (t,)),
-        gate("cnot", (a, t)),
-        gate("t", (b,)),
-        gate("t", (t,)),
-        gate("cnot", (a, b)),
-        gate("h", (t,)),
-        gate("tdg", (b,)),
-        gate("cnot", (a, b)),
-        gate("t", (a,)),
-    ]
-
-
-def _cswap_rule(g: Gate):
-    c_, a, b = g.qubits
-    return [gate("cnot", (b, a)), gate("toffoli", (c_, a, b)), gate("cnot", (b, a))]
-
-
-def _controlled_rot_rule(g: Gate):
-    theta = g.params[0]
-    axis = "ry" if g.op.endswith("ry") else "rz"
-    if len(g.qubits) == 2:
-        c_, t = g.qubits
-        flip = [gate("cnot", (c_, t))]
-    else:
-        c1, c2, t = g.qubits
-        flip = [gate("toffoli", (c1, c2, t))]
-    t = g.qubits[-1]
-    return flip + [gate(axis, (t,), -theta / 2)] + flip + [gate(axis, (t,), theta / 2)]
-
-
-DECOMPOSITIONS = {
-    "swap": _swap_rule,
-    "toffoli": _toffoli_rule,
-    "cswap": _cswap_rule,
-    "cry": _controlled_rot_rule,
-    "crz": _controlled_rot_rule,
-    "ccry": _controlled_rot_rule,
-    "ccrz": _controlled_rot_rule,
-}
-
-#: the expansion target keeps single-qubit rotations symbolic; the discrete-set
-#: cost of a rotation is charged through GateSetModel instead of synthesized.
-U2_CNOT = frozenset({"x", "h", "s", "sdg", "t", "tdg", "ry", "rz", "phase", "cnot"})
-
-
-def expand_gate(g: Gate, allowed: frozenset) -> list[Gate]:
-    if g.op in allowed:
-        return [g]
-    out = []
-    for sub in DECOMPOSITIONS[g.op](g):
-        out.extend(expand_gate(sub, allowed))
-    return out
-
-
-def expand(c: Circuit) -> Circuit:
-    """Rewrite composite gates into U2_CNOT, repacking ASAP.
-
-    Lifecycle events are carried over at the matching points of the new
-    schedule so allocation stays just-in-time.  A layer's allocations are
-    made before its deallocations, so a qubit with an empty lifetime is
-    released at the layer it is allocated.
-    """
-    c = c.compact()
-    out = Circuit()
-    out.meta = dict(c.meta)
-    id_map: list[int] = [0] * len(c.qubits())
-    L = c.num_layers()
-    for t, (allocs, deallocs) in enumerate(c.lifecycle()):
-        frontier = out.num_layers()
-        for q in allocs:
-            id_map[q] = out.alloc(c.kind(q), at_layer=frontier)
-        for q in deallocs:
-            out.dealloc(id_map[q])
-        if t == L:
-            break
-        for g in c.gates(t):
-            for sub in expand_gate(g, U2_CNOT):
-                out.append(Gate(sub.op, sub.params, tuple(map(id_map.__getitem__, sub.qubits))))
-    out.mark_persistent(map(id_map.__getitem__, c.persistent()))
-    out.registers = {k: Register(map(id_map.__getitem__, v)) for k, v in c.registers.items()}
-    return out
 
 
 # -- serialization -------------------------------------------------------------------
@@ -1315,7 +1178,7 @@ def _gate_columns(t: int, gates: list) -> tuple[bytes, list[int], list[float]]:
     except CircuitError:
         if set(map(type, chain.from_iterable(params))) <= _FLOAT:
             raise
-        return _pack(ops, [list(map(_angle, p)) for p in params], qubits, t)
+        return _pack(ops, [[_angle(p, t, op) for p in ps] for op, ps in zip(ops, params)], qubits, t)
 
 
 def _alloc_entry(e) -> tuple[int, int, int]:
@@ -1821,17 +1684,3 @@ def _load(doc: _Cursor, at: int = -1, result: Callable[[], int | None] | None = 
         raise error(message)
     return c
 
-
-def to_text(c: Circuit) -> str:
-    """Gate-per-line dump for human inspection (the JSON form is canonical)."""
-    c = c.compact()
-    lines = []
-    for t in range(c.num_layers()):
-        for g in c.gates(t):
-            args = ", ".join(f"q{q}" for q in g.qubits)
-            if g.params:
-                lines.append(f"{g.op}({', '.join(f'{p:.12g}' for p in g.params)}) {args}")
-            else:
-                lines.append(f"{g.op} {args}")
-        lines.append(f"# --- end layer {t}")
-    return "\n".join(lines) + "\n"

@@ -3,6 +3,13 @@
 Each is built from a definition alone, with no circuit or streaming
 writer involved:
 
+* hand-built circuits as ``Gate`` tuples: :func:`gate` makes one,
+  :func:`place`, :func:`append` and :func:`append_layer` put them in (thin
+  wrappers over the circuit's column entries) and :func:`gates` reads a
+  layer back;
+* the decomposition rules into CNOT and single-qubit gates
+  (``DECOMPOSITIONS``) and the ASAP rewrite of a circuit by them
+  (:func:`expand`), which any per-op price in a gate set is checked against;
 * the circuit JSON document as lists and dicts (:func:`to_json_dict`),
   which ``circuit_ir.json_chunks`` must write byte for byte;
 * the IR's whole-circuit walks, one gate or one qubit at a time: the
@@ -21,25 +28,177 @@ writer involved:
 """
 
 import math
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from qsprep.amplitudes import AngleSet, CSPAngleSet, PartitionNorms
-from qsprep.circuit_ir import DIRTY, NEVER, ROTATION_OPS, Circuit, Gate, GateSetModel, ResourceReport
+from qsprep.circuit_ir import (_ARITY, _OPS, DIRTY, NEVER, ROTATION_OPS, Circuit, GateSetModel, Register,
+                               ResourceReport, _pack)
 from qsprep.errors import DoubleDealloc, IndexOutOfRange, LayerCollision, OperandNotLive, UseAfterDealloc
+
+# -- hand-built circuits ----------------------------------------------------------
+
+
+class Gate(NamedTuple):
+    op: str
+    params: tuple
+    qubits: tuple
+
+
+def gate(op: str, qubits, *params) -> Gate:
+    """A gate of a hand-built circuit, its parameters as floats; its rules are checked
+    where it is put in."""
+    return Gate(op, tuple(map(float, params)), tuple(qubits))
+
+
+def place(c: Circuit, batch: list[Gate], layer: int) -> int:
+    """Put a batch of gates of any ops at one layer: packed into columns (``_pack``), then
+    placed as one batch (``Circuit._place``), with their rules and errors."""
+    if not batch:
+        return layer
+    ops, params, qubits = zip(*batch)
+    return c._place(*_pack(ops, params, qubits, layer), layer)
+
+
+def append(c: Circuit, g: Gate) -> int:
+    """Place one gate ASAP: at the earliest layer after each operand's latest layer."""
+    n = len(c.qubits())
+    return place(c, [g], max((c.last_use_layer(q) + 1 for q in g.qubits if 0 <= q < n), default=0))
+
+
+def append_layer(c: Circuit, batch: list[Gate]) -> int:
+    """Add ``batch`` as a new last layer and return its index.  Only what the columns
+    cannot hold is checked (``_pack``), so a hand-built layer may break liveness, which
+    ``validate`` reports.  Each operand that is a qubit gets the layer as its latest,
+    unless it has a later one, so :func:`append` goes after it."""
+    t = c.num_layers()
+    c._extend(t, *_pack(*(zip(*batch) if batch else ((), (), ())), t))
+    ids = np.frombuffer(c._qs[t], np.intc)
+    np.maximum.at(np.frombuffer(c._last_use, np.intc), ids[(ids >= 0) & (ids < len(c._last_use))], t)
+    return t
+
+
+def gates(c: Circuit, t: int) -> list[Gate]:
+    """Layer ``t``'s gates as ``Gate`` tuples, in the order they were placed."""
+    ids, values = iter(c._qs[t]), iter(c._ps[t])
+    return [Gate(_OPS[code], tuple(islice(values, _ARITY[code][1])), tuple(islice(ids, _ARITY[code][0])))
+            for code in c._ops[t]]
+
+
+# -- gate-set expansion -----------------------------------------------------------
+
+
+def _swap_rule(g: Gate):
+    a, b = g.qubits
+    return [gate("cnot", (a, b)), gate("cnot", (b, a)), gate("cnot", (a, b))]
+
+
+def _toffoli_rule(g: Gate):
+    a, b, t = g.qubits
+    return [
+        gate("h", (t,)),
+        gate("cnot", (b, t)),
+        gate("tdg", (t,)),
+        gate("cnot", (a, t)),
+        gate("t", (t,)),
+        gate("cnot", (b, t)),
+        gate("tdg", (t,)),
+        gate("cnot", (a, t)),
+        gate("t", (b,)),
+        gate("t", (t,)),
+        gate("cnot", (a, b)),
+        gate("h", (t,)),
+        gate("tdg", (b,)),
+        gate("cnot", (a, b)),
+        gate("t", (a,)),
+    ]
+
+
+def _cswap_rule(g: Gate):
+    c_, a, b = g.qubits
+    return [gate("cnot", (b, a)), gate("toffoli", (c_, a, b)), gate("cnot", (b, a))]
+
+
+def _controlled_rot_rule(g: Gate):
+    theta = g.params[0]
+    axis = "ry" if g.op.endswith("ry") else "rz"
+    if len(g.qubits) == 2:
+        c_, t = g.qubits
+        flip = [gate("cnot", (c_, t))]
+    else:
+        c1, c2, t = g.qubits
+        flip = [gate("toffoli", (c1, c2, t))]
+    t = g.qubits[-1]
+    return flip + [gate(axis, (t,), -theta / 2)] + flip + [gate(axis, (t,), theta / 2)]
+
+
+DECOMPOSITIONS = {
+    "swap": _swap_rule,
+    "toffoli": _toffoli_rule,
+    "cswap": _cswap_rule,
+    "cry": _controlled_rot_rule,
+    "crz": _controlled_rot_rule,
+    "ccry": _controlled_rot_rule,
+    "ccrz": _controlled_rot_rule,
+}
+
+#: the expansion target keeps single-qubit rotations symbolic; the discrete-set
+#: cost of a rotation is charged through GateSetModel instead of synthesized.
+U2_CNOT = frozenset({"x", "h", "s", "sdg", "t", "tdg", "ry", "rz", "phase", "cnot"})
+
+
+def expand_gate(g: Gate, allowed: frozenset) -> list[Gate]:
+    if g.op in allowed:
+        return [g]
+    out = []
+    for sub in DECOMPOSITIONS[g.op](g):
+        out.extend(expand_gate(sub, allowed))
+    return out
+
+
+def expand(c: Circuit) -> Circuit:
+    """Rewrite composite gates into U2_CNOT, repacking ASAP.
+
+    Lifecycle events are carried over at the matching points of the new
+    schedule so allocation stays just-in-time.  A layer's allocations are
+    made before its deallocations, so a qubit with an empty lifetime is
+    released at the layer it is allocated.
+    """
+    c = c.compact()
+    out = Circuit()
+    out.meta = dict(c.meta)
+    id_map: list[int] = [0] * len(c.qubits())
+    L = c.num_layers()
+    for t, (allocs, deallocs) in enumerate(c.lifecycle()):
+        frontier = out.num_layers()
+        for q in allocs:
+            id_map[q] = out.alloc(c.kind(q), at_layer=frontier)
+        for q in deallocs:
+            out.dealloc(id_map[q])
+        if t == L:
+            break
+        for g in gates(c, t):
+            for sub in expand_gate(g, U2_CNOT):
+                append(out, Gate(sub.op, sub.params, tuple(map(id_map.__getitem__, sub.qubits))))
+    out.mark_persistent(map(id_map.__getitem__, c.persistent()))
+    out.registers = {k: Register(map(id_map.__getitem__, v)) for k, v in c.registers.items()}
+    return out
+
 
 # -- the circuit JSON document -------------------------------------------------
 
 
-def _layer_json(gates) -> list[dict]:
-    return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in gates]
+def _layer_json(layer: list[Gate]) -> list[dict]:
+    return [{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in layer]
 
 
 def to_json_dict(c: Circuit) -> dict:
     """The circuit JSON as a tree of lists and dicts: the reference ``json_chunks`` matches."""
     c = c.compact()
     return {
-        "layers": [_layer_json(c.gates(t)) for t in range(c.num_layers())],
+        "layers": [_layer_json(gates(c, t)) for t in range(c.num_layers())],
         "alloc": [[q, a, c.kind(q)] for q, a in enumerate(c._alloc)],
         "dealloc": [[i, d] for i, d in enumerate(c._dealloc) if d != NEVER],
         "persistent": sorted(c._persistent),
@@ -55,7 +214,8 @@ def fault_messages(c: Circuit) -> list[str]:
     <= the layer count; then, per layer, every gate's infinite or NaN parameters and
     repeated operand, then each gate's distinct operands that are not live there
     (:func:`place_oracle`'s words) or in an earlier gate of the layer; then each
-    persistent or register id that is no qubit, and each repeated register id."""
+    persistent or register id that is no qubit, and each repeated register id; then
+    each qubit never released that is not persistent."""
     n, L = len(c.qubits()), c.num_layers()
     out = []
     for q in c.qubits():
@@ -65,9 +225,8 @@ def fault_messages(c: Circuit) -> list[str]:
         elif d is not None and not a <= d <= L:
             out.append(f"qubit {q} lifetime [{a}, {d}] leaves layers 0..{L}")
     for t in range(L):
-        gates = list(c.gates(t))
         operands = []
-        for g in gates:
+        for g in gates(c, t):
             out += [f"layer {t}: {g.op} parameter {p!r} is not a finite float" for p in g.params
                     if not math.isfinite(p)]
             if len(set(g.qubits)) < len(g.qubits):
@@ -88,7 +247,9 @@ def fault_messages(c: Circuit) -> list[str]:
                 out.append(f"{what} id {q} is not a qubit of the circuit")
             elif q in ids[:k]:
                 out.append(f"{what} lists qubit {q} twice")
-    return out
+    persistent = c.persistent()
+    return out + [f"qubit {q} never deallocated and not persistent" for q in c.qubits()
+                  if c.dealloc_layer(q) is None and q not in persistent]
 
 
 def _liveness_fault(c: Circuit, q, t: int):
@@ -108,7 +269,7 @@ def last_use_oracle(c: Circuit) -> list[int]:
     """Each qubit's latest layer with a gate on it, else its alloc layer - 1."""
     last = [c.alloc_layer(q) - 1 for q in c.qubits()]
     for t in range(c.num_layers()):
-        for g in c.gates(t):
+        for g in gates(c, t):
             for q in g.qubits:
                 last[q] = t
     return last
@@ -159,12 +320,12 @@ def report_oracle(c: Circuit, model: GateSetModel) -> ResourceReport:
     each qubit's lifetime [alloc, release) is counted in the layers that remain (to the
     end for one never released), and the discrete gate set widens a rotation layer."""
     L = c.num_layers()
-    kept = [t for t in range(L) if list(c.gates(t))]
+    kept = [t for t in range(L) if gates(c, t)]
     new = [sum(u < t for u in kept) for t in range(L + 1)]
     spans = {q: (new[c.alloc_layer(q)], new[L if c.dealloc_layer(q) is None else c.dealloc_layer(q)])
              for q in c.qubits()}
     live = [sum(a <= t < e for a, e in spans.values()) for t in range(len(kept))]
-    rotations = [sum(g.op in ROTATION_OPS for g in c.gates(t)) for t in kept]
+    rotations = [sum(g.op in ROTATION_OPS for g in gates(c, t)) for t in kept]
     sa = sum(e - a for a, e in spans.values())
     dirty = sum(e - a for q, (a, e) in spans.items() if c.kind(q) == DIRTY)
     width = model.rotation_cost(model.epsilon / sum(rotations)) if model.epsilon and sum(rotations) else 1
@@ -368,16 +529,16 @@ def dense_run(c: Circuit, seeds: dict | None = None):
                 axes.append(q)
         if t == c.num_layers():
             break
-        for g in c.gates(t):
+        for g in gates(c, t):
             psi = _apply_dense(psi, axes, g)
     return verdicts, lambda order: _dense_vector(psi, axes, order)
 
 
-def block_unitary(gates: list[Gate], qubit_order: list[int]) -> np.ndarray:
+def block_unitary(block: list[Gate], qubit_order: list[int]) -> np.ndarray:
     """Unitary of a gate list on a small block; qubit_order[t] owns bit t."""
     k = len(qubit_order)
     psi = np.eye(1 << k, dtype=complex).reshape((2,) * k + (1 << k,))  # a column per basis input
     axes = list(reversed(qubit_order))
-    for g in gates:
+    for g in block:
         psi = _apply_dense(psi, axes, g)
     return _dense_vector(psi, axes, qubit_order)

@@ -17,8 +17,7 @@ from qsprep.circuit_ir import Circuit, GateSetModel, spacetime_allocation
 from qsprep.protocols import fragment_circuit
 from qsprep.sim import run
 from qsprep.subroutines import copy, spf, split_levels
-from qsprep.circuit_ir import gate
-from reference import flag_oracle, pair_index, spf_oracle
+from reference import flag_oracle, gate, pair_index, place, spf_oracle
 
 
 def report_line(num, text):
@@ -163,7 +162,7 @@ class TestAcceptance:
             c.mark_persistent(data + A)
             for s in range(3):
                 for p in range(1 << s):
-                    c.place([gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
+                    place(c, [gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
             spf(c, data, split_levels(A), start=1)
             _, state = run(c)
             got = state.statevector(data + A)
@@ -258,10 +257,8 @@ class TestAcceptance:
         report_line(13, f"complex targets at n=3 reach 1-1e-9 with phases ({elapsed:.1f}s)")
 
     def test_14_decomposition_semantics(self):
-        from qsprep.circuit_ir import (
-            DECOMPOSITIONS, GATE_SIGNATURES, U2_CNOT, expand_gate,
-        )
-        from reference import block_unitary, gate_unitary
+        from qsprep.circuit_ir import GATE_SIGNATURES
+        from reference import DECOMPOSITIONS, U2_CNOT, block_unitary, expand_gate, gate_unitary
 
         checked = []
         for op, params in [("swap", ()), ("toffoli", ()), ("cswap", ()),
@@ -274,6 +271,7 @@ class TestAcceptance:
             err = np.max(np.abs(block_unitary(expanded, qs) - gate_unitary(op, params)))
             assert err < 1e-10
             checked.append(op)
+        assert sorted(checked) == sorted(DECOMPOSITIONS)
         report_line(14, f"expansions match their unitaries to 1e-10: {', '.join(checked)}")
 
     def test_15_model_widening_monotone(self):

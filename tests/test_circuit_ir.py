@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qsprep import circuit_ir as cir
 from qsprep import protocols as proto
 from qsprep.amplitudes import make_target
-from qsprep.circuit_ir import Circuit, Gate, gate
+from qsprep.circuit_ir import Circuit
 from qsprep.cli import _load_circuit, main
 from qsprep.errors import (
     CircuitError,
@@ -27,7 +27,8 @@ from qsprep.errors import (
 )
 from qsprep.sim import run
 from qsprep.subroutines import copy
-from reference import block_unitary, gate_unitary, to_json_dict
+from reference import (DECOMPOSITIONS, U2_CNOT, Gate, append, append_layer, block_unitary, expand, expand_gate, gate,
+                       gate_unitary, gates, place, to_json_dict)
 from test_golden import GOLDEN, golden_target
 
 
@@ -42,15 +43,15 @@ def two_qubit_circuit():
 class TestAppend:
     def test_single_gate_depth(self):
         c, a, b = two_qubit_circuit()
-        c.append(gate("cnot", (a, b)))
+        append(c, gate("cnot", (a, b)))
         assert c.depth() == 1
 
     def test_disjoint_gates_pack(self):
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(4)]
         c.mark_persistent(qs)
-        c.append(gate("cnot", (qs[0], qs[1])))
-        c.append(gate("cnot", (qs[2], qs[3])))
+        append(c, gate("cnot", (qs[0], qs[1])))
+        append(c, gate("cnot", (qs[2], qs[3])))
         assert c.depth() == 1
 
     def test_groups_are_the_gates_by_op(self):
@@ -58,7 +59,7 @@ class TestAppend:
         the order they were placed; a one-op layer is one group, an empty layer none."""
         c = Circuit()
         qs = c.alloc_many(6, at_layer=0)
-        c.place([gate("cnot", (qs[0], qs[1])), gate("ry", (qs[2],), 0.5), gate("cnot", (qs[4], qs[3])),
+        place(c, [gate("cnot", (qs[0], qs[1])), gate("ry", (qs[2],), 0.5), gate("cnot", (qs[4], qs[3])),
                  gate("x", (qs[5],))], 0)
         c.put("h", qs, 1)
         assert [(op, ids.tolist(), params.tolist()) for op, ids, params in c.groups(0)] == [
@@ -72,8 +73,8 @@ class TestAppend:
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(3)]
         c.mark_persistent(qs)
-        c.append(gate("cnot", (qs[0], qs[1])))
-        c.append(gate("cnot", (qs[1], qs[2])))
+        append(c, gate("cnot", (qs[0], qs[1])))
+        append(c, gate("cnot", (qs[1], qs[2])))
         assert c.depth() == 2
 
     def test_asap_never_deeper_than_new_layer(self):
@@ -91,37 +92,46 @@ class TestAppend:
                 for i, j in seq:
                     g = gate("cnot", (qs[i], qs[j]))
                     if asap:
-                        c.append(g)
+                        append(c, g)
                     else:
-                        c.place([g], c.num_layers())
+                        place(c, [g], c.num_layers())
                 depths.append(c.depth())
             assert depths[0] <= depths[1]
 
     def test_duplicate_operand_rejected(self):
+        """A gate that repeats an operand is one fault, of one class and one message,
+        whether it is put or read from circuit JSON."""
         c, a, b = two_qubit_circuit()
-        with pytest.raises(DuplicateOperand):
-            gate("cnot", (a, a))
+        message = r"^layer 0: cnot repeats an operand: \[0, 0\]$"
+        with pytest.raises(DuplicateOperand, match=message):
+            c.put("cnot", [a, a], 0)
+        assert c.size() == 0
+        doc = {"alloc": [[0, 0, "clean"], [1, 0, "clean"]], "dealloc": [], "persistent": [0, 1],
+               "layers": [[{"op": "cnot", "params": [], "qubits": [0, 0]}]]}
+        with pytest.raises(DuplicateOperand, match=message):
+            cir.loads(json.dumps(doc))
 
     def test_collision_rejected(self):
         c, a, b = two_qubit_circuit()
-        c.place([gate("x", (a,))], 0)
+        place(c, [gate("x", (a,))], 0)
         with pytest.raises(LayerCollision):
-            c.place([gate("cnot", (a, b))], 0)
+            place(c, [gate("cnot", (a, b))], 0)
 
     def test_out_of_order_place_rejected(self):
         c, a, b = two_qubit_circuit()
-        c.place([gate("x", (a,))], 3)
-        c.place([gate("x", (b,))], 1)
+        place(c, [gate("x", (a,))], 3)
+        place(c, [gate("x", (b,))], 1)
         with pytest.raises(LayerCollision):
-            c.place([gate("cnot", (a, b))], 2)
+            place(c, [gate("cnot", (a, b))], 2)
 
     def test_append_goes_after_an_appended_layer(self):
         """``append_layer`` moves each operand's latest layer, so an ``append`` on the same
         qubit lands in the next layer, not in the appended one."""
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.append_layer([gate("x", (q,))])
-        assert c.append(gate("h", (q,))) == 1
+        c.mark_persistent([q])
+        append_layer(c, [gate("x", (q,))])
+        assert append(c, gate("h", (q,))) == 1
         assert c.validate() == []
 
 
@@ -131,9 +141,9 @@ class TestLifecycle:
         base = c.alloc(at_layer=0)
         c.mark_persistent([base])
         for _ in range(10):
-            c.place([gate("x", (base,))], c.num_layers())
+            place(c, [gate("x", (base,))], c.num_layers())
         q = c.alloc(at_layer=5)
-        c.place([gate("x", (q,))], 5)
+        place(c, [gate("x", (q,))], 5)
         c.dealloc(q, at_layer=9)
         r = cir.spacetime_allocation(c)
         assert r.sa_exact == 10 + 4
@@ -148,21 +158,21 @@ class TestLifecycle:
     def test_use_at_dealloc_layer_rejected(self):
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.place([gate("x", (q,))], 3)
+        place(c, [gate("x", (q,))], 3)
         c.dealloc(q, at_layer=9)
         with pytest.raises(UseAfterDealloc):
-            c.place([gate("x", (q,))], 9)
+            place(c, [gate("x", (q,))], 9)
 
     def test_gate_before_alloc_rejected(self):
         c = Circuit()
         q = c.alloc(at_layer=4)
         with pytest.raises(OperandNotLive):
-            c.place([gate("x", (q,))], 2)
+            place(c, [gate("x", (q,))], 2)
 
     def test_leak_detection(self):
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.place([gate("x", (q,))], 0)
+        place(c, [gate("x", (q,))], 0)
         with pytest.raises(LeakedQubit):
             cir.spacetime_allocation(c)
 
@@ -189,7 +199,7 @@ class TestLifecycle:
     def test_dealloc_many_releases_at_one_layer(self):
         c = Circuit()
         qs = c.alloc_many(3, at_layer=0)
-        c.place([gate("x", (qs[1],))], 2)
+        place(c, [gate("x", (qs[1],))], 2)
         c.dealloc_many(qs, 3)
         assert [c.dealloc_layer(q) for q in qs] == [3, 3, 3]
         more = c.alloc_many(2, at_layer=3)
@@ -206,7 +216,7 @@ class TestLifecycle:
     def test_dealloc_many_raises_the_per_qubit_error(self, release, error):
         c = Circuit()
         qs = c.alloc_many(2, at_layer=0)
-        c.place([gate("x", (qs[1],))], 2)
+        place(c, [gate("x", (qs[1],))], 2)
         with pytest.raises(error):
             release(c, qs)
 
@@ -219,7 +229,7 @@ class TestLifecycle:
         """Layers given one per qubit as an iterator fail with the error a list gets."""
         c = Circuit()
         qs = c.alloc_many(2, at_layer=0)
-        c.place([gate("x", (qs[0],))], 3)
+        place(c, [gate("x", (qs[0],))], 3)
         with pytest.raises(error):
             batch(c, qs, read)
 
@@ -251,9 +261,9 @@ class TestLifecycle:
         c = Circuit()
         c.alloc_many(2, at_layer=0)
         with pytest.raises(OperandNotLive):
-            c.place([Gate("x", (), (operand,))], 0)
+            place(c, [Gate("x", (), (operand,))], 0)
         with pytest.raises(OperandNotLive):
-            c.append(Gate("x", (), (operand,)))
+            append(c, Gate("x", (), (operand,)))
 
 
 class TestMetrics:
@@ -280,7 +290,7 @@ class TestMetrics:
         for _ in range(30):
             i, j = rng.choice(8, size=2, replace=False)
             try:
-                c.append(gate("cnot", (qs[i], qs[j])))
+                append(c, gate("cnot", (qs[i], qs[j])))
             except (OperandNotLive, UseAfterDealloc):
                 pass
         for q in qs:
@@ -302,7 +312,7 @@ class TestMetrics:
         c = Circuit()
         q = c.alloc(at_layer=0)
         c.mark_persistent([q])
-        c.place([gate("ry", (q,), 0.3)], 0)
+        place(c, [gate("ry", (q,), 0.3)], 0)
         exact = cir.spacetime_allocation(c)
         assert exact.sa_exact == 1
         model = cir.GateSetModel(epsilon=2.0**-16)
@@ -314,8 +324,8 @@ class TestMetrics:
         c = Circuit()
         q = c.alloc(at_layer=0)
         c.mark_persistent([q])
-        c.place([gate("ry", (q,), 0.3)], 0)
-        c.place([gate("x", (q,))], 1)
+        place(c, [gate("ry", (q,), 0.3)], 0)
+        place(c, [gate("x", (q,))], 1)
         values = [cir.spacetime_allocation(c, cir.GateSetModel(eps)).sa_approx
                   for eps in (1e-2, 1e-4, 1e-8, 1e-12)]
         assert values == sorted(values) and len(set(values)) == len(values)
@@ -324,12 +334,12 @@ class TestMetrics:
 class TestValidate:
     def test_well_formed_is_clean(self):
         c, a, b = two_qubit_circuit()
-        c.append(gate("cnot", (a, b)))
+        append(c, gate("cnot", (a, b)))
         assert c.validate() == []
 
     def test_hand_built_collision_reported(self):
         c, a, b = two_qubit_circuit()
-        c.append_layer([gate("x", (a,)), gate("cnot", (a, b))])
+        append_layer(c, [gate("x", (a,)), gate("cnot", (a, b))])
         assert any("two gates" in v for v in c.validate())
 
     def test_register_size_violation(self):
@@ -379,7 +389,7 @@ class TestValidate:
         layers[0 if defect == "before_alloc" else 1] += bad
         try:
             for layer in layers:
-                c.append_layer(layer)
+                append_layer(c, layer)
         except CircuitError as e:
             faults = [(type(e), str(e))]
         else:
@@ -406,6 +416,7 @@ STORED_DEFECTS = {
     "persistent_id_not_a_qubit": lambda c, q: c.mark_persistent([7]),
     "release_past_the_last_layer": lambda c, q: c.dealloc(c.alloc(at_layer=0), 5),
     "lifetime_past_the_last_layer": lambda c, q: c.dealloc(c.alloc(at_layer=4), 9),
+    "qubit_never_released_nor_persistent": lambda c, q: c.alloc(at_layer=0),
 }
 
 #: argument -> (error class, the call on ``one_qubit_circuit(3)`` that must refuse it)
@@ -439,7 +450,7 @@ class TestOneRuleSet:
     def test_builder_refuses_at_the_call(self, name):
         error, call = REFUSED_ARGUMENTS[name]
         c, q = one_qubit_circuit(3)
-        c.alloc(at_layer=0)
+        c.mark_persistent([c.alloc(at_layer=0)])
         before = cir.dumps(c), set(c.registers)
         with pytest.raises(error):
             call(c, q)
@@ -463,25 +474,47 @@ UNPACKABLE = {
 }
 
 
-def add_batch(c: Circuit, entry: str, gates: list[Gate], layer: int) -> None:
-    """Add ``gates`` at ``layer`` through one entry; ``put`` takes them as one batch of
-    their op (the first gate's), from their flat operands and parameters."""
+#: the faults of ``UNPACKABLE`` that circuit JSON can hold: it has no numpy scalars,
+#: and the reader takes an int parameter as a float
+IN_JSON = {"unknown_op", "operand_count", "param_count", "bool_operand"}
+
+
+def with_batch(c: Circuit, batch: list[Gate], layer: int) -> str:
+    """``c`` as circuit JSON, its layers as they are (not compacted), with ``batch``
+    added to layer ``layer`` (and empty layers up to it)."""
+    layers = [[g._asdict() for g in gates(c, t)] for t in range(c.num_layers())]
+    layers += [[] for _ in range(layer + 1 - len(layers))]
+    layers[layer] += [g._asdict() for g in batch]
+    return json.dumps({"alloc": [[q, c.alloc_layer(q), c.kind(q)] for q in c.qubits()],
+                       "dealloc": [[q, c.dealloc_layer(q)] for q in c.qubits() if c.dealloc_layer(q) is not None],
+                       "layers": layers, "persistent": [q for q in c.qubits() if c.dealloc_layer(q) is None]})
+
+
+def add_batch(c: Circuit, entry: str, batch: list[Gate], layer: int) -> None:
+    """Add ``batch`` at ``layer`` through one entry: ``put`` takes it as one batch of its
+    op (the first gate's), from flat operands and parameters; ``place`` and
+    ``append_layer`` pack it as the JSON reader does (``_pack``) and place it
+    (``_place``) or add it unchecked (``_extend``); ``loads`` reads ``c``'s JSON with
+    the batch added."""
     if entry == "put":
-        c.put(gates[0].op, [q for g in gates for q in g.qubits], layer, [p for g in gates for p in g.params])
+        c.put(batch[0].op, [q for g in batch for q in g.qubits], layer, [p for g in batch for p in g.params])
     elif entry == "place":
-        c.place(gates, layer)
-    else:
+        place(c, batch, layer)
+    elif entry == "append_layer":
         assert layer == c.num_layers()
-        c.append_layer(gates)
+        append_layer(c, batch)
+    else:
+        cir.loads(with_batch(c, batch, layer))
 
 
 class TestPackedBoundary:
-    """A batch is packed into the layer columns where it is placed: what they cannot
-    hold is rejected there, with the class and message validate() gave before.
+    """A batch is packed into the layer columns where it is placed or read: what they
+    cannot hold is rejected there, with the class and message validate() gave before.
     ``put`` takes a batch of one op, so it is given the faulty gate alone."""
 
-    @pytest.mark.parametrize("name", list(UNPACKABLE))
-    @pytest.mark.parametrize("entry", ["place", "append_layer", "put"])
+    @pytest.mark.parametrize("entry, name", [
+        pytest.param(entry, name, id=f"{entry}-{name}") for entry in ["place", "append_layer", "put", "loads"]
+        for name in UNPACKABLE if entry != "loads" or name in IN_JSON])
     def test_rejected_where_packed(self, name, entry):
         bad, error, message = UNPACKABLE[name]
         c = Circuit()
@@ -493,7 +526,7 @@ class TestPackedBoundary:
         assert c.size() == 0 and c.last_use_layer(1) == -1
 
     @pytest.mark.parametrize("qubit", [2**31, 2**40, -2**40])
-    @pytest.mark.parametrize("entry", ["place", "append_layer", "put"])
+    @pytest.mark.parametrize("entry", ["place", "append_layer", "put", "loads"])
     def test_id_past_the_column_is_not_live(self, qubit, entry):
         c = Circuit()
         c.alloc_many(2, at_layer=0)
@@ -506,19 +539,19 @@ class TestPackedBoundary:
         ("released", UseAfterDealloc, "layer 1: qubit 3 used after deallocation at layer 1"),
         ("collided", LayerCollision, "layer 1: qubit 1 in two gates, one already at layer 1"),
     ])
-    @pytest.mark.parametrize("entry", ["place", "put"])
+    @pytest.mark.parametrize("entry", ["place", "put", "loads"])
     def test_operand_not_live_there_is_rejected_alike(self, fault, error, message, entry):
         c = Circuit()
         a, b = c.alloc_many(2, at_layer=0)
         late = c.alloc(at_layer=2)
         gone = c.alloc(at_layer=0)
         c.dealloc(gone, at_layer=1)
-        c.place([gate("x", (b,))], 1)
+        place(c, [gate("x", (b,))], 1)
         bad = {"dead": late, "released": gone, "collided": b}[fault]
         with pytest.raises(error) as info:
             add_batch(c, entry, [gate("ry", (a,), 0.5), gate("ry", (bad,), 0.25)], 1)
         assert (info.type, str(info.value)) == (error, message)
-        assert c.size() == 1 and len(list(c.gates(1))) == 1
+        assert c.size() == 1 and len(gates(c, 1)) == 1
 
 
 class TestPut:
@@ -528,7 +561,7 @@ class TestPut:
         c = Circuit()
         qs = c.alloc_many(4, at_layer=0)
         assert c.put("cry", qs, 2, (0.5, -0.25)) == 2
-        assert list(c.gates(2)) == [gate("cry", (0, 1), 0.5), gate("cry", (2, 3), -0.25)]
+        assert gates(c, 2) == [gate("cry", (0, 1), 0.5), gate("cry", (2, 3), -0.25)]
         assert c.put("x", [], 5) == 5 and c.num_layers() == 3
 
     @pytest.mark.parametrize("op, ids, params, error, message", [
@@ -558,29 +591,29 @@ class TestPut:
         block.put("x", [], 1)
         block.put("h", [anc], 1)
         assert block.mirror(2, 2) == 4
-        assert list(c.gates(2)) == [gate("h", (anc,))]
-        assert list(c.gates(3)) == [gate("cry", (src, anc), -0.5)]
+        assert gates(c, 2) == [gate("h", (anc,))]
+        assert gates(c, 3) == [gate("cry", (src, anc), -0.5)]
         assert c.dealloc_layer(anc) == 4
 
 
 class TestExpansion:
     def test_swap_size(self):
         c, a, b = two_qubit_circuit()
-        c.append(gate("swap", (a, b)))
-        assert cir.expand(c).size() == 3
+        append(c, gate("swap", (a, b)))
+        assert expand(c).size() == 3
 
     def test_toffoli_t_count(self):
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(3)]
         c.mark_persistent(qs)
-        c.append(gate("toffoli", tuple(qs)))
-        out = cir.expand(c)
-        t_type = sum(1 for t in range(out.num_layers()) for g in out.gates(t) if g.op in ("t", "tdg"))
+        append(c, gate("toffoli", tuple(qs)))
+        out = expand(c)
+        t_type = sum(1 for t in range(out.num_layers()) for g in gates(out, t) if g.op in ("t", "tdg"))
         assert t_type == 7
 
     def test_cswap_rule_shape(self):
         g = gate("cswap", (0, 1, 2))
-        seq = cir.DECOMPOSITIONS["cswap"](g)
+        seq = DECOMPOSITIONS["cswap"](g)
         assert [x.op for x in seq] == ["cnot", "toffoli", "cnot"]
 
     @pytest.mark.parametrize("op,params", [
@@ -596,7 +629,7 @@ class TestExpansion:
         nq = cir.GATE_SIGNATURES[op][0]
         qs = [i for i in range(nq)]
         g = gate(op, tuple(qs), *params)
-        expanded = cir.expand_gate(g, cir.U2_CNOT)
+        expanded = expand_gate(g, U2_CNOT)
         ref = gate_unitary(op, params)
         got = block_unitary(expanded, qs)
         assert np.max(np.abs(got - ref)) < 1e-10
@@ -606,11 +639,11 @@ class TestExpansion:
         a = c.alloc(at_layer=0)
         c.mark_persistent([a])
         b = c.alloc(at_layer=0)
-        c.append(gate("cswap", (a, b, c.alloc(at_layer=0))))
+        append(c, gate("cswap", (a, b, c.alloc(at_layer=0))))
         q3 = c.qubits()[2]
         c.dealloc(b, at_layer=c.num_layers())
         c.dealloc(q3, at_layer=c.num_layers())
-        out = cir.expand(c)
+        out = expand(c)
         cir.spacetime_allocation(out)  # no leak
         assert out.size() > c.size()
 
@@ -621,8 +654,8 @@ class TestSerialization:
         a = c.alloc(at_layer=0)
         b = c.alloc("dirty", at_layer=0)
         c.mark_persistent([a])
-        c.append(gate("ry", (a,), 0.12345678901234))
-        c.append(gate("cnot", (a, b)))
+        append(c, gate("ry", (a,), 0.12345678901234))
+        append(c, gate("cnot", (a, b)))
         c.dealloc(b, at_layer=c.num_layers())
         c.add_register("D", [a])
         return c
@@ -655,17 +688,12 @@ class TestSerialization:
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(3)]
         c.mark_persistent(qs)
-        c.append(gate("ccrz", qs, theta))
-        c.append(gate("phase", (qs[0],), theta))
-        c.append(gate("cry", (qs[1], qs[2]), theta))
+        append(c, gate("ccrz", qs, theta))
+        append(c, gate("phase", (qs[0],), theta))
+        append(c, gate("cry", (qs[1], qs[2]), theta))
         text = cir.dumps(c)
         assert text == json.dumps(to_json_dict(c), sort_keys=True, separators=(",", ":"))
         assert cir.dumps(cir.loads(text)) == text
-
-    def test_text_dump_mentions_gates(self):
-        text = cir.to_text(self.build())
-        assert "cnot q0, q1" in text
-        assert "ry(" in text
 
 
 class TestBlock:
@@ -673,7 +701,7 @@ class TestBlock:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place([gate("ry", (src,), 0.9)], 0)
+        place(c, [gate("ry", (src,), 0.9)], 0)
         block = cir.Block(c, 1)
         reg, end = copy(block, src, 8, start=1)
         span = end - 1
@@ -723,9 +751,9 @@ class TestEmbed:
         anc = src.alloc("dirty", at_layer=1)
         late = src.alloc(at_layer=2)
         src.mark_persistent([late])
-        src.place([gate("ry", (d,), 0.5)], 0)
-        src.place([gate("cnot", (d, anc))], 1)
-        src.place([gate("cnot", (anc, late))], 2)
+        place(src, [gate("ry", (d,), 0.5)], 0)
+        place(src, [gate("cnot", (d, anc))], 1)
+        place(src, [gate("cnot", (anc, late))], 2)
         src.dealloc(anc, at_layer=3)
         return src
 
@@ -739,7 +767,7 @@ class TestEmbed:
         assert [dst.dealloc_layer(q) for q in mapping] == [None, 7, None]
         assert dst.kind(2) == cir.DIRTY
         assert dst.persistent() == {1, 3}
-        assert [[g.qubits for g in dst.gates(t)] for t in range(dst.num_layers())] == [
+        assert [[g.qubits for g in gates(dst, t)] for t in range(dst.num_layers())] == [
             [(1,)], [(1, 2)], [], [], [], [], [(2, 3)]]
 
     def test_shared_qubits_keep_their_lifecycle(self):
@@ -750,7 +778,7 @@ class TestEmbed:
         assert mapping[0] == outer
         assert dst.persistent() == {mapping[2]}
         assert dst.dealloc_layer(outer) is None and dst.dealloc_layer(mapping[1]) == 13
-        assert dst.alloc_layer(mapping[1]) == 11 and list(dst.gates(10)) == [gate("ry", (outer,), 0.5)]
+        assert dst.alloc_layer(mapping[1]) == 11 and gates(dst, 10) == [gate("ry", (outer,), 0.5)]
 
 
 class TestAdjoint:
@@ -758,12 +786,12 @@ class TestAdjoint:
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(2)]
         c.mark_persistent(qs)
-        c.append(gate("h", (qs[0],)))
-        c.append(gate("cnot", (qs[0], qs[1])))
-        c.append(gate("ry", (qs[1],), 0.7))
+        append(c, gate("h", (qs[0],)))
+        append(c, gate("cnot", (qs[0], qs[1])))
+        append(c, gate("ry", (qs[1],), 0.7))
         adj = c.adjoint()
-        fwd_gates = [g for t in range(c.num_layers()) for g in c.gates(t)]
-        rev_gates = [g for t in range(adj.num_layers()) for g in adj.gates(t)]
+        fwd_gates = [g for t in range(c.num_layers()) for g in gates(c, t)]
+        rev_gates = [g for t in range(adj.num_layers()) for g in gates(adj, t)]
         U = block_unitary(fwd_gates, qs)
         V = block_unitary(rev_gates, qs)
         assert np.max(np.abs(V @ U - np.eye(4))) < 1e-12
@@ -820,9 +848,9 @@ class TestLoadsLayerChecks:
         c = cir.loads(json.dumps(in_layer_doc()))
         a, b, _ = c.qubits()
         with pytest.raises(LayerCollision):
-            c.place([gate("x", (b,))], 2)
-        c.place([gate("x", (b,))], 3)
-        assert c.append(gate("cnot", (a, b))) == 4
+            place(c, [gate("x", (b,))], 2)
+        place(c, [gate("x", (b,))], 3)
+        assert append(c, gate("cnot", (a, b))) == 4
 
 
 def released_doc() -> dict:
@@ -1089,6 +1117,16 @@ class TestStreamingReader:
         monkeypatch.setattr(cir, "_CHUNK", chunk)
         with pytest.raises(MalformedCircuit, match="layer 1: unknown op 'nop'"):
             cir.loads(canonical(doc))
+
+    @pytest.mark.parametrize("param", [True, "a", None], ids=["true", "string", "null"])
+    def test_parameter_that_is_no_number_names_its_layer_and_op(self, param):
+        """A parameter the reader cannot take as a float is worded as every other gate
+        fault it reports: led by its layer and op."""
+        doc = in_layer_doc()
+        doc["layers"][2].append({"op": "ry", "params": [param], "qubits": [0]})
+        with pytest.raises(MalformedCircuit) as info:
+            cir.loads(canonical(doc))
+        assert str(info.value) == f"layer 2: ry parameter {param!r} is not a number"
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_parameter_is_malformed(self, literal):

@@ -18,9 +18,9 @@ from qsprep import circuit_ir as cir
 from qsprep import multicopy as mc
 from qsprep import protocols as proto
 from qsprep import sim, subroutines
-from qsprep.circuit_ir import Circuit, Gate
+from qsprep.circuit_ir import Circuit
 from qsprep.cli import main
-from reference import flag_oracle, pair_index
+from reference import Gate, expand, flag_oracle, pair_index, place
 from test_circuit_ir import INT_FIELDS, released_doc
 
 try:
@@ -186,7 +186,7 @@ class TestSynth:
                                 cs_layer(c, t, controls, [targets[0]] * len(targets), at_layer))
         else:
             monkeypatch.setattr(proto, "_flip", lambda c, qubits, layer:
-                                c.place([Gate("not", (), (q,)) for q in qubits], layer))
+                                place(c, [Gate("not", (), (q,)) for q in qubits], layer))
         circ = tmp_path / "c.json"
         code, _, err = run_cli(capsys, "synth", "--in", rand_n4, "--out", str(circ))
         assert code == 3
@@ -421,10 +421,19 @@ class TestLazyImports:
         assert qsprep.__all__ == [
             "AngleSet", "CSPAngleSet", "PartitionNorms", "TargetState", "csp_angles",
             "make_target", "partition_norms", "sp_angles",
-            "Circuit", "Gate", "GateSetModel", "ResourceReport", "expand", "gate",
-            "spacetime_allocation",
+            "Circuit", "GateSetModel", "ResourceReport", "spacetime_allocation",
             "ProtocolConfig", "choose_m", "csp_circuit", "reflection", "sp_circuit", "spcsp",
             "SimReport", "SimState", "run",
+        ]
+
+    def test_circuit_methods_are_pinned(self):
+        """``Circuit``'s public methods: gates enter through ``put`` alone, so no tuple
+        builder (``place``, ``append``, ``append_layer``) or tuple reader (``gates``) is one."""
+        assert sorted(name for name in dir(Circuit) if not name.startswith("_")) == [
+            "add_register", "adjoint", "alloc", "alloc_layer", "alloc_many", "compact", "copy",
+            "dealloc", "dealloc_layer", "dealloc_many", "depth", "embed", "groups", "kind",
+            "last_use_layer", "lifecycle", "live_profile", "mark_persistent", "num_layers",
+            "of_kind", "params", "persistent", "put", "qubits", "size", "validate",
         ]
 
     def test_package_exports_resolve_on_first_access(self):
@@ -513,7 +522,7 @@ class TestEmptyLifetime:
 
     def test_expand_keeps_it_empty(self):
         c = cir.loads(json.dumps(empty_lifetime_doc()))
-        out = cir.expand(c)
+        out = expand(c)
         assert out.alloc_layer(1) == out.dealloc_layer(1)
         assert out.kind(1) == cir.CLEAN
         assert sim.run(out)[0].peak_live_qubits == 1
@@ -548,6 +557,7 @@ MALFORMED = {
     "unknown_kind": ("MalformedCircuit", malformed(lambda d: d["alloc"][1].__setitem__(2, "weird"))),
     "duplicate_register_member": ("DuplicateOperand",
                                   malformed(lambda d: d["registers"].update(D=[0, 0]))),
+    "leaked_qubit": ("LeakedQubit", malformed(lambda d: d.update(persistent=[0]))),
 }
 
 

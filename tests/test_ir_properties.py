@@ -27,11 +27,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsprep import circuit_ir as cir
-from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, Gate, GateSetModel, gate
+from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, GateSetModel
 from qsprep.errors import CircuitError
 from qsprep.sim import run
-from reference import (dense_run, fault_messages, last_use_oracle, live_oracle, place_oracle, release_oracle,
-                       report_oracle)
+from reference import (U2_CNOT, Gate, append, append_layer, dense_run, expand, fault_messages, gate, gates,
+                       last_use_oracle, live_oracle, place_oracle, release_oracle, report_oracle)
 
 OPS = list(GATE_SIGNATURES)
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -45,13 +45,13 @@ def op_order(draw) -> list[str]:
     return draw(st.permutations(OPS + draw(st.lists(st.sampled_from(OPS), max_size=6))))
 
 
-def inverse(g: cir.Gate) -> cir.Gate:
+def inverse(g: Gate) -> Gate:
     """``g``'s inverse by the IR's one rule, the one ``adjoint`` and ``Block.mirror``
     use: the op code translated through ``_INVERSE``, the parameters negated."""
     return gate(cir._OPS[cir._INVERSE[cir._CODE[g.op]]], g.qubits, *(-p for p in g.params))
 
 
-def random_gate(draw, op: str, first: list[int], others: list[int]) -> cir.Gate:
+def random_gate(draw, op: str, first: list[int], others: list[int]) -> Gate:
     """``op`` on one qubit of ``first`` and distinct others, with random angles."""
     nq, npar = GATE_SIGNATURES[op]
     qubits = [draw(st.sampled_from(first))]
@@ -81,10 +81,10 @@ def circuits(draw) -> Circuit:
             compute = [random_gate(draw, op, [anc], live),
                        random_gate(draw, draw(st.sampled_from(OPS)), [anc], live)]
             for g in compute + [inverse(g) for g in reversed(compute)]:
-                c.append(g)
+                append(c, g)
             c.dealloc(anc)
         else:
-            c.append(random_gate(draw, op, live, live))
+            append(c, random_gate(draw, op, live, live))
     return c
 
 
@@ -132,8 +132,8 @@ def test_circuit_then_adjoint_is_the_identity(c, seeds):
 @PROPERTY
 @given(c=circuits(), seeds=st.lists(SEEDS, min_size=3, max_size=3))
 def test_expand_preserves_the_final_state(c, seeds):
-    out = cir.expand(c)
-    assert {g.op for t in range(out.num_layers()) for g in out.gates(t)} <= cir.U2_CNOT
+    out = expand(c)
+    assert {g.op for t in range(out.num_layers()) for g in gates(out, t)} <= U2_CNOT
     assert np.allclose(final_state(out, seeds), final_state(c, seeds), atol=1e-9)
 
 
@@ -321,7 +321,7 @@ def test_walks_match_their_plain_references(c, defect, data):
     others = data.draw(st.permutations([p for p in live if p != q]))
     valid = [Gate("x", (), (p,)) for p in others[:data.draw(st.integers(0, len(others)))]]
     layer = data.draw(st.permutations(valid + bad))
-    c.append_layer(layer)
+    append_layer(c, layer)
     assert c.validate() == fault_messages(c) != []
     dirty = c.of_kind(DIRTY)
     assert dirty == [p for p in c.qubits() if c.kind(p) == DIRTY]
@@ -381,7 +381,7 @@ def test_a_release_fault_read_from_json_is_deallocs(c, data):
     assume(fault is not None)
     doc = {"alloc": [[p, c.alloc_layer(p), c.kind(p)] for p in c.qubits()],
            "dealloc": [[p, c.dealloc_layer(p)] for p in c.qubits() if c.dealloc_layer(p) is not None] + [[q, t]],
-           "layers": [[{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in c.gates(u)]
+           "layers": [[{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in gates(c, u)]
                       for u in range(L)] + [[], []]}
     with pytest.raises(fault[0]):
         cir.loads(json.dumps(doc))
@@ -404,7 +404,7 @@ def built(draw) -> Circuit:
         call = draw(st.sampled_from([
             lambda: c.alloc_many(draw(st.integers(0, 2)), draw(st.sampled_from([CLEAN, DIRTY])), layer),
             lambda: c.put("x", ids, layer),
-            lambda: c.append_layer([Gate("h", (), (i,)) for i in ids]),
+            lambda: append_layer(c, [Gate("h", (), (i,)) for i in ids]),
             lambda: c.dealloc_many(ids, layer),
             lambda: c.add_register(draw(st.sampled_from("RS")), ids),
             lambda: c.mark_persistent(ids),

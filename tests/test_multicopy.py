@@ -10,6 +10,7 @@ from qsprep import circuit_ir as cir
 from qsprep import multicopy as mc
 from qsprep import protocols as proto
 from qsprep.errors import NoValidSplit, PoolExceeded
+from reference import gates
 
 
 def targets(rng, n, w):
@@ -188,7 +189,7 @@ class TestStack:
         res = mc.stack(mc.BatchPlan(targets(rng, 4, 3)))
         last_gate = {}
         for t in range(res.circuit.num_layers()):
-            for g in res.circuit.gates(t):
+            for g in gates(res.circuit, t):
                 for q in g.qubits:
                     last_gate[q] = t
         for meta in res.instances:

@@ -15,7 +15,7 @@ from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
 from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit, PeakQubitsExceeded
 from qsprep.sim import run
-from reference import class_split_oracle, to_json_dict
+from reference import class_split_oracle, gates, to_json_dict
 from tests_reflection_helper import run_with_input
 
 
@@ -97,7 +97,7 @@ class TestSpCircuit:
 
     def test_basis_vector_zero_rotations(self):
         c = proto.sp_circuit(amp.sp_angles(np.array([1.0, 0, 0, 0])))
-        rotations = [g for t in range(c.num_layers()) for g in c.gates(t) if g.op in ROTATION_OPS]
+        rotations = [g for t in range(c.num_layers()) for g in gates(c, t) if g.op in ROTATION_OPS]
         assert all(abs(g.params[0]) == 0.0 for g in rotations)
         _, fid = fidelity(c, [1, 0, 0, 0])
         assert fid >= 1 - 1e-12
@@ -470,7 +470,7 @@ class TestAngleErrorPropagation:
         t = random_targets(rng, 4, 1)[0]
         cfg = proto.ProtocolConfig(n=4, m=2, fanout=False)
         base = proto.spcsp(t, cfg)
-        n_rot = sum(1 for layer in range(base.num_layers()) for g in base.gates(layer) if g.op in ROTATION_OPS)
+        n_rot = sum(1 for layer in range(base.num_layers()) for g in gates(base, layer) if g.op in ROTATION_OPS)
         for delta in (1e-3, 1e-4):
             # every op with a parameter is a rotation, so this perturbs each rotation's angle
             doc = to_json_dict(base)

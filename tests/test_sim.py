@@ -6,12 +6,12 @@ import pytest
 
 from qsprep import amplitudes as amp
 from qsprep import sim
-from qsprep.circuit_ir import GATE_SIGNATURES, Block, Circuit, gate
+from qsprep.circuit_ir import GATE_SIGNATURES, Block, Circuit
 from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
 from qsprep.sim import run
 from qsprep.subroutines import copy
-from reference import (class_split_oracle, flag_oracle, gate_unitary, loadf_oracle, pair_index,
-                       spf_oracle, to_json_dict)
+from reference import (append, class_split_oracle, flag_oracle, gate, gate_unitary, loadf_oracle, pair_index,
+                       place, spf_oracle, to_json_dict)
 
 
 def ry_matrix(theta):
@@ -100,8 +100,8 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.append(gate("h", (a,)))
-        c.append(gate("cnot", (a, b)))
+        append(c, gate("h", (a,)))
+        append(c, gate("cnot", (a, b)))
         _, state = run(c)
         vec = state.statevector([a, b])
         assert np.allclose(vec, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
@@ -110,7 +110,7 @@ class TestSimBasics:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place([gate("ry", (src,), 2 * math.asin(0.8))], 0)
+        place(c, [gate("ry", (src,), 2 * math.asin(0.8))], 0)
         reg, _ = copy(c, src, 8, start=1)
         c.mark_persistent(reg[1:])
         _, state = run(c)
@@ -123,7 +123,7 @@ class TestSimBasics:
     def test_dealloc_entangled_raises(self):
         c = Circuit()
         q = c.alloc(at_layer=0)
-        c.place([gate("x", (q,))], 0)
+        place(c, [gate("x", (q,))], 0)
         c.dealloc(q, at_layer=1)
         with pytest.raises(DeallocNotZero):
             run(c)
@@ -133,9 +133,9 @@ class TestSimBasics:
         a = c.alloc(at_layer=0)
         b = c.alloc(at_layer=0)
         c.mark_persistent([a])
-        c.place([gate("ry", (a,), 1.1)], 0)
-        c.place([gate("cnot", (a, b))], 1)
-        c.place([gate("cnot", (a, b))], 2)  # uncompute
+        place(c, [gate("ry", (a,), 1.1)], 0)
+        place(c, [gate("cnot", (a, b))], 1)
+        place(c, [gate("cnot", (a, b))], 2)  # uncompute
         c.dealloc(b, at_layer=3)
         report, state = run(c)
         assert len(state._pos) == 1
@@ -153,7 +153,7 @@ class TestSimBasics:
             qs = [c.alloc(at_layer=0) for _ in range(width - 1)]
             qs.append(c.alloc(at_layer=int(late)))
             c.mark_persistent(qs)
-            c.place([gate("h", (qs[0],))], 0)
+            place(c, [gate("h", (qs[0],))], 0)
             return c
 
         monkeypatch.setattr(sim, "MAX_SUPPORT", 3)
@@ -166,7 +166,7 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.place([gate("x", (a,))], 0)
+        place(c, [gate("x", (a,))], 0)
         _, state = run(c)
         assert np.argmax(np.abs(state.statevector([a, b]))) == 1
         assert np.argmax(np.abs(state.statevector([b, a]))) == 2
@@ -175,9 +175,9 @@ class TestSimBasics:
         c = Circuit()
         qs = [c.alloc(at_layer=0) for _ in range(40)]  # 2**40 amplitudes as a dense vector
         c.mark_persistent(qs)
-        c.place([gate("x", (qs[0],))], 0)
+        place(c, [gate("x", (qs[0],))], 0)
         for i in range(39):
-            c.place([gate("cnot", (qs[i], qs[i + 1]))], i + 1)
+            place(c, [gate("cnot", (qs[i], qs[i + 1]))], i + 1)
         report, state = run(c)
         assert state.dominant_basis() == ((1 << 40) - 1, 1.0)
 
@@ -185,8 +185,8 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.place([gate("x", (b,))], 0)
-        c.place([gate("h", (a,))], 0)
+        place(c, [gate("x", (b,))], 0)
+        place(c, [gate("h", (a,))], 0)
         _, state = run(c)
         key, prob = state.dominant_basis()
         assert key == 2 and prob == pytest.approx(0.5)
@@ -196,8 +196,8 @@ class TestSimBasics:
         c = Circuit()
         a, b = c.alloc(at_layer=0), c.alloc(at_layer=0)
         c.mark_persistent([a, b])
-        c.place([gate("ry", (a,), math.pi)], 0)
-        c.place([gate("cnot", (a, b))], 1)
+        place(c, [gate("ry", (a,), math.pi)], 0)
+        place(c, [gate("cnot", (a, b))], 1)
         monkeypatch.setattr(sim, "MAX_SUPPORT", 1)
         _, state = run(c)
         key, prob = state.dominant_basis()
@@ -208,8 +208,8 @@ class TestSimBasics:
         a = c.alloc(at_layer=0)
         c.mark_persistent([a])
         d = c.alloc("dirty", at_layer=0)
-        c.place([gate("cnot", (a, d))], 0)
-        c.place([gate("cnot", (a, d))], 1)
+        place(c, [gate("cnot", (a, d))], 0)
+        place(c, [gate("cnot", (a, d))], 1)
         c.dealloc(d, at_layer=2)
         seed = (0.6, 0.8j)
         report, _ = run(c, seeds={d: seed})
@@ -218,7 +218,7 @@ class TestSimBasics:
     def test_dirty_seed_not_restored_raises(self):
         c = Circuit()
         d = c.alloc("dirty", at_layer=0)
-        c.place([gate("x", (d,))], 0)
+        place(c, [gate("x", (d,))], 0)
         c.dealloc(d, at_layer=1)
         with pytest.raises(DeallocNotZero):
             run(c, seeds={d: (0.6, 0.8)})
@@ -231,9 +231,9 @@ class TestSimBasics:
         c.mark_persistent([a])
         for t in range(12):
             q = c.alloc(at_layer=t)
-            c.place([gate("ry", (q,), 2 * math.asin(math.sqrt(0.9e-10)))], t)
+            place(c, [gate("ry", (q,), 2 * math.asin(math.sqrt(0.9e-10)))], t)
             c.dealloc(q, at_layer=t + 1)
-        c.place([gate("x", (a,))], 12)
+        place(c, [gate("x", (a,))], 12)
         with pytest.raises(NormDrift, match="after layer 12"):
             run(c)
 
@@ -241,9 +241,9 @@ class TestSimBasics:
         c = Circuit()
         a, b, e = (c.alloc(at_layer=0) for _ in range(3))
         c.mark_persistent([a, b, e])
-        c.place([gate("ry", (a,), 0.5)], 0)
-        c.place([gate("cnot", (a, b))], 1)
-        c.place([gate("ry", (e,), 1.3)], 0)
+        place(c, [gate("ry", (a,), 0.5)], 0)
+        place(c, [gate("cnot", (a, b))], 1)
+        place(c, [gate("ry", (e,), 1.3)], 0)
         _, state = run(c)
         factor, defect = state.detach([e])
         assert defect < 1e-12
@@ -274,7 +274,7 @@ class TestContractionSoundness:
             dyn = Circuit()
             src = dyn.alloc(at_layer=0)
             dyn.mark_persistent([src])
-            dyn.place([gate("ry", (src,), theta)], 0)
+            place(dyn, [gate("ry", (src,), theta)], 0)
             block = Block(dyn, 1)
             reg, end = copy(block, src, 8, start=1)
             block.mirror(end, end - 1)
@@ -316,7 +316,7 @@ class TestContractionSoundnessFragments:
         c.mark_persistent(data + A)
         for s in range(3):
             for p in range(1 << s):
-                c.place([gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
+                place(c, [gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
         spf(c, data, split_levels(A), start=1)
         self.compare(c, data + A)
 
@@ -328,9 +328,9 @@ class TestContractionSoundnessFragments:
         F = [c.alloc(at_layer=0) for _ in range(7)]
         c.mark_persistent(data + F)
         for q in data:
-            c.place([gate("h", (q,))], 0)
+            place(c, [gate("h", (q,))], 0)
         for q in F:
-            c.place([gate("x", (q,))], 0)
+            place(c, [gate("x", (q,))], 0)
         flag(c, data, split_levels(F), start=1)
         self.compare(c, data + F)
 
@@ -342,8 +342,8 @@ class TestContractionSoundnessFragments:
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
         for q in ctrl:
-            c.place([gate("h", (q,))], 0)
-        c.place([gate("ry", (payload,), 0.9)], 0)
+            place(c, [gate("h", (q,))], 0)
+        place(c, [gate("ry", (payload,), 0.9)], 0)
         block = Block(c, 1)
         res = copyswap(block, ctrl, payload, start=1)
         block.mirror(res.end, 3)
@@ -430,12 +430,12 @@ class TestPositionReuse:
         c = Circuit()
         a, b, d = (c.alloc(at_layer=0) for _ in range(3))
         c.mark_persistent([a])
-        c.place([gate("x", (a,))], 0)
+        place(c, [gate("x", (a,))], 0)
         c.dealloc(b, at_layer=1)
         c.dealloc(d, at_layer=1)
         e = c.alloc(at_layer=1)
         c.mark_persistent([e])
-        c.place([gate("cnot", (a, e))], 1)
+        place(c, [gate("cnot", (a, e))], 1)
         _, state = run(c)
         assert state._pos == {a: 0, e: 1}
         assert state.dominant_basis() == (0b11, 1.0)
@@ -446,13 +446,13 @@ class TestPositionReuse:
         c = Circuit()
         a, b, cq = (c.alloc(at_layer=0) for _ in range(3))
         c.mark_persistent([a, cq])
-        c.place([gate("x", (a,))], 0)
+        place(c, [gate("x", (a,))], 0)
         c.dealloc(b, at_layer=1)
         d = c.alloc(at_layer=1)
         c.mark_persistent([d])
-        c.place([gate("h", (cq,))], 1)
-        c.place([gate("cnot", (cq, d))], 2)
-        c.place([gate("x", (d,))], 3)
+        place(c, [gate("h", (cq,))], 1)
+        place(c, [gate("cnot", (cq, d))], 2)
+        place(c, [gate("x", (d,))], 3)
         _, state = run(c)
         assert (state._pos[cq], state._pos[d]) == (2, 1)
         key, prob = state.dominant_basis()

@@ -136,17 +136,19 @@ def test_simulator_has_no_per_gate_or_per_key_path():
 
 
 def test_emitters_build_no_gate_tuples():
-    """The fragment and protocol emitters put column batches (`Circuit.put`): they
-    neither import nor name `Gate`, `new_gate` or `gate`, the constructors of
-    hand-built circuits."""
-    names = {"Gate", "new_gate", "gate"}
+    """Gates enter a circuit one way, as column batches (`Circuit.put`, `Circuit._place`):
+    no package module defines, imports or names a gate tuple or its builders (`Gate`,
+    `new_gate`, `gate`, `place`, `append_layer`) or the gate-set expansion (`expand`,
+    `expand_gate`, `DECOMPOSITIONS`), which live in `tests/reference.py`."""
+    names = {"Gate", "new_gate", "gate", "place", "append_layer", "expand", "expand_gate", "DECOMPOSITIONS"}
     found = []
     for path, node in package_nodes():
-        if str(path) not in ("subroutines.py", "protocols.py"):
-            continue
-        if (isinstance(node, ast.alias) and node.name in names
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+                or isinstance(node, ast.alias) and {node.name, node.asname} & names
                 or isinstance(node, ast.Name) and node.id in names
-                or isinstance(node, ast.Attribute) and node.attr in names):
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.arg) and node.arg in names
+                or isinstance(node, ast.Constant) and node.value in names):
             found.append(f"{path}:{getattr(node, 'lineno', '?')} {ast.unparse(node)}")
     assert found == []
 
@@ -214,7 +216,8 @@ def test_each_release_fault_is_worded_at_one_site():
     sparse alloc ids, and a gate's op and counts) is built at exactly one site in the
     package, and every ``DoubleDealloc``, ``UseAfterDealloc`` and ``LayerCollision`` is
     one of them.  Placement, release and the walk name a gate's or a release's fault
-    through one diagnosis, ``Circuit._id_faults``."""
+    through one diagnosis, ``Circuit._id_faults``; placement and the walk reach it
+    through one per-layer one, ``Circuit._layer_faults``."""
     sites = {condition: [] for condition in ONE_SITE}
     stray = []
     for place, named, text in fault_sites():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsprep import amplitudes as amp
-from qsprep.circuit_ir import Block, Circuit, gate, spacetime_allocation
+from qsprep.circuit_ir import Block, Circuit, spacetime_allocation
 from qsprep.errors import BadRegisterShape, NotPowerOfTwo, RegisterTooSmall
 from qsprep.protocols import FRAGMENT_MAX_M, fragment_circuit
 from qsprep.sim import run
@@ -23,7 +23,7 @@ from qsprep.subroutines import (
     spf,
     split_levels,
 )
-from reference import copy_tree_oracle, flag_oracle, loadf_oracle, pair_index, spf_oracle
+from reference import copy_tree_oracle, flag_oracle, gate, gates, loadf_oracle, pair_index, place, spf_oracle
 
 
 def extract_block(state, keep, fixed):
@@ -62,7 +62,7 @@ class TestCopy:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place([gate("ry", (src,), 2 * math.asin(0.8))], 0)
+        place(c, [gate("ry", (src,), 2 * math.asin(0.8))], 0)
         reg, end = copy(c, src, 8, start=1)
         c.mark_persistent(reg[1:])
         _, state = run(c)
@@ -74,7 +74,7 @@ class TestCopy:
         c = Circuit()
         src = c.alloc(at_layer=0)
         c.mark_persistent([src])
-        c.place([gate("ry", (src,), 0.9)], 0)
+        place(c, [gate("ry", (src,), 0.9)], 0)
         block = Block(c, 1)
         reg, end = copy(block, src, 8, start=1)
         block.mirror(end, end - 1)
@@ -168,8 +168,8 @@ class TestCsLayer:
         targets = [c.alloc(at_layer=0) for _ in range(4)]
         c.mark_persistent(controls + targets)
         for q in controls:
-            c.place([gate("x", (q,))], 0)
-        c.place([gate("x", (targets[0],))], 0)  # S = |0001>
+            place(c, [gate("x", (q,))], 0)
+        place(c, [gate("x", (targets[0],))], 0)  # S = |0001>
         cs_layer(c, t, controls, targets, at_layer=1)
         _, state = run(c)
         vec = state.statevector(targets + controls)
@@ -198,8 +198,8 @@ class TestCopySwap:
             c.mark_persistent(ctrl + [payload])
             for bit in range(m):
                 if (k >> bit) & 1:
-                    c.place([gate("x", (ctrl[bit],))], 0)
-            c.place([gate("x", (payload,))], 0)  # xi = |1> marks the routed slot
+                    place(c, [gate("x", (ctrl[bit],))], 0)
+            place(c, [gate("x", (payload,))], 0)  # xi = |1> marks the routed slot
             res = copyswap(c, ctrl, payload, start=1)
             c.mark_persistent(res.slots[1:])
             for tr in res.trees:
@@ -221,7 +221,7 @@ class TestCopySwap:
         ctrl = [c.alloc(at_layer=0) for _ in range(m)]
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
-        c.place([gate("ry", (payload,), 1.2)], 0)
+        place(c, [gate("ry", (payload,), 1.2)], 0)
         res = copyswap(c, ctrl, payload, start=1)
         c.mark_persistent(res.slots[1:])
         for tr in res.trees:
@@ -240,8 +240,8 @@ class TestCopySwap:
         c.mark_persistent(ctrl + [payload])
         for bit in range(m):
             if (k >> bit) & 1:
-                c.place([gate("x", (ctrl[bit],))], 0)
-        c.place([gate("ry", (payload,), 0.77)], 0)
+                place(c, [gate("x", (ctrl[bit],))], 0)
+        place(c, [gate("ry", (payload,), 0.77)], 0)
         res = copyswap(c, ctrl, payload, start=1)
         c.mark_persistent(res.slots[1:])
         for tr in res.trees:
@@ -260,8 +260,8 @@ class TestCopySwap:
         payload = c.alloc(at_layer=0)
         c.mark_persistent(ctrl + [payload])
         for q in ctrl:
-            c.place([gate("h", (q,))], 0)
-        c.place([gate("ry", (payload,), 0.5)], 0)
+            place(c, [gate("h", (q,))], 0)
+        place(c, [gate("ry", (payload,), 0.5)], 0)
         block = Block(c, 1)
         res = copyswap(block, ctrl, payload, start=1)
         block.mirror(res.end, m)  # releases the copies and the target slots
@@ -281,7 +281,7 @@ def spf_fragment(y_values):
     c.mark_persistent(data + A)
     for s in range(m):
         for p in range(1 << s):
-            c.place([gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
+            place(c, [gate("ry", (A[pair_index(s, p)],), aset.theta(s, p))], 0)
     end, sched = spf(c, data, split_levels(A), start=1)
     return c, data, A, aset, sched
 
@@ -289,7 +289,7 @@ def spf_fragment(y_values):
 class TestSpf:
     def test_m1_is_single_swap(self):
         c, data, A, aset, _ = spf_fragment([0.6, 0.8])
-        swaps = [g for t in range(c.num_layers()) for g in c.gates(t) if g.op == "swap"]
+        swaps = [g for t in range(c.num_layers()) for g in gates(c, t) if g.op == "swap"]
         assert len(swaps) == 1
         _, state = run(c)
         vec = state.statevector(data + A)
@@ -428,9 +428,9 @@ class TestFlag:
         F = [c.alloc(at_layer=0) for _ in range((1 << m) - 1)]
         c.mark_persistent(data + F)
         for q in data:
-            c.place([gate("h", (q,))], 0)
+            place(c, [gate("h", (q,))], 0)
         for q in F:
-            c.place([gate("x", (q,))], 0)
+            place(c, [gate("x", (q,))], 0)
         levels = split_levels(F)
         end = flag(c, data, levels, start=1)
         flag(c, data, levels, start=end, adjoint=True)
@@ -503,10 +503,10 @@ class TestLoadf:
         c = Circuit()
         ctrl = [c.alloc(at_layer=0)]
         c.mark_persistent(ctrl)
-        c.place([gate("h", (ctrl[0],))], 0)
+        place(c, [gate("h", (ctrl[0],))], 0)
         F0 = [c.alloc(at_layer=1) for _ in range(3)]
         for q in F0:
-            c.place([gate("x", (q,))], 1)
+            place(c, [gate("x", (q,))], 1)
         B0 = [c.alloc(at_layer=2) for _ in range(3)]
         c.mark_persistent(F0 + B0)
         refs = []
