@@ -28,9 +28,10 @@ persistent and register ids that are qubits, and every qubit never released
 persistent); :meth:`Circuit.validate` reports its faults and :func:`loads`
 raises the first.  What the columns and tables cannot hold is refused where
 it is put in: a gate that breaks :func:`_form_faults` where a batch is
-packed, and ids that are not ints, alloc layers outside ``_INDEX`` and
-unknown kinds at the builder's call.  The reader checks only that, and that
-the alloc ids are dense.  Placement and release test a batch at once
+packed (and by :meth:`Circuit.put`, a parameter that is not finite), and ids
+that are not ints, alloc layers outside ``_INDEX`` and unknown kinds at the
+builder's call.  The reader checks only that, the layout of the text, and
+that the alloc ids are dense.  Placement and release test a batch at once
 (:func:`_claim`), and a batch that fails changes nothing; one per-id
 diagnosis, :meth:`Circuit._id_faults`, names their faults, and a failed
 placement and the walk word a layer through one per-layer one,
@@ -40,21 +41,21 @@ Gates enter a circuit one way: a batch of one op goes through
 :meth:`Circuit.put` as flat operands and parameters, and :meth:`Circuit.embed`
 and :meth:`Block.mirror` place column slices through the same
 :meth:`Circuit._place`.  :func:`loads` reads circuit JSON (a ``str``,
-``bytes``, or a binary file read in blocks) into the columns a chunk of
-gates at a time (:func:`_pack`), and the loaded circuit passes the walk;
+``bytes``, or a binary file read in blocks) in the one layout :func:`write`
+writes, ASCII with sorted keys and no whitespace, into the columns a piece
+of gates at a time (:func:`_pack`), and the loaded circuit passes the walk;
 :func:`checked` refuses an emitted circuit that does not.
 """
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import json
 import math
 import os
+import re
 import stat
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
@@ -72,7 +73,6 @@ from .errors import (
     LayerCollision,
     LeakedQubit,
     MalformedCircuit,
-    MalformedInput,
     OperandNotLive,
     UseAfterDealloc,
 )
@@ -121,9 +121,6 @@ NEVER = 2**31 - 1
 #: the ints a qubit id or a layer index can be, and the ints a column can hold
 _INDEX = range(NEVER)
 _I32 = range(-2**31, NEVER)
-
-#: ``_consume(iterator)`` runs an iterator of C calls, such as ``map(setitem, ...)``, to its end
-_consume = deque(maxlen=0).extend
 
 
 def _view(column: array) -> np.ndarray:
@@ -394,15 +391,18 @@ class Circuit:
     def put(self, op: str, ids: Sequence[int], layer: int, params: Sequence[float] = ()) -> int:
         """Put a batch of one op at one explicit layer, given as its flat operands (the
         op's arity of them per gate) and flat parameters: every operand must be live
-        there, after its latest gate (:meth:`_place`).  Its op, counts and types are
-        checked as a whole, the types at once for an ``array('i')`` or ``range`` of
-        operands and an ``array('d')`` of parameters; the first :func:`_form_faults`
-        fault is raised.  A rejected batch, like an empty one, changes nothing."""
+        there, after its latest gate (:meth:`_place`).  Its op, counts and types, and
+        that its parameters are finite, are checked as a whole, at once for an
+        ``array('i')`` or ``range`` of operands and an ``array('d')`` of parameters; the
+        first :func:`_form_faults` fault, else the first parameter
+        :func:`_value_faults` finds, is raised.  A rejected batch, like an empty one,
+        changes nothing."""
         sig = GATE_SIGNATURES.get(op) if type(op) is str else None
         n = len(ids) // sig[0] if sig else 0
         if not (sig and (len(ids), len(params)) == (n * sig[0], n * sig[1]) and _all_ints(ids)
-                and (isinstance(params, array) and params.typecode == "d" or set(map(type, params)) <= _FLOAT)):
-            raise _first(_form_faults(op, params, ids, n), f"layer {layer}: ")
+                and (np.isfinite(np.frombuffer(params)).all() if isinstance(params, array) and params.typecode == "d"
+                     else set(map(type, params)) <= _FLOAT and all(map(math.isfinite, params)))):
+            raise _first(chain(_form_faults(op, params, ids, n), _value_faults(op, params, ())), f"layer {layer}: ")
         return self._place(bytes((_CODE[op],)) * n, ids, params, layer)
 
     def _place(self, codes, ids, values, layer: int) -> int:
@@ -1209,10 +1209,6 @@ def _dealloc_entry(e) -> tuple[int, int]:
     return qid, t
 
 
-#: table name -> its entry reader and its number of columns: ids, layers (and kind codes)
-_TABLES = {"alloc": (_alloc_entry, 3), "dealloc": (_dealloc_entry, 2)}
-
-
 def _add_rows(columns: list, entry: Callable, rows: list) -> None:
     """Append a block of a lifecycle table's parsed entries to its columns: at once if
     they are lists of the right length with int ids and layers in ``_INDEX`` (and
@@ -1238,17 +1234,14 @@ def _add_rows(columns: list, entry: Callable, rows: list) -> None:
             column.append(value)
 
 
-def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | None) -> None:
+def _read_tables(c: Circuit, alloc_table: list, dealloc_table: list) -> None:
     """Fill ``c``'s lifecycle tables from the columns of the ``alloc`` and ``dealloc`` tables.
 
-    A table given as anything but a list is passed as None.  The alloc ids
-    must be 0..n-1 in some order.  The qubits have no gate yet, and the
-    dealloc table is released through :meth:`Circuit.dealloc_many`, each
-    qubit at its own layer, with its rules and errors.
+    The alloc ids must be 0..n-1 in some order.  The qubits have no gate
+    yet, and the dealloc table is released through
+    :meth:`Circuit.dealloc_many`, each qubit at its own layer, with its
+    rules and errors.
     """
-    for key, table in ("alloc", alloc_table), ("dealloc", dealloc_table):
-        if table is None:
-            raise MalformedCircuit(f'"{key}" must be a JSON list')
     (ids, alloc, kinds), (qs, ends) = alloc_table, dealloc_table
     n = len(ids)
     rows, dense = _view(ids), np.arange(n, dtype=np.intc)
@@ -1263,65 +1256,50 @@ def _read_tables(c: Circuit, alloc_table: list | None, dealloc_table: list | Non
     c.dealloc_many(qs, ends)
 
 
-_skip_ws = json.decoder.WHITESPACE.match
 _decode_value = json.JSONDecoder().raw_decode
-
-
-def json_text(data: str | bytes) -> str:
-    """The text ``json.loads(data)`` parses: bytes decode through ``json.detect_encoding``
-    (a BOM selects the encoding and is dropped); a str that starts with a BOM is a
-    ``JSONDecodeError``."""
-    if isinstance(data, str):
-        if data.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", data, 0)
-        return data
-    return data.decode(json.detect_encoding(data), "surrogatepass")
-
 
 #: bytes read from a circuit file at a time
 _BLOCK = 1 << 18
-#: characters of lifecycle-table text decoded at a time
+#: characters of lifecycle-table or gate text decoded at a time
 _CHUNK = 1 << 16
+#: ``len("-Infinity")``: a value that the window's end cuts short fails to decode, or ends
+#: (``1.`` of ``1.5``), at most this many characters before that end
+_TOKEN = 9
+#: what JSON takes as whitespace, which circuit JSON holds only in strings and after its end
+_SPACE = " \t\n\r"
+#: a JSON string
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
-def _text_blocks(fp: BinaryIO, data: bytes) -> Iterator[str]:
-    """The bytes of ``fp``, of which ``data`` were its first read of ``_BLOCK``, read a
-    block at a time, as the text :func:`json_text` makes of them: the encoding is
-    detected from the first block."""
-    decode = codecs.getincrementaldecoder(json.detect_encoding(data))("surrogatepass").decode
-    while data:
-        yield decode(data)
-        data = fp.read(_BLOCK)
-    yield decode(b"", True)
+def _malformed(at: int, what: str) -> MalformedCircuit:
+    """The error for circuit JSON that leaves its layout at byte ``at``."""
+    return MalformedCircuit(f"circuit JSON byte {at}: {what}")
 
 
-class _Cursor:
-    """A position in JSON text read block by block; values are decoded by the C scanner
-    one at a time.
+def _ascii(block: str | bytes, at: int) -> str:
+    """A block of circuit JSON that starts at byte ``at``, as text: it must be ASCII."""
+    if block.isascii():
+        return block if isinstance(block, str) else block.decode("ascii")
+    data = block.encode("utf-8", "surrogatepass") if isinstance(block, str) else block
+    raise _malformed(at + next(k for k, b in enumerate(data) if b > 127), "expected ASCII")
 
-    The cursor holds a window of the text: what it has not yet stepped
-    past, and at least what the value at the cursor needs.  A value or key
-    that does not decode, or a number that ends at the window's end, reads
-    on (at least as much again as the window holds) and is decoded again;
-    text the cursor has passed is dropped then.  Whitespace after every
-    token is skipped, so the cursor always rests on the next token or the
-    end of the input.  Syntax errors are ``JSONDecodeError``s as
-    ``json.loads`` raises them, positions counted from the start of the
-    input, and nesting deeper than the parser's recursion limit is
-    ``MalformedInput``; before either is raised the rest of the input is
-    decoded, so undecodable bytes anywhere are a ``UnicodeDecodeError``
-    first, as in ``json.loads``.
-    """
+
+def _ascii_text(read: Callable[[int], str | bytes], at: int = 0) -> Iterator[str]:
+    """The blocks of circuit JSON ``read(at)`` returns from byte ``at`` on, as text (:func:`_ascii`)."""
+    while block := read(at):
+        yield _ascii(block, at)
+        at += len(block)
+
+
+class _Reader:
+    """Circuit JSON read a block at a time, and a cursor in it: the reader holds a window
+    of the text, what the cursor has not yet stepped past and at least what the next
+    step needs.  It steps over the layout's text literally, decodes the values in it
+    with the C scanner, and raises a departure from the layout as soon as it meets it."""
 
     def __init__(self, blocks: Iterator[str]):
         self._blocks = blocks
-        self.s = ""
-        self.i = 0
-        self._base = 0          # offset of s[0] in the text
-        self._lines = 0         # newlines before s[0]
-        self._last_nl = -1      # offset of the last newline before s[0]
-        self.ascii = True       # whether all the text read so far is ASCII
-        self._skip()
+        self.s, self.i, self._base = "", 0, 0   # the window, the cursor in it, the offset of s[0]
 
     def offset(self) -> int:
         """The cursor's offset in the text."""
@@ -1331,169 +1309,145 @@ class _Cursor:
         """Drop the text before the cursor and read on, until the window holds ``want``
         characters past the cursor and at least as much new text as it kept; False, and
         nothing changed, at the end of the input."""
-        rest = self.s[self.i:]
-        parts, need = [rest], max(want - len(rest), len(rest), 1)
+        parts = [self.s[self.i:]]
+        need = max(want - len(parts[0]), len(parts[0]), 1)
         for block in self._blocks:
             parts.append(block)
             need -= len(block)
             if need <= 0:
                 break
-        text = list(filter(None, parts))
-        if len(text) == (1 if rest else 0):
+        if len(parts) == 1:
             return False
-        if self.s.find("\n", 0, self.i) >= 0:
-            self._lines += self.s.count("\n", 0, self.i)
-            self._last_nl = self._base + self.s.rfind("\n", 0, self.i)
         self._base += self.i
-        self.s, self.i = text[0] if len(text) == 1 else "".join(text), 0
-        self.ascii = self.ascii and self.s.isascii()
+        self.s, self.i = "".join(parts), 0
         return True
 
-    def _skip(self) -> None:
-        self.i = _skip_ws(self.s, self.i).end()
-        while self.i == len(self.s) and self._more():
-            self.i = _skip_ws(self.s, self.i).end()
+    def peek(self) -> str:
+        if self.i == len(self.s):
+            self._more()
+        return self.s[self.i:self.i + 1]
 
-    def _error(self, msg: str, pos: int) -> json.JSONDecodeError:
-        """The ``JSONDecodeError`` for window position ``pos``, placed in the whole text,
-        once the rest of the input has been decoded."""
-        _consume(self._blocks)
-        e = json.JSONDecodeError(msg, self.s, pos)
-        nl = self.s.rfind("\n", 0, pos)
-        e.pos = self._base + pos
-        e.lineno = self._lines + self.s.count("\n", 0, pos) + 1
-        e.colno = e.pos - (self._base + nl if nl >= 0 else self._last_nl)
-        e.args = ("%s: line %d column %d (char %d)" % (msg, e.lineno, e.colno, e.pos),)
-        return e
+    def expect(self, token: str) -> None:
+        """Step past ``token``, which must come next."""
+        if len(self.s) - self.i < len(token):
+            self._more(len(token))
+        if not self.s.startswith(token, self.i):
+            same = len(os.path.commonprefix([token, self.s[self.i:self.i + len(token)]]))
+            raise _malformed(self.offset() + same, f"expected {token[same:same + 16]!r}")
+        self.i += len(token)
+
+    def _step(self, end: int) -> None:
+        """Step to window position ``end``, past decoded text, which may hold whitespace only
+        inside its strings."""
+        if any(self.s.find(space, self.i, end) >= 0 for space in _SPACE):
+            bare = _STRING.sub(lambda string: "_" * len(string[0]), self.s[self.i:end])
+            spaces = [at for at in map(bare.find, _SPACE) if at >= 0]
+            if spaces:
+                raise _malformed(self.offset() + min(spaces), "expected no whitespace")
+        self.i = end
+
+    def value(self):
+        """Decode the value at the cursor and step past it (:meth:`_step`).  A value that ends or
+        fails within ``_TOKEN`` characters of the window's end, or in a string the window leaves
+        open, is decoded again with more text; any other syntax error is raised at once."""
+        while True:
+            try:
+                obj, end = _decode_value(self.s, self.i)
+            except json.JSONDecodeError as e:
+                if (e.pos + _TOKEN >= len(self.s) or e.msg.startswith("Unterminated string")) and self._more():
+                    continue
+                raise _malformed(self._base + e.pos, e.msg) from None
+            except RecursionError:
+                raise _malformed(self.offset(), "nested too deeply") from None
+            if end + _TOKEN >= len(self.s) and self._more():  # a number may go on in the next block
+                continue
+            self._step(end)
+            return obj
+
+    def items(self) -> Iterator[None]:
+        """Past an array's ``[``: yield at each of its elements, which the caller reads (one
+        or more), stepping over the commas between them, then step past its ``]``."""
+        if self.peek() != "]":
+            yield
+            while self.peek() == ",":
+                self.i += 1
+                yield
+        self.expect("]")
+
+    def pieces(self, close: str, stop: int = -1) -> Iterator[list]:
+        """Past an array's ``[``: yield its elements, each a list or an object that ends in
+        ``close``, in lists, as many at a time as one decode of up to ``_CHUNK``
+        characters takes; then step past its ``]``.
+
+        A piece ends at the last ``close`` + ``,`` in reach, and decodes inside
+        ``[]`` as a list of whole elements only if that ends one (in the text the
+        writer writes, it always does); its decode may end early, at the array's
+        own ``]``.  Where no piece decodes, one element is decoded alone, and
+        pieces are tried again past the failed cut.  No piece before offset
+        ``stop`` ends past it.
+        """
+        retry = 0   # offset in the text where pieces are tried again
+        for _ in self.items():
+            if len(self.s) - self.i < _CHUNK:
+                self._more(_CHUNK)
+            reach = self.i + _CHUNK
+            if self._base + self.i < stop:
+                reach = min(reach, stop - self._base + 1)
+            cut = self.s.rfind(close + ",", self.i, reach) + 1
+            if cut and self._base + self.i >= retry:
+                try:
+                    rows, end = _decode_value("[%s]" % self.s[self.i:cut])
+                except (json.JSONDecodeError, RecursionError):
+                    rows, retry = None, self._base + cut
+                if rows:  # not "[]": an empty piece is a trailing comma, which value() reports
+                    self._step(self.i + end - 2)
+                    yield rows
+                    continue
+            yield [self.value()]
 
     def skip_to(self, pos: int) -> None:
-        """Step, without decoding any value, to offset ``pos``, which the caller knows to
-        be a token or the end of the input."""
+        """Step, without decoding anything, to offset ``pos``, which the caller knows to be
+        in the text."""
         while self._base + len(self.s) < pos:
             self.i = len(self.s)
             if not self._more():
                 break
         self.i = min(pos - self._base, len(self.s))
-        self._skip()
-
-    def peek(self) -> str:
-        return self.s[self.i:self.i + 1]
-
-    def value(self):
-        """Decode the value at the cursor and step past it."""
-        while True:
-            try:
-                obj, end = _decode_value(self.s, self.i)
-            except json.JSONDecodeError as e:
-                if self._more():
-                    continue
-                raise self._error(e.msg, e.pos) from None
-            except RecursionError:
-                _consume(self._blocks)
-                raise MalformedInput("input JSON is nested too deeply") from None
-            if end == len(self.s) and self._more():  # a number may go on in the next block
-                continue
-            self.i = end
-            self._skip()
-            return obj
-
-    def _step(self, token: str, expected: str) -> None:
-        if self.peek() != token:
-            raise self._error(f"Expecting {expected}", self.i)
-        self.i += 1
-        self._skip()
-
-    def members(self, opening: str, closing: str) -> Iterator[None]:
-        """Step into the container at the cursor, yield once per member (which the
-        caller reads), step over the commas between members and past the close."""
-        self._step(opening, repr(opening))
-        if self.peek() != closing:
-            yield
-            while self.peek() != closing:
-                self._step(",", "',' delimiter")
-                yield
-        self._step(closing, repr(closing))
-
-    def keys(self) -> Iterator[str]:
-        """Yield each key of the object at the cursor; the caller steps past its value."""
-        for _ in self.members("{", "}"):
-            if self.peek() != '"':
-                raise self._error("Expecting property name enclosed in double quotes", self.i)
-            while True:
-                try:
-                    key, end = json.decoder.scanstring(self.s, self.i + 1)
-                    break
-                except json.JSONDecodeError as e:
-                    if not self._more():
-                        raise self._error(e.msg, e.pos) from None
-            self.i = end
-            self._skip()
-            self._step(":", "':' delimiter")
-            yield key
 
     def end(self) -> None:
-        """Check that the input ends at the cursor, and drop the window."""
-        if self.i != len(self.s):
-            raise self._error("Extra data", self.i)
-        self.s = ""
-
-    def chunks(self, close: str, stop: int = -1) -> Iterator[list]:
-        """Yield the elements of the array at the cursor, each a list or an object that
-        ends in ``close``, in lists: as many at a time as one decode of up to ``_CHUNK``
-        characters takes.
-
-        A chunk ends at the last ``close`` + ``,`` in reach, and ``[`` +
-        chunk + ``]`` decodes as a list of whole elements only if that
-        ``close`` ends an element (a cut inside a string or a nested
-        container does not decode); its decode may also end early, at the
-        array's own ``]``.  Where no chunk decodes, one element is decoded on
-        its own, and chunks are tried again past the failed cut.  No chunk
-        before offset ``stop`` ends past it, so if an element ends there a
-        chunk leaves the cursor on it.
-        """
-        retry = 0   # offset in the text where chunks are tried again
-        for _ in self.members("[", "]"):
-            while True:
-                if len(self.s) - self.i < _CHUNK:
-                    self._more(_CHUNK)
-                reach = self.i + _CHUNK
-                if self._base + self.i < stop:
-                    reach = min(reach, stop - self._base + 1)
-                cut = self.s.rfind(close + ",", self.i, reach) + 1
-                if cut > self.i and self._base + self.i >= retry:
-                    try:
-                        rows, end = _decode_value("[%s]" % self.s[self.i:cut])
-                    except (json.JSONDecodeError, RecursionError):
-                        rows, retry = None, self._base + cut
-                    if rows:  # not "[]": an empty chunk is a trailing comma, which value() reports
-                        # on the comma after the last element, or on the array's ']'
-                        self.i += end - 2
-                        yield rows
-                        if self.peek() != ",":
-                            break
-                        self._step(",", "',' delimiter")
-                        continue
-                yield [self.value()]
-                break
+        """Check that nothing but whitespace follows the cursor."""
+        while not (rest := self.s[self.i:].lstrip(_SPACE)):
+            self.i = len(self.s)
+            if not self._more():
+                return
+        raise _malformed(self._base + len(self.s) - len(rest), "expected the end of the text")
 
 
-def _read_layers(doc: _Cursor, c: Circuit, hold: Callable, stop: int = -1,
-                 handover: Callable[[int], bool] | None = None) -> None:
-    """Read the array of layers at the cursor into ``c``'s columns, a chunk of each
-    layer's gates at a time (:meth:`_Cursor.chunks`, :func:`_read_gates`), each read
-    through ``hold(read, *args)``.  Where a chunk of layer t ends at offset ``stop``,
-    ``handover(t)`` may take over the rest of the array: it returns True once it has
-    read it and stepped the cursor past it."""
-    for _ in doc.members("[", "]"):
+def _table(doc: _Reader, head: str, entry: Callable, width: int) -> list:
+    """Step past ``head``, then read the lifecycle table it opens into its ``width``
+    columns, a piece at a time (:func:`_add_rows`): ids, layers (and kind codes)."""
+    doc.expect(head)
+    columns = [array("i"), array("i"), bytearray()][:width]
+    for rows in doc.pieces("]"):
+        _add_rows(columns, entry, rows)
+    return columns
+
+
+def _read_layers(doc: _Reader, c: Circuit, stop: int = -1, result: Callable[[], int | None] | None = None) -> None:
+    """Read the layers, past whose ``[`` the cursor stands, into ``c``'s columns, a piece
+    of each layer's gates at a time (:meth:`_Reader.pieces`, :func:`_read_gates`).  Where
+    a piece of layer t ends at the comma at offset ``stop``, a child that read the rest
+    of the layers from there gives its anonymous file's descriptor through ``result``:
+    then its layers are adopted (:func:`_adopt`) and the cursor steps past them."""
+    for _ in doc.items():
         t = c.num_layers()
         c._grow(t)
-        if doc.peek() == "[":
-            for chunk in doc.chunks("}", stop):
-                hold(_read_gates, c, t, chunk)
-                if doc.offset() == stop and handover(t):
-                    return
-        else:
-            hold(_json_list, doc.value(), f"layer {t}")
+        doc.expect("[")
+        for gates in doc.pieces("}", stop):
+            _read_gates(c, t, gates)
+            if doc.offset() == stop and (later := result()) is not None:
+                doc.skip_to(stop + 1 + _adopt(c, t, later))
+                return
 
 
 def _split_point(fp: BinaryIO, first: bytes) -> tuple[int, int, int] | None:
@@ -1501,11 +1455,8 @@ def _split_point(fp: BinaryIO, first: bytes) -> tuple[int, int, int] | None:
     of ``_BLOCK`` bytes returned ``first``: (its descriptor, the file offset where the
     text starts, the offset in the text of the comma after the first gate that ends
     past ``_SPLIT_AT`` of it).  None unless the file splits: it is a regular file of
-    ``_SPLIT_BYTES`` or more in UTF-8 with no BOM, the process can fork a helper
-    (:func:`_two_cores`), and ``_GATE_BOUNDARY`` occurs within ``_CHUNK`` bytes of that
-    point."""
-    if len(first) < _BLOCK or json.detect_encoding(first) != "utf-8":
-        return None
+    ``_SPLIT_BYTES`` or more, the process can fork a helper (:func:`_two_cores`), and
+    ``_GATE_BOUNDARY`` occurs within ``_CHUNK`` bytes of that point."""
     status = _regular_file(fp)
     if status is None:
         return None
@@ -1518,30 +1469,17 @@ def _split_point(fp: BinaryIO, first: bytes) -> tuple[int, int, int] | None:
     return None if found < 0 else (fd, start, past + found + 1)
 
 
-def _ascii_blocks(fd: int, offset: int) -> Iterator[str]:
-    """The bytes of the file ``fd`` from ``offset`` on, ``_BLOCK`` at a time, as ASCII text
-    (``UnicodeDecodeError`` at any other byte); its file offset is left as it was."""
-    while data := os.pread(fd, _BLOCK, offset):
-        yield data.decode("ascii")
-        offset += len(data)
-
-
-def _now(read: Callable, *args) -> None:
-    """``read(*args)``: the ``hold`` of a reader that holds no fault, but raises it."""
-    read(*args)
-
-
 def _read_later(fd: int, offset: int, out: BinaryIO) -> None:
     """The child's part of :func:`loads`: read the circuit file ``fd`` from ``offset``,
-    the start of a gate inside a layer, to the end of the array of layers, the way
-    :func:`loads` reads layers (:func:`_read_layers`) with ``[[`` put before the text;
-    write to ``out`` how far past ``offset`` it stepped (to the token after the
-    array), then the columns of each layer it read.  Text that is not ASCII, and any
-    fault or syntax error, raises: the child declines and the parent reads on."""
-    doc = _Cursor(chain(["[["], _ascii_blocks(fd, offset)))
+    the start of a gate inside a layer, to the end of the layers, the way :func:`loads`
+    reads them (:func:`_read_layers`) with ``[`` put before the text; write to ``out``
+    how far past ``offset`` it stepped (past the layers' ``]``), then the columns of each
+    layer it read.  Text that is not ASCII, and any fault, raises: the child declines
+    and the parent reads on."""
+    doc = _Reader(chain(["["], _ascii_text(lambda at: os.pread(fd, _BLOCK, at), offset)))
     c = Circuit()
-    _read_layers(doc, c, _now)
-    head = array("q", [doc.offset() - 2, c.num_layers()])
+    _read_layers(doc, c)
+    head = array("q", [doc.offset() - 1, c.num_layers()])
     for columns in zip(c._ops, c._qs, c._ps):
         head.extend(map(len, columns))
     out.write(head)
@@ -1569,118 +1507,60 @@ def _adopt(c: Circuit, t: int, fd: int) -> int:
 def loads(source: str | bytes | BinaryIO) -> Circuit:
     """Parse and check circuit JSON from text, bytes, or a binary file read in blocks.
 
-    Accepts what ``json.loads`` accepts (whitespace anywhere, bytes in any
-    encoding ``json.detect_encoding`` names) and rejects what it rejects,
-    except that a repeated top-level key is ``MalformedCircuit``.  The
-    circuit it returns is valid: it has no fault of :meth:`Circuit._faults`.
+    Reads the text :func:`write` writes, and only that: ASCII, the keys of
+    ``{"alloc":[...],"dealloc":[...],"layers":[...],"persistent":...,"registers":...}``
+    in that order, the tables, the layers and each layer arrays, nothing but a
+    comma between two elements, and whitespace only in strings and after the
+    closing brace.  Any other text is ``MalformedCircuit`` naming the byte
+    offset where it leaves that layout and what was expected there.
 
-    A file (anything with ``read``) is read ``_BLOCK`` bytes at a time and
-    decoded as it is read (:func:`_text_blocks`), so neither its bytes nor
-    its text are ever held whole; text and bytes are read from one block.
-    The top-level object is walked key by key, in any order.  The gates of
-    each layer and the entries of the ``alloc`` and ``dealloc`` tables are
-    decoded a chunk at a time (:meth:`_Cursor.chunks`), packed into the
-    circuit's columns (:func:`_read_gates`, :func:`_add_rows`) and dropped
-    before the next chunk is decoded.  The two tables are checked against
-    each other as soon as both are read, as they are before ``layers`` in
-    canonical documents (whose keys come sorted).  The first
-    ``CircuitError`` is held until the whole text has been scanned, so a
-    syntax error anywhere comes first, as in ``json.loads``.  The reader
-    checks only the JSON shapes and types, what the columns cannot hold and
-    that the alloc ids are dense; then it sets the persistent set and the
-    registers, and the circuit's walk raises its first fault.
+    A file (anything with ``read``) is read ``_BLOCK`` bytes at a time.  The
+    rows of the lifecycle tables and the gates of each layer are decoded a
+    piece at a time (:meth:`_Reader.pieces`), packed into the circuit's
+    columns (:func:`_add_rows`, :func:`_read_gates`) and dropped.  Each fault
+    is raised as soon as it is met, and the text after it is not read.  The
+    reader checks only the layout, the JSON types, what the columns cannot
+    hold and that the alloc ids are dense; the circuit's walk raises the
+    first fault of the rest.
 
-    A large file is read on two cores (:func:`_split_point`): as soon as its
-    first block is read, a forked child (:func:`_forked`) reads the layers
-    from a gate boundary past the middle of the file (:func:`_read_later`).
-    This process reads up to that boundary, with no chunk cut past it, and
-    takes the child's layers (:func:`_adopt`) only if its cursor stands on it
-    inside a layer, holds no fault and has read only ASCII text (so text and
-    file offsets agree); then it steps over the text the child read, still
-    hashing and decoding every byte, and reads on.  In any other case, and if
-    the child declined, it reads on itself, so every error is the one it
-    raises alone.
+    A large file is read on two cores (:func:`_split_point`): once its first
+    block is read, a forked child (:func:`_forked`) reads the layers from a
+    gate boundary past the middle of the file (:func:`_read_later`).  This
+    process reads up to that boundary, then takes the child's layers
+    (:func:`_adopt`) and steps over the text the child read, still reading
+    every byte; if the child declined, it reads on itself, so every error is
+    the one it raises alone.
     """
     if not hasattr(source, "read"):
-        return _load(_Cursor(iter([json_text(source)])))
+        return _load(_Reader(_ascii_text(lambda at: source[at:at + _BLOCK])))
     first = source.read(_BLOCK)
+    doc = _Reader(chain([_ascii(first, 0)], _ascii_text(lambda at: source.read(_BLOCK), len(first))))
     split = _split_point(source, first)
     if split is None:
-        return _load(_Cursor(_text_blocks(source, first)))
+        return _load(doc)
     fd, start, at = split
     with _forked(partial(_read_later, fd, start + at + 1)) as result:
-        return _load(_Cursor(_text_blocks(source, first)), at, result)
+        return _load(doc, at, result)
 
 
-def _load(doc: _Cursor, at: int = -1, result: Callable[[], int | None] | None = None) -> Circuit:
+def _load(doc: _Reader, at: int = -1, result: Callable[[], int | None] | None = None) -> Circuit:
     """:func:`loads` of the text at the cursor; a child that reads the layers from the
-    comma at offset ``at`` on gives its anonymous file's descriptor through ``result``."""
-    if doc.peek() != "{":
-        # decoded only so that text json.loads rejects fails as it did there
-        doc.value()
-        doc.end()
-        raise MalformedCircuit("circuit JSON must be an object")
+    comma at offset ``at`` on gives its result through ``result`` (:func:`_read_layers`)."""
     c = Circuit()
-    seen: set[str] = set()
-    values: dict = {}
-    tables: dict = {}
-    faults: list[CircuitError] = []
-
-    def hold(read, *args):
-        """``read(*args)`` with its CircuitError held; nothing is read once one is."""
-        if not faults:
-            try:
-                read(*args)
-            except CircuitError as e:
-                faults.append(e)
-
-    def each_chunk(close: str, read, *args) -> None:
-        """``hold(read, *args, chunk)`` for each chunk of the array at the cursor
-        (:meth:`_Cursor.chunks`); the last chunk is dropped on return."""
-        for chunk in doc.chunks(close):
-            hold(read, *args, chunk)
-
-    def handover(t: int) -> bool:
-        """At the child's start, a gate boundary of layer ``t``: take its layers if no
-        fault is held, all the text read is ASCII and the child read them."""
-        later = None if faults or not doc.ascii else result()
-        if later is None:
-            return False
-        doc.skip_to(at + 1 + _adopt(c, t, later))
-        return True
-
-    for key in doc.keys():
-        if key in seen:
-            faults.append(MalformedCircuit(f"circuit JSON repeats the key {key!r}"))
-        seen.add(key)
-        if key == "layers" and doc.peek() == "[":
-            _read_layers(doc, c, hold, at, handover)
-        elif key in _TABLES:
-            tables[key] = None
-            if doc.peek() == "[":
-                entry, width = _TABLES[key]
-                tables[key] = columns = [array("i"), array("i"), bytearray()][:width]
-                each_chunk("]", _add_rows, columns, entry)
-            else:
-                doc.value()
-            if len(tables) == 2:
-                hold(_read_tables, c, tables.pop("alloc"), tables.pop("dealloc"))
-        else:
-            values[key] = doc.value()
+    _read_tables(c, _table(doc, '{"alloc":[', _alloc_entry, 3), _table(doc, ',"dealloc":[', _dealloc_entry, 2))
+    doc.expect(',"layers":[')
+    _read_layers(doc, c, at, result)
+    doc.expect(',"persistent":')
+    persistent = doc.value()
+    doc.expect(',"registers":')
+    registers = doc.value()
+    doc.expect("}")
     doc.end()
-    if faults:
-        raise faults[0]
-    if not {"alloc", "dealloc"} <= seen:
-        raise MalformedCircuit('circuit JSON needs "alloc" and "dealloc" lists')
-    if "layers" not in seen or "layers" in values:
-        raise MalformedCircuit('"layers" must be a JSON list')
-    registers = values.get("registers", {})
     if type(registers) is not dict:
         raise MalformedCircuit('"registers" must be a JSON object')
-    c.mark_persistent(_json_list(values.get("persistent", []), '"persistent"'))
+    c.mark_persistent(_json_list(persistent, '"persistent"'))
     for name, ids in registers.items():
         c.add_register(name, _json_list(ids, f"register {name}"))
     for error, message in c._faults(_view(c._last_use)):
         raise error(message)
     return c
-

@@ -11,7 +11,8 @@ writer involved:
   (``DECOMPOSITIONS``) and the ASAP rewrite of a circuit by them
   (:func:`expand`), which any per-op price in a gate set is checked against;
 * the circuit JSON document as lists and dicts (:func:`to_json_dict`),
-  which ``circuit_ir.json_chunks`` must write byte for byte;
+  which ``circuit_ir.json_chunks`` must write byte for byte, and any
+  hand-built document as that text (:func:`circuit_json`);
 * the IR's whole-circuit walks, one gate or one qubit at a time: the
   faults ``Circuit.validate`` reports, each qubit's latest layer, the live
   profile and the ``ResourceReport``;
@@ -27,6 +28,7 @@ writer involved:
   residuals, which the sparse simulator must match.
 """
 
+import json
 import math
 from itertools import islice
 from typing import NamedTuple
@@ -204,6 +206,13 @@ def to_json_dict(c: Circuit) -> dict:
         "persistent": sorted(c._persistent),
         "registers": {name: list(qs) for name, qs in c.registers.items()},
     }
+
+
+def circuit_json(doc: dict) -> str:
+    """A circuit document as the text ``circuit_ir.write`` writes, the only text
+    ``circuit_ir.loads`` reads: its five keys sorted and no whitespace, with an empty
+    ``persistent`` list and ``registers`` object where the document leaves them out."""
+    return json.dumps({"persistent": [], "registers": {}, **doc}, sort_keys=True, separators=(",", ":"))
 
 
 # -- the whole-circuit walks, plainly -------------------------------------------

@@ -20,7 +20,7 @@ from qsprep import protocols as proto
 from qsprep import sim, subroutines
 from qsprep.circuit_ir import Circuit
 from qsprep.cli import main
-from reference import Gate, expand, flag_oracle, pair_index, place
+from reference import Gate, circuit_json, expand, flag_oracle, pair_index, place
 from test_circuit_ir import INT_FIELDS, released_doc
 
 try:
@@ -448,11 +448,14 @@ class TestLazyImports:
 class TestDeepNesting:
     @pytest.mark.parametrize("cmd", ["synth", "simulate", "profile", "multicopy"])
     def test_deeply_nested_json_is_exit_2(self, capsys, tmp_path, cmd):
+        """Amplitude and batch documents are decoded whole, which is ``MalformedInput`` at the
+        parser's recursion limit; a circuit document is refused at its first byte, where it
+        leaves the layout the writer writes."""
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
         code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
-        assert json.loads(err)["error"] == "MalformedInput"
+        assert json.loads(err)["error"] == ("MalformedCircuit" if cmd in ("simulate", "profile") else "MalformedInput")
 
     def test_internal_recursion_error_is_exit_3(self, capsys, monkeypatch, pixels):
         def runaway(*args, **kwargs):
@@ -465,12 +468,10 @@ class TestDeepNesting:
 
 def one_qubit_circuit(path, layers, alloc, dealloc):
     x = {"op": "x", "params": [], "qubits": [0]}
-    path.write_text(json.dumps({
+    path.write_text(circuit_json({
         "layers": [[x] if busy else [] for busy in layers],
         "alloc": [[0, alloc, "clean"]],
         "dealloc": [[0, dealloc]],
-        "persistent": [],
-        "registers": {},
     }))
     return str(path)
 
@@ -508,20 +509,20 @@ class TestEmptyLifetime:
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
     def test_accepted(self, capsys, tmp_path, cmd):
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps(empty_lifetime_doc()))
+        path.write_text(circuit_json(empty_lifetime_doc()))
         code, out, err = run_on(capsys, cmd, path, tmp_path)
         assert (code, err) == (0, "")
         rep = json.loads(out)["report"]
         assert rep["peak_live_qubits" if cmd == "simulate" else "qubit_count"] == 1
 
     def test_never_live_in_the_simulator(self):
-        report, state = sim.run(cir.loads(json.dumps(empty_lifetime_doc())))
+        report, state = sim.run(cir.loads(circuit_json(empty_lifetime_doc())))
         assert report.peak_live_qubits == 1
         assert report.ancilla_verdicts == []
         assert list(state._pos) == [0]
 
     def test_expand_keeps_it_empty(self):
-        c = cir.loads(json.dumps(empty_lifetime_doc()))
+        c = cir.loads(circuit_json(empty_lifetime_doc()))
         out = expand(c)
         assert out.alloc_layer(1) == out.dealloc_layer(1)
         assert out.kind(1) == cir.CLEAN
@@ -567,7 +568,7 @@ class TestMalformedCircuit:
     def test_exit_2_with_json_error(self, capsys, tmp_path, cmd, name):
         error, doc = MALFORMED[name]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(circuit_json(doc) if isinstance(doc, dict) else json.dumps(doc, separators=(",", ":")))
         code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] == error
@@ -575,7 +576,7 @@ class TestMalformedCircuit:
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
     def test_well_formed_base_is_accepted(self, capsys, tmp_path, cmd):
         path = tmp_path / "ok.json"
-        path.write_text(json.dumps(two_qubit_doc()))
+        path.write_text(circuit_json(two_qubit_doc()))
         code, _, _ = run_on(capsys, cmd, path, tmp_path)
         assert code == 0
 
@@ -591,7 +592,7 @@ class TestMalformedCircuit:
                 node = node[k]
             node[key] = data.draw(JSON_VALUES)
         path = tmp_path / "fuzz.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(circuit_json(doc))
         for cmd in ("simulate", "profile"):
             code, _, err = run_on(capsys, cmd, path, tmp_path)
             assert code in (0, 2)
@@ -622,7 +623,7 @@ class TestColumnRange:
         doc = released_doc()
         INT_FIELDS[field](doc, value)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(circuit_json(doc))
         code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] in ("OperandNotLive", "MalformedCircuit")
@@ -908,16 +909,18 @@ class TestCircuitStreams:
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
     @pytest.mark.parametrize("trailing", ["x", "{}", ",[]"])
     def test_trailing_garbage_is_exit_2(self, capsys, tmp_path, cmd, trailing):
+        text = circuit_json(two_qubit_doc())
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(two_qubit_doc()) + trailing)
+        path.write_text(text + trailing)
         code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
-        assert json.loads(err)["error"] == "JSONDecodeError"
+        assert json.loads(err) == {"error": "MalformedCircuit",
+                                   "message": f"circuit JSON byte {len(text)}: expected the end of the text"}
 
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
     def test_repeated_top_level_key_is_exit_2(self, capsys, tmp_path, cmd):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(two_qubit_doc())[:-1] + ', "persistent": [0, 1]}')
+        path.write_text(circuit_json(two_qubit_doc())[:-1] + ',"persistent":[0,1]}')
         code, _, err = run_on(capsys, cmd, path, tmp_path)
         assert code == 2
         assert json.loads(err)["error"] == "MalformedCircuit"
@@ -925,22 +928,64 @@ class TestCircuitStreams:
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
     def test_encoded_input_reads_as_utf8(self, capsys, tmp_path, cmd, encoding):
-        text = json.dumps(two_qubit_doc())
+        """Circuit bytes are read as the ASCII text the writer writes, with no encoding
+        detected: the UTF-8 file reads, and its BOM or UTF-16 twin is refused at byte 0."""
+        text = circuit_json(two_qubit_doc())
+        path = tmp_path / "plain.json"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = run_on(capsys, cmd, path, tmp_path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        path = tmp_path / "encoded.json"
+        path.write_bytes(text.encode(encoding))
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
+        assert code == 2
+        assert json.loads(err) == {"error": "MalformedCircuit", "message": "circuit JSON byte 0: expected ASCII"}
+
+    def test_synth_piped_into_simulate(self, capsys, tmp_path, rand_n4):
+        """``synth --out -`` ends the circuit text with a newline, which the reader takes after
+        the closing brace: piped into ``simulate --in -``, it gives the report that the file
+        gives, and only the input digest differs, by the newline."""
+        env = {**os.environ, "PYTHONPATH": str(Path(qsprep.__file__).parents[1])}
+        cli = [sys.executable, "-m", "qsprep.cli"]
+        synth = subprocess.Popen([*cli, "synth", "--in", rand_n4, "--out", "-", "--report", str(tmp_path / "r.json")],
+                                 env=env, stdout=subprocess.PIPE)
+        piped = subprocess.run([*cli, "simulate", "--in", "-"], env=env, stdin=synth.stdout, capture_output=True)
+        synth.stdout.close()
+        assert (synth.wait(), piped.returncode, piped.stderr) == (0, 0, b"")
+        circ = tmp_path / "c.json"
+        assert run_cli(capsys, "synth", "--in", rand_n4, "--out", str(circ))[0] == 0
+        code, out, err = run_cli(capsys, "simulate", "--in", str(circ))
+        assert (code, err) == (0, "")
+        piped, filed = json.loads(piped.stdout), json.loads(out)
+        assert piped["report"] == filed["report"]
+        assert filed["input_digest"] == hashlib.sha256(circ.read_bytes()).hexdigest()
+        assert piped["input_digest"] == hashlib.sha256(circ.read_bytes() + b"\n").hexdigest()
+
+    def test_readme_line_makes_another_tools_circuit_readable(self, capsys, tmp_path, rand_n4):
+        """README's one line rewrites a circuit file that another tool wrote (here indented,
+        its keys in another order) in the layout the reader reads: ``profile`` reads it
+        with the report of the file ``synth`` wrote."""
+        circ, other, fixed = tmp_path / "c.json", tmp_path / "other.json", tmp_path / "fixed.json"
+        assert run_cli(capsys, "synth", "--in", rand_n4, "--out", str(circ))[0] == 0
+        doc = json.loads(circ.read_text())
+        other.write_text(json.dumps({"layers": doc.pop("layers"), **doc}, indent=2))
+        code, _, err = run_on(capsys, "profile", other, tmp_path)
+        assert (code, json.loads(err)["error"]) == (2, "MalformedCircuit")
+        with open(other) as f, open(fixed, "w") as out:
+            json.dump(json.load(f), out, sort_keys=True, separators=(",", ":"))
         reports = []
-        for name, enc in (("plain.json", "utf-8"), ("encoded.json", encoding)):
-            path = tmp_path / name
-            path.write_bytes(text.encode(enc))
-            code, out, err = run_on(capsys, cmd, path, tmp_path)
+        for path in (circ, fixed):
+            code, out, err = run_on(capsys, "profile", path, tmp_path)
             assert (code, err) == (0, "")
-            doc = json.loads(out)
-            assert doc.pop("input_digest") == hashlib.sha256(path.read_bytes()).hexdigest()
-            reports.append(doc["report"])
+            reports.append(json.loads(out)["report"])
         assert reports[0] == reports[1]
 
 
 class TestAmplitudeEncodings:
-    """Amplitude and batch documents decode by the rule circuit documents do: a BOM
-    or a UTF-16 file gives the same output and report as its UTF-8 original."""
+    """Amplitude and batch documents decode as ``json.loads`` decodes bytes: a BOM or a
+    UTF-16 file gives the same output and report as its UTF-8 original.  (A circuit
+    document is read only as the ASCII text the writer writes.)"""
 
     AMPLITUDES = [0.05 + 0.1 * i for i in range(8)]
     ARGV = {

@@ -15,7 +15,6 @@ random batches.  A circuit built by random builder calls that ``validate``
 passes reads back through ``loads`` byte for byte.
 """
 
-import json
 import math
 from array import array
 from itertools import groupby
@@ -30,8 +29,8 @@ from qsprep import circuit_ir as cir
 from qsprep.circuit_ir import CLEAN, DIRTY, GATE_SIGNATURES, Block, Circuit, GateSetModel
 from qsprep.errors import CircuitError
 from qsprep.sim import run
-from reference import (U2_CNOT, Gate, append, append_layer, dense_run, expand, fault_messages, gate, gates,
-                       last_use_oracle, live_oracle, place_oracle, release_oracle, report_oracle)
+from reference import (U2_CNOT, Gate, append, append_layer, circuit_json, dense_run, expand, fault_messages, gate,
+                       gates, last_use_oracle, live_oracle, place_oracle, release_oracle, report_oracle)
 
 OPS = list(GATE_SIGNATURES)
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -384,7 +383,7 @@ def test_a_release_fault_read_from_json_is_deallocs(c, data):
            "layers": [[{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in gates(c, u)]
                       for u in range(L)] + [[], []]}
     with pytest.raises(fault[0]):
-        cir.loads(json.dumps(doc))
+        cir.loads(circuit_json(doc))
 
 
 #: an id a builder may be handed: a qubit or not, or a bool

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import tracemalloc
 
@@ -15,7 +14,7 @@ from qsprep import sim
 from qsprep.circuit_ir import ROTATION_OPS, spacetime_allocation
 from qsprep.errors import BadSplit, ComplexTargetNeedsCSP, NoValidSplit, PeakQubitsExceeded
 from qsprep.sim import run
-from reference import class_split_oracle, gates, to_json_dict
+from reference import circuit_json, class_split_oracle, gates, to_json_dict
 from tests_reflection_helper import run_with_input
 
 
@@ -477,7 +476,7 @@ class TestAngleErrorPropagation:
             for layer in doc["layers"]:
                 for g in layer:
                     g["params"] = [p + delta for p in g["params"]]
-            c = cir.loads(json.dumps(doc))
+            c = cir.loads(circuit_json(doc))
             report, _ = run(c, target=t.amplitudes, target_order=c.registers["D"],
                             enforce_dealloc=False)
             assert 0 < 1 - report.fidelity <= (n_rot * delta) ** 2 / 2 + 1e-9

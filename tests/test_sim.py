@@ -10,8 +10,8 @@ from qsprep.circuit_ir import GATE_SIGNATURES, Block, Circuit
 from qsprep.errors import DeallocNotZero, NormDrift, PeakQubitsExceeded
 from qsprep.sim import run
 from qsprep.subroutines import copy
-from reference import (append, class_split_oracle, flag_oracle, gate, gate_unitary, loadf_oracle, pair_index,
-                       place, spf_oracle, to_json_dict)
+from reference import (append, circuit_json, class_split_oracle, flag_oracle, gate, gate_unitary, loadf_oracle,
+                       pair_index, place, spf_oracle, to_json_dict)
 
 
 def ry_matrix(theta):
@@ -254,12 +254,11 @@ class TestSimBasics:
 def strip_deallocs(c: Circuit) -> tuple[Circuit, dict]:
     """Same gates and allocations, but no qubit is ever contracted out."""
     from qsprep.circuit_ir import loads
-    import json
 
     doc = to_json_dict(c)
     doc["dealloc"] = []
     doc["persistent"] = [qid for qid, _, _ in doc["alloc"]]
-    flat = loads(json.dumps(doc))
+    flat = loads(circuit_json(doc))
     id_map = {q: q for q in flat.qubits()}
     return flat, id_map
 

@@ -27,15 +27,14 @@ def test_no_bare_base_error():
     """Every raise names its case: a class it raises is a `QsprepError` subclass, never the
     base (which would report only that) nor a builtin (which the CLI would report as a bug).
 
-    The two exceptions follow a protocol: PEP 562's `AttributeError` in the package's
-    `__getattr__`, and the circuit reader's `json.JSONDecodeError`, which reports bad JSON
-    text as `json.loads` does.  A raise of a computed value (a fault a helper built or
-    collected) names no class and is not checked here.
+    The one exception follows a protocol: PEP 562's `AttributeError` in the package's
+    `__getattr__`.  A raise of a computed value (a fault a helper built or collected)
+    names no class and is not checked here.
     """
     allowed = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, errors.QsprepError)}
     allowed.discard("QsprepError")
-    exempt = {("__init__.py", "AttributeError"), ("circuit_ir.py", "JSONDecodeError")}
+    exempt = {("__init__.py", "AttributeError")}
     found = []
     for path, node in package_nodes():
         if isinstance(node, ast.Raise) and node.exc is not None:
@@ -78,17 +77,20 @@ def test_no_environment_knobs():
 
 def test_circuit_reader_never_parses_the_whole_document():
     """`circuit_ir.loads` decodes one value at a time: the module calls neither
-    `json.loads` nor `parse_json`, so no circuit is ever parsed whole."""
+    `json.loads` nor `parse_json`, so no circuit is ever parsed whole.  It reads only the
+    ASCII layout the writer writes, so it detects no encoding (`json.detect_encoding`,
+    `codecs`) and skips no whitespace (`json.decoder.WHITESPACE`)."""
+    banned = {"parse_json", "codecs", "detect_encoding", "WHITESPACE"}
     found = []
     for path, node in package_nodes():
         if path.name != "circuit_ir.py":
             continue
-        if isinstance(node, ast.Attribute) and node.attr in ("loads", "parse_json"):
-            if getattr(node.value, "id", None) in ("json", "errors"):
-                found.append(f"{path}:{node.lineno}")
-        elif isinstance(node, ast.Name) and node.id == "parse_json":
+        if isinstance(node, ast.Attribute) and (
+                node.attr in banned or node.attr == "loads" and getattr(node.value, "id", None) in ("json", "errors")):
             found.append(f"{path}:{node.lineno}")
-        elif isinstance(node, ast.alias) and node.name in ("loads", "parse_json"):
+        elif isinstance(node, ast.Name) and node.id in banned:
+            found.append(f"{path}:{node.lineno}")
+        elif isinstance(node, ast.alias) and node.name.split(".")[0] in banned | {"loads"}:
             found.append(f"{path}:{node.lineno}")
     assert found == []
 

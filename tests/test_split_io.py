@@ -179,9 +179,11 @@ FAULTS = {
     "unknown_op": (lambda text: text[:gate_after_split(text)] + '{"op":"nop"' + text[text.index(
         ",", gate_after_split(text)):], "MalformedCircuit"),
     "trailing_comma": (lambda text: text[:text.index("}]", gate_after_split(text)) + 1] + ","
-                       + text[text.index("}]", gate_after_split(text)) + 1:], "JSONDecodeError"),
+                       + text[text.index("}]", gate_after_split(text)) + 1:], "MalformedCircuit"),
     "syntax_error": (lambda text: text[:gate_after_split(text) + 5] + ";"
-                     + text[gate_after_split(text) + 6:], "JSONDecodeError"),
+                     + text[gate_after_split(text) + 6:], "MalformedCircuit"),
+    "non_ascii_register_name": (lambda text: text.replace('"registers":{"', '"registers":{"\u00e9'),
+                                "MalformedCircuit"),
 }
 
 
@@ -196,27 +198,27 @@ def test_fault_after_the_split_is_the_serial_readers(written, tmp_path, fault):
 
 
 def test_indented_file_is_read_serially(written, tmp_path):
-    """No gate boundary of canonical JSON (``_GATE_BOUNDARY``) in an indented file: no fork."""
+    """No gate boundary of canonical JSON (``_GATE_BOUNDARY``) in an indented file: no fork,
+    and the serial reader refuses the file at its first newline."""
     doc = json.loads((written["r10"] / "c.json").read_text())
     (tmp_path / "c.json").write_text(json.dumps(doc, indent=1, sort_keys=True))
-    split, _, serial, _ = read_both(tmp_path, "profile", "--in", "c.json", "--out", "p.csv", "--report", "p.json")
-    assert split == {"code": 0, "forks": 0, "adopted": 0, "left": False}
-    for f in ("p.csv", "p.json"):
-        assert (tmp_path / f).read_bytes() == (tmp_path / "whole" / f).read_bytes()
+    split, split_err, serial, serial_err = read_both(tmp_path, "profile", "--in", "c.json", "--report", "p.json")
+    assert split == {"code": 2, "forks": 0, "adopted": 0, "left": False}
+    assert serial["code"] == 2 and split_err == serial_err
+    assert json.loads(split_err) == {"error": "MalformedCircuit", "message": "circuit JSON byte 1: expected '\"alloc\":['"}
 
 
 def test_non_ascii_text_before_the_layers_is_read_serially(written, tmp_path):
-    """A register name of two UTF-8 bytes before ``layers`` moves every text offset off its
-    byte offset: the child reads, and this process reads on without its layers."""
+    """A register name of two UTF-8 bytes in the first block is refused as that block is
+    read, before a child is forked."""
     doc = json.loads((written["r10"] / "c.json").read_text())
     registers = {"é": doc["registers"]["D"], **doc.pop("registers")}
     doc = {"registers": registers, **doc}
     (tmp_path / "c.json").write_text(json.dumps(doc, separators=(",", ":"), ensure_ascii=False), encoding="utf-8")
-    split, _, serial, _ = read_both(tmp_path, "profile", "--in", "c.json", "--out", "p.csv", "--report", "p.json")
-    assert split == {"code": 0, "forks": 1, "adopted": 0, "left": False}
-    assert serial["code"] == 0
-    for f in ("p.csv", "p.json"):
-        assert (tmp_path / f).read_bytes() == (tmp_path / "whole" / f).read_bytes()
+    split, split_err, serial, serial_err = read_both(tmp_path, "profile", "--in", "c.json", "--report", "p.json")
+    assert split == {"code": 2, "forks": 0, "adopted": 0, "left": False}
+    assert serial["code"] == 2 and split_err == serial_err
+    assert json.loads(split_err) == {"error": "MalformedCircuit", "message": "circuit JSON byte 15: expected ASCII"}
 
 
 @pytest.mark.parametrize("flag", ["one-cpu", "thread"])
