@@ -1140,6 +1140,37 @@ class TestStreamingReader:
                 outcomes.append(cir.dumps(c))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
+    @pytest.mark.parametrize("order", ["layers_first", "canonical"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(at=st.floats(0, 1), edit=st.sampled_from(["delete", "insert", "replace"]),
+           char=st.sampled_from(list('{}[],:" \n0123456789.-eEtrufalsnNx')))
+    @example(at=0.5, edit="insert", char="[")
+    def test_one_edit_fails_to_decode_as_json_loads_does(self, order, at, edit, char):
+        """A one-character edit that ``json.loads`` cannot decode is ``MalformedCircuit``, which
+        names a byte no later than where ``json.loads`` stops or else the layer whose gates break
+        the schema; one it decodes reads as a circuit that passes ``validate()`` or is a
+        ``CircuitError``.  An edit of the text with
+        ``layers`` first is always refused."""
+        doc = {"persistent": [], "registers": {}, **in_layer_doc()}
+        keys = sorted(doc, key=lambda key: key != "layers") if order == "layers_first" else sorted(doc)
+        text = json.dumps({key: doc[key] for key in keys}, separators=(",", ":"))
+        i = int(at * (len(text) - 1))
+        text = text[:i] + {"delete": "", "insert": char + text[i], "replace": char}[edit] + text[i + 1:]
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as e:
+            with pytest.raises(MalformedCircuit) as ours:
+                cir.loads(text)
+            named = re.match(r"circuit JSON byte (\d+): ", str(ours.value))
+            assert named is None or int(named.group(1)) <= e.pos
+        else:
+            try:
+                c = cir.loads(text)
+            except CircuitError:
+                pass
+            else:
+                assert order == "canonical" and c.validate() == []
+
     def test_every_proper_prefix_is_a_decode_error(self):
         """A truncated text is refused at a byte no later than its end."""
         for cut in range(len(IN_LAYER_TEXT)):
