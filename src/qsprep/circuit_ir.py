@@ -30,8 +30,8 @@ raises the first.  What the columns and tables cannot hold is refused where
 it is put in: a gate that breaks :func:`_form_faults` where a batch is
 packed (and by :meth:`Circuit.put`, a parameter that is not finite), and ids
 that are not ints, alloc layers outside ``_INDEX`` and unknown kinds at the
-builder's call.  The reader checks only that, the layout of the text, and
-that the alloc ids are dense.  Placement and release test a batch at once
+builder's call.  The reader checks only that and the layout of the text,
+in the order :func:`write` writes it.  Placement and release test a batch at once
 (:func:`_claim`), and a batch that fails changes nothing; one per-id
 diagnosis, :meth:`Circuit._id_faults`, names their faults, and a failed
 placement and the walk word a layer through one per-layer one,
@@ -42,9 +42,9 @@ Gates enter a circuit one way: a batch of one op goes through
 and :meth:`Block.mirror` place column slices through the same
 :meth:`Circuit._place`.  :func:`loads` reads circuit JSON (a ``str``,
 ``bytes``, or a binary file read in blocks) in the one layout :func:`write`
-writes, ASCII with sorted keys and no whitespace, into the columns a piece
-of gates at a time (:func:`_pack`), and the loaded circuit passes the walk;
-:func:`checked` refuses an emitted circuit that does not.
+writes, into the columns and tables a piece of each array at a time, and
+the loaded circuit passes the walk; :func:`checked` refuses an emitted
+circuit that does not.
 """
 
 from __future__ import annotations
@@ -225,20 +225,6 @@ class Register(array):
 
     def __add__(self, other: Iterable[int]) -> "Register":
         return Register(chain(self, other))
-
-
-def _angle(p, t: int, op: str) -> float:
-    """A parsed parameter of an ``op`` gate of layer ``t`` as a float: an int becomes
-    one; booleans, strings, null, containers and ints past the float range are
-    refused.  Whether it is finite is left to the walk (:func:`_value_faults`)."""
-    if type(p) is float:
-        return p
-    if type(p) is int:
-        try:
-            return float(p)
-        except OverflowError:
-            raise MalformedCircuit(f"layer {t}: {op} parameter {p} is not a finite number") from None
-    raise MalformedCircuit(f"layer {t}: {op} parameter {p!r} is not a number")
 
 
 def _form_faults(op, params, qubits, gates: int = 1) -> Iterator[tuple[type[CircuitError], str]]:
@@ -1131,54 +1117,36 @@ def write(c: Circuit, fh: BinaryIO) -> None:
     _put(_tail_text(c), fh)
 
 
-def _json_list(value, what: str) -> list:
-    if type(value) is not list:
-        raise MalformedCircuit(f"{what} must be a JSON list")
-    return value
+def _read_gates(c: Circuit, t: int, gates: list, text: str) -> None:
+    """Append decoded gates of layer ``t``, whose text is ``text``, to ``c``, packed into
+    columns (:func:`_pack`).
 
-
-#: a parsed gate's fields
-_FIELDS = itemgetter("op", "params", "qubits")
-
-
-def _read_gates(c: Circuit, t: int, gates: list) -> None:
-    """Append parsed gates of layer ``t`` to ``c``, packed into columns (:func:`_gate_columns`).
-
-    A batch of several gates that fails is read again a gate at a time, so
-    its error is that of its first faulty gate, wherever the reader cut the
-    layer into batches.  The gates' other rules are left to
-    :meth:`Circuit._faults`.
+    Every gate must be an object of a string ``op`` and lists of ``params`` and
+    ``qubits`` that packs, with no key twice and no other key (its text holds
+    ``":`` three times); each check is one pass over the gates in C.  A
+    batch of several gates that fails is read again a gate at a time, so its
+    error is that of its first faulty gate, wherever the reader cut the layer
+    into pieces.  The gates' other rules are left to :meth:`Circuit._faults`.
     """
     try:
-        c._extend(t, *_gate_columns(t, gates))
+        ops, params, qubits = zip(*map(itemgetter("op", "params", "qubits"), gates))
+    except (TypeError, KeyError):  # a gate that is no object, or lacks a key
+        ops = params = qubits = ()
+    try:
+        if not (ops and set(map(type, ops)) <= _STR and set(map(type, params)) | set(map(type, qubits)) <= _LIST):
+            raise MalformedCircuit(f"layer {t}: a gate needs a string op and lists of params and qubits")
+        columns = _pack(ops, params, qubits, t)
+        if text.count('":') != 3 * len(gates):
+            raise MalformedCircuit(f"layer {t}: a gate repeats a key, or has one besides op, params and qubits")
+        c._extend(t, *columns)
     except CircuitError:
         if len(gates) == 1:
             raise
+        at = 0
         for g in gates:
-            _read_gates(c, t, [g])
-
-
-def _gate_columns(t: int, gates: list) -> tuple[bytes, list[int], list[float]]:
-    """Parsed gates of layer ``t`` packed into columns (:func:`_pack`).
-
-    Every gate must be an object with a string ``op`` and lists of
-    ``params`` and ``qubits``; each check is one pass over the gates in C.
-    Only a batch that fails to pack while some parameter is not a float is
-    packed again with every parameter through :func:`_angle`, which turns
-    ints into floats and rejects booleans, strings and null.
-    """
-    try:
-        ops, params, qubits = zip(*map(_FIELDS, gates))
-    except (TypeError, KeyError):
-        raise MalformedCircuit(f"layer {t}: every gate needs op, params and qubits") from None
-    if not (set(map(type, ops)) <= _STR and set(map(type, params)) | set(map(type, qubits)) <= _LIST):
-        raise MalformedCircuit(f"layer {t}: a gate needs a string op and lists of params and qubits")
-    try:
-        return _pack(ops, params, qubits, t)
-    except CircuitError:
-        if set(map(type, chain.from_iterable(params))) <= _FLOAT:
-            raise
-        return _pack(ops, [[_angle(p, t, op) for p in ps] for op, ps in zip(ops, params)], qubits, t)
+            end = _decode_value(text, at)[1]
+            _read_gates(c, t, [g], text[at:end])
+            at = end + 1
 
 
 def _alloc_entry(e) -> tuple[int, int, int]:
@@ -1234,26 +1202,32 @@ def _add_rows(columns: list, entry: Callable, rows: list) -> None:
             column.append(value)
 
 
-def _read_tables(c: Circuit, alloc_table: list, dealloc_table: list) -> None:
-    """Fill ``c``'s lifecycle tables from the columns of the ``alloc`` and ``dealloc`` tables.
+def _read_tables(doc: _Reader, c: Circuit) -> None:
+    """Read the ``alloc`` and ``dealloc`` tables into ``c``'s lifecycle tables, a piece of
+    rows at a time (:func:`_add_rows`).
 
-    The alloc ids must be 0..n-1 in some order.  The qubits have no gate
-    yet, and the dealloc table is released through
-    :meth:`Circuit.dealloc_many`, each qubit at its own layer, with its
-    rules and errors.
+    The alloc rows must list the ids 0..n-1 in order, and the dealloc rows
+    theirs in id order (:func:`_in_order`).  The qubits have no gate yet, and
+    the dealloc table is released through :meth:`Circuit.dealloc_many`, each
+    qubit at its own layer, with its rules and errors.
     """
-    (ids, alloc, kinds), (qs, ends) = alloc_table, dealloc_table
-    n = len(ids)
-    rows, dense = _view(ids), np.arange(n, dtype=np.intc)
-    if not (rows == dense).all():
-        if not (np.sort(rows) == dense).all():
-            raise OperandNotLive("alloc list must cover dense qubit ids")
-        alloc_by_id, kinds_by_id = alloc[:], kinds[:]
-        _view(alloc_by_id)[rows] = _view(alloc)
-        np.frombuffer(kinds_by_id, np.uint8)[rows] = np.frombuffer(kinds, np.uint8)
-        alloc, kinds = alloc_by_id, kinds_by_id
-    c._kind, c._alloc, c._dealloc, c._last_use = kinds, alloc, array("i", (NEVER,)) * n, _before(alloc)
+    (ids, alloc, kinds), (qs, ends) = tables = [array("i"), array("i"), bytearray()], [array("i"), array("i")]
+    for head, entry, columns in zip(('{"alloc":[', ',"dealloc":['), (_alloc_entry, _dealloc_entry), tables):
+        doc.expect(head)
+        for _, rows in doc.pieces("]"):
+            _add_rows(columns, entry, rows)
+    if not np.array_equal(_view(ids), np.arange(len(ids), dtype=np.intc)):
+        raise OperandNotLive("alloc list must cover dense qubit ids")
+    _in_order(qs, "dealloc", repeats=True)
+    c._kind, c._alloc, c._dealloc, c._last_use = kinds, alloc, array("i", (NEVER,)) * len(ids), _before(alloc)
     c.dealloc_many(qs, ends)
+
+
+def _in_order(ids: array, what: str, repeats: bool = False) -> None:
+    """Refuse ids out of the increasing order :func:`write` lists them in (a repeat too, unless ``repeats``)."""
+    v = _view(ids)
+    if (v[1:] < v[:-1] if repeats else v[1:] <= v[:-1]).any():
+        raise MalformedCircuit(f"{what} ids must {'not decrease' if repeats else 'strictly increase'}, as written")
 
 
 _decode_value = json.JSONDecoder().raw_decode
@@ -1364,20 +1338,22 @@ class _Reader:
             self._step(end)
             return obj
 
-    def items(self) -> Iterator[None]:
-        """Past an array's ``[``: yield at each of its elements, which the caller reads (one
-        or more), stepping over the commas between them, then step past its ``]``."""
-        if self.peek() != "]":
+    def items(self, close: str = "]") -> Iterator[None]:
+        """Past an array's ``[`` (or an object's ``{``): yield at each of its elements (or
+        members), which the caller reads (one or more), stepping over the commas between
+        them, then step past its ``close``."""
+        if self.peek() != close:
             yield
             while self.peek() == ",":
                 self.i += 1
                 yield
-        self.expect("]")
+        self.expect(close)
 
-    def pieces(self, close: str, stop: int = -1) -> Iterator[list]:
+    def pieces(self, close: str, stop: int = -1) -> Iterator[tuple[str, list]]:
         """Past an array's ``[``: yield its elements, each a list or an object that ends in
-        ``close``, in lists, as many at a time as one decode of up to ``_CHUNK``
-        characters takes; then step past its ``]``.
+        ``close`` (or, where ``close`` is ``""``, a number), in lists, as many at a time
+        as one decode of up to ``_CHUNK`` characters takes, each list with its text;
+        then step past its ``]``.
 
         A piece ends at the last ``close`` + ``,`` in reach, and decodes inside
         ``[]`` as a list of whole elements only if that ends one (in the text the
@@ -1393,17 +1369,20 @@ class _Reader:
             reach = self.i + _CHUNK
             if self._base + self.i < stop:
                 reach = min(reach, stop - self._base + 1)
-            cut = self.s.rfind(close + ",", self.i, reach) + 1
-            if cut and self._base + self.i >= retry:
+            cut = self.s.rfind(close + ",", self.i, reach) + len(close)
+            if cut > self.i and self._base + self.i >= retry:
+                piece = self.s[self.i:cut]
                 try:
-                    rows, end = _decode_value("[%s]" % self.s[self.i:cut])
+                    rows, end = _decode_value("[%s]" % piece)
                 except (json.JSONDecodeError, RecursionError):
                     rows, retry = None, self._base + cut
                 if rows:  # not "[]": an empty piece is a trailing comma, which value() reports
                     self._step(self.i + end - 2)
-                    yield rows
+                    yield piece[:end - 2], rows
                     continue
-            yield [self.value()]
+            start = self.offset()
+            row = self.value()
+            yield self.s[start - self._base:self.i], [row]
 
     def skip_to(self, pos: int) -> None:
         """Step, without decoding anything, to offset ``pos``, which the caller knows to be
@@ -1423,14 +1402,23 @@ class _Reader:
         raise _malformed(self._base + len(self.s) - len(rest), "expected the end of the text")
 
 
-def _table(doc: _Reader, head: str, entry: Callable, width: int) -> list:
-    """Step past ``head``, then read the lifecycle table it opens into its ``width``
-    columns, a piece at a time (:func:`_add_rows`): ids, layers (and kind codes)."""
-    doc.expect(head)
-    columns = [array("i"), array("i"), bytearray()][:width]
-    for rows in doc.pieces("]"):
-        _add_rows(columns, entry, rows)
-    return columns
+def _id_array(doc: _Reader, what: str) -> Register:
+    """The flat id array past whose ``[`` the cursor stands, read a piece at a time
+    (:meth:`_Reader.pieces`): an element that is no JSON number is ``MalformedCircuit``
+    naming its byte, and a number that is no int32 ``OperandNotLive`` (:func:`_int_ids`)."""
+    ids = Register()
+    for text, piece in doc.pieces(""):
+        try:
+            if set(map(type, piece)) <= _INT:
+                ids.fromlist(piece)
+                continue
+        except OverflowError:
+            pass
+        k = next(k for k, i in enumerate(piece) if type(i) is not int or i not in _I32)
+        if type(piece[k]) not in (int, float):  # the numbers before it hold no comma
+            raise _malformed(doc.offset() - len(text.split(",", k)[-1]), "expected a number")
+        _int_ids(piece, what)
+    return ids
 
 
 def _read_layers(doc: _Reader, c: Circuit, stop: int = -1, result: Callable[[], int | None] | None = None) -> None:
@@ -1443,8 +1431,8 @@ def _read_layers(doc: _Reader, c: Circuit, stop: int = -1, result: Callable[[], 
         t = c.num_layers()
         c._grow(t)
         doc.expect("[")
-        for gates in doc.pieces("}", stop):
-            _read_gates(c, t, gates)
+        for text, gates in doc.pieces("}", stop):
+            _read_gates(c, t, gates, text)
             if doc.offset() == stop and (later := result()) is not None:
                 doc.skip_to(stop + 1 + _adopt(c, t, later))
                 return
@@ -1508,20 +1496,19 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
     """Parse and check circuit JSON from text, bytes, or a binary file read in blocks.
 
     Reads the text :func:`write` writes, and only that: ASCII, the keys of
-    ``{"alloc":[...],"dealloc":[...],"layers":[...],"persistent":...,"registers":...}``
-    in that order, the tables, the layers and each layer arrays, nothing but a
-    comma between two elements, and whitespace only in strings and after the
-    closing brace.  Any other text is ``MalformedCircuit`` naming the byte
-    offset where it leaves that layout and what was expected there.
+    ``{"alloc":[...],"dealloc":[...],"layers":[...],"persistent":[...],"registers":{...}}``
+    in that order, nothing but a comma between two elements, whitespace only in
+    strings and after the closing brace, the alloc rows, the dealloc rows and
+    the persistent ids in id order, the register names sorted and unique, and
+    each gate's ``op``, ``params`` and ``qubits`` once, its parameters floats.
+    Any other text is ``MalformedCircuit`` naming the byte offset where it
+    leaves that layout and what was expected there (or the table, or the layer).
 
-    A file (anything with ``read``) is read ``_BLOCK`` bytes at a time.  The
-    rows of the lifecycle tables and the gates of each layer are decoded a
-    piece at a time (:meth:`_Reader.pieces`), packed into the circuit's
-    columns (:func:`_add_rows`, :func:`_read_gates`) and dropped.  Each fault
-    is raised as soon as it is met, and the text after it is not read.  The
-    reader checks only the layout, the JSON types, what the columns cannot
-    hold and that the alloc ids are dense; the circuit's walk raises the
-    first fault of the rest.
+    A file (anything with ``read``) is read ``_BLOCK`` bytes at a time.  Each
+    array, the tail's too, is decoded a piece at a time (:meth:`_Reader.pieces`),
+    packed into the circuit's columns and tables and dropped.  Each fault is
+    raised as soon as it is met, and the text after it is not read; the
+    circuit's walk raises the first fault of the rest.
 
     A large file is read on two cores (:func:`_split_point`): once its first
     block is read, a forked child (:func:`_forked`) reads the layers from a
@@ -1547,20 +1534,23 @@ def _load(doc: _Reader, at: int = -1, result: Callable[[], int | None] | None = 
     """:func:`loads` of the text at the cursor; a child that reads the layers from the
     comma at offset ``at`` on gives its result through ``result`` (:func:`_read_layers`)."""
     c = Circuit()
-    _read_tables(c, _table(doc, '{"alloc":[', _alloc_entry, 3), _table(doc, ',"dealloc":[', _dealloc_entry, 2))
+    _read_tables(doc, c)
     doc.expect(',"layers":[')
     _read_layers(doc, c, at, result)
-    doc.expect(',"persistent":')
-    persistent = doc.value()
-    doc.expect(',"registers":')
-    registers = doc.value()
+    doc.expect(',"persistent":[')
+    persistent = _id_array(doc, "persistent")
+    _in_order(persistent, "persistent")
+    c._persistent = set(persistent)
+    doc.expect(',"registers":{')
+    for _ in doc.items("}"):
+        start = doc.offset()
+        name = doc.value()
+        if type(name) is not str or c.registers and name <= next(reversed(c.registers)):
+            raise _malformed(start, "expected a new register name, in sorted order")
+        doc.expect(":[")
+        c.registers[name] = _id_array(doc, f"register {name}")
     doc.expect("}")
     doc.end()
-    if type(registers) is not dict:
-        raise MalformedCircuit('"registers" must be a JSON object')
-    c.mark_persistent(_json_list(persistent, '"persistent"'))
-    for name, ids in registers.items():
-        c.add_register(name, _json_list(ids, f"register {name}"))
     for error, message in c._faults(_view(c._last_use)):
         raise error(message)
     return c

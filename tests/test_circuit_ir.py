@@ -1023,6 +1023,35 @@ class TestOfKind:
 #: the text of ``in_layer_doc`` as the writer writes it, the one layout ``loads`` reads
 IN_LAYER_TEXT = circuit_json(in_layer_doc())
 
+#: a JSON number
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def spelled(text: str) -> str:
+    """``text`` with each number spelled as the writer spells it: ``repr`` of its int or float."""
+    return NUMBER.sub(lambda m: repr(int(m[0]) if m[0].lstrip("-").isdigit() else float(m[0])), text)
+
+
+def read_one_edit(base: str, at: int, edit: str, char: str) -> None:
+    """Read ``base`` edited at ``at`` as a ``str``, as ``bytes`` and from a file: each gives a
+    circuit that passes ``validate()`` or a ``CircuitError``, the same one each way, and
+    never any other exception.  A circuit it gives is written back as the edited text, but
+    for the spelling of its numbers (:func:`spelled`) and whitespace after its end."""
+    text = base[:at] + {"delete": "", "insert": char + base[at:at + 1], "replace": char}[edit] + base[at + 1:]
+    data = text.encode("utf-8", "surrogatepass")
+    outcomes = []
+    for source in (text, data, io.BytesIO(data)):
+        try:
+            c = cir.loads(source)
+        except CircuitError as e:
+            outcomes.append((type(e), str(e)))
+        else:
+            assert c.validate() == []
+            outcomes.append(cir.dumps(c))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if isinstance(outcomes[0], str):
+        assert spelled(outcomes[0]) == spelled(text.rstrip(" \t\n\r"))
+
 
 def refused_at(data: str | bytes, at: int | None = None) -> MalformedCircuit:
     """``loads`` refuses ``data`` with ``MalformedCircuit`` naming byte ``at``, by default the
@@ -1054,6 +1083,57 @@ DEPARTURES = {
     "trailing_comma": (IN_LAYER_TEXT.replace('[1]}]]', '[1]},]]'), IN_LAYER_TEXT.index('[1]}]]') + 5),
     "deep_registers": (IN_LAYER_TEXT.replace('{"D":[0,1]}', "[" * 100_000 + "]" * 100_000),
                        IN_LAYER_TEXT.index('{"D"')),
+    "repeated_register_name": (IN_LAYER_TEXT.replace('{"D":[0,1]}', '{"D":[0,1],"D":[0]}'),
+                               IN_LAYER_TEXT.index('"D"') + len('"D":[0,1],')),
+    "unsorted_register_names": (IN_LAYER_TEXT.replace('{"D":[0,1]}', '{"D":[0,1],"C":[0]}'),
+                                IN_LAYER_TEXT.index('"D"') + len('"D":[0,1],')),
+    "register_name_no_string": (IN_LAYER_TEXT.replace('{"D":[0,1]}', '{1:[0,1]}'), None),
+    "persistent_id_a_string": (IN_LAYER_TEXT.replace('"persistent":[0,1]', '"persistent":[0,"1"]'), None),
+    "persistent_id_true": (IN_LAYER_TEXT.replace('"persistent":[0,1]', '"persistent":[0,1,true]'),
+                           IN_LAYER_TEXT.index('"persistent":') + len('"persistent":[0,1,')),
+    "register_id_null": (IN_LAYER_TEXT.replace('{"D":[0,1]}', '{"D":[0,1,null]}'),
+                         IN_LAYER_TEXT.index('"D":') + len('"D":[0,1,')),
+    "register_id_a_list": (IN_LAYER_TEXT.replace('{"D":[0,1]}', '{"D":[[0],1]}'), None),
+}
+
+
+def released_pair_doc() -> dict:
+    """``in_layer_doc`` with qubit 1 released too, after its last gate."""
+    doc = in_layer_doc()
+    doc.update(dealloc=[[1, 3], [2, 2]], persistent=[0])
+    return doc
+
+
+#: the writer's text of ``released_pair_doc`` with every qubit persistent and two registers
+TAIL_TEXT = circuit_json({**released_pair_doc(), "persistent": [0, 1, 2], "registers": {"C": [1], "D": [0, 1]}})
+
+
+def gate_text(gate: str) -> str:
+    """``IN_LAYER_TEXT`` with its last gate written as ``gate``."""
+    return IN_LAYER_TEXT.replace('{"op":"h","params":[],"qubits":[1]}', gate)
+
+
+#: a text that breaks the order or the form ``write`` writes in -> (the text, the error class,
+#: how its message starts)
+OUT_OF_WRITE_ORDER = {
+    "persistent_repeated": (IN_LAYER_TEXT.replace('"persistent":[0,1]', '"persistent":[0,1,1]'),
+                            MalformedCircuit, "persistent ids"),
+    "persistent_descending": (IN_LAYER_TEXT.replace('"persistent":[0,1]', '"persistent":[1,0]'),
+                              MalformedCircuit, "persistent ids"),
+    "dealloc_descending": (circuit_json({**released_pair_doc(), "dealloc": [[2, 2], [1, 3]]}),
+                           MalformedCircuit, "dealloc ids"),
+    "dealloc_repeated": (circuit_json({**released_pair_doc(), "dealloc": [[1, 3], [1, 3], [2, 2]]}),
+                         DoubleDealloc, "qubit 1 deallocated twice"),
+    "alloc_out_of_order": (IN_LAYER_TEXT.replace('[[0,0,"clean"],[1,0,"clean"]', '[[1,0,"clean"],[0,0,"clean"]'),
+                           OperandNotLive, "alloc list must cover dense qubit ids"),
+    "alloc_id_missing": (IN_LAYER_TEXT.replace('[1,0,"clean"],[2,1,"clean"]', '[2,1,"clean"]'),
+                         OperandNotLive, "alloc list must cover dense qubit ids"),
+    "int_parameter": (IN_LAYER_TEXT.replace("[0.5]", "[1]"), MalformedCircuit, "layer 0: ry parameter 1 is not"),
+    **{name: (gate_text(gate), MalformedCircuit, "layer 2: ") for name, gate in [
+        ("repeated_op", '{"op":"x","params":[],"op":"h","qubits":[1]}'),
+        ("repeated_params", '{"op":"h","params":[],"params":[],"qubits":[1]}'),
+        ("repeated_qubits", '{"op":"h","params":[],"qubits":[0],"qubits":[1]}'),
+        ("extra_gate_key", '{"op":"h","params":[],"qubits":[1],"x":1}')]},
 }
 
 
@@ -1117,28 +1197,42 @@ class TestStreamingReader:
         error = refused_at(IN_LAYER_TEXT + trailing, len(IN_LAYER_TEXT) + len(trailing) - len(trailing.lstrip(" ")))
         assert str(error).endswith("expected the end of the text")
 
+    def test_tail_text_reads_back(self):
+        """The base of the tail's one-edit property is a valid circuit in ``write``'s order."""
+        assert cir.dumps(cir.loads(TAIL_TEXT)) == TAIL_TEXT
+
+    @pytest.mark.parametrize("name", list(OUT_OF_WRITE_ORDER))
+    def test_out_of_write_order_is_refused(self, name):
+        """Rows and ids out of the order ``write`` writes them in, an int parameter and a gate
+        key repeated or extra are refused, read as a ``str``, as ``bytes`` and from a file
+        alike; a gate's fault names its layer."""
+        text, error, message = OUT_OF_WRITE_ORDER[name]
+        for source in (text, text.encode(), io.BytesIO(text.encode())):
+            with pytest.raises(error) as info:
+                cir.loads(source)
+            assert info.type is error and str(info.value).startswith(message)
+
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(at=st.integers(0, len(IN_LAYER_TEXT)), edit=st.sampled_from(["delete", "insert", "replace"]),
            char=st.sampled_from(list('{}[],:" \n\t0123456789.-eEtrufalsnNIx')) | st.characters())
     @example(at=IN_LAYER_TEXT.index('{"op"'), edit="insert", char="[")
     @example(at=IN_LAYER_TEXT.index("0.5"), edit="replace", char="N")
     def test_one_edit_reads_or_is_a_circuit_error(self, at, edit, char):
-        """Any one-character edit of the canonical text, read as a ``str``, as ``bytes`` and from
-        a file, gives a circuit that passes ``validate()`` or a ``CircuitError``, the same
-        one each way, and never any other exception."""
-        text = IN_LAYER_TEXT[:at] + {"delete": "", "insert": char + IN_LAYER_TEXT[at:at + 1],
-                                     "replace": char}[edit] + IN_LAYER_TEXT[at + 1:]
-        data = text.encode("utf-8", "surrogatepass")
-        outcomes = []
-        for source in (text, data, io.BytesIO(data)):
-            try:
-                c = cir.loads(source)
-            except CircuitError as e:
-                outcomes.append((type(e), str(e)))
-            else:
-                assert c.validate() == []
-                outcomes.append(cir.dumps(c))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        """Any one-character edit of the canonical text reads one way from every source, and
+        a circuit it gives is written back as read (:func:`read_one_edit`)."""
+        read_one_edit(IN_LAYER_TEXT, at, edit, char)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(at=st.integers(TAIL_TEXT.index('"dealloc"'), len(TAIL_TEXT)),
+           edit=st.sampled_from(["delete", "insert", "replace"]), char=st.sampled_from(list('{}[],:"0123CDE')))
+    @example(at=TAIL_TEXT.index("[2,2]") + 1, edit="replace", char="0")      # dealloc ids out of order
+    @example(at=TAIL_TEXT.index("1,2]"), edit="replace", char="0")          # a persistent id twice
+    @example(at=TAIL_TEXT.index('"C"') + 1, edit="replace", char="D")       # a register name twice
+    @example(at=TAIL_TEXT.index('"C"') + 1, edit="replace", char="E")       # register names out of order
+    def test_one_edit_of_the_tail_reads_back_as_written(self, at, edit, char):
+        """The one-edit property on a text with two dealloc rows, three persistent ids and two
+        registers, edited from its dealloc table on."""
+        read_one_edit(TAIL_TEXT, at, edit, char)
 
     @pytest.mark.parametrize("order", ["layers_first", "canonical"])
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1233,13 +1327,13 @@ class TestStreamingReader:
 
     @pytest.mark.parametrize("param", [True, "a", None], ids=["true", "string", "null"])
     def test_parameter_that_is_no_number_names_its_layer_and_op(self, param):
-        """A parameter the reader cannot take as a float is worded as every other gate
-        fault it reports: led by its layer and op."""
+        """A parameter that is no float is worded as every other gate fault the reader
+        reports (:func:`_form_faults`): led by its layer and op."""
         doc = in_layer_doc()
         doc["layers"][2].append({"op": "ry", "params": [param], "qubits": [0]})
         with pytest.raises(MalformedCircuit) as info:
             cir.loads(circuit_json(doc))
-        assert str(info.value) == f"layer 2: ry parameter {param!r} is not a number"
+        assert str(info.value) == f"layer 2: ry parameter {param!r} is not a finite float"
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_parameter_is_malformed(self, literal):

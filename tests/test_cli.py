@@ -963,17 +963,30 @@ class TestCircuitStreams:
         assert piped["input_digest"] == hashlib.sha256(circ.read_bytes() + b"\n").hexdigest()
 
     def test_readme_line_makes_another_tools_circuit_readable(self, capsys, tmp_path, rand_n4):
-        """README's one line rewrites a circuit file that another tool wrote (here indented,
-        its keys in another order) in the layout the reader reads: ``profile`` reads it
-        with the report of the file ``synth`` wrote."""
+        """README's converter (its ``python`` block) rewrites a circuit file that another tool
+        wrote (here indented, its keys in another order, its rows, persistent ids and
+        registers in reverse and its parameters ints) as ``write`` writes it: the text of
+        the same document, which ``profile`` reads with the report of the file ``synth``
+        wrote (the parameters do not enter it)."""
         circ, other, fixed = tmp_path / "c.json", tmp_path / "other.json", tmp_path / "fixed.json"
         assert run_cli(capsys, "synth", "--in", rand_n4, "--out", str(circ))[0] == 0
         doc = json.loads(circ.read_text())
-        other.write_text(json.dumps({"layers": doc.pop("layers"), **doc}, indent=2))
+        for g in (g for layer in doc["layers"] for g in layer):
+            g["params"] = [round(p) for p in g["params"]]
+        foreign = {"layers": doc["layers"], **{key: doc[key][::-1] for key in ("alloc", "dealloc", "persistent")},
+                   "registers": dict(reversed(doc["registers"].items()))}
+        assert any(type(p) is int for g in doc["layers"][0] for p in g["params"])
+        other.write_text(json.dumps(foreign, indent=2))
         code, _, err = run_on(capsys, "profile", other, tmp_path)
         assert (code, json.loads(err)["error"]) == (2, "MalformedCircuit")
-        with open(other) as f, open(fixed, "w") as out:
-            json.dump(json.load(f), out, sort_keys=True, separators=(",", ":"))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        snippet = next(block.split("```")[0] for block in readme.split("```python\n") if "def canonical(" in block)
+        namespace = {}
+        exec(snippet, namespace)
+        namespace["canonical"](other, fixed)
+        for g in (g for layer in doc["layers"] for g in layer):
+            g["params"] = list(map(float, g["params"]))
+        assert fixed.read_text() == circuit_json(doc)
         reports = []
         for path in (circ, fixed):
             code, out, err = run_on(capsys, "profile", path, tmp_path)

@@ -372,14 +372,16 @@ def test_batches_pass_exactly_the_per_id_rules(c, data):
 @given(c=lifecycles(), data=st.data())
 def test_a_release_fault_read_from_json_is_deallocs(c, data):
     """A dealloc table entry that ``Circuit.dealloc`` would refuse (a qubit not in the
-    circuit, released twice, or released at or before its allocation or a gate on it)
-    makes ``loads`` raise ``dealloc``'s class."""
+    circuit, released twice, or released at or before its allocation or a gate on it),
+    put in id order after any row of the same qubit, makes ``loads`` raise ``dealloc``'s
+    class."""
     n, L = len(c.qubits()), c.num_layers()
     q, t = data.draw(st.integers(-1, n + 1)), data.draw(st.integers(0, L + 1))
     fault = release_oracle(c, [q], [t])
     assume(fault is not None)
+    rows = [[p, c.dealloc_layer(p)] for p in c.qubits() if c.dealloc_layer(p) is not None]
     doc = {"alloc": [[p, c.alloc_layer(p), c.kind(p)] for p in c.qubits()],
-           "dealloc": [[p, c.dealloc_layer(p)] for p in c.qubits() if c.dealloc_layer(p) is not None] + [[q, t]],
+           "dealloc": sorted(rows + [[q, t]], key=lambda row: row[0]),
            "layers": [[{"op": g.op, "params": list(g.params), "qubits": list(g.qubits)} for g in gates(c, u)]
                       for u in range(L)] + [[], []]}
     with pytest.raises(fault[0]):

@@ -182,6 +182,29 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
+def test_every_private_name_is_read():
+    """Every module-level private name of the package (a function, class, constant or
+    import whose name starts with one ``_``) is read by another statement of the package:
+    a helper that only its own body or the tests read is deleted."""
+    modules = {path.relative_to(PACKAGE): ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    statements = [(path, stmt) for path, tree in modules.items() for stmt in tree.body]
+    reads = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+             for _, stmt in statements]
+    found = []
+    for k, (path, stmt) in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in stmt.names]
+        else:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        found += [f"{path}:{stmt.lineno} {name}" for name in names if name.startswith("_") and not name.startswith("__")
+                  and not any(name in read for j, read in enumerate(reads) if j != k)]
+    assert found == []
+
+
 #: lifecycle condition -> (the error class that names it, a phrase of its message)
 ONE_SITE = {
     "release of no qubit": ("OperandNotLive", "is not allocated"),

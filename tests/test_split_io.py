@@ -173,6 +173,25 @@ def plant_use_after_release(text: str) -> str:
     return text[:ids] + str(q) + text[end:]
 
 
+def repeat_first_register(text: str) -> str:
+    """``text`` with its first register written twice."""
+    start = text.index('"registers":{') + len('"registers":{')
+    end = text.index("]", start) + 1
+    return text[:end] + "," + text[start:end] + text[end:]
+
+
+def swap_first_persistent_ids(text: str) -> str:
+    start = text.index('"persistent":[') + len('"persistent":[')
+    first, second, rest = text[start:].split(",", 2)
+    return text[:start] + ",".join([second, first, rest])
+
+
+def repeat_op_after_split(text: str) -> str:
+    """``text`` with a gate past the child's start led by a second ``op``."""
+    at = gate_after_split(text) + 1
+    return text[:at] + '"op":"x",' + text[at:]
+
+
 #: name -> (how to plant the fault after the split point, the error class)
 FAULTS = {
     "use_after_release": (plant_use_after_release, "UseAfterDealloc"),
@@ -184,6 +203,9 @@ FAULTS = {
                      + text[gate_after_split(text) + 6:], "MalformedCircuit"),
     "non_ascii_register_name": (lambda text: text.replace('"registers":{"', '"registers":{"\u00e9'),
                                 "MalformedCircuit"),
+    "repeated_register_name": (repeat_first_register, "MalformedCircuit"),
+    "persistent_out_of_order": (swap_first_persistent_ids, "MalformedCircuit"),
+    "repeated_gate_key": (repeat_op_after_split, "MalformedCircuit"),
 }
 
 
