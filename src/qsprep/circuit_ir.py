@@ -29,9 +29,9 @@ persistent); :meth:`Circuit.validate` reports its faults and :func:`loads`
 raises the first.  What the columns and tables cannot hold is refused where
 it is put in: a gate that breaks :func:`_form_faults` where a batch is
 packed (and by :meth:`Circuit.put`, a parameter that is not finite), and ids
-that are not ints, alloc layers outside ``_INDEX`` and unknown kinds at the
-builder's call.  The reader checks only that and the layout of the text,
-in the order :func:`write` writes it.  Placement and release test a batch at once
+that are not ints, layers that are not ints in 0..NEVER-1 and unknown kinds by
+:meth:`Circuit._add_qubits` and :meth:`Circuit.dealloc_many`, the reader's tables
+too.  Placement and release test a batch at once
 (:func:`_claim`), and a batch that fails changes nothing; one per-id
 diagnosis, :meth:`Circuit._id_faults`, names their faults, and a failed
 placement and the walk word a layer through one per-layer one,
@@ -42,7 +42,7 @@ Gates enter a circuit one way: a batch of one op goes through
 and :meth:`Block.mirror` place column slices through the same
 :meth:`Circuit._place`.  :func:`loads` reads circuit JSON (a ``str``,
 ``bytes``, or a binary file read in blocks) in the one layout :func:`write`
-writes, into the columns and tables a piece of each array at a time, and
+writes (no layer empty), into the columns and tables a piece of each array at a time, and
 the loaded circuit passes the walk; :func:`checked` refuses an emitted
 circuit that does not.
 """
@@ -118,8 +118,7 @@ _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 
 #: the release layer of a qubit that is never released: the largest ``array('i')`` value
 NEVER = 2**31 - 1
-#: the ints a qubit id or a layer index can be, and the ints a column can hold
-_INDEX = range(NEVER)
+#: the ints a column can hold; a layer index is one in 0..NEVER-1
 _I32 = range(-2**31, NEVER)
 
 
@@ -137,9 +136,21 @@ def _ids(ids: Sequence[int]) -> array:
 
 
 def _sequence(values: Iterable) -> Sequence:
-    """``values`` read once into something that can be read again: itself if it is an
-    ``array``, ``range`` or ``list``, else a list of them."""
-    return values if isinstance(values, (array, range, list)) else list(values)
+    """``values`` readable again: itself if an ``array``, ``range``, ``list`` or ``tuple``, else a list of them."""
+    return values if isinstance(values, (array, range, list, tuple)) else list(values)
+
+
+def _one(layers) -> bool:
+    """Whether ``layers`` is one layer, not a sequence of them: a string or anything not iterable."""
+    return isinstance(layers, str) or not isinstance(layers, Iterable)
+
+
+def _kind_codes(kinds: Sequence) -> bytes:
+    """The codes of kind names, else ``MalformedCircuit`` naming the first that is neither clean nor dirty."""
+    try:
+        return bytes(map(_KIND_CODE.__getitem__, kinds))
+    except (KeyError, TypeError):  # an unknown or unhashable kind
+        raise MalformedCircuit(f"unknown kind {next(k for k in kinds if k not in _KINDS)!r}") from None
 
 
 def _all_ints(ids: Sequence) -> bool:
@@ -148,12 +159,12 @@ def _all_ints(ids: Sequence) -> bool:
 
 
 def _int_ids(ids: Iterable[int], what: str) -> "Register":
-    """The persistent or register ids ``ids`` as a :class:`Register` if each is an int it
-    can hold, else ``OperandNotLive``; that each is a qubit is left to the walk."""
+    """The persistent or register ids ``ids`` as a :class:`Register` (itself if it is one) if
+    each is an int it can hold, else ``OperandNotLive``; that each is a qubit is left to the walk."""
     ids = _sequence(ids)
     try:
         if _all_ints(ids):
-            return Register(ids)
+            return ids if type(ids) is Register else Register(ids)
     except OverflowError:
         pass
     bad = next(i for i in ids if type(i) is not int or i not in _I32)
@@ -178,7 +189,7 @@ def _claim(ids: np.ndarray, t, last_use: np.ndarray, dealloc: np.ndarray, releas
     """The lifecycle rules, tested on a whole batch of qubit ids (numpy views, like the
     tables) at once: every id is a qubit, none repeats, and each is live at ``t`` after
     its latest gate, ``last_use[ids] < t < dealloc[ids]``.  A gate batch then writes
-    ``last_use[ids] = t``; a release, whose ``t`` may be one layer per id, also needs the
+    ``last_use[ids] = t``; a release, whose ``t`` is one layer per id, also needs the
     qubits not yet released (``dealloc[ids] == NEVER``) and writes ``dealloc[ids] = t``.
     A batch that fails changes nothing.  A qubit's latest layer is at least its alloc
     layer - 1, so ``last_use < t`` also proves it allocated by then."""
@@ -187,7 +198,7 @@ def _claim(ids: np.ndarray, t, last_use: np.ndarray, dealloc: np.ndarray, releas
     top = int(ids.view(np.uintc).max())  # a negative id reads as one past 2**31 - 1
     if top >= len(last_use):
         return False
-    if release:  # t may be one layer per id; int32 indices, which numpy buffers, copy no ids
+    if release:  # t is one layer per id; int32 indices, which numpy buffers, copy no ids
         live = np.max(t) < NEVER == dealloc[ids].min() and (last_use[ids] < t).all()
     else:  # numpy gathers and scatters fastest through intp indices
         ids = ids.astype(np.intp)
@@ -238,20 +249,23 @@ def _form_faults(op, params, qubits, gates: int = 1) -> Iterator[tuple[type[Circ
     elif (len(qubits), len(params)) != (gates * sig[0], gates * sig[1]):
         yield (DuplicateOperand if len(qubits) != gates * sig[0] else MalformedCircuit,
                f"{op} takes {sig[0]} qubits and {sig[1]} params, got {len(qubits)} and {len(params)}")
-    for p in params:
-        if type(p) is not float:
-            yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
+    yield from _param_faults(op, params, lambda p: type(p) is float)
     for i in qubits:
         if type(i) is not int:
             yield OperandNotLive, f"{op} operand {i!r} is not an int qubit id"
 
 
+def _param_faults(op, params, keep: Callable) -> Iterator[tuple[type[CircuitError], str]]:
+    """Each parameter of an ``op`` gate that ``keep`` refuses, as (error class, message)."""
+    for p in params:
+        if not keep(p):
+            yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
+
+
 def _value_faults(op, params, qubits) -> Iterator[tuple[type[CircuitError], str]]:
     """The per-gate rules left to the walk, for a gate that keeps :func:`_form_faults`:
     finite parameters and distinct operands."""
-    for p in params:
-        if not math.isfinite(p):
-            yield MalformedCircuit, f"{op} parameter {p!r} is not a finite float"
+    yield from _param_faults(op, params, math.isfinite)
     if len(set(qubits)) != len(qubits):
         yield DuplicateOperand, f"{op} repeats an operand: {list(qubits)}"
 
@@ -301,54 +315,56 @@ class Circuit:
         return self.alloc_many(1, kind, at_layer)[0]
 
     def alloc_many(self, count: int, kind: str = CLEAN, at_layer: int | Sequence[int] | None = None) -> range:
-        """Allocate ``count`` fresh qubits of one kind at one layer ``at_layer`` (by default
-        the next new one), or each at its own (``at_layer`` a sequence of ``count``
-        layers); returns their ids.  A kind that is not clean or dirty, or a layer
-        outside ``_INDEX``, is refused."""
-        if kind not in _KINDS:
-            raise MalformedCircuit(f"unknown kind {kind!r}")
-        if at_layer is None:
-            at_layer = self.num_layers()
-        one = isinstance(at_layer, (int, np.integer))
-        at_layer = at_layer if one else _sequence(at_layer)
-        try:
-            layers = array("i", (at_layer,)) * count if one else _ids(at_layer)
-            fits = not layers or 0 <= _view(layers).min() and _view(layers).max() < NEVER
-        except OverflowError:
-            fits = False
-        if not fits:
-            bad = next(t for t in ((at_layer,) if one else at_layer) if t not in _INDEX)
-            raise OperandNotLive(f"alloc layer {bad} is not a layer index")
-        if len(layers) != count:
-            raise MalformedCircuit(f"{count} qubits need {count} alloc layers, got {len(layers)}")
-        return self._add_qubits(bytes((_KIND_CODE[kind],)) * count, layers)
+        """Allocate ``count`` fresh qubits of one kind at one layer ``at_layer`` (by default the next
+        new one), or each at its own (a sequence of ``count`` layers), through :meth:`_add_qubits`."""
+        if count < 0:
+            raise MalformedCircuit(f"cannot allocate {count} qubits")
+        return self._add_qubits(_kind_codes((kind,)) * count, self.num_layers() if at_layer is None else at_layer)
 
-    def _add_qubits(self, kinds: bytes, layers: array) -> range:
-        """Allocate fresh qubits, one per kind code and alloc layer; returns their ids."""
+    def _add_qubits(self, kinds: bytes, layers: int | Sequence[int]) -> range:
+        """The one checked allocation step: fresh qubits, one per kind code, at one layer
+        ``layers`` or each at its own (a sequence as long as ``kinds``); returns their ids.  A
+        layer that is not an int (a numpy integer is one, a ``bool`` is not) in 0..NEVER-1
+        is ``OperandNotLive``, and a refused batch changes nothing."""
+        one = _one(layers)
+        values = (layers,) if one else _sequence(layers)
+        try:  # the types at once for an ``array('i')``, a ``range`` or a list of ints
+            column = array("i", values) * len(kinds) if one else _ids(values)
+            fits = not column or 0 <= _view(column).min() and _view(column).max() < NEVER
+        except (TypeError, OverflowError):
+            fits = False
+        if not (fits and _all_ints(values)):
+            bad = [t for t in values if type(t) is bool or not isinstance(t, (int, np.integer)) or not 0 <= t < NEVER]
+            if bad:
+                raise OperandNotLive(f"alloc layer {bad[0]!r} is not a layer index")
+        if len(column) != len(kinds):
+            raise MalformedCircuit(f"{len(kinds)} qubits need {len(kinds)} alloc layers, got {len(column)}")
         first = len(self._alloc)
         self._kind += kinds
-        self._alloc += layers
-        self._dealloc += array("i", (NEVER,)) * len(layers)
-        self._last_use += _before(layers)
+        self._alloc += column
+        self._dealloc += array("i", (NEVER,)) * len(column)
+        self._last_use += _before(column)
         return range(first, len(self._alloc))
 
     def dealloc(self, q: int, at_layer: int | None = None) -> None:
         """:meth:`dealloc_many` of one qubit, by default right after its latest gate."""
         if at_layer is None:  # a qubit not in the circuit is refused before its layer is read
-            at_layer = self._last_use[q] + 1 if 0 <= q < len(self._last_use) else 0
+            at_layer = self._last_use[q] + 1 if type(q) is int and 0 <= q < len(self._last_use) else 0
         self.dealloc_many((q,), at_layer)
 
     def dealloc_many(self, qubits: Sequence[int], at) -> None:
-        """Release qubits at one layer ``at``, or each at its own (``at`` a sequence as long
-        as ``qubits``), if the batch passes :func:`_claim`; else release none and raise the
-        first fault in batch order (:meth:`_id_faults`), a ``bool`` id included."""
-        one = isinstance(at, (int, np.integer))
-        qubits, at = _sequence(qubits), at if one else _sequence(at)
+        """The one release step: release qubits at one layer ``at``, or each at its own (``at`` a
+        sequence as long as ``qubits``), if the batch passes :func:`_claim`; else release none
+        and raise the first fault in batch order (:meth:`_id_faults`)."""
+        qubits = _sequence(qubits)
+        at = [at] * len(qubits) if _one(at) else _sequence(at)
+        if len(at) != len(qubits):
+            raise MalformedCircuit(f"{len(qubits)} qubits need {len(qubits)} release layers, got {len(at)}")
         try:
-            if _all_ints(qubits) and _claim(_view(_ids(qubits)), at if one else _view(_ids(at)),
-                                            _view(self._last_use), _view(self._dealloc), release=True):
+            if _all_ints(qubits) and _all_ints(at) and _claim(
+                    _view(_ids(qubits)), _view(_ids(at)), _view(self._last_use), _view(self._dealloc), release=True):
                 return
-        except (TypeError, OverflowError):  # an id or a layer that is no int32
+        except OverflowError:  # an id or a layer that is no int32
             pass
         raise _first(self._id_faults(qubits, at, self._last_use, release=True))
 
@@ -360,7 +376,7 @@ class Circuit:
         return set(self._persistent)
 
     def add_register(self, name: str, qubits: Iterable[int]) -> None:
-        """Name a register of qubits (:func:`_int_ids`)."""
+        """Name a register of qubits (:func:`_int_ids`; a :class:`Register` is kept, not copied)."""
         self.registers[name] = _int_ids(qubits, f"register {name}")
 
     # -- gate placement ---------------------------------------------------------
@@ -429,21 +445,21 @@ class Circuit:
         """For each id of a batch, in batch order, the first lifecycle rule it breaks, as
         (error class, message).  A gate at layer ``at`` takes a live qubit whose latest
         layer (``at`` if earlier in the batch, else ``latest``; the walk has none) comes
-        before ``at``; a release (``at`` one layer or one per id) a qubit released
-        neither yet nor earlier in the batch, past its ``latest`` layer.  Reads only."""
+        before ``at``; a release (``at`` one layer per id) a qubit released neither yet nor
+        earlier in the batch, at an int layer below ``NEVER`` past its ``latest``.  Reads only."""
         n, seen = len(self._alloc), set()
-        for i, t in zip(ids, repeat(at) if isinstance(at, (int, np.integer)) else at):
+        for i, t in zip(ids, at if release else repeat(at)):
             if type(i) is not int or not 0 <= i < n:
                 yield OperandNotLive, f"qubit {i!r} is not allocated" if release else \
                     f"layer {t}: qubit {i!r} is not in the circuit"
                 continue
             if release:
-                if self._dealloc[i] != NEVER or i in seen:
+                if type(t) is not int or not 0 <= t < NEVER:
+                    yield OperandNotLive, f"qubit {i} deallocated at {t!r}, not a layer index"
+                elif self._dealloc[i] != NEVER or i in seen:
                     yield DoubleDealloc, f"qubit {i} deallocated twice"
                 elif t <= latest[i]:
                     yield UseAfterDealloc, f"qubit {i} has activity at or past layer {t}"
-                elif t >= NEVER:
-                    yield OperandNotLive, f"qubit {i} deallocated at {t}, not a layer index"
             elif t < self._alloc[i]:
                 yield OperandNotLive, f"layer {t}: qubit {i} used before allocation at layer {self._alloc[i]}"
             elif t >= self._dealloc[i]:
@@ -505,7 +521,7 @@ class Circuit:
 
     def of_kind(self, kind: str) -> list[int]:
         """The qubits of one kind, in id order: one pass over the kind table."""
-        return np.flatnonzero(np.frombuffer(self._kind, np.uint8) == _KIND_CODE[kind]).tolist()
+        return np.flatnonzero(np.frombuffer(self._kind, np.uint8) == _kind_codes((kind,))[0]).tolist()
 
     def alloc_layer(self, q: int) -> int:
         return self._alloc[q]
@@ -1149,85 +1165,53 @@ def _read_gates(c: Circuit, t: int, gates: list, text: str) -> None:
             at = end + 1
 
 
-def _alloc_entry(e) -> tuple[int, int, int]:
-    """(id, layer, kind code) of one alloc table entry ``[id, layer, kind]``, or its typed error."""
-    if type(e) is not list or len(e) != 3:
-        raise MalformedCircuit(f"alloc entry {e!r} is not [id, layer, kind]")
-    qid, t, kind = e
-    if type(qid) is not int or qid not in _I32:
-        raise OperandNotLive(f"alloc id {qid!r} is not an int32 qubit id")
-    if kind not in _KINDS:
-        raise MalformedCircuit(f"qubit {qid} has unknown kind {kind!r}")
-    if type(t) is not int or t not in _INDEX:
-        raise OperandNotLive(f"qubit {qid} allocated at {t!r}, not a layer index")
-    return qid, t, _KIND_CODE[kind]
+def _columns(rows: list, what: str, form: str) -> list[tuple]:
+    """The columns of a piece of table rows, each a list of the values ``form`` names, else ``MalformedCircuit``."""
+    width = form.count(",") + 1
+    if set(map(type, rows)) <= _LIST and set(map(len, rows)) == {width}:
+        return list(zip(*rows))
+    bad = next(row for row in rows if type(row) is not list or len(row) != width)
+    raise MalformedCircuit(f"{what} entry {bad!r} is not {form}")
 
 
-def _dealloc_entry(e) -> tuple[int, int]:
-    """(id, layer) of one dealloc table entry ``[id, layer]``, or its typed error."""
-    if type(e) is not list or len(e) != 2:
-        raise MalformedCircuit(f"dealloc entry {e!r} is not [id, layer]")
-    qid, t = e
-    if type(qid) is not int or qid not in _I32:
-        raise OperandNotLive(f"dealloc id {qid!r} is not an int32 qubit id")
-    if type(t) is not int:
-        raise MalformedCircuit(f"qubit {qid} deallocated at {t!r}")
-    if t not in _I32:
-        raise OperandNotLive(f"qubit {qid} deallocated at {t}, not a layer index")
-    return qid, t
+def _allocate(c: Circuit, rows: list) -> None:
+    """Allocate a piece of alloc rows (:meth:`Circuit._add_qubits`), their ids the next ones: 0..n-1 in order."""
+    ids, layers, kinds = _columns(rows, "alloc", "[id, layer, kind]")
+    if not (_all_ints(ids) and ids == tuple(range(n := len(c.qubits()), n + len(ids)))):
+        raise OperandNotLive("alloc list must cover dense qubit ids")
+    c._add_qubits(_kind_codes(kinds), layers)
 
 
-def _add_rows(columns: list, entry: Callable, rows: list) -> None:
-    """Append a block of a lifecycle table's parsed entries to its columns: at once if
-    they are lists of the right length with int ids and layers in ``_INDEX`` (and
-    kinds "clean" or "dirty"), else entry by entry through ``entry``, which raises the
-    first entry's typed error for what the columns cannot hold."""
-    starts = list(map(len, columns))
-    try:
-        if set(map(type, rows)) <= _LIST and set(map(len, rows)) == {len(columns)}:
-            ids, layers, *kinds = zip(*rows)
-            if set(map(type, ids)) | set(map(type, layers)) <= _INT:
-                kinds = [bytes(map(_KIND_CODE.__getitem__, k)) for k in kinds]
-                for column, values in zip(columns, [array("i", ids), array("i", layers), *kinds]):
-                    column += values
-                if all(new.min() >= 0 and new.max() < NEVER  # each view is dropped before any cut
-                       for new in (_view(column)[start:] for column, start in zip(columns, starts[:2]))):
-                    return
-    except (TypeError, KeyError, OverflowError):  # an unhashable or unknown kind, an id past 32 bits
-        pass
-    for column, start in zip(columns, starts):
-        del column[start:]
-    for e in rows:
-        for column, value in zip(columns, entry(e)):
-            column.append(value)
+def _release(c: Circuit, last: array, rows: list) -> None:
+    """Release a piece of dealloc rows (:meth:`Circuit.dealloc_many`), ids in order from ``last``, the row before."""
+    ids, layers = _columns(rows, "dealloc", "[id, layer]")
+    if _all_ints(ids):
+        with contextlib.suppress(OverflowError):  # an id past int32 is no qubit (dealloc_many)
+            ids = array("i", ids)
+            _in_order(last + ids, "dealloc", repeats=True)
+    c.dealloc_many(ids, layers)
+    last[:] = ids[-1:]
 
 
 def _read_tables(doc: _Reader, c: Circuit) -> None:
-    """Read the ``alloc`` and ``dealloc`` tables into ``c``'s lifecycle tables, a piece of
-    rows at a time (:func:`_add_rows`).
-
-    The alloc rows must list the ids 0..n-1 in order, and the dealloc rows
-    theirs in id order (:func:`_in_order`).  The qubits have no gate yet, and
-    the dealloc table is released through :meth:`Circuit.dealloc_many`, each
-    qubit at its own layer, with its rules and errors.
-    """
-    (ids, alloc, kinds), (qs, ends) = tables = [array("i"), array("i"), bytearray()], [array("i"), array("i")]
-    for head, entry, columns in zip(('{"alloc":[', ',"dealloc":['), (_alloc_entry, _dealloc_entry), tables):
+    """Read the ``alloc`` and ``dealloc`` tables into ``c`` a piece of rows at a time through the builder's
+    checked steps (:func:`_allocate`, :func:`_release`); a failed piece is read again row by row."""
+    for head, add in ('{"alloc":[', partial(_allocate, c)), (',"dealloc":[', partial(_release, c, array("i"))):
         doc.expect(head)
         for _, rows in doc.pieces("]"):
-            _add_rows(columns, entry, rows)
-    if not np.array_equal(_view(ids), np.arange(len(ids), dtype=np.intc)):
-        raise OperandNotLive("alloc list must cover dense qubit ids")
-    _in_order(qs, "dealloc", repeats=True)
-    c._kind, c._alloc, c._dealloc, c._last_use = kinds, alloc, array("i", (NEVER,)) * len(ids), _before(alloc)
-    c.dealloc_many(qs, ends)
+            try:
+                add(rows)
+            except CircuitError:  # a failed piece changed nothing; its first faulty row raises
+                for row in rows:
+                    add([row])
 
 
-def _in_order(ids: array, what: str, repeats: bool = False) -> None:
-    """Refuse ids out of the increasing order :func:`write` lists them in (a repeat too, unless ``repeats``)."""
+def _in_order(ids: array, what: str, repeats: bool = False) -> array:
+    """``ids``, refused out of the increasing order :func:`write` lists them in (a repeat too, unless ``repeats``)."""
     v = _view(ids)
     if (v[1:] < v[:-1] if repeats else v[1:] <= v[:-1]).any():
         raise MalformedCircuit(f"{what} ids must {'not decrease' if repeats else 'strictly increase'}, as written")
+    return ids
 
 
 _decode_value = json.JSONDecoder().raw_decode
@@ -1431,6 +1415,8 @@ def _read_layers(doc: _Reader, c: Circuit, stop: int = -1, result: Callable[[], 
         t = c.num_layers()
         c._grow(t)
         doc.expect("[")
+        if doc.peek() == "]":
+            raise _malformed(doc.offset(), "expected a gate: a layer is never empty")
         for text, gates in doc.pieces("}", stop):
             _read_gates(c, t, gates, text)
             if doc.offset() == stop and (later := result()) is not None:
@@ -1499,14 +1485,15 @@ def loads(source: str | bytes | BinaryIO) -> Circuit:
     ``{"alloc":[...],"dealloc":[...],"layers":[...],"persistent":[...],"registers":{...}}``
     in that order, nothing but a comma between two elements, whitespace only in
     strings and after the closing brace, the alloc rows, the dealloc rows and
-    the persistent ids in id order, the register names sorted and unique, and
-    each gate's ``op``, ``params`` and ``qubits`` once, its parameters floats.
+    the persistent ids in id order, no layer empty, the register names sorted and
+    unique, and each gate's ``op``, ``params`` and ``qubits`` once, its parameters floats.
     Any other text is ``MalformedCircuit`` naming the byte offset where it
     leaves that layout and what was expected there (or the table, or the layer).
 
     A file (anything with ``read``) is read ``_BLOCK`` bytes at a time.  Each
     array, the tail's too, is decoded a piece at a time (:meth:`_Reader.pieces`),
-    packed into the circuit's columns and tables and dropped.  Each fault is
+    put into the circuit (the tables through the builder's checked steps,
+    :func:`_read_tables`) and dropped.  Each fault is
     raised as soon as it is met, and the text after it is not read; the
     circuit's walk raises the first fault of the rest.
 
@@ -1538,9 +1525,7 @@ def _load(doc: _Reader, at: int = -1, result: Callable[[], int | None] | None = 
     doc.expect(',"layers":[')
     _read_layers(doc, c, at, result)
     doc.expect(',"persistent":[')
-    persistent = _id_array(doc, "persistent")
-    _in_order(persistent, "persistent")
-    c._persistent = set(persistent)
+    c.mark_persistent(_in_order(_id_array(doc, "persistent"), "persistent"))
     doc.expect(',"registers":{')
     for _ in doc.items("}"):
         start = doc.offset()
@@ -1548,7 +1533,7 @@ def _load(doc: _Reader, at: int = -1, result: Callable[[], int | None] | None = 
         if type(name) is not str or c.registers and name <= next(reversed(c.registers)):
             raise _malformed(start, "expected a new register name, in sorted order")
         doc.expect(":[")
-        c.registers[name] = _id_array(doc, f"register {name}")
+        c.add_register(name, _id_array(doc, f"register {name}"))
     doc.expect("}")
     doc.end()
     for error, message in c._faults(_view(c._last_use)):

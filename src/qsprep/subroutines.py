@@ -486,12 +486,12 @@ def loadf(c: Circuit, ctrl: list[int], buffer: list[int], flags: list[int],
 
 
 FRAGMENTS = {
-    "copy": FragmentSpec("copy", {"reg": lambda m, n: 1 << m},
+    "copy": FragmentSpec("copy", {"R": lambda m, n: 1 << m},
                          lambda m, n: (1 << m) - 1),
     "cs": FragmentSpec("cs", {"R": lambda m, n: 1 << m, "S": lambda m, n: 2 << m},
                        lambda m, n: 0),
     "copyswap": FragmentSpec("copyswap",
-                             {"ctrl": lambda m, n: m, "targets": lambda m, n: 1 << m},
+                             {"C": lambda m, n: m, "S": lambda m, n: 1 << m},
                              lambda m, n: ((1 << m) - 1 - m) + ((1 << m) - 1)),
     "spf": FragmentSpec("spf", {"D": lambda m, n: m, "A": lambda m, n: (1 << m) - 1},
                         lambda m, n: (1 << max(m - 1, 0)) - m if m >= 2 else 0),
@@ -512,6 +512,6 @@ FRAGMENTS = {
             "F0": lambda m, n: (1 << (n - m)) - 1,
             "F1": lambda m, n: ((1 << m) - 1) * ((1 << (n - m)) - 1),
         },
-        lambda m, n: 0,
+        lambda m, n: 3 * ((1 << m) - 1) * ((1 << (n - m)) - 1) + (1 << n) - m - 1,  # D1..F1, released
     ),
 }

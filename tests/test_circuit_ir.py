@@ -429,6 +429,14 @@ REFUSED_ARGUMENTS = {
     "alloc_layer_past_int32": (OperandNotLive, lambda c, q: c.alloc_many(1, at_layer=2**31)),
     "alloc_layers_past_int32": (OperandNotLive, lambda c, q: c.alloc_many(2, at_layer=[0, -2**40])),
     "unknown_kind": (MalformedCircuit, lambda c, q: c.alloc_many(2, "bogus")),
+    "negative_count": (MalformedCircuit, lambda c, q: c.alloc_many(-1)),
+    **{f"alloc_layer_{name}": (OperandNotLive, partial(lambda at, c, q: c.alloc_many(1, at_layer=at), at))
+       for name, at in [("str", "x"), ("float", 1.5), ("bool", True), ("bool_list", [True]), ("float_list", [1.5])]},
+    # qubit 1 is persistent, with no gate: a release at any layer index would pass
+    **{f"release_layer_{name}": (OperandNotLive, partial(lambda at, c, q: c.dealloc_many([1], at), at))
+       for name, at in [("str", "x"), ("str_list", ["x"]), ("float_list", [1.5]), ("float", 2.0),
+                        ("bool", True), ("bool_list", [True]), ("negative", -3)]},
+    "release_layer_count": (MalformedCircuit, lambda c, q: c.dealloc_many([1], [1, 2])),
     "bool_release": (OperandNotLive, lambda c, q: c.dealloc_many([True], 3)),
     "bool_persistent": (OperandNotLive, lambda c, q: c.mark_persistent([True])),
     "bool_register": (OperandNotLive, lambda c, q: c.add_register("R", [q, False])),
@@ -449,6 +457,18 @@ class TestOneRuleSet:
         with pytest.raises(CircuitError) as info:
             cir.loads(cir.dumps(c))
         assert (info.type, str(info.value)) == faults[0]
+
+    @pytest.mark.parametrize("edit, error, message", [
+        ({"alloc": [[0, 1.5, "clean"], [1, 0, "weird"], [2, 1, "clean"]]}, OperandNotLive,
+         "alloc layer 1.5 is not a layer index"),
+        ({"dealloc": [[2, True]]}, OperandNotLive, "qubit 2 deallocated at True, not a layer index"),
+    ], ids=["first_faulty_row_of_a_piece", "release_layer_true"])
+    def test_table_rows_go_through_the_builders_rules(self, edit, error, message):
+        """The reader allocates and releases through the builder: a piece of rows with two
+        faulty ones raises the first row's error, and a release layer ``true`` is refused."""
+        with pytest.raises(error) as info:
+            cir.loads(circuit_json({**in_layer_doc(), **edit}))
+        assert (info.type, str(info.value)) == (error, message)
 
     @pytest.mark.parametrize("name", list(REFUSED_ARGUMENTS))
     def test_builder_refuses_at_the_call(self, name):
@@ -549,13 +569,14 @@ class TestPackedBoundary:
         a, b = c.alloc_many(2, at_layer=0)
         late = c.alloc(at_layer=2)
         gone = c.alloc(at_layer=0)
+        place(c, [gate("x", (gone,))], 0)  # no layer is empty, as in the text write writes
         c.dealloc(gone, at_layer=1)
         place(c, [gate("x", (b,))], 1)
         bad = {"dead": late, "released": gone, "collided": b}[fault]
         with pytest.raises(error) as info:
             add_batch(c, entry, [gate("ry", (a,), 0.5), gate("ry", (bad,), 0.25)], 1)
         assert (info.type, str(info.value)) == (error, message)
-        assert c.size() == 1 and len(gates(c, 1)) == 1
+        assert c.size() == 2 and len(gates(c, 1)) == 1
 
 
 class TestPut:
@@ -1079,6 +1100,7 @@ DEPARTURES = {
     "space_in_a_row": (IN_LAYER_TEXT.replace('[2,1,"clean"]', '[2,1, "clean"]'), None),
     "space_in_a_gate": (IN_LAYER_TEXT.replace('"qubits":[0,1]', '"qubits":[0, 1]'), None),
     "space_in_the_registers": (IN_LAYER_TEXT.replace('{"D":[0,1]}', '{"D": [0,1]}'), None),
+    "empty_layer": (IN_LAYER_TEXT.replace('"layers":[', '"layers":[[],'), None),
     "layer_not_a_list": (IN_LAYER_TEXT.replace('[{"op":"h"', '{"op":"h"').replace('[1]}]]', '[1]}]'), None),
     "trailing_comma": (IN_LAYER_TEXT.replace('[1]}]]', '[1]},]]'), IN_LAYER_TEXT.index('[1]}]]') + 5),
     "deep_registers": (IN_LAYER_TEXT.replace('{"D":[0,1]}', "[" * 100_000 + "]" * 100_000),
@@ -1342,7 +1364,8 @@ class TestStreamingReader:
         with pytest.raises(MalformedCircuit):
             cir.loads(text)
 
-    @pytest.mark.parametrize("layer", ["[[],%s]", '[[{"op":"x","params":%s,"qubits":[0]}]]'],
+    @pytest.mark.parametrize("layer", ['[[{"op":"x","params":[],"qubits":[0]}],%s]',
+                                       '[[{"op":"x","params":%s,"qubits":[0]}]]'],
                              ids=["streamed", "in_a_gate"])
     def test_deep_nesting_inside_a_layer(self, layer):
         text = '{"alloc":[],"dealloc":[],"layers":%s,"persistent":[],"registers":{}}' % (

@@ -486,11 +486,12 @@ class TestLifecycleBounds:
         assert json.loads(err)["error"] == "OperandNotLive"
 
     @pytest.mark.parametrize("cmd", ["simulate", "profile"])
-    def test_dealloc_after_trailing_empty_layer(self, capsys, tmp_path, cmd):
-        path = one_qubit_circuit(tmp_path / "ok.json", [True, True, False], 0, 3)
-        code, out, _ = run_on(capsys, cmd, path, tmp_path)
-        assert code == 0
-        assert json.loads(out)["report"]
+    def test_trailing_empty_layer_is_exit_2(self, capsys, tmp_path, cmd):
+        """``write`` writes no empty layer, so a file with one is refused where it stands."""
+        path = one_qubit_circuit(tmp_path / "bad.json", [True, True, False], 0, 3)
+        code, _, err = run_on(capsys, cmd, path, tmp_path)
+        assert code == 2
+        assert json.loads(err)["error"] == "MalformedCircuit" and "empty" in json.loads(err)["message"]
 
 
 def empty_lifetime_doc() -> dict:

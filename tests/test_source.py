@@ -95,28 +95,53 @@ def test_circuit_reader_never_parses_the_whole_document():
     assert found == []
 
 
+def reader_functions() -> dict:
+    """name -> AST of `circuit_ir.loads` and every module function of `circuit_ir` it reaches by name."""
+    path = PACKAGE / "circuit_ir.py"
+    functions = {node.name: node for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+    reader, todo = {}, ["loads"]
+    while todo:
+        name = todo.pop()
+        if name not in reader:
+            reader[name] = functions[name]
+            todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name) and n.id in functions]
+    return reader
+
+
 def test_circuit_reader_has_no_per_gate_path_of_its_own():
     """`circuit_ir.loads` and every module function it reaches by name never call
     `gate(...)` or `.place(...)`: the reader turns JSON into gates one way and leaves
     their rules to the circuit's one walk, so it cannot grow a second per-gate path."""
-    path = PACKAGE / "circuit_ir.py"
-    functions = {node.name: node for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
-    reader, todo = set(), ["loads"]
-    while todo:
-        name = todo.pop()
-        if name not in reader:
-            reader.add(name)
-            todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name) and n.id in functions]
-    assert {"loads", "_read_tables"} <= reader
+    reader = reader_functions()
+    assert {"loads", "_read_tables"} <= reader.keys()
     found = []
     for name in sorted(reader):
-        for node in ast.walk(functions[name]):
+        for node in ast.walk(reader[name]):
             if isinstance(node, ast.Call):
                 callee = node.func
                 if (getattr(callee, "id", None) == "gate"
                         or isinstance(callee, ast.Attribute) and callee.attr == "place"):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_circuit_reader_writes_no_lifecycle_table():
+    """`circuit_ir.loads` and every module function it reaches by name assign no qubit
+    table, persistent set or register of a circuit: the tables are allocated and released
+    through the builder's checked steps (`Circuit._add_qubits`, `Circuit.dealloc_many`) and
+    the tail goes through `mark_persistent` and `add_register`."""
+    reader = reader_functions()
+    tables = {"_kind", "_alloc", "_dealloc", "_last_use", "_persistent", "registers"}
+    found = []
+    for name in sorted(reader):
+        for node in ast.walk(reader[name]):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                node = node.value  # c.registers[name] = ...
+            elif not isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in tables:
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert {"_allocate", "_release"} <= reader.keys() and found == []
 
 
 def test_simulator_has_no_per_gate_or_per_key_path():
@@ -219,6 +244,10 @@ ONE_SITE = {
     "alloc ids not dense": ("OperandNotLive", "dense qubit ids"),
     "unknown op": ("MalformedCircuit", "unknown op"),
     "operand or parameter count": ("MalformedCircuit", "qubits and"),
+    "unknown kind": ("MalformedCircuit", "unknown kind"),
+    "alloc layer not a layer index": ("OperandNotLive", "is not a layer index"),
+    "release layer not a layer index": ("OperandNotLive", ", not a layer index"),
+    "parameter not a finite float": ("MalformedCircuit", "is not a finite float"),
 }
 
 
@@ -238,8 +267,8 @@ def fault_sites():
 def test_each_release_fault_is_worded_at_one_site():
     """Each condition is worded once: every condition of ``ONE_SITE`` (a release's
     faults, a gate on a qubit not live at its layer, a lifetime outside the layers,
-    sparse alloc ids, and a gate's op and counts) is built at exactly one site in the
-    package, and every ``DoubleDealloc``, ``UseAfterDealloc`` and ``LayerCollision`` is
+    sparse alloc ids, a gate's op, counts and parameters, a kind, and an alloc or release
+    layer that is not a layer index) is built at exactly one site in the package, and every ``DoubleDealloc``, ``UseAfterDealloc`` and ``LayerCollision`` is
     one of them.  Placement, release and the walk name a gate's or a release's fault
     through one diagnosis, ``Circuit._id_faults``; placement and the walk reach it
     through one per-layer one, ``Circuit._layer_faults``."""

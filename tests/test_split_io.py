@@ -206,6 +206,8 @@ FAULTS = {
     "repeated_register_name": (repeat_first_register, "MalformedCircuit"),
     "persistent_out_of_order": (swap_first_persistent_ids, "MalformedCircuit"),
     "repeated_gate_key": (repeat_op_after_split, "MalformedCircuit"),
+    "empty_layer": (lambda text: text[:text.index("}]", gate_after_split(text)) + 2] + ",[]"
+                    + text[text.index("}]", gate_after_split(text)) + 2:], "MalformedCircuit"),
 }
 
 

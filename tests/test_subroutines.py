@@ -542,3 +542,36 @@ class TestLoadf:
         m, n = 1, 3
         for name in ("D1", "D2", "D3", "A0", "A1", "A2", "B1", "F1"):
             assert len(c.registers[name]) == decl[name](m, n), name
+
+
+#: fragment -> the qubits ``fragment_circuit`` hands it, from the register sizes; every
+#: other qubit of the circuit is one the fragment allocates itself
+HANDED_IN = {
+    "copy": lambda size: 1,   # the source, R's first qubit
+    "cs": lambda size: size["R"] + size["S"],
+    "copyswap": lambda size: size["C"] + 1,   # the controls and the payload
+    "spf": lambda size: size["D"] + size["A"],
+    "flag": lambda size: size["D"] + size["F"],
+    "loadf": lambda size: size["D0"] + size["B0"] + size["F0"],
+}
+
+
+@pytest.mark.parametrize("name, m, n", [
+    *((name, m, 3) for name in HANDED_IN if name != "loadf" for m in range(1, 6)),
+    *(("loadf", m, n) for m, n in [(1, 3), (2, 4), (2, 5), (3, 5)]),
+])
+def test_fragment_matches_its_declaration(name, m, n):
+    """``FRAGMENTS`` names each register ``fragment_circuit`` builds, at its size, and counts
+    the qubits the fragment allocates itself (cs takes t = m; loadf reads a random target
+    of n qubits)."""
+    from qsprep.subroutines import FRAGMENTS
+
+    spec = FRAGMENTS[name]
+    if name == "loadf":
+        target = amp.make_target(np.random.default_rng(m * n).random(1 << n) + 0.05)
+        c = fragment_circuit(name, m, angles=amp.csp_angles(target, m))
+    else:
+        c = fragment_circuit(name, m, t=m if name == "cs" else 0)
+    size = {reg: len(qubits) for reg, qubits in c.registers.items()}
+    assert size == {reg: count(m, n) for reg, count in spec.consumes.items()}
+    assert len(c.qubits()) - HANDED_IN[name](size) == spec.fresh_ancillae(m, n)
